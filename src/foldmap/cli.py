@@ -2,7 +2,9 @@
 
 Every experiment is reachable as a subcommand with an explicit seed, so any
 output is reproducible byte for byte from its command line. Exit codes:
-0 success, 1 usage, 2 precondition violation, 3 structural/guarantee failure.
+0 success, 1 usage, 2 precondition violation (bad values, including non-finite
+numbers and an --out path that cannot be written), 3 structural/guarantee
+failure.
 
 All subcommands accept --dry-run, which prints the fully resolved
 configuration as canonical JSON and performs no computation.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -77,17 +80,29 @@ def parse_dist(spec: str) -> ThetaDist:
     return ThetaDist(support, weights)
 
 
+def _check_out(out: str | None):
+    """Refuse an --out path whose directory is missing, before any computing."""
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise PreconditionError(f"--out directory {os.path.dirname(out)!r} does not exist")
+
+
 def _write(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write --out {out!r}: {exc.strerror}")
 
 
 def _dry_run(args, resolved: dict) -> str:
-    return canonical_json({"schema": 1, "kind": "dry_run",
-                           "subcommand": args.command, **resolved})
+    try:
+        return canonical_json({"schema": 1, "kind": "dry_run",
+                               "subcommand": args.command, **resolved})
+    except ValueError:  # canonical JSON has no NaN or inf
+        raise PreconditionError("the configuration holds a non-finite number")
 
 
 def _build_parser() -> _Parser:
@@ -371,14 +386,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        text = _COMMANDS[args.command](args)
+        _check_out(args.out)
+        _write(_COMMANDS[args.command](args), args.out)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StructuralError as exc:
         print(f"structural failure: {exc}", file=sys.stderr)
         return 3
-    _write(text, args.out)
     return 0
 
 

@@ -1,15 +1,17 @@
 """Monte Carlo and exact experiments on the folding chain.
 
 Reproducibility contract: every stochastic experiment takes a TrialPlan (or a
-master seed) and derives one RNG substream per trial via an integer hash, so
-reports are byte-identical across reruns and across worker counts. Workers
-are threads; numpy does the heavy lifting, and all aggregation is ordered by
+master seed) and reads its letters from that seed's uniform grid (see
+foldmap.process): trial t's j-th letter is cell (t, j), hashed on demand. The
+trial-indexed folds read one column of a block of trials at a time, in the
+order the fold consumes it, so no (trials, n) matrix is ever built. Reports
+are byte-identical across reruns, block sizes and worker counts. Workers are
+threads; numpy does the heavy lifting, and all aggregation is ordered by
 trial index, never by completion order. Runtime measurements are carried on
 report objects but excluded from their canonical serializations.
 
-Sample-indexed experiments (one_step_invariance_report) use one substream per
-fixed-size chunk of samples instead of per trial; the chunk size is a module
-constant, not derived from the worker count.
+The sample-indexed one_step_invariance_report reads row 0 for its stationary
+draws and row 1 for its letters, at cell = sample index.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from .errors import PreconditionError, StructuralError, WindowError
 from .orbit import (OrbitLabel, RHO_INVALID, W_MAX, apply_theta_label,
                     build_graph_window, rho_chart)
 from .process import (ThetaDist, TrialPlan, fold_interval_arrays,
-                      theta_from_uniform)
+                      substream_keys, theta_from_uniform, uniform_cells)
 from .serialize import canonical_json, rows_to_csv
 from .stationary import PiecewiseLinearCDF, sample_stationary, stationary_cdf
 
-_SAMPLE_CHUNK = 1 << 16   # substream granularity for sample-indexed runs
+_SAMPLE_BLOCK = 1 << 16   # samples vectorized together (does not affect output)
 _TRIAL_BLOCK = 1 << 12    # trials vectorized together (does not affect output)
+_RATE_CELLS = 1 << 16     # cap on one rate chunk's cells (does not affect output)
 _RATE_QK_CAP = 99         # keeps N below ~5.2e7 letters per trial
 
 
@@ -78,15 +81,6 @@ def ks_distance(sample: EmpiricalCDF, reference) -> float:
 # ---- trial-blocked Monte Carlo helpers ------------------------------------
 
 
-def _trial_uniform_matrix(plan: TrialPlan, first: int, count: int,
-                          draws: int) -> np.ndarray:
-    """(count, draws) uniforms; row i comes from substream first+i."""
-    out = np.empty((count, draws))
-    for i in range(count):
-        out[i] = plan.substream(first + i).random(draws)
-    return out
-
-
 def _run_blocks(worker, n_items: int, block: int, workers: int) -> list:
     """Apply worker(start, count) over fixed blocks; results in block order."""
     starts = list(range(0, n_items, block))
@@ -97,28 +91,39 @@ def _run_blocks(worker, n_items: int, block: int, workers: int) -> list:
         return list(pool.map(lambda t: worker(*t), tasks))
 
 
+def _check_start(x0: float):
+    if not 0.0 <= x0 < math.inf:
+        raise PreconditionError("x0 must be finite and >= 0")
+
+
+def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
+                 workers: int, first: int = 0, backward: bool = False) -> np.ndarray:
+    """x0 folded through n letters of rows first .. first+plan.trials-1.
+
+    Forward applies cell 0 first; backward applies it last (outermost).
+    """
+    steps = range(n - 1, -1, -1) if backward else range(n)
+
+    def worker(start, count):
+        keys = substream_keys(plan.master_seed, first + start, count)
+        x = np.full(count, float(x0))
+        for j in steps:
+            x = np.abs(theta_from_uniform(dist, uniform_cells(keys, j)) - x)
+        return x
+
+    return np.concatenate(_run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers))
+
+
 def forward_values(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
                    workers: int = 1) -> np.ndarray:
     """n-th forward iterate per trial, in trial order.
 
-    Trial t folds x0 through n letters drawn from substream t.
+    Trial t folds x0 through cells (t, 0), ..., (t, n-1), in that order.
     """
-    if x0 < 0:
-        raise PreconditionError("x0 must be >= 0")
+    _check_start(x0)
     if n < 0:
         raise PreconditionError("n must be >= 0")
-
-    def worker(start, count):
-        if n == 0:
-            return np.full(count, float(x0))
-        u = _trial_uniform_matrix(plan, start, count, n)
-        x = np.full(count, float(x0))
-        for j in range(n):
-            x = np.abs(theta_from_uniform(dist, u[:, j]) - x)
-        return x
-
-    parts = _run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers)
-    return np.concatenate(parts)
+    return _point_folds(dist, x0, n, plan, workers)
 
 
 def ensemble_forward(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
@@ -131,7 +136,7 @@ def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
                            workers: int = 1) -> np.ndarray:
     """Exact lengths of the backward image of [0, b] after n letters per trial.
 
-    Trial t's word comes from substream t, drawn left to right, so the word
+    Trial t's word is row t of the plan's grid, cell 0 outermost, so the word
     for a smaller n is a prefix of the word for a larger n under the same
     plan and the returned lengths are pointwise nonincreasing in n.
     """
@@ -140,13 +145,12 @@ def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
     b = dist.bound
 
     def worker(start, count):
-        if n == 0:
-            return np.full(count, b)
-        u = _trial_uniform_matrix(plan, start, count, n)
+        keys = substream_keys(plan.master_seed, start, count)
         lo = np.zeros(count)
         hi = np.full(count, b)
         for j in range(n - 1, -1, -1):  # newest letter innermost
-            lo, hi = fold_interval_arrays(theta_from_uniform(dist, u[:, j]), lo, hi)
+            lo, hi = fold_interval_arrays(theta_from_uniform(dist, uniform_cells(keys, j)),
+                                          lo, hi)
         return hi - lo
 
     parts = _run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers)
@@ -213,12 +217,13 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     """Monte Carlo check of the backward-contraction rate bound.
 
     Uses the two-point distribution {alpha, 1}. k_index selects the
-    convergent denominator q_k of alpha; each trial folds [0, 1] backward
-    through N = ceil(8 q_k^3 log2 q_k) letters from its own substream and
-    succeeds when the exact final diameter is below epsilon. Because the
-    diameter is nonincreasing while the word is consumed innermost-first,
-    each trial stops at the first sub-epsilon diameter; letters_used records
-    that stopping point (or N on failure).
+    convergent denominator q_k of alpha; trial t folds [0, 1] through the
+    cells (t, 0), (t, 1), ... of its row, cell 0 innermost, and succeeds when
+    the exact diameter drops below epsilon within N = ceil(8 q_k^3 log2 q_k)
+    letters. The diameter is nonincreasing as letters are added outside, so
+    each trial stops at its first sub-epsilon diameter; letters_used records
+    that stopping point (or N on failure). Only the cells a trial folds are
+    hashed, read in chunks that grow with the letters used so far.
     """
     qs = convergents(contfrac_expand(alpha, 40))
     if not 0 <= k_index < len(qs):
@@ -228,41 +233,37 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
         raise PreconditionError("q_k must be >= 2 (log2 q_k must be positive)")
     if q_k > _RATE_QK_CAP:
         raise PreconditionError(f"q_k > {_RATE_QK_CAP} is beyond the desk-scale cap")
-    if epsilon <= 8.0 / q_k:
-        raise PreconditionError(f"epsilon must exceed 8/q_k = {8.0 / q_k}")
+    if not 8.0 / q_k < epsilon < math.inf:
+        raise PreconditionError(f"epsilon must be finite and exceed 8/q_k = {8.0 / q_k}")
     n_steps = rate_steps(q_k)
     t0 = time.perf_counter()
 
     def worker(start, count):
-        rows = []
-        for t in range(start, start + count):
-            u = plan.substream(t).random(n_steps)
-            lo, hi = 0.0, 1.0
-            used = n_steps
-            success = False
-            applied = 0
-            for uu in u[::-1]:
-                if hi - lo < epsilon:
-                    success, used = True, applied
-                    break
-                theta = alpha if uu < 0.5 else 1.0
-                if theta <= lo:
-                    lo, hi = lo - theta, hi - theta
-                elif theta >= hi:
-                    lo, hi = theta - hi, theta - lo
-                else:
-                    lo, hi = 0.0, max(theta - lo, hi - theta)
-                applied += 1
-            else:
-                if hi - lo < epsilon:
-                    success, used = True, applied
-            rows.append((success, used))
-        return rows
+        keys = substream_keys(plan.master_seed, start, count)
+        success = np.full(count, 1.0 < epsilon)  # [0, 1] itself is short enough
+        used = np.where(success, 0, n_steps)
+        live = np.flatnonzero(~success)  # block positions still folding
+        lo, hi = np.zeros(live.size), np.ones(live.size)
+        j = 0  # letters applied to every live trial
+        while live.size and j < n_steps:
+            width = min(n_steps - j, max(16, min(j, _RATE_CELLS // live.size)))
+            cells = uniform_cells(keys[live], np.arange(j, j + width)[:, None])
+            thetas = np.where(cells < 0.5, alpha, 1.0)  # inverse transform of {alpha, 1}
+            diam = np.empty_like(thetas)
+            for i in range(width):
+                lo, hi = fold_interval_arrays(thetas[i], lo, hi)
+                np.subtract(hi, lo, out=diam[i])
+            below = diam < epsilon
+            hit = below.any(axis=0)
+            success[live[hit]] = True
+            used[live[hit]] = j + 1 + below.argmax(axis=0)[hit]
+            live, lo, hi = live[~hit], lo[~hit], hi[~hit]
+            j += width
+        return success, used
 
     parts = _run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers)
-    flat = [row for part in parts for row in part]
-    successes = [bool(s) for s, _ in flat]
-    letters = [int(k) for _, k in flat]
+    successes = np.concatenate([s for s, _ in parts]).tolist()
+    letters = np.concatenate([u for _, u in parts]).tolist()
     success_count = sum(successes)
     failures = plan.trials - success_count
     implied_c = (-epsilon * math.log(failures / plan.trials)) if failures else None
@@ -404,22 +405,21 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
                                master_seed: int, workers: int = 1) -> dict:
     """Draw stationary samples, apply one random fold, measure KS to the law.
 
-    Sample-indexed: chunk c of 2^16 samples uses substreams (2c, 2c+1) for
-    the stationary draw and the fold letter, so output is independent of
-    worker count.
+    Sample-indexed: sample i takes its stationary draw from cell (0, i) and
+    its fold letter from cell (1, i), so output is independent of block size
+    and worker count.
     """
     if n_samples < 1:
         raise PreconditionError("n_samples must be >= 1")
     cdf = stationary_cdf(dist)
-    plan = TrialPlan(master_seed, trials=1)
+    plan = TrialPlan(master_seed, trials=2)
 
     def worker(start, count):
-        chunk = start // _SAMPLE_CHUNK
-        x = sample_stationary(cdf, plan.substream(2 * chunk), count)
-        theta = theta_from_uniform(dist, plan.substream(2 * chunk + 1).random(count))
+        x = sample_stationary(cdf, plan.substream(0, start), count)
+        theta = theta_from_uniform(dist, plan.substream(1, start).random(count))
         return np.abs(theta - x)
 
-    parts = _run_blocks(worker, n_samples, _SAMPLE_CHUNK, workers)
+    parts = _run_blocks(worker, n_samples, _SAMPLE_BLOCK, workers)
     stepped = EmpiricalCDF(np.concatenate(parts))
     return {"schema": 1, "kind": "one_step_invariance", "n_samples": n_samples,
             "master_seed": master_seed,
@@ -431,28 +431,16 @@ def law_equality_report(dist: ThetaDist, x0: float, n: int, trials: int,
                         master_seed: int, workers: int = 1) -> dict:
     """Two-sample KS between forward and backward n-step values at x0.
 
-    Forward trial t uses substream t; backward trial t uses substream
-    trials + t, so the two ensembles are independent.
+    Forward trial t folds row t with cell 0 innermost; backward trial t
+    folds row trials + t with cell 0 outermost, so the two ensembles are
+    independent.
     """
+    _check_start(x0)
     if n < 0 or trials < 1:
         raise PreconditionError("need n >= 0 and trials >= 1")
     plan = TrialPlan(master_seed, trials)
-
-    def fold_block(start, count, offset, reverse):
-        if n == 0:
-            return np.full(count, float(x0))
-        u = _trial_uniform_matrix(plan, offset + start, count, n)
-        x = np.full(count, float(x0))
-        cols = range(n - 1, -1, -1) if reverse else range(n)
-        for j in cols:
-            x = np.abs(theta_from_uniform(dist, u[:, j]) - x)
-        return x
-
-    fwd = _run_blocks(lambda s, c: fold_block(s, c, 0, False),
-                      trials, _TRIAL_BLOCK, workers)
-    bwd = _run_blocks(lambda s, c: fold_block(s, c, trials, True),
-                      trials, _TRIAL_BLOCK, workers)
-    ks = ks_distance(EmpiricalCDF(np.concatenate(fwd)),
-                     EmpiricalCDF(np.concatenate(bwd)))
+    fwd = _point_folds(dist, x0, n, plan, workers)
+    bwd = _point_folds(dist, x0, n, plan, workers, first=trials, backward=True)
+    ks = ks_distance(EmpiricalCDF(fwd), EmpiricalCDF(bwd))
     return {"schema": 1, "kind": "law_equality", "x0": x0, "n": n,
             "trials": trials, "master_seed": master_seed, "ks_distance": ks}

@@ -8,9 +8,14 @@ lengths monotone. Interval images are computed exactly (three branches, no
 rounding beyond the subtractions themselves), so nesting and monotonicity are
 asserted without tolerances elsewhere in the package.
 
-All randomness flows through TrialPlan: trial i uses a substream seed that is
-a pure integer hash of (master_seed, i), so results never depend on execution
-order or worker count.
+All randomness is one stateless grid of uniforms per master seed,
+u[t, j] = (mix64(key_t + (j + 1) G) >> 11) 2^-53, where key_t =
+substream_seed(master_seed, t), G is the 64-bit golden-ratio increment and
+mix64 the SplitMix64 finalizer: SplitMix64 in counter mode (Steele, Lea &
+Flood, OOPSLA'14), the counter-based design of Salmon et al. (SC'11). Row t
+is trial t's word, cell j its j-th letter. Any cell is reached directly, so a
+shorter word is a prefix of a longer one and results never depend on block
+layout, execution order or worker count.
 """
 
 from __future__ import annotations
@@ -24,21 +29,94 @@ from .errors import PreconditionError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_UNIT53 = 2.0 ** -53
 
 
 def _splitmix64(z: int) -> int:
     # standard splitmix64 finalizer; full 64-bit avalanche
     z &= _MASK64
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    z = (z ^ (z >> 30)) * _MIX1 & _MASK64
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return z ^ (z >> 31)
 
 
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place on a uint64 array (wraps mod 2^64)."""
+    z ^= z >> 30
+    z *= np.uint64(_MIX1)
+    z ^= z >> 27
+    z *= np.uint64(_MIX2)
+    z ^= z >> 31
+    return z
+
+
 def substream_seed(master_seed: int, index: int) -> int:
-    """Deterministic 64-bit seed for substream `index` of a master seed."""
+    """Deterministic 64-bit key of row `index` of a master seed's grid."""
     if index < 0:
         raise PreconditionError("substream index must be >= 0")
     return _splitmix64((master_seed + (index + 1) * _GOLDEN64) & _MASK64)
+
+
+def substream_keys(master_seed: int, first: int, count: int) -> np.ndarray:
+    """substream_seed(master_seed, t) for t = first .. first+count-1, as uint64."""
+    if first < 0 or count < 0:
+        raise PreconditionError("substream rows must be >= 0")
+    z = np.arange(count, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN64)
+    # the scalar offset is a masked Python int, so numpy never sees an overflow
+    z += np.uint64((master_seed + (first + 1) * _GOLDEN64) & _MASK64)
+    return _mix64(z)
+
+
+def uniform_cells(keys, steps) -> np.ndarray:
+    """Grid cells u[t, j] in [0, 1) for row keys and step indices j.
+
+    keys is a uint64 array from substream_keys; steps is an int or an integer
+    array, broadcast against keys. Each cell is hashed on demand.
+    """
+    if np.ndim(steps) == 0:
+        offsets = np.uint64(((int(steps) + 1) * _GOLDEN64) & _MASK64)
+    else:
+        offsets = np.asarray(steps, dtype=np.uint64) + np.uint64(1)
+        offsets *= np.uint64(_GOLDEN64)
+    z = _mix64(np.add(keys, offsets))
+    z >>= 11
+    return z * _UNIT53
+
+
+class UniformRow:
+    """Cells (t, start), (t, start + 1), ... of one grid row, read in order.
+
+    It offers the two Generator methods the package draws through, random and
+    integers, so sample_theta and sample_stationary accept it; its only state
+    is the position of the next cell.
+    """
+
+    def __init__(self, key: int, start: int = 0):
+        if start < 0:
+            raise PreconditionError("row start must be >= 0")
+        self._key = np.array([key], dtype=np.uint64)
+        self.position = start
+
+    def random(self, size=None):
+        """The next cells; a float when size is None, else an array of that shape."""
+        count = 1 if size is None else int(np.prod(size))
+        steps = np.arange(self.position, self.position + count, dtype=np.uint64)
+        self.position += count
+        u = uniform_cells(self._key, steps)
+        return float(u[0]) if size is None else u.reshape(size)
+
+    def integers(self, low: int, high: int | None = None, size=None):
+        """Integers in [low, high) (or [0, low)), one cell each, by scaling."""
+        if high is None:
+            low, high = 0, low
+        span = high - low
+        if not 1 <= span <= 1 << 53:
+            raise PreconditionError("integers needs 1 <= high - low <= 2^53")
+        k = np.floor(np.asarray(self.random(size)) * span).astype(np.int64) + low
+        return int(k) if size is None else k
 
 
 @dataclass(frozen=True)
@@ -55,10 +133,9 @@ class TrialPlan:
         if self.steps < 0:
             raise PreconditionError("steps must be >= 0")
 
-    def substream(self, index: int) -> np.random.Generator:
-        """Generator for trial `index`; pure function of (master_seed, index)."""
-        return np.random.Generator(
-            np.random.PCG64(substream_seed(self.master_seed, index)))
+    def substream(self, index: int, start: int = 0) -> UniformRow:
+        """Row view of trial `index` from cell `start`; a pure function of its arguments."""
+        return UniformRow(substream_seed(self.master_seed, index), start)
 
 
 class ThetaDist:
@@ -73,6 +150,8 @@ class ThetaDist:
         wts = np.asarray(list(weights), dtype=float)
         if sup.size == 0 or sup.size != wts.size:
             raise PreconditionError("support and weights must be nonempty and equal-length")
+        if not (np.all(np.isfinite(sup)) and np.all(np.isfinite(wts))):
+            raise PreconditionError("fold points and weights must be finite")
         if np.any(sup <= 0):
             raise PreconditionError("fold points must be strictly positive")
         if np.any(wts <= 0):

@@ -50,6 +50,28 @@ class TestExitCodes:
         assert code == 3
 
 
+    def test_non_finite_x0(self, capsys):
+        sim = ["simulate", "--dist", "two-point:inv-sqrt2", "--n", "5",
+               "--trials", "10", "--seed", "1"]
+        bvf = ["bvf-check", "--dist", "two-point:inv-sqrt2", "--n", "5",
+               "--trials", "10", "--seed", "1"]
+        for argv in (sim, bvf):
+            for x0 in ("nan", "inf", "-0.5"):
+                assert run(argv + ["--x0", x0]) == 2
+                assert "x0 must be finite" in capsys.readouterr().err
+        assert run(sim + ["--x0", "nan", "--dry-run"]) == 2
+
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        assert run(["walk-oracle", "--n", "2", "--out", str(path)]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert not path.parent.exists()
+
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        assert run(["walk-oracle", "--n", "2", "--out", str(tmp_path)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+
 class TestAlphaParsing:
     def test_low_precision_literal_warns(self, capsys):
         assert run(["contfrac", "--alpha", "0.87", "--terms", "3"]) == 0

@@ -6,11 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from foldmap import (EmpiricalCDF, PreconditionError, ThetaDist, TrialPlan,
-                     WindowError, backward_diam_ensemble, ensemble_forward,
-                     forward_values, ks_distance, law_equality_report,
+from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
+                     TrialPlan, WindowError, backward_diam_ensemble,
+                     ensemble_forward, experiments, fold_backward,
+                     forward_values, interval_fold, iterate_forward,
+                     ks_distance, law_equality_report,
                      one_step_invariance_report, rate_experiment, rate_steps,
-                     rho_walk_audit, stationary_cdf, walk_confinement_dp)
+                     rho_walk_audit, stationary_cdf, theta_from_uniform,
+                     walk_confinement_dp)
 
 ALPHA = math.sqrt(0.5)
 TWO_POINT = ThetaDist.two_point(ALPHA)
@@ -73,10 +76,18 @@ class TestForwardConvergence:
         assert np.array_equal(ref, again)
         assert np.array_equal(ref, threaded)
 
+    def test_trial_folds_its_row(self):
+        plan = TrialPlan(3, trials=20)
+        vals = forward_values(TWO_POINT, 0.2, 15, plan)
+        for t in range(20):
+            word = theta_from_uniform(TWO_POINT, plan.substream(t).random(15))
+            assert vals[t] == iterate_forward(word, 0.2)[-1]
+
     def test_validation(self):
         plan = TrialPlan(0, trials=10)
-        with pytest.raises(PreconditionError):
-            forward_values(TWO_POINT, -0.1, 5, plan)
+        for x0 in (-0.1, math.nan, math.inf):
+            with pytest.raises(PreconditionError):
+                forward_values(TWO_POINT, x0, 5, plan)
         with pytest.raises(PreconditionError):
             forward_values(TWO_POINT, 0.2, -1, plan)
 
@@ -98,6 +109,15 @@ class TestBackwardDiameter:
         d500 = backward_diam_ensemble(TWO_POINT, 500, plan)
         d1000 = backward_diam_ensemble(TWO_POINT, 1000, plan)
         assert np.all(d1000 <= d500 + 1e-15)
+
+    def test_trial_folds_its_row_cell_0_outermost(self):
+        dist = ThetaDist([0.3, 0.6, 1.5], [0.2, 0.3, 0.5])
+        plan = TrialPlan(17, trials=20)
+        diam = backward_diam_ensemble(dist, 12, plan)
+        for t in range(20):
+            word = theta_from_uniform(dist, plan.substream(t).random(12))
+            images = interval_fold(word, Interval(0.0, 1.5), "backward")
+            assert diam[t] == images[-1].length
 
     def test_worker_count_irrelevant(self):
         plan = TrialPlan(13, trials=5000)
@@ -144,6 +164,30 @@ class TestRateExperiment:
         assert csv.splitlines()[0] == "trial,success,letters_used"
         assert len(csv.splitlines()) == 6
 
+    def test_letters_used_is_the_exact_stopping_time(self):
+        # trial t folds [0, 1] through cells (t, 0), (t, 1), ... in that order
+        plan = TrialPlan(99, trials=30)
+        rep = rate_experiment(ALPHA, 4, 0.48, plan)
+        assert rep.success_count == 30
+        for t, k in enumerate(rep.letters_used):
+            word = np.where(plan.substream(t).random(k) < 0.5, ALPHA, 1.0)
+            widths = [iv.length for iv in interval_fold(word, Interval(0.0, 1.0))]
+            assert widths[-1] < 0.48 <= widths[-2]
+
+    def test_budget_exhausted_is_failure(self, monkeypatch):
+        # a tiny budget N = 40 spans three read chunks (16 + 16 + 8 cells)
+        monkeypatch.setattr(experiments, "rate_steps", lambda q: 40)
+        plan = TrialPlan(99, trials=60)
+        rep = rate_experiment(ALPHA, 5, 0.2, plan)  # q_5 = 41
+        assert 0 < rep.success_count < 60
+        assert rep.implied_c is not None
+        for t in range(60):
+            word = np.where(plan.substream(t).random(40) < 0.5, ALPHA, 1.0)
+            widths = np.array([iv.length for iv in interval_fold(word, Interval(0.0, 1.0))])
+            below = np.flatnonzero(widths < 0.2)
+            assert rep.successes[t] == bool(below.size)
+            assert rep.letters_used[t] == (below[0] if below.size else 40)
+
     def test_worker_byte_identity(self):
         reps = [rate_experiment(ALPHA, 4, 0.5, TrialPlan(41, trials=20), workers=w)
                 for w in (1, 3)]
@@ -157,6 +201,9 @@ class TestRateExperiment:
             rate_experiment(ALPHA, 7, 0.5, plan)  # q_7 = 239 > cap
         with pytest.raises(PreconditionError):
             rate_experiment(ALPHA, 4, 0.4, plan)  # epsilon <= 8/17
+        for eps in (math.nan, math.inf):
+            with pytest.raises(PreconditionError):
+                rate_experiment(ALPHA, 4, eps, plan)
         with pytest.raises(PreconditionError):
             rate_experiment(ALPHA, 99, 0.5, plan)
 
@@ -224,6 +271,21 @@ class TestDistributionReports:
         rep = law_equality_report(TWO_POINT, 0.2, 20, 5000, master_seed=31)
         assert rep["ks_distance"] < 0.03
 
+    def test_law_equality_backward_rows(self):
+        # backward trial t folds row trials + t with cell 0 outermost
+        dist = ThetaDist([0.3, 0.6, 1.0], [0.2, 0.3, 0.5])
+        plan = TrialPlan(31, trials=50)
+        fwd = experiments._point_folds(dist, 0.2, 12, plan, 1)
+        bwd = experiments._point_folds(dist, 0.2, 12, plan, 1, first=50, backward=True)
+        for t in range(50):
+            assert fwd[t] == iterate_forward(
+                theta_from_uniform(dist, plan.substream(t).random(12)), 0.2)[-1]
+            assert bwd[t] == fold_backward(
+                theta_from_uniform(dist, plan.substream(50 + t).random(12)), 0.2)
+
     def test_law_equality_validation(self):
         with pytest.raises(PreconditionError):
             law_equality_report(TWO_POINT, 0.2, -1, 10, master_seed=0)
+        for x0 in (-0.1, math.nan, math.inf):
+            with pytest.raises(PreconditionError):
+                law_equality_report(TWO_POINT, x0, 5, 10, master_seed=0)

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from foldmap import (Interval, PreconditionError, ThetaDist, TrialPlan,
-                     fold_backward, interval_fold, interval_image,
-                     iterate_forward, sample_theta, step, substream_seed,
-                     theta_from_uniform)
+from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
+                     TrialPlan, backward_diam_ensemble, experiments,
+                     fold_backward, forward_values, interval_fold,
+                     interval_image, iterate_forward, ks_distance,
+                     rate_experiment, sample_theta, stationary_cdf, step,
+                     substream_seed, theta_from_uniform)
+from foldmap.process import substream_keys, uniform_cells
 
 ALPHA = math.sqrt(0.5)
 
@@ -53,6 +56,18 @@ class TestThetaDist:
             ThetaDist([], [])
         with pytest.raises(PreconditionError):
             ThetaDist.two_point(1.0)
+
+    def test_nan_support_rejected(self):
+        with pytest.raises(PreconditionError):
+            ThetaDist([float("nan"), 1.0], [0.5, 0.5])
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(PreconditionError):
+            ThetaDist([0.5, 1.0], [float("nan"), 1.0])
+
+    def test_inf_support_rejected(self):
+        with pytest.raises(PreconditionError):
+            ThetaDist([0.5, float("inf")], [0.5, 0.5])
 
     def test_support_sorted_and_frozen(self):
         d = ThetaDist([1.0, 0.3], [0.4, 0.6])
@@ -239,3 +254,91 @@ class TestTrialPlan:
             TrialPlan(0, trials=1, steps=-1)
         with pytest.raises(PreconditionError):
             substream_seed(0, -1)
+
+
+class TestUniformGrid:
+    """Contract and quality of the counter-based grid u[t, j]."""
+
+    @pytest.mark.parametrize("seed", [0, -1, 2 ** 64 + 5])
+    def test_vector_keys_equal_scalar_keys(self, seed):
+        for first in (0, 7, 2 ** 40):
+            keys = substream_keys(seed, first, 50)
+            assert keys.dtype == np.uint64
+            assert keys.tolist() == [substream_seed(seed, first + i) for i in range(50)]
+
+    def test_cells_follow_the_formula(self):
+        # u[t, j] = (mix64(key_t + (j + 1) G) >> 11) 2^-53, in Python integers
+        golden, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+
+        def mix64(z):
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+            return z ^ (z >> 31)
+
+        for seed, t, j in [(0, 0, 0), (-1, 3, 9), (2 ** 64 + 5, 2 ** 33, 10 ** 12)]:
+            key = mix64((seed + (t + 1) * golden) & mask)
+            want = (mix64((key + (j + 1) * golden) & mask) >> 11) * 2.0 ** -53
+            assert uniform_cells(substream_keys(seed, t, 1), j)[0] == want
+            assert TrialPlan(seed, 1).substream(t, start=j).random() == want
+
+    def test_column_read_equals_row_view(self):
+        plan = TrialPlan(2026, trials=40)
+        keys = substream_keys(plan.master_seed, 10, 30)
+        for j in (0, 1, 17):
+            rows = [plan.substream(10 + i).random(j + 1)[j] for i in range(30)]
+            assert np.array_equal(uniform_cells(keys, j), rows)
+
+    def test_prefix_property(self):
+        plan = TrialPlan(5, trials=1)
+        whole = plan.substream(3).random(100)
+        row = plan.substream(3)
+        parts = [row.random(30), row.random(), row.random((3, 23))]
+        assert np.array_equal(np.concatenate([parts[0], [parts[1]], parts[2].ravel()]),
+                              whole)
+        assert np.array_equal(plan.substream(3, start=40).random(60), whole[40:])
+
+    def test_integers_scale_the_same_cells(self):
+        plan = TrialPlan(8, trials=1)
+        u = plan.substream(1).random(1000)
+        k = plan.substream(1).integers(3, 10, size=1000)
+        assert np.array_equal(k, 3 + np.floor(u * 7).astype(np.int64))
+        assert 3 <= plan.substream(1).integers(3, 10) < 10
+        with pytest.raises(PreconditionError):
+            plan.substream(1).integers(5, 5)
+
+    @pytest.mark.parametrize("block", [64, 1000])
+    def test_paths_identical_across_workers_and_blocks(self, monkeypatch, block):
+        dist = ThetaDist.two_point(ALPHA)
+
+        def outputs(workers):
+            plan = TrialPlan(77, trials=3000)
+            return (forward_values(dist, 0.2, 30, plan, workers=workers),
+                    backward_diam_ensemble(dist, 30, plan, workers=workers),
+                    rate_experiment(ALPHA, 4, 0.5, plan, workers=workers).to_json())
+
+        ref = outputs(1)
+        monkeypatch.setattr(experiments, "_TRIAL_BLOCK", block)
+        threaded = outputs(3)
+        assert np.array_equal(ref[0], threaded[0])
+        assert np.array_equal(ref[1], threaded[1])
+        assert ref[2] == threaded[2]
+
+    def _grid(self):
+        # 10^6 cells: 1000 trials x 1000 steps
+        return uniform_cells(substream_keys(12345, 0, 1000), np.arange(1000)[:, None]).T
+
+    def test_cells_uniform_ks(self):
+        cells = self._grid().ravel()
+        assert cells.min() >= 0.0 and cells.max() < 1.0
+        n = cells.size
+        # DKW: Pr{KS > t} <= 2 exp(-2 n t^2); 5.7e-7 is the two-sided 5-sigma tail
+        bound = math.sqrt(math.log(2 / 5.7e-7) / (2 * n))
+        uniform = stationary_cdf(ThetaDist([1.0], [1.0]))
+        assert ks_distance(EmpiricalCDF(cells), uniform) < bound
+
+    def test_neighbour_correlations(self):
+        u = self._grid()
+        # a sample correlation of m independent pairs has sd 1/sqrt(m)
+        for a, b in ((u[:-1], u[1:]), (u[:, :-1], u[:, 1:])):  # trials, then steps
+            r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+            assert abs(r) < 5 / math.sqrt(a.size)
