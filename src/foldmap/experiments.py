@@ -363,13 +363,6 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
         raise StructuralError("rho increment with |step| != 1; chart is inconsistent")
     plus_fraction = float(np.mean(increments == 1))
 
-    # dense per-level minimum vertex values across the whole chart
-    lo_level = min(chart.level_min_value)
-    hi_level = max(chart.level_min_value)
-    level_min = np.full(hi_level - lo_level + 1, np.inf)
-    for lev, v in chart.level_min_value.items():
-        level_min[lev - lo_level] = v
-
     rng = plan.substream(1)
     i_idx = rng.integers(0, steps + 1, size=segments)
     j_idx = rng.integers(0, steps + 1, size=segments)
@@ -385,7 +378,7 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
             if b - a < need:
                 continue
             checked += 1
-            inner = level_min[a + 1 - lo_level: b - lo_level]
+            inner = chart.level_min[a + 1 - chart.level_lo: b - chart.level_lo]
             if not np.any(inner < bound):
                 violations += 1
         farsmall.append({"q": int(q), "bound": bound,

@@ -13,7 +13,11 @@ recomputed from labels, never propagated, so round-off stays below 1e-9 for
 
 rho_chart assigns each vertex a signed graph distance from a small base
 vertex, the coordinate along which a random theta-walk becomes a simple +-1
-walk. shrink_word searches words over {alpha, beta} that fold a value below a
+walk. It is one breadth-first pass from the base vertex that tags each vertex
+with the base neighbour it was first reached through, so the distance and the
+side of the base vertex come out together, in time linear in the window; the
+chart also keeps the minimum vertex value of every distance level as a dense
+array. shrink_word searches words over {alpha, beta} that fold a value below a
 threshold.
 """
 
@@ -83,20 +87,28 @@ def apply_theta_label(alpha: float, x: float, label: OrbitLabel,
     return OrbitLabel(-(label.n - 1), -label.eps)
 
 
+def _classify(alpha: float, values: np.ndarray):
+    """(on_cut, classes) of an array of values against the cuts {alpha, 1-alpha}.
+
+    on_cut marks values within 1e-12 of a cut; classes holds the VertexClass
+    codes as int8, taken with strict inequalities.
+    """
+    lo_cut, hi_cut = sorted((alpha, 1.0 - alpha))
+    on_cut = (np.abs(values - lo_cut) <= CLASS_TOL) | (np.abs(values - hi_cut) <= CLASS_TOL)
+    classes = np.where(values < lo_cut, 0, np.where(values < hi_cut, 1, 2)).astype(np.int8)
+    return on_cut, classes
+
+
 def classify_vertex(alpha: float, value: float) -> VertexClass:
     """Small/Medium/Large relative to the cuts {alpha, 1-alpha}.
 
     Strict inequalities; a value within 1e-12 of a cut raises
     ClassBoundaryError since the classes are defined by open conditions.
     """
-    lo_cut, hi_cut = sorted((alpha, 1.0 - alpha))
-    if abs(value - lo_cut) <= CLASS_TOL or abs(value - hi_cut) <= CLASS_TOL:
+    on_cut, classes = _classify(alpha, np.array([value], dtype=np.float64))
+    if on_cut[0]:
         raise ClassBoundaryError(f"value {value!r} sits on a class boundary")
-    if value < lo_cut:
-        return VertexClass.SMALL
-    if value < hi_cut:
-        return VertexClass.MEDIUM
-    return VertexClass.LARGE
+    return VertexClass(int(classes[0]))
 
 
 _SINGULAR_SEEDS = ("0", "1/2", "alpha/2", "(1+alpha)/2")
@@ -160,9 +172,6 @@ class OrbitGraphWindow:
         block, offset = divmod(int(index), m)
         return OrbitLabel(offset - self.window, 1 if block == 0 else -1)
 
-    def class_of(self, label: OrbitLabel) -> VertexClass:
-        return VertexClass(int(self.classes[self.index_of(label)]))
-
     def out_edges(self, label: OrbitLabel):
         """[(theta, target_label), ...] for edges whose target is in-window."""
         i = self.index_of(label)
@@ -188,19 +197,20 @@ class OrbitGraphWindow:
 
     def to_dot(self) -> str:
         """DOT text: vertices labeled '(n,eps)/Class', edges labeled a or 1."""
-        names = {0: "Small", 1: "Medium", 2: "Large"}
+        names = ("Small", "Medium", "Large")
+        n = range(-self.window, self.window + 1)
+        # str(OrbitLabel) of every vertex, in index order
+        labels = [f"({k},+1)" for k in n] + [f"({k},-1)" for k in n]
         lines = ["digraph orbit {"]
-        for i in range(self.size):
-            lab = self.label_at(i)
-            lines.append(f'  "{lab}" [label="{lab}/{names[int(self.classes[i])]}"];')
-        for i in range(self.size):
-            lab = self.label_at(i)
-            lines.append(f'  "{lab}" -> "{self.label_at(self.one_target[i])}" [label="1"];')
-            if self.alpha_target[i] >= 0:
-                lines.append(
-                    f'  "{lab}" -> "{self.label_at(self.alpha_target[i])}" [label="a"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines += [f'  "{lab}" [label="{lab}/{names[c]}"];'
+                  for lab, c in zip(labels, self.classes.tolist())]
+        for lab, one, a in zip(labels, self.one_target.tolist(),
+                               self.alpha_target.tolist()):
+            lines.append(f'  "{lab}" -> "{labels[one]}" [label="1"];')
+            if a >= 0:
+                lines.append(f'  "{lab}" -> "{labels[a]}" [label="a"];')
+        lines.append("}\n")
+        return "\n".join(lines)
 
 
 def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
@@ -220,8 +230,7 @@ def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
     n = np.arange(-window, window + 1)
     values = np.concatenate([(n * alpha + x) % 1.0, (n * alpha - x) % 1.0])
 
-    lo_cut, hi_cut = sorted((alpha, 1.0 - alpha))
-    on_cut = (np.abs(values - lo_cut) <= CLASS_TOL) | (np.abs(values - hi_cut) <= CLASS_TOL)
+    on_cut, classes = _classify(alpha, values)
     if np.any(on_cut):
         i = int(np.flatnonzero(on_cut)[0])
         block, offset = divmod(i, m)
@@ -229,7 +238,6 @@ def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
         raise ClassBoundaryError(
             f"label {lab} value {float(values[i])!r} ties a class boundary; "
             "alpha rational or x on a cut orbit")
-    classes = np.where(values < lo_cut, 0, np.where(values < hi_cut, 1, 2)).astype(np.int8)
 
     nn = np.concatenate([n, n])
     block = np.repeat([0, 1], m)
@@ -274,26 +282,11 @@ def _undirected_neighbors(graph: OrbitGraphWindow):
     return indptr, tails
 
 
-def _bfs_levels(indptr, tails, start: int, blocked: int = -1) -> np.ndarray:
-    """BFS distance from start over the CSR adjacency; -1 means unreached.
-
-    `blocked` names a vertex treated as deleted (for component splitting).
-    """
-    n = indptr.size - 1
-    dist = np.full(n, -1, dtype=np.int64)
-    if start == blocked:
-        raise PreconditionError("start vertex is blocked")
-    dist[start] = 0
-    frontier = np.array([start], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        nbrs = tails[np.concatenate([np.arange(indptr[v], indptr[v + 1]) for v in frontier])]
-        nbrs = np.unique(nbrs)
-        nbrs = nbrs[(dist[nbrs] == -1) & (nbrs != blocked)]
-        level += 1
-        dist[nbrs] = level
-        frontier = nbrs
-    return dist
+def _root(parent: list, k: int) -> int:
+    """Root of entry k in the union-find forest `parent`."""
+    while parent[k] != k:
+        k = parent[k]
+    return k
 
 
 @dataclass(frozen=True)
@@ -303,11 +296,15 @@ class RhoChart:
     rho is positive on the component of the v0-deleted graph containing the
     label (n0+1, eps0) and negative on the other; vertices unreachable inside
     the window carry RHO_INVALID and are excluded from the domain.
+    level_min[r - level_lo] is the smallest vertex value at rho = r, for every
+    level r from level_lo = min(rho) to max(rho); BFS levels are contiguous,
+    so every entry is finite. Both arrays are read-only.
     """
 
     v0: OrbitLabel
     rho: np.ndarray
-    level_min_value: dict
+    level_lo: int
+    level_min: np.ndarray
 
     def rho_of(self, graph: OrbitGraphWindow, label: OrbitLabel) -> int:
         r = int(self.rho[graph.index_of(label)])
@@ -323,6 +320,13 @@ def rho_chart(graph: OrbitGraphWindow, x0_label: OrbitLabel) -> RhoChart:
     (0 < value < min(alpha, 1-alpha)). Removing the base vertex must split
     its neighborhood into exactly two components; anything else is a
     structural failure (singular orbit or misconfigured base point).
+
+    One BFS from v0 gives both coordinates. Each vertex carries the tag of the
+    v0 neighbour it was first reached through, and an edge between two
+    differently tagged vertices other than v0 merges their tags. The BFS tree
+    joins each vertex to its tag's neighbour without passing v0, and every
+    edge of a path that avoids v0 is scanned, so the merged tag classes are
+    the components of the graph with v0 deleted.
     """
     v0 = graph.index_of(x0_label)
     val = graph.values[v0]
@@ -330,37 +334,55 @@ def rho_chart(graph: OrbitGraphWindow, x0_label: OrbitLabel) -> RhoChart:
         raise PreconditionError(
             f"base vertex value {val!r} is not strictly inside the small class")
     indptr, tails = _undirected_neighbors(graph)
-    dist = _bfs_levels(indptr, tails, v0)
+    dist = np.full(graph.size, -1, dtype=np.int64)
+    tag = np.full(graph.size, -1, dtype=np.int64)
+    # memoryviews read and write int64 cells as Python ints without turning
+    # the whole adjacency into lists
+    ptr, nbr, d, t = (memoryview(a) for a in (indptr, tails, dist, tag))
 
-    neighbors = np.unique(tails[indptr[v0]:indptr[v0 + 1]])
-    neighbors = neighbors[neighbors != v0]
-    comp_a = _bfs_levels(indptr, tails, int(neighbors[0]), blocked=v0) >= 0
-    rest = neighbors[~comp_a[neighbors]]
-    if rest.size == 0:
+    branches = sorted({w for w in nbr[ptr[v0]:ptr[v0 + 1]] if w != v0})
+    if not branches:
+        raise StructuralError("base vertex has no neighbour in the window")
+    parent = list(range(len(branches)))
+    d[v0] = 0
+    for k, w in enumerate(branches):
+        d[w], t[w] = 1, k
+    queue = deque(branches)
+    pop, push = queue.popleft, queue.append
+    while queue:
+        u = pop()
+        du, tu = d[u] + 1, t[u]
+        for w in nbr[ptr[u]:ptr[u + 1]]:
+            if d[w] < 0:
+                d[w], t[w] = du, tu
+                push(w)
+            elif t[w] != tu and w != v0:
+                parent[_root(parent, t[w])] = _root(parent, tu)
+
+    roots = [_root(parent, k) for k in range(len(branches))]
+    n_sides = len(set(roots))
+    if n_sides == 1:
         raise StructuralError("base vertex is not a cut vertex of the window")
-    comp_b = _bfs_levels(indptr, tails, int(rest[0]), blocked=v0) >= 0
-    if np.any(~(comp_a | comp_b)[neighbors]):
+    if n_sides > 2:
         raise StructuralError("base vertex neighborhood splits into > 2 components")
-
     plus_ref = graph.index_of(OrbitLabel(x0_label.n + 1, x0_label.eps))
-    if comp_a[plus_ref]:
-        plus_comp = comp_a
-    elif comp_b[plus_ref]:
-        plus_comp = comp_b
-    else:
+    if d[plus_ref] < 0:
         raise StructuralError("orientation reference vertex disconnected from base")
 
-    rho = np.full(graph.size, RHO_INVALID, dtype=np.int64)
+    sign = np.where(np.array(roots) == roots[t[plus_ref]], 1, -1)
     reached = dist >= 0
-    rho[reached] = np.where(plus_comp[reached], dist[reached], -dist[reached])
-    rho[v0] = 0
+    rho = np.full(graph.size, RHO_INVALID, dtype=np.int64)
+    # v0 has dist 0, so the sign its tag -1 picks does not matter
+    rho[reached] = dist[reached] * sign[tag[reached]]
 
     # per-level minimum vertex value, for far-small audits
-    level_min = {}
-    for r, v in zip(rho[reached].tolist(), graph.values[reached].tolist()):
-        if r not in level_min or v < level_min[r]:
-            level_min[r] = v
-    return RhoChart(x0_label, rho, level_min)
+    levels = rho[reached]
+    level_lo = int(levels.min())
+    level_min = np.full(int(levels.max()) - level_lo + 1, np.inf)
+    np.minimum.at(level_min, levels - level_lo, graph.values[reached])
+    rho.flags.writeable = False
+    level_min.flags.writeable = False
+    return RhoChart(x0_label, rho, level_lo, level_min)
 
 
 # ---- line structure ------------------------------------------------------

@@ -1,18 +1,21 @@
 """Orbit labels, the windowed graph, signed distance, and word search."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from foldmap import (ClassBoundaryError, OrbitLabel, PrecisionError,
-                     PreconditionError, StructuralError, VertexClass,
-                     WordNotFoundError, apply_theta_label, build_graph_window,
-                     classify_vertex, is_singular, iterate_forward,
-                     label_value, rho_chart, shrink_word, step,
-                     structure_stats)
+from foldmap import (ClassBoundaryError, OrbitGraphWindow, OrbitLabel,
+                     PrecisionError, PreconditionError, StructuralError,
+                     VertexClass, WordNotFoundError, apply_theta_label,
+                     build_graph_window, classify_vertex, is_singular,
+                     iterate_forward, label_value, rho_chart, shrink_word,
+                     step, structure_stats)
+from foldmap.orbit import RHO_INVALID
 
 ALPHA = math.sqrt(0.5)
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class TestLabels:
@@ -95,6 +98,40 @@ class TestSingular:
         assert not is_singular(ALPHA, 0.2, window=10 ** 4)
 
 
+DOT_WINDOW_2 = """\
+digraph orbit {
+  "(-2,+1)" [label="(-2,+1)/Large"];
+  "(-1,+1)" [label="(-1,+1)/Medium"];
+  "(0,+1)" [label="(0,+1)/Small"];
+  "(1,+1)" [label="(1,+1)/Large"];
+  "(2,+1)" [label="(2,+1)/Medium"];
+  "(-2,-1)" [label="(-2,-1)/Medium"];
+  "(-1,-1)" [label="(-1,-1)/Small"];
+  "(0,-1)" [label="(0,-1)/Large"];
+  "(1,-1)" [label="(1,-1)/Medium"];
+  "(2,-1)" [label="(2,-1)/Small"];
+  "(-2,+1)" -> "(2,-1)" [label="1"];
+  "(-1,+1)" -> "(1,-1)" [label="1"];
+  "(-1,+1)" -> "(2,-1)" [label="a"];
+  "(0,+1)" -> "(0,-1)" [label="1"];
+  "(0,+1)" -> "(1,-1)" [label="a"];
+  "(1,+1)" -> "(-1,-1)" [label="1"];
+  "(1,+1)" -> "(0,+1)" [label="a"];
+  "(2,+1)" -> "(-2,-1)" [label="1"];
+  "(2,+1)" -> "(-1,-1)" [label="a"];
+  "(-2,-1)" -> "(2,+1)" [label="1"];
+  "(-1,-1)" -> "(1,+1)" [label="1"];
+  "(-1,-1)" -> "(2,+1)" [label="a"];
+  "(0,-1)" -> "(0,+1)" [label="1"];
+  "(0,-1)" -> "(-1,-1)" [label="a"];
+  "(1,-1)" -> "(-1,+1)" [label="1"];
+  "(1,-1)" -> "(0,+1)" [label="a"];
+  "(2,-1)" -> "(-2,+1)" [label="1"];
+  "(2,-1)" -> "(-1,+1)" [label="a"];
+}
+"""
+
+
 class TestGraphWindow:
     def test_class_frequencies(self):
         g = build_graph_window(ALPHA, 0.2, 50)
@@ -140,9 +177,7 @@ class TestGraphWindow:
 
     def test_to_dot(self):
         dot = build_graph_window(ALPHA, 0.2, 2).to_dot()
-        assert dot.startswith("digraph")
-        assert '"(0,+1)" [label="(0,+1)/Small"];' in dot
-        assert '[label="a"]' in dot and '[label="1"]' in dot
+        assert dot == DOT_WINDOW_2
 
     def test_coincidences_on_singular_seed(self):
         # x = alpha/2 makes (n,+1) and (n+1,-1) share a value for every n
@@ -199,9 +234,10 @@ class TestRhoChart:
             assert np.all(np.abs(ru[ok & through] + rw[ok & through]) >= 1)
 
     def test_level_minima(self):
-        lm = self.chart.level_min_value
-        assert abs(lm[0] - 0.2) < 1e-15
-        assert all(0.0 <= v < 1.0 for v in lm.values())
+        lm, lo = self.chart.level_min, self.chart.level_lo
+        assert abs(lm[0 - lo] - 0.2) < 1e-15
+        assert np.all(np.isfinite(lm))
+        assert np.all((0.0 <= lm) & (lm < 1.0))
 
     def test_non_small_base_rejected(self):
         with pytest.raises(PreconditionError):
@@ -215,6 +251,102 @@ class TestRhoChart:
             idx = int(np.flatnonzero(rho == np.iinfo(np.int64).min)[0])
             with pytest.raises(StructuralError):
                 chart.rho_of(small, small.label_at(idx))
+
+    @pytest.mark.parametrize("alpha, x, window", [
+        (ALPHA, 0.2, 3), (ALPHA, 0.2, 50), (ALPHA, 0.2, 2000),
+        (ALPHA, 0.05, 2000), (0.3 + 1e-5 * math.sqrt(2), 0.1, 2000),
+        (GOLDEN, 0.17, 2000)])
+    def test_matches_reference_bfs(self, alpha, x, window):
+        graph = build_graph_window(alpha, x, window)
+        base = OrbitLabel(0, 1)
+        chart = rho_chart(graph, base)
+        rho, level_min = _reference_chart(graph, base)
+        assert chart.rho.tolist() == rho
+        assert chart.level_lo == min(level_min)
+        assert chart.level_min.tolist() == [
+            level_min[r] for r in range(min(level_min), max(level_min) + 1)]
+
+
+def _reference_chart(graph, base):
+    """rho and per-level minima from plain-Python BFS runs.
+
+    Distance is a BFS from the base vertex. The sign comes from the
+    components of the graph with the base vertex deleted, one BFS from each
+    base neighbour not yet covered; there must be exactly two.
+    """
+    adj = [set() for _ in range(graph.size)]
+    for u in range(graph.size):
+        for w in (int(graph.one_target[u]), int(graph.alpha_target[u])):
+            if w >= 0:
+                adj[u].add(w)
+                adj[w].add(u)
+
+    def bfs(start, blocked=None):
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist and w != blocked:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return dist
+
+    v0 = graph.index_of(base)
+    dist = bfs(v0)
+    plus_ref = graph.index_of(OrbitLabel(base.n + 1, base.eps))
+    sides = []
+    for w in sorted(adj[v0]):
+        if not any(w in side for side in sides):
+            sides.append(bfs(w, blocked=v0))
+    assert len(sides) == 2
+    plus_side = next(side for side in sides if plus_ref in side)
+    rho = [RHO_INVALID] * graph.size
+    level_min = {}
+    for v, d in dist.items():
+        rho[v] = d if v in plus_side or v == v0 else -d
+        level_min[rho[v]] = min(level_min.get(rho[v], 1.0), float(graph.values[v]))
+    return rho, level_min
+
+
+def _hand_graph(edges, window=2):
+    """A window whose only edges are `edges`; every other vertex loops to itself.
+
+    Each vertex takes its first out-edge as the full-fold edge and its second
+    as the alpha edge. Every value is 0.1, inside the small class.
+    """
+    size = 2 * (2 * window + 1)
+    one_target = np.arange(size, dtype=np.int64)
+    alpha_target = np.full(size, -1, dtype=np.int64)
+    for u, w in edges:
+        if one_target[u] == u:
+            one_target[u] = w
+        else:
+            alpha_target[u] = w
+    return OrbitGraphWindow(ALPHA, 0.1, window, np.full(size, 0.1),
+                            np.zeros(size, dtype=np.int8), one_target,
+                            alpha_target, [])
+
+
+class TestRhoChartStructure:
+    # window 2: (0,+1) is vertex 2 and the orientation reference (1,+1) is 3
+    BASE = OrbitLabel(0, 1)
+
+    def test_two_sides(self):
+        chart = rho_chart(_hand_graph([(2, 3), (3, 4), (2, 1), (1, 0)]), self.BASE)
+        assert chart.rho.tolist()[:5] == [-2, -1, 0, 1, 2]
+        assert chart.level_lo == -2
+        assert np.all(chart.rho[5:] == RHO_INVALID)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(2, 3), (3, 4), (4, 1), (1, 2)], "not a cut vertex"),
+        ([(2, 3), (2, 1), (7, 2)], "> 2 components"),
+        ([], "no neighbour"),
+        ([(2, 1), (2, 7)], "orientation reference"),
+    ])
+    def test_structural_failures(self, edges, message):
+        with pytest.raises(StructuralError, match=message):
+            rho_chart(_hand_graph(edges), self.BASE)
 
 
 class TestStructureStats:
