@@ -4,8 +4,9 @@ The quantitative claim: folding [0, 1] backward through N = ceil(8 q^3 log2 q)
 random letters drives the diameter below epsilon with high probability, where
 q is a convergent denominator of alpha. The budget is spectacularly generous
 in practice. The companion oracle is the exact probability that a +-1 walk of
-length n^3 stays within n of its start, computed by integer transfer-matrix
-DP, whose decay mirrors the failure probability of the rate bound.
+length n^3 stays within n of its start, computed exactly as a signed sum of
+binomial coefficients (the reflection principle for two barriers), whose
+decay mirrors the failure probability of the rate bound.
 """
 
 import math

@@ -320,6 +320,21 @@ def _cmd_rate(args) -> str:
     return report.to_csv() if args.format == "csv" else report.to_json()
 
 
+def _allow_int_digits(digits: int) -> None:
+    """Let str() and int() convert integers of up to `digits` digits.
+
+    Python 3.10.7 and later cap these conversions (4300 digits by default).
+    The cap is only ever raised, and it stays raised, so that a caller in the
+    same process can parse a printed value back with int().
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return
+    limit = get_limit()
+    if limit and limit < digits:
+        sys.set_int_max_str_digits(digits)
+
+
 def _cmd_walk_oracle(args) -> str:
     resolved = {"n": args.n, "float": args.as_float}
     if args.dry_run:
@@ -328,6 +343,8 @@ def _cmd_walk_oracle(args) -> str:
     payload = {"schema": 1, "kind": "walk_oracle", "n": args.n,
                "horizon": args.n ** 3, "probability": float(p)}
     if not args.as_float:
+        # numerator < denominator = 2^k, of at most floor(k log10 2) + 1 digits
+        _allow_int_digits(p.denominator.bit_length() * 30103 // 100000 + 1)
         payload["numerator"] = str(p.numerator)
         payload["denominator"] = str(p.denominator)
     return canonical_json(payload)

@@ -281,27 +281,39 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
 def walk_confinement_dp(n: int, exact: bool = True):
     """Probability that a +-1 walk of length n^3 stays within n of its start.
 
-    Transfer-matrix DP over the 2n+1 positions -n..n with exact integer path
-    counts; the result is count / 2^(n^3), returned as a Fraction when exact
-    else as a float. Confinement is inclusive: |S_i| <= n.
+    Confinement is inclusive: |S_i| <= n. The walk counts as absorbed at the
+    barriers -(n+1) and n+1, and the reflection principle for two barriers
+    (Feller, vol. 1, ch. XIV) counts the unabsorbed paths of h = n^3 steps as
+    a signed sum over the free paths with j up-steps, which end at 2j - h:
+
+        count = sum_j w((2j - h) mod (4n+4)) C(h, j),
+
+    with w(r) = +1 on [0, n] and [3n+4, 4n+3] (endpoints inside the barriers,
+    up to whole periods 4n+4), w(r) = -1 on [n+2, 3n+2] (their mirror images
+    in the barrier n+1) and w(r) = 0 on the barriers n+1 and 3n+3. Terms j
+    and h - j share their weight, so only j < h/2 is summed, with C(h, j)
+    updated in place, and doubled; for even h the middle term j = h/2 ends
+    at 0 and adds C(h, h/2) once. That is O(h) multiplications and divisions
+    of a big integer by a small one. The result is count / 2^h, returned as
+    a Fraction when exact else as a float.
     """
     if not 1 <= n <= 30:
         raise PreconditionError("n must lie in 1..30")
-    horizon = n ** 3
-    width = 2 * n + 1
-    counts = [0] * width
-    counts[n] = 1  # origin
-    for _ in range(horizon):
-        nxt = [0] * width
-        for i, c in enumerate(counts):
-            if not c:
-                continue
-            if i > 0:
-                nxt[i - 1] += c
-            if i < width - 1:
-                nxt[i + 1] += c
-        counts = nxt
-    p = Fraction(sum(counts), 2 ** horizon)
+    h = n ** 3
+    period = 4 * n + 4
+    inside = mirrored = 0  # sums of C(h, j) over j < h/2 with w = +1 / -1
+    c = 1  # C(h, j)
+    for j in range((h + 1) // 2):
+        r = (2 * j - h) % period
+        if r <= n or r >= 3 * n + 4:
+            inside += c
+        elif r != n + 1 and r != 3 * n + 3:
+            mirrored += c
+        c = c * (h - j) // (j + 1)
+    count = 2 * (inside - mirrored)
+    if h % 2 == 0:
+        count += c
+    p = Fraction(count, 2 ** h)
     return p if exact else float(p)
 
 
@@ -366,21 +378,22 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
     rng = plan.substream(1)
     i_idx = rng.integers(0, steps + 1, size=segments)
     j_idx = rng.integers(0, steps + 1, size=segments)
+    ends = np.sort(np.stack([rho_path[i_idx], rho_path[j_idx]]), axis=0)
+    span = ends[1] - ends[0]
+    # levels a+1 .. b-1 strictly between the ends, as indices into level_min
+    first = ends[0] + 1 - chart.level_lo
+    stop = ends[1] - chart.level_lo
     farsmall = []
     total_violations = 0
     checked_total = 0
     for q in q_values:
         bound = 3.0 / (2.0 * q)
-        need = 2 * q
-        checked = violations = 0
-        for i, j in zip(i_idx, j_idx):
-            a, b = sorted((int(rho_path[i]), int(rho_path[j])))
-            if b - a < need:
-                continue
-            checked += 1
-            inner = chart.level_min[a + 1 - chart.level_lo: b - chart.level_lo]
-            if not np.any(inner < bound):
-                violations += 1
+        # small_before[k]: how many of the levels before index k are below bound
+        small_before = np.concatenate(([0], np.cumsum(chart.level_min < bound)))
+        far = span >= 2 * q
+        checked = int(np.count_nonzero(far))
+        violations = int(np.count_nonzero(
+            far & (small_before[stop] <= small_before[first])))
         farsmall.append({"q": int(q), "bound": bound,
                          "segments_checked": checked, "violations": violations})
         total_violations += violations

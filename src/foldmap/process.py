@@ -275,18 +275,20 @@ def fold_backward(word: Sequence[float], x: float) -> float:
 def fold_interval_arrays(theta, lo, hi):
     """Exact image endpoints of [lo, hi] under x -> |theta - x|, vectorized.
 
-    theta may be scalar or an array broadcastable against lo/hi. A theta
-    exactly equal to an endpoint takes the non-folding branch.
+    theta may be scalar or an array broadcastable against lo/hi. The image is
+    [max(lo - theta, theta - hi, 0), max(|theta - lo|, |theta - hi|)], one
+    formula for the three cases: theta <= lo translates, theta >= hi
+    reflects, and a theta inside folds the interval through 0. The zero comes
+    last because np.maximum returns its second operand when both are zeros,
+    so the lower end is +0.0, never -0.0; Python's max keeps the first, so
+    the scalar loop in interval_fold puts the zero first.
     """
     theta = np.asarray(theta, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    below = theta <= lo          # pure translation downward
-    above = theta >= hi          # pure reflection
-    new_lo = np.where(below, lo - theta, np.where(above, theta - hi, 0.0))
-    new_hi = np.where(below, hi - theta,
-                      np.where(above, theta - lo,
-                               np.maximum(theta - lo, hi - theta)))
+    to_hi = theta - hi
+    new_lo = np.maximum(np.maximum(lo - theta, to_hi), 0.0)
+    new_hi = np.maximum(np.abs(theta - lo), np.abs(to_hi))
     return new_lo, new_hi
 
 
@@ -313,13 +315,8 @@ def interval_fold(word: Sequence[float], iv: Interval,
     if direction == "forward":
         out = [iv]
         lo, hi = iv.lo, iv.hi
-        for t in letters.tolist():  # scalar branches; cheaper than ndarray ops
-            if t <= lo:
-                lo, hi = lo - t, hi - t
-            elif t >= hi:
-                lo, hi = t - hi, t - lo
-            else:
-                lo, hi = 0.0, max(t - lo, hi - t)
+        for t in letters.tolist():  # fold_interval_arrays on Python floats
+            lo, hi = max(0.0, lo - t, t - hi), max(abs(t - lo), abs(t - hi))
             out.append(Interval(lo, hi))
         return out
     if direction != "backward":

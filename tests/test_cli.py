@@ -2,7 +2,12 @@
 
 import json
 import math
+import sys
+from fractions import Fraction
 
+import pytest
+
+from foldmap import walk_confinement_dp
 from foldmap.cli import run
 
 INV_SQRT2 = "0.7071067811865476"
@@ -10,6 +15,16 @@ INV_SQRT2 = "0.7071067811865476"
 
 def out_of(capsys):
     return capsys.readouterr().out
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Restore the interpreter's int/str digit limit, which walk-oracle raises."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 class TestExitCodes:
@@ -219,6 +234,20 @@ class TestWalkOracle:
         payload = json.loads(out_of(capsys))
         assert (payload["numerator"], payload["denominator"]) == ("27", "64")
         assert payload["horizon"] == 8
+
+    def test_n30_prints_8127_digits(self, capsys, int_digit_limit):
+        # the exact value passes Python's default 4300-digit str/int limit
+        assert run(["walk-oracle", "--n", "30"]) == 0
+        payload = json.loads(out_of(capsys))
+        assert len(payload["denominator"]) == 8127
+        assert Fraction(int(payload["numerator"]), int(payload["denominator"])) \
+            == walk_confinement_dp(30)
+
+    @pytest.mark.parametrize("limit", [0, 10 ** 5])
+    def test_digit_limit_never_lowered(self, capsys, int_digit_limit, limit):
+        sys.set_int_max_str_digits(limit)
+        assert run(["walk-oracle", "--n", "30"]) == 0
+        assert sys.get_int_max_str_digits() == limit
 
     def test_float_only(self, capsys):
         assert run(["walk-oracle", "--n", "2", "--float"]) == 0

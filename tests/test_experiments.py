@@ -1,5 +1,6 @@
 """Monte Carlo experiments: convergence, contraction rate, audits, oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      one_step_invariance_report, rate_experiment, rate_steps,
                      rho_walk_audit, stationary_cdf, theta_from_uniform,
                      walk_confinement_dp)
+from foldmap.orbit import (OrbitLabel, apply_theta_label, build_graph_window,
+                           rho_chart)
 
 ALPHA = math.sqrt(0.5)
 TWO_POINT = ThetaDist.two_point(ALPHA)
@@ -208,7 +211,31 @@ class TestRateExperiment:
             rate_experiment(ALPHA, 99, 0.5, plan)
 
 
+def transfer_dp(n):
+    """Count walks of n^3 steps with |S_i| <= n, one step at a time."""
+    width = 2 * n + 1
+    counts = [0] * width
+    counts[n] = 1  # origin
+    for _ in range(n ** 3):
+        nxt = [0] * width
+        for i, c in enumerate(counts):
+            if not c:
+                continue
+            if i > 0:
+                nxt[i - 1] += c
+            if i < width - 1:
+                nxt[i + 1] += c
+        counts = nxt
+    return Fraction(sum(counts), 2 ** n ** 3)
+
+
 class TestWalkOracle:
+    @pytest.mark.parametrize("n", [*range(1, 21), 30])
+    def test_reflection_sum_equals_transfer_dp(self, n):
+        expected = transfer_dp(n)
+        assert walk_confinement_dp(n) == expected
+        assert walk_confinement_dp(n, exact=False) == float(expected)
+
     def test_certain_at_one(self):
         assert walk_confinement_dp(1) == Fraction(1)
 
@@ -255,6 +282,60 @@ class TestRhoWalkAudit:
     def test_window_too_small(self):
         with pytest.raises(WindowError):
             rho_walk_audit(ALPHA, 0.2, 1000, TrialPlan(17, trials=1), window=5)
+
+    @staticmethod
+    def reference_farsmall(chart, seed, steps, window, q_values, segments):
+        """The audit's far-small counts by one slice and scan per segment."""
+        plan = TrialPlan(seed, trials=1, steps=steps)
+        u = plan.substream(0).random(steps)
+        label = OrbitLabel(0, 1)
+        labels = [label]
+        for k in range(steps):
+            label = apply_theta_label(ALPHA, 0.2, label, ALPHA if u[k] < 0.5 else 1.0)
+            labels.append(label)
+        graph = build_graph_window(ALPHA, 0.2, window)
+        rho_path = [chart.rho_of(graph, lab) for lab in labels]
+        rng = plan.substream(1)
+        i_idx = rng.integers(0, steps + 1, size=segments)
+        j_idx = rng.integers(0, steps + 1, size=segments)
+        out = []
+        for q in q_values:
+            checked = violations = 0
+            for i, j in zip(i_idx, j_idx):
+                a, b = sorted((rho_path[i], rho_path[j]))
+                if b - a < 2 * q:
+                    continue
+                checked += 1
+                inner = chart.level_min[a + 1 - chart.level_lo: b - chart.level_lo]
+                violations += not np.any(inner < 3.0 / (2.0 * q))
+            out.append((q, checked, violations))
+        return out
+
+    @pytest.mark.parametrize("seed", [17, 18, 42])
+    def test_prefix_counts_equal_segment_scans(self, monkeypatch, seed):
+        # a second chart keeps the true minimum only on every 40th level, so
+        # that many segments have no small level and violations are counted
+        charts = []
+
+        def chart_spy(graph, v0):
+            chart = rho_chart(graph, v0)
+            if sparse:
+                keep = np.arange(chart.level_min.size) % 40 == 0
+                chart = dataclasses.replace(
+                    chart, level_min=np.where(keep, chart.level_min, 1.0))
+            charts.append(chart)
+            return chart
+
+        monkeypatch.setattr(experiments, "rho_chart", chart_spy)
+        steps = window = 20000
+        for sparse in (False, True):
+            rep = rho_walk_audit(ALPHA, 0.2, steps, TrialPlan(seed, trials=1),
+                                 q_values=(3, 7, 17), window=window)
+            got = [(f["q"], f["segments_checked"], f["violations"])
+                   for f in rep["farsmall"]]
+            assert got == self.reference_farsmall(charts[-1], seed, steps, window,
+                                                  (3, 7, 17), 1000)
+            assert (rep["farsmall_violations"] > 0) == sparse
 
 
 class TestDistributionReports:

@@ -11,7 +11,7 @@ from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      interval_image, iterate_forward, ks_distance,
                      rate_experiment, sample_theta, stationary_cdf, step,
                      substream_seed, theta_from_uniform)
-from foldmap.process import substream_keys, uniform_cells
+from foldmap.process import fold_interval_arrays, substream_keys, uniform_cells
 
 ALPHA = math.sqrt(0.5)
 
@@ -175,6 +175,59 @@ class TestIntervalImage:
     def test_endpoint_theta_takes_translation_branch(self):
         img = interval_image(0.5, Interval(0.5, 0.9))
         assert img == Interval(0.0, 0.4)  # translation, not a fold through 0
+
+
+def three_branch_fold(theta, lo, hi):
+    """The case-by-case fold of [lo, hi]: translate, reflect or fold through 0."""
+    if theta <= lo:
+        return lo - theta, hi - theta
+    if theta >= hi:
+        return theta - hi, theta - lo
+    return 0.0, max(theta - lo, hi - theta)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestFoldKernel:
+    @staticmethod
+    def edge_cases():
+        rng = np.random.default_rng(11)
+        cases = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 1.0),
+                 (0.5, 0.5, 0.5), (ALPHA, 0.0, ALPHA), (ALPHA, ALPHA, 1.0),
+                 (0.3, 0.1, 0.3), (0.1, 0.1, 0.3), (0.2, 0.7, 0.7),
+                 (0.9, 0.7, 0.7), (0.7, 0.7, 0.7), (1e-300, 0.0, 1e-300)]
+        for _ in range(300):
+            lo, hi = np.sort(rng.random(2))
+            theta = float(rng.random() * 1.5)
+            cases += [(theta, lo, hi), (lo, lo, hi), (hi, lo, hi), (theta, lo, lo),
+                      (lo, lo, lo)]
+        return [tuple(map(float, case)) for case in cases]
+
+    def test_vector_kernel_matches_three_branch(self):
+        theta, lo, hi = map(np.array, zip(*self.edge_cases()))
+        new_lo, new_hi = fold_interval_arrays(theta, lo, hi)
+        ref_lo, ref_hi = map(np.array, zip(*map(three_branch_fold, theta, lo, hi)))
+        assert np.array_equal(bits(new_lo), bits(ref_lo))
+        assert np.array_equal(bits(new_hi), bits(ref_hi))
+        assert not np.any(np.signbit(new_lo))
+
+    def test_scalar_forward_loop_matches_three_branch(self):
+        for theta, lo, hi in self.edge_cases():
+            img = interval_fold([theta], Interval(lo, hi), "forward")[1]
+            ref_lo, ref_hi = three_branch_fold(theta, lo, hi)
+            assert bits(img.lo) == bits(ref_lo) and bits(img.hi) == bits(ref_hi)
+            assert not np.signbit(img.lo)
+
+    def test_long_words_match_three_branch(self):
+        rng = np.random.default_rng(12)
+        word = (rng.random(3000) * 1.5).tolist() + [0.0, 0.0, 1.0, 1.0]
+        lo, hi = 0.0, 1.0
+        images = interval_fold(word, Interval(lo, hi), "forward")
+        for t, img in zip(word, images[1:]):
+            lo, hi = three_branch_fold(t, lo, hi)
+            assert bits(img.lo) == bits(lo) and bits(img.hi) == bits(hi)
 
 
 class TestIntervalFold:
