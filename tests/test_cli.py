@@ -1,5 +1,7 @@
 """Command line interface: exit codes, formats, determinism."""
 
+import argparse
+import hashlib
 import json
 import math
 import sys
@@ -8,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from foldmap import walk_confinement_dp
-from foldmap.cli import run
+from foldmap.cli import _build_parser, run
 
 INV_SQRT2 = "0.7071067811865476"
 
@@ -273,3 +275,214 @@ class TestBvfCheck:
         payload = json.loads(out_of(capsys))
         assert payload["kind"] == "law_equality"
         assert payload["ks_distance"] < 0.05
+
+
+# ---- pinned bytes ----------------------------------------------------------
+# The --dry-run text, the report digests and the flag sets below were recorded
+# from the command-line front end and must not drift: a report is reproducible
+# byte for byte from its command line.
+
+DRY_RUNS = {
+    'simulate': (
+        ['--dist', 'two-point:inv-sqrt2', '--x0', '0.2', '--n', '100', '--trials', '1000', '--seed', '5'],
+        '{"dist_support": [0.7071067811865476, 1.0], "dist_weights": [0.5, 0.5], "format": "json", "kind": "dry_run", "n": 100, "schema": 1, "seed": 5, "subcommand": "simulate", "trials": 1000, "workers": 1, "x0": 0.2}\n'),
+    'stationary': (
+        ['--dist', '1.0:0.5,0.3:0.5', '--eval', '0.25'],
+        '{"dist_support": [0.3, 1.0], "dist_weights": [0.5, 0.5], "eval": 0.25, "format": "csv", "kind": "dry_run", "schema": 1, "subcommand": "stationary"}\n'),
+    'orbit': (
+        ['--alpha', 'golden-conj', '--x', '0.17', '--window', '50', '--format', 'json'],
+        '{"alpha": 0.6180339887498949, "format": "json", "kind": "dry_run", "schema": 1, "subcommand": "orbit", "window": 50, "x": 0.17}\n'),
+    'contfrac': (
+        ['--alpha', 'e-minus-2'],
+        '{"alpha": 0.7182818284590451, "format": "csv", "kind": "dry_run", "schema": 1, "subcommand": "contfrac", "terms": 20}\n'),
+    'closek': (
+        ['--alpha', 'inv-sqrt2', '--x', '0.5', '--qn', '17', '--format', 'csv'],
+        '{"alpha": 0.7071067811865476, "format": "csv", "kind": "dry_run", "qn": 17, "schema": 1, "subcommand": "closek", "x": 0.5}\n'),
+    'shrinkword': (
+        ['--alpha', 'inv-sqrt2', '--m', '0.9', '--threshold', '0.01'],
+        '{"alpha": 0.7071067811865476, "beta": 1.0, "format": "json", "kind": "dry_run", "m": 0.9, "max_len": 256, "schema": 1, "subcommand": "shrinkword", "threshold": 0.01}\n'),
+    'rate': (
+        ['--alpha', 'inv-sqrt2', '--qk', '17', '--eps', '0.5', '--trials', '200', '--seed', '1', '--workers', '2'],
+        '{"alpha": 0.7071067811865476, "eps": 0.5, "format": "json", "k_index": 4, "kind": "dry_run", "n_steps": 160654, "qk": 17, "schema": 1, "seed": 1, "subcommand": "rate", "trials": 200, "workers": 2}\n'),
+    'walk-oracle': (
+        ['--n', '30', '--float'],
+        '{"float": true, "kind": "dry_run", "n": 30, "schema": 1, "subcommand": "walk-oracle"}\n'),
+    'rho-audit': (
+        ['--alpha', 'inv-sqrt2', '--x0', '0.2', '--steps', '20000', '--seed', '17'],
+        '{"alpha": 0.7071067811865476, "kind": "dry_run", "q_values": [7, 17], "schema": 1, "seed": 17, "segments": 1000, "steps": 20000, "subcommand": "rho-audit", "window": null, "x0": 0.2}\n'),
+    'bvf-check': (
+        ['--dist', 'two-point:golden-conj', '--x0', '0.1', '--n', '50', '--trials', '100000', '--seed', '7'],
+        '{"dist_support": [0.6180339887498949, 1.0], "dist_weights": [0.5, 0.5], "kind": "dry_run", "n": 50, "schema": 1, "seed": 7, "subcommand": "bvf-check", "trials": 100000, "workers": 1, "x0": 0.1}\n'),
+}
+
+REPORT_SHA256 = [
+    (['simulate', '--dist', 'two-point:inv-sqrt2', '--x0', '0.2', '--n', '20', '--trials', '50', '--seed', '3'],
+     '7ec95c5e6b46b48ff44b665feed1ea1829c8dcc48aca747e2ac6cd36599cadc8'),
+    (['simulate', '--dist', '0.3:0.25,1.0:0.75', '--x0', '0.6', '--n', '10', '--trials', '20', '--seed', '4', '--format', 'csv'],
+     'b9d2fc6682d8e30ee2ca6b803652a8b3bcb4f060ac234536b8b3179907649e23'),
+    (['stationary', '--dist', 'two-point:inv-sqrt2'],
+     'd5f5f85036ed817dac4e2e6e0458e3d887c8bdc5c7c555721d51dd2a0afe1863'),
+    (['stationary', '--dist', '0.3:0.5,1.0:0.5', '--format', 'json'],
+     'ddfe82862cf70ec16f01f2a9b3c68411d85d3cf82a895f6ca817730fc4fedd4a'),
+    (['stationary', '--dist', 'two-point:inv-sqrt2', '--eval', '0.5'],
+     '9c8386bcbf6070c2e0dc98994d4bb21b3ddf68927320c62912011d43e76b9e2d'),
+    (['orbit', '--alpha', 'inv-sqrt2', '--x', '0.2', '--window', '3'],
+     'c29d6ddfa43b304c3195724a7fc8ae3793ef59c53374e02cb012e39bec923452'),
+    (['orbit', '--alpha', 'inv-sqrt2', '--x', '0.2', '--window', '10', '--format', 'json'],
+     '2606a0b13c686e74c424b61e4d68d6d243625755afa941563ca6b0b45f137f88'),
+    (['orbit', '--alpha', 'inv-sqrt2', '--x', '0.2', '--window', '3', '--format', 'csv'],
+     'b7ef5407157df3d53b466f6ff17ac44a6ffddc99c9a879a35bde06ab9bb83a3f'),
+    (['contfrac', '--alpha', 'inv-sqrt2', '--terms', '8'],
+     'e5f2699ee7fe63b0b99fd3879adceabc74d63de19a950f2f523fe3a6cfe4010e'),
+    (['contfrac', '--alpha', 'golden-conj', '--terms', '6', '--format', 'json'],
+     '24c1de36834d6b3239791ad619a92b97f781db088f13b170ee761240065cc6b7'),
+    (['closek', '--alpha', 'inv-sqrt2', '--x', '0.5', '--qn', '17'],
+     'a68426145fd48f0f48c99a4a8101016d3df6269c79d32fe18f276f23848d3c30'),
+    (['closek', '--alpha', 'inv-sqrt2', '--x', '0.5', '--qn', '17', '--format', 'csv'],
+     'fd19c06e4edcfef2574ba0ca1799e6377ffa956af0de8f03d5b30e3cb5237a77'),
+    (['shrinkword', '--alpha', 'inv-sqrt2', '--m', '0.9', '--threshold', '0.01'],
+     'e33867cbb126d08a7750ca370c3bc94c041bee0af8739f88bf69f02ae7cb8083'),
+    (['shrinkword', '--alpha', 'inv-sqrt2', '--beta', '0.95', '--m', '0.9', '--threshold', '0.05', '--format', 'csv'],
+     '8ce86d81eaea55ecdb294eb77b6a47d7ac751e87a29442c1d2f533585af1455f'),
+    (['rate', '--alpha', 'inv-sqrt2', '--qk', '7', '--eps', '1.2', '--trials', '5', '--seed', '3'],
+     '85532d038361e21b004235c02fbe5699d3b9a7311724e522d7d1a9e86b28646e'),
+    (['rate', '--alpha', 'inv-sqrt2', '--qk', '7', '--eps', '1.2', '--trials', '5', '--seed', '3', '--format', 'csv'],
+     'bab8382ba033c7bbd1302f44e90bbb73496ad5633ff3e285d5120bc6294d3665'),
+    (['walk-oracle', '--n', '5'],
+     '7ed4ada33e2b74a68cb6834e7bdf92b043ca277cd7df952091925034567ec62d'),
+    (['walk-oracle', '--n', '5', '--float'],
+     '1c5c5eb26f5ac6158d5d355b178029f931b0804b74f90ed2cf51363a8bd8099a'),
+    (['rho-audit', '--alpha', 'inv-sqrt2', '--x0', '0.2', '--steps', '200', '--seed', '17'],
+     '3c81f93a1d458280b70077928e94cddd220e1583a5829041ff3aa3c754277b44'),
+    (['rho-audit', '--alpha', 'inv-sqrt2', '--x0', '0.2', '--steps', '200', '--seed', '18', '--segments', '50', '--q-values', '3,7', '--window', '200'],
+     '6061ca8e5dd343cbdc7cc613acebfb1a25d8ccec154a4bb3e4029ffb95ee415e'),
+    (['bvf-check', '--dist', 'two-point:inv-sqrt2', '--x0', '0.2', '--n', '10', '--trials', '200', '--seed', '23'],
+     '53fe8662cbda5377d7e11a152a932a74b37eb2f362630a8fb55932d4bdce78eb'),
+]
+
+# (flag, default, choices, required, takes no value) per subcommand, in order
+FLAGS = {
+    'simulate': [
+        ('--out', None, None, False, False),
+        ('--dry-run', False, None, False, True),
+        ('--dist', None, None, True, False),
+        ('--x0', None, None, True, False),
+        ('--n', None, None, True, False),
+        ('--trials', None, None, True, False),
+        ('--seed', None, None, True, False),
+        ('--workers', 1, None, False, False),
+        ('--format', 'json', ['json', 'csv'], False, False),
+    ],
+    'stationary': [
+        ('--out', None, None, False, False),
+        ('--dry-run', False, None, False, True),
+        ('--dist', None, None, True, False),
+        ('--eval', None, None, False, False),
+        ('--format', 'csv', ['json', 'csv'], False, False),
+    ],
+    'orbit': [
+        ('--out', None, None, False, False),
+        ('--dry-run', False, None, False, True),
+        ('--alpha', None, None, True, False),
+        ('--x', None, None, True, False),
+        ('--window', 10000, None, False, False),
+        ('--format', 'dot', ['dot', 'json', 'csv'], False, False),
+    ],
+    'contfrac': [
+        ('--out', None, None, False, False),
+        ('--dry-run', False, None, False, True),
+        ('--alpha', None, None, True, False),
+        ('--terms', 20, None, False, False),
+        ('--format', 'csv', ['csv', 'json'], False, False),
+    ],
+    'closek': [
+        ('--out', None, None, False, False),
+        ('--dry-run', False, None, False, True),
+        ('--alpha', None, None, True, False),
+        ('--x', None, None, True, False),
+        ('--qn', None, None, True, False),
+        ('--format', 'json', ['json', 'csv'], False, False),
+    ],
+    'shrinkword': [
+        ('--out', None, None, False, False),
+        ('--dry-run', False, None, False, True),
+        ('--alpha', None, None, True, False),
+        ('--beta', 1.0, None, False, False),
+        ('--m', None, None, True, False),
+        ('--threshold', None, None, True, False),
+        ('--max-len', 256, None, False, False),
+        ('--format', 'json', ['json', 'csv'], False, False),
+    ],
+    'rate': [
+        ('--out', None, None, False, False),
+        ('--dry-run', False, None, False, True),
+        ('--alpha', None, None, True, False),
+        ('--qk', None, None, True, False),
+        ('--eps', None, None, True, False),
+        ('--trials', None, None, True, False),
+        ('--seed', None, None, True, False),
+        ('--workers', 1, None, False, False),
+        ('--format', 'json', ['json', 'csv'], False, False),
+    ],
+    'walk-oracle': [
+        ('--out', None, None, False, False),
+        ('--dry-run', False, None, False, True),
+        ('--n', None, None, True, False),
+        ('--float', False, None, False, True),
+    ],
+    'rho-audit': [
+        ('--out', None, None, False, False),
+        ('--dry-run', False, None, False, True),
+        ('--alpha', None, None, True, False),
+        ('--x0', None, None, True, False),
+        ('--steps', None, None, True, False),
+        ('--seed', None, None, True, False),
+        ('--segments', 1000, None, False, False),
+        ('--q-values', '7,17', None, False, False),
+        ('--window', None, None, False, False),
+    ],
+    'bvf-check': [
+        ('--out', None, None, False, False),
+        ('--dry-run', False, None, False, True),
+        ('--dist', None, None, True, False),
+        ('--x0', None, None, True, False),
+        ('--n', None, None, True, False),
+        ('--trials', None, None, True, False),
+        ('--seed', None, None, True, False),
+        ('--workers', 1, None, False, False),
+    ],
+}
+
+
+def _subparsers():
+    parser = _build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", sorted(DRY_RUNS))
+    def test_dry_run_text(self, capsys, name):
+        argv, expected = DRY_RUNS[name]
+        assert run([name, *argv, "--dry-run"]) == 0
+        assert out_of(capsys) == expected
+
+    @pytest.mark.parametrize(
+        "argv, digest", REPORT_SHA256,
+        ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(REPORT_SHA256)])
+    def test_report_digest(self, capsys, argv, digest):
+        assert run(argv) == 0
+        assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == digest
+
+    def test_every_subcommand_pinned(self):
+        assert set(_subparsers()) == set(FLAGS) == set(DRY_RUNS)
+        assert set(FLAGS) == {argv[0] for argv, _ in REPORT_SHA256}
+
+    @pytest.mark.parametrize("name", sorted(FLAGS))
+    def test_flag_set(self, name):
+        actions = [a for a in _subparsers()[name]._actions if "-h" not in a.option_strings]
+        got = [(a.option_strings[0], a.default,
+                None if a.choices is None else list(a.choices), a.required, a.nargs == 0)
+               for a in actions]
+        assert got == FLAGS[name]
