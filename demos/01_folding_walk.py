@@ -25,7 +25,7 @@ def main():
     print("KS distance of 20000 trajectories to the stationary law, by depth:")
     last = 1.0
     for n in (10, 50, 200, 800):
-        plan = TrialPlan(master_seed=101, trials=20000, steps=n)
+        plan = TrialPlan(master_seed=101, trials=20000)
         ks = ks_distance(ensemble_forward(dist, 0.2, n, plan), cdf)
         print(f"  n = {n:4d}   KS = {ks:.4f}")
         assert ks < last + 0.01, "ensemble stopped converging"

@@ -2,12 +2,16 @@
 
 Every experiment is reachable as a subcommand with an explicit seed, so any
 output is reproducible byte for byte from its command line. Exit codes:
-0 success, 1 usage, 2 precondition violation (bad values, including non-finite
-numbers and an --out path that cannot be written), 3 structural/guarantee
-failure.
+0 success, 1 usage (including a malformed literal), 2 precondition violation
+(bad values, including non-finite numbers and an --out path that cannot be
+written), 3 structural/guarantee failure.
 
-All subcommands accept --dry-run, which prints the fully resolved
-configuration as canonical JSON and performs no computation.
+The subcommands are the rows of one table, COMMANDS. A row lists its options,
+each of a kind that fixes its syntax (parsed by argparse) and its value check
+(applied after parsing, so --dry-run checks what a real run checks), a resolve
+step that gives the configuration --dry-run prints as canonical JSON, and a
+compute step that turns the configuration into the report text. run() does
+the common work once for every row.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -72,11 +78,12 @@ def parse_dist(spec: str) -> ThetaDist:
         return ThetaDist.two_point(parse_alpha(spec[len("two-point:"):]))
     support, weights = [], []
     for token in spec.split(","):
-        parts = token.split(":")
-        if len(parts) != 2:
+        try:
+            point, weight = map(float, token.split(":"))
+        except ValueError:
             raise PreconditionError(f"bad distribution token {token!r}; want point:weight")
-        support.append(float(parts[0]))
-        weights.append(float(parts[1]))
+        support.append(point)
+        weights.append(weight)
     return ThetaDist(support, weights)
 
 
@@ -97,119 +104,78 @@ def _write(text: str, out: str | None):
         raise PreconditionError(f"cannot write --out {out!r}: {exc.strerror}")
 
 
-def _dry_run(args, resolved: dict) -> str:
-    try:
-        return canonical_json({"schema": 1, "kind": "dry_run",
-                               "subcommand": args.command, **resolved})
-    except ValueError:  # canonical JSON has no NaN or inf
-        raise PreconditionError("the configuration holds a non-finite number")
+def _dry_run(name: str, resolved: dict) -> str:
+    return canonical_json({"schema": 1, "kind": "dry_run", "subcommand": name, **resolved})
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="foldmap",
-                     description="Random folding maps: simulation and structure experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--dry-run", action="store_true",
-                       help="print resolved config as JSON and exit")
-        return p
-
-    p = add("simulate", "forward-iterate an ensemble and compare to the stationary law")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = add("stationary", "evaluate or export the exact stationary CDF")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--eval", type=float, default=None,
-                   help="print the CDF at this point instead of exporting")
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-
-    p = add("orbit", "build an orbit graph window and export it")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--window", type=int, default=orbit.DEFAULT_WINDOW)
-    p.add_argument("--format", choices=["dot", "json", "csv"], default="dot")
-
-    p = add("contfrac", "partial quotients and convergents of alpha")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--terms", type=int, default=20)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p = add("closek", "smallest k with <x - k*alpha> below 3/(2 q_n)")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--qn", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = add("shrinkword", "shortest fold word over {alpha, beta} below a threshold")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--max-len", type=int, default=256)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = add("rate", "backward-contraction rate experiment at one convergent")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--qk", type=int, required=True,
-                   help="convergent denominator q_k of alpha")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = add("walk-oracle", "exact confinement probability of a +-1 walk")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--float", action="store_true", dest="as_float",
-                   help="report the probability in floating point only")
-
-    p = add("rho-audit", "walk the orbit graph and audit its rho coordinate")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--segments", type=int, default=1000)
-    p.add_argument("--q-values", default="7,17")
-    p.add_argument("--window", type=int, default=None)
-
-    p = add("bvf-check", "two-sample test that backward and forward laws agree")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-
-    return parser
+def int_list(text: str) -> tuple:
+    """Comma-separated integer literals; a malformed one is a usage error."""
+    return tuple(int(tok) for tok in text.split(","))
 
 
-# ---- subcommand bodies -----------------------------------------------------
+# ---- the subcommand table --------------------------------------------------
+
+REQUIRED = object()  # Arg default of an option that must be given
+
+_SYNTAX = {"int": int, "float": float, "ints": int_list}
 
 
-def _cmd_simulate(args) -> str:
-    dist = parse_dist(args.dist)
-    resolved = {"dist_support": dist.support.tolist(),
-                "dist_weights": dist.weights.tolist(), "x0": args.x0,
-                "n": args.n, "trials": args.trials, "seed": args.seed,
-                "workers": args.workers, "format": args.format}
-    if args.dry_run:
-        return _dry_run(args, resolved)
-    plan = TrialPlan(args.seed, args.trials)
-    values = experiments.forward_values(dist, args.x0, args.n, plan,
-                                        workers=args.workers)
-    if args.format == "csv":
+@dataclass(frozen=True)
+class Arg:
+    """One option of a subcommand.
+
+    kind is int, float (finite), ints (positive integers, comma-separated),
+    alpha (see parse_alpha), dist (see parse_dist), choice or switch.
+    """
+
+    flag: str
+    kind: str = "int"
+    default: object = REQUIRED
+    choices: tuple = ()
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+def _format(*choices: str, default: str | None = None) -> Arg:
+    return Arg("--format", "choice", default or choices[0], choices)
+
+
+def _options(args) -> dict:
+    """The checked option values by name; a distribution gives its support and weights."""
+    resolved = {k: v for k, v in vars(args).items()
+                if k not in ("command", "out", "dry_run")}
+    dist = resolved.pop("dist", None)
+    if dist is not None:
+        resolved.update(dist_support=dist.support.tolist(),
+                        dist_weights=dist.weights.tolist())
+    return resolved
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its options, its resolve step and its compute step.
+
+    resolve maps the checked options to the configuration --dry-run prints;
+    compute maps the options and that configuration to the report text.
+    """
+
+    name: str
+    help: str
+    args: tuple[Arg, ...]
+    compute: Callable[[argparse.Namespace, dict], str]
+    resolve: Callable[[argparse.Namespace], dict] = _options
+
+
+def _simulate(a, resolved) -> str:
+    values = experiments.forward_values(a.dist, a.x0, a.n, TrialPlan(a.seed, a.trials),
+                                        workers=a.workers)
+    if a.format == "csv":
         return rows_to_csv(["trial", "value"], enumerate(values))
     ecdf = experiments.EmpiricalCDF(values)
-    ks = experiments.ks_distance(ecdf, stationary_cdf(dist))
+    ks = experiments.ks_distance(ecdf, stationary_cdf(a.dist))
     qs = np.quantile(ecdf.values, [0.1, 0.25, 0.5, 0.75, 0.9])
     # execution details (workers, format) stay out of the canonical report
     payload = {k: v for k, v in resolved.items() if k not in ("workers", "format")}
@@ -219,34 +185,22 @@ def _cmd_simulate(args) -> str:
                                          "q75": qs[3], "q90": qs[4]}})
 
 
-def _cmd_stationary(args) -> str:
-    dist = parse_dist(args.dist)
-    resolved = {"dist_support": dist.support.tolist(),
-                "dist_weights": dist.weights.tolist(), "eval": args.eval,
-                "format": args.format}
-    if args.dry_run:
-        return _dry_run(args, resolved)
-    cdf = stationary_cdf(dist)
-    if args.eval is not None:
-        return repr(float(cdf.evaluate(args.eval))) + "\n"
-    return cdf.to_csv() if args.format == "csv" else cdf.to_json()
+def _stationary(a, resolved) -> str:
+    cdf = stationary_cdf(a.dist)
+    if a.eval is not None:
+        return repr(float(cdf.evaluate(a.eval))) + "\n"
+    return cdf.to_csv() if a.format == "csv" else cdf.to_json()
 
 
-def _cmd_orbit(args) -> str:
-    alpha = parse_alpha(args.alpha)
-    resolved = {"alpha": alpha, "x": args.x, "window": args.window,
-                "format": args.format}
-    if args.dry_run:
-        return _dry_run(args, resolved)
-    graph = orbit.build_graph_window(alpha, args.x, args.window)
-    if args.format == "dot":
+def _orbit(a, resolved) -> str:
+    graph = orbit.build_graph_window(a.alpha, a.x, a.window)
+    if a.format == "dot":
         return graph.to_dot()
-    if args.format == "json":
-        stats = orbit.structure_stats(graph)
+    if a.format == "json":
         return canonical_json({"schema": 1, "kind": "orbit_structure", **resolved,
-                               **stats,
-                               "coincidences": [[str(a), str(b)]
-                                                for a, b in graph.coincidences]})
+                               **orbit.structure_stats(graph),
+                               "coincidences": [[str(p), str(q)]
+                                                for p, q in graph.coincidences]})
     rows = []
     for i in range(graph.size):
         lab = graph.label_at(i)
@@ -255,69 +209,47 @@ def _cmd_orbit(args) -> str:
     return rows_to_csv(["n", "eps", "value", "class"], rows)
 
 
-def _cmd_contfrac(args) -> str:
-    alpha = parse_alpha(args.alpha)
-    resolved = {"alpha": alpha, "terms": args.terms, "format": args.format}
-    if args.dry_run:
-        return _dry_run(args, resolved)
-    cs = convergents(contfrac_expand(alpha, args.terms))
-    rows = [(c.index, c.a, c.p, c.q, abs(alpha - c.p / c.q) * 2 * c.q ** 2)
-            for c in cs]
-    if args.format == "json":
+def _contfrac(a, resolved) -> str:
+    cs = convergents(contfrac_expand(a.alpha, a.terms))
+    if a.format == "json":
         return canonical_json({"schema": 1, "kind": "contfrac", **resolved,
                                "quotients": [c.a for c in cs],
                                "convergents": [{"n": c.index, "p": c.p, "q": c.q}
                                                for c in cs]})
-    return rows_to_csv(["n", "a_n", "p_n", "q_n", "err_times_2q2"], rows)
+    return rows_to_csv(["n", "a_n", "p_n", "q_n", "err_times_2q2"],
+                       [(c.index, c.a, c.p, c.q, abs(a.alpha - c.p / c.q) * 2 * c.q ** 2)
+                        for c in cs])
 
 
-def _cmd_closek(args) -> str:
-    alpha = parse_alpha(args.alpha)
-    resolved = {"alpha": alpha, "x": args.x, "qn": args.qn, "format": args.format}
-    if args.dry_run:
-        return _dry_run(args, resolved)
-    hit = find_close_k(alpha, args.x, args.qn)
-    if args.format == "csv":
-        return rows_to_csv(["k", "value", "bound"],
-                           [(hit["k"], hit["value"], 1.5 / args.qn)])
+def _closek(a, resolved) -> str:
+    hit = find_close_k(a.alpha, a.x, a.qn)
+    if a.format == "csv":
+        return rows_to_csv(["k", "value", "bound"], [(hit["k"], hit["value"], 1.5 / a.qn)])
     return canonical_json({"schema": 1, "kind": "closek", **resolved,
-                           "k": hit["k"], "value": hit["value"],
-                           "bound": 1.5 / args.qn})
+                           "k": hit["k"], "value": hit["value"], "bound": 1.5 / a.qn})
 
 
-def _cmd_shrinkword(args) -> str:
-    alpha = parse_alpha(args.alpha)
-    resolved = {"alpha": alpha, "beta": args.beta, "m": args.m,
-                "threshold": args.threshold, "max_len": args.max_len,
-                "format": args.format}
-    if args.dry_run:
-        return _dry_run(args, resolved)
-    word = orbit.shrink_word(alpha, args.beta, args.m, args.threshold,
-                             max_len=args.max_len)
-    final = float(iterate_forward(word, args.m)[-1])
-    if args.format == "csv":
+def _shrinkword(a, resolved) -> str:
+    word = orbit.shrink_word(a.alpha, a.beta, a.m, a.threshold, max_len=a.max_len)
+    if a.format == "csv":
         return rows_to_csv(["position", "letter"], enumerate(word))
     return canonical_json({"schema": 1, "kind": "shrink_word", **resolved,
                            "word": list(word), "length": len(word),
-                           "replay_final": final})
+                           "replay_final": float(iterate_forward(word, a.m)[-1])})
 
 
-def _cmd_rate(args) -> str:
-    alpha = parse_alpha(args.alpha)
-    qs = convergents(contfrac_expand(alpha, 40))
-    k_index = next((c.index for c in qs if c.q == args.qk), None)
+def _rate_plan(a) -> dict:
+    k_index = next((c.index for c in convergents(contfrac_expand(a.alpha, 40))
+                    if c.q == a.qk), None)
     if k_index is None:
-        raise PreconditionError(f"{args.qk} is not a convergent denominator of alpha")
-    resolved = {"alpha": alpha, "qk": args.qk, "k_index": k_index,
-                "eps": args.eps, "trials": args.trials, "seed": args.seed,
-                "workers": args.workers, "format": args.format,
-                "n_steps": experiments.rate_steps(args.qk)}
-    if args.dry_run:
-        return _dry_run(args, resolved)
-    plan = TrialPlan(args.seed, args.trials)
-    report = experiments.rate_experiment(alpha, k_index, args.eps, plan,
-                                         workers=args.workers)
-    return report.to_csv() if args.format == "csv" else report.to_json()
+        raise PreconditionError(f"{a.qk} is not a convergent denominator of alpha")
+    return {**_options(a), "k_index": k_index, "n_steps": experiments.rate_steps(a.qk)}
+
+
+def _rate(a, resolved) -> str:
+    report = experiments.rate_experiment(a.alpha, resolved["k_index"], a.eps,
+                                         TrialPlan(a.seed, a.trials), workers=a.workers)
+    return report.to_csv() if a.format == "csv" else report.to_json()
 
 
 def _allow_int_digits(digits: int) -> None:
@@ -335,14 +267,11 @@ def _allow_int_digits(digits: int) -> None:
         sys.set_int_max_str_digits(digits)
 
 
-def _cmd_walk_oracle(args) -> str:
-    resolved = {"n": args.n, "float": args.as_float}
-    if args.dry_run:
-        return _dry_run(args, resolved)
-    p = experiments.walk_confinement_dp(args.n, exact=True)
-    payload = {"schema": 1, "kind": "walk_oracle", "n": args.n,
-               "horizon": args.n ** 3, "probability": float(p)}
-    if not args.as_float:
+def _walk_oracle(a, resolved) -> str:
+    p = experiments.walk_confinement_dp(a.n, exact=True)
+    payload = {"schema": 1, "kind": "walk_oracle", "n": a.n,
+               "horizon": a.n ** 3, "probability": float(p)}
+    if not a.float:
         # numerator < denominator = 2^k, of at most floor(k log10 2) + 1 digits
         _allow_int_digits(p.denominator.bit_length() * 30103 // 100000 + 1)
         payload["numerator"] = str(p.numerator)
@@ -350,61 +279,122 @@ def _cmd_walk_oracle(args) -> str:
     return canonical_json(payload)
 
 
-def _cmd_rho_audit(args) -> str:
-    alpha = parse_alpha(args.alpha)
-    q_values = tuple(int(tok) for tok in args.q_values.split(","))
-    resolved = {"alpha": alpha, "x0": args.x0, "steps": args.steps,
-                "seed": args.seed, "segments": args.segments,
-                "q_values": list(q_values), "window": args.window}
-    if args.dry_run:
-        return _dry_run(args, resolved)
-    plan = TrialPlan(args.seed, trials=1, steps=args.steps)
-    report = experiments.rho_walk_audit(alpha, args.x0, args.steps, plan,
-                                        q_values=q_values,
-                                        segments=args.segments,
-                                        window=args.window)
-    return canonical_json(report)
+def _rho_audit(a, resolved) -> str:
+    return canonical_json(experiments.rho_walk_audit(
+        a.alpha, a.x0, a.steps, TrialPlan(a.seed, trials=1), q_values=a.q_values,
+        segments=a.segments, window=a.window))
 
 
-def _cmd_bvf_check(args) -> str:
-    dist = parse_dist(args.dist)
-    resolved = {"dist_support": dist.support.tolist(),
-                "dist_weights": dist.weights.tolist(), "x0": args.x0,
-                "n": args.n, "trials": args.trials, "seed": args.seed,
-                "workers": args.workers}
-    if args.dry_run:
-        return _dry_run(args, resolved)
-    report = experiments.law_equality_report(dist, args.x0, args.n, args.trials,
-                                             args.seed, workers=args.workers)
-    return canonical_json(report)
+def _bvf_check(a, resolved) -> str:
+    return canonical_json(experiments.law_equality_report(
+        a.dist, a.x0, a.n, a.trials, a.seed, workers=a.workers))
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "stationary": _cmd_stationary,
-    "orbit": _cmd_orbit,
-    "contfrac": _cmd_contfrac,
-    "closek": _cmd_closek,
-    "shrinkword": _cmd_shrinkword,
-    "rate": _cmd_rate,
-    "walk-oracle": _cmd_walk_oracle,
-    "rho-audit": _cmd_rho_audit,
-    "bvf-check": _cmd_bvf_check,
-}
+COMMANDS = {row.name: row for row in (
+    Command("simulate", "forward-iterate an ensemble and compare to the stationary law",
+            (Arg("--dist", "dist"), Arg("--x0", "float"), Arg("--n"), Arg("--trials"),
+             Arg("--seed"), Arg("--workers", default=1), _format("json", "csv")),
+            _simulate),
+    Command("stationary", "evaluate or export the exact stationary CDF",
+            (Arg("--dist", "dist"),
+             Arg("--eval", "float", None,
+                 help="print the CDF at this point instead of exporting"),
+             _format("json", "csv", default="csv")),
+            _stationary),
+    Command("orbit", "build an orbit graph window and export it",
+            (Arg("--alpha", "alpha"), Arg("--x", "float"),
+             Arg("--window", default=orbit.DEFAULT_WINDOW),
+             _format("dot", "json", "csv")),
+            _orbit),
+    Command("contfrac", "partial quotients and convergents of alpha",
+            (Arg("--alpha", "alpha"), Arg("--terms", default=20), _format("csv", "json")),
+            _contfrac),
+    Command("closek", "smallest k with <x - k*alpha> below 3/(2 q_n)",
+            (Arg("--alpha", "alpha"), Arg("--x", "float"), Arg("--qn"),
+             _format("json", "csv")),
+            _closek),
+    Command("shrinkword", "shortest fold word over {alpha, beta} below a threshold",
+            (Arg("--alpha", "alpha"), Arg("--beta", "float", 1.0), Arg("--m", "float"),
+             Arg("--threshold", "float"), Arg("--max-len", default=256),
+             _format("json", "csv")),
+            _shrinkword),
+    Command("rate", "backward-contraction rate experiment at one convergent",
+            (Arg("--alpha", "alpha"),
+             Arg("--qk", help="convergent denominator q_k of alpha"),
+             Arg("--eps", "float"), Arg("--trials"), Arg("--seed"),
+             Arg("--workers", default=1), _format("json", "csv")),
+            _rate, _rate_plan),
+    Command("walk-oracle", "exact confinement probability of a +-1 walk",
+            (Arg("--n"),
+             Arg("--float", "switch", False,
+                 help="report the probability in floating point only")),
+            _walk_oracle),
+    Command("rho-audit", "walk the orbit graph and audit its rho coordinate",
+            (Arg("--alpha", "alpha"), Arg("--x0", "float"), Arg("--steps"), Arg("--seed"),
+             Arg("--segments", default=1000), Arg("--q-values", "ints", "7,17"),
+             Arg("--window", default=None)),
+            _rho_audit),
+    Command("bvf-check", "two-sample test that backward and forward laws agree",
+            (Arg("--dist", "dist"), Arg("--x0", "float"), Arg("--n"), Arg("--trials"),
+             Arg("--seed"), Arg("--workers", default=1)),
+            _bvf_check),
+)}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="foldmap",
+                     description="Random folding maps: simulation and structure experiments")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for row in COMMANDS.values():
+        p = sub.add_parser(row.name, help=row.help)
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--dry-run", action="store_true",
+                       help="print resolved config as JSON and exit")
+        for arg in row.args:
+            if arg.kind == "switch":
+                p.add_argument(arg.flag, action="store_true", help=arg.help)
+            else:
+                required = arg.default is REQUIRED
+                p.add_argument(arg.flag, type=_SYNTAX.get(arg.kind), required=required,
+                               default=None if required else arg.default,
+                               choices=arg.choices or None, help=arg.help)
+    return parser
+
+
+_CONVERT = {"alpha": parse_alpha, "dist": parse_dist}
+
+
+def _check_values(row: Command, args) -> None:
+    """Check the parsed option values and convert --alpha and --dist, in place.
+
+    These checks raise PreconditionError (exit 2) rather than run as argparse
+    type= callables, which would turn them into usage errors (exit 1).
+    """
+    for arg in row.args:
+        value = getattr(args, arg.dest)
+        if arg.kind == "float" and value is not None and not math.isfinite(value):
+            raise PreconditionError(f"{arg.dest} must be finite")
+        if arg.kind == "ints" and min(value) < 1:
+            raise PreconditionError(f"{arg.dest} must be positive integers")
+        if arg.kind in _CONVERT:
+            setattr(args, arg.dest, _CONVERT[arg.kind](value))
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    row = COMMANDS[args.command]
     try:
+        _check_values(row, args)
         _check_out(args.out)
-        _write(_COMMANDS[args.command](args), args.out)
+        resolved = row.resolve(args)
+        text = _dry_run(row.name, resolved) if args.dry_run else row.compute(args, resolved)
+        _write(text, args.out)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -339,6 +339,10 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
         raise PreconditionError("x0 must satisfy 0 < x0 < min(alpha, 1-alpha)")
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
+    if segments < 0:
+        raise PreconditionError("segments must be >= 0")
+    if window is not None and window < 1:
+        raise PreconditionError("window must be >= 1")
     base = {"schema": 1, "kind": "rho_walk_audit", "alpha": alpha, "x0": x0,
             "steps": steps, "master_seed": plan.master_seed}
     if steps == 0:

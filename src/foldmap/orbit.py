@@ -189,6 +189,9 @@ class OrbitGraphWindow:
     def class_frequencies(self, margin: int = 2) -> dict:
         mask = self.interior_mask(margin)
         total = int(np.count_nonzero(mask))
+        if total == 0:
+            raise PreconditionError(
+                f"window {self.window} has no vertex inside margin {margin}")
         cls = self.classes[mask]
         return {c.name.lower(): int(np.count_nonzero(cls == c)) / total
                 for c in VertexClass}
@@ -396,6 +399,7 @@ def structure_stats(graph: OrbitGraphWindow, margin: int = 2) -> dict:
     non-Large stretch). For irrational alpha the runs take exactly two values
     q and q+1 where alpha = q*(1-alpha) + r (alpha > 1/2; roles swap below
     1/2), with asymptotic count ratio (1-alpha-r):r resp. (alpha-r):r.
+    measured_ratio is None while the window holds no run of length q+1.
     """
     w, alpha = graph.window, graph.alpha
     top = graph.classes[:2 * w + 1]
@@ -412,7 +416,7 @@ def structure_stats(graph: OrbitGraphWindow, margin: int = 2) -> dict:
         q = int((1.0 - alpha) / alpha)
         r = (1.0 - alpha) - q * alpha
         expected = (alpha - r) / r
-    measured = hist.get(q, 0) / hist[q + 1] if hist.get(q + 1) else float("nan")
+    measured = hist.get(q, 0) / hist[q + 1] if hist.get(q + 1) else None
     return {
         "class_frequencies": graph.class_frequencies(margin),
         "run_histogram": hist,
@@ -443,7 +447,8 @@ def shrink_word(alpha: float, beta: float, m: float, threshold: float,
         raise PreconditionError("m must be >= 0")
     if m < threshold:
         return []
-    bucket = lambda v: int(round(v / 1e-12))
+    # a float key, so values past ~1.8e296 share the bucket inf instead of overflowing
+    bucket = lambda v: round(v / 1e-12, 0)
     start = bucket(m)
     parent = {start: None}
     frontier = deque([(m, start, 0)])

@@ -4,9 +4,10 @@ The chain folds the half-line at a random point theta drawn from a finite
 distribution: one step sends x to |theta - x|. Forward iteration composes new
 maps on the outside (the actual trajectory); backward iteration composes them
 on the inside, which nests the images of a starting interval and makes their
-lengths monotone. Interval images are computed exactly (three branches, no
-rounding beyond the subtractions themselves), so nesting and monotonicity are
-asserted without tolerances elsewhere in the package.
+lengths monotone. Interval images are computed exactly by one branch-free
+formula, [max(lo - theta, theta - hi, 0), max(|theta - lo|, |theta - hi|)],
+with no rounding beyond the subtractions themselves, so nesting and
+monotonicity are asserted without tolerances elsewhere in the package.
 
 All randomness is one stateless grid of uniforms per master seed,
 u[t, j] = (mix64(key_t + (j + 1) G) >> 11) 2^-53, where key_t =
@@ -125,13 +126,10 @@ class TrialPlan:
 
     master_seed: int
     trials: int
-    steps: int = 0
 
     def __post_init__(self):
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
-        if self.steps < 0:
-            raise PreconditionError("steps must be >= 0")
 
     def substream(self, index: int, start: int = 0) -> UniformRow:
         """Row view of trial `index` from cell `start`; a pure function of its arguments."""

@@ -277,6 +277,79 @@ class TestBvfCheck:
         assert payload["ks_distance"] < 0.05
 
 
+class TestInputBoundary:
+    """Each value is checked once after parsing, with or without --dry-run."""
+
+    AUDIT = ["rho-audit", "--alpha", "inv-sqrt2", "--x0", "0.2", "--steps", "200",
+             "--seed", "1"]
+
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    @pytest.mark.parametrize("q_values", ["0", "-3", "7,0"])
+    def test_q_values_not_positive(self, capsys, q_values, dry):
+        assert run(self.AUDIT + [f"--q-values={q_values}", *dry]) == 2
+        assert "q_values must be positive integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q_values", ["x", "", "7,", "1.5"])
+    def test_q_values_malformed(self, capsys, q_values):
+        assert run(self.AUDIT + [f"--q-values={q_values}"]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--segments", "-1", "segments must be >= 0"),
+        ("--window", "-1", "window must be >= 1"),
+        ("--window", "0", "window must be >= 1"),
+    ])
+    def test_audit_ranges(self, capsys, flag, value, message):
+        assert run(self.AUDIT + [flag, value]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["stationary", "--dist", "two-point:inv-sqrt2", "--eval", "nan"], "eval"),
+        (["shrinkword", "--alpha", "inv-sqrt2", "--m", "nan", "--threshold", "0.01"], "m"),
+        (["shrinkword", "--alpha", "inv-sqrt2", "--m", "0.9", "--threshold", "inf"],
+         "threshold"),
+        (["shrinkword", "--alpha", "inv-sqrt2", "--beta=-inf", "--m", "0.9",
+          "--threshold", "0.01"], "beta"),
+        (["closek", "--alpha", "inv-sqrt2", "--x", "nan", "--qn", "17"], "x"),
+        (["rate", "--alpha", "inv-sqrt2", "--qk", "17", "--eps", "nan", "--trials", "2",
+          "--seed", "0"], "eps"),
+    ])
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    def test_non_finite_float(self, capsys, argv, name, dry):
+        assert run(argv + dry) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+    def test_non_finite_threshold_stops_before_search(self, capsys, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("the word search ran")
+        monkeypatch.setattr("foldmap.orbit.shrink_word", search)
+        assert run(["shrinkword", "--alpha", "inv-sqrt2", "--m", "0.9",
+                    "--threshold", "nan"]) == 2
+
+    @pytest.mark.parametrize("spec", ["1:x", "x:1", "1", "1:1:1", "0.3:0.5,", ":"])
+    def test_bad_dist_token(self, capsys, spec):
+        assert run(["stationary", "--dist", spec]) == 2
+        assert "bad distribution token" in capsys.readouterr().err
+
+    def test_huge_fold_value_exhausts_search(self, capsys):
+        assert run(["shrinkword", "--alpha", "inv-sqrt2", "--m", "1e300",
+                    "--threshold", "0.01"]) == 2
+        assert "no word of length" in capsys.readouterr().err
+
+    def test_orbit_json_without_long_runs(self, capsys):
+        # a window this small holds no run of length q + 1, so no ratio
+        assert run(["orbit", "--alpha", "inv-sqrt2", "--x", "0.2", "--window", "3",
+                    "--format", "json"]) == 0
+        payload = json.loads(out_of(capsys))
+        assert payload["run_histogram"] == {}
+        assert payload["measured_ratio"] is None
+
+    def test_orbit_json_without_interior(self, capsys):
+        assert run(["orbit", "--alpha", "inv-sqrt2", "--x", "0.2", "--window", "1",
+                    "--format", "json"]) == 2
+        assert "no vertex inside margin" in capsys.readouterr().err
+
+
 # ---- pinned bytes ----------------------------------------------------------
 # The --dry-run text, the report digests and the flag sets below were recorded
 # from the command-line front end and must not drift: a report is reproducible

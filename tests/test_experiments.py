@@ -44,19 +44,19 @@ class TestKSDistance:
 
 class TestForwardConvergence:
     def test_zero_steps_is_point_mass(self):
-        plan = TrialPlan(5, trials=100, steps=0)
+        plan = TrialPlan(5, trials=100)
         vals = forward_values(TWO_POINT, 0.2, 0, plan)
         assert np.all(vals == 0.2)
 
     def test_ks_after_200_steps(self):
-        plan = TrialPlan(101, trials=2 * 10 ** 4, steps=200)
+        plan = TrialPlan(101, trials=2 * 10 ** 4)
         ks = ks_distance(ensemble_forward(TWO_POINT, 0.2, 200, plan), STAT_CDF)
         assert ks < 0.07
 
     def test_ks_decreases_with_depth(self):
         ks = {}
         for n in (50, 200, 800):
-            plan = TrialPlan(101, trials=2 * 10 ** 4, steps=n)
+            plan = TrialPlan(101, trials=2 * 10 ** 4)
             ks[n] = ks_distance(ensemble_forward(TWO_POINT, 0.2, n, plan), STAT_CDF)
         assert ks[50] > ks[200] > ks[800]
 
@@ -72,7 +72,7 @@ class TestForwardConvergence:
         assert gap[800] < gap[200]
 
     def test_deterministic_across_runs_and_workers(self):
-        plan = TrialPlan(3, trials=3 * 10 ** 3, steps=50)
+        plan = TrialPlan(3, trials=3 * 10 ** 3)
         ref = forward_values(TWO_POINT, 0.2, 50, plan)
         again = forward_values(TWO_POINT, 0.2, 50, plan)
         threaded = forward_values(TWO_POINT, 0.2, 50, plan, workers=3)
@@ -283,10 +283,20 @@ class TestRhoWalkAudit:
         with pytest.raises(WindowError):
             rho_walk_audit(ALPHA, 0.2, 1000, TrialPlan(17, trials=1), window=5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"segments": -1}, "segments must be >= 0"),
+        ({"window": 0}, "window must be >= 1"),
+        ({"window": -1}, "window must be >= 1"),
+    ])
+    @pytest.mark.parametrize("steps", [0, 100])
+    def test_segment_and_window_ranges(self, kwargs, message, steps):
+        with pytest.raises(PreconditionError, match=message):
+            rho_walk_audit(ALPHA, 0.2, steps, TrialPlan(17, trials=1), **kwargs)
+
     @staticmethod
     def reference_farsmall(chart, seed, steps, window, q_values, segments):
         """The audit's far-small counts by one slice and scan per segment."""
-        plan = TrialPlan(seed, trials=1, steps=steps)
+        plan = TrialPlan(seed, trials=1)
         u = plan.substream(0).random(steps)
         label = OrbitLabel(0, 1)
         labels = [label]

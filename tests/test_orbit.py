@@ -372,6 +372,12 @@ class TestStructureStats:
         assert set(stats["run_histogram"]) == {2, 3}
         assert abs(stats["measured_ratio"] - stats["expected_ratio"]) < 0.05
 
+    def test_small_windows(self):
+        # window 3 holds no run of length q + 1; window 1 nothing inside the margin
+        assert structure_stats(build_graph_window(ALPHA, 0.2, 3))["measured_ratio"] is None
+        with pytest.raises(PreconditionError, match="no vertex inside margin"):
+            structure_stats(build_graph_window(ALPHA, 0.2, 1))
+
 
 class TestShrinkWord:
     def test_already_below(self):
@@ -394,6 +400,12 @@ class TestShrinkWord:
         assert iterate_forward(word, 0.5)[-1] < 0.34
         with pytest.raises(WordNotFoundError):
             shrink_word(1 / 3, 1.0, 0.5, 0.1)
+
+    def test_huge_values_exhaust_without_overflow(self):
+        # no word of 256 letters folds 1e300 down, and 1e300 / 1e-12 overflows to inf
+        with pytest.raises(WordNotFoundError):
+            shrink_word(ALPHA, 1.0, 1e300, 0.01)
+        assert shrink_word(ALPHA, 1e300, 0.9, 0.01) == [1e300, 1e300]
 
     def test_validation(self):
         with pytest.raises(PreconditionError):

@@ -304,8 +304,6 @@ class TestTrialPlan:
         with pytest.raises(PreconditionError):
             TrialPlan(0, trials=0)
         with pytest.raises(PreconditionError):
-            TrialPlan(0, trials=1, steps=-1)
-        with pytest.raises(PreconditionError):
             substream_seed(0, -1)
 
 
