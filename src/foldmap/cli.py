@@ -173,7 +173,7 @@ def _simulate(a, resolved) -> str:
     values = experiments.forward_values(a.dist, a.x0, a.n, TrialPlan(a.seed, a.trials),
                                         workers=a.workers)
     if a.format == "csv":
-        return rows_to_csv(["trial", "value"], enumerate(values))
+        return rows_to_csv(["trial", "value"], enumerate(values.tolist()))
     ecdf = experiments.EmpiricalCDF(values)
     ks = experiments.ks_distance(ecdf, stationary_cdf(a.dist))
     qs = np.quantile(ecdf.values, [0.1, 0.25, 0.5, 0.75, 0.9])

@@ -2,10 +2,15 @@
 
 Reproducibility contract: every stochastic experiment takes a TrialPlan (or a
 master seed) and reads its letters from that seed's uniform grid (see
-foldmap.process): trial t's j-th letter is cell (t, j), hashed on demand. The
-trial-indexed folds read one column of a block of trials at a time, in the
-order the fold consumes it, so no (trials, n) matrix is ever built. Reports
-are byte-identical across reruns, block sizes and worker counts. Workers are
+foldmap.process): trial t's j-th letter is cell (t, j), hashed on demand.
+forward_values, law_equality_report and backward_diam_ensemble read one
+letter column of a block of trials at a time (process.letter_columns, which
+reads letters from the hashed integers by exact integer cuts), in the order
+the fold consumes it, and fold it in place into the block's own arrays, so
+no (trials, n) matrix is ever built. A run with w workers (1..64) splits its
+trials into blocks of ceil(trials / w) rows, or into more blocks where that
+would pass the cap of _TRIAL_BLOCK rows that bounds block memory. Reports are
+byte-identical across reruns, block sizes and worker counts. Workers are
 threads; numpy does the heavy lifting, and all aggregation is ordered by
 trial index, never by completion order. Runtime measurements are carried on
 report objects but excluded from their canonical serializations.
@@ -28,13 +33,14 @@ from .contfrac import contfrac_expand, convergents
 from .errors import PreconditionError, StructuralError, WindowError
 from .orbit import (OrbitLabel, RHO_INVALID, W_MAX, apply_theta_label,
                     build_graph_window, rho_chart)
-from .process import (ThetaDist, TrialPlan, fold_interval_arrays,
+from .process import (ThetaDist, TrialPlan, fold_interval_arrays, letter_columns,
                       substream_keys, theta_from_uniform, uniform_cells)
 from .serialize import canonical_json, rows_to_csv
 from .stationary import PiecewiseLinearCDF, sample_stationary, stationary_cdf
 
-_SAMPLE_BLOCK = 1 << 16   # samples vectorized together (does not affect output)
-_TRIAL_BLOCK = 1 << 12    # trials vectorized together (does not affect output)
+_SAMPLE_BLOCK = 1 << 16   # cap on samples vectorized together (does not affect output)
+_TRIAL_BLOCK = 1 << 16    # cap on trials vectorized together (does not affect output)
+_MAX_WORKERS = 64         # threads one run may use
 _RATE_CELLS = 1 << 16     # cap on one rate chunk's cells (does not affect output)
 _RATE_QK_CAP = 99         # keeps N below ~5.2e7 letters per trial
 
@@ -81,11 +87,19 @@ def ks_distance(sample: EmpiricalCDF, reference) -> float:
 # ---- trial-blocked Monte Carlo helpers ------------------------------------
 
 
-def _run_blocks(worker, n_items: int, block: int, workers: int) -> list:
-    """Apply worker(start, count) over fixed blocks; results in block order."""
-    starts = list(range(0, n_items, block))
-    tasks = [(s, min(block, n_items - s)) for s in starts]
-    if workers <= 1:
+def _run_blocks(worker, n_items: int, cap: int, workers: int) -> list:
+    """Apply worker(start, count) over consecutive blocks; results in block order.
+
+    The items split into the fewest equal blocks (up to rounding) that number
+    at least `workers` and hold at most `cap` items each: ceil(n / workers)
+    items a block when that is within the cap. So every worker gets work and
+    the block buffers stay bounded.
+    """
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise PreconditionError(f"workers must lie in 1..{_MAX_WORKERS}")
+    block = -(-n_items // max(workers, -(-n_items // cap)))
+    tasks = [(s, min(block, n_items - s)) for s in range(0, n_items, block)]
+    if workers == 1:
         return [worker(s, c) for s, c in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda t: worker(*t), tasks))
@@ -107,8 +121,8 @@ def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
     def worker(start, count):
         keys = substream_keys(plan.master_seed, first + start, count)
         x = np.full(count, float(x0))
-        for j in steps:
-            x = np.abs(theta_from_uniform(dist, uniform_cells(keys, j)) - x)
+        for theta in letter_columns(dist, keys, steps):
+            np.abs(np.subtract(theta, x, out=x), out=x)
         return x
 
     return np.concatenate(_run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers))
@@ -148,9 +162,8 @@ def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
         keys = substream_keys(plan.master_seed, start, count)
         lo = np.zeros(count)
         hi = np.full(count, b)
-        for j in range(n - 1, -1, -1):  # newest letter innermost
-            lo, hi = fold_interval_arrays(theta_from_uniform(dist, uniform_cells(keys, j)),
-                                          lo, hi)
+        for theta in letter_columns(dist, keys, range(n - 1, -1, -1)):  # newest innermost
+            fold_interval_arrays(theta, lo, hi, out=(lo, hi))
         return hi - lo
 
     parts = _run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers)

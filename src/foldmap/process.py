@@ -17,10 +17,17 @@ Flood, OOPSLA'14), the counter-based design of Salmon et al. (SC'11). Row t
 is trial t's word, cell j its j-th letter. Any cell is reached directly, so a
 shorter word is a prefix of a longer one and results never depend on block
 layout, execution order or worker count.
+
+letter_columns reads a block's letters straight from the hashed integers z:
+u >= c exactly when z >= ceil(c 2^53) 2^11, so ThetaDist turns its
+cumulative weights into integer cuts once, and a letter's index is the
+number of cuts at or below z. That equals theta_from_uniform on the float
+cell bit for bit, and skips both the float cell and the binary search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,6 +40,7 @@ _GOLDEN64 = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _UNIT53 = 2.0 ** -53
+_CHAIN_CUTS = 8  # letter_columns counts up to this many cuts by compares, more by bisection
 
 
 def _splitmix64(z: int) -> int:
@@ -43,14 +51,24 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, in place on a uint64 array (wraps mod 2^64)."""
-    z ^= z >> 30
-    z *= np.uint64(_MIX1)
-    z ^= z >> 27
-    z *= np.uint64(_MIX2)
-    z ^= z >> 31
+def _mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The splitmix64 finalizer, in place on a uint64 array (wraps mod 2^64).
+
+    scratch, a uint64 array shaped like z, holds the shifted copies; one is
+    allocated when it is None.
+    """
+    if scratch is None:
+        scratch = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, shift, out=scratch)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, 31, out=scratch)
     return z
+
+
+def _step_offset(step: int) -> np.uint64:
+    """(step + 1) G mod 2^64, the counter that selects grid column `step`."""
+    return np.uint64(((step + 1) * _GOLDEN64) & _MASK64)
 
 
 def substream_seed(master_seed: int, index: int) -> int:
@@ -78,7 +96,7 @@ def uniform_cells(keys, steps) -> np.ndarray:
     array, broadcast against keys. Each cell is hashed on demand.
     """
     if np.ndim(steps) == 0:
-        offsets = np.uint64(((int(steps) + 1) * _GOLDEN64) & _MASK64)
+        offsets = _step_offset(int(steps))
     else:
         offsets = np.asarray(steps, dtype=np.uint64) + np.uint64(1)
         offsets *= np.uint64(_GOLDEN64)
@@ -169,6 +187,8 @@ class ThetaDist:
         cum[-1] = 1.0
         self._cum = cum
         self._cum.flags.writeable = False
+        self._cuts = _integer_cuts(cum)
+        self._cuts.flags.writeable = False
 
     @property
     def bound(self) -> float:
@@ -234,6 +254,57 @@ def theta_from_uniform(dist: ThetaDist, u):
     return dist.support[idx]
 
 
+def _integer_cuts(cum: np.ndarray) -> np.ndarray:
+    """The cumulative weights below the top one as cuts on hashed integers.
+
+    A cell is u = (z >> 11) 2^-53 for a 64-bit hash z, and u >= c exactly when
+    z >= ceil(c 2^53) 2^11, so the letter index searchsorted(cum, u, "right")
+    is the number of these cuts at or below z. The top weight is 1 and u < 1,
+    so it is never passed, and neither is a cut with ceil(c 2^53) >= 2^53
+    (rounding can put the last cumulative weights at or above 1); both are
+    left out, which keeps every cut below 2^64.
+    """
+    cuts = [m << 11 for m in (math.ceil(c * 2.0 ** 53) for c in cum[:-1].tolist())
+            if m < 1 << 53]
+    return np.array(cuts, dtype=np.uint64)
+
+
+def letter_columns(dist: ThetaDist, keys: np.ndarray, steps: Iterable[int]):
+    """The letter columns of grid rows `keys`, one for each step j of `steps`.
+
+    Column j equals theta_from_uniform(dist, uniform_cells(keys, j)) bit for
+    bit, but its letters are read from the hashed integers by the integer
+    cuts of dist, with no float cell and no binary search while the cuts are
+    few. The buffers are allocated once, and every column is written into
+    the same read-only array, so fold each column before asking for the next.
+    """
+    cuts = dist._cuts
+    theta = np.empty(keys.shape)
+    column = theta.view()
+    column.flags.writeable = False
+    if cuts.size == 0:  # one letter has all the weight a cell can reach
+        theta.fill(dist.support[0])
+        for _ in steps:
+            yield column
+        return
+    z = np.empty(keys.shape, dtype=np.uint64)
+    scratch = np.empty_like(z)
+    index = scratch.view(np.intp)  # the hash is done with scratch when the count starts
+    passed = np.empty(keys.shape, dtype=bool)
+    for j in steps:
+        _mix64(np.add(keys, _step_offset(j), out=z), scratch)
+        if cuts.size <= _CHAIN_CUTS:
+            np.greater_equal(z, cuts[0], out=index)
+            for cut in cuts[1:]:
+                index += np.greater_equal(z, cut, out=passed)
+        else:
+            index = np.searchsorted(cuts, z, side="right")
+        # every index is a count of cuts, below the support size, so "clip"
+        # never clips; it spares the bounds check that would buffer out
+        np.take(dist.support, index, out=theta, mode="clip")
+        yield column
+
+
 def sample_theta(dist: ThetaDist, rng: np.random.Generator, size=None):
     """Draw fold points; scalar when size is None, ndarray otherwise."""
     if size is None:
@@ -270,7 +341,7 @@ def fold_backward(word: Sequence[float], x: float) -> float:
     return y
 
 
-def fold_interval_arrays(theta, lo, hi):
+def fold_interval_arrays(theta, lo, hi, out=None):
     """Exact image endpoints of [lo, hi] under x -> |theta - x|, vectorized.
 
     theta may be scalar or an array broadcastable against lo/hi. The image is
@@ -280,13 +351,21 @@ def fold_interval_arrays(theta, lo, hi):
     last because np.maximum returns its second operand when both are zeros,
     so the lower end is +0.0, never -0.0; Python's max keeps the first, so
     the scalar loop in interval_fold puts the zero first.
+
+    out, a pair of float arrays of the broadcast shape, receives the two
+    endpoints; it may be (lo, hi) itself, so a fold loop keeps its arrays.
+    A new pair is allocated when it is None.
     """
+    new_lo, new_hi = (None, None) if out is None else out
     theta = np.asarray(theta, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     to_hi = theta - hi
-    new_lo = np.maximum(np.maximum(lo - theta, to_hi), 0.0)
-    new_hi = np.maximum(np.abs(theta - lo), np.abs(to_hi))
+    from_lo = lo - theta
+    # lo and hi are read for the last time here, so out may overwrite them
+    gap_lo = np.abs(np.subtract(theta, lo, out=new_hi), out=new_hi)
+    new_lo = np.maximum(np.maximum(from_lo, to_hi), 0.0, out=new_lo)
+    new_hi = np.maximum(gap_lo, np.abs(to_hi), out=new_hi)
     return new_lo, new_hi
 
 

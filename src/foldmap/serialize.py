@@ -7,7 +7,6 @@ order, worker count, or platform dict randomization.
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
@@ -38,14 +37,18 @@ def canonical_json(obj) -> str:
 
 def rows_to_csv(header: list[str], rows) -> str:
     """Render rows as CSV text with a header line (no quoting needed here)."""
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_cell(v) for v in row) + "\n")
-    return buf.getvalue()
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _cell(v) -> str:
+    kind = type(v)  # exact types first: the cells of most rows are plain floats and ints
+    if kind is float:
+        return repr(v)
+    if kind is int:
+        return str(v)
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (float, np.floating)):

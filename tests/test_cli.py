@@ -326,6 +326,24 @@ class TestInputBoundary:
         assert run(["shrinkword", "--alpha", "inv-sqrt2", "--m", "0.9",
                     "--threshold", "nan"]) == 2
 
+    WORKER_COMMANDS = {
+        "simulate": ["--dist", "two-point:inv-sqrt2", "--x0", "0.2", "--n", "10",
+                     "--trials", "100", "--seed", "1"],
+        "bvf-check": ["--dist", "two-point:inv-sqrt2", "--x0", "0.2", "--n", "10",
+                      "--trials", "100", "--seed", "1"],
+        "rate": ["--alpha", "inv-sqrt2", "--qk", "17", "--eps", "0.5", "--trials", "4",
+                 "--seed", "1"],
+    }
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "65", str(10 ** 6)])
+    @pytest.mark.parametrize("name", sorted(WORKER_COMMANDS))
+    def test_workers_out_of_range_starts_no_thread(self, capsys, monkeypatch, name, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+        monkeypatch.setattr("foldmap.experiments.ThreadPoolExecutor", no_pool)
+        assert run([name, *self.WORKER_COMMANDS[name], "--workers", workers]) == 2
+        assert "workers must lie in 1..64" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["1:x", "x:1", "1", "1:1:1", "0.3:0.5,", ":"])
     def test_bad_dist_token(self, capsys, spec):
         assert run(["stationary", "--dist", spec]) == 2

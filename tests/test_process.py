@@ -11,7 +11,8 @@ from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      interval_image, iterate_forward, ks_distance,
                      rate_experiment, sample_theta, stationary_cdf, step,
                      substream_seed, theta_from_uniform)
-from foldmap.process import fold_interval_arrays, substream_keys, uniform_cells
+from foldmap.process import (_CHAIN_CUTS, fold_interval_arrays, letter_columns,
+                             substream_keys, uniform_cells)
 
 ALPHA = math.sqrt(0.5)
 
@@ -213,6 +214,14 @@ class TestFoldKernel:
         assert np.array_equal(bits(new_hi), bits(ref_hi))
         assert not np.any(np.signbit(new_lo))
 
+    def test_in_place_matches_allocating(self):
+        theta, lo, hi = map(np.array, zip(*self.edge_cases()))
+        want = fold_interval_arrays(theta, lo, hi)
+        got = fold_interval_arrays(theta, lo, hi, out=(lo, hi))
+        assert got[0] is lo and got[1] is hi
+        assert np.array_equal(bits(lo), bits(want[0]))
+        assert np.array_equal(bits(hi), bits(want[1]))
+
     def test_scalar_forward_loop_matches_three_branch(self):
         for theta, lo, hi in self.edge_cases():
             img = interval_fold([theta], Interval(lo, hi), "forward")[1]
@@ -393,3 +402,85 @@ class TestUniformGrid:
         for a, b in ((u[:-1], u[1:]), (u[:, :-1], u[:, 1:])):  # trials, then steps
             r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
             assert abs(r) < 5 / math.sqrt(a.size)
+
+
+GOLDEN, MASK64 = 0x9E3779B97F4A7C15, (1 << 64) - 1
+
+
+def unmix64(z: int) -> int:
+    """Inverse of the splitmix64 finalizer, so a test can choose a hash."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64, 30)
+
+
+def keys_hashing_to(zs) -> np.ndarray:
+    """Row keys whose cell 0 hashes to the given 64-bit integers."""
+    return np.array([(unmix64(z) - GOLDEN) & MASK64 for z in zs], dtype=np.uint64)
+
+
+_W40 = np.random.default_rng(40).random(40) + 0.05
+LETTER_DISTS = {
+    "one-point": (ThetaDist([0.7], [1.0]), 0),
+    "two-point": (ThetaDist.two_point(ALPHA), 1),
+    "dyadic-3": (ThetaDist([0.3, ALPHA, 1.0], [0.2, 0.3, 0.5]), 2),
+    "non-dyadic-3": (ThetaDist([0.3, ALPHA, 1.0], [0.1, 0.2, 0.7]), 2),
+    # cum is [1.0, 1.0]: the one cut would be 2^64, and no cell reaches it
+    "cum-at-1": (ThetaDist([0.5, 1.0], [1.0, 1e-13]), 0),
+    # cum[1] > 1, the top weight pinned back to 1
+    "cum-above-1": (ThetaDist([0.2, 0.5, 1.0], [0.3, 0.7 + 2e-13, 1e-13]), 1),
+    "forty-point": (ThetaDist(np.linspace(0.05, 2.0, 40), _W40 / _W40.sum()), 39),
+}
+
+
+class TestLetterColumns:
+    """letter_columns equals theta_from_uniform over uniform_cells, bit for bit."""
+
+    def test_supports_reach_the_edge_cases(self):
+        assert LETTER_DISTS["cum-at-1"][0]._cum.tolist() == [1.0, 1.0]
+        assert LETTER_DISTS["cum-above-1"][0]._cum[1] > 1.0
+        # both ways of counting cuts, compares and bisection, are exercised
+        assert {d._cuts.size > _CHAIN_CUTS for d, _ in LETTER_DISTS.values()} == {True, False}
+
+    @pytest.mark.parametrize("name", sorted(LETTER_DISTS))
+    def test_cut_counts(self, name):
+        dist, cuts = LETTER_DISTS[name]
+        assert dist._cuts.size == cuts and dist._cuts.dtype == np.uint64
+        assert np.all(dist._cuts[1:] >= dist._cuts[:-1])
+
+    @pytest.mark.parametrize("name", sorted(LETTER_DISTS))
+    def test_crafted_integers_at_the_cuts(self, name):
+        dist, _ = LETTER_DISTS[name]
+        # every cumulative weight's cut, kept or dropped, and one integer either side
+        edges = [math.ceil(c * 2.0 ** 53) << 11 for c in dist._cum.tolist()]
+        zs = sorted({min(max(e + d, 0), MASK64) for e in edges for d in (-1, 0, 1)}
+                    | {0, MASK64})
+        keys = keys_hashing_to(zs)
+        z = np.array(zs, dtype=np.uint64)
+        u = (z >> np.uint64(11)) * 2.0 ** -53
+        assert np.array_equal(uniform_cells(keys, 0), u)
+        (column,) = letter_columns(dist, keys, [0])
+        assert np.array_equal(column, theta_from_uniform(dist, u))
+
+    @pytest.mark.parametrize("name", sorted(LETTER_DISTS))
+    def test_random_columns(self, name):
+        dist, _ = LETTER_DISTS[name]
+        keys = substream_keys(314, 5, 3000)
+        steps = [0, 1, 2, 77, 10 ** 9]
+        columns = [c.copy() for c in letter_columns(dist, keys, steps)]
+        assert len(columns) == len(steps)
+        for j, column in zip(steps, columns):
+            assert np.array_equal(column, theta_from_uniform(dist, uniform_cells(keys, j)))
+
+    def test_column_is_one_read_only_buffer(self):
+        keys = substream_keys(3, 0, 10)
+        for dist, _ in (LETTER_DISTS["two-point"], LETTER_DISTS["one-point"]):
+            columns = list(letter_columns(dist, keys, range(3)))
+            assert all(c.base is columns[0].base for c in columns)
+            assert not columns[0].flags.writeable
