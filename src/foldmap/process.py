@@ -40,7 +40,10 @@ _GOLDEN64 = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _UNIT53 = 2.0 ** -53
-_CHAIN_CUTS = 8  # letter_columns counts up to this many cuts by compares, more by bisection
+# letter_columns counts up to this many cuts by compares, more (or none) by
+# bisection; the compares stay ahead through 16 cuts in blocks of 4096 rows
+# and up, and the two are level within noise in smaller blocks
+_CHAIN_CUTS = 16
 
 
 def _splitmix64(z: int) -> int:
@@ -282,18 +285,13 @@ def letter_columns(dist: ThetaDist, keys: np.ndarray, steps: Iterable[int]):
     theta = np.empty(keys.shape)
     column = theta.view()
     column.flags.writeable = False
-    if cuts.size == 0:  # one letter has all the weight a cell can reach
-        theta.fill(dist.support[0])
-        for _ in steps:
-            yield column
-        return
     z = np.empty(keys.shape, dtype=np.uint64)
     scratch = np.empty_like(z)
     index = scratch.view(np.intp)  # the hash is done with scratch when the count starts
     passed = np.empty(keys.shape, dtype=bool)
     for j in steps:
         _mix64(np.add(keys, _step_offset(j), out=z), scratch)
-        if cuts.size <= _CHAIN_CUTS:
+        if 0 < cuts.size <= _CHAIN_CUTS:
             np.greater_equal(z, cuts[0], out=index)
             for cut in cuts[1:]:
                 index += np.greater_equal(z, cut, out=passed)
