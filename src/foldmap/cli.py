@@ -158,8 +158,9 @@ def _options(args) -> dict:
 class Command:
     """One subcommand: its options, its resolve step and its compute step.
 
-    resolve maps the checked options to the configuration --dry-run prints;
-    compute maps the options and that configuration to the report text.
+    resolve maps the checked options to the configuration --dry-run prints,
+    and refuses the values the library function would refuse; compute maps
+    the options and that configuration to the report text.
     """
 
     name: str
@@ -190,6 +191,11 @@ def _stationary(a, resolved) -> str:
     if a.eval is not None:
         return repr(float(cdf.evaluate(a.eval))) + "\n"
     return cdf.to_csv() if a.format == "csv" else cdf.to_json()
+
+
+def _orbit_options(a) -> dict:
+    orbit.check_graph_window(a.x, a.window)
+    return _options(a)
 
 
 def _orbit(a, resolved) -> str:
@@ -279,6 +285,11 @@ def _walk_oracle(a, resolved) -> str:
     return canonical_json(payload)
 
 
+def _rho_audit_options(a) -> dict:
+    experiments.check_rho_walk(a.alpha, a.x0, a.steps, a.segments, a.window)
+    return _options(a)
+
+
 def _rho_audit(a, resolved) -> str:
     return canonical_json(experiments.rho_walk_audit(
         a.alpha, a.x0, a.steps, TrialPlan(a.seed, trials=1), q_values=a.q_values,
@@ -305,7 +316,7 @@ COMMANDS = {row.name: row for row in (
             (Arg("--alpha", "alpha"), Arg("--x", "float"),
              Arg("--window", default=orbit.DEFAULT_WINDOW),
              _format("dot", "json", "csv")),
-            _orbit),
+            _orbit, _orbit_options),
     Command("contfrac", "partial quotients and convergents of alpha",
             (Arg("--alpha", "alpha"), Arg("--terms", default=20), _format("csv", "json")),
             _contfrac),
@@ -333,7 +344,7 @@ COMMANDS = {row.name: row for row in (
             (Arg("--alpha", "alpha"), Arg("--x0", "float"), Arg("--steps"), Arg("--seed"),
              Arg("--segments", default=1000), Arg("--q-values", "ints", "7,17"),
              Arg("--window", default=None)),
-            _rho_audit),
+            _rho_audit, _rho_audit_options),
     Command("bvf-check", "two-sample test that backward and forward laws agree",
             (Arg("--dist", "dist"), Arg("--x0", "float"), Arg("--n"), Arg("--trials"),
              Arg("--seed"), Arg("--workers", default=1)),

@@ -31,8 +31,8 @@ import numpy as np
 
 from .contfrac import contfrac_expand, convergents
 from .errors import PreconditionError, StructuralError, WindowError
-from .orbit import (OrbitLabel, RHO_INVALID, W_MAX, apply_theta_label,
-                    build_graph_window, rho_chart)
+from .orbit import (OrbitLabel, RHO_INVALID, W_MAX, build_graph_window,
+                    check_graph_window, rho_chart)
 from .process import (ThetaDist, TrialPlan, fold_interval_arrays, letter_columns,
                       substream_keys, theta_from_uniform, uniform_cells)
 from .serialize import canonical_json, rows_to_csv
@@ -333,6 +333,41 @@ def walk_confinement_dp(n: int, exact: bool = True):
 # ---- rho walk audit --------------------------------------------------------
 
 
+def check_rho_walk(alpha: float, x0: float, steps: int, segments: int,
+                   window: int | None) -> None:
+    """The preconditions of rho_walk_audit; a given window must suit build_graph_window."""
+    if not 0.0 < x0 < min(alpha, 1.0 - alpha):
+        raise PreconditionError("x0 must satisfy 0 < x0 < min(alpha, 1-alpha)")
+    if steps < 0:
+        raise PreconditionError("steps must be >= 0")
+    if segments < 0:
+        raise PreconditionError("segments must be >= 0")
+    if window is not None:
+        check_graph_window(x0, window)
+
+
+def _label_walk(alpha: float, x0: float, u: np.ndarray):
+    """(n, eps) arrays of the label walk from (0, +1), one fold per uniform.
+
+    Fold k is at alpha when u[k] < 1/2 and at 1 otherwise, applied as
+    orbit.apply_theta_label does but on plain ints: the full fold negates the
+    label, the alpha fold shifts n down when the value <n*alpha + eps*x0>
+    clears alpha and otherwise folds through 0.
+    """
+    n, e = 0, 1
+    ns, es = [n], [e]
+    for at_alpha in (u < 0.5).tolist():
+        if not at_alpha:
+            n, e = -n, -e
+        elif (n * alpha + e * x0) % 1.0 >= alpha:
+            n -= 1
+        else:
+            n, e = 1 - n, -e
+        ns.append(n)
+        es.append(e)
+    return np.array(ns, dtype=np.int64), np.array(es, dtype=np.int64)
+
+
 def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
                    q_values=(7, 17), segments: int = 1000,
                    window: int | None = None) -> dict:
@@ -348,33 +383,18 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
     just large enough to contain it. A caller-provided window that the path
     escapes raises WindowError.
     """
-    if not 0.0 < x0 < min(alpha, 1.0 - alpha):
-        raise PreconditionError("x0 must satisfy 0 < x0 < min(alpha, 1-alpha)")
-    if steps < 0:
-        raise PreconditionError("steps must be >= 0")
-    if segments < 0:
-        raise PreconditionError("segments must be >= 0")
-    if window is not None and window < 1:
-        raise PreconditionError("window must be >= 1")
+    check_rho_walk(alpha, x0, steps, segments, window)
     base = {"schema": 1, "kind": "rho_walk_audit", "alpha": alpha, "x0": x0,
             "steps": steps, "master_seed": plan.master_seed}
     if steps == 0:
         return {**base, "plus_fraction": None, "window": 0, "rho_range": [0, 0],
                 "farsmall": [], "farsmall_violations": 0, "segments_checked": 0}
 
-    u = plan.substream(0).random(steps)
-    ns = np.empty(steps + 1, dtype=np.int64)
-    eps = np.empty(steps + 1, dtype=np.int64)
-    label = OrbitLabel(0, 1)
-    ns[0], eps[0] = label.n, label.eps
-    for k in range(steps):
-        theta = alpha if u[k] < 0.5 else 1.0
-        label = apply_theta_label(alpha, x0, label, theta)
-        if abs(label.n) > W_MAX:
-            raise WindowError(f"walk reached |n| = {abs(label.n)} > {W_MAX}")
-        ns[k + 1], eps[k + 1] = label.n, label.eps
-
+    ns, eps = _label_walk(alpha, x0, plan.substream(0).random(steps))
     reach = int(np.max(np.abs(ns)))
+    if reach > W_MAX:
+        # one fold changes |n| by at most 1, so the walk first left at W_MAX + 1
+        raise WindowError(f"walk reached |n| = {W_MAX + 1} > {W_MAX}")
     if window is None:
         window = reach + 4
     elif reach > window:

@@ -13,12 +13,15 @@ recomputed from labels, never propagated, so round-off stays below 1e-9 for
 
 rho_chart assigns each vertex a signed graph distance from a small base
 vertex, the coordinate along which a random theta-walk becomes a simple +-1
-walk. It is one breadth-first pass from the base vertex that tags each vertex
-with the base neighbour it was first reached through, so the distance and the
-side of the base vertex come out together, in time linear in the window; the
-chart also keeps the minimum vertex value of every distance level as a dense
-array. shrink_word searches words over {alpha, beta} that fold a value below a
-threshold.
+walk. Give label (n, eps) the position p = eps*n: the full fold keeps p and
+the alpha fold moves it to p - eps, so every window graph is a ladder whose
+rungs are the full-fold edges and whose alpha edges join adjacent positions.
+On a ladder the distances come from a two-state scan outward from the base,
+done with cumulative sums over positions; any other graph gets one
+breadth-first pass that tags each vertex with the base neighbour it was first
+reached through. The chart also keeps the minimum vertex value of every
+distance level as a dense array. shrink_word searches words over
+{alpha, beta} that fold a value below a threshold.
 """
 
 from __future__ import annotations
@@ -216,6 +219,16 @@ class OrbitGraphWindow:
         return "\n".join(lines)
 
 
+def check_graph_window(x: float, window: int) -> None:
+    """The preconditions of build_graph_window: 1 <= window <= W_MAX, x in [0, 1]."""
+    if window < 1:
+        raise PreconditionError("window must be >= 1")
+    if window > W_MAX:
+        raise PrecisionError(f"window > {W_MAX} exceeds the precision cap")
+    if not 0.0 <= x <= 1.0:
+        raise PreconditionError("x must lie in [0, 1]")
+
+
 def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
     """Build the orbit graph of x on the label window |n| <= W.
 
@@ -223,12 +236,7 @@ def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
     class cut within 1e-12) and records value coincidences within 1e-10 as
     label pairs instead of merging vertices.
     """
-    if window < 1:
-        raise PreconditionError("window must be >= 1")
-    if window > W_MAX:
-        raise PrecisionError(f"window > {W_MAX} exceeds the precision cap")
-    if not 0.0 <= x <= 1.0:
-        raise PreconditionError("x must lie in [0, 1]")
+    check_graph_window(x, window)
     m = 2 * window + 1
     n = np.arange(-window, window + 1)
     values = np.concatenate([(n * alpha + x) % 1.0, (n * alpha - x) % 1.0])
@@ -294,14 +302,14 @@ def _root(parent: list, k: int) -> int:
 
 @dataclass(frozen=True)
 class RhoChart:
-    """Signed BFS distance from a small base vertex v0; rho(v0) = 0.
+    """Signed graph distance from a small base vertex v0; rho(v0) = 0.
 
     rho is positive on the component of the v0-deleted graph containing the
     label (n0+1, eps0) and negative on the other; vertices unreachable inside
     the window carry RHO_INVALID and are excluded from the domain.
     level_min[r - level_lo] is the smallest vertex value at rho = r, for every
-    level r from level_lo = min(rho) to max(rho); BFS levels are contiguous,
-    so every entry is finite. Both arrays are read-only.
+    level r from level_lo = min(rho) to max(rho); distance levels are
+    contiguous, so every entry is finite. Both arrays are read-only.
     """
 
     v0: OrbitLabel
@@ -324,18 +332,126 @@ def rho_chart(graph: OrbitGraphWindow, x0_label: OrbitLabel) -> RhoChart:
     its neighborhood into exactly two components; anything else is a
     structural failure (singular orbit or misconfigured base point).
 
-    One BFS from v0 gives both coordinates. Each vertex carries the tag of the
-    v0 neighbour it was first reached through, and an edge between two
-    differently tagged vertices other than v0 merges their tags. The BFS tree
-    joins each vertex to its tag's neighbour without passing v0, and every
-    edge of a path that avoids v0 is scanned, so the merged tag classes are
-    the components of the graph with v0 deleted.
+    Every graph build_graph_window makes is a ladder (see _ladder), and its
+    distances come from a scan over positions (_ladder_rho). Any other graph
+    takes one tagged breadth-first pass (_bfs_rho). Both give the same chart
+    and raise the same errors on a ladder.
     """
     v0 = graph.index_of(x0_label)
     val = graph.values[v0]
     if not 0.0 < val < min(graph.alpha, 1.0 - graph.alpha):
         raise PreconditionError(
             f"base vertex value {val!r} is not strictly inside the small class")
+    rho = (_ladder_rho if _ladder(graph) else _bfs_rho)(graph, x0_label)
+
+    # per-level minimum vertex value, for far-small audits
+    reached = rho != RHO_INVALID
+    levels = rho[reached]
+    level_lo = int(levels.min())
+    level_min = np.full(int(levels.max()) - level_lo + 1, np.inf)
+    np.minimum.at(level_min, levels - level_lo, graph.values[reached])
+    rho.flags.writeable = False
+    level_min.flags.writeable = False
+    return RhoChart(x0_label, rho, level_lo, level_min)
+
+
+def _ladder(graph: OrbitGraphWindow) -> bool:
+    """Whether the graph is a ladder over the positions p = eps*n.
+
+    A ladder's full-fold edge joins (n, eps) to its rung partner (-n, -eps),
+    at the same position, and its alpha edge lands on position p - eps, or
+    nowhere exactly when that position lies outside the window.
+    """
+    w, m = graph.window, 2 * graph.window + 1
+    t = graph.alpha_target
+    if graph.size != 2 * m or t.min() < -1 or t.max() >= 2 * m:
+        return False
+    # index i and its rung partner 2m-1-i mirror each other in the index order
+    if not np.array_equal(graph.one_target, np.arange(2 * m)[::-1]):
+        return False
+    n = np.arange(-w, w + 1)
+    # the position of every index, then w+1 (no position) for a missing edge's -1
+    pos = np.concatenate([n, -n, [w + 1]])
+    target = pos[:-1] - np.repeat([1, -1], m)
+    target[np.abs(target) > w] = w + 1
+    return np.array_equal(pos[t], target)
+
+
+def _gaps(keeps: np.ndarray, new_gap: np.ndarray):
+    """The gap d(b) - d(a) before and after each step of a ladder scan.
+
+    A step either keeps the gap or sets it to new_gap; a kept gap is the one
+    the last setting step left, or 1 (base and rung partner) before any.
+    """
+    steps = np.arange(keeps.size)
+    last = np.maximum.accumulate(np.where(keeps, -1, steps))
+    after = np.where(last >= 0, new_gap[last], 1)
+    before = np.concatenate(([1], after))[:-1]
+    return before, after
+
+
+def _ladder_rho(graph: OrbitGraphWindow, x0_label: OrbitLabel) -> np.ndarray:
+    """Signed distances on a ladder by a two-state scan outward from the base.
+
+    Rows a_p = (p, eps0) and b_p = (-p, -eps0) for p = -W..W, so the base is
+    a_{n0}, its rung partner b_{n0}, and the orientation reference a_{n0+1}.
+    a_p's alpha edge lands on position p-1 and b_p's on p+1, so between
+    positions p and p+1 run exactly two edges: a_{p+1} to a_p (xa) or b_p,
+    and b_p to a_{p+1} (yb) or b_{p+1}. A shortest path never leaves a
+    position and comes back, since the rung is shorter, so d(a) and the gap
+    g = d(b) - d(a) at the next position follow from those at this one:
+
+        step             xa and yb   xa only   yb only   neither
+        up,   d(a) +=    1           1         1 + g     1 + g
+              new g      1           g         1         0
+        down, d(a) +=    1           1         2         2 + g
+              new g      0           g         -1        -1
+
+    g starts at 1 and stays 0 or 1 going up. Going down the first step sets
+    it, as b_{n0-1} -- a_{n0} on a cut, and it stays 0 or -1. Positions above
+    the base and b_{n0} form the + side, positions below the - side. (In a
+    window graph xa says that the value of a_p lies below 1 - alpha and yb
+    that it lies above, so up to round-off only the middle two columns occur
+    there.)
+    """
+    w, m = graph.window, 2 * graph.window + 1
+    t = graph.alpha_target
+    a = np.arange(m) + (0 if x0_label.eps == 1 else m)
+    b = 2 * m - 1 - a
+    k0 = x0_label.n + w
+    # step j joins positions j and j+1 (row offsets)
+    xa = t[a[1:]] == a[:-1]
+    yb = t[b[:-1]] == a[1:]
+    # with nothing below, or b_{n0-1} -- b_{n0}, the base does not cut the ladder
+    if k0 == 0 or not yb[k0 - 1]:
+        raise StructuralError("base vertex is not a cut vertex of the window")
+    # the orientation reference; past the upper window edge this raises
+    graph.index_of(OrbitLabel(x0_label.n + 1, x0_label.eps))
+
+    x, y = xa[k0:], yb[k0:]
+    g, up_gap = _gaps(x & ~y, np.where(y, 1, 0))
+    up = np.cumsum(np.where(x, 1, 1 + g))
+    x, y = xa[k0 - 1::-1], yb[k0 - 1::-1]
+    g, down_gap = _gaps(x & ~y, np.where(x, 0, -1))
+    down = np.cumsum(np.where(x, 1, np.where(y, 2, 2 + g)))
+
+    rho = np.empty(2 * m, dtype=np.int64)
+    rho[a] = np.concatenate((-down[::-1], [0], up))
+    rho[b] = np.concatenate((-(down + down_gap)[::-1], [1], up + up_gap))
+    return rho
+
+
+def _bfs_rho(graph: OrbitGraphWindow, x0_label: OrbitLabel) -> np.ndarray:
+    """Signed distances on any graph by one tagged breadth-first pass.
+
+    Each vertex carries the tag of the v0 neighbour it was first reached
+    through, and an edge between two differently tagged vertices other than
+    v0 merges their tags. The BFS tree joins each vertex to its tag's
+    neighbour without passing v0, and every edge of a path that avoids v0 is
+    scanned, so the merged tag classes are the components of the graph with
+    v0 deleted.
+    """
+    v0 = graph.index_of(x0_label)
     indptr, tails = _undirected_neighbors(graph)
     dist = np.full(graph.size, -1, dtype=np.int64)
     tag = np.full(graph.size, -1, dtype=np.int64)
@@ -377,15 +493,7 @@ def rho_chart(graph: OrbitGraphWindow, x0_label: OrbitLabel) -> RhoChart:
     rho = np.full(graph.size, RHO_INVALID, dtype=np.int64)
     # v0 has dist 0, so the sign its tag -1 picks does not matter
     rho[reached] = dist[reached] * sign[tag[reached]]
-
-    # per-level minimum vertex value, for far-small audits
-    levels = rho[reached]
-    level_lo = int(levels.min())
-    level_min = np.full(int(levels.max()) - level_lo + 1, np.inf)
-    np.minimum.at(level_min, levels - level_lo, graph.values[reached])
-    rho.flags.writeable = False
-    level_min.flags.writeable = False
-    return RhoChart(x0_label, rho, level_lo, level_min)
+    return rho
 
 
 # ---- line structure ------------------------------------------------------

@@ -303,6 +303,24 @@ class TestInputBoundary:
         assert run(self.AUDIT + [flag, value]) == 2
         assert message in capsys.readouterr().err
 
+    ORBIT = ["orbit", "--alpha", "inv-sqrt2", "--x", "0.2"]
+
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    @pytest.mark.parametrize("argv, message", [
+        (ORBIT + ["--window", "0"], "window must be >= 1"),
+        (ORBIT + ["--window", "1000001"], "window > 1000000 exceeds the precision cap"),
+        (ORBIT + ["--x", "1.5"], "x must lie in [0, 1]"),
+        (AUDIT + ["--x0", "0.9"], "x0 must satisfy 0 < x0 < min(alpha, 1-alpha)"),
+        (AUDIT + ["--steps", "-5"], "steps must be >= 0"),
+        (AUDIT + ["--window", "0"], "window must be >= 1"),
+        (AUDIT + ["--window", "1000001"], "window > 1000000 exceeds the precision cap"),
+        (AUDIT + ["--segments", "-1"], "segments must be >= 0"),
+    ], ids=["orbit-window-0", "orbit-window-cap", "orbit-x", "audit-x0", "audit-steps",
+            "audit-window-0", "audit-window-cap", "audit-segments"])
+    def test_library_ranges_with_and_without_dry_run(self, capsys, argv, message, dry):
+        assert run(argv + dry) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv, name", [
         (["stationary", "--dist", "two-point:inv-sqrt2", "--eval", "nan"], "eval"),
         (["shrinkword", "--alpha", "inv-sqrt2", "--m", "nan", "--threshold", "0.01"], "m"),

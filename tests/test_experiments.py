@@ -287,11 +287,31 @@ class TestRhoWalkAudit:
         ({"segments": -1}, "segments must be >= 0"),
         ({"window": 0}, "window must be >= 1"),
         ({"window": -1}, "window must be >= 1"),
+        ({"window": 10 ** 6 + 1}, "window > 1000000 exceeds the precision cap"),
     ])
     @pytest.mark.parametrize("steps", [0, 100])
     def test_segment_and_window_ranges(self, kwargs, message, steps):
         with pytest.raises(PreconditionError, match=message):
             rho_walk_audit(ALPHA, 0.2, steps, TrialPlan(17, trials=1), **kwargs)
+
+    @pytest.mark.parametrize("alpha, x0, seed", [
+        (ALPHA, 0.2, 17), (ALPHA, 0.2, 18), (ALPHA, 0.05, 3),
+        ((math.sqrt(5.0) - 1.0) / 2.0, 0.1, 1), (0.3 + 1e-5 * math.sqrt(2), 0.1, 29)])
+    def test_label_walk_matches_automaton(self, alpha, x0, seed):
+        u = TrialPlan(seed, trials=1).substream(0).random(3000)
+        ns, eps = experiments._label_walk(alpha, x0, u)
+        label = OrbitLabel(0, 1)
+        labels = [label]
+        for v in u:
+            label = apply_theta_label(alpha, x0, label, alpha if v < 0.5 else 1.0)
+            labels.append(label)
+        assert list(zip(ns.tolist(), eps.tolist())) == [(lab.n, lab.eps) for lab in labels]
+
+    def test_walk_past_precision_cap(self, monkeypatch):
+        monkeypatch.setattr(experiments, "W_MAX", 5)
+        with pytest.raises(WindowError) as info:
+            rho_walk_audit(ALPHA, 0.2, 1000, TrialPlan(17, trials=1))
+        assert str(info.value) == "walk reached |n| = 6 > 5"
 
     @staticmethod
     def reference_farsmall(chart, seed, steps, window, q_values, segments):

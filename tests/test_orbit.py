@@ -6,12 +6,13 @@ from collections import deque
 import numpy as np
 import pytest
 
-from foldmap import (ClassBoundaryError, OrbitGraphWindow, OrbitLabel,
-                     PrecisionError, PreconditionError, StructuralError,
+from foldmap import (ClassBoundaryError, FoldmapError, OrbitGraphWindow,
+                     OrbitLabel, PrecisionError, PreconditionError, StructuralError,
                      VertexClass, WordNotFoundError, apply_theta_label,
                      build_graph_window, classify_vertex, is_singular,
                      iterate_forward, label_value, rho_chart, shrink_word,
                      step, structure_stats)
+from foldmap import orbit
 from foldmap.orbit import RHO_INVALID
 
 ALPHA = math.sqrt(0.5)
@@ -328,25 +329,136 @@ def _hand_graph(edges, window=2):
                             alpha_target, [])
 
 
+# window 2: (0,+1) is vertex 2 and the orientation reference (1,+1) is 3
+HAND_TWO_SIDES = [(2, 3), (3, 4), (2, 1), (1, 0)]
+HAND_FAILURES = [
+    ([(2, 3), (3, 4), (4, 1), (1, 2)], "not a cut vertex"),
+    ([(2, 3), (2, 1), (7, 2)], "> 2 components"),
+    ([], "no neighbour"),
+    ([(2, 1), (2, 7)], "orientation reference"),
+]
+
+
 class TestRhoChartStructure:
-    # window 2: (0,+1) is vertex 2 and the orientation reference (1,+1) is 3
     BASE = OrbitLabel(0, 1)
 
     def test_two_sides(self):
-        chart = rho_chart(_hand_graph([(2, 3), (3, 4), (2, 1), (1, 0)]), self.BASE)
+        chart = rho_chart(_hand_graph(HAND_TWO_SIDES), self.BASE)
         assert chart.rho.tolist()[:5] == [-2, -1, 0, 1, 2]
         assert chart.level_lo == -2
         assert np.all(chart.rho[5:] == RHO_INVALID)
 
-    @pytest.mark.parametrize("edges, message", [
-        ([(2, 3), (3, 4), (4, 1), (1, 2)], "not a cut vertex"),
-        ([(2, 3), (2, 1), (7, 2)], "> 2 components"),
-        ([], "no neighbour"),
-        ([(2, 1), (2, 7)], "orientation reference"),
-    ])
+    @pytest.mark.parametrize("edges, message", HAND_FAILURES)
     def test_structural_failures(self, edges, message):
         with pytest.raises(StructuralError, match=message):
             rho_chart(_hand_graph(edges), self.BASE)
+
+
+LADDER_PAIRS = [(ALPHA, 0.2), (ALPHA, 0.05), (GOLDEN, 0.17), (math.e - 2.0, 0.1),
+                (0.3 + 1e-5 * math.sqrt(2), 0.1), (0.87 + 1e-5 * math.sqrt(2), 0.03)]
+
+
+def _outcome(graph, base):
+    """rho_chart's rho, level_lo and level_min, or the type and message it raised."""
+    try:
+        chart = rho_chart(graph, base)
+    except FoldmapError as exc:
+        return type(exc), str(exc)
+    return chart.rho.tolist(), chart.level_lo, chart.level_min.tolist()
+
+
+def _with_arrays(graph, one_target=None, alpha_target=None):
+    """A copy of graph with its edge arrays replaced."""
+    return OrbitGraphWindow(
+        graph.alpha, graph.base_x, graph.window, graph.values, graph.classes,
+        graph.one_target if one_target is None else one_target,
+        graph.alpha_target if alpha_target is None else alpha_target, [])
+
+
+class TestLadderScan:
+    def test_matches_bfs_on_every_small_base(self, monkeypatch):
+        seen = set()
+        for alpha, x in LADDER_PAIRS:
+            for window in [*range(1, 9), 50]:
+                graph = build_graph_window(alpha, x, window)
+                small = (graph.values > 0.0) & (graph.values < min(alpha, 1.0 - alpha))
+                for i in np.flatnonzero(small):
+                    base = graph.label_at(i)
+                    got = _outcome(graph, base)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(orbit, "_ladder", lambda g: False)
+                        want = _outcome(graph, base)
+                    assert got == want, (alpha, x, window, base)
+                    edge = {-window: "lower", window: "upper"}.get(base.n, "inner")
+                    kind = got[0].__name__ if isinstance(got[0], type) else "chart"
+                    seen |= {("eps", base.eps), ("edge", edge), ("outcome", kind)}
+        assert seen == {("eps", 1), ("eps", -1),
+                        ("edge", "lower"), ("edge", "upper"), ("edge", "inner"),
+                        ("outcome", "chart"), ("outcome", "StructuralError"),
+                        ("outcome", "PreconditionError")}
+
+    def test_matches_bfs_on_random_ladders(self, monkeypatch):
+        # In a window graph a_{p+1} -> a_p exactly when b_p -> b_{p+1}, so of the
+        # four step kinds only two occur; random ladders bring in the other two
+        # and bases that do not cut the ladder.
+        rng = np.random.default_rng(11)
+        seen = set()
+        for window in [*range(1, 7)] * 20:
+            m = 2 * window + 1
+            a = np.arange(m)                 # a_p = (p, +1) at row offset p + W
+            b = 2 * m - 1 - a                # b_p = (-p, -1), its rung partner
+            down, up = rng.integers(0, 2, size=(2, m - 1)).astype(bool)
+            alpha_target = np.full(2 * m, -1, dtype=np.int64)
+            alpha_target[a[1:]] = np.where(down, a[:-1], b[:-1])
+            alpha_target[b[:-1]] = np.where(up, a[1:], b[1:])
+            graph = OrbitGraphWindow(ALPHA, 0.1, window, rng.uniform(0.01, 0.2, 2 * m),
+                                     np.zeros(2 * m, dtype=np.int8),
+                                     np.arange(2 * m)[::-1].copy(), alpha_target, [])
+            assert orbit._ladder(graph)
+            seen |= set(zip(down.tolist(), up.tolist()))
+            for i in range(graph.size):
+                base = graph.label_at(i)
+                got = _outcome(graph, base)
+                with monkeypatch.context() as patch:
+                    patch.setattr(orbit, "_ladder", lambda g: False)
+                    want = _outcome(graph, base)
+                assert got == want, (window, base, alpha_target.tolist())
+                if isinstance(got[0], type):
+                    seen.add(got[1])
+        assert {(True, True), (True, False), (False, True), (False, False),
+                "base vertex is not a cut vertex of the window"} <= seen
+
+    def test_window_graphs_are_ladders(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            alpha, x = rng.uniform(0.05, 0.95), rng.uniform(0.0, 1.0)
+            graph = build_graph_window(alpha, x, int(rng.integers(1, 300)))
+            assert orbit._ladder(graph)
+
+    @pytest.mark.parametrize("edges", [HAND_TWO_SIDES] + [e for e, _ in HAND_FAILURES])
+    def test_hand_graphs_are_not_ladders(self, edges):
+        assert not orbit._ladder(_hand_graph(edges))
+
+    def test_off_position_edges_are_not_ladders(self):
+        graph = build_graph_window(ALPHA, 0.2, 5)  # (-5,+1) is vertex 0
+        t = graph.alpha_target
+        two_down = t.copy()
+        two_down[5] = 3      # (0,+1) to (-2,+1), two positions down
+        dangling = t.copy()
+        dangling[5] = -1     # an inner vertex without its alpha edge
+        past_edge = t.copy()
+        past_edge[0] = 1     # (-5,+1) has no position below it
+        # targets that are no vertex, on vertices whose target position they
+        # would hit if read as numpy indices into the positions plus one entry
+        wrapped = t.copy()
+        wrapped[1] = -2      # (-4,+1); index -2 would be (5,-1), at position -5
+        outside = t.copy()
+        outside[0] = t.size  # (-5,+1); one past the end is the no-position entry
+        for alpha_target in (two_down, dangling, past_edge, wrapped, outside):
+            assert not orbit._ladder(_with_arrays(graph, alpha_target=alpha_target))
+        rungs = graph.one_target.copy()
+        rungs[[0, 1]] = rungs[[1, 0]]
+        assert not orbit._ladder(_with_arrays(graph, one_target=rungs))
 
 
 class TestStructureStats:
