@@ -8,15 +8,18 @@ written), 3 structural/guarantee failure.
 
 The subcommands are the rows of one table, COMMANDS. A row lists its options,
 each of a kind that fixes its syntax (parsed by argparse) and its value check
-(applied after parsing, so --dry-run checks what a real run checks), a resolve
-step that gives the configuration --dry-run prints as canonical JSON, and a
-compute step that turns the configuration into the report text. run() does
-the common work once for every row.
+(applied after parsing), a resolve step that gives the configuration --dry-run
+prints as canonical JSON, a check step that applies the range checks of the
+library function the row calls, and a compute step that turns the
+configuration into the report text. run() does the common work once for every
+row; --dry-run stops before the compute step, so it refuses exactly what a
+real run refuses, with the same message.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -26,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import experiments, orbit
-from .contfrac import contfrac_expand, convergents, find_close_k
+from .contfrac import (check_close_k, check_contfrac, contfrac_expand, convergents,
+                       find_close_k)
 from .errors import PreconditionError, StructuralError
 from .process import ThetaDist, TrialPlan, iterate_forward
 from .serialize import canonical_json, rows_to_csv
@@ -154,13 +158,19 @@ def _options(args) -> dict:
     return resolved
 
 
+def _no_check(args) -> None:
+    pass
+
+
 @dataclass(frozen=True)
 class Command:
-    """One subcommand: its options, its resolve step and its compute step.
+    """One subcommand: its options, its resolve, check and compute steps.
 
-    resolve maps the checked options to the configuration --dry-run prints,
-    and refuses the values the library function would refuse; compute maps
-    the options and that configuration to the report text.
+    resolve maps the checked options to the configuration --dry-run prints;
+    check applies the range checks of the library function that computes,
+    which is also where that function keeps them, so --dry-run refuses what
+    the real run refuses, with the same message; compute maps the options
+    and the configuration to the report text.
     """
 
     name: str
@@ -168,6 +178,7 @@ class Command:
     args: tuple[Arg, ...]
     compute: Callable[[argparse.Namespace, dict], str]
     resolve: Callable[[argparse.Namespace], dict] = _options
+    check: Callable[[argparse.Namespace], None] = _no_check
 
 
 def _simulate(a, resolved) -> str:
@@ -191,11 +202,6 @@ def _stationary(a, resolved) -> str:
     if a.eval is not None:
         return repr(float(cdf.evaluate(a.eval))) + "\n"
     return cdf.to_csv() if a.format == "csv" else cdf.to_json()
-
-
-def _orbit_options(a) -> dict:
-    orbit.check_graph_window(a.x, a.window)
-    return _options(a)
 
 
 def _orbit(a, resolved) -> str:
@@ -285,11 +291,6 @@ def _walk_oracle(a, resolved) -> str:
     return canonical_json(payload)
 
 
-def _rho_audit_options(a) -> dict:
-    experiments.check_rho_walk(a.alpha, a.x0, a.steps, a.segments, a.window)
-    return _options(a)
-
-
 def _rho_audit(a, resolved) -> str:
     return canonical_json(experiments.rho_walk_audit(
         a.alpha, a.x0, a.steps, TrialPlan(a.seed, trials=1), q_values=a.q_values,
@@ -305,7 +306,9 @@ COMMANDS = {row.name: row for row in (
     Command("simulate", "forward-iterate an ensemble and compare to the stationary law",
             (Arg("--dist", "dist"), Arg("--x0", "float"), Arg("--n"), Arg("--trials"),
              Arg("--seed"), Arg("--workers", default=1), _format("json", "csv")),
-            _simulate),
+            _simulate,
+            check=lambda a: experiments.check_forward_values(a.x0, a.n, a.trials,
+                                                             a.workers)),
     Command("stationary", "evaluate or export the exact stationary CDF",
             (Arg("--dist", "dist"),
              Arg("--eval", "float", None,
@@ -316,43 +319,50 @@ COMMANDS = {row.name: row for row in (
             (Arg("--alpha", "alpha"), Arg("--x", "float"),
              Arg("--window", default=orbit.DEFAULT_WINDOW),
              _format("dot", "json", "csv")),
-            _orbit, _orbit_options),
+            _orbit, check=lambda a: orbit.check_graph_window(a.x, a.window)),
     Command("contfrac", "partial quotients and convergents of alpha",
             (Arg("--alpha", "alpha"), Arg("--terms", default=20), _format("csv", "json")),
-            _contfrac),
+            _contfrac, check=lambda a: check_contfrac(a.alpha, a.terms)),
     Command("closek", "smallest k with <x - k*alpha> below 3/(2 q_n)",
             (Arg("--alpha", "alpha"), Arg("--x", "float"), Arg("--qn"),
              _format("json", "csv")),
-            _closek),
+            _closek, check=lambda a: check_close_k(a.x, a.qn)),
     Command("shrinkword", "shortest fold word over {alpha, beta} below a threshold",
             (Arg("--alpha", "alpha"), Arg("--beta", "float", 1.0), Arg("--m", "float"),
              Arg("--threshold", "float"), Arg("--max-len", default=256),
              _format("json", "csv")),
-            _shrinkword),
+            _shrinkword,
+            check=lambda a: orbit.check_shrink_word(a.alpha, a.beta, a.m, a.threshold)),
     Command("rate", "backward-contraction rate experiment at one convergent",
             (Arg("--alpha", "alpha"),
              Arg("--qk", help="convergent denominator q_k of alpha"),
              Arg("--eps", "float"), Arg("--trials"), Arg("--seed"),
              Arg("--workers", default=1), _format("json", "csv")),
-            _rate, _rate_plan),
+            _rate, _rate_plan,
+            check=lambda a: experiments.check_rate(a.qk, a.eps, a.trials, a.workers)),
     Command("walk-oracle", "exact confinement probability of a +-1 walk",
             (Arg("--n"),
              Arg("--float", "switch", False,
                  help="report the probability in floating point only")),
-            _walk_oracle),
+            _walk_oracle, check=lambda a: experiments.check_walk_confinement(a.n)),
     Command("rho-audit", "walk the orbit graph and audit its rho coordinate",
             (Arg("--alpha", "alpha"), Arg("--x0", "float"), Arg("--steps"), Arg("--seed"),
              Arg("--segments", default=1000), Arg("--q-values", "ints", "7,17"),
              Arg("--window", default=None)),
-            _rho_audit, _rho_audit_options),
+            _rho_audit,
+            check=lambda a: experiments.check_rho_walk(a.alpha, a.x0, a.steps, a.segments,
+                                                       a.window)),
     Command("bvf-check", "two-sample test that backward and forward laws agree",
             (Arg("--dist", "dist"), Arg("--x0", "float"), Arg("--n"), Arg("--trials"),
              Arg("--seed"), Arg("--workers", default=1)),
-            _bvf_check),
+            _bvf_check,
+            check=lambda a: experiments.check_law_equality(a.x0, a.n, a.trials, a.workers)),
 )}
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every row, built once a process: parsing leaves it unchanged."""
     parser = _Parser(prog="foldmap",
                      description="Random folding maps: simulation and structure experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -404,6 +414,7 @@ def run(argv=None) -> int:
         _check_values(row, args)
         _check_out(args.out)
         resolved = row.resolve(args)
+        row.check(args)
         text = _dry_run(row.name, resolved) if args.dry_run else row.compute(args, resolved)
         _write(text, args.out)
     except PreconditionError as exc:

@@ -22,6 +22,16 @@ _GAUSS_TOL = 1e-12
 _Q_LIMIT = 1 << 127
 
 
+def check_contfrac(alpha: float, terms: int) -> None:
+    """The preconditions of contfrac_expand: alpha in (0, 1), terms in 0..40."""
+    if not 0.0 < alpha < 1.0:
+        raise PreconditionError("alpha must lie in (0, 1)")
+    if terms < 0:
+        raise PreconditionError("terms must be >= 0")
+    if terms > _MAX_TERMS:
+        raise PrecisionError(f"terms > {_MAX_TERMS} exceeds double-precision reliability")
+
+
 def contfrac_expand(alpha: float, terms: int) -> list[int]:
     """Partial quotients [a_0, a_1, ..., a_terms] of alpha in (0, 1).
 
@@ -30,12 +40,7 @@ def contfrac_expand(alpha: float, terms: int) -> list[int]:
     an integer is snapped to it, so dyadic approximations of rationals such
     as 2/7 terminate with the canonical quotients.
     """
-    if not 0.0 < alpha < 1.0:
-        raise PreconditionError("alpha must lie in (0, 1)")
-    if terms < 0:
-        raise PreconditionError("terms must be >= 0")
-    if terms > _MAX_TERMS:
-        raise PrecisionError(f"terms > {_MAX_TERMS} exceeds double-precision reliability")
+    check_contfrac(alpha, terms)
     quotients = [0]
     frac = alpha
     while len(quotients) <= terms and frac >= _GAUSS_TOL:
@@ -97,6 +102,14 @@ def convergent_denominators(alpha: float, q_max: int) -> list[int]:
     return qs
 
 
+def check_close_k(x: float, q_n: int) -> None:
+    """The preconditions of find_close_k: x in [0, 1], q_n >= 1."""
+    if not 0.0 <= x <= 1.0:
+        raise PreconditionError("x must lie in [0, 1]")
+    if q_n < 1:
+        raise PreconditionError("q_n must be >= 1")
+
+
 def find_close_k(alpha: float, x: float, q_n: int) -> dict:
     """Smallest k < q_n with <x - k*alpha> below 3/(2*q_n).
 
@@ -104,10 +117,7 @@ def find_close_k(alpha: float, x: float, q_n: int) -> dict:
     raises LemmaViolationError when no witness exists, which for a genuine
     convergent denominator indicates a precision fault.
     """
-    if not 0.0 <= x <= 1.0:
-        raise PreconditionError("x must lie in [0, 1]")
-    if q_n < 1:
-        raise PreconditionError("q_n must be >= 1")
+    check_close_k(x, q_n)
     bound = 1.5 / q_n
     y = x % 1.0
     for k in range(q_n):

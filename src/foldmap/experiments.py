@@ -33,8 +33,9 @@ from .contfrac import contfrac_expand, convergents
 from .errors import PreconditionError, StructuralError, WindowError
 from .orbit import (OrbitLabel, RHO_INVALID, W_MAX, build_graph_window,
                     check_graph_window, rho_chart)
-from .process import (ThetaDist, TrialPlan, fold_interval_arrays, letter_columns,
-                      substream_keys, theta_from_uniform, uniform_cells)
+from .process import (ThetaDist, TrialPlan, check_trials, fold_interval_arrays,
+                      letter_columns, substream_keys, theta_from_uniform,
+                      uniform_cells)
 from .serialize import canonical_json, rows_to_csv
 from .stationary import PiecewiseLinearCDF, sample_stationary, stationary_cdf
 
@@ -95,14 +96,19 @@ def _run_blocks(worker, n_items: int, cap: int, workers: int) -> list:
     items a block when that is within the cap. So every worker gets work and
     the block buffers stay bounded.
     """
-    if not 1 <= workers <= _MAX_WORKERS:
-        raise PreconditionError(f"workers must lie in 1..{_MAX_WORKERS}")
+    check_workers(workers)
     block = -(-n_items // max(workers, -(-n_items // cap)))
     tasks = [(s, min(block, n_items - s)) for s in range(0, n_items, block)]
     if workers == 1:
         return [worker(s, c) for s, c in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda t: worker(*t), tasks))
+
+
+def check_workers(workers: int) -> None:
+    """The thread count of a blocked run must lie in 1..64."""
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise PreconditionError(f"workers must lie in 1..{_MAX_WORKERS}")
 
 
 def _check_start(x0: float):
@@ -128,15 +134,22 @@ def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
     return np.concatenate(_run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers))
 
 
+def check_forward_values(x0: float, n: int, trials: int, workers: int) -> None:
+    """The preconditions of forward_values with a plan of `trials` trials."""
+    check_trials(trials)
+    _check_start(x0)
+    if n < 0:
+        raise PreconditionError("n must be >= 0")
+    check_workers(workers)
+
+
 def forward_values(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
                    workers: int = 1) -> np.ndarray:
     """n-th forward iterate per trial, in trial order.
 
     Trial t folds x0 through cells (t, 0), ..., (t, n-1), in that order.
     """
-    _check_start(x0)
-    if n < 0:
-        raise PreconditionError("n must be >= 0")
+    check_forward_values(x0, n, plan.trials, workers)
     return _point_folds(dist, x0, n, plan, workers)
 
 
@@ -162,8 +175,9 @@ def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
         keys = substream_keys(plan.master_seed, start, count)
         lo = np.zeros(count)
         hi = np.full(count, b)
+        scratch = np.empty(count), np.empty(count)
         for theta in letter_columns(dist, keys, range(n - 1, -1, -1)):  # newest innermost
-            fold_interval_arrays(theta, lo, hi, out=(lo, hi))
+            fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
         return hi - lo
 
     parts = _run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers)
@@ -225,6 +239,18 @@ def rate_steps(q_k: int) -> int:
     return math.ceil(8 * q_k ** 3 * math.log2(q_k))
 
 
+def check_rate(q_k: int, epsilon: float, trials: int, workers: int) -> None:
+    """The preconditions of rate_experiment at convergent denominator q_k."""
+    check_trials(trials)
+    if q_k < 2:
+        raise PreconditionError("q_k must be >= 2 (log2 q_k must be positive)")
+    if q_k > _RATE_QK_CAP:
+        raise PreconditionError(f"q_k > {_RATE_QK_CAP} is beyond the desk-scale cap")
+    if not 8.0 / q_k < epsilon < math.inf:
+        raise PreconditionError(f"epsilon must be finite and exceed 8/q_k = {8.0 / q_k}")
+    check_workers(workers)
+
+
 def rate_experiment(alpha: float, k_index: int, epsilon: float,
                     plan: TrialPlan, workers: int = 1) -> RateReport:
     """Monte Carlo check of the backward-contraction rate bound.
@@ -242,12 +268,7 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     if not 0 <= k_index < len(qs):
         raise PreconditionError(f"k_index {k_index} out of range for this alpha")
     q_k = qs[k_index].q
-    if q_k < 2:
-        raise PreconditionError("q_k must be >= 2 (log2 q_k must be positive)")
-    if q_k > _RATE_QK_CAP:
-        raise PreconditionError(f"q_k > {_RATE_QK_CAP} is beyond the desk-scale cap")
-    if not 8.0 / q_k < epsilon < math.inf:
-        raise PreconditionError(f"epsilon must be finite and exceed 8/q_k = {8.0 / q_k}")
+    check_rate(q_k, epsilon, plan.trials, workers)
     n_steps = rate_steps(q_k)
     t0 = time.perf_counter()
 
@@ -257,14 +278,16 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
         used = np.where(success, 0, n_steps)
         live = np.flatnonzero(~success)  # block positions still folding
         lo, hi = np.zeros(live.size), np.ones(live.size)
+        spare = np.empty(live.size), np.empty(live.size)  # fold scratch, prefixes in use
         j = 0  # letters applied to every live trial
         while live.size and j < n_steps:
             width = min(n_steps - j, max(16, min(j, _RATE_CELLS // live.size)))
             cells = uniform_cells(keys[live], np.arange(j, j + width)[:, None])
             thetas = np.where(cells < 0.5, alpha, 1.0)  # inverse transform of {alpha, 1}
             diam = np.empty_like(thetas)
+            scratch = spare[0][:live.size], spare[1][:live.size]
             for i in range(width):
-                lo, hi = fold_interval_arrays(thetas[i], lo, hi)
+                fold_interval_arrays(thetas[i], lo, hi, out=(lo, hi), scratch=scratch)
                 np.subtract(hi, lo, out=diam[i])
             below = diam < epsilon
             hit = below.any(axis=0)
@@ -291,6 +314,12 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
 # ---- exact walk oracle -----------------------------------------------------
 
 
+def check_walk_confinement(n: int) -> None:
+    """The precondition of walk_confinement_dp: n in 1..30."""
+    if not 1 <= n <= 30:
+        raise PreconditionError("n must lie in 1..30")
+
+
 def walk_confinement_dp(n: int, exact: bool = True):
     """Probability that a +-1 walk of length n^3 stays within n of its start.
 
@@ -304,28 +333,46 @@ def walk_confinement_dp(n: int, exact: bool = True):
     with w(r) = +1 on [0, n] and [3n+4, 4n+3] (endpoints inside the barriers,
     up to whole periods 4n+4), w(r) = -1 on [n+2, 3n+2] (their mirror images
     in the barrier n+1) and w(r) = 0 on the barriers n+1 and 3n+3. Terms j
-    and h - j share their weight, so only j < h/2 is summed, with C(h, j)
-    updated in place, and doubled; for even h the middle term j = h/2 ends
-    at 0 and adds C(h, h/2) once. That is O(h) multiplications and divisions
-    of a big integer by a small one. The result is count / 2^h, returned as
-    a Fraction when exact else as a float.
+    and h - j share their weight, so only j < h/2 is summed, and doubled; for
+    even h the middle term j = h/2 ends at 0 and adds C(h, h/2) once.
+
+    The sum runs one weight period at a time: j -> w((2j - h) mod (4n+4)) has
+    period 2n+2, so the blocks of 2n+2 consecutive j that start at a = 0,
+    2n+2, 4n+4, ... all see the same weights w_0, w_1, .... Within a block
+    C(h, a+i+1) / C(h, a+i) = (h-a-i) / (a+i+1), so the block's sum is
+    C(h, a) num / den, where Horner's rule from the block's end builds num
+    and den from at most 2n+2 factors below h < 2^15, and C(h, a+2n+2) is
+    C(h, a) times the ratio of two such products. Each ratio is applied to
+    the big C(h, a) by one multiplication and one exact floor division: at
+    n = 30 that is 218 blocks, so 436 products of a 27,000-bit integer by a
+    medium one instead of 13,500 by a one-limb one. The result is
+    count / 2^h, returned as a Fraction when exact else as a float.
     """
-    if not 1 <= n <= 30:
-        raise PreconditionError("n must lie in 1..30")
+    check_walk_confinement(n)
     h = n ** 3
     period = 4 * n + 4
-    inside = mirrored = 0  # sums of C(h, j) over j < h/2 with w = +1 / -1
-    c = 1  # C(h, j)
-    for j in range((h + 1) // 2):
-        r = (2 * j - h) % period
-        if r <= n or r >= 3 * n + 4:
-            inside += c
-        elif r != n + 1 and r != 3 * n + 3:
-            mirrored += c
-        c = c * (h - j) // (j + 1)
-    count = 2 * (inside - mirrored)
+    block = 2 * n + 2
+    weights = []
+    for i in range(block):
+        r = (2 * i - h) % period
+        weights.append(1 if r <= n or r >= 3 * n + 4
+                       else 0 if r in (n + 1, 3 * n + 3) else -1)
+    half = (h + 1) // 2  # the j < h/2
+    total = 0  # sum of w C(h, j) over the blocks done
+    c = 1  # C(h, a) at the start a of the block
+    for a in range(0, half, block):
+        size = min(block, half - a)
+        # sum_i w_i C(h, a+i) / C(h, a) = num / den
+        num, den = weights[size - 1], 1
+        for i in range(size - 2, -1, -1):
+            num = weights[i] * den * (a + i + 1) + (h - a - i) * num
+            den *= a + i + 1
+        total += c * num // den
+        c = c * math.prod(range(h - a - size + 1, h - a + 1)) \
+            // math.prod(range(a + 1, a + size + 1))
+    count = 2 * total
     if h % 2 == 0:
-        count += c
+        count += c  # C(h, h/2): the last block ended at j = h/2
     p = Fraction(count, 2 ** h)
     return p if exact else float(p)
 
@@ -470,6 +517,14 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
             "ks_distance": ks_distance(stepped, cdf)}
 
 
+def check_law_equality(x0: float, n: int, trials: int, workers: int) -> None:
+    """The preconditions of law_equality_report."""
+    _check_start(x0)
+    if n < 0 or trials < 1:
+        raise PreconditionError("need n >= 0 and trials >= 1")
+    check_workers(workers)
+
+
 def law_equality_report(dist: ThetaDist, x0: float, n: int, trials: int,
                         master_seed: int, workers: int = 1) -> dict:
     """Two-sample KS between forward and backward n-step values at x0.
@@ -478,9 +533,7 @@ def law_equality_report(dist: ThetaDist, x0: float, n: int, trials: int,
     folds row trials + t with cell 0 outermost, so the two ensembles are
     independent.
     """
-    _check_start(x0)
-    if n < 0 or trials < 1:
-        raise PreconditionError("need n >= 0 and trials >= 1")
+    check_law_equality(x0, n, trials, workers)
     plan = TrialPlan(master_seed, trials)
     fwd = _point_folds(dist, x0, n, plan, workers)
     bwd = _point_folds(dist, x0, n, plan, workers, first=trials, backward=True)

@@ -261,8 +261,10 @@ def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
     alpha_target = np.where(np.abs(tgt_n) <= window,
                             tgt_block * m + (tgt_n + window), -1)
 
-    order = np.argsort(values, kind="stable")
-    close = np.flatnonzero(np.diff(values[order]) < SINGULAR_TOL)
+    # the sorted values are the same either way, so the stable order that
+    # names the pairs is only needed when some gap is below the tolerance
+    close = np.flatnonzero(np.diff(np.sort(values)) < SINGULAR_TOL)
+    order = np.argsort(values, kind="stable") if close.size else None
     coincidences = []
     for j in close:
         a, b = int(order[j]), int(order[j + 1])
@@ -537,6 +539,16 @@ def structure_stats(graph: OrbitGraphWindow, margin: int = 2) -> dict:
 # ---- word search ---------------------------------------------------------
 
 
+def check_shrink_word(alpha: float, beta: float, m: float, threshold: float) -> None:
+    """The preconditions of shrink_word: 0 < alpha < beta, threshold > 0, m >= 0."""
+    if not 0.0 < alpha < beta:
+        raise PreconditionError("need 0 < alpha < beta")
+    if threshold <= 0.0:
+        raise PreconditionError("threshold must be positive")
+    if m < 0.0:
+        raise PreconditionError("m must be >= 0")
+
+
 def shrink_word(alpha: float, beta: float, m: float, threshold: float,
                 max_len: int = 256) -> list[float]:
     """Shortest word over {alpha, beta} folding m below threshold.
@@ -547,12 +559,7 @@ def shrink_word(alpha: float, beta: float, m: float, threshold: float,
     order, so replaying them through iterate_forward(word, m) lands below
     threshold.
     """
-    if not 0.0 < alpha < beta:
-        raise PreconditionError("need 0 < alpha < beta")
-    if threshold <= 0.0:
-        raise PreconditionError("threshold must be positive")
-    if m < 0.0:
-        raise PreconditionError("m must be >= 0")
+    check_shrink_word(alpha, beta, m, threshold)
     if m < threshold:
         return []
     # a float key, so values past ~1.8e296 share the bucket inf instead of overflowing

@@ -5,7 +5,7 @@ distribution: one step sends x to |theta - x|. Forward iteration composes new
 maps on the outside (the actual trajectory); backward iteration composes them
 on the inside, which nests the images of a starting interval and makes their
 lengths monotone. Interval images are computed exactly by one branch-free
-formula, [max(lo - theta, theta - hi, 0), max(|theta - lo|, |theta - hi|)],
+formula, [max(lo - theta, theta - hi, 0), max(theta - lo, hi - theta)],
 with no rounding beyond the subtractions themselves, so nesting and
 monotonicity are asserted without tolerances elsewhere in the package.
 
@@ -141,6 +141,12 @@ class UniformRow:
         return int(k) if size is None else k
 
 
+def check_trials(trials: int) -> None:
+    """The precondition of TrialPlan: at least one trial."""
+    if trials < 1:
+        raise PreconditionError("trials must be >= 1")
+
+
 @dataclass(frozen=True)
 class TrialPlan:
     """Reproducible plan for a batch of independent Monte Carlo trials."""
@@ -149,8 +155,7 @@ class TrialPlan:
     trials: int
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise PreconditionError("trials must be >= 1")
+        check_trials(self.trials)
 
     def substream(self, index: int, start: int = 0) -> UniformRow:
         """Row view of trial `index` from cell `start`; a pure function of its arguments."""
@@ -227,7 +232,7 @@ class ThetaDist:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with lo <= hi."""
+    """Closed interval [lo, hi] with lo <= hi; an end of -0.0 is stored as 0.0."""
 
     lo: float
     hi: float
@@ -235,6 +240,10 @@ class Interval:
     def __post_init__(self):
         if not self.lo <= self.hi:
             raise PreconditionError(f"invalid interval [{self.lo}, {self.hi}]")
+        # x + 0.0 is x except that -0.0 becomes 0.0: fold_interval_arrays is
+        # bit-exact for ends that carry no sign bit
+        object.__setattr__(self, "lo", self.lo + 0.0)
+        object.__setattr__(self, "hi", self.hi + 0.0)
 
     @property
     def length(self) -> float:
@@ -339,31 +348,42 @@ def fold_backward(word: Sequence[float], x: float) -> float:
     return y
 
 
-def fold_interval_arrays(theta, lo, hi, out=None):
+def fold_interval_arrays(theta, lo, hi, out=None, scratch=None):
     """Exact image endpoints of [lo, hi] under x -> |theta - x|, vectorized.
 
     theta may be scalar or an array broadcastable against lo/hi. The image is
-    [max(lo - theta, theta - hi, 0), max(|theta - lo|, |theta - hi|)], one
-    formula for the three cases: theta <= lo translates, theta >= hi
-    reflects, and a theta inside folds the interval through 0. The zero comes
-    last because np.maximum returns its second operand when both are zeros,
-    so the lower end is +0.0, never -0.0; Python's max keeps the first, so
-    the scalar loop in interval_fold puts the zero first.
+    [max(lo - theta, theta - hi, 0), max(theta - lo, hi - theta)], one formula
+    for the three cases: theta <= lo translates, theta >= hi reflects, and a
+    theta inside folds the interval through 0. It needs lo <= hi: then the
+    upper end equals max(|theta - lo|, |theta - hi|) bit for bit, since
+    rounding keeps theta - lo >= theta - hi and hi - theta >= lo - theta, and
+    the fold costs seven array passes and no abs. np.maximum returns its
+    second operand when both are zeros, so the zero comes last in the lower
+    end (+0.0, never -0.0), and hi - theta comes last in the upper end: of
+    the two differences only theta - lo can be -0.0 when the ends carry no
+    sign bit (at theta = -0.0). Python's max keeps the first, so the scalar
+    loop in interval_fold puts the zero first.
 
     out, a pair of float arrays of the broadcast shape, receives the two
     endpoints; it may be (lo, hi) itself, so a fold loop keeps its arrays.
-    A new pair is allocated when it is None.
+    scratch, a second such pair, holds lo - theta and theta - hi while the
+    upper end is written. Either pair is allocated when it is None; a fold
+    loop that passes both allocates nothing.
     """
-    new_lo, new_hi = (None, None) if out is None else out
     theta = np.asarray(theta, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    to_hi = theta - hi
-    from_lo = lo - theta
-    # lo and hi are read for the last time here, so out may overwrite them
-    gap_lo = np.abs(np.subtract(theta, lo, out=new_hi), out=new_hi)
-    new_lo = np.maximum(np.maximum(from_lo, to_hi), 0.0, out=new_lo)
-    new_hi = np.maximum(gap_lo, np.abs(to_hi), out=new_hi)
+    from_lo, to_hi = (None, None) if scratch is None else scratch
+    from_lo = np.subtract(lo, theta, out=from_lo)
+    to_hi = np.subtract(theta, hi, out=to_hi)
+    if out is None:  # empty_like makes an array even where from_lo is a scalar
+        out = np.empty_like(from_lo), np.empty_like(from_lo)
+    new_lo, new_hi = out
+    # the last reads of lo and hi, each by the pass that writes its own slot,
+    # so out may be (lo, hi) itself
+    np.subtract(theta, lo, out=new_lo)
+    np.maximum(new_lo, np.subtract(hi, theta, out=new_hi), out=new_hi)
+    np.maximum(np.maximum(from_lo, to_hi, out=new_lo), 0.0, out=new_lo)
     return new_lo, new_hi
 
 

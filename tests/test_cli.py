@@ -304,6 +304,13 @@ class TestInputBoundary:
         assert message in capsys.readouterr().err
 
     ORBIT = ["orbit", "--alpha", "inv-sqrt2", "--x", "0.2"]
+    SIM = ["simulate", "--dist", "two-point:inv-sqrt2", "--x0", "0.2", "--n", "10",
+           "--trials", "100", "--seed", "1"]
+    BVF = ["bvf-check", *SIM[1:]]
+    RATE = ["rate", "--alpha", "inv-sqrt2", "--qk", "17", "--eps", "0.5", "--trials", "4",
+            "--seed", "1"]
+    CLOSEK = ["closek", "--alpha", "inv-sqrt2", "--x", "0.5", "--qn", "17"]
+    WORD = ["shrinkword", "--alpha", "inv-sqrt2", "--m", "0.9", "--threshold", "0.01"]
 
     @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
     @pytest.mark.parametrize("argv, message", [
@@ -315,8 +322,33 @@ class TestInputBoundary:
         (AUDIT + ["--window", "0"], "window must be >= 1"),
         (AUDIT + ["--window", "1000001"], "window > 1000000 exceeds the precision cap"),
         (AUDIT + ["--segments", "-1"], "segments must be >= 0"),
+        (["walk-oracle", "--n", "31"], "n must lie in 1..30"),
+        (["walk-oracle", "--n", "0"], "n must lie in 1..30"),
+        (CLOSEK + ["--qn", "0"], "q_n must be >= 1"),
+        (CLOSEK + ["--x", "1.5"], "x must lie in [0, 1]"),
+        (SIM + ["--trials", "0"], "trials must be >= 1"),
+        (SIM + ["--x0", "-0.5"], "x0 must be finite and >= 0"),
+        (SIM + ["--n", "-1"], "n must be >= 0"),
+        (SIM + ["--workers", "0"], "workers must lie in 1..64"),
+        (BVF + ["--trials", "0"], "need n >= 0 and trials >= 1"),
+        (BVF + ["--x0", "-0.5"], "x0 must be finite and >= 0"),
+        (BVF + ["--workers", "65"], "workers must lie in 1..64"),
+        (RATE + ["--trials", "0"], "trials must be >= 1"),
+        (RATE + ["--qk", "239"], "q_k > 99 is beyond the desk-scale cap"),
+        (RATE + ["--eps", "0.4"], "epsilon must be finite and exceed 8/q_k = 0.47058823529411764"),
+        (RATE + ["--workers", "0"], "workers must lie in 1..64"),
+        (["contfrac", "--alpha", "inv-sqrt2", "--terms", "41"],
+         "terms > 40 exceeds double-precision reliability"),
+        (["contfrac", "--alpha", "inv-sqrt2", "--terms", "-1"], "terms must be >= 0"),
+        (WORD + ["--beta", "0.5"], "need 0 < alpha < beta"),
+        (WORD + ["--threshold", "0"], "threshold must be positive"),
+        (WORD + ["--m", "-1"], "m must be >= 0"),
     ], ids=["orbit-window-0", "orbit-window-cap", "orbit-x", "audit-x0", "audit-steps",
-            "audit-window-0", "audit-window-cap", "audit-segments"])
+            "audit-window-0", "audit-window-cap", "audit-segments", "walk-n-31", "walk-n-0",
+            "closek-qn", "closek-x", "simulate-trials", "simulate-x0", "simulate-n",
+            "simulate-workers", "bvf-trials", "bvf-x0", "bvf-workers", "rate-trials",
+            "rate-qk-cap", "rate-eps", "rate-workers", "contfrac-terms-cap",
+            "contfrac-terms-negative", "word-beta", "word-threshold", "word-m"])
     def test_library_ranges_with_and_without_dry_run(self, capsys, argv, message, dry):
         assert run(argv + dry) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -595,3 +627,29 @@ class TestPinnedBytes:
                 None if a.choices is None else list(a.choices), a.required, a.nargs == 0)
                for a in actions]
         assert got == FLAGS[name]
+
+
+class TestParserReuse:
+    """One parser serves every run of a process and keeps no state between them."""
+
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize("bad", [
+        ["walk-oracle", "--n", "x"],
+        ["walk-oracle"],
+        ["rho-audit", "--alpha", "inv-sqrt2", "--x0", "0.2", "--steps", "200",
+         "--seed", "1", "--q-values", "7,"],
+        ["simulate", "--bogus", "1"],
+        ["nonesuch"],
+    ], ids=["bad-int", "missing-flag", "bad-ints", "unknown-flag", "unknown-command"])
+    def test_usage_error_then_pinned_run(self, capsys, bad):
+        assert run(bad) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        for argv, digest in REPORT_SHA256:
+            if argv[0] in ("walk-oracle", "rho-audit", "simulate"):
+                assert run(argv) == 0
+                assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == digest
+        argv, expected = DRY_RUNS["rho-audit"]
+        assert run(["rho-audit", *argv, "--dry-run"]) == 0
+        assert out_of(capsys) == expected

@@ -229,7 +229,32 @@ def transfer_dp(n):
     return Fraction(sum(counts), 2 ** n ** 3)
 
 
+def reflection_sum(n):
+    """The reflection-principle sum of the oracle, one binomial term at a time."""
+    h = n ** 3
+    period = 4 * n + 4
+    inside = mirrored = 0  # sums of C(h, j) over j < h/2 with weight +1 / -1
+    c = 1  # C(h, j)
+    for j in range((h + 1) // 2):
+        r = (2 * j - h) % period
+        if r <= n or r >= 3 * n + 4:
+            inside += c
+        elif r != n + 1 and r != 3 * n + 3:
+            mirrored += c
+        c = c * (h - j) // (j + 1)
+    count = 2 * (inside - mirrored)
+    if h % 2 == 0:
+        count += c
+    return Fraction(count, 2 ** h)
+
+
 class TestWalkOracle:
+    def test_period_blocks_equal_term_by_term_sum(self):
+        for n in range(1, 31):
+            expected = reflection_sum(n)
+            assert walk_confinement_dp(n) == expected, n
+            assert walk_confinement_dp(n, exact=False) == float(expected), n
+
     @pytest.mark.parametrize("n", [*range(1, 21), 30])
     def test_reflection_sum_equals_transfer_dp(self, n):
         expected = transfer_dp(n)

@@ -188,6 +188,16 @@ class TestGraphWindow:
         assert pair == {1, -1}
         assert build_graph_window(ALPHA, 0.2, 20).coincidences == []
 
+    @pytest.mark.parametrize("x", [ALPHA / 2, 0.5, (1 + ALPHA) / 2, (0.5 - 3 * ALPHA) % 1.0])
+    @pytest.mark.parametrize("window", [20, 3000])
+    def test_coincidences_follow_the_stable_order(self, x, window):
+        g = build_graph_window(ALPHA, x, window)
+        order = np.argsort(g.values, kind="stable")
+        close = np.flatnonzero(np.diff(g.values[order]) < orbit.SINGULAR_TOL)
+        assert close.size
+        assert g.coincidences == [(g.label_at(int(order[j])), g.label_at(int(order[j + 1])))
+                                  for j in close]
+
     def test_orbit_of_zero_hits_boundary(self):
         # x = 0 puts <-alpha> = 1 - alpha exactly on the cut
         with pytest.raises(ClassBoundaryError):

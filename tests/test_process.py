@@ -206,6 +206,50 @@ class TestFoldKernel:
                       (lo, lo, lo)]
         return [tuple(map(float, case)) for case in cases]
 
+    @staticmethod
+    def zero_and_tiny_cases():
+        """Every theta of a set with -0.0 and 5e-324 against every interval of
+        sign-free ends from it, so theta = lo, theta = hi and lo = hi all occur."""
+        ends = [0.0, 5e-324, 1e-300, 0.3, ALPHA, 1.0]
+        return [(theta, lo, hi) for theta in [-0.0, *ends, 1.5]
+                for lo in ends for hi in ends if lo <= hi]
+
+    def test_zeros_and_subnormals_match_three_branch(self):
+        theta, lo, hi = map(np.array, zip(*self.zero_and_tiny_cases()))
+        ref_lo, ref_hi = map(np.array, zip(*map(three_branch_fold, theta, lo, hi)))
+        for new_lo, new_hi in (fold_interval_arrays(theta, lo, hi),
+                               fold_interval_arrays(theta, lo.copy(), hi.copy(),
+                                                    scratch=(np.empty_like(lo),
+                                                             np.empty_like(lo)))):
+            assert np.array_equal(bits(new_lo), bits(ref_lo))
+            assert np.array_equal(bits(new_hi), bits(ref_hi))
+            assert not np.any(np.signbit(new_lo) | np.signbit(new_hi))
+
+    def test_in_place_with_reused_scratch_matches_three_branch(self):
+        theta, lo, hi = map(np.array, zip(*(self.edge_cases() + self.zero_and_tiny_cases())))
+        scratch = np.empty_like(lo), np.empty_like(lo)
+        want = list(zip(lo.tolist(), hi.tolist()))
+        rng = np.random.default_rng(13)
+        letters = [theta, -0.0, 0.0, 5e-324, 1.0, *(rng.random(20) * 1.5), 0.0, -0.0]
+        for letter in letters:  # fold the same two arrays again and again
+            got = fold_interval_arrays(letter, lo, hi, out=(lo, hi), scratch=scratch)
+            assert got[0] is lo and got[1] is hi
+            thetas = np.broadcast_to(letter, lo.shape).tolist()
+            want = [three_branch_fold(t, a, b) for t, (a, b) in zip(thetas, want)]
+            assert np.array_equal(bits(lo), bits([a for a, _ in want]))
+            assert np.array_equal(bits(hi), bits([b for _, b in want]))
+            assert not np.any(np.signbit(lo) | np.signbit(hi))
+
+    def test_negative_zero_ends_fold_like_zero(self):
+        for theta in (-0.0, 0.0, 0.5):
+            img = interval_image(theta, Interval(-0.0, -0.0))
+            assert (bits(img.lo), bits(img.hi)) == tuple(map(bits, three_branch_fold(theta, 0.0, 0.0)))
+
+    def test_scalar_inputs_give_arrays(self):
+        lo, hi = fold_interval_arrays(0.3, 0.1, 0.2)
+        assert (lo.shape, hi.shape) == ((), ())
+        assert (float(lo), float(hi)) == three_branch_fold(0.3, 0.1, 0.2)
+
     def test_vector_kernel_matches_three_branch(self):
         theta, lo, hi = map(np.array, zip(*self.edge_cases()))
         new_lo, new_hi = fold_interval_arrays(theta, lo, hi)
