@@ -3,8 +3,8 @@
 With letters {alpha, 1} every reachable point of x0 = 0.2 is <n*alpha + eps*x0>
 for an integer label (n, eps). The label automaton is exact; materializing a
 window of labels gives a graph whose class frequencies and run structure are
-forced by alpha, and whose signed BFS distance rho turns the chain into a
-simple +-1 random walk.
+forced by alpha, and whose signed graph distance rho (one cumulative sum along
+the ladder of positions eps*n) turns the chain into a simple +-1 random walk.
 """
 
 import math

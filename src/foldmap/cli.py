@@ -221,6 +221,12 @@ def _orbit(a, resolved) -> str:
     return rows_to_csv(["n", "eps", "value", "class"], rows)
 
 
+def _check_orbit(a) -> None:
+    orbit.check_graph_window(a.x, a.window)
+    if a.format == "json":
+        orbit.check_margin(a.window)
+
+
 def _contfrac(a, resolved) -> str:
     cs = convergents(contfrac_expand(a.alpha, a.terms))
     if a.format == "json":
@@ -319,7 +325,7 @@ COMMANDS = {row.name: row for row in (
             (Arg("--alpha", "alpha"), Arg("--x", "float"),
              Arg("--window", default=orbit.DEFAULT_WINDOW),
              _format("dot", "json", "csv")),
-            _orbit, check=lambda a: orbit.check_graph_window(a.x, a.window)),
+            _orbit, check=_check_orbit),
     Command("contfrac", "partial quotients and convergents of alpha",
             (Arg("--alpha", "alpha"), Arg("--terms", default=20), _format("csv", "json")),
             _contfrac, check=lambda a: check_contfrac(a.alpha, a.terms)),

@@ -31,8 +31,8 @@ import numpy as np
 
 from .contfrac import contfrac_expand, convergents
 from .errors import PreconditionError, StructuralError, WindowError
-from .orbit import (OrbitLabel, RHO_INVALID, W_MAX, build_graph_window,
-                    check_graph_window, rho_chart)
+from .orbit import (OrbitLabel, W_MAX, build_graph_window, check_graph_window,
+                    rho_chart)
 from .process import (ThetaDist, TrialPlan, check_trials, fold_interval_arrays,
                       letter_columns, substream_keys, theta_from_uniform,
                       uniform_cells)
@@ -452,8 +452,6 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
     m = 2 * window + 1
     flat = np.where(eps == 1, 0, 1) * m + (ns + window)
     rho_path = chart.rho[flat]
-    if np.any(rho_path == RHO_INVALID):
-        raise StructuralError("walk visited a vertex outside the chart domain")
     increments = np.diff(rho_path)
     if np.any(np.abs(increments) != 1):
         raise StructuralError("rho increment with |step| != 1; chart is inconsistent")

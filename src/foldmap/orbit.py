@@ -15,13 +15,12 @@ rho_chart assigns each vertex a signed graph distance from a small base
 vertex, the coordinate along which a random theta-walk becomes a simple +-1
 walk. Give label (n, eps) the position p = eps*n: the full fold keeps p and
 the alpha fold moves it to p - eps, so every window graph is a ladder whose
-rungs are the full-fold edges and whose alpha edges join adjacent positions.
-On a ladder the distances come from a two-state scan outward from the base,
-done with cumulative sums over positions; any other graph gets one
-breadth-first pass that tags each vertex with the base neighbour it was first
-reached through. The chart also keeps the minimum vertex value of every
-distance level as a dense array. shrink_word searches words over
-{alpha, beta} that fold a value below a threshold.
+rungs are the full-fold edges and whose alpha edges join adjacent positions,
+one edge per pair of positions. Each step between positions costs 1 or 2, so
+the distances are one cumulative sum of step costs over positions. The chart
+also keeps the minimum vertex value of every distance level as a dense array.
+shrink_word searches words over {alpha, beta} that fold a value below a
+threshold.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ W_MAX = 10 ** 6          # |n| cap keeping label values accurate to < 1e-9
 DEFAULT_WINDOW = 10 ** 4
 SINGULAR_TOL = 1e-10
 CLASS_TOL = 1e-12
-RHO_INVALID = np.iinfo(np.int64).min  # vertex outside the chart's domain
 
 
 @dataclass(frozen=True)
@@ -190,11 +188,9 @@ class OrbitGraphWindow:
         return np.concatenate([keep, keep])
 
     def class_frequencies(self, margin: int = 2) -> dict:
+        check_margin(self.window, margin)
         mask = self.interior_mask(margin)
         total = int(np.count_nonzero(mask))
-        if total == 0:
-            raise PreconditionError(
-                f"window {self.window} has no vertex inside margin {margin}")
         cls = self.classes[mask]
         return {c.name.lower(): int(np.count_nonzero(cls == c)) / total
                 for c in VertexClass}
@@ -227,6 +223,12 @@ def check_graph_window(x: float, window: int) -> None:
         raise PrecisionError(f"window > {W_MAX} exceeds the precision cap")
     if not 0.0 <= x <= 1.0:
         raise PreconditionError("x must lie in [0, 1]")
+
+
+def check_margin(window: int, margin: int = 2) -> None:
+    """The precondition of class_frequencies: some vertex lies inside the margin."""
+    if window < margin:
+        raise PreconditionError(f"window {window} has no vertex inside margin {margin}")
 
 
 def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
@@ -281,37 +283,15 @@ def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
 # ---- signed distance chart ----------------------------------------------
 
 
-def _undirected_neighbors(graph: OrbitGraphWindow):
-    """CSR-style undirected adjacency from the two directed edge families."""
-    src = np.arange(graph.size, dtype=np.int64)
-    pairs = [np.stack([src, graph.one_target]),
-             np.stack([src[graph.alpha_target >= 0],
-                       graph.alpha_target[graph.alpha_target >= 0]])]
-    edges = np.concatenate(pairs, axis=1)
-    both = np.concatenate([edges, edges[::-1]], axis=1)
-    order = np.argsort(both[0], kind="stable")
-    heads, tails = both[0][order], both[1][order]
-    indptr = np.searchsorted(heads, np.arange(graph.size + 1))
-    return indptr, tails
-
-
-def _root(parent: list, k: int) -> int:
-    """Root of entry k in the union-find forest `parent`."""
-    while parent[k] != k:
-        k = parent[k]
-    return k
-
-
 @dataclass(frozen=True)
 class RhoChart:
     """Signed graph distance from a small base vertex v0; rho(v0) = 0.
 
     rho is positive on the component of the v0-deleted graph containing the
-    label (n0+1, eps0) and negative on the other; vertices unreachable inside
-    the window carry RHO_INVALID and are excluded from the domain.
-    level_min[r - level_lo] is the smallest vertex value at rho = r, for every
-    level r from level_lo = min(rho) to max(rho); distance levels are
-    contiguous, so every entry is finite. Both arrays are read-only.
+    label (n0+1, eps0) and negative on the other; every window vertex is
+    charted. level_min[r - level_lo] is the smallest vertex value at rho = r,
+    for every level r from level_lo = min(rho) to max(rho); distance levels
+    are contiguous, so every entry is finite. Both arrays are read-only.
     """
 
     v0: OrbitLabel
@@ -320,182 +300,51 @@ class RhoChart:
     level_min: np.ndarray
 
     def rho_of(self, graph: OrbitGraphWindow, label: OrbitLabel) -> int:
-        r = int(self.rho[graph.index_of(label)])
-        if r == RHO_INVALID:
-            raise StructuralError(f"label {label} outside the chart domain")
-        return r
+        return int(self.rho[graph.index_of(label)])
 
 
 def rho_chart(graph: OrbitGraphWindow, x0_label: OrbitLabel) -> RhoChart:
-    """Chart of signed graph distances from x0_label.
+    """Chart of signed graph distances from x0_label on a build_graph_window graph.
 
     Preconditions: the base vertex value lies strictly inside the small class
-    (0 < value < min(alpha, 1-alpha)). Removing the base vertex must split
-    its neighborhood into exactly two components; anything else is a
-    structural failure (singular orbit or misconfigured base point).
+    (0 < value < min(alpha, 1-alpha)), and its orientation reference
+    (n0+1, eps0) lies in the window. A base at the lower window edge has
+    nothing below it, so it does not cut the window: StructuralError.
 
-    Every graph build_graph_window makes is a ladder (see _ladder), and its
-    distances come from a scan over positions (_ladder_rho). Any other graph
-    takes one tagged breadth-first pass (_bfs_rho). Both give the same chart
-    and raise the same errors on a ladder.
+    Write a_p = (p, eps0) and b_p = (-p, -eps0), so the base is a_{n0} and
+    the full-fold rungs join a_p and b_p. Since value(b_p) = 1 - value(a_p)
+    and value(a_{p+1}) = <value(a_p) + alpha>, exactly one alpha edge joins
+    positions p and p+1: a_{p+1} -> a_p when value(a_{p+1}) >= alpha, else
+    b_p -> a_{p+1} (build_graph_window rejects the tie). A step between
+    positions thus costs 1 along row a or 2 over a rung, b_p sits one level
+    above a_p, and rho(a_p) = C(p) - C(n0) for the cumulative step cost C:
+    the Beatty count of Lothaire, Algebraic Combinatorics on Words, ch. 2.
     """
     v0 = graph.index_of(x0_label)
     val = graph.values[v0]
     if not 0.0 < val < min(graph.alpha, 1.0 - graph.alpha):
         raise PreconditionError(
             f"base vertex value {val!r} is not strictly inside the small class")
-    rho = (_ladder_rho if _ladder(graph) else _bfs_rho)(graph, x0_label)
-
-    # per-level minimum vertex value, for far-small audits
-    reached = rho != RHO_INVALID
-    levels = rho[reached]
-    level_lo = int(levels.min())
-    level_min = np.full(int(levels.max()) - level_lo + 1, np.inf)
-    np.minimum.at(level_min, levels - level_lo, graph.values[reached])
-    rho.flags.writeable = False
-    level_min.flags.writeable = False
-    return RhoChart(x0_label, rho, level_lo, level_min)
-
-
-def _ladder(graph: OrbitGraphWindow) -> bool:
-    """Whether the graph is a ladder over the positions p = eps*n.
-
-    A ladder's full-fold edge joins (n, eps) to its rung partner (-n, -eps),
-    at the same position, and its alpha edge lands on position p - eps, or
-    nowhere exactly when that position lies outside the window.
-    """
     w, m = graph.window, 2 * graph.window + 1
-    t = graph.alpha_target
-    if graph.size != 2 * m or t.min() < -1 or t.max() >= 2 * m:
-        return False
-    # index i and its rung partner 2m-1-i mirror each other in the index order
-    if not np.array_equal(graph.one_target, np.arange(2 * m)[::-1]):
-        return False
-    n = np.arange(-w, w + 1)
-    # the position of every index, then w+1 (no position) for a missing edge's -1
-    pos = np.concatenate([n, -n, [w + 1]])
-    target = pos[:-1] - np.repeat([1, -1], m)
-    target[np.abs(target) > w] = w + 1
-    return np.array_equal(pos[t], target)
-
-
-def _gaps(keeps: np.ndarray, new_gap: np.ndarray):
-    """The gap d(b) - d(a) before and after each step of a ladder scan.
-
-    A step either keeps the gap or sets it to new_gap; a kept gap is the one
-    the last setting step left, or 1 (base and rung partner) before any.
-    """
-    steps = np.arange(keeps.size)
-    last = np.maximum.accumulate(np.where(keeps, -1, steps))
-    after = np.where(last >= 0, new_gap[last], 1)
-    before = np.concatenate(([1], after))[:-1]
-    return before, after
-
-
-def _ladder_rho(graph: OrbitGraphWindow, x0_label: OrbitLabel) -> np.ndarray:
-    """Signed distances on a ladder by a two-state scan outward from the base.
-
-    Rows a_p = (p, eps0) and b_p = (-p, -eps0) for p = -W..W, so the base is
-    a_{n0}, its rung partner b_{n0}, and the orientation reference a_{n0+1}.
-    a_p's alpha edge lands on position p-1 and b_p's on p+1, so between
-    positions p and p+1 run exactly two edges: a_{p+1} to a_p (xa) or b_p,
-    and b_p to a_{p+1} (yb) or b_{p+1}. A shortest path never leaves a
-    position and comes back, since the rung is shorter, so d(a) and the gap
-    g = d(b) - d(a) at the next position follow from those at this one:
-
-        step             xa and yb   xa only   yb only   neither
-        up,   d(a) +=    1           1         1 + g     1 + g
-              new g      1           g         1         0
-        down, d(a) +=    1           1         2         2 + g
-              new g      0           g         -1        -1
-
-    g starts at 1 and stays 0 or 1 going up. Going down the first step sets
-    it, as b_{n0-1} -- a_{n0} on a cut, and it stays 0 or -1. Positions above
-    the base and b_{n0} form the + side, positions below the - side. (In a
-    window graph xa says that the value of a_p lies below 1 - alpha and yb
-    that it lies above, so up to round-off only the middle two columns occur
-    there.)
-    """
-    w, m = graph.window, 2 * graph.window + 1
-    t = graph.alpha_target
-    a = np.arange(m) + (0 if x0_label.eps == 1 else m)
-    b = 2 * m - 1 - a
-    k0 = x0_label.n + w
-    # step j joins positions j and j+1 (row offsets)
-    xa = t[a[1:]] == a[:-1]
-    yb = t[b[:-1]] == a[1:]
-    # with nothing below, or b_{n0-1} -- b_{n0}, the base does not cut the ladder
-    if k0 == 0 or not yb[k0 - 1]:
+    if x0_label.n == -w:
         raise StructuralError("base vertex is not a cut vertex of the window")
     # the orientation reference; past the upper window edge this raises
     graph.index_of(OrbitLabel(x0_label.n + 1, x0_label.eps))
 
-    x, y = xa[k0:], yb[k0:]
-    g, up_gap = _gaps(x & ~y, np.where(y, 1, 0))
-    up = np.cumsum(np.where(x, 1, 1 + g))
-    x, y = xa[k0 - 1::-1], yb[k0 - 1::-1]
-    g, down_gap = _gaps(x & ~y, np.where(x, 0, -1))
-    down = np.cumsum(np.where(x, 1, np.where(y, 2, 2 + g)))
-
+    a = np.arange(m) + (0 if x0_label.eps == 1 else m)
+    cost = np.where(graph.alpha_target[a[1:]] == a[:-1], 1, 2)
+    level = np.concatenate(([0], np.cumsum(cost)))
     rho = np.empty(2 * m, dtype=np.int64)
-    rho[a] = np.concatenate((-down[::-1], [0], up))
-    rho[b] = np.concatenate((-(down + down_gap)[::-1], [1], up + up_gap))
-    return rho
+    rho[a] = level - level[x0_label.n + w]
+    rho[2 * m - 1 - a] = rho[a] + 1
 
-
-def _bfs_rho(graph: OrbitGraphWindow, x0_label: OrbitLabel) -> np.ndarray:
-    """Signed distances on any graph by one tagged breadth-first pass.
-
-    Each vertex carries the tag of the v0 neighbour it was first reached
-    through, and an edge between two differently tagged vertices other than
-    v0 merges their tags. The BFS tree joins each vertex to its tag's
-    neighbour without passing v0, and every edge of a path that avoids v0 is
-    scanned, so the merged tag classes are the components of the graph with
-    v0 deleted.
-    """
-    v0 = graph.index_of(x0_label)
-    indptr, tails = _undirected_neighbors(graph)
-    dist = np.full(graph.size, -1, dtype=np.int64)
-    tag = np.full(graph.size, -1, dtype=np.int64)
-    # memoryviews read and write int64 cells as Python ints without turning
-    # the whole adjacency into lists
-    ptr, nbr, d, t = (memoryview(a) for a in (indptr, tails, dist, tag))
-
-    branches = sorted({w for w in nbr[ptr[v0]:ptr[v0 + 1]] if w != v0})
-    if not branches:
-        raise StructuralError("base vertex has no neighbour in the window")
-    parent = list(range(len(branches)))
-    d[v0] = 0
-    for k, w in enumerate(branches):
-        d[w], t[w] = 1, k
-    queue = deque(branches)
-    pop, push = queue.popleft, queue.append
-    while queue:
-        u = pop()
-        du, tu = d[u] + 1, t[u]
-        for w in nbr[ptr[u]:ptr[u + 1]]:
-            if d[w] < 0:
-                d[w], t[w] = du, tu
-                push(w)
-            elif t[w] != tu and w != v0:
-                parent[_root(parent, t[w])] = _root(parent, tu)
-
-    roots = [_root(parent, k) for k in range(len(branches))]
-    n_sides = len(set(roots))
-    if n_sides == 1:
-        raise StructuralError("base vertex is not a cut vertex of the window")
-    if n_sides > 2:
-        raise StructuralError("base vertex neighborhood splits into > 2 components")
-    plus_ref = graph.index_of(OrbitLabel(x0_label.n + 1, x0_label.eps))
-    if d[plus_ref] < 0:
-        raise StructuralError("orientation reference vertex disconnected from base")
-
-    sign = np.where(np.array(roots) == roots[t[plus_ref]], 1, -1)
-    reached = dist >= 0
-    rho = np.full(graph.size, RHO_INVALID, dtype=np.int64)
-    # v0 has dist 0, so the sign its tag -1 picks does not matter
-    rho[reached] = dist[reached] * sign[tag[reached]]
-    return rho
+    # per-level minimum vertex value, for far-small audits
+    level_lo = int(rho.min())
+    level_min = np.full(int(rho.max()) - level_lo + 1, np.inf)
+    np.minimum.at(level_min, rho - level_lo, graph.values)
+    rho.flags.writeable = False
+    level_min.flags.writeable = False
+    return RhoChart(x0_label, rho, level_lo, level_min)
 
 
 # ---- line structure ------------------------------------------------------
@@ -509,7 +358,9 @@ def structure_stats(graph: OrbitGraphWindow, margin: int = 2) -> dict:
     non-Large stretch). For irrational alpha the runs take exactly two values
     q and q+1 where alpha = q*(1-alpha) + r (alpha > 1/2; roles swap below
     1/2), with asymptotic count ratio (1-alpha-r):r resp. (alpha-r):r.
-    measured_ratio is None while the window holds no run of length q+1.
+    expected_ratio is None when r <= SINGULAR_TOL (alpha rational with a
+    small denominator), and measured_ratio is None while the window holds no
+    run of length q+1.
     """
     w, alpha = graph.window, graph.alpha
     top = graph.classes[:2 * w + 1]
@@ -518,14 +369,15 @@ def structure_stats(graph: OrbitGraphWindow, margin: int = 2) -> dict:
     runs = np.diff(marks) - 1
     values, counts = np.unique(runs, return_counts=True)
     hist = {int(v): int(c) for v, c in zip(values, counts)}
+    # the tolerance keeps q = 2 at alpha = 2/3, where the quotient is 1.9999999999999996
     if alpha > 0.5:
-        q = int(alpha / (1.0 - alpha))
+        q = int(alpha / (1.0 - alpha) + SINGULAR_TOL)
         r = alpha - q * (1.0 - alpha)
-        expected = (1.0 - alpha - r) / r
+        expected = (1.0 - alpha - r) / r if r > SINGULAR_TOL else None
     else:
-        q = int((1.0 - alpha) / alpha)
+        q = int((1.0 - alpha) / alpha + SINGULAR_TOL)
         r = (1.0 - alpha) - q * alpha
-        expected = (alpha - r) / r
+        expected = (alpha - r) / r if r > SINGULAR_TOL else None
     measured = hist.get(q, 0) / hist[q + 1] if hist.get(q + 1) else None
     return {
         "class_frequencies": graph.class_frequencies(margin),

@@ -178,6 +178,18 @@ class TestOrbit:
         assert set(payload["run_histogram"]) == {"2", "3"}
         assert abs(payload["measured_ratio"] - math.sqrt(2)) < 0.1
 
+    @pytest.mark.parametrize("alpha, q", [("0.5", 1), ("0.6666666666666666", 2),
+                                          ("0.3333333333333333", 2)])
+    def test_json_at_rational_alpha(self, capsys, alpha, q):
+        # r = 0 up to round-off, so the run ratio has no limit to report; at 2/3
+        # the quotient alpha/(1-alpha) is 1.9999999999999996
+        assert run(["orbit", "--alpha", alpha, "--x", "0.25", "--window", "5",
+                    "--format", "json"]) == 0
+        payload = json.loads(out_of(capsys))
+        assert payload["q"] == q
+        assert set(payload["run_histogram"]) == {str(q)}
+        assert payload["expected_ratio"] is None
+
     def test_csv_vertex_table(self, capsys):
         assert run(["orbit", "--alpha", "inv-sqrt2", "--x", "0.2",
                     "--window", "5", "--format", "csv"]) == 0
@@ -317,6 +329,7 @@ class TestInputBoundary:
         (ORBIT + ["--window", "0"], "window must be >= 1"),
         (ORBIT + ["--window", "1000001"], "window > 1000000 exceeds the precision cap"),
         (ORBIT + ["--x", "1.5"], "x must lie in [0, 1]"),
+        (ORBIT + ["--window", "1", "--format", "json"], "window 1 has no vertex inside margin 2"),
         (AUDIT + ["--x0", "0.9"], "x0 must satisfy 0 < x0 < min(alpha, 1-alpha)"),
         (AUDIT + ["--steps", "-5"], "steps must be >= 0"),
         (AUDIT + ["--window", "0"], "window must be >= 1"),
@@ -343,7 +356,7 @@ class TestInputBoundary:
         (WORD + ["--beta", "0.5"], "need 0 < alpha < beta"),
         (WORD + ["--threshold", "0"], "threshold must be positive"),
         (WORD + ["--m", "-1"], "m must be >= 0"),
-    ], ids=["orbit-window-0", "orbit-window-cap", "orbit-x", "audit-x0", "audit-steps",
+    ], ids=["orbit-window-0", "orbit-window-cap", "orbit-x", "orbit-json-margin", "audit-x0", "audit-steps",
             "audit-window-0", "audit-window-cap", "audit-segments", "walk-n-31", "walk-n-0",
             "closek-qn", "closek-x", "simulate-trials", "simulate-x0", "simulate-n",
             "simulate-workers", "bvf-trials", "bvf-x0", "bvf-workers", "rate-trials",
@@ -411,11 +424,6 @@ class TestInputBoundary:
         payload = json.loads(out_of(capsys))
         assert payload["run_histogram"] == {}
         assert payload["measured_ratio"] is None
-
-    def test_orbit_json_without_interior(self, capsys):
-        assert run(["orbit", "--alpha", "inv-sqrt2", "--x", "0.2", "--window", "1",
-                    "--format", "json"]) == 2
-        assert "no vertex inside margin" in capsys.readouterr().err
 
 
 # ---- pinned bytes ----------------------------------------------------------

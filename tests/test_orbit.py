@@ -6,14 +6,13 @@ from collections import deque
 import numpy as np
 import pytest
 
-from foldmap import (ClassBoundaryError, FoldmapError, OrbitGraphWindow,
-                     OrbitLabel, PrecisionError, PreconditionError, StructuralError,
+from foldmap import (ClassBoundaryError, FoldmapError, OrbitLabel,
+                     PrecisionError, PreconditionError, StructuralError,
                      VertexClass, WordNotFoundError, apply_theta_label,
                      build_graph_window, classify_vertex, is_singular,
                      iterate_forward, label_value, rho_chart, shrink_word,
                      step, structure_stats)
 from foldmap import orbit
-from foldmap.orbit import RHO_INVALID
 
 ALPHA = math.sqrt(0.5)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -225,9 +224,7 @@ class TestRhoChart:
         assert self.chart.rho_of(self.graph, OrbitLabel(1, 1)) == 1
 
     def test_both_signs_present(self):
-        g, rho = self.graph, self.chart.rho
-        valid = rho != np.iinfo(np.int64).min
-        assert rho[valid].min() < 0 < rho[valid].max()
+        assert self.chart.rho.min() < 0 < self.chart.rho.max()
 
     def test_unit_increments_along_edges(self):
         # any edge avoiding the base vertex moves rho by at most one and
@@ -237,12 +234,10 @@ class TestRhoChart:
         src = np.arange(g.size)
         for tgt in (g.one_target, np.where(g.alpha_target >= 0, g.alpha_target, src)):
             ru, rw = rho[src], rho[tgt]
-            ok = (ru != np.iinfo(np.int64).min) & (rw != np.iinfo(np.int64).min)
             through = (src == v0) | (tgt == v0)
-            inner = ok & ~through
-            assert np.all(np.abs(ru[inner] - rw[inner]) <= 1)
-            assert np.all(ru[inner] * rw[inner] > 0)
-            assert np.all(np.abs(ru[ok & through] + rw[ok & through]) >= 1)
+            assert np.all(np.abs(ru[~through] - rw[~through]) <= 1)
+            assert np.all(ru[~through] * rw[~through] > 0)
+            assert np.all(np.abs(ru[through] + rw[through]) >= 1)
 
     def test_level_minima(self):
         lm, lo = self.chart.level_min, self.chart.level_lo
@@ -254,15 +249,6 @@ class TestRhoChart:
         with pytest.raises(PreconditionError):
             rho_chart(self.graph, OrbitLabel(2, 1))  # value ~ .614
 
-    def test_chart_domain_error(self):
-        small = build_graph_window(ALPHA, 0.2, 3)
-        chart = rho_chart(small, OrbitLabel(0, 1))
-        rho = chart.rho
-        if np.any(rho == np.iinfo(np.int64).min):
-            idx = int(np.flatnonzero(rho == np.iinfo(np.int64).min)[0])
-            with pytest.raises(StructuralError):
-                chart.rho_of(small, small.label_at(idx))
-
     @pytest.mark.parametrize("alpha, x, window", [
         (ALPHA, 0.2, 3), (ALPHA, 0.2, 50), (ALPHA, 0.2, 2000),
         (ALPHA, 0.05, 2000), (0.3 + 1e-5 * math.sqrt(2), 0.1, 2000),
@@ -270,12 +256,7 @@ class TestRhoChart:
     def test_matches_reference_bfs(self, alpha, x, window):
         graph = build_graph_window(alpha, x, window)
         base = OrbitLabel(0, 1)
-        chart = rho_chart(graph, base)
-        rho, level_min = _reference_chart(graph, base)
-        assert chart.rho.tolist() == rho
-        assert chart.level_lo == min(level_min)
-        assert chart.level_min.tolist() == [
-            level_min[r] for r in range(min(level_min), max(level_min) + 1)]
+        assert _outcome(graph, base) == _reference_outcome(graph, base)
 
 
 def _reference_chart(graph, base):
@@ -312,56 +293,12 @@ def _reference_chart(graph, base):
             sides.append(bfs(w, blocked=v0))
     assert len(sides) == 2
     plus_side = next(side for side in sides if plus_ref in side)
-    rho = [RHO_INVALID] * graph.size
+    rho = [None] * graph.size
     level_min = {}
     for v, d in dist.items():
         rho[v] = d if v in plus_side or v == v0 else -d
         level_min[rho[v]] = min(level_min.get(rho[v], 1.0), float(graph.values[v]))
     return rho, level_min
-
-
-def _hand_graph(edges, window=2):
-    """A window whose only edges are `edges`; every other vertex loops to itself.
-
-    Each vertex takes its first out-edge as the full-fold edge and its second
-    as the alpha edge. Every value is 0.1, inside the small class.
-    """
-    size = 2 * (2 * window + 1)
-    one_target = np.arange(size, dtype=np.int64)
-    alpha_target = np.full(size, -1, dtype=np.int64)
-    for u, w in edges:
-        if one_target[u] == u:
-            one_target[u] = w
-        else:
-            alpha_target[u] = w
-    return OrbitGraphWindow(ALPHA, 0.1, window, np.full(size, 0.1),
-                            np.zeros(size, dtype=np.int8), one_target,
-                            alpha_target, [])
-
-
-# window 2: (0,+1) is vertex 2 and the orientation reference (1,+1) is 3
-HAND_TWO_SIDES = [(2, 3), (3, 4), (2, 1), (1, 0)]
-HAND_FAILURES = [
-    ([(2, 3), (3, 4), (4, 1), (1, 2)], "not a cut vertex"),
-    ([(2, 3), (2, 1), (7, 2)], "> 2 components"),
-    ([], "no neighbour"),
-    ([(2, 1), (2, 7)], "orientation reference"),
-]
-
-
-class TestRhoChartStructure:
-    BASE = OrbitLabel(0, 1)
-
-    def test_two_sides(self):
-        chart = rho_chart(_hand_graph(HAND_TWO_SIDES), self.BASE)
-        assert chart.rho.tolist()[:5] == [-2, -1, 0, 1, 2]
-        assert chart.level_lo == -2
-        assert np.all(chart.rho[5:] == RHO_INVALID)
-
-    @pytest.mark.parametrize("edges, message", HAND_FAILURES)
-    def test_structural_failures(self, edges, message):
-        with pytest.raises(StructuralError, match=message):
-            rho_chart(_hand_graph(edges), self.BASE)
 
 
 LADDER_PAIRS = [(ALPHA, 0.2), (ALPHA, 0.05), (GOLDEN, 0.17), (math.e - 2.0, 0.1),
@@ -377,16 +314,29 @@ def _outcome(graph, base):
     return chart.rho.tolist(), chart.level_lo, chart.level_min.tolist()
 
 
-def _with_arrays(graph, one_target=None, alpha_target=None):
-    """A copy of graph with its edge arrays replaced."""
-    return OrbitGraphWindow(
-        graph.alpha, graph.base_x, graph.window, graph.values, graph.classes,
-        graph.one_target if one_target is None else one_target,
-        graph.alpha_target if alpha_target is None else alpha_target, [])
+def _reference_outcome(graph, base):
+    """_reference_chart in the form _outcome returns a chart."""
+    rho, level_min = _reference_chart(graph, base)
+    lo, hi = min(level_min), max(level_min)
+    return rho, lo, [level_min[r] for r in range(lo, hi + 1)]
+
+
+def _edge_outcome(graph, base):
+    """The error rho_chart raises for a base at a window edge, else None.
+
+    At n0 = -W the base has nothing below it, so it cuts nothing; at n0 = W
+    the orientation reference (W+1, eps0) lies outside the window.
+    """
+    if base.n == -graph.window:
+        return StructuralError, "base vertex is not a cut vertex of the window"
+    if base.n == graph.window:
+        return (PreconditionError,
+                f"label {OrbitLabel(base.n + 1, base.eps)} outside window {graph.window}")
+    return None
 
 
 class TestLadderScan:
-    def test_matches_bfs_on_every_small_base(self, monkeypatch):
+    def test_matches_bfs_on_every_small_base(self):
         seen = set()
         for alpha, x in LADDER_PAIRS:
             for window in [*range(1, 9), 50]:
@@ -395,9 +345,7 @@ class TestLadderScan:
                 for i in np.flatnonzero(small):
                     base = graph.label_at(i)
                     got = _outcome(graph, base)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(orbit, "_ladder", lambda g: False)
-                        want = _outcome(graph, base)
+                    want = _edge_outcome(graph, base) or _reference_outcome(graph, base)
                     assert got == want, (alpha, x, window, base)
                     edge = {-window: "lower", window: "upper"}.get(base.n, "inner")
                     kind = got[0].__name__ if isinstance(got[0], type) else "chart"
@@ -407,68 +355,16 @@ class TestLadderScan:
                         ("outcome", "chart"), ("outcome", "StructuralError"),
                         ("outcome", "PreconditionError")}
 
-    def test_matches_bfs_on_random_ladders(self, monkeypatch):
-        # In a window graph a_{p+1} -> a_p exactly when b_p -> b_{p+1}, so of the
-        # four step kinds only two occur; random ladders bring in the other two
-        # and bases that do not cut the ladder.
-        rng = np.random.default_rng(11)
-        seen = set()
-        for window in [*range(1, 7)] * 20:
-            m = 2 * window + 1
-            a = np.arange(m)                 # a_p = (p, +1) at row offset p + W
-            b = 2 * m - 1 - a                # b_p = (-p, -1), its rung partner
-            down, up = rng.integers(0, 2, size=(2, m - 1)).astype(bool)
-            alpha_target = np.full(2 * m, -1, dtype=np.int64)
-            alpha_target[a[1:]] = np.where(down, a[:-1], b[:-1])
-            alpha_target[b[:-1]] = np.where(up, a[1:], b[1:])
-            graph = OrbitGraphWindow(ALPHA, 0.1, window, rng.uniform(0.01, 0.2, 2 * m),
-                                     np.zeros(2 * m, dtype=np.int8),
-                                     np.arange(2 * m)[::-1].copy(), alpha_target, [])
-            assert orbit._ladder(graph)
-            seen |= set(zip(down.tolist(), up.tolist()))
-            for i in range(graph.size):
-                base = graph.label_at(i)
-                got = _outcome(graph, base)
-                with monkeypatch.context() as patch:
-                    patch.setattr(orbit, "_ladder", lambda g: False)
-                    want = _outcome(graph, base)
-                assert got == want, (window, base, alpha_target.tolist())
-                if isinstance(got[0], type):
-                    seen.add(got[1])
-        assert {(True, True), (True, False), (False, True), (False, False),
-                "base vertex is not a cut vertex of the window"} <= seen
-
-    def test_window_graphs_are_ladders(self):
+    def test_matches_bfs_on_random_windows(self):
         rng = np.random.default_rng(8)
         for _ in range(40):
             alpha, x = rng.uniform(0.05, 0.95), rng.uniform(0.0, 1.0)
             graph = build_graph_window(alpha, x, int(rng.integers(1, 300)))
-            assert orbit._ladder(graph)
-
-    @pytest.mark.parametrize("edges", [HAND_TWO_SIDES] + [e for e, _ in HAND_FAILURES])
-    def test_hand_graphs_are_not_ladders(self, edges):
-        assert not orbit._ladder(_hand_graph(edges))
-
-    def test_off_position_edges_are_not_ladders(self):
-        graph = build_graph_window(ALPHA, 0.2, 5)  # (-5,+1) is vertex 0
-        t = graph.alpha_target
-        two_down = t.copy()
-        two_down[5] = 3      # (0,+1) to (-2,+1), two positions down
-        dangling = t.copy()
-        dangling[5] = -1     # an inner vertex without its alpha edge
-        past_edge = t.copy()
-        past_edge[0] = 1     # (-5,+1) has no position below it
-        # targets that are no vertex, on vertices whose target position they
-        # would hit if read as numpy indices into the positions plus one entry
-        wrapped = t.copy()
-        wrapped[1] = -2      # (-4,+1); index -2 would be (5,-1), at position -5
-        outside = t.copy()
-        outside[0] = t.size  # (-5,+1); one past the end is the no-position entry
-        for alpha_target in (two_down, dangling, past_edge, wrapped, outside):
-            assert not orbit._ladder(_with_arrays(graph, alpha_target=alpha_target))
-        rungs = graph.one_target.copy()
-        rungs[[0, 1]] = rungs[[1, 0]]
-        assert not orbit._ladder(_with_arrays(graph, one_target=rungs))
+            small = (graph.values > 0.0) & (graph.values < min(alpha, 1.0 - alpha))
+            for i in rng.permutation(np.flatnonzero(small))[:3]:
+                base = graph.label_at(i)
+                want = _edge_outcome(graph, base) or _reference_outcome(graph, base)
+                assert _outcome(graph, base) == want, (alpha, x, graph.window, base)
 
 
 class TestStructureStats:
