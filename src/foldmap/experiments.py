@@ -7,16 +7,25 @@ forward_values, law_equality_report and backward_diam_ensemble read one
 letter column of a block of trials at a time (process.letter_columns, which
 reads letters from the hashed integers by exact integer cuts), in the order
 the fold consumes it, and fold it in place into the block's own arrays, so
-no (trials, n) matrix is ever built. A run with w workers (1..64) splits its
-trials into blocks of ceil(trials / w) rows, or into more blocks where that
-would pass the cap of _TRIAL_BLOCK rows that bounds block memory. Reports are
-byte-identical across reruns, block sizes and worker counts. Workers are
-threads; numpy does the heavy lifting, and all aggregation is ordered by
-trial index, never by completion order. Runtime measurements are carried on
-report objects but excluded from their canonical serializations.
+no (trials, n) matrix is ever built.
+
+Workers are threads, and numpy does the heavy lifting, so a thread pays only
+when its block is long enough that each numpy call outlasts the hand-over of
+the interpreter lock: from about 2^15 rows. The workers argument (1..64) is
+therefore an upper bound. A run of m rows uses at most m // 2^15 threads, so
+every block of a threaded run holds at least 2^15 rows, and it splits its
+rows into equal blocks (up to one row), as many as it has threads, or more
+where that would pass the cap of _TRIAL_BLOCK rows that bounds block memory.
+rate_experiment hashes 16 or more columns of a block in one call, so its
+threads pay from 2^13 rows, and that is its floor. Reports are
+byte-identical across reruns, block sizes and worker counts, and all
+aggregation is ordered by trial index, never by completion order. Runtime
+measurements are carried on report objects but excluded from their
+canonical serializations.
 
 The sample-indexed one_step_invariance_report reads row 0 for its stationary
-draws and row 1 for its letters, at cell = sample index.
+draws and row 1 for its letters, at cell = sample index, and blocks its
+samples the same way.
 """
 
 from __future__ import annotations
@@ -34,14 +43,15 @@ from .errors import PreconditionError, StructuralError, WindowError
 from .orbit import (OrbitLabel, W_MAX, build_graph_window, check_graph_window,
                     rho_chart)
 from .process import (ThetaDist, TrialPlan, check_trials, fold_interval_arrays,
-                      letter_columns, substream_keys, theta_from_uniform,
-                      uniform_cells)
+                      letter_cells, letter_columns, substream_keys, uniform_cells)
 from .serialize import canonical_json, rows_to_csv
-from .stationary import PiecewiseLinearCDF, sample_stationary, stationary_cdf
+from .stationary import PiecewiseLinearCDF, stationary_cdf, stationary_quantile
 
 _SAMPLE_BLOCK = 1 << 16   # cap on samples vectorized together (does not affect output)
 _TRIAL_BLOCK = 1 << 16    # cap on trials vectorized together (does not affect output)
 _MAX_WORKERS = 64         # threads one run may use
+_THREAD_ROWS = 1 << 15    # fewest rows a block needs to be worth a thread
+_RATE_THREAD_ROWS = 1 << 13  # the same for rate, which hashes 16+ columns a call
 _RATE_CELLS = 1 << 16     # cap on one rate chunk's cells (does not affect output)
 _RATE_QK_CAP = 99         # keeps N below ~5.2e7 letters per trial
 
@@ -53,6 +63,9 @@ class EmpiricalCDF:
         arr = np.sort(np.asarray(values, dtype=float).ravel())
         if arr.size == 0:
             raise PreconditionError("empirical CDF needs a nonempty sample")
+        # the sort puts -inf first and inf and NaN last
+        if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):
+            raise PreconditionError("empirical CDF needs finite values")
         self.values = arr
         self.values.flags.writeable = False
 
@@ -77,8 +90,14 @@ def ks_distance(sample: EmpiricalCDF, reference) -> float:
     n = sample.size
     if isinstance(reference, PiecewiseLinearCDF):
         f = reference.evaluate(xs)
-        i = np.arange(1, n + 1)
-        return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+        # steps[i] = i / n: floats hold the integers 0..n exactly, so this
+        # is the same quotient as from the ints, with no int array built
+        steps = np.arange(n + 1, dtype=float)
+        steps /= n
+        gap = np.subtract(steps[1:], f)
+        above = np.max(gap)
+        below = np.max(np.subtract(f, steps[:-1], out=gap))
+        return float(max(above, below))
     if isinstance(reference, EmpiricalCDF):
         grid = np.concatenate([xs, reference.values])
         return float(np.max(np.abs(sample.evaluate(grid) - reference.evaluate(grid))))
@@ -88,20 +107,35 @@ def ks_distance(sample: EmpiricalCDF, reference) -> float:
 # ---- trial-blocked Monte Carlo helpers ------------------------------------
 
 
-def _run_blocks(worker, n_items: int, cap: int, workers: int) -> list:
-    """Apply worker(start, count) over consecutive blocks; results in block order.
+def _block_plan(n_items: int, cap: int, workers: int,
+                thread_rows: int = _THREAD_ROWS) -> tuple[int, list]:
+    """(threads, [(start, count), ...]) of a blocked run over n_items items.
 
-    The items split into the fewest equal blocks (up to rounding) that number
-    at least `workers` and hold at most `cap` items each: ceil(n / workers)
-    items a block when that is within the cap. So every worker gets work and
-    the block buffers stay bounded.
+    A thread is started only for a block of at least thread_rows items, so
+    the run uses min(workers, n_items // thread_rows) threads, and at least
+    one. The items split into the fewest blocks that number at least the
+    threads and hold at most `cap` items each, with counts that differ by at
+    most one. So every thread gets work, every block of a threaded run holds
+    at least thread_rows items, and the block buffers stay bounded.
+    """
+    threads = max(1, min(workers, n_items // thread_rows))
+    blocks = max(threads, -(-n_items // cap))
+    ends = [n_items * k // blocks for k in range(blocks + 1)]
+    return threads, [(s, e - s) for s, e in zip(ends, ends[1:])]
+
+
+def _run_blocks(worker, n_items: int, cap: int, workers: int,
+                thread_rows: int = _THREAD_ROWS) -> list:
+    """Apply worker(start, count) over the blocks of _block_plan, in block order.
+
+    workers (1..64) bounds the threads, and a thread needs a block of at
+    least thread_rows items; results never depend on the plan.
     """
     check_workers(workers)
-    block = -(-n_items // max(workers, -(-n_items // cap)))
-    tasks = [(s, min(block, n_items - s)) for s in range(0, n_items, block)]
-    if workers == 1:
+    threads, tasks = _block_plan(n_items, cap, workers, thread_rows)
+    if threads == 1:
         return [worker(s, c) for s, c in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda t: worker(*t), tasks))
 
 
@@ -262,7 +296,8 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     letters. The diameter is nonincreasing as letters are added outside, so
     each trial stops at its first sub-epsilon diameter; letters_used records
     that stopping point (or N on failure). Only the cells a trial folds are
-    hashed, read in chunks that grow with the letters used so far.
+    hashed, read in chunks that grow with the letters used so far. workers
+    bounds the threads, and a thread needs a block of at least 2^13 trials.
     """
     qs = convergents(contfrac_expand(alpha, 40))
     if not 0 <= k_index < len(qs):
@@ -297,7 +332,7 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
             j += width
         return success, used
 
-    parts = _run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers)
+    parts = _run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers, _RATE_THREAD_ROWS)
     successes = np.concatenate([s for s, _ in parts]).tolist()
     letters = np.concatenate([u for _, u in parts]).tolist()
     success_count = sum(successes)
@@ -493,19 +528,22 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
                                master_seed: int, workers: int = 1) -> dict:
     """Draw stationary samples, apply one random fold, measure KS to the law.
 
-    Sample-indexed: sample i takes its stationary draw from cell (0, i) and
-    its fold letter from cell (1, i), so output is independent of block size
-    and worker count.
+    Sample-indexed: sample i takes its stationary draw from cell (0, i), the
+    quantile of that uniform, and its fold letter from cell (1, i), read from
+    the hashed integer as letter_cells reads it, so output is independent of
+    block size and worker count. workers bounds the threads as in
+    _run_blocks: a thread needs a block of at least 2^15 samples.
     """
     if n_samples < 1:
         raise PreconditionError("n_samples must be >= 1")
     cdf = stationary_cdf(dist)
-    plan = TrialPlan(master_seed, trials=2)
+    keys = substream_keys(master_seed, 0, 2)
 
     def worker(start, count):
-        x = sample_stationary(cdf, plan.substream(0, start), count)
-        theta = theta_from_uniform(dist, plan.substream(1, start).random(count))
-        return np.abs(theta - x)
+        steps = np.arange(start, start + count)
+        x = stationary_quantile(cdf, uniform_cells(keys[:1], steps))
+        theta = letter_cells(dist, keys[1:], steps)
+        return np.abs(np.subtract(theta, x, out=x), out=x)
 
     parts = _run_blocks(worker, n_samples, _SAMPLE_BLOCK, workers)
     stepped = EmpiricalCDF(np.concatenate(parts))

@@ -18,11 +18,13 @@ is trial t's word, cell j its j-th letter. Any cell is reached directly, so a
 shorter word is a prefix of a longer one and results never depend on block
 layout, execution order or worker count.
 
-letter_columns reads a block's letters straight from the hashed integers z:
-u >= c exactly when z >= ceil(c 2^53) 2^11, so ThetaDist turns its
-cumulative weights into integer cuts once, and a letter's index is the
-number of cuts at or below z. That equals theta_from_uniform on the float
-cell bit for bit, and skips both the float cell and the binary search.
+letter_cells reads letters straight from the hashed integers z, as
+uniform_cells reads the float cells: u >= c exactly when z >= ceil(c 2^53)
+2^11, so ThetaDist turns its cumulative weights into integer cuts once, and
+a letter's index is the number of cuts at or below z. That equals
+theta_from_uniform on the float cell bit for bit, and skips both the float
+cell and the binary search. letter_columns is the same count, one column of
+a block of rows at a time, into buffers it allocates once.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ _GOLDEN64 = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _UNIT53 = 2.0 ** -53
-# letter_columns counts up to this many cuts by compares, more (or none) by
+# _take_letters counts up to this many cuts by compares, more (or none) by
 # bisection; the compares stay ahead through 16 cuts in blocks of 4096 rows
 # and up, and the two are level within noise in smaller blocks
 _CHAIN_CUTS = 16
@@ -92,18 +94,28 @@ def substream_keys(master_seed: int, first: int, count: int) -> np.ndarray:
     return _mix64(z)
 
 
-def uniform_cells(keys, steps) -> np.ndarray:
-    """Grid cells u[t, j] in [0, 1) for row keys and step indices j.
+def _cell_hashes(keys, steps, out=None, scratch=None) -> np.ndarray:
+    """The 64-bit hashes mix64(key_t + (j + 1) G) of grid cells (t, j).
 
-    keys is a uint64 array from substream_keys; steps is an int or an integer
-    array, broadcast against keys. Each cell is hashed on demand.
+    keys and steps as for uniform_cells. out, a uint64 array of the broadcast
+    shape, receives the hashes, and scratch, another, holds the shifted
+    copies; either is allocated when it is None.
     """
     if np.ndim(steps) == 0:
         offsets = _step_offset(int(steps))
     else:
         offsets = np.asarray(steps, dtype=np.uint64) + np.uint64(1)
         offsets *= np.uint64(_GOLDEN64)
-    z = _mix64(np.add(keys, offsets))
+    return _mix64(np.add(keys, offsets, out=out), scratch)
+
+
+def uniform_cells(keys, steps) -> np.ndarray:
+    """Grid cells u[t, j] in [0, 1) for row keys and step indices j.
+
+    keys is a uint64 array from substream_keys; steps is an int or an integer
+    array, broadcast against keys. Each cell is hashed on demand.
+    """
+    z = _cell_hashes(keys, steps)
     z >>= 11
     return z * _UNIT53
 
@@ -281,34 +293,55 @@ def _integer_cuts(cum: np.ndarray) -> np.ndarray:
     return np.array(cuts, dtype=np.uint64)
 
 
+def _take_letters(dist: ThetaDist, z: np.ndarray, theta: np.ndarray,
+                  scratch: np.ndarray, passed: np.ndarray) -> np.ndarray:
+    """Write the letters of hashed cells z into theta, and return it.
+
+    A letter's index is the number of dist's integer cuts at or below its
+    hash. Up to _CHAIN_CUTS cuts are counted by compares into scratch (a
+    uint64 array shaped like z, free once z is hashed) with passed (a bool
+    one) holding each compare; more cuts, or none, are counted by bisection.
+    """
+    cuts = dist._cuts
+    if 0 < cuts.size <= _CHAIN_CUTS:
+        index = scratch.view(np.intp)
+        np.greater_equal(z, cuts[0], out=index)
+        for cut in cuts[1:]:
+            index += np.greater_equal(z, cut, out=passed)
+    else:
+        index = np.searchsorted(cuts, z, side="right")
+    # every index is a count of cuts, below the support size, so "clip"
+    # never clips; it spares the bounds check that would buffer out
+    return np.take(dist.support, index, out=theta, mode="clip")
+
+
+def letter_cells(dist: ThetaDist, keys, steps) -> np.ndarray:
+    """The letters of grid cells (t, j) for row keys and step indices j.
+
+    keys and steps broadcast as in uniform_cells, and the result equals
+    theta_from_uniform(dist, uniform_cells(keys, steps)) bit for bit, read
+    from the hashed integers by the integer cuts of dist.
+    """
+    z = _cell_hashes(keys, steps)
+    return _take_letters(dist, z, np.empty(z.shape), np.empty_like(z),
+                         np.empty(z.shape, dtype=bool))
+
+
 def letter_columns(dist: ThetaDist, keys: np.ndarray, steps: Iterable[int]):
     """The letter columns of grid rows `keys`, one for each step j of `steps`.
 
-    Column j equals theta_from_uniform(dist, uniform_cells(keys, j)) bit for
-    bit, but its letters are read from the hashed integers by the integer
-    cuts of dist, with no float cell and no binary search while the cuts are
-    few. The buffers are allocated once, and every column is written into
-    the same read-only array, so fold each column before asking for the next.
+    Column j equals letter_cells(dist, keys, j). The buffers are allocated
+    once, and every column is written into the same read-only array, so fold
+    each column before asking for the next.
     """
-    cuts = dist._cuts
     theta = np.empty(keys.shape)
     column = theta.view()
     column.flags.writeable = False
     z = np.empty(keys.shape, dtype=np.uint64)
     scratch = np.empty_like(z)
-    index = scratch.view(np.intp)  # the hash is done with scratch when the count starts
     passed = np.empty(keys.shape, dtype=bool)
     for j in steps:
-        _mix64(np.add(keys, _step_offset(j), out=z), scratch)
-        if 0 < cuts.size <= _CHAIN_CUTS:
-            np.greater_equal(z, cuts[0], out=index)
-            for cut in cuts[1:]:
-                index += np.greater_equal(z, cut, out=passed)
-        else:
-            index = np.searchsorted(cuts, z, side="right")
-        # every index is a count of cuts, below the support size, so "clip"
-        # never clips; it spares the bounds check that would buffer out
-        np.take(dist.support, index, out=theta, mode="clip")
+        _take_letters(dist, _cell_hashes(keys, j, z, scratch), theta, scratch, passed)
         yield column
 
 

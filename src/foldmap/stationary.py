@@ -71,7 +71,8 @@ def stationary_cdf(dist: ThetaDist) -> PiecewiseLinearCDF:
 def stationary_quantile(cdf: PiecewiseLinearCDF, u):
     """Smallest x with CDF(x) >= u; exact on linear pieces."""
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0) or np.any(u_arr > 1):
+    # min and max carry a NaN through, so this rejects NaN as well
+    if u_arr.size and not (u_arr.min() >= 0 and u_arr.max() <= 1):
         raise PreconditionError("quantile argument must lie in [0, 1]")
     out = np.interp(u_arr, cdf.values, cdf.xs)
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out

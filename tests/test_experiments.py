@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,8 @@ from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      forward_values, interval_fold, iterate_forward,
                      ks_distance, law_equality_report,
                      one_step_invariance_report, rate_experiment, rate_steps,
-                     rho_walk_audit, stationary_cdf, theta_from_uniform,
-                     walk_confinement_dp)
+                     rho_walk_audit, sample_stationary, stationary_cdf,
+                     theta_from_uniform, walk_confinement_dp)
 from foldmap.orbit import (OrbitLabel, apply_theta_label, build_graph_window,
                            rho_chart)
 
@@ -40,6 +41,21 @@ class TestKSDistance:
         a = EmpiricalCDF(np.full(10, 0.1))
         b = EmpiricalCDF(np.full(10, 0.9))
         assert ks_distance(a, b) == 1.0
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 1000])
+    def test_one_sample_steps_from_the_integers(self, size):
+        # the jumps i / n and (i - 1) / n, each divided from its own integer
+        sample = EmpiricalCDF(np.random.default_rng(size).random(size) * 1.2)
+        f = STAT_CDF.evaluate(sample.values)
+        i = np.arange(1, size + 1)
+        want = max(np.max(i / size - f), np.max(f - (i - 1) / size))
+        assert ks_distance(sample, STAT_CDF) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        for values in ([0.1, bad], [bad], [bad, 0.3, 0.2]):
+            with pytest.raises(PreconditionError):
+                EmpiricalCDF(values)
 
 
 class TestForwardConvergence:
@@ -93,6 +109,71 @@ class TestForwardConvergence:
                 forward_values(TWO_POINT, x0, 5, plan)
         with pytest.raises(PreconditionError):
             forward_values(TWO_POINT, 0.2, -1, plan)
+
+
+FLOOR, RATE_FLOOR = experiments._THREAD_ROWS, experiments._RATE_THREAD_ROWS
+
+
+class TestBlockPlan:
+    """Threads only for blocks of 2^15 rows (rate: 2^13) or more; bytes never depend on it."""
+
+    @pytest.mark.parametrize("rows, workers, floor, threads, sizes", [
+        (20000, 2, FLOOR, 1, [20000]),
+        (65535, 2, FLOOR, 1, [65535]),
+        (65536, 2, FLOOR, 2, [32768] * 2),
+        (10 ** 5, 3, FLOOR, 3, [33333, 33333, 33334]),
+        (10 ** 6, 3, FLOOR, 3, [62500] * 16),
+        (10 ** 6, 64, FLOOR, 30, [33333] * 20 + [33334] * 10),
+        (1, 64, FLOOR, 1, [1]),
+        (131073, 1, FLOOR, 1, [43691, 43691, 43691]),
+        (200, 2, RATE_FLOOR, 1, [200]),
+        (16383, 2, RATE_FLOOR, 1, [16383]),
+        (16384, 2, RATE_FLOOR, 2, [8192] * 2),
+        (10 ** 5, 64, RATE_FLOOR, 12, [8333] * 8 + [8334] * 4),
+    ])
+    def test_plan(self, rows, workers, floor, threads, sizes):
+        got, tasks = experiments._block_plan(rows, experiments._TRIAL_BLOCK, workers, floor)
+        assert got == threads
+        assert sorted(c for _, c in tasks) == sizes
+        # consecutive blocks that cover the rows
+        assert [s for s, _ in tasks] == np.cumsum([0] + [c for _, c in tasks])[:-1].tolist()
+        assert sum(c for _, c in tasks) == rows
+
+    @pytest.mark.parametrize("rows", [2, 1000, 32767, 32768, 99999, 10 ** 6 + 7])
+    def test_threaded_blocks_are_long_and_capped(self, rows):
+        for workers in (1, 2, 3, 64):
+            threads, tasks = experiments._block_plan(rows, experiments._TRIAL_BLOCK,
+                                                     workers)
+            sizes = [c for _, c in tasks]
+            assert 1 <= threads <= workers and len(tasks) >= threads
+            assert max(sizes) <= experiments._TRIAL_BLOCK
+            assert max(sizes) - min(sizes) <= 1
+            if threads > 1:
+                assert min(sizes) >= FLOOR
+
+    @pytest.mark.parametrize("run", [
+        lambda w: forward_values(TWO_POINT, 0.2, 12, TrialPlan(3, 1 << 16), workers=w),
+        lambda w: backward_diam_ensemble(TWO_POINT, 12, TrialPlan(13, 1 << 16), workers=w),
+        lambda w: rate_experiment(ALPHA, 4, 0.6, TrialPlan(41, 1 << 14), workers=w).to_json(),
+    ], ids=["forward_values", "backward_diam_ensemble", "rate_experiment"])
+    def test_threaded_byte_identity(self, monkeypatch, run):
+        ref = run(1)
+        # every block starts by keying its rows, and waits there until the
+        # other has started: the run passes only when two pool threads hold a
+        # block at the same time
+        barrier = threading.Barrier(2, timeout=30)
+        idents = set()
+        keys = experiments.substream_keys
+
+        def meeting(*args):
+            idents.add(threading.get_ident())
+            barrier.wait()
+            return keys(*args)
+
+        monkeypatch.setattr(experiments, "substream_keys", meeting)
+        threaded = run(2)
+        assert len(idents) == 2 and threading.get_ident() not in idents
+        assert np.array_equal(ref, threaded)
 
 
 class TestBackwardDiameter:
@@ -397,6 +478,19 @@ class TestDistributionReports:
     def test_one_step_invariance(self):
         rep = one_step_invariance_report(TWO_POINT, 10 ** 5, master_seed=29)
         assert rep["ks_distance"] < 0.01
+
+    @pytest.mark.parametrize("dist", [
+        TWO_POINT,
+        ThetaDist([0.3, 0.6, 1.0], [0.2, 0.3, 0.5]),
+        ThetaDist(np.linspace(0.05, 1.0, 20), np.arange(1, 21) / 210),
+    ], ids=["two-point", "three-point", "twenty-point"])
+    def test_one_step_rows_by_the_float_path(self, dist):
+        # sample i: the quantile of cell (0, i), folded at the letter of cell (1, i)
+        plan, cdf = TrialPlan(29, trials=2), stationary_cdf(dist)
+        x = sample_stationary(cdf, plan.substream(0), 500)
+        theta = theta_from_uniform(dist, plan.substream(1).random(500))
+        want = ks_distance(EmpiricalCDF(np.abs(theta - x)), cdf)
+        assert one_step_invariance_report(dist, 500, master_seed=29)["ks_distance"] == want
 
     def test_one_step_worker_determinism(self):
         reps = [one_step_invariance_report(TWO_POINT, 10 ** 5, master_seed=29,

@@ -11,8 +11,8 @@ from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      interval_image, iterate_forward, ks_distance,
                      rate_experiment, sample_theta, stationary_cdf, step,
                      substream_seed, theta_from_uniform)
-from foldmap.process import (_CHAIN_CUTS, fold_interval_arrays, letter_columns,
-                             substream_keys, uniform_cells)
+from foldmap.process import (_CHAIN_CUTS, fold_interval_arrays, letter_cells,
+                             letter_columns, substream_keys, uniform_cells)
 
 ALPHA = math.sqrt(0.5)
 
@@ -480,11 +480,15 @@ LETTER_DISTS = {
     # cum[1] > 1, the top weight pinned back to 1
     "cum-above-1": (ThetaDist([0.2, 0.5, 1.0], [0.3, 0.7 + 2e-13, 1e-13]), 1),
     "forty-point": (ThetaDist(np.linspace(0.05, 2.0, 40), _W40 / _W40.sum()), 39),
+    "twenty-point": (ThetaDist(np.linspace(0.05, 1.0, 20), np.arange(1, 21) / 210), 19),
+    # cumulative weights below, at and near a few units of 2^-53
+    "tiny-weights": (ThetaDist([0.2, 0.4, 0.5, 1.0],
+                               [1e-17, 2.0 ** -53, 2.0 ** -52, 1 - 4.0 * 2.0 ** -53]), 3),
 }
 
 
 class TestLetterColumns:
-    """letter_columns equals theta_from_uniform over uniform_cells, bit for bit."""
+    """letter_columns and letter_cells equal theta_from_uniform over uniform_cells, bit for bit."""
 
     def test_supports_reach_the_edge_cases(self):
         assert LETTER_DISTS["cum-at-1"][0]._cum.tolist() == [1.0, 1.0]
@@ -511,6 +515,7 @@ class TestLetterColumns:
         assert np.array_equal(uniform_cells(keys, 0), u)
         (column,) = letter_columns(dist, keys, [0])
         assert np.array_equal(column, theta_from_uniform(dist, u))
+        assert np.array_equal(letter_cells(dist, keys, 0), column)
 
     @pytest.mark.parametrize("name", sorted(LETTER_DISTS))
     def test_random_columns(self, name):
@@ -521,6 +526,26 @@ class TestLetterColumns:
         assert len(columns) == len(steps)
         for j, column in zip(steps, columns):
             assert np.array_equal(column, theta_from_uniform(dist, uniform_cells(keys, j)))
+
+    @pytest.mark.parametrize("name", sorted(LETTER_DISTS))
+    def test_letter_cells_random_keys_and_steps(self, name):
+        dist, _ = LETTER_DISTS[name]
+        rng = np.random.default_rng(len(name))
+        keys = rng.integers(0, MASK64, size=700, dtype=np.uint64, endpoint=True)
+        steps = rng.integers(0, 1 << 40, size=(9, 1))
+        # a column of steps against every row, one step a row, single steps
+        for k, j in ((keys, steps), (keys[:9], steps[:, 0]), (keys, 0), (keys, 1 << 62)):
+            got = letter_cells(dist, k, j)
+            assert got.shape == np.broadcast(k, j).shape
+            assert np.array_equal(got, theta_from_uniform(dist, uniform_cells(k, j)))
+
+    def test_letter_cells_one_row(self):
+        # one key against a range of steps: the cells of one row, as UniformRow reads them
+        dist = LETTER_DISTS["dyadic-3"][0]
+        plan = TrialPlan(77, trials=2)
+        keys = substream_keys(77, 1, 1)
+        assert np.array_equal(letter_cells(dist, keys, np.arange(5, 505)),
+                              theta_from_uniform(dist, plan.substream(1, 5).random(500)))
 
     def test_column_is_one_read_only_buffer(self):
         keys = substream_keys(3, 0, 10)

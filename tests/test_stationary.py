@@ -79,6 +79,19 @@ class TestQuantile:
         with pytest.raises(PreconditionError):
             stationary_quantile(cdf, 1.1)
 
+    def test_nan_rejected(self):
+        cdf = stationary_cdf(TWO_POINT)
+        with pytest.raises(PreconditionError):
+            stationary_quantile(cdf, math.nan)
+        u = np.linspace(0.0, 1.0, 11)
+        u[4] = math.nan
+        with pytest.raises(PreconditionError):
+            stationary_quantile(cdf, u)
+
+    def test_empty_array(self):
+        cdf = stationary_cdf(TWO_POINT)
+        assert stationary_quantile(cdf, np.empty(0)).size == 0
+
 
 class TestSampleStationary:
     def test_ks_to_law(self):
