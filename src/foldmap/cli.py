@@ -332,7 +332,7 @@ COMMANDS = {row.name: row for row in (
     Command("closek", "smallest k with <x - k*alpha> below 3/(2 q_n)",
             (Arg("--alpha", "alpha"), Arg("--x", "float"), Arg("--qn"),
              _format("json", "csv")),
-            _closek, check=lambda a: check_close_k(a.x, a.qn)),
+            _closek, check=lambda a: check_close_k(a.alpha, a.x, a.qn)),
     Command("shrinkword", "shortest fold word over {alpha, beta} below a threshold",
             (Arg("--alpha", "alpha"), Arg("--beta", "float", 1.0), Arg("--m", "float"),
              Arg("--threshold", "float"), Arg("--max-len", default=256),

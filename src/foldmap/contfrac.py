@@ -102,8 +102,10 @@ def convergent_denominators(alpha: float, q_max: int) -> list[int]:
     return qs
 
 
-def check_close_k(x: float, q_n: int) -> None:
-    """The preconditions of find_close_k: x in [0, 1], q_n >= 1."""
+def check_close_k(alpha: float, x: float, q_n: int) -> None:
+    """The preconditions of find_close_k: alpha in (0, 1), x in [0, 1], q_n >= 1."""
+    if not 0.0 < alpha < 1.0:
+        raise PreconditionError("alpha must lie in (0, 1)")
     if not 0.0 <= x <= 1.0:
         raise PreconditionError("x must lie in [0, 1]")
     if q_n < 1:
@@ -117,7 +119,7 @@ def find_close_k(alpha: float, x: float, q_n: int) -> dict:
     raises LemmaViolationError when no witness exists, which for a genuine
     convergent denominator indicates a precision fault.
     """
-    check_close_k(x, q_n)
+    check_close_k(alpha, x, q_n)
     bound = 1.5 / q_n
     y = x % 1.0
     for k in range(q_n):

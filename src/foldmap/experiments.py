@@ -79,12 +79,28 @@ class EmpiricalCDF:
     __call__ = evaluate
 
 
+def _distinct_steps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, counts) of a sorted sample: its distinct values, ascending,
+    and counts[k], how many entries lie at or below the k-th of them
+    (counts[0] = 0, so counts has one entry more).
+    """
+    counts = np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1,
+                             [values.size]))
+    return values[counts[1:] - 1], counts
+
+
 def ks_distance(sample: EmpiricalCDF, reference) -> float:
     """Exact sup-distance between an empirical CDF and a reference CDF.
 
     reference may be a PiecewiseLinearCDF (one-sample statistic, evaluated at
-    the jump points) or another EmpiricalCDF (two-sample, evaluated at the
-    merged jump points).
+    the jump points) or another EmpiricalCDF (two-sample). The two-sample
+    statistic is the largest |F(t) - G(t)| over the jump points of both, and
+    each step CDF is evaluated there from its distinct values alone: the
+    count at or below t is the count at the largest distinct value <= t, the
+    same integer a search over the whole sample gives, divided by the same
+    size, so the result is bit for bit the one over the pooled samples. A
+    sample of many ties (a chain on a few orbit values) searches only its
+    distinct values.
     """
     xs = sample.values
     n = sample.size
@@ -99,8 +115,11 @@ def ks_distance(sample: EmpiricalCDF, reference) -> float:
         below = np.max(np.subtract(f, steps[:-1], out=gap))
         return float(max(above, below))
     if isinstance(reference, EmpiricalCDF):
-        grid = np.concatenate([xs, reference.values])
-        return float(np.max(np.abs(sample.evaluate(grid) - reference.evaluate(grid))))
+        (xa, ca), (xb, cb) = _distinct_steps(xs), _distinct_steps(reference.values)
+        grid = np.concatenate([xa, xb])
+        fa = ca[np.searchsorted(xa, grid, side="right")] / n
+        fb = cb[np.searchsorted(xb, grid, side="right")] / reference.size
+        return float(np.max(np.abs(fa - fb)))
     raise PreconditionError(f"unsupported reference type {type(reference).__name__}")
 
 

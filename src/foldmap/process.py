@@ -25,6 +25,13 @@ a letter's index is the number of cuts at or below z. That equals
 theta_from_uniform on the float cell bit for bit, and skips both the float
 cell and the binary search. letter_columns is the same count, one column of
 a block of rows at a time, into buffers it allocates once.
+
+When every cut is coarse, a multiple of 2^33 (a cumulative weight on a
+multiple of 2^-31, as the 1/2 of every uniform two-point dist is), the
+letters are read from the hash before mix64's last step z ^ (z >> 31).
+z >> 31 is below 2^33, so that step keeps bits 63..33 of z, and for a cut c
+with its low 33 bits zero, z ^ (z >> 31) >= c exactly when z >= c: the
+letters are the same bit for bit, two array passes sooner.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ _GOLDEN64 = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _UNIT53 = 2.0 ** -53
+_LOW33 = np.uint64((1 << 33) - 1)  # the bits mix64's last xor-shift can change
 # _take_letters counts up to this many cuts by compares, more (or none) by
 # bisection; the compares stay ahead through 16 cuts in blocks of 4096 rows
 # and up, and the two are level within noise in smaller blocks
@@ -56,18 +64,22 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _mix64(z: np.ndarray, scratch: np.ndarray | None = None,
+           coarse: bool = False) -> np.ndarray:
     """The splitmix64 finalizer, in place on a uint64 array (wraps mod 2^64).
 
     scratch, a uint64 array shaped like z, holds the shifted copies; one is
-    allocated when it is None.
+    allocated when it is None. coarse skips the last step z ^= z >> 31: it
+    changes only bits 32..0 (z >> 31 is below 2^33), so the result compares
+    with any multiple c of 2^33 as the full hash does.
     """
     if scratch is None:
         scratch = np.empty_like(z)
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         z ^= np.right_shift(z, shift, out=scratch)
         z *= np.uint64(mult)
-    z ^= np.right_shift(z, 31, out=scratch)
+    if not coarse:
+        z ^= np.right_shift(z, 31, out=scratch)
     return z
 
 
@@ -94,19 +106,20 @@ def substream_keys(master_seed: int, first: int, count: int) -> np.ndarray:
     return _mix64(z)
 
 
-def _cell_hashes(keys, steps, out=None, scratch=None) -> np.ndarray:
+def _cell_hashes(keys, steps, out=None, scratch=None, coarse=False) -> np.ndarray:
     """The 64-bit hashes mix64(key_t + (j + 1) G) of grid cells (t, j).
 
     keys and steps as for uniform_cells. out, a uint64 array of the broadcast
     shape, receives the hashes, and scratch, another, holds the shifted
-    copies; either is allocated when it is None.
+    copies; either is allocated when it is None. coarse stops before mix64's
+    last xor-shift (see _mix64), for comparisons with multiples of 2^33 only.
     """
     if np.ndim(steps) == 0:
         offsets = _step_offset(int(steps))
     else:
         offsets = np.asarray(steps, dtype=np.uint64) + np.uint64(1)
         offsets *= np.uint64(_GOLDEN64)
-    return _mix64(np.add(keys, offsets, out=out), scratch)
+    return _mix64(np.add(keys, offsets, out=out), scratch, coarse)
 
 
 def uniform_cells(keys, steps) -> np.ndarray:
@@ -209,6 +222,9 @@ class ThetaDist:
         self._cum.flags.writeable = False
         self._cuts = _integer_cuts(cum)
         self._cuts.flags.writeable = False
+        # every cut a multiple of 2^33 (none counts): letters may skip the
+        # hash's last xor-shift
+        self._coarse = not np.any(self._cuts & _LOW33)
 
     @property
     def bound(self) -> float:
@@ -320,9 +336,11 @@ def letter_cells(dist: ThetaDist, keys, steps) -> np.ndarray:
 
     keys and steps broadcast as in uniform_cells, and the result equals
     theta_from_uniform(dist, uniform_cells(keys, steps)) bit for bit, read
-    from the hashed integers by the integer cuts of dist.
+    from the hashed integers by the integer cuts of dist. When those cuts
+    are coarse (multiples of 2^33), the hashes stop before mix64's last
+    xor-shift, which leaves every comparison with such a cut unchanged.
     """
-    z = _cell_hashes(keys, steps)
+    z = _cell_hashes(keys, steps, coarse=dist._coarse)
     return _take_letters(dist, z, np.empty(z.shape), np.empty_like(z),
                          np.empty(z.shape, dtype=bool))
 
@@ -330,9 +348,10 @@ def letter_cells(dist: ThetaDist, keys, steps) -> np.ndarray:
 def letter_columns(dist: ThetaDist, keys: np.ndarray, steps: Iterable[int]):
     """The letter columns of grid rows `keys`, one for each step j of `steps`.
 
-    Column j equals letter_cells(dist, keys, j). The buffers are allocated
-    once, and every column is written into the same read-only array, so fold
-    each column before asking for the next.
+    Column j equals letter_cells(dist, keys, j), and skips mix64's last
+    xor-shift where letter_cells does, for dists whose cuts are coarse. The
+    buffers are allocated once, and every column is written into the same
+    read-only array, so fold each column before asking for the next.
     """
     theta = np.empty(keys.shape)
     column = theta.view()
@@ -341,7 +360,8 @@ def letter_columns(dist: ThetaDist, keys: np.ndarray, steps: Iterable[int]):
     scratch = np.empty_like(z)
     passed = np.empty(keys.shape, dtype=bool)
     for j in steps:
-        _take_letters(dist, _cell_hashes(keys, j, z, scratch), theta, scratch, passed)
+        _take_letters(dist, _cell_hashes(keys, j, z, scratch, dist._coarse), theta,
+                      scratch, passed)
         yield column
 
 

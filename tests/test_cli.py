@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from foldmap import walk_confinement_dp
-from foldmap.cli import _build_parser, run
+from foldmap import PreconditionError, walk_confinement_dp
+from foldmap.cli import COMMANDS, _build_parser, run
 
 INV_SQRT2 = "0.7071067811865476"
 
@@ -339,6 +339,7 @@ class TestInputBoundary:
         (["walk-oracle", "--n", "0"], "n must lie in 1..30"),
         (CLOSEK + ["--qn", "0"], "q_n must be >= 1"),
         (CLOSEK + ["--x", "1.5"], "x must lie in [0, 1]"),
+        (CLOSEK + ["--alpha", "1.5"], "alpha must lie strictly inside (0, 1)"),
         (SIM + ["--trials", "0"], "trials must be >= 1"),
         (SIM + ["--x0", "-0.5"], "x0 must be finite and >= 0"),
         (SIM + ["--n", "-1"], "n must be >= 0"),
@@ -358,7 +359,7 @@ class TestInputBoundary:
         (WORD + ["--m", "-1"], "m must be >= 0"),
     ], ids=["orbit-window-0", "orbit-window-cap", "orbit-x", "orbit-json-margin", "audit-x0", "audit-steps",
             "audit-window-0", "audit-window-cap", "audit-segments", "walk-n-31", "walk-n-0",
-            "closek-qn", "closek-x", "simulate-trials", "simulate-x0", "simulate-n",
+            "closek-qn", "closek-x", "closek-alpha", "simulate-trials", "simulate-x0", "simulate-n",
             "simulate-workers", "bvf-trials", "bvf-x0", "bvf-workers", "rate-trials",
             "rate-qk-cap", "rate-eps", "rate-workers", "contfrac-terms-cap",
             "contfrac-terms-negative", "word-beta", "word-threshold", "word-m"])
@@ -381,6 +382,13 @@ class TestInputBoundary:
     def test_non_finite_float(self, capsys, argv, name, dry):
         assert run(argv + dry) == 2
         assert f"{name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 1.5, 1.0, 0.0, -0.3])
+    def test_closek_row_checks_alpha(self, alpha):
+        # --alpha is parsed into (0, 1); the row's check holds the library's range too
+        args = argparse.Namespace(alpha=alpha, x=0.5, qn=17)
+        with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
+            COMMANDS["closek"].check(args)
 
     def test_non_finite_threshold_stops_before_search(self, capsys, monkeypatch):
         def search(*args, **kwargs):

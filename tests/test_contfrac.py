@@ -7,6 +7,7 @@ import pytest
 from foldmap import (LemmaViolationError, PrecisionError, PreconditionError,
                      contfrac_expand, convergent_denominators, convergents,
                      find_close_k)
+from foldmap.contfrac import check_close_k
 
 INV_SQRT2 = math.sqrt(0.5)
 GOLDEN_CONJ = (math.sqrt(5) - 1) / 2
@@ -124,6 +125,16 @@ class TestFindCloseK:
             find_close_k(INV_SQRT2, 1.5, 3)
         with pytest.raises(PreconditionError):
             find_close_k(INV_SQRT2, 0.5, 0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, 1.5, 1.0, 0.0,
+                                       -0.0, -0.3])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # before the check: inf gave k = 1 with value -inf, 1.5 gave value 0.0,
+        # and NaN, 0 and -0.3 ended in LemmaViolationError
+        with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
+            find_close_k(alpha, 0.5, 17)
+        with pytest.raises(PreconditionError):
+            check_close_k(alpha, 0.5, 17)
 
 
 class TestSpacing:

@@ -24,7 +24,52 @@ TWO_POINT = ThetaDist.two_point(ALPHA)
 STAT_CDF = stationary_cdf(TWO_POINT)
 
 
+def pooled_ks(a, b):
+    """The two-sample KS as it was computed before: both CDFs on the pooled samples."""
+    grid = np.concatenate([a.values, b.values])
+    return float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid))))
+
+
+def _ks_pairs() -> dict:
+    rng = np.random.default_rng(2024)
+    orbit = rng.random(6)
+    up = np.nextafter(0.5, 1.0)  # adjacent floats are distinct values
+    return {
+        "no-ties": (rng.random(300), rng.random(300)),
+        "no-ties-n-ne-m": (rng.random(17), rng.random(400)),
+        "ties": (rng.choice(orbit, 500), rng.choice(orbit, 500)),
+        "ties-n-ne-m": (rng.choice(orbit, 97), rng.choice(orbit[:4], 1000)),
+        "size-1": ([0.3], [0.3]),
+        "size-1-apart": ([0.3], rng.random(50)),
+        "both-size-1": ([0.7], [0.2]),
+        "signed-zeros": ([-0.0, 0.0, 0.0, 0.5], [0.0, -0.0, 0.5, 0.5, 0.5]),
+        "zeros-only": ([-0.0] * 3, [0.0] * 7),
+        "adjacent-floats": ([0.5, 0.5, 0.5, up, up], [up, up, up, up, 0.5]),
+        "shared-and-own": (np.r_[orbit[:3].repeat(40), rng.random(30)], orbit.repeat(11)),
+    }
+
+
+KS_PAIRS = _ks_pairs()
+
+
 class TestKSDistance:
+    @pytest.mark.parametrize("name", sorted(KS_PAIRS))
+    def test_two_sample_equals_pooled_formula(self, name):
+        a, b = (EmpiricalCDF(v) for v in KS_PAIRS[name])
+        for s, t in ((a, b), (b, a), (a, a)):
+            got, want = ks_distance(s, t), pooled_ks(s, t)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_two_sample_random_pairs_equal_pooled_formula(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            n, m = rng.integers(1, 200, size=2)
+            pool = np.r_[rng.random(rng.integers(1, 12)), -0.0, 0.0]
+            x, y = ((rng.random(n), rng.random(m)) if rng.random() < 0.3
+                    else (rng.choice(pool, n), rng.choice(pool, m)))
+            a, b = EmpiricalCDF(x), EmpiricalCDF(y)
+            assert ks_distance(a, b) == pooled_ks(a, b)
+
     def test_identical_samples(self):
         a = EmpiricalCDF(np.linspace(0.1, 0.9, 100))
         b = EmpiricalCDF(np.linspace(0.1, 0.9, 100))

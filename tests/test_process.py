@@ -11,8 +11,9 @@ from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      interval_image, iterate_forward, ks_distance,
                      rate_experiment, sample_theta, stationary_cdf, step,
                      substream_seed, theta_from_uniform)
-from foldmap.process import (_CHAIN_CUTS, fold_interval_arrays, letter_cells,
-                             letter_columns, substream_keys, uniform_cells)
+from foldmap.process import (_CHAIN_CUTS, _cell_hashes, fold_interval_arrays,
+                             letter_cells, letter_columns, substream_keys,
+                             uniform_cells)
 
 ALPHA = math.sqrt(0.5)
 
@@ -484,7 +485,13 @@ LETTER_DISTS = {
     # cumulative weights below, at and near a few units of 2^-53
     "tiny-weights": (ThetaDist([0.2, 0.4, 0.5, 1.0],
                                [1e-17, 2.0 ** -53, 2.0 ** -52, 1 - 4.0 * 2.0 ** -53]), 3),
+    # cumulative weights on multiples of 2^-31: cuts on multiples of 2^33
+    "coarse-2^-31": (ThetaDist([0.3, 0.6, 1.0], [2.0 ** -31, 0.5, 0.5 - 2.0 ** -31]), 2),
+    # one cumulative weight at an odd multiple of 2^-32: a cut off the 2^33 grid
+    "fine-2^-32": (ThetaDist([0.3, 0.6, 1.0], [2.0 ** -32, 0.5, 0.5 - 2.0 ** -32]), 2),
 }
+# the dists whose letters skip the hash's last xor-shift
+COARSE = {"one-point", "two-point", "cum-at-1", "coarse-2^-31"}
 
 
 class TestLetterColumns:
@@ -502,12 +509,42 @@ class TestLetterColumns:
         assert dist._cuts.size == cuts and dist._cuts.dtype == np.uint64
         assert np.all(dist._cuts[1:] >= dist._cuts[:-1])
 
+    def test_which_dists_are_coarse(self):
+        assert {name for name, (d, _) in LETTER_DISTS.items() if d._coarse} == COARSE
+        for dist, _ in LETTER_DISTS.values():
+            assert dist._coarse == all(int(c) % (1 << 33) == 0 for c in dist._cuts)
+        # every uniform two-point dist cuts at 2^63
+        for alpha in (ALPHA, 0.1, 0.9, 1e-9):
+            dist = ThetaDist.two_point(alpha)
+            assert dist._coarse and dist._cuts.tolist() == [1 << 63]
+
+    def test_last_xor_shift_keeps_coarse_comparisons(self):
+        cut = 1 << 63
+        rng = np.random.default_rng(63)
+        low = rng.integers(0, 1 << 33, size=50).tolist()
+        high = [cut - (1 << 33), cut]  # the 2^33-cells either side of the cut
+        pre = sorted({cut - 1, cut, cut + 1, cut + (1 << 33) - 1}
+                     | {h + r for h in high for r in low})
+        for z in pre:
+            assert (z ^ (z >> 31) >= cut) == (z >= cut)
+        # the library's coarse hash is the full hash before that step
+        keys = rng.integers(0, MASK64, size=2000, dtype=np.uint64, endpoint=True)
+        full = _cell_hashes(keys, 5)
+        coarse = _cell_hashes(keys, 5, coarse=True)
+        assert np.array_equal(coarse ^ (coarse >> np.uint64(31)), full)
+        assert np.array_equal(coarse >= np.uint64(cut), full >= np.uint64(cut))
+        # and a cut off the 2^33 grid can tell the two apart
+        fine, z = cut + (1 << 32), cut + (1 << 32) - 1
+        assert (z ^ (z >> 31) >= fine) != (z >= fine)
+
     @pytest.mark.parametrize("name", sorted(LETTER_DISTS))
     def test_crafted_integers_at_the_cuts(self, name):
         dist, _ = LETTER_DISTS[name]
-        # every cumulative weight's cut, kept or dropped, and one integer either side
+        # every cumulative weight's cut, kept or dropped, one integer either
+        # side, and the ends of the 2^33-cells on either side
         edges = [math.ceil(c * 2.0 ** 53) << 11 for c in dist._cum.tolist()]
-        zs = sorted({min(max(e + d, 0), MASK64) for e in edges for d in (-1, 0, 1)}
+        shifts = (-(1 << 33), -1, 0, 1, (1 << 33) - 1)
+        zs = sorted({min(max(e + d, 0), MASK64) for e in edges for d in shifts}
                     | {0, MASK64})
         keys = keys_hashing_to(zs)
         z = np.array(zs, dtype=np.uint64)
