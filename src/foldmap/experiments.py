@@ -3,11 +3,15 @@
 Reproducibility contract: every stochastic experiment takes a TrialPlan (or a
 master seed) and reads its letters from that seed's uniform grid (see
 foldmap.process): trial t's j-th letter is cell (t, j), hashed on demand.
-forward_values, law_equality_report and backward_diam_ensemble read one
-letter column of a block of trials at a time (process.letter_columns, which
-reads letters from the hashed integers by exact integer cuts), in the order
-the fold consumes it, and fold it in place into the block's own arrays, so
-no (trials, n) matrix is ever built.
+forward_values, law_equality_report and backward_diam_ensemble fold one
+letter column of a block of trials at a time, in the order the fold consumes
+it, in place into the block's own arrays, so no (trials, n) matrix is ever
+built. process.letter_columns reads the letters from the hashed integers (a
+top-bit select for a uniform two-point dist, exact integer cuts otherwise)
+and hashes a tile of up to TILE_CELLS cells, several consecutive columns of
+a short block, per numpy call. rate_experiment reads its chunks of columns
+through the same kernel, process.letter_cells, and both fold with the
+six-pass fold_interval_arrays.
 
 Workers are threads, and numpy does the heavy lifting, so a thread pays only
 when its block is long enough that each numpy call outlasts the hand-over of
@@ -42,8 +46,9 @@ from .contfrac import contfrac_expand, convergents
 from .errors import PreconditionError, StructuralError, WindowError
 from .orbit import (OrbitLabel, W_MAX, build_graph_window, check_graph_window,
                     rho_chart)
-from .process import (ThetaDist, TrialPlan, check_trials, fold_interval_arrays,
-                      letter_cells, letter_columns, substream_keys, uniform_cells)
+from .process import (TILE_CELLS, ThetaDist, TrialPlan, check_trials,
+                      fold_interval_arrays, letter_cells, letter_columns, substream_keys,
+                      uniform_cells)
 from .serialize import canonical_json, rows_to_csv
 from .stationary import PiecewiseLinearCDF, stationary_cdf, stationary_quantile
 
@@ -52,7 +57,6 @@ _TRIAL_BLOCK = 1 << 16    # cap on trials vectorized together (does not affect o
 _MAX_WORKERS = 64         # threads one run may use
 _THREAD_ROWS = 1 << 15    # fewest rows a block needs to be worth a thread
 _RATE_THREAD_ROWS = 1 << 13  # the same for rate, which hashes 16+ columns a call
-_RATE_CELLS = 1 << 16     # cap on one rate chunk's cells (does not affect output)
 _RATE_QK_CAP = 99         # keeps N below ~5.2e7 letters per trial
 
 
@@ -315,7 +319,8 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     letters. The diameter is nonincreasing as letters are added outside, so
     each trial stops at its first sub-epsilon diameter; letters_used records
     that stopping point (or N on failure). Only the cells a trial folds are
-    hashed, read in chunks that grow with the letters used so far. workers
+    hashed, read in chunks that grow with the letters used so far: at least
+    16 letters a trial, and beyond that at most TILE_CELLS cells. workers
     bounds the threads, and a thread needs a block of at least 2^13 trials.
     """
     qs = convergents(contfrac_expand(alpha, 40))
@@ -324,6 +329,7 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     q_k = qs[k_index].q
     check_rate(q_k, epsilon, plan.trials, workers)
     n_steps = rate_steps(q_k)
+    dist = ThetaDist.two_point(alpha)
     t0 = time.perf_counter()
 
     def worker(start, count):
@@ -335,9 +341,8 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
         spare = np.empty(live.size), np.empty(live.size)  # fold scratch, prefixes in use
         j = 0  # letters applied to every live trial
         while live.size and j < n_steps:
-            width = min(n_steps - j, max(16, min(j, _RATE_CELLS // live.size)))
-            cells = uniform_cells(keys[live], np.arange(j, j + width)[:, None])
-            thetas = np.where(cells < 0.5, alpha, 1.0)  # inverse transform of {alpha, 1}
+            width = min(n_steps - j, max(16, min(j, TILE_CELLS // live.size)))
+            thetas = letter_cells(dist, keys[live], np.arange(j, j + width)[:, None])
             diam = np.empty_like(thetas)
             scratch = spare[0][:live.size], spare[1][:live.size]
             for i in range(width):

@@ -23,21 +23,32 @@ uniform_cells reads the float cells: u >= c exactly when z >= ceil(c 2^53)
 2^11, so ThetaDist turns its cumulative weights into integer cuts once, and
 a letter's index is the number of cuts at or below z. That equals
 theta_from_uniform on the float cell bit for bit, and skips both the float
-cell and the binary search. letter_columns is the same count, one column of
-a block of rows at a time, into buffers it allocates once.
+cell and the binary search. A dist whose only cut is 2^63, as every uniform
+two-point dist's is, needs no count: its letter is support[1] exactly when
+z's top bit is set, so the letter's bits are s0 ^ (m & (s0 ^ s1)), with s0,
+s1 the bits of support[0], support[1] and m = int64(z) >> 63 (all ones or
+all zeros), three integer passes with no compare and no gather.
 
 When every cut is coarse, a multiple of 2^33 (a cumulative weight on a
 multiple of 2^-31, as the 1/2 of every uniform two-point dist is), the
 letters are read from the hash before mix64's last step z ^ (z >> 31).
 z >> 31 is below 2^33, so that step keeps bits 63..33 of z, and for a cut c
 with its low 33 bits zero, z ^ (z >> 31) >= c exactly when z >= c: the
-letters are the same bit for bit, two array passes sooner.
+letters are the same bit for bit, two array passes sooner. The sign bit is
+one of the bits kept, so the top-bit select is exact on that hash too.
+
+letter_columns yields the letter columns of a block of rows one at a time,
+but hashes a tile of consecutive columns per numpy call: (width, rows)
+cells, width = max(1, TILE_CELLS // rows), into buffers it allocates once.
+Above TILE_CELLS rows a tile is one column. A cell's letter does not depend
+on the tile it was read in, so neither does any result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,6 +61,16 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _UNIT53 = 2.0 ** -53
 _LOW33 = np.uint64((1 << 33) - 1)  # the bits mix64's last xor-shift can change
+_SIGN_CUT = 1 << 63  # the cut of a weight of 1/2 first: the letter is z's top bit
+# cap on the cells hashed per numpy call by letter_columns and by a
+# rate_experiment chunk (does not affect output). 2^15 and 2^16 time level
+# on the benchmark's backward-diameter and rate ops; 2^16 reads three columns
+# a call at simulate's 20000 rows, and a tile's hash, scratch and letter
+# buffers (1.5 MB) still fit a 2 MB L2
+TILE_CELLS = 1 << 16
+# +0.0 as a 0-d array: a ufunc converts a Python float operand on every call
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 # _take_letters counts up to this many cuts by compares, more (or none) by
 # bisection; the compares stay ahead through 16 cuts in blocks of 4096 rows
 # and up, and the two are level within noise in smaller blocks
@@ -199,24 +220,25 @@ class ThetaDist:
         wts = np.asarray(list(weights), dtype=float)
         if sup.size == 0 or sup.size != wts.size:
             raise PreconditionError("support and weights must be nonempty and equal-length")
-        if not (np.all(np.isfinite(sup)) and np.all(np.isfinite(wts))):
+        # array methods, not np.any/np.all: rate_experiment builds a dist a call
+        if not (np.isfinite(sup).all() and np.isfinite(wts).all()):
             raise PreconditionError("fold points and weights must be finite")
-        if np.any(sup <= 0):
+        if (sup <= 0).any():
             raise PreconditionError("fold points must be strictly positive")
-        if np.any(wts <= 0):
+        if (wts <= 0).any():
             raise PreconditionError("weights must be strictly positive")
         if abs(wts.sum() - 1.0) > 1e-12:
             raise PreconditionError("weights must sum to 1 within 1e-12")
-        order = np.argsort(sup)
+        order = sup.argsort()
         sup, wts = sup[order], wts[order]
-        if np.any(np.diff(sup) == 0):
+        if (sup[1:] == sup[:-1]).any():
             raise PreconditionError("fold points must be distinct")
         self.support = sup
         self.weights = wts
         self.support.flags.writeable = False
         self.weights.flags.writeable = False
         # cumulative weights for inverse-transform draws; pin the top to 1.0
-        cum = np.cumsum(wts)
+        cum = wts.cumsum()
         cum[-1] = 1.0
         self._cum = cum
         self._cum.flags.writeable = False
@@ -224,7 +246,12 @@ class ThetaDist:
         self._cuts.flags.writeable = False
         # every cut a multiple of 2^33 (none counts): letters may skip the
         # hash's last xor-shift
-        self._coarse = not np.any(self._cuts & _LOW33)
+        self._coarse = not (self._cuts & _LOW33).any()
+        # the one cut 2^63: the int64 bits (s0, s0 ^ s1) of the top-bit select
+        self._sign_bits = None
+        if self._cuts.tolist() == [_SIGN_CUT]:
+            s0, s1 = self.support[:2].view(np.int64)
+            self._sign_bits = s0, s0 ^ s1
 
     @property
     def bound(self) -> float:
@@ -310,18 +337,27 @@ def _integer_cuts(cum: np.ndarray) -> np.ndarray:
 
 
 def _take_letters(dist: ThetaDist, z: np.ndarray, theta: np.ndarray,
-                  scratch: np.ndarray, passed: np.ndarray) -> np.ndarray:
+                  scratch: np.ndarray | None = None) -> np.ndarray:
     """Write the letters of hashed cells z into theta, and return it.
 
-    A letter's index is the number of dist's integer cuts at or below its
-    hash. Up to _CHAIN_CUTS cuts are counted by compares into scratch (a
-    uint64 array shaped like z, free once z is hashed) with passed (a bool
-    one) holding each compare; more cuts, or none, are counted by bisection.
+    A dist whose only cut is 2^63 selects between its two lowest points by
+    z's top bit, in theta's int64 view. Otherwise a letter's index is the
+    number of dist's integer cuts at or below its hash: up to _CHAIN_CUTS
+    cuts are counted by compares into scratch (a uint64 array shaped like z,
+    allocated when None), with theta, not yet written, holding each compare;
+    more cuts, or none, are counted by bisection.
     """
+    if dist._sign_bits is not None:
+        base, flip = dist._sign_bits
+        bits = np.right_shift(z.view(np.int64), 63, out=theta.view(np.int64))
+        bits &= flip
+        bits ^= base
+        return theta
     cuts = dist._cuts
     if 0 < cuts.size <= _CHAIN_CUTS:
-        index = scratch.view(np.intp)
+        index = np.empty(z.shape, np.intp) if scratch is None else scratch.view(np.intp)
         np.greater_equal(z, cuts[0], out=index)
+        passed = theta.view(np.intp)
         for cut in cuts[1:]:
             index += np.greater_equal(z, cut, out=passed)
     else:
@@ -331,38 +367,55 @@ def _take_letters(dist: ThetaDist, z: np.ndarray, theta: np.ndarray,
     return np.take(dist.support, index, out=theta, mode="clip")
 
 
-def letter_cells(dist: ThetaDist, keys, steps) -> np.ndarray:
+def letter_cells(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.ndarray:
     """The letters of grid cells (t, j) for row keys and step indices j.
 
     keys and steps broadcast as in uniform_cells, and the result equals
     theta_from_uniform(dist, uniform_cells(keys, steps)) bit for bit, read
-    from the hashed integers by the integer cuts of dist. When those cuts
+    from the hashed integers by the integer cuts of dist: by the top-bit
+    select when the one cut is 2^63, else by counting cuts. When the cuts
     are coarse (multiples of 2^33), the hashes stop before mix64's last
     xor-shift, which leaves every comparison with such a cut unchanged.
+
+    out, a float array of the broadcast shape, receives the letters, and
+    scratch, a pair of uint64 arrays of that shape, holds the hashes and
+    their shifted copies. Either is allocated when it is None; a loop that
+    passes both allocates nothing.
     """
-    z = _cell_hashes(keys, steps, coarse=dist._coarse)
-    return _take_letters(dist, z, np.empty(z.shape), np.empty_like(z),
-                         np.empty(z.shape, dtype=bool))
+    z, spare = (None, None) if scratch is None else scratch
+    z = _cell_hashes(keys, steps, z, spare, dist._coarse)
+    return _take_letters(dist, z, np.empty(z.shape) if out is None else out, spare)
+
+
+def _step_tiles(steps: Iterable[int], width: int):
+    """Consecutive groups of at most `width` of steps, each a uint64 array,
+    read lazily: no more than one tile of steps is ever held."""
+    steps = iter(steps)
+    while tile := list(islice(steps, width)):
+        yield np.array(tile, dtype=np.uint64)
 
 
 def letter_columns(dist: ThetaDist, keys: np.ndarray, steps: Iterable[int]):
     """The letter columns of grid rows `keys`, one for each step j of `steps`.
 
-    Column j equals letter_cells(dist, keys, j), and skips mix64's last
-    xor-shift where letter_cells does, for dists whose cuts are coarse. The
-    buffers are allocated once, and every column is written into the same
-    read-only array, so fold each column before asking for the next.
+    Column j equals letter_cells(dist, keys, j). The columns are read a tile
+    at a time, width = max(1, TILE_CELLS // rows) consecutive steps per
+    letter_cells call, into buffers allocated once; steps may be any
+    iterable, and only one tile of it is read ahead. Every column is a
+    read-only view of the same buffer, so fold each column before asking for
+    the next.
     """
-    theta = np.empty(keys.shape)
-    column = theta.view()
-    column.flags.writeable = False
-    z = np.empty(keys.shape, dtype=np.uint64)
+    width = max(1, TILE_CELLS // max(1, keys.size))
+    theta = np.empty((width,) + keys.shape)
+    columns = theta.view()
+    columns.flags.writeable = False
+    z = np.empty(theta.shape, dtype=np.uint64)
     scratch = np.empty_like(z)
-    passed = np.empty(keys.shape, dtype=bool)
-    for j in steps:
-        _take_letters(dist, _cell_hashes(keys, j, z, scratch, dist._coarse), theta,
-                      scratch, passed)
-        yield column
+    for js in _step_tiles(steps, width):
+        k = js.size
+        letter_cells(dist, keys, js.reshape((k,) + (1,) * keys.ndim),
+                     out=theta[:k], scratch=(z[:k], scratch[:k]))
+        yield from columns[:k]
 
 
 def sample_theta(dist: ThetaDist, rng: np.random.Generator, size=None):
@@ -409,34 +462,36 @@ def fold_interval_arrays(theta, lo, hi, out=None, scratch=None):
     for the three cases: theta <= lo translates, theta >= hi reflects, and a
     theta inside folds the interval through 0. It needs lo <= hi: then the
     upper end equals max(|theta - lo|, |theta - hi|) bit for bit, since
-    rounding keeps theta - lo >= theta - hi and hi - theta >= lo - theta, and
-    the fold costs seven array passes and no abs. np.maximum returns its
-    second operand when both are zeros, so the zero comes last in the lower
-    end (+0.0, never -0.0), and hi - theta comes last in the upper end: of
-    the two differences only theta - lo can be -0.0 when the ends carry no
-    sign bit (at theta = -0.0). Python's max keeps the first, so the scalar
-    loop in interval_fold puts the zero first.
+    rounding keeps theta - lo >= theta - hi and hi - theta >= lo - theta.
+
+    The upper end is computed as 0.0 - min(lo - theta, theta - hi) from the
+    two differences the lower end needs, so the fold costs six array passes
+    and no abs. That is the same float: for a != b, fl(a - b) = -fl(b - a),
+    since round-to-nearest is symmetric about zero, and 0.0 - x = -x for
+    x != 0; for a == b both differences are zeros, and 0.0 - (+-0.0) is
+    +0.0, so the upper end is never -0.0. np.maximum returns its second
+    operand when both are zeros, so the zero comes last in the lower end
+    (+0.0, never -0.0). Python's max keeps the first, so the scalar loop in
+    interval_fold puts the zero first.
 
     out, a pair of float arrays of the broadcast shape, receives the two
     endpoints; it may be (lo, hi) itself, so a fold loop keeps its arrays.
-    scratch, a second such pair, holds lo - theta and theta - hi while the
-    upper end is written. Either pair is allocated when it is None; a fold
-    loop that passes both allocates nothing.
+    scratch, a second such pair, holds lo - theta and theta - hi. Either
+    pair is allocated when it is None; a fold loop that passes both
+    allocates nothing.
     """
     theta = np.asarray(theta, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     from_lo, to_hi = (None, None) if scratch is None else scratch
+    # the only reads of lo and hi, so out may be (lo, hi) itself
     from_lo = np.subtract(lo, theta, out=from_lo)
     to_hi = np.subtract(theta, hi, out=to_hi)
     if out is None:  # empty_like makes an array even where from_lo is a scalar
         out = np.empty_like(from_lo), np.empty_like(from_lo)
     new_lo, new_hi = out
-    # the last reads of lo and hi, each by the pass that writes its own slot,
-    # so out may be (lo, hi) itself
-    np.subtract(theta, lo, out=new_lo)
-    np.maximum(new_lo, np.subtract(hi, theta, out=new_hi), out=new_hi)
-    np.maximum(np.maximum(from_lo, to_hi, out=new_lo), 0.0, out=new_lo)
+    np.subtract(_ZERO, np.minimum(from_lo, to_hi, out=new_hi), out=new_hi)
+    np.maximum(np.maximum(from_lo, to_hi, out=new_lo), _ZERO, out=new_lo)
     return new_lo, new_hi
 
 

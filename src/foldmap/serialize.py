@@ -36,9 +36,22 @@ def canonical_json(obj) -> str:
 
 
 def rows_to_csv(header: list[str], rows) -> str:
-    """Render rows as CSV text with a header line (no quoting needed here)."""
+    """Render rows as CSV text with a header line (no quoting needed here).
+
+    rows is an iterable of rows, or a 1-d float64 array that stands for the
+    rows (i, rows[i]). An array is rendered by its distinct bit patterns,
+    each once (np.unique over the int64 view, so -0.0 and 0.0 stay apart),
+    to the same text its rows would give: a chain sample holds few distinct
+    values.
+    """
     lines = [",".join(header)]
-    lines += [",".join(map(_cell, row)) for row in rows]
+    if isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype == np.float64:
+        bits, which = np.unique(np.ascontiguousarray(rows).view(np.int64),
+                                return_inverse=True)
+        texts = [repr(v) for v in bits.view(np.float64).tolist()]
+        lines += [f"{i},{texts[k]}" for i, k in enumerate(which.tolist())]
+    else:
+        lines += [",".join(map(_cell, row)) for row in rows]
     lines.append("")
     return "\n".join(lines)
 

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from foldmap import PreconditionError, walk_confinement_dp
-from foldmap.cli import COMMANDS, _build_parser, run
+from foldmap import PreconditionError, TrialPlan, forward_values, walk_confinement_dp
+from foldmap.cli import COMMANDS, _build_parser, parse_dist, run
+from foldmap.serialize import rows_to_csv
 
 INV_SQRT2 = "0.7071067811865476"
 
@@ -152,6 +153,20 @@ class TestSimulate:
         lines = out_of(capsys).splitlines()
         assert lines[0] == "trial,value"
         assert len(lines) == 51
+
+    def test_csv_equals_row_rendering(self, capsys):
+        argv = ["simulate", "--dist", "0.3:0.25,1.0:0.75", "--x0", "0.6", "--n", "3",
+                "--trials", "400", "--seed", "2"]
+        assert run(argv + ["--format", "json"]) == 0
+        out_of(capsys)
+        assert run(argv + ["--format", "csv"]) == 0
+        values = forward_values(parse_dist("0.3:0.25,1.0:0.75"), 0.6, 3, TrialPlan(2, 400))
+        assert out_of(capsys) == rows_to_csv(["trial", "value"], enumerate(values.tolist()))
+
+    def test_csv_keeps_negative_zero(self, capsys):
+        assert run(["simulate", "--dist", "two-point:inv-sqrt2", "--x0", "-0.0", "--n", "0",
+                    "--trials", "3", "--seed", "1", "--format", "csv"]) == 0
+        assert out_of(capsys) == "trial,value\n0,-0.0\n1,-0.0\n2,-0.0\n"
 
     def test_worker_byte_identity(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

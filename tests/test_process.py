@@ -1,6 +1,8 @@
 """Folding step, word iteration, and exact interval arithmetic."""
 
+import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      interval_image, iterate_forward, ks_distance,
                      rate_experiment, sample_theta, stationary_cdf, step,
                      substream_seed, theta_from_uniform)
-from foldmap.process import (_CHAIN_CUTS, _cell_hashes, fold_interval_arrays,
-                             letter_cells, letter_columns, substream_keys,
-                             uniform_cells)
+from foldmap.process import (_CHAIN_CUTS, TILE_CELLS, _cell_hashes,
+                             fold_interval_arrays, letter_cells, letter_columns,
+                             substream_keys, uniform_cells)
 
 ALPHA = math.sqrt(0.5)
 
@@ -590,3 +592,137 @@ class TestLetterColumns:
             columns = list(letter_columns(dist, keys, range(3)))
             assert all(c.base is columns[0].base for c in columns)
             assert not columns[0].flags.writeable
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+# dists whose only cut is 2^63, so their letters are the top-bit select
+SIGN_DISTS = {
+    "two-point": ThetaDist.two_point(ALPHA),
+    "alpha-1e-9": ThetaDist.two_point(1e-9),
+    "subnormal-1": ThetaDist([5e-324, 1.0], [0.5, 0.5]),
+    "subnormal-huge": ThetaDist([5e-324, 1e308], [0.5, 0.5]),
+    "1e-9-huge": ThetaDist([1e-9, 1e308], [0.5, 0.5]),
+    # cum [0.5, 1.0, 1.0]: the second cut is dropped, and the third point never drawn
+    "three-point-one-cut": ThetaDist([0.5, 1.0, 2.0], [0.5, 0.5, 1e-13]),
+}
+
+
+class TestSignLetters:
+    """The top-bit select equals the float path bit for bit."""
+
+    CRAFTED = [0, (1 << 63) - (1 << 33), (1 << 63) - 1, 1 << 63,
+               (1 << 63) + (1 << 33) - 1, MASK64]
+
+    @pytest.mark.parametrize("name", sorted(SIGN_DISTS))
+    def test_crafted_hashes(self, name):
+        dist = SIGN_DISTS[name]
+        assert dist._sign_bits is not None and dist._coarse
+        keys = keys_hashing_to(self.CRAFTED)
+        want = theta_from_uniform(dist, uniform_cells(keys, 0))
+        assert same_bits(want, dist.support[[0, 0, 0, 1, 1, 1]])
+        assert same_bits(letter_cells(dist, keys, 0), want)
+        (column,) = letter_columns(dist, keys, [0])
+        assert same_bits(column, want)
+
+    @pytest.mark.parametrize("name", sorted(SIGN_DISTS))
+    def test_random_cells(self, name):
+        dist = SIGN_DISTS[name]
+        keys = substream_keys(63, 0, 500)
+        steps = np.arange(40)[:, None]
+        assert same_bits(letter_cells(dist, keys, steps),
+                         theta_from_uniform(dist, uniform_cells(keys, steps)))
+
+    def test_only_the_cut_2_63_selects(self):
+        sign = {name for name, (d, _) in LETTER_DISTS.items() if d._sign_bits is not None}
+        assert sign == {"two-point"}
+        assert ThetaDist([ALPHA, 1.0], [0.3, 0.7])._sign_bits is None
+
+
+def tiled_columns(dist, keys, steps):
+    return [c.copy() for c in letter_columns(dist, keys, steps)]
+
+
+def cells_of(dist, keys, steps):
+    return letter_cells(dist, keys, np.array(steps, dtype=np.uint64)[:, None])
+
+
+TILE_DISTS = ["two-point", "dyadic-3", "forty-point"]  # select, compares, bisection
+
+
+class TestLetterTiles:
+    """Column j of letter_columns is letter_cells(dist, keys, j), however the tiles fall."""
+
+    @pytest.mark.parametrize("name", TILE_DISTS)
+    @pytest.mark.parametrize("rows, steps", [
+        (1, range(3, 3 + TILE_CELLS + 5)),   # two tiles, the second of five columns
+        (TILE_CELLS - 1, range(3)),          # width 1
+        (TILE_CELLS + 1, range(2)),          # width 1
+        (3000, range(50)),                   # width 21, a ragged last tile
+        (3000, range(49, -1, -1)),           # descending
+        (3000, range(7, 200, 9)),            # a stride
+        (3000, range(5, 5)),                 # empty
+        (700, range(2 ** 62 + 150, 2 ** 62 - 150, -1)),  # near 2^62, across tiles
+    ])
+    def test_columns_equal_cells(self, name, rows, steps):
+        dist = LETTER_DISTS[name][0]
+        keys = substream_keys(17, 3, rows)
+        columns = tiled_columns(dist, keys, steps)
+        assert len(columns) == len(steps)
+        if columns:
+            assert same_bits(np.stack(columns), cells_of(dist, keys, list(steps)))
+
+    def test_columns_equal_float_path(self):
+        dist = LETTER_DISTS["dyadic-3"][0]
+        keys = substream_keys(5, 0, 3000)
+        for j, column in zip(range(60, 0, -1), letter_columns(dist, keys, range(60, 0, -1))):
+            assert same_bits(column, theta_from_uniform(dist, uniform_cells(keys, j)))
+
+    @pytest.mark.parametrize("name", TILE_DISTS)
+    def test_one_pass_generator(self, name):
+        dist = LETTER_DISTS[name][0]
+        keys = substream_keys(8, 0, 3000)
+        steps = [4, 0, 9, 9, 2 ** 40, 1, *range(100, 140)]
+        columns = tiled_columns(dist, keys, (j for j in steps))
+        assert same_bits(np.stack(columns), cells_of(dist, keys, steps))
+
+    def test_steps_are_read_one_tile_ahead(self):
+        dist = LETTER_DISTS["two-point"][0]
+        keys = substream_keys(9, 0, 3000)  # width 21
+        read = []
+
+        def counting(steps):
+            for j in steps:
+                read.append(j)
+                yield j
+
+        columns = letter_columns(dist, keys, counting(itertools.count()))
+        first = [c.copy() for c in itertools.islice(columns, 30)]
+        assert len(read) == 42  # two tiles of an endless iterable
+        assert same_bits(np.stack(first), cells_of(dist, keys, range(30)))
+        # a range far too long to list is sliced, one tile at a time
+        (column,) = itertools.islice(letter_columns(dist, keys, range(10 ** 18)), 1)
+        assert same_bits(column, letter_cells(dist, keys, 0))
+
+    def test_threaded_blocks(self):
+        # two threads read 2^15 rows each (width 2), as two blocks of a run at 2^16 rows
+        dist = LETTER_DISTS["dyadic-3"][0]
+        blocks = [substream_keys(21, start, 1 << 15) for start in (0, 1 << 15)]
+        steps = range(9, -1, -1)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda keys: tiled_columns(dist, keys, steps), blocks))
+        for keys, columns in zip(blocks, got):
+            assert same_bits(np.stack(columns), cells_of(dist, keys, list(steps)))
+
+    def test_out_and_scratch(self):
+        dist = LETTER_DISTS["dyadic-3"][0]
+        keys = substream_keys(4, 0, 100)
+        steps = np.arange(8)[:, None]
+        out = np.empty((8, 100))
+        scratch = np.empty((8, 100), np.uint64), np.empty((8, 100), np.uint64)
+        for d in (dist, LETTER_DISTS["two-point"][0], LETTER_DISTS["forty-point"][0]):
+            got = letter_cells(d, keys, steps, out=out, scratch=scratch)
+            assert got is out
+            assert same_bits(got, letter_cells(d, keys, steps))

@@ -1,4 +1,4 @@
-"""CSV cells: exact-type fast paths and the numpy and bool cases."""
+"""CSV cells: exact-type fast paths, the numpy and bool cases, and float arrays."""
 
 import numpy as np
 
@@ -14,3 +14,11 @@ def test_cells_by_type():
 def test_layout():
     assert rows_to_csv(["a", "b"], []) == "a,b\n"
     assert rows_to_csv(["a", "b"], iter([(1, 2.5), (3, 4.0)])) == "a,b\n1,2.5\n3,4.0\n"
+
+
+def test_float_array_renders_like_its_rows():
+    rng = np.random.default_rng(3)
+    edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, np.inf, -np.inf, np.nan, 0.1, 0.1])
+    for values in (edge, rng.random(500), rng.choice(edge[:7], 300), np.empty(0)):
+        assert rows_to_csv(["trial", "value"], values) == \
+            rows_to_csv(["trial", "value"], enumerate(values.tolist()))
