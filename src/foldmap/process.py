@@ -387,14 +387,6 @@ def letter_cells(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.nda
     return _take_letters(dist, z, np.empty(z.shape) if out is None else out, spare)
 
 
-def _step_tiles(steps: Iterable[int], width: int):
-    """Consecutive groups of at most `width` of steps, each a uint64 array,
-    read lazily: no more than one tile of steps is ever held."""
-    steps = iter(steps)
-    while tile := list(islice(steps, width)):
-        yield np.array(tile, dtype=np.uint64)
-
-
 def letter_columns(dist: ThetaDist, keys: np.ndarray, steps: Iterable[int]):
     """The letter columns of grid rows `keys`, one for each step j of `steps`.
 
@@ -411,10 +403,11 @@ def letter_columns(dist: ThetaDist, keys: np.ndarray, steps: Iterable[int]):
     columns.flags.writeable = False
     z = np.empty(theta.shape, dtype=np.uint64)
     scratch = np.empty_like(z)
-    for js in _step_tiles(steps, width):
-        k = js.size
-        letter_cells(dist, keys, js.reshape((k,) + (1,) * keys.ndim),
-                     out=theta[:k], scratch=(z[:k], scratch[:k]))
+    steps = iter(steps)
+    while tile := list(islice(steps, width)):
+        k = len(tile)
+        js = np.array(tile, dtype=np.uint64).reshape((k,) + (1,) * keys.ndim)
+        letter_cells(dist, keys, js, out=theta[:k], scratch=(z[:k], scratch[:k]))
         yield from columns[:k]
 
 

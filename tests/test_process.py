@@ -595,7 +595,7 @@ class TestLetterColumns:
 
 
 def same_bits(a, b) -> bool:
-    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+    return np.array_equal(bits(a), bits(b))
 
 
 # dists whose only cut is 2^63, so their letters are the top-bit select
