@@ -1,8 +1,8 @@
-"""Pinned bytes of the rho chart and of the rho-audit report.
+"""Pinned bytes of the rho chart, the rho-audit report and the orbit exports.
 
-The chart's rho and level_min arrays and the CLI report are each compared
-with one SHA-256 digest, so a change to the graph build, the rho chart or the
-label walk that moves a single bit of them fails here.
+The chart's rho and level_min arrays and each CLI report are compared with
+one SHA-256 digest, so a change to the graph build, the rho chart, the label
+walk or the DOT and JSON writers that moves a single bit of them fails here.
 """
 
 import contextlib
@@ -42,6 +42,20 @@ CLI_SHA256 = [
 ]
 
 
+_ORBIT = ["orbit", "--alpha", "inv-sqrt2", "--x", "0.2", "--window"]
+# (argv, digest, line count); at golden-conj window 3 the lower-edge vertex
+# (-3,+1) is small and (-3,-1) large, so both alpha-fold branches leave the
+# window there and neither vertex has an alpha edge
+ORBIT_SHA256 = [
+    (_ORBIT + ["10000", "--format", "dot"],
+     "8c7cb457d00ad1a24f0639a0707bbca806a76ecaf487e88efb0fe2dbf6f9a765", 120006),
+    (_ORBIT + ["100000", "--format", "json"],
+     "22b0deb1a76272c73c7238751a732012a3102261834801b2b58545d0bb0f0f05", 1),
+    (["orbit", "--alpha", "golden-conj", "--x", "0.17", "--window", "3", "--format", "dot"],
+     "2af10aea8a9502728cbc0b66785f9755174ce77818290ff2b4c870be49076df9", 42),
+]
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -55,10 +69,22 @@ def test_rho_chart_digest(alpha, x, window, level_lo, digest):
     assert _digest(data) == digest
 
 
-@pytest.mark.parametrize("argv, digest", CLI_SHA256,
-                         ids=["seed-17", "seed-18", "default-window"])
-def test_rho_audit_digest(argv, digest):
+def _stdout(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run(argv) == 0
-    assert _digest(out.getvalue().encode()) == digest
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv, digest", CLI_SHA256,
+                         ids=["seed-17", "seed-18", "default-window"])
+def test_rho_audit_digest(argv, digest):
+    assert _digest(_stdout(argv).encode()) == digest
+
+
+@pytest.mark.parametrize("argv, digest, lines", ORBIT_SHA256,
+                         ids=["dot-1e4", "json-1e5", "dot-lower-edge"])
+def test_orbit_digest(argv, digest, lines):
+    text = _stdout(argv)
+    assert text.count("\n") == lines
+    assert _digest(text.encode()) == digest
