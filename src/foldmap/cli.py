@@ -222,7 +222,7 @@ def _orbit(a, resolved) -> str:
 
 
 def _check_orbit(a) -> None:
-    orbit.check_graph_window(a.x, a.window)
+    orbit.check_graph_window(a.alpha, a.x, a.window)
     if a.format == "json":
         orbit.check_margin(a.window)
 

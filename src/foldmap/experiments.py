@@ -449,7 +449,7 @@ def check_rho_walk(alpha: float, x0: float, steps: int, segments: int,
     if segments < 0:
         raise PreconditionError("segments must be >= 0")
     if window is not None:
-        check_graph_window(x0, window)
+        check_graph_window(alpha, x0, window)
 
 
 def _label_walk(alpha: float, x0: float, u: np.ndarray):

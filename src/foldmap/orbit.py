@@ -11,20 +11,21 @@ cuts alpha and 1-alpha (roles swap for alpha < 1/2). Values are always
 recomputed from labels, never propagated, so round-off stays below 1e-9 for
 |n| up to 10^6.
 
+Give label (n, eps) the position p = eps*n: the full fold keeps p and the
+alpha fold moves it to p - eps, so every window graph is a ladder whose rungs
+are the full-fold edges and whose alpha edges join adjacent positions, one
+edge per pair, chosen by value >= alpha. A window thus stores only values.
 rho_chart assigns each vertex a signed graph distance from a small base
 vertex, the coordinate along which a random theta-walk becomes a simple +-1
-walk. Give label (n, eps) the position p = eps*n: the full fold keeps p and
-the alpha fold moves it to p - eps, so every window graph is a ladder whose
-rungs are the full-fold edges and whose alpha edges join adjacent positions,
-one edge per pair of positions. Each step between positions costs 1 or 2, so
-the distances are one cumulative sum of step costs over positions. The chart
-also keeps the minimum vertex value of every distance level as a dense array.
+walk: one cumulative sum of step costs 1 or 2 over positions. The chart also
+keeps the minimum vertex value of every distance level as a dense array.
 shrink_word searches words over {alpha, beta} that fold a value below a
 threshold.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -61,8 +62,15 @@ class VertexClass(IntEnum):
     LARGE = 2
 
 
+def _check_alpha(alpha: float) -> None:
+    """0 < alpha < 1, which the ladder rule needs; rejects NaN as well."""
+    if not 0.0 < alpha < 1.0:
+        raise PreconditionError("alpha must lie in (0, 1)")
+
+
 def label_value(alpha: float, x: float, label: OrbitLabel) -> float:
     """Value <n*alpha + eps*x> of a label, accurate below 1e-9 in the window."""
+    _check_alpha(alpha)
     if abs(label.n) > W_MAX:
         raise PrecisionError(f"|n| > {W_MAX} exceeds the precision window")
     if not 0.0 <= x <= 1.0:
@@ -106,6 +114,9 @@ def classify_vertex(alpha: float, value: float) -> VertexClass:
     Strict inequalities; a value within 1e-12 of a cut raises
     ClassBoundaryError since the classes are defined by open conditions.
     """
+    _check_alpha(alpha)
+    if not 0.0 <= value <= 1.0:
+        raise PreconditionError("value must lie in [0, 1]")
     on_cut, classes = _classify(alpha, np.array([value], dtype=np.float64))
     if on_cut[0]:
         raise ClassBoundaryError(f"value {value!r} sits on a class boundary")
@@ -122,6 +133,7 @@ def is_singular(alpha: float, x: float, window: int = DEFAULT_WINDOW) -> bool:
     within 1e-10 for |n| <= window. Numerically undecidable in general; the
     window and tolerance are the documented compromise.
     """
+    _check_alpha(alpha)
     if not 0.0 <= x <= 1.0:
         raise PreconditionError("x must lie in [0, 1]")
     n = np.arange(-window, window + 1)
@@ -134,26 +146,29 @@ def is_singular(alpha: float, x: float, window: int = DEFAULT_WINDOW) -> bool:
     return False
 
 
+def _label_of(index: int, window: int) -> OrbitLabel:
+    block, offset = divmod(int(index), 2 * window + 1)
+    return OrbitLabel(offset - window, 1 if block == 0 else -1)
+
+
 class OrbitGraphWindow:
     """Materialized orbit graph on the labels |n| <= W, both eps rows.
 
-    Vertices are indexed eps-row-major: index = block*(2W+1) + (n+W) with
-    block 0 for eps=+1 and block 1 for eps=-1. Out-edge targets are stored as
-    flat indices, -1 when the target label falls outside the window (only the
-    alpha edge at n = -W can). Immutable after construction.
+    Vertices are indexed eps-row-major, i = block*m + (n+W) with m = 2W+1 and
+    block 0 for eps=+1, 1 for eps=-1. Edges are not stored; they follow the
+    ladder rule of apply_theta_label: the rung of i goes to 2m-1-i, the alpha
+    edge to i-1 when values[i] >= alpha and else to 2m-i, and a vertex at
+    n = -W has none (its image leaves the window). Immutable once built.
     """
 
-    def __init__(self, alpha, x, window, values, classes, one_target,
-                 alpha_target, coincidences):
+    def __init__(self, alpha, x, window, values, classes, coincidences):
         self.alpha = alpha
         self.base_x = x
         self.window = window
         self.values = values
         self.classes = classes
-        self.one_target = one_target
-        self.alpha_target = alpha_target
         self.coincidences = coincidences
-        for arr in (values, classes, one_target, alpha_target):
+        for arr in (values, classes):
             arr.flags.writeable = False
 
     # ---- indexing -------------------------------------------------------
@@ -169,17 +184,14 @@ class OrbitGraphWindow:
         return block * (2 * self.window + 1) + (label.n + self.window)
 
     def label_at(self, index: int) -> OrbitLabel:
-        m = 2 * self.window + 1
-        block, offset = divmod(int(index), m)
-        return OrbitLabel(offset - self.window, 1 if block == 0 else -1)
+        return _label_of(index, self.window)
 
     def out_edges(self, label: OrbitLabel):
-        """[(theta, target_label), ...] for edges whose target is in-window."""
-        i = self.index_of(label)
-        out = [(1.0, self.label_at(self.one_target[i]))]
-        if self.alpha_target[i] >= 0:
-            out.append((self.alpha, self.label_at(self.alpha_target[i])))
-        return out
+        """[(theta, target_label), ...] for the automaton images inside the window."""
+        self.index_of(label)  # raises for a label outside the window
+        images = [(theta, apply_theta_label(self.alpha, self.base_x, label, theta))
+                  for theta in (1.0, self.alpha)]
+        return [(theta, t) for theta, t in images if abs(t.n) <= self.window]
 
     def interior_mask(self, margin: int = 2) -> np.ndarray:
         """Boolean mask excluding a margin of width `margin` at both n ends."""
@@ -200,23 +212,28 @@ class OrbitGraphWindow:
     def to_dot(self) -> str:
         """DOT text: vertices labeled '(n,eps)/Class', edges labeled a or 1."""
         names = ("Small", "Medium", "Large")
+        m = 2 * self.window + 1
         n = range(-self.window, self.window + 1)
         # str(OrbitLabel) of every vertex, in index order
         labels = [f"({k},+1)" for k in n] + [f"({k},-1)" for k in n]
         lines = ["digraph orbit {"]
         lines += [f'  "{lab}" [label="{lab}/{names[c]}"];'
                   for lab, c in zip(labels, self.classes.tolist())]
-        for lab, one, a in zip(labels, self.one_target.tolist(),
-                               self.alpha_target.tolist()):
-            lines.append(f'  "{lab}" -> "{labels[one]}" [label="1"];')
+        i = np.arange(2 * m)
+        alpha_edge = np.where(self.values >= self.alpha, i - 1, 2 * m - i)
+        alpha_edge[::m] = -1  # n = -W, whose alpha image leaves the window
+        # the rung of i is 2m-1-i, the label list read backwards
+        for lab, rung, a in zip(labels, reversed(labels), alpha_edge.tolist()):
+            lines.append(f'  "{lab}" -> "{rung}" [label="1"];')
             if a >= 0:
                 lines.append(f'  "{lab}" -> "{labels[a]}" [label="a"];')
         lines.append("}\n")
         return "\n".join(lines)
 
 
-def check_graph_window(x: float, window: int) -> None:
-    """The preconditions of build_graph_window: 1 <= window <= W_MAX, x in [0, 1]."""
+def check_graph_window(alpha: float, x: float, window: int) -> None:
+    """build_graph_window's preconditions: 0 < alpha < 1, 0 <= x <= 1, 1 <= window <= W_MAX."""
+    _check_alpha(alpha)
     if window < 1:
         raise PreconditionError("window must be >= 1")
     if window > W_MAX:
@@ -238,46 +255,25 @@ def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
     class cut within 1e-12) and records value coincidences within 1e-10 as
     label pairs instead of merging vertices.
     """
-    check_graph_window(x, window)
-    m = 2 * window + 1
+    check_graph_window(alpha, x, window)
     n = np.arange(-window, window + 1)
     values = np.concatenate([(n * alpha + x) % 1.0, (n * alpha - x) % 1.0])
 
     on_cut, classes = _classify(alpha, values)
     if np.any(on_cut):
         i = int(np.flatnonzero(on_cut)[0])
-        block, offset = divmod(i, m)
-        lab = OrbitLabel(offset - window, 1 if block == 0 else -1)
         raise ClassBoundaryError(
-            f"label {lab} value {float(values[i])!r} ties a class boundary; "
-            "alpha rational or x on a cut orbit")
-
-    nn = np.concatenate([n, n])
-    block = np.repeat([0, 1], m)
-    # full fold: (n, eps) -> (-n, -eps), always in-window
-    one_target = (1 - block) * m + (-nn + window)
-    # alpha fold: shift down when the value clears alpha, else fold through 0
-    stay = values >= alpha
-    tgt_n = np.where(stay, nn - 1, -(nn - 1))
-    tgt_block = np.where(stay, block, 1 - block)
-    alpha_target = np.where(np.abs(tgt_n) <= window,
-                            tgt_block * m + (tgt_n + window), -1)
+            f"label {_label_of(i, window)} value {float(values[i])!r} ties a class "
+            "boundary; alpha rational or x on a cut orbit")
 
     # the sorted values are the same either way, so the stable order that
     # names the pairs is only needed when some gap is below the tolerance
     close = np.flatnonzero(np.diff(np.sort(values)) < SINGULAR_TOL)
     order = np.argsort(values, kind="stable") if close.size else None
-    coincidences = []
-    for j in close:
-        a, b = int(order[j]), int(order[j + 1])
-        ba, oa = divmod(a, m)
-        bb, ob = divmod(b, m)
-        coincidences.append((OrbitLabel(oa - window, 1 if ba == 0 else -1),
-                             OrbitLabel(ob - window, 1 if bb == 0 else -1)))
+    coincidences = [(_label_of(order[j], window), _label_of(order[j + 1], window))
+                    for j in close]
 
-    return OrbitGraphWindow(alpha, x, window, values, classes,
-                            one_target.astype(np.int64),
-                            alpha_target.astype(np.int64), coincidences)
+    return OrbitGraphWindow(alpha, x, window, values, classes, coincidences)
 
 
 # ---- signed distance chart ----------------------------------------------
@@ -332,7 +328,7 @@ def rho_chart(graph: OrbitGraphWindow, x0_label: OrbitLabel) -> RhoChart:
     graph.index_of(OrbitLabel(x0_label.n + 1, x0_label.eps))
 
     a = np.arange(m) + (0 if x0_label.eps == 1 else m)
-    cost = np.where(graph.alpha_target[a[1:]] == a[:-1], 1, 2)
+    cost = np.where(graph.values[a[1:]] >= graph.alpha, 1, 2)
     level = np.concatenate(([0], np.cumsum(cost)))
     rho = np.empty(2 * m, dtype=np.int64)
     rho[a] = level - level[x0_label.n + w]
@@ -392,7 +388,10 @@ def structure_stats(graph: OrbitGraphWindow, margin: int = 2) -> dict:
 
 
 def check_shrink_word(alpha: float, beta: float, m: float, threshold: float) -> None:
-    """The preconditions of shrink_word: 0 < alpha < beta, threshold > 0, m >= 0."""
+    """The preconditions of shrink_word: finite, 0 < alpha < beta, threshold > 0, m >= 0."""
+    # NaN buckets never compare equal and inf - inf is NaN, so the search would not end
+    if not all(map(math.isfinite, (beta, m, threshold))):
+        raise PreconditionError("beta, m and threshold must be finite")
     if not 0.0 < alpha < beta:
         raise PreconditionError("need 0 < alpha < beta")
     if threshold <= 0.0:

@@ -90,16 +90,13 @@ def large_count(alpha: float, n: int) -> int:
     cut; for alpha < 1/2 the same count covers the medium and large classes
     combined. Equals n - floor(n*alpha) for irrational alpha.
     """
-    if not 0 < alpha < 1:
-        raise PreconditionError("alpha must lie in (0, 1)")
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    frac = np.arange(1, n + 1) * alpha % 1.0
-    return int(np.count_nonzero(frac >= alpha))
+    return int(large_count_cumulative(alpha, n)[-1])
 
 
 def large_count_cumulative(alpha: float, n: int) -> np.ndarray:
     """L_1..L_n in one pass (index 0 holds L_1)."""
+    if not 0 < alpha < 1:
+        raise PreconditionError("alpha must lie in (0, 1)")
     if n < 1:
         raise PreconditionError("n must be >= 1")
     frac = np.arange(1, n + 1) * alpha % 1.0
@@ -108,6 +105,8 @@ def large_count_cumulative(alpha: float, n: int) -> np.ndarray:
 
 def is_small_vertex(alpha: float, n: int, tol: float = 1e-12) -> bool:
     """True when <n*alpha> falls strictly inside the small class (below both cuts)."""
+    if not 0 < alpha < 1:
+        raise PreconditionError("alpha must lie in (0, 1)")
     v = n * alpha % 1.0
     return v < min(alpha, 1.0 - alpha) - tol
 

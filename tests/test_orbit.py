@@ -1,6 +1,7 @@
 """Orbit labels, the windowed graph, signed distance, and word search."""
 
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -16,6 +17,8 @@ from foldmap import orbit
 
 ALPHA = math.sqrt(0.5)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# every alpha the ladder rule does not cover; NaN slips past plain comparisons
+BAD_ALPHAS = [math.nan, math.inf, -math.inf, 0.0, 1.0, 1.5]
 
 
 class TestLabels:
@@ -31,6 +34,11 @@ class TestLabels:
             OrbitLabel(0, 2)
         with pytest.raises(PrecisionError):
             label_value(ALPHA, 0.2, OrbitLabel(10 ** 6 + 1, 1))
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
+            label_value(alpha, 0.2, OrbitLabel(1, 1))
 
     def test_str(self):
         assert str(OrbitLabel(3, 1)) == "(3,+1)"
@@ -83,6 +91,17 @@ class TestClassify:
         with pytest.raises(ClassBoundaryError):
             classify_vertex(ALPHA, 1.0 - ALPHA + 1e-14)
 
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
+            classify_vertex(alpha, 0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, -0.1, 1.5, math.inf])
+    def test_value_outside_unit_interval(self, value):
+        # a NaN value failed every cut comparison and came out LARGE
+        with pytest.raises(PreconditionError, match=r"value must lie in \[0, 1\]"):
+            classify_vertex(ALPHA, value)
+
 
 class TestSingular:
     def test_seed_points(self):
@@ -96,6 +115,11 @@ class TestSingular:
 
     def test_generic_point(self):
         assert not is_singular(ALPHA, 0.2, window=10 ** 4)
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
+            is_singular(alpha, 0.2, window=10)
 
 
 DOT_WINDOW_2 = """\
@@ -143,13 +167,17 @@ class TestGraphWindow:
 
     def test_full_fold_is_involution(self):
         g = build_graph_window(ALPHA, 0.2, 50)
-        idx = np.arange(g.size)
-        assert np.array_equal(g.one_target[g.one_target], idx)
+        for i in range(g.size):
+            lab = g.label_at(i)
+            rung = dict(g.out_edges(lab))[1.0]
+            assert dict(g.out_edges(rung))[1.0] == lab
 
     def test_alpha_edge_in_window_except_lower_edge(self):
         g = build_graph_window(ALPHA, 0.2, 50)
-        out = np.flatnonzero(g.alpha_target < 0)
-        assert {g.label_at(int(i)).n for i in out} == {-50}
+        out = [g.label_at(i) for i in range(g.size)
+               if ALPHA not in dict(g.out_edges(g.label_at(i)))]
+        assert sorted(out, key=lambda lab: lab.eps) == [OrbitLabel(-50, -1),
+                                                        OrbitLabel(-50, 1)]
 
     def test_index_round_trip(self):
         g = build_graph_window(ALPHA, 0.2, 7)
@@ -167,13 +195,24 @@ class TestGraphWindow:
         assert edges[ALPHA] == OrbitLabel(1, -1)
 
     def test_edges_match_label_automaton(self):
-        g = build_graph_window(ALPHA, 0.2, 30)
-        for n in range(-29, 30):
-            for eps in (1, -1):
-                lab = OrbitLabel(n, eps)
-                edges = dict(g.out_edges(lab))
-                assert edges[1.0] == apply_theta_label(ALPHA, 0.2, lab, 1.0)
-                assert edges[ALPHA] == apply_theta_label(ALPHA, 0.2, lab, ALPHA)
+        # to_dot derives its targets from the values by the ladder rule; the
+        # automaton's in-window images, on every vertex up to n = +-W, are the
+        # same edges
+        for alpha, x in [(ALPHA, 0.2), (GOLDEN, 0.17), (0.3 + 1e-5, 0.1)]:
+            g = build_graph_window(alpha, x, 30)
+            got = set(re.findall(r'"(\S+)" -> "(\S+)" \[label="(1|a)"\]', g.to_dot()))
+            want = set()
+            for i in range(g.size):
+                lab = g.label_at(i)
+                for theta, name in ((1.0, "1"), (alpha, "a")):
+                    image = apply_theta_label(alpha, x, lab, theta)
+                    if abs(image.n) <= 30:
+                        want.add((str(lab), str(image), name))
+                        assert dict(g.out_edges(lab))[theta] == image
+                    else:
+                        assert theta not in dict(g.out_edges(lab))
+            assert got == want
+            assert len(want) == 2 * g.size - 2
 
     def test_to_dot(self):
         dot = build_graph_window(ALPHA, 0.2, 2).to_dot()
@@ -212,6 +251,14 @@ class TestGraphWindow:
         with pytest.raises(PrecisionError):
             build_graph_window(ALPHA, 0.2, 10 ** 6 + 1)
 
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_alpha_outside_unit_interval(self, alpha):
+        # the ladder rule, which every edge reader applies, needs 0 < alpha < 1
+        with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
+            orbit.check_graph_window(alpha, 0.2, 10)
+        with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
+            build_graph_window(alpha, 0.2, 10)
+
 
 class TestRhoChart:
     def setup_method(self):
@@ -231,13 +278,14 @@ class TestRhoChart:
         # never crosses zero; edges at the base land on rho = +-1
         g, rho = self.graph, self.chart.rho
         v0 = g.index_of(self.base)
-        src = np.arange(g.size)
-        for tgt in (g.one_target, np.where(g.alpha_target >= 0, g.alpha_target, src)):
-            ru, rw = rho[src], rho[tgt]
-            through = (src == v0) | (tgt == v0)
-            assert np.all(np.abs(ru[~through] - rw[~through]) <= 1)
-            assert np.all(ru[~through] * rw[~through] > 0)
-            assert np.all(np.abs(ru[through] + rw[through]) >= 1)
+        edges = [(u, g.index_of(t)) for u in range(g.size)
+                 for _, t in g.out_edges(g.label_at(u))]
+        src, tgt = np.array(edges).T
+        ru, rw = rho[src], rho[tgt]
+        through = (src == v0) | (tgt == v0)
+        assert np.all(np.abs(ru[~through] - rw[~through]) <= 1)
+        assert np.all(ru[~through] * rw[~through] > 0)
+        assert np.all(np.abs(ru[through] + rw[through]) >= 1)
 
     def test_level_minima(self):
         lm, lo = self.chart.level_min, self.chart.level_lo
@@ -262,14 +310,18 @@ class TestRhoChart:
 def _reference_chart(graph, base):
     """rho and per-level minima from plain-Python BFS runs.
 
+    The edges are the label automaton's in-window images, so the reference
+    shares nothing with the vector ladder rule that rho_chart applies.
     Distance is a BFS from the base vertex. The sign comes from the
     components of the graph with the base vertex deleted, one BFS from each
     base neighbour not yet covered; there must be exactly two.
     """
     adj = [set() for _ in range(graph.size)]
     for u in range(graph.size):
-        for w in (int(graph.one_target[u]), int(graph.alpha_target[u])):
-            if w >= 0:
+        for theta in (1.0, graph.alpha):
+            image = apply_theta_label(graph.alpha, graph.base_x, graph.label_at(u), theta)
+            if abs(image.n) <= graph.window:
+                w = graph.index_of(image)
                 adj[u].add(w)
                 adj[w].add(u)
 
@@ -424,6 +476,14 @@ class TestShrinkWord:
         with pytest.raises(WordNotFoundError):
             shrink_word(ALPHA, 1.0, 1e300, 0.01)
         assert shrink_word(ALPHA, 1e300, 0.9, 0.01) == [1e300, 1e300]
+
+    @pytest.mark.parametrize("beta, m, threshold", [
+        (1.0, math.nan, 0.01), (1.0, math.inf, 0.01), (math.inf, 0.9, 0.01),
+        (math.nan, 0.9, 0.01), (1.0, 0.9, math.nan), (1.0, 0.9, math.inf)])
+    def test_non_finite_rejected_at_default_max_len(self, beta, m, threshold):
+        # a NaN bucket never deduplicates, so the search at max_len=256 did not end
+        with pytest.raises(PreconditionError, match="must be finite"):
+            shrink_word(ALPHA, beta, m, threshold)
 
     def test_validation(self):
         with pytest.raises(PreconditionError):

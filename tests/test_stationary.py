@@ -146,6 +146,14 @@ class TestLargeCount:
         with pytest.raises(PreconditionError):
             large_count(1.5, 10)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, 1.0, 1.5])
+    def test_alpha_outside_unit_interval(self, alpha):
+        # NaN and 1.5 gave all-zero counts and a False small-vertex test
+        for call in (lambda: large_count(alpha, 5), lambda: large_count_cumulative(alpha, 5),
+                     lambda: is_small_vertex(alpha, 3)):
+            with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
+                call()
+
 
 class TestAffineForm:
     def test_small_vertex_coefficients(self):
