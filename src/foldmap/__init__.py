@@ -17,16 +17,14 @@ from .experiments import (EmpiricalCDF, RateReport, backward_diam_ensemble,
                           walk_confinement_dp)
 from .orbit import (DEFAULT_WINDOW, OrbitGraphWindow, OrbitLabel, RhoChart,
                     VertexClass, W_MAX, apply_theta_label, build_graph_window,
-                    classify_vertex, is_singular, label_value, rho_chart,
-                    shrink_word, structure_stats)
-from .process import (Interval, ThetaDist, TrialPlan, fold_backward,
-                      interval_fold, interval_image, iterate_forward,
-                      sample_theta, step, substream_seed, theta_from_uniform)
+                    label_value, rho_chart, shrink_word, structure_stats)
+from .process import (Interval, ThetaDist, TrialPlan, interval_fold,
+                      iterate_forward, sample_theta, step, substream_seed,
+                      theta_from_uniform)
 from .serialize import canonical_json, rows_to_csv
-from .stationary import (AffineInZ, PiecewiseLinearCDF, affine_small_vertex,
-                         is_small_vertex, large_count, large_count_cumulative,
-                         sample_stationary, stationary_cdf,
-                         stationary_quantile, z_estimate)
+from .stationary import (PiecewiseLinearCDF, is_small_vertex, large_count,
+                         large_count_cumulative, sample_stationary,
+                         stationary_cdf, stationary_quantile, z_estimate)
 
 __version__ = "0.1.0"
 

@@ -44,9 +44,9 @@ import numpy as np
 
 from .contfrac import contfrac_expand, convergents
 from .errors import PreconditionError, StructuralError, WindowError
-from .orbit import (OrbitLabel, W_MAX, build_graph_window, check_graph_window,
-                    rho_chart)
-from .process import (TILE_CELLS, ThetaDist, TrialPlan, check_trials,
+from .orbit import (OrbitLabel, W_MAX, _check_alpha, build_graph_window,
+                    check_graph_window, rho_chart)
+from .process import (TILE_CELLS, ThetaDist, TrialPlan, check_start, check_trials,
                       fold_interval_arrays, letter_cells, letter_columns, substream_keys,
                       uniform_cells)
 from .serialize import canonical_json, rows_to_csv
@@ -168,11 +168,6 @@ def check_workers(workers: int) -> None:
         raise PreconditionError(f"workers must lie in 1..{_MAX_WORKERS}")
 
 
-def _check_start(x0: float):
-    if not 0.0 <= x0 < math.inf:
-        raise PreconditionError("x0 must be finite and >= 0")
-
-
 def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
                  workers: int, first: int = 0, backward: bool = False) -> np.ndarray:
     """x0 folded through n letters of rows first .. first+plan.trials-1.
@@ -194,7 +189,7 @@ def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
 def check_forward_values(x0: float, n: int, trials: int, workers: int) -> None:
     """The preconditions of forward_values with a plan of `trials` trials."""
     check_trials(trials)
-    _check_start(x0)
+    check_start(x0)
     if n < 0:
         raise PreconditionError("n must be >= 0")
     check_workers(workers)
@@ -291,16 +286,22 @@ class RateReport:
         return rows_to_csv(["trial", "success", "letters_used"], rows)
 
 
+def _check_qk(q_k: int) -> None:
+    """A finite q_k >= 2, so that log2 q_k > 0; rejects NaN as well."""
+    if not 2 <= q_k < math.inf:
+        raise PreconditionError("q_k must be finite and >= 2 (log2 q_k must be positive)")
+
+
 def rate_steps(q_k: int) -> int:
-    """Letter budget ceil(8 * q_k^3 * log2(q_k)) of the rate bound."""
+    """Letter budget ceil(8 * q_k^3 * log2(q_k)) of the rate bound; q_k >= 2."""
+    _check_qk(q_k)
     return math.ceil(8 * q_k ** 3 * math.log2(q_k))
 
 
 def check_rate(q_k: int, epsilon: float, trials: int, workers: int) -> None:
     """The preconditions of rate_experiment at convergent denominator q_k."""
     check_trials(trials)
-    if q_k < 2:
-        raise PreconditionError("q_k must be >= 2 (log2 q_k must be positive)")
+    _check_qk(q_k)
     if q_k > _RATE_QK_CAP:
         raise PreconditionError(f"q_k > {_RATE_QK_CAP} is beyond the desk-scale cap")
     if not 8.0 / q_k < epsilon < math.inf:
@@ -442,6 +443,7 @@ def walk_confinement_dp(n: int, exact: bool = True):
 def check_rho_walk(alpha: float, x0: float, steps: int, segments: int,
                    window: int | None) -> None:
     """The preconditions of rho_walk_audit; a given window must suit build_graph_window."""
+    _check_alpha(alpha)
     if not 0.0 < x0 < min(alpha, 1.0 - alpha):
         raise PreconditionError("x0 must satisfy 0 < x0 < min(alpha, 1-alpha)")
     if steps < 0:
@@ -488,6 +490,9 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
     The label path is simulated first; when window is None the graph is built
     just large enough to contain it. A caller-provided window that the path
     escapes raises WindowError.
+
+    Fold k reads cell (0, k) of the plan's grid; pair s takes its path
+    indices floor(u (steps + 1)) from cells (1, s) and (1, segments + s).
     """
     check_rho_walk(alpha, x0, steps, segments, window)
     base = {"schema": 1, "kind": "rho_walk_audit", "alpha": alpha, "x0": x0,
@@ -496,7 +501,8 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
         return {**base, "plus_fraction": None, "window": 0, "rho_range": [0, 0],
                 "farsmall": [], "farsmall_violations": 0, "segments_checked": 0}
 
-    ns, eps = _label_walk(alpha, x0, plan.substream(0).random(steps))
+    rows = substream_keys(plan.master_seed, 0, 2)
+    ns, eps = _label_walk(alpha, x0, uniform_cells(rows[:1], np.arange(steps)))
     reach = int(np.max(np.abs(ns)))
     if reach > W_MAX:
         # one fold changes |n| by at most 1, so the walk first left at W_MAX + 1
@@ -516,9 +522,9 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
         raise StructuralError("rho increment with |step| != 1; chart is inconsistent")
     plus_fraction = float(np.mean(increments == 1))
 
-    rng = plan.substream(1)
-    i_idx = rng.integers(0, steps + 1, size=segments)
-    j_idx = rng.integers(0, steps + 1, size=segments)
+    cells = uniform_cells(rows[1:], np.arange(2 * segments))
+    picks = np.floor(cells * (steps + 1)).astype(np.int64)
+    i_idx, j_idx = picks[:segments], picks[segments:]
     ends = np.sort(np.stack([rho_path[i_idx], rho_path[j_idx]]), axis=0)
     span = ends[1] - ends[0]
     # levels a+1 .. b-1 strictly between the ends, as indices into level_min
@@ -579,7 +585,7 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
 
 def check_law_equality(x0: float, n: int, trials: int, workers: int) -> None:
     """The preconditions of law_equality_report."""
-    _check_start(x0)
+    check_start(x0)
     if n < 0 or trials < 1:
         raise PreconditionError("need n >= 0 and trials >= 1")
     check_workers(workers)

@@ -87,63 +87,14 @@ def apply_theta_label(alpha: float, x: float, label: OrbitLabel,
     negating both coordinates. For singular x some labels share a value and
     the result is one valid representative.
     """
+    value = label_value(alpha, x, label)  # checks alpha and x for either fold
     if theta == 1.0:
         return OrbitLabel(-label.n, -label.eps)
     if theta != alpha:
         raise PreconditionError("theta must be alpha or 1")
-    if label_value(alpha, x, label) >= alpha:
+    if value >= alpha:
         return OrbitLabel(label.n - 1, label.eps)
     return OrbitLabel(-(label.n - 1), -label.eps)
-
-
-def _classify(alpha: float, values: np.ndarray):
-    """(on_cut, classes) of an array of values against the cuts {alpha, 1-alpha}.
-
-    on_cut marks values within 1e-12 of a cut; classes holds the VertexClass
-    codes as int8, taken with strict inequalities.
-    """
-    lo_cut, hi_cut = sorted((alpha, 1.0 - alpha))
-    on_cut = (np.abs(values - lo_cut) <= CLASS_TOL) | (np.abs(values - hi_cut) <= CLASS_TOL)
-    classes = np.where(values < lo_cut, 0, np.where(values < hi_cut, 1, 2)).astype(np.int8)
-    return on_cut, classes
-
-
-def classify_vertex(alpha: float, value: float) -> VertexClass:
-    """Small/Medium/Large relative to the cuts {alpha, 1-alpha}.
-
-    Strict inequalities; a value within 1e-12 of a cut raises
-    ClassBoundaryError since the classes are defined by open conditions.
-    """
-    _check_alpha(alpha)
-    if not 0.0 <= value <= 1.0:
-        raise PreconditionError("value must lie in [0, 1]")
-    on_cut, classes = _classify(alpha, np.array([value], dtype=np.float64))
-    if on_cut[0]:
-        raise ClassBoundaryError(f"value {value!r} sits on a class boundary")
-    return VertexClass(int(classes[0]))
-
-
-_SINGULAR_SEEDS = ("0", "1/2", "alpha/2", "(1+alpha)/2")
-
-
-def is_singular(alpha: float, x: float, window: int = DEFAULT_WINDOW) -> bool:
-    """Window-bounded test whether x lies on one of the four singular orbits.
-
-    True when some label value of x matches 0, 1/2, alpha/2 or (1+alpha)/2
-    within 1e-10 for |n| <= window. Numerically undecidable in general; the
-    window and tolerance are the documented compromise.
-    """
-    _check_alpha(alpha)
-    if not 0.0 <= x <= 1.0:
-        raise PreconditionError("x must lie in [0, 1]")
-    n = np.arange(-window, window + 1)
-    seeds = np.array([0.0, 0.5, alpha / 2.0, (1.0 + alpha) / 2.0])
-    for eps in (1.0, -1.0):
-        vals = (n * alpha + eps * x) % 1.0
-        diff = np.abs(vals[:, None] - seeds[None, :])
-        if np.any(np.minimum(diff, 1.0 - diff) < SINGULAR_TOL):
-            return True
-    return False
 
 
 def _label_of(index: int, window: int) -> OrbitLabel:
@@ -243,7 +194,9 @@ def check_graph_window(alpha: float, x: float, window: int) -> None:
 
 
 def check_margin(window: int, margin: int = 2) -> None:
-    """The precondition of class_frequencies: some vertex lies inside the margin."""
+    """The precondition of class_frequencies: a margin >= 0 with some vertex inside it."""
+    if not margin >= 0:  # a NaN fails the comparison too
+        raise PreconditionError("margin must be >= 0")
     if window < margin:
         raise PreconditionError(f"window {window} has no vertex inside margin {margin}")
 
@@ -259,7 +212,10 @@ def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
     n = np.arange(-window, window + 1)
     values = np.concatenate([(n * alpha + x) % 1.0, (n * alpha - x) % 1.0])
 
-    on_cut, classes = _classify(alpha, values)
+    # classes by strict inequalities; a value within CLASS_TOL of a cut is on it
+    lo_cut, hi_cut = sorted((alpha, 1.0 - alpha))
+    on_cut = (np.abs(values - lo_cut) <= CLASS_TOL) | (np.abs(values - hi_cut) <= CLASS_TOL)
+    classes = np.where(values < lo_cut, 0, np.where(values < hi_cut, 1, 2)).astype(np.int8)
     if np.any(on_cut):
         i = int(np.flatnonzero(on_cut)[0])
         raise ClassBoundaryError(
@@ -359,6 +315,7 @@ def structure_stats(graph: OrbitGraphWindow, margin: int = 2) -> dict:
     run of length q+1.
     """
     w, alpha = graph.window, graph.alpha
+    check_margin(w, margin)
     top = graph.classes[:2 * w + 1]
     keep = slice(margin, 2 * w + 1 - margin)
     marks = np.flatnonzero(top[keep] == VertexClass.LARGE)

@@ -262,14 +262,6 @@ class ThetaDist:
     def mean(self) -> float:
         return float(self.support @ self.weights)
 
-    @property
-    def is_two_point(self) -> bool:
-        """True for the canonical uniform two-point support {alpha, 1}."""
-        return (self.support.size == 2
-                and self.support[-1] == 1.0
-                and 0.0 < self.support[0] < 1.0
-                and abs(self.weights[0] - 0.5) <= 1e-12)
-
     @classmethod
     def two_point(cls, alpha: float) -> "ThetaDist":
         if not 0.0 < alpha < 1.0:
@@ -310,8 +302,8 @@ class Interval:
 
 def step(theta: float, x: float) -> float:
     """One fold: |theta - x|. Lipschitz-1 in x."""
-    if theta < 0 or x < 0:
-        raise PreconditionError("step requires theta >= 0 and x >= 0")
+    if not (0 <= theta < math.inf and 0 <= x < math.inf):
+        raise PreconditionError("step requires finite theta >= 0 and x >= 0")
     return abs(theta - x)
 
 
@@ -418,33 +410,33 @@ def sample_theta(dist: ThetaDist, rng: np.random.Generator, size=None):
     return theta_from_uniform(dist, rng.random(size))
 
 
+def check_start(x0: float) -> None:
+    """A start point of the chain is finite and >= 0; rejects NaN as well."""
+    if not 0.0 <= x0 < math.inf:
+        raise PreconditionError("x0 must be finite and >= 0")
+
+
+def _check_letters(letters: np.ndarray) -> None:
+    """Every letter is a finite fold point >= 0; min and max carry a NaN through."""
+    if letters.size and not (letters.min() >= 0 and letters.max() < math.inf):
+        raise PreconditionError("letters must be finite and >= 0")
+
+
 def iterate_forward(word: Sequence[float], x0: float) -> np.ndarray:
     """Trajectory of x0 under the word, newest map applied last.
 
     Returns an array of length len(word)+1 whose entry k is the k-step
-    forward iterate; entry 0 is x0.
+    forward iterate; entry 0 is x0. x0 and the letters are finite and >= 0.
     """
-    if x0 < 0:
-        raise PreconditionError("x0 must be >= 0")
-    out = np.empty(len(word) + 1)
+    check_start(x0)
+    letters = np.asarray(word, dtype=float)
+    _check_letters(letters)
+    out = np.empty(letters.size + 1)
     out[0] = x = float(x0)
-    for k, t in enumerate(word, start=1):
+    for k, t in enumerate(letters.tolist(), start=1):
         x = abs(t - x)
         out[k] = x
     return out
-
-
-def fold_backward(word: Sequence[float], x: float) -> float:
-    """Apply the word with the first letter outermost (newest map innermost).
-
-    Equals the last entry of iterate_forward(reversed(word), x).
-    """
-    if x < 0:
-        raise PreconditionError("x must be >= 0")
-    y = float(x)
-    for t in reversed(list(word)):
-        y = abs(t - y)
-    return y
 
 
 def fold_interval_arrays(theta, lo, hi, out=None, scratch=None):
@@ -488,14 +480,6 @@ def fold_interval_arrays(theta, lo, hi, out=None, scratch=None):
     return new_lo, new_hi
 
 
-def interval_image(theta: float, iv: Interval) -> Interval:
-    """Exact image of an interval under one fold. Length never increases."""
-    if theta < 0:
-        raise PreconditionError("theta must be >= 0")
-    lo, hi = fold_interval_arrays(theta, iv.lo, iv.hi)
-    return Interval(float(lo), float(hi))
-
-
 def interval_fold(word: Sequence[float], iv: Interval,
                   direction: str = "forward") -> list[Interval]:
     """Prefix images of an interval under the word, in the chosen order.
@@ -504,9 +488,11 @@ def interval_fold(word: Sequence[float], iv: Interval,
     (the trajectory order). backward: entry k is the image under the first k
     letters with the first letter outermost, so the entries are nested
     whenever the one-step images stay inside the starting interval. Entry 0
-    is the input interval; lengths are nonincreasing in k either way.
+    is the input interval; lengths are nonincreasing in k either way. Every
+    letter must be finite and >= 0.
     """
     letters = np.asarray(list(word), dtype=float)
+    _check_letters(letters)
     n = letters.size
     if direction == "forward":
         out = [iv]

@@ -16,8 +16,6 @@ is pinned by tests against the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import PreconditionError
@@ -109,31 +107,6 @@ def is_small_vertex(alpha: float, n: int, tol: float = 1e-12) -> bool:
         raise PreconditionError("alpha must lie in (0, 1)")
     v = n * alpha % 1.0
     return v < min(alpha, 1.0 - alpha) - tol
-
-
-@dataclass(frozen=True)
-class AffineInZ:
-    """Integer-coefficient affine form a*z + b in the unknown z = CDF(alpha)."""
-
-    a: int
-    b: int
-
-    def at(self, z: float) -> float:
-        return self.a * z + self.b
-
-
-def affine_small_vertex(alpha: float, n: int) -> AffineInZ:
-    """Stationary CDF at <n*alpha>, as an affine form in z, for small <n*alpha>.
-
-    Requires <n*alpha> to be a small vertex; the coefficients are
-    (2n - L, -(2n - 2L)) with L = large_count(alpha, n).
-    """
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    if not is_small_vertex(alpha, n):
-        raise PreconditionError(f"<{n}*alpha> is not a small vertex")
-    L = large_count(alpha, n)
-    return AffineInZ(2 * n - L, -(2 * n - 2 * L))
 
 
 def z_estimate(alpha: float, n: int) -> float:

@@ -344,6 +344,7 @@ class TestInputBoundary:
         (ORBIT + ["--x", "1.5"], "x must lie in [0, 1]"),
         (ORBIT + ["--window", "1", "--format", "json"], "window 1 has no vertex inside margin 2"),
         (AUDIT + ["--x0", "0.9"], "x0 must satisfy 0 < x0 < min(alpha, 1-alpha)"),
+        (AUDIT + ["--alpha", "1.5"], "alpha must lie strictly inside (0, 1)"),
         (AUDIT + ["--steps", "-5"], "steps must be >= 0"),
         (AUDIT + ["--window", "0"], "window must be >= 1"),
         (AUDIT + ["--window", "1000001"], "window > 1000000 exceeds the precision cap"),
@@ -370,7 +371,8 @@ class TestInputBoundary:
         (WORD + ["--beta", "0.5"], "need 0 < alpha < beta"),
         (WORD + ["--threshold", "0"], "threshold must be positive"),
         (WORD + ["--m", "-1"], "m must be >= 0"),
-    ], ids=["orbit-window-0", "orbit-window-cap", "orbit-x", "orbit-json-margin", "audit-x0", "audit-steps",
+    ], ids=["orbit-window-0", "orbit-window-cap", "orbit-x", "orbit-json-margin", "audit-x0",
+            "audit-alpha", "audit-steps",
             "audit-window-0", "audit-window-cap", "audit-segments", "walk-n-31", "walk-n-0",
             "closek-qn", "closek-x", "closek-alpha", "simulate-trials", "simulate-x0", "simulate-n",
             "simulate-workers", "bvf-trials", "bvf-x0", "bvf-workers", "rate-trials",
@@ -402,6 +404,13 @@ class TestInputBoundary:
         args = argparse.Namespace(alpha=alpha, x=0.5, qn=17)
         with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
             COMMANDS["closek"].check(args)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 1.5, 1.0, 0.0, -0.3])
+    def test_rho_audit_row_checks_alpha(self, alpha):
+        # the x0 range min(alpha, 1-alpha) means nothing outside (0, 1), so alpha comes first
+        args = argparse.Namespace(alpha=alpha, x0=0.2, steps=10, segments=10, window=None)
+        with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
+            COMMANDS["rho-audit"].check(args)
 
     def test_non_finite_threshold_stops_before_search(self, capsys, monkeypatch):
         def search(*args, **kwargs):

@@ -10,9 +10,9 @@ import pytest
 
 from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      TrialPlan, WindowError, backward_diam_ensemble,
-                     ensemble_forward, experiments, fold_backward,
-                     forward_values, interval_fold, iterate_forward,
-                     ks_distance, law_equality_report,
+                     ensemble_forward, experiments, forward_values,
+                     interval_fold, iterate_forward, ks_distance,
+                     law_equality_report,
                      one_step_invariance_report, rate_experiment, rate_steps,
                      rho_walk_audit, sample_stationary, stationary_cdf,
                      theta_from_uniform, walk_confinement_dp)
@@ -555,8 +555,8 @@ class TestDistributionReports:
         for t in range(50):
             assert fwd[t] == iterate_forward(
                 theta_from_uniform(dist, plan.substream(t).random(12)), 0.2)[-1]
-            assert bwd[t] == fold_backward(
-                theta_from_uniform(dist, plan.substream(50 + t).random(12)), 0.2)
+            assert bwd[t] == iterate_forward(
+                theta_from_uniform(dist, plan.substream(50 + t).random(12))[::-1], 0.2)[-1]
 
     def test_law_equality_validation(self):
         with pytest.raises(PreconditionError):

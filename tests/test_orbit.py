@@ -10,9 +10,8 @@ import pytest
 from foldmap import (ClassBoundaryError, FoldmapError, OrbitLabel,
                      PrecisionError, PreconditionError, StructuralError,
                      VertexClass, WordNotFoundError, apply_theta_label,
-                     build_graph_window, classify_vertex, is_singular,
-                     iterate_forward, label_value, rho_chart, shrink_word,
-                     step, structure_stats)
+                     build_graph_window, iterate_forward, label_value,
+                     rho_chart, shrink_word, step, structure_stats)
 from foldmap import orbit
 
 ALPHA = math.sqrt(0.5)
@@ -39,6 +38,11 @@ class TestLabels:
     def test_alpha_outside_unit_interval(self, alpha):
         with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
             label_value(alpha, 0.2, OrbitLabel(1, 1))
+        # the full fold needs no value, but the automaton is defined for 0 < alpha < 1
+        # only; a NaN alpha used to fail as "theta must be alpha or 1"
+        for theta in (1.0, alpha):
+            with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
+                apply_theta_label(alpha, 0.2, OrbitLabel(1, 1), theta)
 
     def test_str(self):
         assert str(OrbitLabel(3, 1)) == "(3,+1)"
@@ -73,53 +77,87 @@ class TestLabels:
             assert abs(label_value(ALPHA, x, lab) - v) < 1e-9
 
 
+def class_of(alpha, value):
+    """The class the window graph of x = value gives its vertex (0, +1), whose value is x."""
+    graph = build_graph_window(alpha, value, 1)
+    return VertexClass(int(graph.classes[graph.index_of(OrbitLabel(0, 1))]))
+
+
 class TestClassify:
+    """The cuts {alpha, 1-alpha}, as build_graph_window applies them."""
+
     def test_above_half(self):
         # cuts at 1-alpha ~ .293 and alpha ~ .707
-        assert classify_vertex(ALPHA, 0.1) == VertexClass.SMALL
-        assert classify_vertex(ALPHA, 0.5) == VertexClass.MEDIUM
-        assert classify_vertex(ALPHA, 0.9) == VertexClass.LARGE
+        assert class_of(ALPHA, 0.1) == VertexClass.SMALL
+        assert class_of(ALPHA, 0.5) == VertexClass.MEDIUM
+        assert class_of(ALPHA, 0.9) == VertexClass.LARGE
 
     def test_below_half(self):
-        assert classify_vertex(0.3, 0.2) == VertexClass.SMALL
-        assert classify_vertex(0.3, 0.5) == VertexClass.MEDIUM
-        assert classify_vertex(0.3, 0.8) == VertexClass.LARGE
+        assert class_of(0.3, 0.2) == VertexClass.SMALL
+        assert class_of(0.3, 0.5) == VertexClass.MEDIUM
+        assert class_of(0.3, 0.8) == VertexClass.LARGE
 
     def test_boundary_rejected(self):
+        # the classes are open conditions: a value within 1e-12 of a cut is on it
         with pytest.raises(ClassBoundaryError):
-            classify_vertex(ALPHA, ALPHA)
+            class_of(ALPHA, ALPHA)
         with pytest.raises(ClassBoundaryError):
-            classify_vertex(ALPHA, 1.0 - ALPHA + 1e-14)
+            class_of(ALPHA, 1.0 - ALPHA + 1e-14)
 
     @pytest.mark.parametrize("alpha", BAD_ALPHAS)
     def test_alpha_outside_unit_interval(self, alpha):
         with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
-            classify_vertex(alpha, 0.5)
+            class_of(alpha, 0.5)
 
     @pytest.mark.parametrize("value", [math.nan, -0.1, 1.5, math.inf])
     def test_value_outside_unit_interval(self, value):
-        # a NaN value failed every cut comparison and came out LARGE
-        with pytest.raises(PreconditionError, match=r"value must lie in \[0, 1\]"):
-            classify_vertex(ALPHA, value)
+        # a NaN value fails every cut comparison, and would come out LARGE
+        with pytest.raises(PreconditionError, match=r"x must lie in \[0, 1\]"):
+            class_of(ALPHA, value)
+
+
+def hits_singular_seed(alpha, x, window):
+    """True when a label value of x, |n| <= window, lies within SINGULAR_TOL of
+    one of the four singular seeds 0, 1/2, alpha/2 and (1+alpha)/2 (on the circle)."""
+    n = np.arange(-window, window + 1)
+    seeds = np.array([0.0, 0.5, alpha / 2.0, (1.0 + alpha) / 2.0])
+    values = np.concatenate([(n * alpha + x) % 1.0, (n * alpha - x) % 1.0])
+    diff = np.abs(values[:, None] - seeds)
+    return bool(np.any(np.minimum(diff, 1.0 - diff) < orbit.SINGULAR_TOL))
 
 
 class TestSingular:
+    """x is singular when its orbit meets a seed; the window graph then records
+    value coincidences, and otherwise none."""
+
     def test_seed_points(self):
         for x in (0.0, 0.5, ALPHA / 2, (1 + ALPHA) / 2):
-            assert is_singular(ALPHA, x, window=10)
+            assert hits_singular_seed(ALPHA, x, 10)
+        # each seed's label (0, +1) shares its value with (0, -1) or (1, -1)
+        for x, partner in ((0.5, OrbitLabel(0, -1)), (ALPHA / 2, OrbitLabel(1, -1)),
+                           ((1 + ALPHA) / 2, OrbitLabel(1, -1))):
+            pairs = {frozenset(p) for p in build_graph_window(ALPHA, x, 10).coincidences}
+            assert frozenset((OrbitLabel(0, 1), partner)) in pairs
+        # the orbit of 0 holds <alpha> = alpha, a class cut
+        with pytest.raises(ClassBoundaryError):
+            build_graph_window(ALPHA, 0.0, 10)
 
     def test_orbit_of_seed(self):
-        # <3 alpha + x> = 1/2 at x = <1/2 - 3 alpha>
+        # <3 alpha + x> = 1/2 at x = <1/2 - 3 alpha>, and so is <-3 alpha - x>
         x = (0.5 - 3 * ALPHA) % 1.0
-        assert is_singular(ALPHA, x, window=10)
+        assert hits_singular_seed(ALPHA, x, 10)
+        pairs = {frozenset(p) for p in build_graph_window(ALPHA, x, 10).coincidences}
+        assert frozenset((OrbitLabel(3, 1), OrbitLabel(-3, -1))) in pairs
 
     def test_generic_point(self):
-        assert not is_singular(ALPHA, 0.2, window=10 ** 4)
+        assert not hits_singular_seed(ALPHA, 0.2, 10 ** 4)
+        assert build_graph_window(ALPHA, 0.2, 10 ** 4).coincidences == []
 
     @pytest.mark.parametrize("alpha", BAD_ALPHAS)
     def test_alpha_outside_unit_interval(self, alpha):
+        # 1/2 is a seed for every alpha; the graph checks alpha before it pairs values
         with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
-            is_singular(alpha, 0.2, window=10)
+            build_graph_window(alpha, 0.5, 10)
 
 
 DOT_WINDOW_2 = """\

@@ -9,10 +9,9 @@ import pytest
 
 from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      TrialPlan, backward_diam_ensemble, experiments,
-                     fold_backward, forward_values, interval_fold,
-                     interval_image, iterate_forward, ks_distance,
-                     rate_experiment, sample_theta, stationary_cdf, step,
-                     substream_seed, theta_from_uniform)
+                     forward_values, interval_fold, iterate_forward,
+                     ks_distance, rate_experiment, sample_theta,
+                     stationary_cdf, step, substream_seed, theta_from_uniform)
 from foldmap.process import (_CHAIN_CUTS, TILE_CELLS, _cell_hashes,
                              fold_interval_arrays, letter_cells, letter_columns,
                              substream_keys, uniform_cells)
@@ -41,13 +40,10 @@ class TestStep:
 class TestThetaDist:
     def test_two_point_flag(self):
         d = ThetaDist.two_point(ALPHA)
-        assert d.is_two_point
+        assert d.support.tolist() == [ALPHA, 1.0]
+        assert d.weights.tolist() == [0.5, 0.5]
         assert d.bound == 1.0
         assert abs(d.mean - (1 + ALPHA) / 2) < 1e-15
-
-    def test_general_dist_not_two_point(self):
-        assert not ThetaDist([0.3, 0.5, 1.0], [0.2, 0.3, 0.5]).is_two_point
-        assert not ThetaDist([0.4, 0.9], [0.5, 0.5]).is_two_point
 
     def test_validation(self):
         with pytest.raises(PreconditionError):
@@ -108,6 +104,11 @@ class TestSampling:
         assert theta_from_uniform(d, 0.99999) == 1.0
 
 
+def backward_point(word, x):
+    """x folded through the word, first letter outermost: the backward image of [x, x]."""
+    return interval_fold(word, Interval(x, x), "backward")[-1].lo
+
+
 class TestIteration:
     def test_forward_trajectory(self):
         traj = iterate_forward([1.0, ALPHA], 0.2)
@@ -116,7 +117,7 @@ class TestIteration:
 
     def test_empty_word_is_identity(self):
         assert iterate_forward([], 0.3).tolist() == [0.3]
-        assert fold_backward([], 0.3) == 0.3
+        assert backward_point([], 0.3) == 0.3
 
     def test_alternating_word_stays_in_unit_interval(self):
         word = [ALPHA, 1.0] * 50
@@ -124,30 +125,40 @@ class TestIteration:
         assert np.all((traj >= 0) & (traj <= 1))
 
     def test_backward_single_letter_matches_forward(self):
-        assert fold_backward([1.0], 0.2) == iterate_forward([1.0], 0.2)[-1]
+        assert backward_point([1.0], 0.2) == iterate_forward([1.0], 0.2)[-1]
 
     def test_backward_reverses_composition(self):
-        got = fold_backward([1.0, ALPHA], 0.2)
+        got = backward_point([1.0, ALPHA], 0.2)
         assert abs(got - 0.49289321881345254) < 1e-15
+        assert got == iterate_forward([ALPHA, 1.0], 0.2)[-1]
 
     def test_reversal_duality_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             word = np.where(rng.random(40) < 0.5, ALPHA, 1.0)
             x = float(rng.random())
-            assert fold_backward(word, x) == iterate_forward(word[::-1], x)[-1]
+            assert backward_point(word, x) == iterate_forward(word[::-1], x)[-1]
+
+
+def one_fold(theta, iv):
+    """The image of iv under one fold, by interval_fold; its forward path (a
+    scalar loop) and its backward path (fold_interval_arrays) agree bit for bit."""
+    fwd = interval_fold([theta], iv, "forward")[1]
+    bwd = interval_fold([theta], iv, "backward")[1]
+    assert (bits(fwd.lo), bits(fwd.hi)) == (bits(bwd.lo), bits(bwd.hi))
+    return fwd
 
 
 class TestIntervalImage:
     def test_full_interval_reflection(self):
-        assert interval_image(1.0, Interval(0, 1)) == Interval(0, 1)
+        assert one_fold(1.0, Interval(0, 1)) == Interval(0, 1)
 
     def test_interior_fold(self):
-        img = interval_image(ALPHA, Interval(0, 1))
+        img = one_fold(ALPHA, Interval(0, 1))
         assert img.lo == 0.0 and img.hi == ALPHA
 
     def test_pure_translation(self):
-        img = interval_image(0.3, Interval(0.5, 0.9))
+        img = one_fold(0.3, Interval(0.5, 0.9))
         assert abs(img.lo - 0.2) < 1e-15 and abs(img.hi - 0.6) < 1e-15
 
     def test_grid_exactness(self):
@@ -159,7 +170,7 @@ class TestIntervalImage:
         for _ in range(200):
             lo, hi = np.sort(rng.random(2))
             theta = float(rng.random() * 1.5)
-            img = interval_image(theta, Interval(lo, hi))
+            img = one_fold(theta, Interval(lo, hi))
             xs = lo + grid * (hi - lo)
             if lo < theta < hi:
                 xs = np.append(xs, theta)
@@ -174,10 +185,10 @@ class TestIntervalImage:
         for _ in range(300):
             lo, hi = np.sort(rng.random(2))
             theta = float(rng.random() * 1.5)
-            assert interval_image(theta, Interval(lo, hi)).length <= hi - lo + 1e-15
+            assert one_fold(theta, Interval(lo, hi)).length <= hi - lo + 1e-15
 
     def test_endpoint_theta_takes_translation_branch(self):
-        img = interval_image(0.5, Interval(0.5, 0.9))
+        img = one_fold(0.5, Interval(0.5, 0.9))
         assert img == Interval(0.0, 0.4)  # translation, not a fold through 0
 
 
@@ -245,7 +256,7 @@ class TestFoldKernel:
 
     def test_negative_zero_ends_fold_like_zero(self):
         for theta in (-0.0, 0.0, 0.5):
-            img = interval_image(theta, Interval(-0.0, -0.0))
+            img = one_fold(theta, Interval(-0.0, -0.0))
             assert (bits(img.lo), bits(img.hi)) == tuple(map(bits, three_branch_fold(theta, 0.0, 0.0)))
 
     def test_scalar_inputs_give_arrays(self):
@@ -319,7 +330,7 @@ class TestIntervalFold:
         rng = np.random.default_rng(10)
         word = np.where(rng.random(60) < 0.5, ALPHA, 1.0)
         final = interval_fold(word, Interval(0.2, 0.2), "backward")[-1]
-        assert final.lo == fold_backward(word, 0.2)
+        assert final.lo == iterate_forward(word[::-1], 0.2)[-1]
 
     def test_long_words_contract(self):
         # measured at 10^4 letters: median final length 0.012, max 0.029

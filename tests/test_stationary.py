@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from foldmap import (PreconditionError, ThetaDist, affine_small_vertex,
-                     is_small_vertex, large_count, large_count_cumulative,
-                     sample_stationary, stationary_cdf, stationary_quantile,
-                     z_estimate)
+from foldmap import (PreconditionError, ThetaDist, is_small_vertex, large_count,
+                     large_count_cumulative, sample_stationary, stationary_cdf,
+                     stationary_quantile, z_estimate)
 
 ALPHA = math.sqrt(0.5)
 Z_STAR = 2 * ALPHA / (1 + ALPHA)  # 0.8284271247461903
@@ -156,11 +155,14 @@ class TestLargeCount:
 
 
 class TestAffineForm:
+    """F(<n alpha>) = (2n - L) z - (2n - 2L) at small vertices, L = large_count(alpha, n)."""
+
     def test_small_vertex_coefficients(self):
         # L_3 = 1, so the form at n=3 is 5z - 4
-        form = affine_small_vertex(ALPHA, 3)
-        assert (form.a, form.b) == (5, -4)
-        assert abs(form.at(Z_STAR) - 2 * ((3 * ALPHA) % 1.0) / (1 + ALPHA)) < 1e-12
+        assert is_small_vertex(ALPHA, 3)
+        L = large_count(ALPHA, 3)
+        assert (2 * 3 - L, -(2 * 3 - 2 * L)) == (5, -4)
+        assert abs(5 * Z_STAR - 4 - 2 * ((3 * ALPHA) % 1.0) / (1 + ALPHA)) < 1e-12
 
     def test_bootstrap_values_match_cdf(self):
         cdf = stationary_cdf(TWO_POINT)
@@ -169,8 +171,7 @@ class TestAffineForm:
         assert abs((3 * Z_STAR - 2) - cdf.evaluate((2 * ALPHA) % 1.0)) < 1e-12
 
     def test_non_small_vertex_rejected(self):
-        with pytest.raises(PreconditionError):
-            affine_small_vertex(ALPHA, 2)  # <2 alpha> ~ 0.414 is medium
+        assert not is_small_vertex(ALPHA, 2)  # <2 alpha> ~ 0.414 is medium
 
     def test_identity_on_all_small_vertices(self):
         n = np.arange(1, 10 ** 4 + 1)
