@@ -44,8 +44,8 @@ import numpy as np
 
 from .contfrac import contfrac_expand, convergents
 from .errors import PreconditionError, StructuralError, WindowError
-from .orbit import (OrbitLabel, W_MAX, _check_alpha, build_graph_window,
-                    check_graph_window, rho_chart)
+from .orbit import (OrbitLabel, W_MAX, _check_alpha, alpha_targets, build_graph_window,
+                    check_graph_window, rho_chart, scan_class_ties, window_values)
 from .process import (TILE_CELLS, ThetaDist, TrialPlan, check_start, check_trials,
                       fold_interval_arrays, letter_cells, letter_columns, substream_keys,
                       uniform_cells)
@@ -190,7 +190,7 @@ def check_forward_values(x0: float, n: int, trials: int, workers: int) -> None:
     """The preconditions of forward_values with a plan of `trials` trials."""
     check_trials(trials)
     check_start(x0)
-    if n < 0:
+    if not 0 <= n < math.inf:  # a NaN fails the comparison too
         raise PreconditionError("n must be >= 0")
     check_workers(workers)
 
@@ -219,7 +219,7 @@ def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
     for a smaller n is a prefix of the word for a larger n under the same
     plan and the returned lengths are pointwise nonincreasing in n.
     """
-    if n < 0:
+    if not 0 <= n < math.inf:  # a NaN fails the comparison too
         raise PreconditionError("n must be >= 0")
     b = dist.bound
 
@@ -446,34 +446,60 @@ def check_rho_walk(alpha: float, x0: float, steps: int, segments: int,
     _check_alpha(alpha)
     if not 0.0 < x0 < min(alpha, 1.0 - alpha):
         raise PreconditionError("x0 must satisfy 0 < x0 < min(alpha, 1-alpha)")
-    if steps < 0:
+    # a NaN fails these comparisons too
+    if not 0 <= steps < math.inf:
         raise PreconditionError("steps must be >= 0")
-    if segments < 0:
+    if not 0 <= segments < math.inf:
         raise PreconditionError("segments must be >= 0")
     if window is not None:
         check_graph_window(alpha, x0, window)
+
+
+_WALK_WINDOW = 64  # the label walk's first window; it doubles as the walk needs
 
 
 def _label_walk(alpha: float, x0: float, u: np.ndarray):
     """(n, eps) arrays of the label walk from (0, +1), one fold per uniform.
 
     Fold k is at alpha when u[k] < 1/2 and at 1 otherwise, applied as
-    orbit.apply_theta_label does but on plain ints: the full fold negates the
-    label, the alpha fold shifts n down when the value <n*alpha + eps*x0>
-    clears alpha and otherwise folds through 0.
+    orbit.apply_theta_label does. The walk steps flat vertex indices of an
+    orbit window |n| <= w (see OrbitGraphWindow) through two successor lists:
+    the rung 2m-1-i and the ladder rule's alpha target, on values computed
+    once per window, so no step computes a value. The alpha image of n = -w
+    leaves the window; its entry is None, and the next step, or the end of
+    the walk, finds it there. The window then doubles, up to W_MAX, and the
+    walk goes on from that fold. A walk that would pass |n| = W_MAX raises
+    WindowError.
     """
-    n, e = 0, 1
-    ns, es = [n], [e]
-    for at_alpha in (u < 0.5).tolist():
-        if not at_alpha:
-            n, e = -n, -e
-        elif (n * alpha + e * x0) % 1.0 >= alpha:
-            n -= 1
-        else:
-            n, e = 1 - n, -e
-        ns.append(n)
-        es.append(e)
-    return np.array(ns, dtype=np.int64), np.array(es, dtype=np.int64)
+    at_alpha = (u < 0.5).tobytes()  # iterates as the ints 0 and 1
+    w = min(_WALK_WINDOW, W_MAX)
+    path = [w]  # the flat index of (0, +1)
+    while True:
+        m = 2 * w + 1
+        alpha_next = alpha_targets(window_values(alpha, x0, w), alpha, w).tolist()
+        alpha_next[0] = alpha_next[m] = None
+        successors = (list(range(2 * m - 1, -1, -1)), alpha_next)
+        i = path[-1]
+        append = path.append
+        try:
+            for a in at_alpha[len(path) - 1:]:
+                i = successors[a][i]
+                append(i)
+        except TypeError:  # a step from None, the image of n = -w
+            pass
+        if path[-1] is not None:
+            break
+        path.pop()
+        if w == W_MAX:
+            # one fold changes |n| by at most 1, so the walk leaves at W_MAX + 1
+            raise WindowError(f"walk reached |n| = {W_MAX + 1} > {W_MAX}")
+        grown = min(2 * w, W_MAX)
+        # block*m + n + w in the grown window
+        index = np.array(path)
+        path = (index + index // m * (2 * (grown - w)) + (grown - w)).tolist()
+        w = grown
+    block, offset = np.divmod(np.array(path, dtype=np.int64), m)
+    return offset - w, 1 - 2 * block
 
 
 def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
@@ -487,9 +513,14 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
     vertex at a strictly intermediate rho level must have value below
     3/(2q). Violations are counted; the underlying claim guarantees zero.
 
-    The label path is simulated first; when window is None the graph is built
-    just large enough to contain it. A caller-provided window that the path
-    escapes raises WindowError.
+    The label path is simulated first, and the chart is taken on the graph of
+    window min(window, reach + 4), where reach is the path's largest |n|
+    (reach + 4 when window is None): a level strictly between two path points
+    is a level the path visits, and the other vertex of that level sits one
+    position away, so every level the audit reads is the same as on the whole
+    window. A caller-provided window that the path escapes raises
+    WindowError; its values are scanned for class ties all the same, so it
+    raises ClassBoundaryError wherever build_graph_window would.
 
     Fold k reads cell (0, k) of the plan's grid; pair s takes its path
     indices floor(u (steps + 1)) from cells (1, s) and (1, segments + s).
@@ -504,18 +535,17 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
     rows = substream_keys(plan.master_seed, 0, 2)
     ns, eps = _label_walk(alpha, x0, uniform_cells(rows[:1], np.arange(steps)))
     reach = int(np.max(np.abs(ns)))
-    if reach > W_MAX:
-        # one fold changes |n| by at most 1, so the walk first left at W_MAX + 1
-        raise WindowError(f"walk reached |n| = {W_MAX + 1} > {W_MAX}")
     if window is None:
         window = reach + 4
     elif reach > window:
         raise WindowError(f"walk reached |n| = {reach} > window {window}; enlarge")
-    graph = build_graph_window(alpha, x0, window)
+    else:
+        scan_class_ties(window_values(alpha, x0, window), alpha, window)
+    graph = build_graph_window(alpha, x0, min(window, reach + 4))
     chart = rho_chart(graph, OrbitLabel(0, 1))
 
-    m = 2 * window + 1
-    flat = np.where(eps == 1, 0, 1) * m + (ns + window)
+    m = 2 * graph.window + 1
+    flat = np.where(eps == 1, 0, 1) * m + (ns + graph.window)
     rho_path = chart.rho[flat]
     increments = np.diff(rho_path)
     if np.any(np.abs(increments) != 1):
@@ -564,7 +594,7 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
     block size and worker count. workers bounds the threads as in
     _run_blocks: a thread needs a block of at least 2^15 samples.
     """
-    if n_samples < 1:
+    if not 1 <= n_samples < math.inf:  # a NaN fails the comparison too
         raise PreconditionError("n_samples must be >= 1")
     cdf = stationary_cdf(dist)
     keys = substream_keys(master_seed, 0, 2)
@@ -586,7 +616,8 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
 def check_law_equality(x0: float, n: int, trials: int, workers: int) -> None:
     """The preconditions of law_equality_report."""
     check_start(x0)
-    if n < 0 or trials < 1:
+    # a NaN fails these comparisons too
+    if not (0 <= n < math.inf and 1 <= trials < math.inf):
         raise PreconditionError("need n >= 0 and trials >= 1")
     check_workers(workers)
 

@@ -9,7 +9,7 @@ walks on a graph whose vertices are labels inside a finite window |n| <= W.
 Vertices are classified Small/Medium/Large by their value relative to the two
 cuts alpha and 1-alpha (roles swap for alpha < 1/2). Values are always
 recomputed from labels, never propagated, so round-off stays below 1e-9 for
-|n| up to 10^6.
+|n| up to 10^6, and taken mod 1 by fractional_part.
 
 Give label (n, eps) the position p = eps*n: the full fold keeps p and the
 alpha fold moves it to p - eps, so every window graph is a ladder whose rungs
@@ -97,6 +97,49 @@ def apply_theta_label(alpha: float, x: float, label: OrbitLabel,
     return OrbitLabel(-(label.n - 1), -label.eps)
 
 
+def fractional_part(y: np.ndarray) -> np.ndarray:
+    """y mod 1 of a float array, as y - floor(y): bit for bit y % 1.0 for finite y.
+
+    For y >= 0 the difference is exact (floor(y) > y/2 once y >= 1), as fmod
+    is. For y < 0 with fmod(y, 1) = r, both forms round the same real r + 1
+    once, so a tiny negative y gives 1.0 either way; an integer y, -0.0
+    included, gives +0.0. Two vector passes, where % calls fmod per element.
+    """
+    out = np.floor(y)
+    return np.subtract(y, out, out=out)
+
+
+def window_values(alpha: float, x: float, window: int) -> np.ndarray:
+    """Values <n*alpha + eps*x> of the labels |n| <= W, in window index order."""
+    n = np.arange(-window, window + 1, dtype=float)  # exact, and no int-to-float pass
+    n *= alpha
+    return fractional_part(np.concatenate([n + x, n - x]))
+
+
+def alpha_targets(values: np.ndarray, alpha: float, window: int) -> np.ndarray:
+    """Index of each vertex's alpha image by the ladder rule, -1 where it leaves.
+
+    The alpha image of index i is i-1 when values[i] >= alpha and else 2m-i
+    (m = 2W+1); a vertex at n = -W has none inside the window.
+    """
+    m = 2 * window + 1
+    i = np.arange(2 * m)
+    target = np.where(values >= alpha, i - 1, 2 * m - i)
+    target[::m] = -1
+    return target
+
+
+def scan_class_ties(values: np.ndarray, alpha: float, window: int) -> None:
+    """Raise ClassBoundaryError for the first window value within 1e-12 of a class cut."""
+    on_cut = np.abs(values - alpha) <= CLASS_TOL
+    on_cut |= np.abs(values - (1.0 - alpha)) <= CLASS_TOL
+    if np.any(on_cut):
+        i = int(np.flatnonzero(on_cut)[0])
+        raise ClassBoundaryError(
+            f"label {_label_of(i, window)} value {float(values[i])!r} ties a class "
+            "boundary; alpha rational or x on a cut orbit")
+
+
 def _label_of(index: int, window: int) -> OrbitLabel:
     block, offset = divmod(int(index), 2 * window + 1)
     return OrbitLabel(offset - window, 1 if block == 0 else -1)
@@ -163,16 +206,13 @@ class OrbitGraphWindow:
     def to_dot(self) -> str:
         """DOT text: vertices labeled '(n,eps)/Class', edges labeled a or 1."""
         names = ("Small", "Medium", "Large")
-        m = 2 * self.window + 1
         n = range(-self.window, self.window + 1)
         # str(OrbitLabel) of every vertex, in index order
         labels = [f"({k},+1)" for k in n] + [f"({k},-1)" for k in n]
         lines = ["digraph orbit {"]
         lines += [f'  "{lab}" [label="{lab}/{names[c]}"];'
                   for lab, c in zip(labels, self.classes.tolist())]
-        i = np.arange(2 * m)
-        alpha_edge = np.where(self.values >= self.alpha, i - 1, 2 * m - i)
-        alpha_edge[::m] = -1  # n = -W, whose alpha image leaves the window
+        alpha_edge = alpha_targets(self.values, self.alpha, self.window)
         # the rung of i is 2m-1-i, the label list read backwards
         for lab, rung, a in zip(labels, reversed(labels), alpha_edge.tolist()):
             lines.append(f'  "{lab}" -> "{rung}" [label="1"];')
@@ -185,7 +225,7 @@ class OrbitGraphWindow:
 def check_graph_window(alpha: float, x: float, window: int) -> None:
     """build_graph_window's preconditions: 0 < alpha < 1, 0 <= x <= 1, 1 <= window <= W_MAX."""
     _check_alpha(alpha)
-    if window < 1:
+    if not window >= 1:  # a NaN fails the comparison too
         raise PreconditionError("window must be >= 1")
     if window > W_MAX:
         raise PrecisionError(f"window > {W_MAX} exceeds the precision cap")
@@ -209,18 +249,11 @@ def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
     label pairs instead of merging vertices.
     """
     check_graph_window(alpha, x, window)
-    n = np.arange(-window, window + 1)
-    values = np.concatenate([(n * alpha + x) % 1.0, (n * alpha - x) % 1.0])
-
-    # classes by strict inequalities; a value within CLASS_TOL of a cut is on it
+    values = window_values(alpha, x, window)
+    scan_class_ties(values, alpha, window)
+    # classes by strict inequalities; scan_class_ties rejected values on a cut
     lo_cut, hi_cut = sorted((alpha, 1.0 - alpha))
-    on_cut = (np.abs(values - lo_cut) <= CLASS_TOL) | (np.abs(values - hi_cut) <= CLASS_TOL)
     classes = np.where(values < lo_cut, 0, np.where(values < hi_cut, 1, 2)).astype(np.int8)
-    if np.any(on_cut):
-        i = int(np.flatnonzero(on_cut)[0])
-        raise ClassBoundaryError(
-            f"label {_label_of(i, window)} value {float(values[i])!r} ties a class "
-            "boundary; alpha rational or x on a cut orbit")
 
     # the sorted values are the same either way, so the stable order that
     # names the pairs is only needed when some gap is below the tolerance

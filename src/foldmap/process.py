@@ -188,8 +188,8 @@ class UniformRow:
 
 
 def check_trials(trials: int) -> None:
-    """The precondition of TrialPlan: at least one trial."""
-    if trials < 1:
+    """The precondition of TrialPlan: at least one trial, and finitely many."""
+    if not 1 <= trials < math.inf:  # a NaN fails the comparison too
         raise PreconditionError("trials must be >= 1")
 
 
@@ -309,6 +309,10 @@ def step(theta: float, x: float) -> float:
 
 def theta_from_uniform(dist: ThetaDist, u):
     """Map uniform [0,1) draws to support points with the declared weights."""
+    u_arr = np.asarray(u, dtype=float)
+    # min and max carry a NaN through, so this rejects NaN as well
+    if u_arr.size and not (u_arr.min() >= 0 and u_arr.max() < 1):
+        raise PreconditionError("uniform draws must lie in [0, 1)")
     idx = np.searchsorted(dist._cum, u, side="right")
     return dist.support[idx]
 

@@ -16,9 +16,12 @@ is pinned by tests against the closed form.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import PreconditionError
+from .orbit import fractional_part
 from .process import ThetaDist
 from .serialize import canonical_json, rows_to_csv
 
@@ -95,10 +98,9 @@ def large_count_cumulative(alpha: float, n: int) -> np.ndarray:
     """L_1..L_n in one pass (index 0 holds L_1)."""
     if not 0 < alpha < 1:
         raise PreconditionError("alpha must lie in (0, 1)")
-    if n < 1:
+    if not 1 <= n < math.inf:  # a NaN fails the comparison too
         raise PreconditionError("n must be >= 1")
-    frac = np.arange(1, n + 1) * alpha % 1.0
-    return np.cumsum(frac >= alpha)
+    return np.cumsum(fractional_part(np.arange(1, n + 1) * alpha) >= alpha)
 
 
 def is_small_vertex(alpha: float, n: int, tol: float = 1e-12) -> bool:

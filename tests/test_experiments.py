@@ -2,14 +2,15 @@
 
 import dataclasses
 import math
+import re
 import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
-                     TrialPlan, WindowError, backward_diam_ensemble,
+from foldmap import (ClassBoundaryError, EmpiricalCDF, Interval, PreconditionError,
+                     ThetaDist, TrialPlan, WindowError, backward_diam_ensemble,
                      ensemble_forward, experiments, forward_values,
                      interval_fold, iterate_forward, ks_distance,
                      law_equality_report,
@@ -18,6 +19,7 @@ from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      theta_from_uniform, walk_confinement_dp)
 from foldmap.orbit import (OrbitLabel, apply_theta_label, build_graph_window,
                            rho_chart)
+from foldmap.process import substream_keys, uniform_cells
 
 ALPHA = math.sqrt(0.5)
 TWO_POINT = ThetaDist.two_point(ALPHA)
@@ -458,14 +460,75 @@ class TestRhoWalkAudit:
             labels.append(label)
         assert list(zip(ns.tolist(), eps.tolist())) == [(lab.n, lab.eps) for lab in labels]
 
+    @pytest.mark.parametrize("alpha, x0, seed", [
+        (ALPHA, 0.2, 17), ((math.sqrt(5.0) - 1.0) / 2.0, 0.1, 1),
+        (0.3 + 1e-5 * math.sqrt(2), 0.1, 29)])
+    def test_label_walk_grows_its_window(self, monkeypatch, alpha, x0, seed):
+        # from a window of 1 the walk doubles it several times on the way
+        u = TrialPlan(seed, trials=1).substream(0).random(3000)
+        want = experiments._label_walk(alpha, x0, u)
+        monkeypatch.setattr(experiments, "_WALK_WINDOW", 1)
+        ns, eps = experiments._label_walk(alpha, x0, u)
+        assert np.max(np.abs(ns)) > 8
+        assert np.array_equal(ns, want[0]) and np.array_equal(eps, want[1])
+
     def test_walk_past_precision_cap(self, monkeypatch):
         monkeypatch.setattr(experiments, "W_MAX", 5)
         with pytest.raises(WindowError) as info:
             rho_walk_audit(ALPHA, 0.2, 1000, TrialPlan(17, trials=1))
         assert str(info.value) == "walk reached |n| = 6 > 5"
 
+    def test_walk_grows_to_the_precision_cap(self, monkeypatch):
+        # from a window of 2 the walk grows to 4, then to the cap 5
+        monkeypatch.setattr(experiments, "W_MAX", 5)
+        monkeypatch.setattr(experiments, "_WALK_WINDOW", 2)
+        with pytest.raises(WindowError) as info:
+            rho_walk_audit(ALPHA, 0.2, 1000, TrialPlan(17, trials=1))
+        assert str(info.value) == "walk reached |n| = 6 > 5"
+
+    @pytest.mark.parametrize("window", [None, 20, 20000])
+    def test_graph_no_wider_than_the_walk(self, monkeypatch, window):
+        plan = TrialPlan(17, trials=1)
+        u = uniform_cells(substream_keys(17, 0, 1), np.arange(20000))
+        reach = int(np.max(np.abs(experiments._label_walk(ALPHA, 0.2, u)[0])))
+        widths = []
+
+        def build_spy(alpha, x, w):
+            widths.append(w)
+            return build_graph_window(alpha, x, w)
+
+        monkeypatch.setattr(experiments, "build_graph_window", build_spy)
+        if window == 20:
+            with pytest.raises(WindowError, match=re.escape(f"|n| = {reach} > window 20;")):
+                rho_walk_audit(ALPHA, 0.2, 20000, plan, window=window)
+            assert widths == []
+        else:
+            rho_walk_audit(ALPHA, 0.2, 20000, plan, window=window)
+            assert widths == [reach + 4]
+
+    @pytest.mark.parametrize("seed", range(17, 27))
+    def test_chart_on_the_walk_reads_the_window_levels(self, monkeypatch, seed):
+        # every level strictly between two path points is one the walk visits,
+        # so the report is the same on the walk's reach and on the whole window
+        plan = TrialPlan(seed, trials=1)
+        rep = rho_walk_audit(ALPHA, 0.2, 20000, plan, window=20000)
+        fit = rho_walk_audit(ALPHA, 0.2, 20000, plan)
+        assert rep["window"] == 20000 and fit["window"] < 20000
+        assert {**fit, "window": 20000} == rep
+        monkeypatch.setattr(experiments, "build_graph_window",
+                            lambda alpha, x, w: build_graph_window(alpha, x, 20000))
+        assert rho_walk_audit(ALPHA, 0.2, 20000, plan, window=20000) == rep
+
+    def test_class_tie_beyond_the_walk(self):
+        # (901, +1) has value <-alpha> = 1 - alpha, a cut, far past the walk
+        x0 = ((1 - 903) * ALPHA) % 1.0
+        plan = TrialPlan(17, trials=1)
+        assert rho_walk_audit(ALPHA, x0, 200, plan)["window"] == 16 + 4
+        with pytest.raises(ClassBoundaryError, match=r"^label \(901,\+1\) value "):
+            rho_walk_audit(ALPHA, x0, 200, plan, window=2000)
+
     @staticmethod
-    def reference_farsmall(chart, seed, steps, window, q_values, segments):
+    def reference_farsmall(chart, graph, seed, steps, q_values, segments):
         """The audit's far-small counts by one slice and scan per segment."""
         plan = TrialPlan(seed, trials=1)
         u = plan.substream(0).random(steps)
@@ -474,7 +537,6 @@ class TestRhoWalkAudit:
         for k in range(steps):
             label = apply_theta_label(ALPHA, 0.2, label, ALPHA if u[k] < 0.5 else 1.0)
             labels.append(label)
-        graph = build_graph_window(ALPHA, 0.2, window)
         rho_path = [chart.rho_of(graph, lab) for lab in labels]
         rng = plan.substream(1)
         i_idx = rng.integers(0, steps + 1, size=segments)
@@ -495,7 +557,8 @@ class TestRhoWalkAudit:
     @pytest.mark.parametrize("seed", [17, 18, 42])
     def test_prefix_counts_equal_segment_scans(self, monkeypatch, seed):
         # a second chart keeps the true minimum only on every 40th level, so
-        # that many segments have no small level and violations are counted
+        # that many segments have no small level and violations are counted;
+        # the spy keeps the graph it was handed, which the chart indexes
         charts = []
 
         def chart_spy(graph, v0):
@@ -504,7 +567,7 @@ class TestRhoWalkAudit:
                 keep = np.arange(chart.level_min.size) % 40 == 0
                 chart = dataclasses.replace(
                     chart, level_min=np.where(keep, chart.level_min, 1.0))
-            charts.append(chart)
+            charts.append((chart, graph))
             return chart
 
         monkeypatch.setattr(experiments, "rho_chart", chart_spy)
@@ -514,7 +577,7 @@ class TestRhoWalkAudit:
                                  q_values=(3, 7, 17), window=window)
             got = [(f["q"], f["segments_checked"], f["violations"])
                    for f in rep["farsmall"]]
-            assert got == self.reference_farsmall(charts[-1], seed, steps, window,
+            assert got == self.reference_farsmall(*charts[-1], seed, steps,
                                                   (3, 7, 17), 1000)
             assert (rep["farsmall_violations"] > 0) == sparse
 

@@ -194,6 +194,43 @@ digraph orbit {
 """
 
 
+def bits(y) -> np.ndarray:
+    return np.asarray(y, dtype=float).view(np.int64)
+
+
+class TestFractionalPart:
+    """y - floor(y) against y % 1.0, compared by their int64 bit patterns."""
+
+    TINY = 5e-324  # the smallest subnormal
+
+    @pytest.mark.parametrize("y", [
+        0.0, -0.0, TINY, -TINY, 1e-310, -1e-310, 2.2250738585072014e-308,
+        -2.2250738585072014e-308, -1e-17, -2.0 ** -54, -2.0 ** -53, -0.5, 0.5,
+        1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 1.0, -1.0, 3.0, -7.0, 2.5, -2.5,
+        2.0 ** 52, -(2.0 ** 52), 2.0 ** 52 + 1.0, -(2.0 ** 52 + 1.0), 2.0 ** 53,
+        -(2.0 ** 53), 1e300, -1e300, 4503599627370495.5, -4503599627370495.5,
+    ])
+    def test_edge_values(self, y):
+        got, want = orbit.fractional_part(np.array([y])), np.array([y]) % 1.0
+        assert bits(got) == bits(want)
+
+    def test_tiny_negative_rounds_to_one(self):
+        # r + 1 rounds to 1.0 for r = -5e-324, in both forms
+        assert orbit.fractional_part(np.array([-self.TINY]))[0] == 1.0
+        assert bits(orbit.fractional_part(np.array([-0.0]))) == bits(0.0)
+
+    @pytest.mark.parametrize("alpha", [ALPHA, GOLDEN, 0.3 + 1e-5 * math.sqrt(2)])
+    @pytest.mark.parametrize("x", [0.0, 0.2, 0.5, 1.0])
+    def test_label_rows_up_to_the_precision_cap(self, alpha, x):
+        # the rows n*alpha +- x for |n| <= W_MAX, and window_values on them
+        n = np.arange(-orbit.W_MAX, orbit.W_MAX + 1)
+        rows = [n * alpha + x, n * alpha - x]
+        want = np.concatenate([row % 1.0 for row in rows])
+        got = np.concatenate([orbit.fractional_part(row) for row in rows])
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(orbit.window_values(alpha, x, orbit.W_MAX)), bits(want))
+
+
 class TestGraphWindow:
     def test_class_frequencies(self):
         g = build_graph_window(ALPHA, 0.2, 50)

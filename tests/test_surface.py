@@ -5,15 +5,19 @@ import math
 import pytest
 
 import foldmap
-from foldmap import (Interval, OrbitLabel, PreconditionError, TrialPlan,
-                     apply_theta_label, build_graph_window, interval_fold,
-                     iterate_forward, rate_steps, rho_walk_audit, step,
-                     structure_stats)
+from foldmap import (Interval, OrbitLabel, PreconditionError, ThetaDist, TrialPlan,
+                     apply_theta_label, backward_diam_ensemble, build_graph_window,
+                     forward_values, interval_fold, iterate_forward, large_count,
+                     large_count_cumulative, law_equality_report,
+                     one_step_invariance_report, rate_steps, rho_walk_audit, step,
+                     structure_stats, theta_from_uniform)
 from foldmap.experiments import check_rho_walk
 
 ALPHA = math.sqrt(0.5)
 NAN, INF = math.nan, math.inf
 UNIT = Interval(0.0, 1.0)
+TWO_POINT = ThetaDist.two_point(ALPHA)
+PLAN = TrialPlan(0, 1)
 
 
 def test_exported_names():
@@ -43,6 +47,8 @@ LETTERS = "letters must be finite and >= 0"
 QK = r"q_k must be finite and >= 2 \(log2 q_k must be positive\)"
 X_UNIT = r"x must lie in \[0, 1\]"
 ALPHA_UNIT = r"alpha must lie in \(0, 1\)"
+LAW = "need n >= 0 and trials >= 1"
+DRAWS = r"uniform draws must lie in \[0, 1\)"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -87,6 +93,46 @@ ALPHA_UNIT = r"alpha must lie in \(0, 1\)"
                  id="rho-walk-alpha-nan"),
     pytest.param(lambda: rho_walk_audit(-INF, 0.2, 10, TrialPlan(1, 1)), ALPHA_UNIT,
                  id="rho-walk-audit-alpha-inf"),
+    # integer counts: NaN and inf raised a bare ValueError or TypeError
+    pytest.param(lambda: forward_values(TWO_POINT, 0.2, 5, TrialPlan(0, NAN)),
+                 "trials must be >= 1", id="plan-trials-nan"),
+    pytest.param(lambda: TrialPlan(0, INF), "trials must be >= 1", id="plan-trials-inf"),
+    pytest.param(lambda: forward_values(TWO_POINT, 0.2, NAN, PLAN), "n must be >= 0",
+                 id="forward-values-n-nan"),
+    pytest.param(lambda: forward_values(TWO_POINT, 0.2, INF, PLAN), "n must be >= 0",
+                 id="forward-values-n-inf"),
+    pytest.param(lambda: one_step_invariance_report(TWO_POINT, NAN, 0),
+                 "n_samples must be >= 1", id="invariance-samples-nan"),
+    pytest.param(lambda: one_step_invariance_report(TWO_POINT, INF, 0),
+                 "n_samples must be >= 1", id="invariance-samples-inf"),
+    pytest.param(lambda: large_count(0.7, NAN), "n must be >= 1", id="large-count-nan"),
+    pytest.param(lambda: large_count_cumulative(0.7, INF), "n must be >= 1",
+                 id="large-count-cumulative-inf"),
+    pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, NAN, 10, 0), LAW,
+                 id="law-equality-n-nan"),
+    pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, 5, INF, 0), LAW,
+                 id="law-equality-trials-inf"),
+    pytest.param(lambda: backward_diam_ensemble(TWO_POINT, NAN, PLAN), "n must be >= 0",
+                 id="backward-diam-n-nan"),
+    pytest.param(lambda: backward_diam_ensemble(TWO_POINT, INF, PLAN), "n must be >= 0",
+                 id="backward-diam-n-inf"),
+    # the audit's own counts and window: NaN raised a bare ValueError
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, NAN, PLAN), "steps must be >= 0",
+                 id="rho-walk-audit-steps-nan"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 10, PLAN, segments=NAN),
+                 "segments must be >= 0", id="rho-walk-audit-segments-nan"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 10, PLAN, window=NAN),
+                 "window must be >= 1", id="rho-walk-audit-window-nan"),
+    pytest.param(lambda: check_rho_walk(ALPHA, 0.2, INF, 10, None), "steps must be >= 0",
+                 id="rho-walk-steps-inf"),
+    pytest.param(lambda: build_graph_window(0.7, 0.2, NAN), "window must be >= 1",
+                 id="graph-window-nan"),
+    # uniform draws past the last cumulative weight raised a bare IndexError
+    pytest.param(lambda: theta_from_uniform(TWO_POINT, NAN), DRAWS, id="theta-uniform-nan"),
+    pytest.param(lambda: theta_from_uniform(TWO_POINT, 1.0), DRAWS, id="theta-uniform-1"),
+    pytest.param(lambda: theta_from_uniform(TWO_POINT, 1.5), DRAWS, id="theta-uniform-1.5"),
+    pytest.param(lambda: theta_from_uniform(TWO_POINT, [0.2, -0.1]), DRAWS,
+                 id="theta-uniform-negative"),
 ])
 def test_boundary_rejects(call, message):
     with pytest.raises(PreconditionError, match=message):
