@@ -27,6 +27,24 @@ CLI_SHA256 = [
     (SIMULATE + ["--format", "csv"],
      "7c8721aa17dfc366dc9d0c174f9820e50ef221c6006702b1ea91d8698474936b"),
 ]
+# rate at the acceptance configurations (criterion 7), as JSON and as CSV;
+# 2^14 trials give a two-worker run two blocks of 2^13 rows, so two threads
+RATE = ["rate", "--alpha", "inv-sqrt2", "--qk", "17", "--eps", "0.5", "--seed", "424242"]
+RATE_Q41 = ["rate", "--alpha", "inv-sqrt2", "--qk", "41", "--eps", "0.2", "--seed", "424243"]
+CLI_SHA256 += [
+    (RATE + ["--trials", "200", "--format", "json"],
+     "78707986a83f9cc504c95cd3786d90067b97d8a997315ad1013991c76a32ab41"),
+    (RATE + ["--trials", "200", "--format", "csv"],
+     "710c33920879c10759567a93dfd064d6eef518770b38d9efe6a2ddd643440b7a"),
+    (RATE_Q41 + ["--trials", "200", "--format", "json"],
+     "9ed51d69c8e1a108cc45092e339d97c728002d89f62a3760ca5d0ab127fda415"),
+    (RATE_Q41 + ["--trials", "200", "--format", "csv"],
+     "7df0ea2afcf93fa77bf52bbf4aef253ba1fc245ba3b77e4fa351af778cdedeaa"),
+    (RATE + ["--trials", "16384", "--format", "json"],
+     "94a6edb9f017564c7ff27fea6af2241b2775a8ae0922aefceeadba647fdec6d9"),
+    (RATE + ["--trials", "16384", "--format", "csv"],
+     "58e60d35193952857ef98d35c42106da55cc8e3fde9aa98c7635fb300f635d01"),
+]
 # little-endian float64 bytes of backward_diam_ensemble(two_point, 1000, TrialPlan(2025, 10**4))
 DIAM_SHA256 = "aebe531c5bf6dc1e53b7015b9d4a140e571e5277f649933af47f49fd948d738a"
 
@@ -54,7 +72,9 @@ def _digest(data: bytes) -> str:
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("argv, digest", CLI_SHA256,
-                         ids=["bvf-check", "simulate-json", "simulate-csv"])
+                         ids=["bvf-check", "simulate-json", "simulate-csv", "rate-q17-json",
+                              "rate-q17-csv", "rate-q41-json", "rate-q41-csv",
+                              "rate-threaded-json", "rate-threaded-csv"])
 def test_cli_report_digest(argv, digest, workers):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
