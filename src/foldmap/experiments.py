@@ -9,9 +9,14 @@ it, in place into the block's own arrays, so no (trials, n) matrix is ever
 built. process.letter_columns reads the letters from the hashed integers (a
 top-bit select for a uniform two-point dist, exact integer cuts otherwise)
 and hashes a tile of up to TILE_CELLS cells, several consecutive columns of
-a short block, per numpy call. rate_experiment reads its chunks of columns
-through the same kernel, process.letter_cells, and both fold with the
-six-pass fold_interval_arrays.
+a short block, per numpy call, and backward_diam_ensemble folds with the
+six-pass fold_interval_arrays. rate_experiment folds no interval a letter:
+for mu on {alpha, 1} the images of [0, 1] a trial passes through are the
+states of a small chain, built once per call with fold_interval_arrays on
+the exact floats, and every trial steps through that chain's table eight
+letters a lookup, its letters read as the top bits of the hashed cells.
+Where the chain passes 2^13 states, the trials fold their images a letter
+at a time instead, to the same report.
 
 Workers are threads, and numpy does the heavy lifting, so a thread pays only
 when its block is long enough that each numpy call outlasts the hand-over of
@@ -46,9 +51,9 @@ from .contfrac import contfrac_expand, convergents
 from .errors import PreconditionError, StructuralError, WindowError
 from .orbit import (OrbitLabel, W_MAX, _check_alpha, alpha_targets, build_graph_window,
                     check_graph_window, rho_chart, scan_class_ties, window_values)
-from .process import (TILE_CELLS, ThetaDist, TrialPlan, check_start, check_trials,
-                      fold_interval_arrays, letter_cells, letter_columns, substream_keys,
-                      uniform_cells)
+from .process import (TILE_CELLS, ThetaDist, TrialPlan, _cell_hashes, check_start,
+                      check_trials, fold_interval_arrays, letter_cells, letter_columns,
+                      substream_keys, uniform_cells)
 from .serialize import canonical_json, rows_to_csv
 from .stationary import PiecewiseLinearCDF, stationary_cdf, stationary_quantile
 
@@ -58,6 +63,7 @@ _MAX_WORKERS = 64         # threads one run may use
 _THREAD_ROWS = 1 << 15    # fewest rows a block needs to be worth a thread
 _RATE_THREAD_ROWS = 1 << 13  # the same for rate, which hashes 16+ columns a call
 _RATE_QK_CAP = 99         # keeps N below ~5.2e7 letters per trial
+_RATE_STATES = 1 << 13    # the most states of a rate automaton (16 MB of tables)
 
 
 class EmpiricalCDF:
@@ -309,6 +315,106 @@ def check_rate(q_k: int, epsilon: float, trials: int, workers: int) -> None:
     check_workers(workers)
 
 
+def _rate_automaton(alpha: float, epsilon: float):
+    """(next_at, reads, stop), the rate chain eight letters a step, or None
+    when it has more than _RATE_STATES states.
+
+    The states are the exact float images (lo, hi) of [0, 1] whose diameter
+    is at least epsilon, found by a breadth-first search from (0.0, 1.0)
+    under the two letters. Each image is computed by fold_interval_arrays,
+    so it is the pair of floats the per-letter fold reaches, and the states
+    are keyed by those floats. A fold to a diameter below epsilon goes to
+    one absorbing state, STOP, the last of the S + 1 states. For mu on
+    {alpha, 1} the endpoints lie on the orbit of 0: the search finds 12
+    states at q = 41 and eps = 0.2, and a few thousand at most for a random
+    alpha and q <= 99. For some alpha, 0.01048 at q = 95 among them, one
+    real image is reached as many floats along many paths: the first 400,000
+    float states hold 1659 distinct ones to 9 digits. Past _RATE_STATES the
+    search gives up.
+
+    The one-letter tables are composed with themselves three times into
+    (S + 1) x 256 tables of eight-letter words, first letter in the word's
+    top bit, as np.packbits packs it. next_at[256 s + w] is 256 times the
+    state that word w leads to from state s, so a step from the entry at is
+    at = next_at[at + w], and stop = 256 STOP. reads[256 s + w] counts the
+    letters of w read before STOP: 8 where w does not reach STOP from s, the
+    position 1..8 of the letter that does, and 0 from STOP. Summed over a
+    trial's words, it is the trial's stopping time.
+    """
+    letters = np.array([alpha, 1.0])  # the support of ThetaDist.two_point(alpha)
+    index = {(0.0, 1.0): 0}
+    los, his = [0.0], [1.0]  # the states' ends
+    succ = []  # succ[2 s + b]: the state after letter b from state s, -1 for STOP
+    while len(succ) < 2 * len(los):
+        if len(los) > _RATE_STATES:
+            return None
+        done = len(succ) // 2
+        new_lo, new_hi = fold_interval_arrays(letters, np.array(los[done:])[:, None],
+                                              np.array(his[done:])[:, None])
+        for lo, hi in zip(new_lo.ravel().tolist(), new_hi.ravel().tolist()):
+            if hi - lo < epsilon:  # the subtraction the trial loop makes
+                succ.append(-1)
+                continue
+            s = index.setdefault((lo, hi), len(los))
+            if s == len(los):
+                los.append(lo)
+                his.append(hi)
+            succ.append(s)
+    states = len(los) + 1
+    table = np.array(succ + [-1, -1], dtype=np.intp).reshape(states, 2)
+    table[table < 0] = states - 1
+    reads = np.ones(table.shape, np.uint8)
+    reads[-1] = 0
+    for _ in range(3):  # words of 2, 4 and 8 letters: the first half, then the second
+        reads = (reads[:, :, None] + reads[table]).reshape(states, -1)
+        table = table[table].reshape(states, -1)
+    return (table * 256).ravel(), reads.ravel(), 256 * (states - 1)
+
+
+def _letter_bytes(keys: np.ndarray, first: int, words: int) -> np.ndarray:
+    """The letter indices of cells first .. first + 8 words - 1 of rows keys,
+    packed eight to a byte: a (words, rows) uint8 array, first cell in the
+    top bit.
+
+    A uniform two-point dist's only cut is 2^63, so its letter index is the
+    top bit of the cell's hash, as letter_cells reads it; that cut is a
+    multiple of 2^33, so the hash stops before its last xor-shift. Each row's
+    cells are hashed side by side, so one flat packbits packs them.
+    """
+    z = _cell_hashes(keys[:, None], np.arange(first, first + 8 * words), coarse=True)
+    return np.packbits(z.view(np.int64) < 0).reshape(keys.size, words).T
+
+
+def _table_chunk(automaton, at: np.ndarray, keys: np.ndarray, first: int, words: int):
+    """(when, at): live trials (rows keys, at their table entries) step
+    through the words of cells first .. first + 8 words - 1. when[i] is how
+    many of those letters trial i used to stop, 0 if it did not stop.
+    """
+    next_at, reads, stop = automaton
+    path = np.empty((words, at.size), np.intp)  # the table entry of each word step
+    for step, word in zip(path, _letter_bytes(keys, first, words)):
+        np.add(at, word, out=step)
+        next_at.take(step, out=at)
+    return np.where(at == stop, reads[path].sum(axis=0), 0), at
+
+
+def _fold_chunk(folds, ends: np.ndarray, keys: np.ndarray, first: int, words: int):
+    """(when, ends) as _table_chunk returns, for trials whose images
+    ends = [lo, hi] (a (2, rows) array) are folded one letter at a time;
+    folds = (dist, epsilon).
+    """
+    dist, epsilon = folds
+    thetas = letter_cells(dist, keys, np.arange(first, first + 8 * words)[:, None])
+    lo, hi = ends
+    diam = np.empty_like(thetas)
+    scratch = np.empty_like(lo), np.empty_like(lo)
+    for theta, d in zip(thetas, diam):
+        fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
+        np.subtract(hi, lo, out=d)
+    below = diam < epsilon
+    return np.where(below.any(axis=0), below.argmax(axis=0) + 1, 0), ends
+
+
 def rate_experiment(alpha: float, k_index: int, epsilon: float,
                     plan: TrialPlan, workers: int = 1) -> RateReport:
     """Monte Carlo check of the backward-contraction rate bound.
@@ -319,10 +425,17 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     the exact diameter drops below epsilon within N = ceil(8 q_k^3 log2 q_k)
     letters. The diameter is nonincreasing as letters are added outside, so
     each trial stops at its first sub-epsilon diameter; letters_used records
-    that stopping point (or N on failure). Only the cells a trial folds are
-    hashed, read in chunks that grow with the letters used so far: at least
-    16 letters a trial, and beyond that at most TILE_CELLS cells. workers
-    bounds the threads, and a thread needs a block of at least 2^13 trials.
+    that stopping point (or N on failure).
+
+    The images a trial passes through are the states of a finite chain,
+    built once per call (see _rate_automaton), so a trial steps through its
+    table eight letters at a time and folds no interval. Where that chain
+    is too large to build, each trial folds its image one letter at a time,
+    to the same report. The letters are read in chunks that grow with the
+    letters used so far, a multiple of 8 cells each: at least 16 letters a
+    trial, and beyond that at most TILE_CELLS cells. A stop past N, in the
+    last chunk, is a failure. workers bounds the threads, and a thread needs
+    a block of at least 2^13 trials.
     """
     qs = convergents(contfrac_expand(alpha, 40))
     if not 0 <= k_index < len(qs):
@@ -330,36 +443,35 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     q_k = qs[k_index].q
     check_rate(q_k, epsilon, plan.trials, workers)
     n_steps = rate_steps(q_k)
-    dist = ThetaDist.two_point(alpha)
     t0 = time.perf_counter()
+    chain = _rate_automaton(alpha, epsilon)
+    if chain is None:  # too many states: fold the images [lo, hi] instead
+        chain, chunk = (ThetaDist.two_point(alpha), epsilon), _fold_chunk
+        origin = np.array([[0.0], [1.0]])
+    else:
+        chunk, origin = _table_chunk, np.zeros(1, np.intp)  # the entry of [0, 1]
 
     def worker(start, count):
         keys = substream_keys(plan.master_seed, start, count)
-        success = np.full(count, 1.0 < epsilon)  # [0, 1] itself is short enough
-        used = np.where(success, 0, n_steps)
-        live = np.flatnonzero(~success)  # block positions still folding
-        lo, hi = np.zeros(live.size), np.ones(live.size)
-        spare = np.empty(live.size), np.empty(live.size)  # fold scratch, prefixes in use
+        # each trial's stopping time: N + 1 until it stops, past N on failure
+        stops = np.full(count, 0 if 1.0 < epsilon else n_steps + 1)  # [0, 1] may do
+        live = np.flatnonzero(stops)  # block positions still folding
+        state = origin.repeat(live.size, axis=-1)  # every live trial at [0, 1]
         j = 0  # letters applied to every live trial
         while live.size and j < n_steps:
-            width = min(n_steps - j, max(16, min(j, TILE_CELLS // live.size)))
-            thetas = letter_cells(dist, keys[live], np.arange(j, j + width)[:, None])
-            diam = np.empty_like(thetas)
-            scratch = spare[0][:live.size], spare[1][:live.size]
-            for i in range(width):
-                fold_interval_arrays(thetas[i], lo, hi, out=(lo, hi), scratch=scratch)
-                np.subtract(hi, lo, out=diam[i])
-            below = diam < epsilon
-            hit = below.any(axis=0)
-            success[live[hit]] = True
-            used[live[hit]] = j + 1 + below.argmax(axis=0)[hit]
-            live, lo, hi = live[~hit], lo[~hit], hi[~hit]
-            j += width
-        return success, used
+            words = min(max(2, min(j, TILE_CELLS // live.size) // 8), -(-(n_steps - j) // 8))
+            when, state = chunk(chain, state, keys[live], j, words)
+            hit = np.flatnonzero(when)
+            stops[live[hit]] = j + when[hit]
+            going = when == 0
+            live, state = live[going], state[..., going]
+            j += 8 * words
+        return stops
 
-    parts = _run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers, _RATE_THREAD_ROWS)
-    successes = np.concatenate([s for s, _ in parts]).tolist()
-    letters = np.concatenate([u for _, u in parts]).tolist()
+    stops = np.concatenate(_run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers,
+                                       _RATE_THREAD_ROWS))
+    successes = (stops <= n_steps).tolist()
+    letters = np.minimum(stops, n_steps).tolist()
     success_count = sum(successes)
     failures = plan.trials - success_count
     implied_c = (-epsilon * math.log(failures / plan.trials)) if failures else None

@@ -220,7 +220,7 @@ class ThetaDist:
         wts = np.asarray(list(weights), dtype=float)
         if sup.size == 0 or sup.size != wts.size:
             raise PreconditionError("support and weights must be nonempty and equal-length")
-        # array methods, not np.any/np.all: rate_experiment builds a dist a call
+        # array methods, not np.any/np.all: every simulate and bvf-check builds one
         if not (np.isfinite(sup).all() and np.isfinite(wts).all()):
             raise PreconditionError("fold points and weights must be finite")
         if (sup <= 0).any():

@@ -19,7 +19,8 @@ from foldmap import (ClassBoundaryError, EmpiricalCDF, Interval, PreconditionErr
                      theta_from_uniform, walk_confinement_dp)
 from foldmap.orbit import (OrbitLabel, apply_theta_label, build_graph_window,
                            rho_chart)
-from foldmap.process import substream_keys, uniform_cells
+from foldmap.contfrac import contfrac_expand, convergents
+from foldmap.process import letter_cells, substream_keys, uniform_cells
 
 ALPHA = math.sqrt(0.5)
 TWO_POINT = ThetaDist.two_point(ALPHA)
@@ -305,19 +306,21 @@ class TestRateExperiment:
             widths = [iv.length for iv in interval_fold(word, Interval(0.0, 1.0))]
             assert widths[-1] < 0.48 <= widths[-2]
 
-    def test_budget_exhausted_is_failure(self, monkeypatch):
-        # a tiny budget N = 40 spans three read chunks (16 + 16 + 8 cells)
-        monkeypatch.setattr(experiments, "rate_steps", lambda q: 40)
+    @pytest.mark.parametrize("budget", [40, 37])
+    def test_budget_exhausted_is_failure(self, monkeypatch, budget):
+        # a tiny budget spans three read chunks (16 + 16 + 8 cells); at N = 37
+        # the last chunk reads three cells past N, and a stop there is a failure
+        monkeypatch.setattr(experiments, "rate_steps", lambda q: budget)
         plan = TrialPlan(99, trials=60)
         rep = rate_experiment(ALPHA, 5, 0.2, plan)  # q_5 = 41
         assert 0 < rep.success_count < 60
         assert rep.implied_c is not None
         for t in range(60):
-            word = np.where(plan.substream(t).random(40) < 0.5, ALPHA, 1.0)
+            word = np.where(plan.substream(t).random(budget) < 0.5, ALPHA, 1.0)
             widths = np.array([iv.length for iv in interval_fold(word, Interval(0.0, 1.0))])
             below = np.flatnonzero(widths < 0.2)
             assert rep.successes[t] == bool(below.size)
-            assert rep.letters_used[t] == (below[0] if below.size else 40)
+            assert rep.letters_used[t] == (below[0] if below.size else budget)
 
     def test_worker_byte_identity(self):
         reps = [rate_experiment(ALPHA, 4, 0.5, TrialPlan(41, trials=20), workers=w)
@@ -337,6 +340,89 @@ class TestRateExperiment:
                 rate_experiment(ALPHA, 4, eps, plan)
         with pytest.raises(PreconditionError):
             rate_experiment(ALPHA, 99, 0.5, plan)
+
+
+def assert_rate_matches_folds(alpha, epsilon, plan, rep):
+    """Each trial's stopping time is the first k whose k-letter interval_fold
+    image of [0, 1] is shorter than epsilon, or the budget on failure."""
+    for t in range(plan.trials):
+        k = rep.letters_used[t]
+        word = np.where(plan.substream(t).random(k) < 0.5, alpha, 1.0)
+        widths = [iv.length for iv in interval_fold(word, Interval(0.0, 1.0))]
+        first = next((i for i, w in enumerate(widths) if w < epsilon), None)
+        if rep.successes[t]:
+            assert first == k
+        else:
+            assert (k, first) == (rep.n_steps, None)
+
+
+def _rate_cases():
+    """(alpha, k_index, q): random alphas at their largest q_k in 9..99, and
+    alpha = 0.01049, whose q_1 = 95 gives a chain of a few thousand states."""
+    cases = [(0.01049, 1, 95)]
+    rng = np.random.default_rng(18)
+    while len(cases) < 4:
+        alpha = rng.random()
+        fits = [c for c in convergents(contfrac_expand(alpha, 40)) if 9 <= c.q <= 99]
+        if fits:
+            cases.append((alpha, fits[-1].index, fits[-1].q))
+    return cases
+
+
+class TestRateAutomaton:
+    """The float-exact state chain that rate_experiment steps eight letters a time."""
+
+    @pytest.mark.parametrize("epsilon, states", [(0.5, 3), (0.2, 12), (10 / 99, 37)],
+                             ids=["q17", "q41", "q99"])
+    def test_state_counts(self, epsilon, states):
+        next_at, reads, stop = experiments._rate_automaton(ALPHA, epsilon)
+        assert stop == 256 * states  # STOP follows the live states
+        assert next_at.shape == reads.shape == (256 * (states + 1),)
+
+    def test_letter_bytes_are_the_letters(self):
+        keys = substream_keys(7, 3, 50)
+        bits = np.unpackbits(experiments._letter_bytes(keys, 40, 3), axis=0)
+        for alpha in (ALPHA, 0.01049, 0.9):
+            dist = ThetaDist.two_point(alpha)
+            letters = letter_cells(dist, keys, np.arange(40, 64)[:, None])
+            assert np.array_equal(dist.support[bits].view(np.int64), letters.view(np.int64))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("alpha, k_index, q", _rate_cases(),
+                             ids=lambda v: f"{v:.5g}" if isinstance(v, float) else str(v))
+    def test_matches_interval_fold(self, alpha, k_index, q, workers):
+        for epsilon in (np.nextafter(8 / q, 1.0), 10 / q, 1.5):
+            plan = TrialPlan(q + workers, trials=12)
+            rep = rate_experiment(alpha, k_index, epsilon, plan, workers=workers)
+            assert rep.q_k == q
+            assert_rate_matches_folds(alpha, epsilon, plan, rep)
+
+    def test_diameter_equal_to_epsilon_is_no_stop(self):
+        # the letter alpha folds [0, 1] to [0, alpha], whose diameter is epsilon
+        plan = TrialPlan(3, trials=40)
+        rep = rate_experiment(ALPHA, 4, ALPHA, plan)
+        assert 1 not in rep.letters_used
+        assert_rate_matches_folds(ALPHA, ALPHA, plan, rep)
+
+    @pytest.mark.parametrize("budget", [40, 37, None])
+    def test_fold_path_gives_the_same_report(self, monkeypatch, budget):
+        # a chain past _RATE_STATES states is not built; the trials fold instead
+        if budget:
+            monkeypatch.setattr(experiments, "rate_steps", lambda q: budget)
+        runs = [lambda: rate_experiment(ALPHA, 5, 0.2, TrialPlan(99, 60)),
+                lambda: rate_experiment(ALPHA, 6, 10 / 99, TrialPlan(5, 30)),
+                lambda: rate_experiment(ALPHA, 4, 1.5, TrialPlan(1, 3))]
+        reports = [run().to_json() for run in runs]
+        monkeypatch.setattr(experiments, "_RATE_STATES", 0)
+        assert [run().to_json() for run in runs] == reports
+
+    def test_too_many_float_states_folds(self):
+        # at alpha = 0.01048, q = 95, one real image is reached as many floats
+        assert experiments._rate_automaton(0.01048, 10 / 95) is None
+        plan = TrialPlan(5, trials=3)
+        rep = rate_experiment(0.01048, 1, 10 / 95, plan)
+        assert rep.q_k == 95 and rep.success_count == 3
+        assert_rate_matches_folds(0.01048, 10 / 95, plan, rep)
 
 
 def transfer_dp(n):
