@@ -11,12 +11,22 @@ import json
 
 import numpy as np
 
+# exact types json writes as they are; a subclass, such as np.float64, is not one
+_PLAIN = frozenset((int, float, bool, str, type(None)))
+
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and tuples to plain Python."""
+    """Recursively convert numpy scalars/arrays and tuples to plain Python.
+
+    A list or tuple whose elements are all plain ints, floats, bools, strs
+    or None is returned as it is: json writes it as the list it would
+    become. Dict keys become strs here, so sort_keys sorts them as strs.
+    """
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if _PLAIN.issuperset(map(type, obj)):
+            return obj
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]

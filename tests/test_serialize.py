@@ -1,8 +1,9 @@
-"""CSV cells: exact-type fast paths, the numpy and bool cases, and float arrays."""
+"""CSV cells: exact-type fast paths, the numpy and bool cases, and float arrays;
+JSON: plain lists as they are, numpy values converted, dict keys sorted as strs."""
 
 import numpy as np
 
-from foldmap.serialize import rows_to_csv
+from foldmap.serialize import canonical_json, jsonable, rows_to_csv
 
 
 def test_cells_by_type():
@@ -22,3 +23,21 @@ def test_float_array_renders_like_its_rows():
     for values in (edge, rng.random(500), rng.choice(edge[:7], 300), np.empty(0)):
         assert rows_to_csv(["trial", "value"], values) == \
             rows_to_csv(["trial", "value"], enumerate(values.tolist()))
+
+
+def test_plain_lists_pass_through():
+    plain = [1, 0.5, True, "x", None]
+    assert jsonable(plain) is plain
+    assert jsonable((1, 2.5)) == (1, 2.5)
+    mixed = [1, np.int64(2), np.float64(0.5), np.True_, [np.float32(0.25)], (3, 4)]
+    got = jsonable(mixed)
+    assert got == [1, 2, 0.5, True, [0.25], (3, 4)]
+    assert [type(v) for v in got[:4]] == [int, int, float, bool]
+    assert canonical_json(mixed) == "[1, 2, 0.5, true, [0.25], [3, 4]]\n"
+
+
+def test_int_keys_sort_as_strings():
+    # keys past 9: "10" sorts before "2" once the keys are strs
+    report = {2: [1, 2], 10: {3: np.int64(4), 11: None}, 1: "a"}
+    assert canonical_json(report) == \
+        '{"1": "a", "10": {"11": null, "3": 4}, "2": [1, 2]}\n'
