@@ -26,7 +26,7 @@ def check_contfrac(alpha: float, terms: int) -> None:
     """The preconditions of contfrac_expand: alpha in (0, 1), terms in 0..40."""
     if not 0.0 < alpha < 1.0:
         raise PreconditionError("alpha must lie in (0, 1)")
-    if terms < 0:
+    if not terms >= 0:  # a NaN fails the comparison too
         raise PreconditionError("terms must be >= 0")
     if terms > _MAX_TERMS:
         raise PrecisionError(f"terms > {_MAX_TERMS} exceeds double-precision reliability")
@@ -93,6 +93,8 @@ def convergents(quotients: list[int]) -> list[Convergent]:
 
 def convergent_denominators(alpha: float, q_max: int) -> list[int]:
     """Denominators q_n <= q_max for alpha, ascending, duplicates dropped."""
+    if q_max != q_max:  # only NaN
+        raise PreconditionError("q_max must be a number, not NaN")
     qs = []
     for c in convergents(contfrac_expand(alpha, _MAX_TERMS)):
         if c.q > q_max:
@@ -122,7 +124,11 @@ def find_close_k(alpha: float, x: float, q_n: int) -> dict:
     check_close_k(alpha, x, q_n)
     bound = 1.5 / q_n
     y = x % 1.0
-    for k in range(q_n):
+    try:
+        ks = range(q_n)
+    except TypeError:  # a float q_n, NaN and inf too
+        raise PreconditionError("q_n must be an integer") from None
+    for k in ks:
         if y < bound:
             return {"k": k, "value": y}
         y -= alpha

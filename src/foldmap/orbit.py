@@ -26,6 +26,7 @@ threshold.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -49,6 +50,10 @@ class OrbitLabel:
     eps: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.n)  # an int or a numpy int; a float, NaN too, fails
+        except TypeError:
+            raise PreconditionError("n must be an integer") from None
         if self.eps not in (1, -1):
             raise PreconditionError("eps must be +1 or -1")
 

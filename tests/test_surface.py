@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import foldmap
 from foldmap import (Interval, OrbitLabel, PreconditionError, ThetaDist, TrialPlan,
                      apply_theta_label, backward_diam_ensemble, build_graph_window,
+                     contfrac_expand, convergent_denominators, find_close_k,
                      forward_values, interval_fold, iterate_forward, large_count,
                      large_count_cumulative, law_equality_report,
                      one_step_invariance_report, rate_steps, rho_walk_audit, step,
@@ -127,6 +129,20 @@ DRAWS = r"uniform draws must lie in \[0, 1\)"
                  id="rho-walk-steps-inf"),
     pytest.param(lambda: build_graph_window(0.7, 0.2, NAN), "window must be >= 1",
                  id="graph-window-nan"),
+    # a NaN count or q_n returned [0] or a full list, or raised a bare TypeError
+    pytest.param(lambda: contfrac_expand(ALPHA, NAN), "terms must be >= 0",
+                 id="contfrac-terms-nan"),
+    pytest.param(lambda: convergent_denominators(ALPHA, NAN), "q_max must be a number",
+                 id="denominators-qmax-nan"),
+    pytest.param(lambda: find_close_k(ALPHA, 0.5, NAN), "q_n must be an integer",
+                 id="close-k-qn-nan"),
+    pytest.param(lambda: find_close_k(ALPHA, 0.5, INF), "q_n must be an integer",
+                 id="close-k-qn-inf"),
+    pytest.param(lambda: find_close_k(ALPHA, 0.5, 17.0), "q_n must be an integer",
+                 id="close-k-qn-float"),
+    # a non-integer n gave label_value nan
+    pytest.param(lambda: OrbitLabel(NAN, 1), "n must be an integer", id="label-n-nan"),
+    pytest.param(lambda: OrbitLabel(1.0, 1), "n must be an integer", id="label-n-float"),
     # uniform draws past the last cumulative weight raised a bare IndexError
     pytest.param(lambda: theta_from_uniform(TWO_POINT, NAN), DRAWS, id="theta-uniform-nan"),
     pytest.param(lambda: theta_from_uniform(TWO_POINT, 1.0), DRAWS, id="theta-uniform-1"),
@@ -137,3 +153,8 @@ DRAWS = r"uniform draws must lie in \[0, 1\)"
 def test_boundary_rejects(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
+
+
+def test_numpy_ints_are_integers():
+    assert OrbitLabel(np.int64(3), -1) == OrbitLabel(3, -1)
+    assert find_close_k(ALPHA, 0.5, np.int64(17)) == find_close_k(ALPHA, 0.5, 17)
