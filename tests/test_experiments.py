@@ -306,21 +306,22 @@ class TestRateExperiment:
             widths = [iv.length for iv in interval_fold(word, Interval(0.0, 1.0))]
             assert widths[-1] < 0.48 <= widths[-2]
 
-    @pytest.mark.parametrize("budget", [40, 37])
-    def test_budget_exhausted_is_failure(self, monkeypatch, budget):
+    def test_budget_exhausted_is_failure(self, monkeypatch):
         # a tiny budget spans three read chunks (16 + 16 + 8 cells); at N = 37
         # the last chunk reads three cells past N, and a stop there is a failure
-        monkeypatch.setattr(experiments, "rate_steps", lambda q: budget)
-        plan = TrialPlan(99, trials=60)
-        rep = rate_experiment(ALPHA, 5, 0.2, plan)  # q_5 = 41
-        assert 0 < rep.success_count < 60
-        assert rep.implied_c is not None
-        for t in range(60):
-            word = np.where(plan.substream(t).random(budget) < 0.5, ALPHA, 1.0)
-            widths = np.array([iv.length for iv in interval_fold(word, Interval(0.0, 1.0))])
-            below = np.flatnonzero(widths < 0.2)
-            assert rep.successes[t] == bool(below.size)
-            assert rep.letters_used[t] == (below[0] if below.size else budget)
+        for budget in (40, 37):
+            monkeypatch.setattr(experiments, "rate_steps", lambda q: budget)
+            plan = TrialPlan(99, trials=60)
+            rep = rate_experiment(ALPHA, 5, 0.2, plan)  # q_5 = 41
+            assert 0 < rep.success_count < 60
+            assert rep.implied_c is not None
+            for t in range(60):
+                word = np.where(plan.substream(t).random(budget) < 0.5, ALPHA, 1.0)
+                widths = np.array([iv.length
+                                   for iv in interval_fold(word, Interval(0.0, 1.0))])
+                below = np.flatnonzero(widths < 0.2)
+                assert rep.successes[t] == bool(below.size)
+                assert rep.letters_used[t] == (below[0] if below.size else budget)
 
     def test_worker_byte_identity(self):
         reps = [rate_experiment(ALPHA, 4, 0.5, TrialPlan(41, trials=20), workers=w)
