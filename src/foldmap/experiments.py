@@ -453,8 +453,9 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
 
     def worker(start, count):
         keys = substream_keys(plan.master_seed, start, count)
-        # each trial's stopping time: N + 1 until it stops, past N on failure
-        stops = np.full(count, 0 if 1.0 < epsilon else n_steps + 1)  # [0, 1] may do
+        # each trial's stopping time: 0 where [0, 1] is already short enough,
+        # else N + 1 until it stops; a stop past N is a failure
+        stops = np.full(count, 0 if 1.0 < epsilon else n_steps + 1)
         live = np.flatnonzero(stops)  # block positions still folding
         state = origin.repeat(live.size, axis=-1)  # every live trial at [0, 1]
         j = 0  # letters applied to every live trial
