@@ -373,16 +373,18 @@ def _rate_automaton(alpha: float, epsilon: float):
 
 def _letter_bytes(keys: np.ndarray, first: int, words: int) -> np.ndarray:
     """The letter indices of cells first .. first + 8 words - 1 of rows keys,
-    packed eight to a byte: a (words, rows) uint8 array, first cell in the
-    top bit.
+    eight to a byte: a (words, rows) uint8 array, first cell in the top bit.
 
-    A uniform two-point dist's only cut is 2^63, so its letter index is the
-    top bit of the cell's hash, as letter_cells reads it; that cut is a
-    multiple of 2^33, so the hash stops before its last xor-shift. Each row's
-    cells are hashed side by side, so one flat packbits packs them.
+    A uniform two-point dist reads one bit a letter, 64 to a hash, letter
+    64c first in the top bit of the hash of cell c (see foldmap.process), so
+    each byte of a hash, read from the top, is a word of eight letters.
     """
-    z = _cell_hashes(keys[:, None], np.arange(first, first + 8 * words), coarse=True)
-    return np.packbits(z.view(np.int64) < 0).reshape(keys.size, words).T
+    start = first // 8  # first is a multiple of 8
+    cell = start // 8
+    z = _cell_hashes(keys[:, None], np.arange(cell, (start + words + 7) // 8))
+    # big-endian bytes: each hash's top byte first, whatever the host's order
+    octets = z.astype(">u8").view(np.uint8)
+    return octets[:, start - 8 * cell:start - 8 * cell + words].T
 
 
 def _table_chunk(automaton, at: np.ndarray, keys: np.ndarray, first: int, words: int):

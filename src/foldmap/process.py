@@ -23,19 +23,22 @@ uniform_cells reads the float cells: u >= c exactly when z >= ceil(c 2^53)
 2^11, so ThetaDist turns its cumulative weights into integer cuts once, and
 a letter's index is the number of cuts at or below z. That equals
 theta_from_uniform on the float cell bit for bit, and skips both the float
-cell and the binary search. A dist whose only cut is 2^63, as every uniform
-two-point dist's is, needs no count: its letter is support[1] exactly when
-z's top bit is set, so the letter's bits are s0 ^ (m & (s0 ^ s1)), with s0,
-s1 the bits of support[0], support[1] and m = int64(z) >> 63 (all ones or
-all zeros), three integer passes with no compare and no gather.
+cell and the binary search.
+
+A dist whose integer cuts are exactly [2^63], as every uniform two-point
+dist's are, needs one bit a letter, not one hash: letter j of row t is
+support[bit 63 - (j mod 64) of h[t, j // 64]], where h[t, c] =
+mix64(key_t + (c + 1) G) is the full hash of grid cell (t, c). So one hash
+holds 64 letters, letter 64c first in its top bit, and each of its bytes,
+read from the top, is a word of 8 consecutive letters, the first in the
+byte's top bit (letter_words). Only these letters follow the bit rule:
+uniform_cells, and the letters of every other dist, read one cell a value.
 
 When every cut is coarse, a multiple of 2^33 (a cumulative weight on a
-multiple of 2^-31, as the 1/2 of every uniform two-point dist is), the
-letters are read from the hash before mix64's last step z ^ (z >> 31).
-z >> 31 is below 2^33, so that step keeps bits 63..33 of z, and for a cut c
-with its low 33 bits zero, z ^ (z >> 31) >= c exactly when z >= c: the
-letters are the same bit for bit, two array passes sooner. The sign bit is
-one of the bits kept, so the top-bit select is exact on that hash too.
+multiple of 2^-31), the letters are read from the hash before mix64's last
+step z ^ (z >> 31). z >> 31 is below 2^33, so that step keeps bits 63..33
+of z, and for a cut c with its low 33 bits zero, z ^ (z >> 31) >= c exactly
+when z >= c: the letters are the same bit for bit, two array passes sooner.
 
 letter_columns yields the letter columns of a block of rows one at a time,
 but hashes a tile of consecutive columns per numpy call: (width, rows)
@@ -61,7 +64,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _UNIT53 = 2.0 ** -53
 _LOW33 = np.uint64((1 << 33) - 1)  # the bits mix64's last xor-shift can change
-_SIGN_CUT = 1 << 63  # the cut of a weight of 1/2 first: the letter is z's top bit
+_BIT_CUT = 1 << 63  # the one cut of a dist that reads one bit a letter
 # cap on the cells hashed per numpy call by letter_columns and by a
 # rate_experiment chunk (does not affect output). 2^15 and 2^16 time level
 # on the benchmark's backward-diameter and rate ops; 2^16 reads three columns
@@ -247,11 +250,8 @@ class ThetaDist:
         # every cut a multiple of 2^33 (none counts): letters may skip the
         # hash's last xor-shift
         self._coarse = not (self._cuts & _LOW33).any()
-        # the one cut 2^63: the int64 bits (s0, s0 ^ s1) of the top-bit select
-        self._sign_bits = None
-        if self._cuts.tolist() == [_SIGN_CUT]:
-            s0, s1 = self.support[:2].view(np.int64)
-            self._sign_bits = s0, s0 ^ s1
+        # the one cut 2^63: a letter is one bit of a hash (see the module docstring)
+        self._bits = self._cuts.tolist() == [_BIT_CUT]
 
     @property
     def bound(self) -> float:
@@ -336,19 +336,12 @@ def _take_letters(dist: ThetaDist, z: np.ndarray, theta: np.ndarray,
                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Write the letters of hashed cells z into theta, and return it.
 
-    A dist whose only cut is 2^63 selects between its two lowest points by
-    z's top bit, in theta's int64 view. Otherwise a letter's index is the
-    number of dist's integer cuts at or below its hash: up to _CHAIN_CUTS
-    cuts are counted by compares into scratch (a uint64 array shaped like z,
-    allocated when None), with theta, not yet written, holding each compare;
-    more cuts, or none, are counted by bisection.
+    A letter's index is the number of dist's integer cuts at or below its
+    hash: up to _CHAIN_CUTS cuts are counted by compares into scratch (a
+    uint64 array shaped like z, allocated when None), with theta, not yet
+    written, holding each compare; more cuts, or none, are counted by
+    bisection.
     """
-    if dist._sign_bits is not None:
-        base, flip = dist._sign_bits
-        bits = np.right_shift(z.view(np.int64), 63, out=theta.view(np.int64))
-        bits &= flip
-        bits ^= base
-        return theta
     cuts = dist._cuts
     if 0 < cuts.size <= _CHAIN_CUTS:
         index = np.empty(z.shape, np.intp) if scratch is None else scratch.view(np.intp)
@@ -363,14 +356,32 @@ def _take_letters(dist: ThetaDist, z: np.ndarray, theta: np.ndarray,
     return np.take(dist.support, index, out=theta, mode="clip")
 
 
+def _bit_letters(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.ndarray:
+    """letter_cells for a dist that reads one bit a letter: letter j is bit
+    63 - (j mod 64) of the full hash of cell j // 64."""
+    z, spare = (None, None) if scratch is None else scratch
+    if np.ndim(steps) == 0:
+        j = int(steps)
+        z = _cell_hashes(keys, j >> 6, z, spare)
+        z >>= np.uint64(63 - (j & 63))
+    else:
+        steps = np.asarray(steps, dtype=np.uint64)
+        z = _cell_hashes(keys, steps >> np.uint64(6), z, spare)
+        z >>= np.uint64(63) - (steps & np.uint64(63))
+    z &= np.uint64(1)
+    out = np.empty(z.shape) if out is None else out
+    return np.take(dist.support, z.view(np.int64), out=out, mode="clip")
+
+
 def letter_cells(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.ndarray:
     """The letters of grid cells (t, j) for row keys and step indices j.
 
-    keys and steps broadcast as in uniform_cells, and the result equals
+    keys and steps broadcast as in uniform_cells. A dist whose cuts are
+    [2^63] reads letter j as one bit of the hash of cell j // 64 (see the
+    module docstring). Every other dist's letter equals
     theta_from_uniform(dist, uniform_cells(keys, steps)) bit for bit, read
-    from the hashed integers by the integer cuts of dist: by the top-bit
-    select when the one cut is 2^63, else by counting cuts. When the cuts
-    are coarse (multiples of 2^33), the hashes stop before mix64's last
+    from the hashed integers by the integer cuts of dist; when the cuts are
+    coarse (multiples of 2^33), the hashes stop before mix64's last
     xor-shift, which leaves every comparison with such a cut unchanged.
 
     out, a float array of the broadcast shape, receives the letters, and
@@ -378,6 +389,8 @@ def letter_cells(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.nda
     their shifted copies. Either is allocated when it is None; a loop that
     passes both allocates nothing.
     """
+    if dist._bits:
+        return _bit_letters(dist, keys, steps, out, scratch)
     z, spare = (None, None) if scratch is None else scratch
     z = _cell_hashes(keys, steps, z, spare, dist._coarse)
     return _take_letters(dist, z, np.empty(z.shape) if out is None else out, spare)

@@ -496,7 +496,7 @@ DRY_RUNS = {
 
 REPORT_SHA256 = [
     (['simulate', '--dist', 'two-point:inv-sqrt2', '--x0', '0.2', '--n', '20', '--trials', '50', '--seed', '3'],
-     '7ec95c5e6b46b48ff44b665feed1ea1829c8dcc48aca747e2ac6cd36599cadc8'),
+     'fd120a1ac3085b98eaa2cb4d219fec6c70cf70cc1f7726d69c59c1d3b82f2366'),
     (['simulate', '--dist', '0.3:0.25,1.0:0.75', '--x0', '0.6', '--n', '10', '--trials', '20', '--seed', '4', '--format', 'csv'],
      'b9d2fc6682d8e30ee2ca6b803652a8b3bcb4f060ac234536b8b3179907649e23'),
     (['stationary', '--dist', 'two-point:inv-sqrt2'],
@@ -536,7 +536,7 @@ REPORT_SHA256 = [
     (['rho-audit', '--alpha', 'inv-sqrt2', '--x0', '0.2', '--steps', '200', '--seed', '18', '--segments', '50', '--q-values', '3,7', '--window', '200'],
      '6061ca8e5dd343cbdc7cc613acebfb1a25d8ccec154a4bb3e4029ffb95ee415e'),
     (['bvf-check', '--dist', 'two-point:inv-sqrt2', '--x0', '0.2', '--n', '10', '--trials', '200', '--seed', '23'],
-     '53fe8662cbda5377d7e11a152a932a74b37eb2f362630a8fb55932d4bdce78eb'),
+     '7903e894a791d857ce96a2769295c3cd2b93e3c4646687db546839dcaf31c662'),
 ]
 
 # (flag, default, choices, required, takes no value) per subcommand, in order

@@ -22,9 +22,16 @@ from foldmap.orbit import (OrbitLabel, apply_theta_label, build_graph_window,
 from foldmap.contfrac import contfrac_expand, convergents
 from foldmap.process import letter_cells, substream_keys, uniform_cells
 
+import bit_oracle
+
 ALPHA = math.sqrt(0.5)
 TWO_POINT = ThetaDist.two_point(ALPHA)
 STAT_CDF = stationary_cdf(TWO_POINT)
+
+
+def two_point_word(alpha, plan, t, n):
+    """Letters 0 .. n-1 of row t for the dist {alpha, 1}, by tests/bit_oracle.py."""
+    return np.where(bit_oracle.bits(plan.master_seed, t, 1, n)[0] == 1, 1.0, alpha)
 
 
 def pooled_ks(a, b):
@@ -147,7 +154,7 @@ class TestForwardConvergence:
         plan = TrialPlan(3, trials=20)
         vals = forward_values(TWO_POINT, 0.2, 15, plan)
         for t in range(20):
-            word = theta_from_uniform(TWO_POINT, plan.substream(t).random(15))
+            word = two_point_word(ALPHA, plan, t, 15)
             assert vals[t] == iterate_forward(word, 0.2)[-1]
 
     def test_validation(self):
@@ -302,7 +309,7 @@ class TestRateExperiment:
         rep = rate_experiment(ALPHA, 4, 0.48, plan)
         assert rep.success_count == 30
         for t, k in enumerate(rep.letters_used):
-            word = np.where(plan.substream(t).random(k) < 0.5, ALPHA, 1.0)
+            word = two_point_word(ALPHA, plan, t, k)
             widths = [iv.length for iv in interval_fold(word, Interval(0.0, 1.0))]
             assert widths[-1] < 0.48 <= widths[-2]
 
@@ -316,7 +323,7 @@ class TestRateExperiment:
             assert 0 < rep.success_count < 60
             assert rep.implied_c is not None
             for t in range(60):
-                word = np.where(plan.substream(t).random(budget) < 0.5, ALPHA, 1.0)
+                word = two_point_word(ALPHA, plan, t, budget)
                 widths = np.array([iv.length
                                    for iv in interval_fold(word, Interval(0.0, 1.0))])
                 below = np.flatnonzero(widths < 0.2)
@@ -348,7 +355,7 @@ def assert_rate_matches_folds(alpha, epsilon, plan, rep):
     image of [0, 1] is shorter than epsilon, or the budget on failure."""
     for t in range(plan.trials):
         k = rep.letters_used[t]
-        word = np.where(plan.substream(t).random(k) < 0.5, alpha, 1.0)
+        word = two_point_word(alpha, plan, t, k)
         widths = [iv.length for iv in interval_fold(word, Interval(0.0, 1.0))]
         first = next((i for i, w in enumerate(widths) if w < epsilon), None)
         if rep.successes[t]:
@@ -683,7 +690,10 @@ class TestDistributionReports:
         # sample i: the quantile of cell (0, i), folded at the letter of cell (1, i)
         plan, cdf = TrialPlan(29, trials=2), stationary_cdf(dist)
         x = sample_stationary(cdf, plan.substream(0), 500)
-        theta = theta_from_uniform(dist, plan.substream(1).random(500))
+        if dist is TWO_POINT:  # one bit a letter (tests/bit_oracle.py)
+            theta = two_point_word(ALPHA, plan, 1, 500)
+        else:
+            theta = theta_from_uniform(dist, plan.substream(1).random(500))
         want = ks_distance(EmpiricalCDF(np.abs(theta - x)), cdf)
         assert one_step_invariance_report(dist, 500, master_seed=29)["ks_distance"] == want
 

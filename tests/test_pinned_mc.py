@@ -3,6 +3,8 @@
 Each output is produced at one and at two workers and compared with one
 SHA-256 digest, so a change to the letter or fold kernels, the block layout
 or the serializers that moves a single bit of these reports fails here.
+The two-point digests are those of the one-bit letter rule, and
+tests/test_bit_rule.py checks each against the model in tests/bit_oracle.py.
 """
 
 import contextlib
@@ -21,11 +23,11 @@ SIMULATE = ["simulate", "--dist", "two-point:inv-sqrt2", "--x0", "0.2", "--n", "
 CLI_SHA256 = [
     (["bvf-check", "--dist", "two-point:inv-sqrt2", "--x0", "0.2", "--n", "50",
       "--trials", "100000", "--seed", "777"],
-     "87b8afd9551e1bb5ecb99e335d67917095ca205468a94271d4549a5f3e8fee83"),
+     "f6a219a673362fe32fa5d6e2be26ea57052285067024dc4e14777810f14f3175"),
     (SIMULATE + ["--format", "json"],
-     "25e029f2ec1b1cadd0cc27dc5b1d5907f8469b0614e0ea3883d3465a9b22f4c8"),
+     "699fdae45efe30f923211fa7b7725f5e13b1ffe0dc4e7e1ce715f425b3a444f8"),
     (SIMULATE + ["--format", "csv"],
-     "7c8721aa17dfc366dc9d0c174f9820e50ef221c6006702b1ea91d8698474936b"),
+     "a735faa91b96d1be79e2bc46e81c3ff0b6a9df310aca09ffdbecee80c9916124"),
 ]
 # rate at the acceptance configurations (criterion 7), as JSON and as CSV;
 # 2^14 trials give a two-worker run two blocks of 2^13 rows, so two threads
@@ -33,20 +35,20 @@ RATE = ["rate", "--alpha", "inv-sqrt2", "--qk", "17", "--eps", "0.5", "--seed", 
 RATE_Q41 = ["rate", "--alpha", "inv-sqrt2", "--qk", "41", "--eps", "0.2", "--seed", "424243"]
 CLI_SHA256 += [
     (RATE + ["--trials", "200", "--format", "json"],
-     "78707986a83f9cc504c95cd3786d90067b97d8a997315ad1013991c76a32ab41"),
+     "f965fee50a32676ea291656c9cae2f7583b72458d7b429c40c2fa3c226a3092a"),
     (RATE + ["--trials", "200", "--format", "csv"],
-     "710c33920879c10759567a93dfd064d6eef518770b38d9efe6a2ddd643440b7a"),
+     "e33ad5ff64d4529033716305d4dda6f81504b45d89ab29bd6634a6b62d8fdbfa"),
     (RATE_Q41 + ["--trials", "200", "--format", "json"],
-     "9ed51d69c8e1a108cc45092e339d97c728002d89f62a3760ca5d0ab127fda415"),
+     "be22def009e17ae60f82da3ea56077e43729c01d3de8bebf02d686d5a68ee4a0"),
     (RATE_Q41 + ["--trials", "200", "--format", "csv"],
-     "7df0ea2afcf93fa77bf52bbf4aef253ba1fc245ba3b77e4fa351af778cdedeaa"),
+     "12174d2cad9e38fb2ca8f6734cbef95eb174cdf372e78b84b303a74e924c47ea"),
     (RATE + ["--trials", "16384", "--format", "json"],
-     "94a6edb9f017564c7ff27fea6af2241b2775a8ae0922aefceeadba647fdec6d9"),
+     "bb32891898cddc4af987c13ad0273db5141bdfc130c02a4aa78d2c909b21fbb8"),
     (RATE + ["--trials", "16384", "--format", "csv"],
-     "58e60d35193952857ef98d35c42106da55cc8e3fde9aa98c7635fb300f635d01"),
+     "ff976630a514f9deab54ec85a8fc647cff436986d8cfd52dc7a41b51e0cd5427"),
 ]
 # little-endian float64 bytes of backward_diam_ensemble(two_point, 1000, TrialPlan(2025, 10**4))
-DIAM_SHA256 = "aebe531c5bf6dc1e53b7015b9d4a140e571e5277f649933af47f49fd948d738a"
+DIAM_SHA256 = "a3cbce8efcff89ece040aef878322512693704e851a18172e1a7a92a2a91379c"
 
 # Dists whose letters take the count-and-gather path: three points, and two
 # points whose cut (0.3) is not 2^63. 3000 rows and n = 1001 put several

@@ -16,6 +16,8 @@ from foldmap.process import (_CHAIN_CUTS, TILE_CELLS, _cell_hashes,
                              fold_interval_arrays, letter_cells, letter_columns,
                              substream_keys, uniform_cells)
 
+import bit_oracle
+
 ALPHA = math.sqrt(0.5)
 
 
@@ -507,8 +509,19 @@ LETTER_DISTS = {
 COARSE = {"one-point", "two-point", "cum-at-1", "coarse-2^-31"}
 
 
+def expected_letters(dist, keys, steps):
+    """theta_from_uniform over uniform_cells, or, for a dist that reads one
+    bit a letter, tests/bit_oracle.py cell by cell."""
+    if not dist._bits:
+        return theta_from_uniform(dist, uniform_cells(keys, steps))
+    k, j = np.broadcast_arrays(keys, steps)
+    return np.array([bit_oracle.cell_letter(dist.support, int(a), int(b))
+                     for a, b in zip(k.ravel().tolist(), j.ravel().tolist())]).reshape(k.shape)
+
+
 class TestLetterColumns:
-    """letter_columns and letter_cells equal theta_from_uniform over uniform_cells, bit for bit."""
+    """letter_columns and letter_cells equal theta_from_uniform over uniform_cells,
+    or the bit oracle, bit for bit."""
 
     def test_supports_reach_the_edge_cases(self):
         assert LETTER_DISTS["cum-at-1"][0]._cum.tolist() == [1.0, 1.0]
@@ -575,7 +588,7 @@ class TestLetterColumns:
         columns = [c.copy() for c in letter_columns(dist, keys, steps)]
         assert len(columns) == len(steps)
         for j, column in zip(steps, columns):
-            assert np.array_equal(column, theta_from_uniform(dist, uniform_cells(keys, j)))
+            assert np.array_equal(column, expected_letters(dist, keys, j))
 
     @pytest.mark.parametrize("name", sorted(LETTER_DISTS))
     def test_letter_cells_random_keys_and_steps(self, name):
@@ -587,7 +600,7 @@ class TestLetterColumns:
         for k, j in ((keys, steps), (keys[:9], steps[:, 0]), (keys, 0), (keys, 1 << 62)):
             got = letter_cells(dist, k, j)
             assert got.shape == np.broadcast(k, j).shape
-            assert np.array_equal(got, theta_from_uniform(dist, uniform_cells(k, j)))
+            assert np.array_equal(got, expected_letters(dist, k, j))
 
     def test_letter_cells_one_row(self):
         # one key against a range of steps: the cells of one row, as UniformRow reads them
@@ -609,7 +622,7 @@ def same_bits(a, b) -> bool:
     return np.array_equal(bits(a), bits(b))
 
 
-# dists whose only cut is 2^63, so their letters are the top-bit select
+# dists whose cuts are [2^63], so they read one bit a letter
 SIGN_DISTS = {
     "two-point": ThetaDist.two_point(ALPHA),
     "alpha-1e-9": ThetaDist.two_point(1e-9),
@@ -622,34 +635,34 @@ SIGN_DISTS = {
 
 
 class TestSignLetters:
-    """The top-bit select equals the float path bit for bit."""
+    """The bit rule: letter j is bit 63 - (j mod 64) of the hash of cell j // 64."""
 
     CRAFTED = [0, (1 << 63) - (1 << 33), (1 << 63) - 1, 1 << 63,
-               (1 << 63) + (1 << 33) - 1, MASK64]
+               (1 << 63) + (1 << 33) - 1, MASK64, 0x0123456789ABCDEF]
 
     @pytest.mark.parametrize("name", sorted(SIGN_DISTS))
     def test_crafted_hashes(self, name):
+        # cell 0 of these rows hashes to CRAFTED, so letters 0..63 are its bits
         dist = SIGN_DISTS[name]
-        assert dist._sign_bits is not None and dist._coarse
+        assert dist._bits
         keys = keys_hashing_to(self.CRAFTED)
-        want = theta_from_uniform(dist, uniform_cells(keys, 0))
-        assert same_bits(want, dist.support[[0, 0, 0, 1, 1, 1]])
-        assert same_bits(letter_cells(dist, keys, 0), want)
-        (column,) = letter_columns(dist, keys, [0])
-        assert same_bits(column, want)
+        assert np.array_equal(_cell_hashes(keys, 0), np.array(self.CRAFTED, np.uint64))
+        want = dist.support[[[(z >> (63 - j)) & 1 for z in self.CRAFTED] for j in range(64)]]
+        assert same_bits(want[0], dist.support[[0, 0, 0, 1, 1, 1, 0]])
+        assert same_bits(letter_cells(dist, keys, np.arange(64)[:, None]), want)
+        assert same_bits(np.stack(list(letter_columns(dist, keys, range(64)))), want)
 
     @pytest.mark.parametrize("name", sorted(SIGN_DISTS))
     def test_random_cells(self, name):
         dist = SIGN_DISTS[name]
         keys = substream_keys(63, 0, 500)
-        steps = np.arange(40)[:, None]
-        assert same_bits(letter_cells(dist, keys, steps),
-                         theta_from_uniform(dist, uniform_cells(keys, steps)))
+        steps = np.array([0, 1, 7, 8, 9, 62, 63, 64, 65, 127, 128, 10 ** 6])[:, None]
+        assert same_bits(letter_cells(dist, keys, steps), expected_letters(dist, keys, steps))
 
     def test_only_the_cut_2_63_selects(self):
-        sign = {name for name, (d, _) in LETTER_DISTS.items() if d._sign_bits is not None}
+        sign = {name for name, (d, _) in LETTER_DISTS.items() if d._bits}
         assert sign == {"two-point"}
-        assert ThetaDist([ALPHA, 1.0], [0.3, 0.7])._sign_bits is None
+        assert not ThetaDist([ALPHA, 1.0], [0.3, 0.7])._bits
 
 
 def tiled_columns(dist, keys, steps):
