@@ -257,7 +257,7 @@ def _shrinkword(a, resolved) -> str:
 
 
 def _rate_plan(a) -> dict:
-    k_index = next((c.index for c in convergents(contfrac_expand(a.alpha, 40))
+    k_index = next((c.index for c in convergents(contfrac_expand(a.alpha, 40), a.qk)
                     if c.q == a.qk), None)
     if k_index is None:
         raise PreconditionError(f"{a.qk} is not a convergent denominator of alpha")
@@ -266,7 +266,8 @@ def _rate_plan(a) -> dict:
 
 def _rate(a, resolved) -> str:
     report = experiments.rate_experiment(a.alpha, resolved["k_index"], a.eps,
-                                         TrialPlan(a.seed, a.trials), workers=a.workers)
+                                         TrialPlan(a.seed, a.trials), workers=a.workers,
+                                         q_k=a.qk)
     return report.to_csv() if a.format == "csv" else report.to_json()
 
 

@@ -68,11 +68,12 @@ class Convergent:
         return self.p / self.q
 
 
-def convergents(quotients: list[int]) -> list[Convergent]:
+def convergents(quotients: list[int], q_max: float | None = None) -> list[Convergent]:
     """Convergents from partial quotients via the standard recursion.
 
     p_n = a_n p_{n-1} + p_{n-2}, likewise for q, seeded by p_{-1}/q_{-1} = 1/0
-    and p_0/q_0 = a_0/1.
+    and p_0/q_0 = a_0/1. With q_max, the list ends at the first denominator
+    >= q_max, so no later convergent is computed or meets the 128-bit guard.
     """
     if not quotients:
         raise PreconditionError("need at least one partial quotient")
@@ -83,6 +84,8 @@ def convergents(quotients: list[int]) -> list[Convergent]:
     p, q = quotients[0], 1
     out.append(Convergent(0, quotients[0], p, q))
     for i, a in enumerate(quotients[1:], start=1):
+        if q_max is not None and q >= q_max:
+            break
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         if q > _Q_LIMIT:
@@ -96,7 +99,7 @@ def convergent_denominators(alpha: float, q_max: int) -> list[int]:
     if q_max != q_max:  # only NaN
         raise PreconditionError("q_max must be a number, not NaN")
     qs = []
-    for c in convergents(contfrac_expand(alpha, _MAX_TERMS)):
+    for c in convergents(contfrac_expand(alpha, _MAX_TERMS), q_max):
         if c.q > q_max:
             break
         if not qs or c.q != qs[-1]:

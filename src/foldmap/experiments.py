@@ -1,22 +1,29 @@
 """Monte Carlo and exact experiments on the folding chain.
 
 Reproducibility contract: every stochastic experiment takes a TrialPlan (or a
-master seed) and reads its letters from that seed's uniform grid (see
-foldmap.process): trial t's j-th letter is cell (t, j), hashed on demand.
-forward_values, law_equality_report and backward_diam_ensemble fold one
-letter column of a block of trials at a time, in the order the fold consumes
-it, in place into the block's own arrays, so no (trials, n) matrix is ever
-built. process.letter_columns reads the letters from the hashed integers (a
-top-bit select for a uniform two-point dist, exact integer cuts otherwise)
-and hashes a tile of up to TILE_CELLS cells, several consecutive columns of
-a short block, per numpy call, and backward_diam_ensemble folds with the
-six-pass fold_interval_arrays. rate_experiment folds no interval a letter:
-for mu on {alpha, 1} the images of [0, 1] a trial passes through are the
-states of a small chain, built once per call with fold_interval_arrays on
-the exact floats, and every trial steps through that chain's table eight
-letters a lookup, its letters read as the top bits of the hashed cells.
-Where the chain passes 2^13 states, the trials fold their images a letter
-at a time instead, to the same report.
+master seed) and reads its letters from that seed's grid (see
+foldmap.process): trial t's j-th letter is cell (t, j), hashed on demand. A
+uniform two-point dist reads one bit a letter, letter j of row t being
+support[bit 63 - (j mod 64) of h[t, j // 64]], where h[t, c] is the full
+hash of cell (t, c); every other dist reads one hash a letter, by integer
+cuts. No (trials, n) matrix is ever built.
+
+For a two-point dist the folds run on one word automaton. The images of a
+start point x0, of [0, b], or of [0, 1] down to a diameter epsilon, under
+words of the two letters are exact floats, and there are few of them: 232
+points of x0 = 0.2 to depth 50, 1585 images of [0, 1] to depth 1000. One
+breadth-first search per call (_state_graph) finds them with the scalar
+fold, so each state is the pair of floats the per-letter fold reaches,
+and its one-letter table is composed into an int32 table of 8-letter
+words. Each byte of a hash, read from the top, is one such word, so
+forward_values, both directions of law_equality_report,
+backward_diam_ensemble and rate_experiment step every trial one add and
+one take per eight letters, and fold no float. Where the search passes its
+state cap, the trials fold one letter at a time from the same bits, to
+the same bytes; other dists fold a letter column at a time
+(process.letter_columns, with the six-pass fold_interval_arrays for
+intervals). rate_experiment stops a trial at its first image shorter than
+epsilon, an absorbing state of its chain.
 
 Workers are threads, and numpy does the heavy lifting, so a thread pays only
 when its block is long enough that each numpy call outlasts the hand-over of
@@ -25,16 +32,17 @@ therefore an upper bound. A run of m rows uses at most m // 2^15 threads, so
 every block of a threaded run holds at least 2^15 rows, and it splits its
 rows into equal blocks (up to one row), as many as it has threads, or more
 where that would pass the cap of _TRIAL_BLOCK rows that bounds block memory.
-rate_experiment hashes 16 or more columns of a block in one call, so its
-threads pay from 2^13 rows, and that is its floor. Reports are
+rate_experiment reads 64 or more letters of a block in one call, and its
+threads were measured to pay from 2^13 rows, so that is its floor. Reports are
 byte-identical across reruns, block sizes and worker counts, and all
 aggregation is ordered by trial index, never by completion order. Runtime
 measurements are carried on report objects but excluded from their
 canonical serializations.
 
 The sample-indexed one_step_invariance_report reads row 0 for its stationary
-draws and row 1 for its letters, at cell = sample index, and blocks its
-samples the same way.
+draws and row 1 for its letters, at cell = sample index (a two-point dist's
+letters unpacked from row 1's hashes, 64 a hash), and blocks its samples
+the same way.
 """
 
 from __future__ import annotations
@@ -51,9 +59,9 @@ from .contfrac import contfrac_expand, convergents
 from .errors import PreconditionError, StructuralError, WindowError
 from .orbit import (OrbitLabel, W_MAX, _check_alpha, alpha_targets, build_graph_window,
                     check_graph_window, rho_chart, scan_class_ties, window_values)
-from .process import (TILE_CELLS, ThetaDist, TrialPlan, _cell_hashes, check_start,
-                      check_trials, fold_interval_arrays, letter_cells, letter_columns,
-                      substream_keys, uniform_cells)
+from .process import (TILE_CELLS, ThetaDist, TrialPlan, check_start, check_trials,
+                      fold_interval_arrays, letter_bits, letter_cells, letter_columns,
+                      letter_words, substream_keys, uniform_cells)
 from .serialize import canonical_json, rows_to_csv
 from .stationary import PiecewiseLinearCDF, stationary_cdf, stationary_quantile
 
@@ -63,7 +71,8 @@ _MAX_WORKERS = 64         # threads one run may use
 _THREAD_ROWS = 1 << 15    # fewest rows a block needs to be worth a thread
 _RATE_THREAD_ROWS = 1 << 13  # the same for rate, which hashes 16+ columns a call
 _RATE_QK_CAP = 99         # keeps N below ~5.2e7 letters per trial
-_RATE_STATES = 1 << 13    # the most states of a rate automaton (16 MB of tables)
+_WORD_STATES = 1 << 13    # the most states of a word automaton (8 MB a word table)
+_RATE_STATES = 1 << 13    # the same for rate's, whose table of reads adds 2 MB
 
 
 class EmpiricalCDF:
@@ -174,20 +183,168 @@ def check_workers(workers: int) -> None:
         raise PreconditionError(f"workers must lie in 1..{_MAX_WORKERS}")
 
 
+# ---- word automata ---------------------------------------------------------
+
+
+def _state_graph(support, start: tuple, depth: int | None = None,
+                 epsilon: float | None = None, cap: int | None = None):
+    """(ends, succ): the exact-float states of a two-point dist's folds of an
+    interval, or None when there are more than cap (_WORD_STATES) states.
+
+    The states are the images (lo, hi) of start under words of the two
+    letters support[0] and support[1], found by a breadth-first search, one
+    level a word length. Each image is the scalar fold of interval_fold,
+    the same floats as fold_interval_arrays and, on a point (x, x), as
+    |theta - x|, so a state is exactly the pair of floats the per-letter
+    fold reaches, and the states are keyed by those floats. A point start
+    gives point states; [0, b] gives the backward images of
+    backward_diam_ensemble; [0, 1] with epsilon gives rate's chain.
+
+    The last state, S, is a sink. A fold to a diameter below epsilon goes
+    there (it is rate's STOP), and so do the letters from the states first
+    reached at `depth`, which the search does not expand: a walk of at most
+    depth letters never takes them. ends is an (S + 1, 2) float array of
+    the states' ends (NaN for the sink), succ an (S + 1, 2) int32 array,
+    succ[s, b] the state after letter support[b] from state s.
+    """
+    letters = support[:2].tolist()  # the two points a bit selects
+    index = {start: 0}
+    states = [start]
+    cap = _WORD_STATES if cap is None else cap
+    succ = []  # succ[2 s + b] for the expanded states s, -1 for the sink
+    level, level_end = 0, 1  # states[:level_end] lie at most `level` letters deep
+    for s, (lo, hi) in enumerate(states):  # the loop sees the states it appends
+        if s == level_end:
+            level, level_end = level + 1, len(states)
+        if level == depth:
+            break
+        for t in letters:
+            image = (max(0.0, lo - t, t - hi), max(abs(t - lo), abs(t - hi)))
+            if epsilon is not None and image[1] - image[0] < epsilon:
+                succ.append(-1)
+                continue
+            nxt = index.setdefault(image, len(states))
+            if nxt == len(states):
+                if nxt >= cap:
+                    return None
+                states.append(image)
+            succ.append(nxt)
+    sink = len(states)
+    table = np.full((sink + 1, 2), sink, dtype=np.int32)
+    table.ravel()[:len(succ)] = succ
+    table[table < 0] = sink
+    ends = np.array(states + [(math.nan, math.nan)])
+    return ends, table
+
+
+def _compose(high: np.ndarray, low: np.ndarray, backward: bool) -> np.ndarray:
+    """The state table of words whose high bits are a word of high's and
+    whose low bits are a word of low's. Forward, the high bits are read
+    first (the first letter is the top bit); backward, the low bits are."""
+    if backward:  # [s, h, l] = high[low[s, l], h], built in place of a transpose
+        return high[low[:, None, :], np.arange(high.shape[1])[:, None]].reshape(low.shape[0], -1)
+    return low[high].reshape(high.shape[0], -1)
+
+
+def _word_table(succ: np.ndarray, letters: int, backward: bool = False) -> np.ndarray:
+    """The flat int32 table of words of 1..8 letters, first letter in the
+    word's top bit: entry (s << letters) + w is 256 times the state that
+    word w leads to from state s. backward applies the word's letters from
+    its lowest bit up instead, the order of a fold with letter 0 outermost.
+    """
+    table, power, size = None, succ, 1  # power: the table of words of `size` letters
+    while size <= letters:
+        if letters & size:  # the larger part takes the high bits
+            table = power if table is None else _compose(power, table, backward)
+        size *= 2
+        if size <= letters:
+            power = _compose(power, power, backward)
+    if table is succ:
+        table = table.copy()
+    table <<= 8
+    return table.ravel()
+
+
+def _walk_tables(succ: np.ndarray, n: int, backward: bool) -> dict:
+    """{letters: _word_table} for the words a walk of n letters reads: 8, and
+    n mod 8 for its one short word."""
+    sizes = ([8] if n >= 8 else []) + ([n % 8] if n % 8 else [])
+    return {k: _word_table(succ, k, backward) for k in sizes}
+
+
+def _words_in_order(keys: np.ndarray, n: int, backward: bool):
+    """(word, letters) for the words that hold letters 0 .. n-1 of rows keys,
+    in the order a fold takes them: ascending, or descending for a fold
+    with letter 0 outermost. letters is 8, except for the last word when n
+    is not a multiple of 8, which holds its top n mod 8 bits."""
+    full, short = divmod(n, 8)
+    words = range(full + (short > 0))
+    words = words[::-1] if backward else words
+    for w, word in zip(words, letter_words(keys, words)):
+        yield word, 8 if w < full else short
+
+
+def _table_walk(tables: dict, keys: np.ndarray, n: int, backward: bool) -> np.ndarray:
+    """The state each row of keys reaches from state 0 through letters
+    0 .. n-1, one table lookup a word (see _word_table)."""
+    at = np.zeros(keys.size, np.int32)  # 256 times the state
+    step = np.empty_like(at)
+    for word, letters in _words_in_order(keys, n, backward):
+        np.add(at, word, out=step)
+        if letters < 8:  # (256 s + w) >> (8 - k) = (s << k) + the word's top k bits
+            step >>= 8 - letters
+        tables[letters].take(step, out=at)
+    at >>= 8
+    return at
+
+
+def _bit_walk(dist: ThetaDist, keys: np.ndarray, n: int, backward: bool):
+    """The letter columns of rows keys in fold order, read from the same
+    words as _table_walk one bit at a time: the fold past the state cap."""
+    theta = np.empty(keys.size)
+    bit = np.empty(keys.size, np.uint8)
+    for word, letters in _words_in_order(keys, n, backward):
+        # forward from the top bit down; backward from the word's last letter up
+        for shift in range(8 - letters, 8) if backward else range(7, 7 - letters, -1):
+            np.right_shift(word, shift, out=bit)
+            bit &= 1
+            yield np.take(dist.support, bit, out=theta, mode="clip")
+
+
+def _point_graph(dist: ThetaDist, x0: float, n: int):
+    """_state_graph of the point x0 to depth n, or None where the letters
+    are not one bit each or the graph passes the state cap."""
+    return _state_graph(dist.support, (float(x0),) * 2, n) if dist._bits else None
+
+
 def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
-                 workers: int, first: int = 0, backward: bool = False) -> np.ndarray:
+                 workers: int, first: int = 0, backward: bool = False,
+                 graph=None) -> np.ndarray:
     """x0 folded through n letters of rows first .. first+plan.trials-1.
 
     Forward applies cell 0 first; backward applies it last (outermost).
+    Given graph = _point_graph(dist, x0, n), the rows walk its word tables;
+    without one, they fold a letter at a time (a two-point dist's from the
+    same bits), to the same bytes.
     """
-    steps = range(n - 1, -1, -1) if backward else range(n)
+    if graph is not None:
+        ends, succ = graph
+        tables = _walk_tables(succ, n, backward)
 
-    def worker(start, count):
-        keys = substream_keys(plan.master_seed, first + start, count)
-        x = np.full(count, float(x0))
-        for theta in letter_columns(dist, keys, steps):
-            np.abs(np.subtract(theta, x, out=x), out=x)
-        return x
+        def worker(start, count):
+            keys = substream_keys(plan.master_seed, first + start, count)
+            return ends[_table_walk(tables, keys, n, backward), 1]
+    else:
+        steps = range(n - 1, -1, -1) if backward else range(n)
+
+        def worker(start, count):
+            keys = substream_keys(plan.master_seed, first + start, count)
+            x = np.full(count, float(x0))
+            letters = (_bit_walk(dist, keys, n, backward) if dist._bits
+                       else letter_columns(dist, keys, steps))
+            for theta in letters:
+                np.abs(np.subtract(theta, x, out=x), out=x)
+            return x
 
     return np.concatenate(_run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers))
 
@@ -208,7 +365,7 @@ def forward_values(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
     Trial t folds x0 through cells (t, 0), ..., (t, n-1), in that order.
     """
     check_forward_values(x0, n, plan.trials, workers)
-    return _point_folds(dist, x0, n, plan, workers)
+    return _point_folds(dist, x0, n, plan, workers, graph=_point_graph(dist, x0, n))
 
 
 def ensemble_forward(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
@@ -228,15 +385,26 @@ def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
     if not 0 <= n < math.inf:  # a NaN fails the comparison too
         raise PreconditionError("n must be >= 0")
     b = dist.bound
+    graph = _state_graph(dist.support, (0.0, b), n) if dist._bits else None
+    if graph is not None:
+        ends, succ = graph
+        diameters = ends[:, 1] - ends[:, 0]
+        tables = _walk_tables(succ, n, True)
 
-    def worker(start, count):
-        keys = substream_keys(plan.master_seed, start, count)
-        lo = np.zeros(count)
-        hi = np.full(count, b)
-        scratch = np.empty(count), np.empty(count)
-        for theta in letter_columns(dist, keys, range(n - 1, -1, -1)):  # newest innermost
-            fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
-        return hi - lo
+        def worker(start, count):
+            keys = substream_keys(plan.master_seed, start, count)
+            return diameters[_table_walk(tables, keys, n, True)]
+    else:
+        def worker(start, count):
+            keys = substream_keys(plan.master_seed, start, count)
+            lo = np.zeros(count)
+            hi = np.full(count, b)
+            scratch = np.empty(count), np.empty(count)
+            letters = (_bit_walk(dist, keys, n, True) if dist._bits  # newest innermost
+                       else letter_columns(dist, keys, range(n - 1, -1, -1)))
+            for theta in letters:
+                fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
+            return hi - lo
 
     parts = _run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers)
     return np.concatenate(parts)
@@ -320,71 +488,35 @@ def _rate_automaton(alpha: float, epsilon: float):
     when it has more than _RATE_STATES states.
 
     The states are the exact float images (lo, hi) of [0, 1] whose diameter
-    is at least epsilon, found by a breadth-first search from (0.0, 1.0)
-    under the two letters. Each image is computed by fold_interval_arrays,
-    so it is the pair of floats the per-letter fold reaches, and the states
-    are keyed by those floats. A fold to a diameter below epsilon goes to
-    one absorbing state, STOP, the last of the S + 1 states. For mu on
-    {alpha, 1} the endpoints lie on the orbit of 0: the search finds 12
-    states at q = 41 and eps = 0.2, and a few thousand at most for a random
-    alpha and q <= 99. For some alpha, 0.01048 at q = 95 among them, one
-    real image is reached as many floats along many paths: the first 400,000
-    float states hold 1659 distinct ones to 9 digits. Past _RATE_STATES the
-    search gives up.
+    is at least epsilon (_state_graph), and a fold to a diameter below
+    epsilon goes to one absorbing state, STOP, the last of the S + 1 states.
+    For mu on {alpha, 1} the endpoints lie on the orbit of 0: the search
+    finds 12 states at q = 41 and eps = 0.2, and a few thousand at most for
+    a random alpha and q <= 99. For some alpha, 0.01048 at q = 95 among
+    them, one real image is reached as many floats along many paths: the
+    first 400,000 float states hold 1659 distinct ones to 9 digits. Past
+    _RATE_STATES the search gives up.
 
-    The one-letter tables are composed with themselves three times into
-    (S + 1) x 256 tables of eight-letter words, first letter in the word's
-    top bit, as np.packbits packs it. next_at[256 s + w] is 256 times the
-    state that word w leads to from state s, so a step from the entry at is
-    at = next_at[at + w], and stop = 256 STOP. reads[256 s + w] counts the
-    letters of w read before STOP: 8 where w does not reach STOP from s, the
-    position 1..8 of the letter that does, and 0 from STOP. Summed over a
-    trial's words, it is the trial's stopping time.
+    next_at is the 8-letter table of _word_table: next_at[256 s + w] is 256
+    times the state that word w leads to from state s, so a step from the
+    entry at is at = next_at[at + w], and stop = 256 STOP. reads[256 s + w]
+    counts the letters of w read before STOP: 8 where w does not reach STOP
+    from s, the position 1..8 of the letter that does, and 0 from STOP.
+    Summed over a trial's words, it is the trial's stopping time.
     """
-    letters = np.array([alpha, 1.0])  # the support of ThetaDist.two_point(alpha)
-    index = {(0.0, 1.0): 0}
-    los, his = [0.0], [1.0]  # the states' ends
-    succ = []  # succ[2 s + b]: the state after letter b from state s, -1 for STOP
-    while len(succ) < 2 * len(los):
-        if len(los) > _RATE_STATES:
-            return None
-        done = len(succ) // 2
-        new_lo, new_hi = fold_interval_arrays(letters, np.array(los[done:])[:, None],
-                                              np.array(his[done:])[:, None])
-        for lo, hi in zip(new_lo.ravel().tolist(), new_hi.ravel().tolist()):
-            if hi - lo < epsilon:  # the subtraction the trial loop makes
-                succ.append(-1)
-                continue
-            s = index.setdefault((lo, hi), len(los))
-            if s == len(los):
-                los.append(lo)
-                his.append(hi)
-            succ.append(s)
-    states = len(los) + 1
-    table = np.array(succ + [-1, -1], dtype=np.intp).reshape(states, 2)
-    table[table < 0] = states - 1
+    graph = _state_graph(np.array([alpha, 1.0]), (0.0, 1.0), epsilon=epsilon,
+                         cap=_RATE_STATES)
+    if graph is None:
+        return None
+    table = graph[1]
+    states = table.shape[0]
     reads = np.ones(table.shape, np.uint8)
     reads[-1] = 0
     for _ in range(3):  # words of 2, 4 and 8 letters: the first half, then the second
         reads = (reads[:, :, None] + reads[table]).reshape(states, -1)
-        table = table[table].reshape(states, -1)
-    return (table * 256).ravel(), reads.ravel(), 256 * (states - 1)
-
-
-def _letter_bytes(keys: np.ndarray, first: int, words: int) -> np.ndarray:
-    """The letter indices of cells first .. first + 8 words - 1 of rows keys,
-    eight to a byte: a (words, rows) uint8 array, first cell in the top bit.
-
-    A uniform two-point dist reads one bit a letter, 64 to a hash, letter
-    64c first in the top bit of the hash of cell c (see foldmap.process), so
-    each byte of a hash, read from the top, is a word of eight letters.
-    """
-    start = first // 8  # first is a multiple of 8
-    cell = start // 8
-    z = _cell_hashes(keys[:, None], np.arange(cell, (start + words + 7) // 8))
-    # big-endian bytes: each hash's top byte first, whatever the host's order
-    octets = z.astype(">u8").view(np.uint8)
-    return octets[:, start - 8 * cell:start - 8 * cell + words].T
+        table = _compose(table, table, False)
+    table <<= 8
+    return table.ravel(), reads.ravel(), 256 * (states - 1)
 
 
 def _table_chunk(automaton, at: np.ndarray, keys: np.ndarray, first: int, words: int):
@@ -393,8 +525,8 @@ def _table_chunk(automaton, at: np.ndarray, keys: np.ndarray, first: int, words:
     many of those letters trial i used to stop, 0 if it did not stop.
     """
     next_at, reads, stop = automaton
-    path = np.empty((words, at.size), np.intp)  # the table entry of each word step
-    for step, word in zip(path, _letter_bytes(keys, first, words)):
+    path = np.empty((words, at.size), np.int32)  # the table entry of each word step
+    for step, word in zip(path, letter_words(keys, range(first // 8, first // 8 + words))):
         np.add(at, word, out=step)
         next_at.take(step, out=at)
     return np.where(at == stop, reads[path].sum(axis=0), 0), at
@@ -418,7 +550,7 @@ def _fold_chunk(folds, ends: np.ndarray, keys: np.ndarray, first: int, words: in
 
 
 def rate_experiment(alpha: float, k_index: int, epsilon: float,
-                    plan: TrialPlan, workers: int = 1) -> RateReport:
+                    plan: TrialPlan, workers: int = 1, q_k: int | None = None) -> RateReport:
     """Monte Carlo check of the backward-contraction rate bound.
 
     Uses the two-point distribution {alpha, 1}. k_index selects the
@@ -427,22 +559,26 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     the exact diameter drops below epsilon within N = ceil(8 q_k^3 log2 q_k)
     letters. The diameter is nonincreasing as letters are added outside, so
     each trial stops at its first sub-epsilon diameter; letters_used records
-    that stopping point (or N on failure).
+    that stopping point (or N on failure). q_k, when the caller has already
+    found it (the CLI has), is the denominator of convergent k_index; it is
+    found here otherwise.
 
     The images a trial passes through are the states of a finite chain,
     built once per call (see _rate_automaton), so a trial steps through its
     table eight letters at a time and folds no interval. Where that chain
     is too large to build, each trial folds its image one letter at a time,
     to the same report. The letters are read in chunks that grow with the
-    letters used so far, a multiple of 8 cells each: at least 16 letters a
-    trial, and beyond that at most TILE_CELLS cells. A stop past N, in the
-    last chunk, is a failure. workers bounds the threads, and a thread needs
-    a block of at least 2^13 trials.
+    letters used so far, a multiple of 8 letters each: at least one hash (64
+    letters) a trial, and beyond that at most TILE_CELLS letters. A stop
+    past N, in the last chunk, is a failure. workers bounds the threads, and
+    a thread needs a block of at least 2^13 trials.
     """
-    qs = convergents(contfrac_expand(alpha, 40))
-    if not 0 <= k_index < len(qs):
-        raise PreconditionError(f"k_index {k_index} out of range for this alpha")
-    q_k = qs[k_index].q
+    if q_k is None:
+        quotients = contfrac_expand(alpha, 40)
+        if not 0 <= k_index < len(quotients):
+            raise PreconditionError(f"k_index {k_index} out of range for this alpha")
+        # the convergents up to k_index only: later ones may pass the 128-bit guard
+        q_k = convergents(quotients[:k_index + 1])[k_index].q
     check_rate(q_k, epsilon, plan.trials, workers)
     n_steps = rate_steps(q_k)
     t0 = time.perf_counter()
@@ -451,7 +587,7 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
         chain, chunk = (ThetaDist.two_point(alpha), epsilon), _fold_chunk
         origin = np.array([[0.0], [1.0]])
     else:
-        chunk, origin = _table_chunk, np.zeros(1, np.intp)  # the entry of [0, 1]
+        chunk, origin = _table_chunk, np.zeros(1, np.int32)  # the entry of [0, 1]
 
     def worker(start, count):
         keys = substream_keys(plan.master_seed, start, count)
@@ -462,7 +598,7 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
         state = origin.repeat(live.size, axis=-1)  # every live trial at [0, 1]
         j = 0  # letters applied to every live trial
         while live.size and j < n_steps:
-            words = min(max(2, min(j, TILE_CELLS // live.size) // 8), -(-(n_steps - j) // 8))
+            words = min(max(8, min(j, TILE_CELLS // live.size) // 8), -(-(n_steps - j) // 8))
             when, state = chunk(chain, state, keys[live], j, words)
             hit = np.flatnonzero(when)
             stops[live[hit]] = j + when[hit]
@@ -717,7 +853,10 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
     def worker(start, count):
         steps = np.arange(start, start + count)
         x = stationary_quantile(cdf, uniform_cells(keys[:1], steps))
-        theta = letter_cells(dist, keys[1:], steps)
+        if dist._bits:
+            theta = dist.support[letter_bits(keys[1:], start, count)[0]]
+        else:
+            theta = letter_cells(dist, keys[1:], steps)
         return np.abs(np.subtract(theta, x, out=x), out=x)
 
     parts = _run_blocks(worker, n_samples, _SAMPLE_BLOCK, workers)
@@ -747,8 +886,9 @@ def law_equality_report(dist: ThetaDist, x0: float, n: int, trials: int,
     """
     check_law_equality(x0, n, trials, workers)
     plan = TrialPlan(master_seed, trials)
-    fwd = _point_folds(dist, x0, n, plan, workers)
-    bwd = _point_folds(dist, x0, n, plan, workers, first=trials, backward=True)
+    graph = _point_graph(dist, x0, n)  # the two directions share its states
+    fwd = _point_folds(dist, x0, n, plan, workers, graph=graph)
+    bwd = _point_folds(dist, x0, n, plan, workers, first=trials, backward=True, graph=graph)
     ks = ks_distance(EmpiricalCDF(fwd), EmpiricalCDF(bwd))
     return {"schema": 1, "kind": "law_equality", "x0": x0, "n": n,
             "trials": trials, "master_seed": master_seed, "ks_distance": ks}

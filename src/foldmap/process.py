@@ -50,6 +50,7 @@ on the tile it was read in, so neither does any result.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
@@ -65,12 +66,14 @@ _MIX2 = 0x94D049BB133111EB
 _UNIT53 = 2.0 ** -53
 _LOW33 = np.uint64((1 << 33) - 1)  # the bits mix64's last xor-shift can change
 _BIT_CUT = 1 << 63  # the one cut of a dist that reads one bit a letter
-# cap on the cells hashed per numpy call by letter_columns and by a
-# rate_experiment chunk (does not affect output). 2^15 and 2^16 time level
+# cap on the cells hashed per numpy call by letter_columns and letter_words,
+# and on the letters of a rate_experiment chunk (does not affect output). 2^15 and 2^16 time level
 # on the benchmark's backward-diameter and rate ops; 2^16 reads three columns
 # a call at simulate's 20000 rows, and a tile's hash, scratch and letter
 # buffers (1.5 MB) still fit a 2 MB L2
 TILE_CELLS = 1 << 16
+# the memory offset, within a uint64, of its top byte (word 0 of a hash)
+_TOP_BYTE = 7 if sys.byteorder == "little" else 0
 # +0.0 as a 0-d array: a ufunc converts a Python float operand on every call
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
@@ -418,6 +421,46 @@ def letter_columns(dist: ThetaDist, keys: np.ndarray, steps: Iterable[int]):
         js = np.array(tile, dtype=np.uint64).reshape((k,) + (1,) * keys.ndim)
         letter_cells(dist, keys, js, out=theta[:k], scratch=(z[:k], scratch[:k]))
         yield from columns[:k]
+
+
+def letter_words(keys: np.ndarray, words: range):
+    """The 8-letter words w of `words` of grid rows `keys`, for a dist that
+    reads one bit a letter: one (rows,) uint8 column per word.
+
+    Word w holds letters 8w .. 8w + 7, the first in its top bit: it is byte
+    w mod 8, counted from the top, of the hash of cell w // 8. The cells are
+    hashed a tile of up to TILE_CELLS letters (at least one cell a row), each tile
+    running on from the word that needs it in the direction of the range,
+    into buffers allocated once; every column is a read-only view of them,
+    so use each column before asking for the next.
+    """
+    if not words:
+        return
+    low, high = min(words[0], words[-1]) // 8, max(words[0], words[-1]) // 8 + 1
+    span = min(max(1, TILE_CELLS // (64 * max(1, keys.size))), high - low)
+    z = np.empty((span, keys.size), dtype=np.uint64)
+    scratch = np.empty_like(z)
+    octets = z.view(np.uint8).reshape(span, keys.size, 8)
+    octets.flags.writeable = False
+    first = None  # the first cell of the tile in z
+    for w in words:
+        cell = w // 8
+        if first is None or not first <= cell < first + span:
+            first = cell if words.step > 0 else max(low, cell - span + 1)
+            k = min(span, high - first)
+            cells = np.arange(first, first + k, dtype=np.uint64)[:, None]
+            _cell_hashes(keys, cells, z[:k], scratch[:k])
+        yield octets[cell - first, :, _TOP_BYTE ^ (w % 8)]
+
+
+def letter_bits(keys: np.ndarray, start: int, count: int) -> np.ndarray:
+    """The letter indices (0 or 1) of cells start .. start + count - 1 of
+    grid rows `keys`, for a dist that reads one bit a letter: a
+    (rows, count) uint8 array. letter_cells(dist, keys, j) is
+    dist.support[bit j - start]."""
+    z = _cell_hashes(keys[:, None], np.arange(start // 64, (start + count + 63) // 64))
+    bits = np.unpackbits(z.astype(">u8").view(np.uint8), axis=-1)
+    return bits[:, start % 64:start % 64 + count]
 
 
 def sample_theta(dist: ThetaDist, rng: np.random.Generator, size=None):

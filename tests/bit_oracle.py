@@ -55,10 +55,13 @@ def letter_column(support, h: np.ndarray, j: int) -> np.ndarray:
 
 def bits(seed: int, first: int, rows: int, n: int) -> np.ndarray:
     """The letter indices, 0 or 1, of cells 0 .. n-1: a (rows, n) array."""
-    h = hashes(seed, first, rows, n)
     out = np.zeros((rows, n), dtype=np.intp)
-    for j in range(n):
-        out[:, j] = letter_column((0, 1), h, j)
+    for i in range(rows):
+        key, row = row_key(seed, first + i), []
+        for c in range((n + 63) // 64):
+            h = mix64(key + (c + 1) * G)
+            row.extend((h >> (63 - k)) & 1 for k in range(64))
+        out[i] = row[:n]
     return out
 
 
@@ -83,10 +86,11 @@ def point_folds(support, x0: float, n: int, seed: int, first: int, rows: int,
     return x
 
 
-def backward_diameters(support, n: int, seed: int, rows: int) -> np.ndarray:
-    """backward_diam_ensemble: [0, max support] folded with letter 0 last."""
+def backward_diameters(support, n: int, seed: int, rows: int, bound=None) -> np.ndarray:
+    """backward_diam_ensemble: [0, bound] folded with letter 0 last; the
+    bound is the dist's largest point, max(support) unless given."""
     h = hashes(seed, 0, rows, n)
-    lo, hi = np.zeros(rows), np.full(rows, float(max(support)))
+    lo, hi = np.zeros(rows), np.full(rows, float(max(support) if bound is None else bound))
     for j in range(n - 1, -1, -1):
         lo, hi = _fold_interval(letter_column(support, h, j), lo, hi)
     return hi - lo

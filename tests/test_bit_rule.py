@@ -88,9 +88,11 @@ class TestFolds:
         plan = TrialPlan(seed, trials)
         fwd = bit_oracle.point_folds(SUPPORT, 0.3, n, seed, 0, trials)
         bwd = bit_oracle.point_folds(SUPPORT, 0.3, n, seed, trials, trials, backward=True)
-        assert np.array_equal(experiments._point_folds(TWO_POINT, 0.3, n, plan, workers), fwd)
-        assert np.array_equal(experiments._point_folds(
-            TWO_POINT, 0.3, n, plan, workers, first=trials, backward=True), bwd)
+        for graph in (experiments._point_graph(TWO_POINT, 0.3, n), None):  # tables, bits
+            assert np.array_equal(experiments._point_folds(
+                TWO_POINT, 0.3, n, plan, workers, graph=graph), fwd)
+            assert np.array_equal(experiments._point_folds(
+                TWO_POINT, 0.3, n, plan, workers, first=trials, backward=True, graph=graph), bwd)
         rep = law_equality_report(TWO_POINT, 0.3, n, trials, seed, workers=workers)
         assert rep["ks_distance"] == ks_distance(EmpiricalCDF(fwd), EmpiricalCDF(bwd))
 
@@ -109,6 +111,16 @@ class TestFolds:
         assert np.array_equal(forward_values(TWO_POINT, 0.2, 65, plan, workers=2), want)
         want = bit_oracle.backward_diameters(SUPPORT, 9, 9, trials)
         assert np.array_equal(backward_diam_ensemble(TWO_POINT, 9, plan, workers=2), want)
+
+    def test_a_third_point_a_bit_never_selects(self):
+        # cuts [2^63]: the letters are the two lowest points, the bound the third
+        dist = ThetaDist([0.5, 1.0, 2.0], [0.5, 0.5, 1e-13])
+        assert dist._bits
+        plan = TrialPlan(6, 300)
+        assert np.array_equal(forward_values(dist, 0.2, 65, plan),
+                              bit_oracle.point_folds((0.5, 1.0), 0.2, 65, 6, 0, 300))
+        assert np.array_equal(backward_diam_ensemble(dist, 65, plan),
+                              bit_oracle.backward_diameters((0.5, 1.0), 65, 6, 300, bound=2.0))
 
     @pytest.mark.parametrize("alpha", [ALPHA, 0.01049, 0.9])
     def test_other_alphas(self, alpha):
@@ -187,3 +199,46 @@ class TestPinsAreTheOracles:
 
 def digest_bytes(values: np.ndarray) -> str:
     return hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+
+
+RAGGED = [0, 1, 7, 9, 63, 65, 130]
+
+
+class TestFallback:
+    """Past the state cap the folds read the same words one bit at a time,
+    and give the same bytes as the word tables."""
+
+    def _runs(self, n, workers):
+        plan = TrialPlan(70 + n, 700)
+        return [
+            forward_values(TWO_POINT, 0.2, n, plan, workers=workers),
+            experiments._point_folds(TWO_POINT, 0.2, n, plan, workers, first=700,
+                                     backward=True,
+                                     graph=experiments._point_graph(TWO_POINT, 0.2, n)),
+            backward_diam_ensemble(TWO_POINT, n, plan, workers=workers),
+        ]
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("n", RAGGED)
+    @pytest.mark.parametrize("cap", [0, 1, 40])
+    def test_same_bytes_past_the_cap(self, monkeypatch, n, workers, cap):
+        tables = self._runs(n, workers)
+        monkeypatch.setattr(experiments, "_WORD_STATES", cap)
+        folds = self._runs(n, workers)
+        for table, fold in zip(tables, folds):
+            assert table.tobytes() == fold.tobytes()
+
+    def test_the_cap_turns_the_tables_off(self, monkeypatch):
+        assert experiments._point_graph(TWO_POINT, 0.2, 65) is not None
+        monkeypatch.setattr(experiments, "_WORD_STATES", 40)
+        assert experiments._point_graph(TWO_POINT, 0.2, 7) is not None
+        assert experiments._point_graph(TWO_POINT, 0.2, 65) is None
+        assert experiments._state_graph(TWO_POINT.support, (0.0, 1.0), 130) is None
+
+    def test_fold_path_matches_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_WORD_STATES", 0)
+        plan = TrialPlan(8, 300)
+        assert np.array_equal(forward_values(TWO_POINT, 0.2, 65, plan),
+                              bit_oracle.point_folds(SUPPORT, 0.2, 65, 8, 0, 300))
+        assert np.array_equal(backward_diam_ensemble(TWO_POINT, 65, plan),
+                              bit_oracle.backward_diameters(SUPPORT, 65, 8, 300))

@@ -9,11 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from foldmap import PreconditionError, TrialPlan, forward_values, walk_confinement_dp
+from foldmap import (PreconditionError, TrialPlan, cli, convergents, experiments,
+                     forward_values, walk_confinement_dp)
 from foldmap.cli import COMMANDS, _build_parser, parse_dist, run
 from foldmap.serialize import rows_to_csv
 
 INV_SQRT2 = "0.7071067811865476"
+ALPHA_F = math.sqrt(0.5)
 
 
 def out_of(capsys):
@@ -253,6 +255,34 @@ class TestRate:
         assert payload["q_k"] == 7
         assert payload["success_count"] == 5
         assert "runtime_seconds" not in payload
+
+    def test_convergents_built_once_up_to_qk(self, capsys, monkeypatch):
+        # alpha = 0.0105 has q_1 = 95; its late convergents pass the 128-bit guard
+        calls = []
+
+        def spy(quotients, q_max=None):
+            calls.append(q_max)
+            return convergents(quotients, q_max)
+
+        monkeypatch.setattr(cli, "convergents", spy)
+        monkeypatch.setattr(experiments, "convergents", spy)
+        argv = ["rate", "--alpha", "0.0105", "--qk", "95", "--eps", "0.2",
+                "--trials", "2", "--seed", "1"]
+        assert run(argv) == 0
+        payload = json.loads(out_of(capsys))
+        assert (payload["k_index"], payload["q_k"], payload["success_count"]) == (1, 95, 2)
+        assert calls == [95]
+        assert run(argv + ["--dry-run"]) == 0
+        assert calls == [95, 95]
+
+    def test_library_builds_convergents_up_to_k_index(self):
+        plan = TrialPlan(1, 2)
+        rep = experiments.rate_experiment(0.010493179433368311, 1, 0.2, plan)
+        assert rep.q_k == 95
+        assert rep.to_json() == experiments.rate_experiment(
+            0.010493179433368311, 1, 0.2, plan, q_k=95).to_json()
+        with pytest.raises(PreconditionError, match="k_index 41 out of range"):
+            experiments.rate_experiment(ALPHA_F, 41, 0.2, plan)
 
 
 class TestWalkOracle:

@@ -20,7 +20,7 @@ from foldmap import (ClassBoundaryError, EmpiricalCDF, Interval, PreconditionErr
 from foldmap.orbit import (OrbitLabel, apply_theta_label, build_graph_window,
                            rho_chart)
 from foldmap.contfrac import contfrac_expand, convergents
-from foldmap.process import letter_cells, substream_keys, uniform_cells
+from foldmap.process import letter_cells, letter_words, substream_keys, uniform_cells
 
 import bit_oracle
 
@@ -314,8 +314,8 @@ class TestRateExperiment:
             assert widths[-1] < 0.48 <= widths[-2]
 
     def test_budget_exhausted_is_failure(self, monkeypatch):
-        # a tiny budget spans three read chunks (16 + 16 + 8 cells); at N = 37
-        # the last chunk reads three cells past N, and a stop there is a failure
+        # a tiny budget is read in one chunk of five 8-letter words; at N = 37
+        # it reads three letters past N, and a stop there is a failure
         for budget in (40, 37):
             monkeypatch.setattr(experiments, "rate_steps", lambda q: budget)
             plan = TrialPlan(99, trials=60)
@@ -387,9 +387,10 @@ class TestRateAutomaton:
         assert stop == 256 * states  # STOP follows the live states
         assert next_at.shape == reads.shape == (256 * (states + 1),)
 
-    def test_letter_bytes_are_the_letters(self):
+    def test_letter_words_are_the_letters(self):
         keys = substream_keys(7, 3, 50)
-        bits = np.unpackbits(experiments._letter_bytes(keys, 40, 3), axis=0)
+        words = np.stack([w.copy() for w in letter_words(keys, range(5, 8))])
+        bits = np.unpackbits(words, axis=0)
         for alpha in (ALPHA, 0.01049, 0.9):
             dist = ThetaDist.two_point(alpha)
             letters = letter_cells(dist, keys, np.arange(40, 64)[:, None])

@@ -650,7 +650,7 @@ class TestSignLetters:
         want = dist.support[[[(z >> (63 - j)) & 1 for z in self.CRAFTED] for j in range(64)]]
         assert same_bits(want[0], dist.support[[0, 0, 0, 1, 1, 1, 0]])
         assert same_bits(letter_cells(dist, keys, np.arange(64)[:, None]), want)
-        assert same_bits(np.stack(list(letter_columns(dist, keys, range(64)))), want)
+        assert same_bits(np.stack(tiled_columns(dist, keys, range(64))), want)
 
     @pytest.mark.parametrize("name", sorted(SIGN_DISTS))
     def test_random_cells(self, name):

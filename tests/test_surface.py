@@ -1,6 +1,9 @@
 """The names foldmap exports, and the precondition at each input boundary."""
 
+import ast
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +45,29 @@ def test_exported_names():
         "step", "structure_stats", "substream_seed", "theta_from_uniform",
         "walk_confinement_dp", "z_estimate",
     ]
+
+
+def _literal(path: Path, name: str):
+    """The value of a module-level `name = <literal>` in a source file, read with ast."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no {name} in {path}")
+
+
+def test_benchmark_trace_sites_resolve():
+    # a traced benchmark run whose site is gone prints correct: false
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    layers = _literal(bench / "run.py", "LAYER_FUNCTIONS")
+    sites = {name: (module, attr) for name, module, attr in _literal(bench / "spans.py", "SITES")}
+    assert layers
+    for name in layers:
+        module, attr = sites[name]
+        assert module == "foldmap." + name.split(".")[0]
+        target = importlib.import_module(module)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), name
 
 
 GRAPH = build_graph_window(ALPHA, 0.2, 10)
