@@ -32,11 +32,9 @@ therefore an upper bound. A run of m rows uses at most m // 2^15 threads, so
 every block of a threaded run holds at least 2^15 rows, and it splits its
 rows into equal blocks (up to one row), as many as it has threads, or more
 where that would pass the cap of _TRIAL_BLOCK rows that bounds block memory.
-rate_experiment reads 64 or more letters of a block in one call, and its
-threads were measured to pay from 2^13 rows, so that is its floor. Reports are
-byte-identical across reruns, block sizes and worker counts, and all
-aggregation is ordered by trial index, never by completion order. Runtime
-measurements are carried on report objects but excluded from their
+Reports are byte-identical across reruns, block sizes and worker counts, and
+all aggregation is ordered by trial index, never by completion order.
+Runtime measurements are carried on report objects but excluded from their
 canonical serializations.
 
 The sample-indexed one_step_invariance_report reads row 0 for its stationary
@@ -65,14 +63,11 @@ from .process import (TILE_CELLS, ThetaDist, TrialPlan, check_start, check_trial
 from .serialize import canonical_json, rows_to_csv
 from .stationary import PiecewiseLinearCDF, stationary_cdf, stationary_quantile
 
-_SAMPLE_BLOCK = 1 << 16   # cap on samples vectorized together (does not affect output)
-_TRIAL_BLOCK = 1 << 16    # cap on trials vectorized together (does not affect output)
+_TRIAL_BLOCK = 1 << 16    # cap on rows vectorized together (does not affect output)
 _MAX_WORKERS = 64         # threads one run may use
 _THREAD_ROWS = 1 << 15    # fewest rows a block needs to be worth a thread
-_RATE_THREAD_ROWS = 1 << 13  # the same for rate, which hashes 16+ columns a call
 _RATE_QK_CAP = 99         # keeps N below ~5.2e7 letters per trial
 _WORD_STATES = 1 << 13    # the most states of a word automaton (8 MB a word table)
-_RATE_STATES = 1 << 13    # the same for rate's, whose table of reads adds 2 MB
 
 
 class EmpiricalCDF:
@@ -145,32 +140,30 @@ def ks_distance(sample: EmpiricalCDF, reference) -> float:
 # ---- trial-blocked Monte Carlo helpers ------------------------------------
 
 
-def _block_plan(n_items: int, cap: int, workers: int,
-                thread_rows: int = _THREAD_ROWS) -> tuple[int, list]:
+def _block_plan(n_items: int, workers: int) -> tuple[int, list]:
     """(threads, [(start, count), ...]) of a blocked run over n_items items.
 
-    A thread is started only for a block of at least thread_rows items, so
-    the run uses min(workers, n_items // thread_rows) threads, and at least
+    A thread is started only for a block of at least _THREAD_ROWS items, so
+    the run uses min(workers, n_items // _THREAD_ROWS) threads, and at least
     one. The items split into the fewest blocks that number at least the
-    threads and hold at most `cap` items each, with counts that differ by at
-    most one. So every thread gets work, every block of a threaded run holds
-    at least thread_rows items, and the block buffers stay bounded.
+    threads and hold at most _TRIAL_BLOCK items each, with counts that differ
+    by at most one. So every thread gets work, every block of a threaded run
+    holds at least _THREAD_ROWS items, and the block buffers stay bounded.
     """
-    threads = max(1, min(workers, n_items // thread_rows))
-    blocks = max(threads, -(-n_items // cap))
+    threads = max(1, min(workers, n_items // _THREAD_ROWS))
+    blocks = max(threads, -(-n_items // _TRIAL_BLOCK))
     ends = [n_items * k // blocks for k in range(blocks + 1)]
     return threads, [(s, e - s) for s, e in zip(ends, ends[1:])]
 
 
-def _run_blocks(worker, n_items: int, cap: int, workers: int,
-                thread_rows: int = _THREAD_ROWS) -> list:
+def _run_blocks(worker, n_items: int, workers: int) -> list:
     """Apply worker(start, count) over the blocks of _block_plan, in block order.
 
     workers (1..64) bounds the threads, and a thread needs a block of at
-    least thread_rows items; results never depend on the plan.
+    least _THREAD_ROWS items; results never depend on the plan.
     """
     check_workers(workers)
-    threads, tasks = _block_plan(n_items, cap, workers, thread_rows)
+    threads, tasks = _block_plan(n_items, workers)
     if threads == 1:
         return [worker(s, c) for s, c in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -187,9 +180,9 @@ def check_workers(workers: int) -> None:
 
 
 def _state_graph(support, start: tuple, depth: int | None = None,
-                 epsilon: float | None = None, cap: int | None = None):
+                 epsilon: float | None = None):
     """(ends, succ): the exact-float states of a two-point dist's folds of an
-    interval, or None when there are more than cap (_WORD_STATES) states.
+    interval, or None when there are more than _WORD_STATES states.
 
     The states are the images (lo, hi) of start under words of the two
     letters support[0] and support[1], found by a breadth-first search, one
@@ -210,7 +203,6 @@ def _state_graph(support, start: tuple, depth: int | None = None,
     letters = support[:2].tolist()  # the two points a bit selects
     index = {start: 0}
     states = [start]
-    cap = _WORD_STATES if cap is None else cap
     succ = []  # succ[2 s + b] for the expanded states s, -1 for the sink
     level, level_end = 0, 1  # states[:level_end] lie at most `level` letters deep
     for s, (lo, hi) in enumerate(states):  # the loop sees the states it appends
@@ -225,7 +217,7 @@ def _state_graph(support, start: tuple, depth: int | None = None,
                 continue
             nxt = index.setdefault(image, len(states))
             if nxt == len(states):
-                if nxt >= cap:
+                if nxt >= _WORD_STATES:
                     return None
                 states.append(image)
             succ.append(nxt)
@@ -346,7 +338,7 @@ def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
                 np.abs(np.subtract(theta, x, out=x), out=x)
             return x
 
-    return np.concatenate(_run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers))
+    return np.concatenate(_run_blocks(worker, plan.trials, workers))
 
 
 def check_forward_values(x0: float, n: int, trials: int, workers: int) -> None:
@@ -406,8 +398,7 @@ def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
                 fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
             return hi - lo
 
-    parts = _run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers)
-    return np.concatenate(parts)
+    return np.concatenate(_run_blocks(worker, plan.trials, workers))
 
 
 # ---- rate experiment -------------------------------------------------------
@@ -485,7 +476,7 @@ def check_rate(q_k: int, epsilon: float, trials: int, workers: int) -> None:
 
 def _rate_automaton(alpha: float, epsilon: float):
     """(next_at, reads, stop), the rate chain eight letters a step, or None
-    when it has more than _RATE_STATES states.
+    when it has more than _WORD_STATES states.
 
     The states are the exact float images (lo, hi) of [0, 1] whose diameter
     is at least epsilon (_state_graph), and a fold to a diameter below
@@ -495,7 +486,7 @@ def _rate_automaton(alpha: float, epsilon: float):
     a random alpha and q <= 99. For some alpha, 0.01048 at q = 95 among
     them, one real image is reached as many floats along many paths: the
     first 400,000 float states hold 1659 distinct ones to 9 digits. Past
-    _RATE_STATES the search gives up.
+    _WORD_STATES the search gives up.
 
     next_at is the 8-letter table of _word_table: next_at[256 s + w] is 256
     times the state that word w leads to from state s, so a step from the
@@ -504,8 +495,7 @@ def _rate_automaton(alpha: float, epsilon: float):
     from s, the position 1..8 of the letter that does, and 0 from STOP.
     Summed over a trial's words, it is the trial's stopping time.
     """
-    graph = _state_graph(np.array([alpha, 1.0]), (0.0, 1.0), epsilon=epsilon,
-                         cap=_RATE_STATES)
+    graph = _state_graph(np.array([alpha, 1.0]), (0.0, 1.0), epsilon=epsilon)
     if graph is None:
         return None
     table = graph[1]
@@ -571,7 +561,7 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     letters used so far, a multiple of 8 letters each: at least one hash (64
     letters) a trial, and beyond that at most TILE_CELLS letters. A stop
     past N, in the last chunk, is a failure. workers bounds the threads, and
-    a thread needs a block of at least 2^13 trials.
+    a thread needs a block of at least 2^15 trials.
     """
     if q_k is None:
         quotients = contfrac_expand(alpha, 40)
@@ -607,8 +597,7 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
             j += 8 * words
         return stops
 
-    stops = np.concatenate(_run_blocks(worker, plan.trials, _TRIAL_BLOCK, workers,
-                                       _RATE_THREAD_ROWS))
+    stops = np.concatenate(_run_blocks(worker, plan.trials, workers))
     successes = (stops <= n_steps).tolist()
     letters = np.minimum(stops, n_steps).tolist()
     success_count = sum(successes)
@@ -859,7 +848,7 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
             theta = letter_cells(dist, keys[1:], steps)
         return np.abs(np.subtract(theta, x, out=x), out=x)
 
-    parts = _run_blocks(worker, n_samples, _SAMPLE_BLOCK, workers)
+    parts = _run_blocks(worker, n_samples, workers)
     stepped = EmpiricalCDF(np.concatenate(parts))
     return {"schema": 1, "kind": "one_step_invariance", "n_samples": n_samples,
             "master_seed": master_seed,

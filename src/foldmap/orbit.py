@@ -40,6 +40,7 @@ W_MAX = 10 ** 6          # |n| cap keeping label values accurate to < 1e-9
 DEFAULT_WINDOW = 10 ** 4
 SINGULAR_TOL = 1e-10
 CLASS_TOL = 1e-12
+_MARGIN = 2              # the |n| positions at each window end that statistics skip
 
 
 @dataclass(frozen=True)
@@ -192,15 +193,15 @@ class OrbitGraphWindow:
                   for theta in (1.0, self.alpha)]
         return [(theta, t) for theta, t in images if abs(t.n) <= self.window]
 
-    def interior_mask(self, margin: int = 2) -> np.ndarray:
-        """Boolean mask excluding a margin of width `margin` at both n ends."""
+    def interior_mask(self) -> np.ndarray:
+        """Boolean mask excluding a margin of width _MARGIN at both n ends."""
         n = np.abs(np.arange(-self.window, self.window + 1))
-        keep = n <= self.window - margin
+        keep = n <= self.window - _MARGIN
         return np.concatenate([keep, keep])
 
-    def class_frequencies(self, margin: int = 2) -> dict:
-        check_margin(self.window, margin)
-        mask = self.interior_mask(margin)
+    def class_frequencies(self) -> dict:
+        check_margin(self.window)
+        mask = self.interior_mask()
         total = int(np.count_nonzero(mask))
         cls = self.classes[mask]
         return {c.name.lower(): int(np.count_nonzero(cls == c)) / total
@@ -238,12 +239,10 @@ def check_graph_window(alpha: float, x: float, window: int) -> None:
         raise PreconditionError("x must lie in [0, 1]")
 
 
-def check_margin(window: int, margin: int = 2) -> None:
-    """The precondition of class_frequencies: a margin >= 0 with some vertex inside it."""
-    if not margin >= 0:  # a NaN fails the comparison too
-        raise PreconditionError("margin must be >= 0")
-    if window < margin:
-        raise PreconditionError(f"window {window} has no vertex inside margin {margin}")
+def check_margin(window: int) -> None:
+    """The precondition of class_frequencies: some vertex inside the margin."""
+    if window < _MARGIN:
+        raise PreconditionError(f"window {window} has no vertex inside margin {_MARGIN}")
 
 
 def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
@@ -340,7 +339,7 @@ def rho_chart(graph: OrbitGraphWindow, x0_label: OrbitLabel) -> RhoChart:
 # ---- line structure ------------------------------------------------------
 
 
-def structure_stats(graph: OrbitGraphWindow, margin: int = 2) -> dict:
+def structure_stats(graph: OrbitGraphWindow) -> dict:
     """Class frequencies and the histogram of gaps between Large vertices.
 
     Runs are counted along the eps=+1 row: consecutive Large-class positions
@@ -353,9 +352,9 @@ def structure_stats(graph: OrbitGraphWindow, margin: int = 2) -> dict:
     run of length q+1.
     """
     w, alpha = graph.window, graph.alpha
-    check_margin(w, margin)
+    check_margin(w)
     top = graph.classes[:2 * w + 1]
-    keep = slice(margin, 2 * w + 1 - margin)
+    keep = slice(_MARGIN, 2 * w + 1 - _MARGIN)
     marks = np.flatnonzero(top[keep] == VertexClass.LARGE)
     runs = np.diff(marks) - 1
     values, counts = np.unique(runs, return_counts=True)
@@ -371,7 +370,7 @@ def structure_stats(graph: OrbitGraphWindow, margin: int = 2) -> dict:
         expected = (alpha - r) / r if r > SINGULAR_TOL else None
     measured = hist.get(q, 0) / hist[q + 1] if hist.get(q + 1) else None
     return {
-        "class_frequencies": graph.class_frequencies(margin),
+        "class_frequencies": graph.class_frequencies(),
         "run_histogram": hist,
         "q": q,
         "expected_ratio": expected,

@@ -163,9 +163,9 @@ def uniform_cells(keys, steps) -> np.ndarray:
 class UniformRow:
     """Cells (t, start), (t, start + 1), ... of one grid row, read in order.
 
-    It offers the two Generator methods the package draws through, random and
-    integers, so sample_theta and sample_stationary accept it; its only state
-    is the position of the next cell.
+    It offers random, the one Generator method sample_theta and
+    sample_stationary draw through, so both accept it; its only state is the
+    position of the next cell.
     """
 
     def __init__(self, key: int, start: int = 0):
@@ -181,16 +181,6 @@ class UniformRow:
         self.position += count
         u = uniform_cells(self._key, steps)
         return float(u[0]) if size is None else u.reshape(size)
-
-    def integers(self, low: int, high: int | None = None, size=None):
-        """Integers in [low, high) (or [0, low)), one cell each, by scaling."""
-        if high is None:
-            low, high = 0, low
-        span = high - low
-        if not 1 <= span <= 1 << 53:
-            raise PreconditionError("integers needs 1 <= high - low <= 2^53")
-        k = np.floor(np.asarray(self.random(size)) * span).astype(np.int64) + low
-        return int(k) if size is None else k
 
 
 def check_trials(trials: int) -> None:

@@ -17,11 +17,12 @@ is pinned by tests against the closed form.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .errors import PreconditionError
-from .orbit import fractional_part
+from .orbit import CLASS_TOL, _check_alpha, fractional_part
 from .process import ThetaDist
 from .serialize import canonical_json, rows_to_csv
 
@@ -34,6 +35,9 @@ class PiecewiseLinearCDF:
         values = np.asarray(values, dtype=float)
         if xs.ndim != 1 or xs.size < 2 or xs.shape != values.shape:
             raise PreconditionError("need matching 1-d breakpoints and values, length >= 2")
+        # a NaN passes the order checks below, as inf at either end does
+        if not (np.isfinite(xs).all() and np.isfinite(values).all()):
+            raise PreconditionError("breakpoints and values must be finite")
         if np.any(np.diff(xs) <= 0):
             raise PreconditionError("breakpoints must be strictly increasing")
         if values[0] != 0.0 or values[-1] != 1.0 or np.any(np.diff(values) < 0):
@@ -94,21 +98,31 @@ def large_count(alpha: float, n: int) -> int:
     return int(large_count_cumulative(alpha, n)[-1])
 
 
+def _integer(n) -> int:
+    """n as an int: an int or a numpy int; a float, NaN and inf too, fail."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise PreconditionError("n must be an integer") from None
+
+
 def large_count_cumulative(alpha: float, n: int) -> np.ndarray:
     """L_1..L_n in one pass (index 0 holds L_1)."""
-    if not 0 < alpha < 1:
-        raise PreconditionError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     if not 1 <= n < math.inf:  # a NaN fails the comparison too
         raise PreconditionError("n must be >= 1")
-    return np.cumsum(fractional_part(np.arange(1, n + 1) * alpha) >= alpha)
+    return np.cumsum(fractional_part(np.arange(1, _integer(n) + 1) * alpha) >= alpha)
 
 
-def is_small_vertex(alpha: float, n: int, tol: float = 1e-12) -> bool:
-    """True when <n*alpha> falls strictly inside the small class (below both cuts)."""
-    if not 0 < alpha < 1:
-        raise PreconditionError("alpha must lie in (0, 1)")
-    v = n * alpha % 1.0
-    return v < min(alpha, 1.0 - alpha) - tol
+def is_small_vertex(alpha: float, n: int) -> bool:
+    """True when <n*alpha> falls strictly inside the small class: below both
+    cuts by more than orbit.CLASS_TOL."""
+    _check_alpha(alpha)
+    try:
+        v = _integer(n) * alpha % 1.0
+    except OverflowError:
+        raise PreconditionError("n must lie in the float range") from None
+    return v < min(alpha, 1.0 - alpha) - CLASS_TOL
 
 
 def z_estimate(alpha: float, n: int) -> float:

@@ -166,12 +166,13 @@ class TestForwardConvergence:
             forward_values(TWO_POINT, 0.2, -1, plan)
 
 
-FLOOR, RATE_FLOOR = experiments._THREAD_ROWS, experiments._RATE_THREAD_ROWS
+FLOOR = experiments._THREAD_ROWS
 
 
 class TestBlockPlan:
-    """Threads only for blocks of 2^15 rows (rate: 2^13) or more; bytes never depend on it."""
+    """Threads only for blocks of 2^15 rows or more; bytes never depend on it."""
 
+    # floor: the fewest rows a block of a threaded run holds
     @pytest.mark.parametrize("rows, workers, floor, threads, sizes", [
         (20000, 2, FLOOR, 1, [20000]),
         (65535, 2, FLOOR, 1, [65535]),
@@ -181,15 +182,18 @@ class TestBlockPlan:
         (10 ** 6, 64, FLOOR, 30, [33333] * 20 + [33334] * 10),
         (1, 64, FLOOR, 1, [1]),
         (131073, 1, FLOOR, 1, [43691, 43691, 43691]),
-        (200, 2, RATE_FLOOR, 1, [200]),
-        (16383, 2, RATE_FLOOR, 1, [16383]),
-        (16384, 2, RATE_FLOOR, 2, [8192] * 2),
-        (10 ** 5, 64, RATE_FLOOR, 12, [8333] * 8 + [8334] * 4),
+        # rate's trial counts plan as every other run's
+        (200, 2, FLOOR, 1, [200]),
+        (16384, 2, FLOOR, 1, [16384]),
+        (3 << 13, 64, FLOOR, 1, [24576]),
+        (10 ** 5, 64, FLOOR, 3, [33333, 33333, 33334]),
     ])
     def test_plan(self, rows, workers, floor, threads, sizes):
-        got, tasks = experiments._block_plan(rows, experiments._TRIAL_BLOCK, workers, floor)
+        got, tasks = experiments._block_plan(rows, workers)
         assert got == threads
         assert sorted(c for _, c in tasks) == sizes
+        if threads > 1:
+            assert min(sizes) >= floor
         # consecutive blocks that cover the rows
         assert [s for s, _ in tasks] == np.cumsum([0] + [c for _, c in tasks])[:-1].tolist()
         assert sum(c for _, c in tasks) == rows
@@ -197,8 +201,7 @@ class TestBlockPlan:
     @pytest.mark.parametrize("rows", [2, 1000, 32767, 32768, 99999, 10 ** 6 + 7])
     def test_threaded_blocks_are_long_and_capped(self, rows):
         for workers in (1, 2, 3, 64):
-            threads, tasks = experiments._block_plan(rows, experiments._TRIAL_BLOCK,
-                                                     workers)
+            threads, tasks = experiments._block_plan(rows, workers)
             sizes = [c for _, c in tasks]
             assert 1 <= threads <= workers and len(tasks) >= threads
             assert max(sizes) <= experiments._TRIAL_BLOCK
@@ -209,7 +212,7 @@ class TestBlockPlan:
     @pytest.mark.parametrize("run", [
         lambda w: forward_values(TWO_POINT, 0.2, 12, TrialPlan(3, 1 << 16), workers=w),
         lambda w: backward_diam_ensemble(TWO_POINT, 12, TrialPlan(13, 1 << 16), workers=w),
-        lambda w: rate_experiment(ALPHA, 4, 0.6, TrialPlan(41, 1 << 14), workers=w).to_json(),
+        lambda w: rate_experiment(ALPHA, 4, 0.6, TrialPlan(41, 1 << 16), workers=w).to_json(),
     ], ids=["forward_values", "backward_diam_ensemble", "rate_experiment"])
     def test_threaded_byte_identity(self, monkeypatch, run):
         ref = run(1)
@@ -229,6 +232,20 @@ class TestBlockPlan:
         threaded = run(2)
         assert len(idents) == 2 and threading.get_ident() not in idents
         assert np.array_equal(ref, threaded)
+
+    @pytest.mark.parametrize("trials, pools", [(1 << 14, 0), (1 << 16, 1)])
+    def test_rate_threads_from_the_common_floor(self, monkeypatch, trials, pools):
+        # two workers start a pool only where each holds a block of 2^15 trials
+        started = []
+        pool = experiments.ThreadPoolExecutor
+
+        def spy(**kwargs):
+            started.append(kwargs)
+            return pool(**kwargs)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", spy)
+        rate_experiment(ALPHA, 4, 0.6, TrialPlan(41, trials), workers=2)
+        assert started == [{"max_workers": 2}] * pools
 
 
 class TestBackwardDiameter:
@@ -415,14 +432,14 @@ class TestRateAutomaton:
 
     @pytest.mark.parametrize("budget", [40, 37, None])
     def test_fold_path_gives_the_same_report(self, monkeypatch, budget):
-        # a chain past _RATE_STATES states is not built; the trials fold instead
+        # a chain past _WORD_STATES states is not built; the trials fold instead
         if budget:
             monkeypatch.setattr(experiments, "rate_steps", lambda q: budget)
         runs = [lambda: rate_experiment(ALPHA, 5, 0.2, TrialPlan(99, 60)),
                 lambda: rate_experiment(ALPHA, 6, 10 / 99, TrialPlan(5, 30)),
                 lambda: rate_experiment(ALPHA, 4, 1.5, TrialPlan(1, 3))]
         reports = [run().to_json() for run in runs]
-        monkeypatch.setattr(experiments, "_RATE_STATES", 0)
+        monkeypatch.setattr(experiments, "_WORD_STATES", 0)
         assert [run().to_json() for run in runs] == reports
 
     def test_too_many_float_states_folds(self):
@@ -633,9 +650,9 @@ class TestRhoWalkAudit:
             label = apply_theta_label(ALPHA, 0.2, label, ALPHA if u[k] < 0.5 else 1.0)
             labels.append(label)
         rho_path = [chart.rho_of(graph, lab) for lab in labels]
-        rng = plan.substream(1)
-        i_idx = rng.integers(0, steps + 1, size=segments)
-        j_idx = rng.integers(0, steps + 1, size=segments)
+        # pair s scales cells (1, s) and (1, segments + s) to path indices
+        u = plan.substream(1).random(2 * segments)
+        i_idx, j_idx = np.floor(u * (steps + 1)).astype(np.int64).reshape(2, segments)
         out = []
         for q in q_values:
             checked = violations = 0

@@ -30,7 +30,7 @@ CLI_SHA256 = [
      "a735faa91b96d1be79e2bc46e81c3ff0b6a9df310aca09ffdbecee80c9916124"),
 ]
 # rate at the acceptance configurations (criterion 7), as JSON and as CSV;
-# 2^14 trials give a two-worker run two blocks of 2^13 rows, so two threads
+# 2^14 trials give a two-worker run one block of 2^14 rows, so one thread
 RATE = ["rate", "--alpha", "inv-sqrt2", "--qk", "17", "--eps", "0.5", "--seed", "424242"]
 RATE_Q41 = ["rate", "--alpha", "inv-sqrt2", "--qk", "41", "--eps", "0.2", "--seed", "424243"]
 CLI_SHA256 += [

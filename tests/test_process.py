@@ -417,15 +417,6 @@ class TestUniformGrid:
                               whole)
         assert np.array_equal(plan.substream(3, start=40).random(60), whole[40:])
 
-    def test_integers_scale_the_same_cells(self):
-        plan = TrialPlan(8, trials=1)
-        u = plan.substream(1).random(1000)
-        k = plan.substream(1).integers(3, 10, size=1000)
-        assert np.array_equal(k, 3 + np.floor(u * 7).astype(np.int64))
-        assert 3 <= plan.substream(1).integers(3, 10) < 10
-        with pytest.raises(PreconditionError):
-            plan.substream(1).integers(5, 5)
-
     @pytest.mark.parametrize("block", [64, 1000])
     def test_paths_identical_across_workers_and_blocks(self, monkeypatch, block):
         dist = ThetaDist.two_point(ALPHA)

@@ -1,7 +1,9 @@
 """The names foldmap exports, and the precondition at each input boundary."""
 
 import ast
+import enum
 import importlib
+import inspect
 import math
 from pathlib import Path
 
@@ -9,13 +11,13 @@ import numpy as np
 import pytest
 
 import foldmap
-from foldmap import (Interval, OrbitLabel, PreconditionError, ThetaDist, TrialPlan,
-                     apply_theta_label, backward_diam_ensemble, build_graph_window,
-                     contfrac_expand, convergent_denominators, find_close_k,
-                     forward_values, interval_fold, iterate_forward, large_count,
-                     large_count_cumulative, law_equality_report,
-                     one_step_invariance_report, rate_steps, rho_walk_audit, step,
-                     structure_stats, theta_from_uniform)
+from foldmap import (Interval, OrbitLabel, PiecewiseLinearCDF, PreconditionError,
+                     ThetaDist, TrialPlan, apply_theta_label, backward_diam_ensemble,
+                     build_graph_window, contfrac_expand, convergent_denominators,
+                     find_close_k, forward_values, interval_fold, is_small_vertex,
+                     iterate_forward, large_count, large_count_cumulative,
+                     law_equality_report, one_step_invariance_report, rate_steps,
+                     rho_walk_audit, step, theta_from_uniform, z_estimate)
 from foldmap.experiments import check_rho_walk
 
 ALPHA = math.sqrt(0.5)
@@ -47,6 +49,72 @@ def test_exported_names():
     ]
 
 
+# the parameter names of each public callable; exceptions and the enum take
+# Python's own constructor arguments and are left out
+SIGNATURES = {
+    "Convergent": ("index", "a", "p", "q"),
+    "EmpiricalCDF": ("values",),
+    "Interval": ("lo", "hi"),
+    "OrbitGraphWindow": ("alpha", "x", "window", "values", "classes", "coincidences"),
+    "OrbitGraphWindow.class_frequencies": ("self",),
+    "OrbitLabel": ("n", "eps"),
+    "PiecewiseLinearCDF": ("xs", "values"),
+    "RateReport": ("alpha", "k_index", "q_k", "epsilon", "n_steps", "trials",
+                   "success_count", "letters_used", "successes", "implied_c",
+                   "master_seed", "runtime_seconds"),
+    "RhoChart": ("v0", "rho", "level_lo", "level_min"),
+    "ThetaDist": ("support", "weights"),
+    "TrialPlan": ("master_seed", "trials"),
+    "apply_theta_label": ("alpha", "x", "label", "theta"),
+    "backward_diam_ensemble": ("dist", "n", "plan", "workers"),
+    "build_graph_window": ("alpha", "x", "window"),
+    "canonical_json": ("obj",),
+    "contfrac_expand": ("alpha", "terms"),
+    "convergent_denominators": ("alpha", "q_max"),
+    "convergents": ("quotients", "q_max"),
+    "ensemble_forward": ("dist", "x0", "n", "plan", "workers"),
+    "find_close_k": ("alpha", "x", "q_n"),
+    "forward_values": ("dist", "x0", "n", "plan", "workers"),
+    "interval_fold": ("word", "iv", "direction"),
+    "is_small_vertex": ("alpha", "n"),
+    "iterate_forward": ("word", "x0"),
+    "ks_distance": ("sample", "reference"),
+    "label_value": ("alpha", "x", "label"),
+    "large_count": ("alpha", "n"),
+    "large_count_cumulative": ("alpha", "n"),
+    "law_equality_report": ("dist", "x0", "n", "trials", "master_seed", "workers"),
+    "one_step_invariance_report": ("dist", "n_samples", "master_seed", "workers"),
+    "rate_experiment": ("alpha", "k_index", "epsilon", "plan", "workers", "q_k"),
+    "rate_steps": ("q_k",),
+    "rho_chart": ("graph", "x0_label"),
+    "rho_walk_audit": ("alpha", "x0", "steps", "plan", "q_values", "segments", "window"),
+    "rows_to_csv": ("header", "rows"),
+    "sample_stationary": ("cdf", "rng", "size"),
+    "sample_theta": ("dist", "rng", "size"),
+    "shrink_word": ("alpha", "beta", "m", "threshold", "max_len"),
+    "stationary_cdf": ("dist",),
+    "stationary_quantile": ("cdf", "u"),
+    "step": ("theta", "x"),
+    "structure_stats": ("graph",),
+    "substream_seed": ("master_seed", "index"),
+    "theta_from_uniform": ("dist", "u"),
+    "walk_confinement_dp": ("n", "exact"),
+    "z_estimate": ("alpha", "n"),
+}
+
+
+def test_public_signatures():
+    # a parameter joins or leaves the public surface only by a change to this table
+    names = [name for name in foldmap.__all__ if callable(obj := getattr(foldmap, name))
+             and not (isinstance(obj, type) and issubclass(obj, (BaseException, enum.Enum)))]
+    assert sorted(SIGNATURES) == sorted(names + ["OrbitGraphWindow.class_frequencies"])
+    for name, params in SIGNATURES.items():
+        target = foldmap
+        for part in name.split("."):
+            target = getattr(target, part)
+        assert tuple(inspect.signature(target).parameters) == params, name
+
+
 def _literal(path: Path, name: str):
     """The value of a module-level `name = <literal>` in a source file, read with ast."""
     for node in ast.parse(path.read_text()).body:
@@ -70,13 +138,13 @@ def test_benchmark_trace_sites_resolve():
         assert callable(target), name
 
 
-GRAPH = build_graph_window(ALPHA, 0.2, 10)
 LETTERS = "letters must be finite and >= 0"
 QK = r"q_k must be finite and >= 2 \(log2 q_k must be positive\)"
 X_UNIT = r"x must lie in \[0, 1\]"
 ALPHA_UNIT = r"alpha must lie in \(0, 1\)"
 LAW = "need n >= 0 and trials >= 1"
 DRAWS = r"uniform draws must lie in \[0, 1\)"
+FINITE = "breakpoints and values must be finite"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -102,10 +170,6 @@ DRAWS = r"uniform draws must lie in \[0, 1\)"
     pytest.param(lambda: rate_steps(1), QK, id="rate-steps-1"),
     pytest.param(lambda: rate_steps(NAN), QK, id="rate-steps-nan"),
     pytest.param(lambda: rate_steps(INF), QK, id="rate-steps-inf"),
-    pytest.param(lambda: structure_stats(GRAPH, margin=-1), "margin must be >= 0",
-                 id="structure-margin-negative"),
-    pytest.param(lambda: structure_stats(GRAPH, margin=NAN), "margin must be >= 0",
-                 id="structure-margin-nan"),
     pytest.param(lambda: apply_theta_label(ALPHA, NAN, OrbitLabel(1, 1), 1.0), X_UNIT,
                  id="label-x-nan-full-fold"),
     pytest.param(lambda: apply_theta_label(ALPHA, INF, OrbitLabel(1, 1), 1.0), X_UNIT,
@@ -136,6 +200,18 @@ DRAWS = r"uniform draws must lie in \[0, 1\)"
     pytest.param(lambda: large_count(0.7, NAN), "n must be >= 1", id="large-count-nan"),
     pytest.param(lambda: large_count_cumulative(0.7, INF), "n must be >= 1",
                  id="large-count-cumulative-inf"),
+    # a float n returned a count, an estimate or False; a huge one raised OverflowError
+    pytest.param(lambda: large_count(ALPHA, 2.5), "n must be an integer",
+                 id="large-count-float"),
+    pytest.param(lambda: z_estimate(ALPHA, 2.5), "n must be an integer", id="z-estimate-float"),
+    pytest.param(lambda: is_small_vertex(ALPHA, NAN), "n must be an integer",
+                 id="small-vertex-n-nan"),
+    pytest.param(lambda: is_small_vertex(ALPHA, INF), "n must be an integer",
+                 id="small-vertex-n-inf"),
+    pytest.param(lambda: is_small_vertex(ALPHA, 2.5), "n must be an integer",
+                 id="small-vertex-n-float"),
+    pytest.param(lambda: is_small_vertex(ALPHA, 10 ** 400), "n must lie in the float range",
+                 id="small-vertex-n-huge"),
     pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, NAN, 10, 0), LAW,
                  id="law-equality-n-nan"),
     pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, 5, INF, 0), LAW,
@@ -175,6 +251,13 @@ DRAWS = r"uniform draws must lie in \[0, 1\)"
     pytest.param(lambda: theta_from_uniform(TWO_POINT, 1.5), DRAWS, id="theta-uniform-1.5"),
     pytest.param(lambda: theta_from_uniform(TWO_POINT, [0.2, -0.1]), DRAWS,
                  id="theta-uniform-negative"),
+    # a NaN passed the order checks of breakpoints and values
+    pytest.param(lambda: PiecewiseLinearCDF([0, NAN, 1], [0, 0.5, 1]), FINITE,
+                 id="cdf-breakpoint-nan"),
+    pytest.param(lambda: PiecewiseLinearCDF([0, 0.5, INF], [0, 0.5, 1]), FINITE,
+                 id="cdf-breakpoint-inf"),
+    pytest.param(lambda: PiecewiseLinearCDF([0, 0.5, 1], [0, NAN, 1]), FINITE,
+                 id="cdf-value-nan"),
 ])
 def test_boundary_rejects(call, message):
     with pytest.raises(PreconditionError, match=message):
