@@ -1,0 +1,263 @@
+"""The exact-float state chain of a two-point dist, and the folds that walk it.
+
+For a two-point dist the folds run on one word automaton. The images of a
+start point x0, of [0, b], or of [0, 1] down to a diameter epsilon, under
+words of the two letters are exact floats, and there are few of them: 232
+points of x0 = 0.2 to depth 50, 1585 images of [0, 1] to depth 1000. One
+breadth-first search per call (_state_graph) finds them with the scalar
+fold, so each state is the pair of floats the per-letter fold reaches,
+and its one-letter table is composed into an int32 table of 8-letter
+words. Each byte of a hash, read from the top, is one such word, so
+forward_values, both directions of law_equality_report,
+backward_diam_ensemble and rate_experiment step every trial one add and
+one take per eight letters, and fold no float. rate_experiment stops a
+trial at its first image shorter than epsilon, an absorbing state of its
+chain.
+
+The search gives up past _WORD_STATES states, since for some alpha the
+images are not few: an uncapped search finds 85,850 point states of x0 =
+0.2 at alpha = 0.01048 to depth 200, and 1,228,662 images of [0, 1] at
+alpha = 0.3 to depth 1000; and at alpha = 0.01048 and q = 95, rate's first
+400,000 float states hold 1659 distinct images to 9 digits, one real image
+reached as many floats. There the trials fold one letter at a time from
+the same bits (_bit_walk), to the same bytes; other dists fold a letter
+column at a time (process.letter_columns). For point and backward folds,
+_row_ends alone chooses between the word tables and the fold.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import groupby
+
+import numpy as np
+
+from .process import ThetaDist, fold_interval_arrays, letter_columns, letter_words
+
+_WORD_STATES = 1 << 13    # the most states of a word automaton (8 MB a word table)
+
+
+def _state_graph(support, start: tuple, depth: int | None = None,
+                 epsilon: float | None = None):
+    """(ends, succ): the exact-float states of a two-point dist's folds of an
+    interval, or None when there are more than _WORD_STATES states.
+
+    The states are the images (lo, hi) of start under words of the two
+    letters support[0] and support[1], found by a breadth-first search, one
+    level a word length. Each image is the scalar fold of interval_fold,
+    the same floats as fold_interval_arrays and, on a point (x, x), as
+    |theta - x|, so a state is exactly the pair of floats the per-letter
+    fold reaches, and the states are keyed by those floats. A point start
+    gives point states; [0, b] gives the backward images of
+    backward_diam_ensemble; [0, 1] with epsilon gives rate's chain.
+
+    The last state, S, is a sink. A fold to a diameter below epsilon goes
+    there (it is rate's STOP), and so do the letters from the states first
+    reached at `depth`, which the search does not expand: a walk of at most
+    depth letters never takes them. ends is an (S + 1, 2) float array of
+    the states' ends (NaN for the sink), succ an (S + 1, 2) int32 array,
+    succ[s, b] the state after letter support[b] from state s.
+    """
+    letters = support[:2].tolist()  # the two points a bit selects
+    index = {start: 0}
+    states = [start]
+    succ = []  # succ[2 s + b] for the expanded states s, -1 for the sink
+    level, level_end = 0, 1  # states[:level_end] lie at most `level` letters deep
+    for s, (lo, hi) in enumerate(states):  # the loop sees the states it appends
+        if s == level_end:
+            level, level_end = level + 1, len(states)
+        if level == depth:
+            break
+        for t in letters:
+            image = (max(0.0, lo - t, t - hi), max(abs(t - lo), abs(t - hi)))
+            if epsilon is not None and image[1] - image[0] < epsilon:
+                succ.append(-1)
+                continue
+            nxt = index.setdefault(image, len(states))
+            if nxt == len(states):
+                if nxt >= _WORD_STATES:
+                    return None
+                states.append(image)
+            succ.append(nxt)
+    sink = len(states)
+    table = np.full((sink + 1, 2), sink, dtype=np.int32)
+    table.ravel()[:len(succ)] = succ
+    table[table < 0] = sink
+    ends = np.array(states + [(math.nan, math.nan)])
+    return ends, table
+
+
+def _dist_graph(dist: ThetaDist, start: tuple, n: int):
+    """_state_graph of start to depth n, or None where the letters of dist
+    are not one bit each or the graph passes the state cap."""
+    return _state_graph(dist.support, start, n) if dist._bits else None
+
+
+def _compose(high: np.ndarray, low: np.ndarray, backward: bool) -> np.ndarray:
+    """The state table of words whose high bits are a word of high's and
+    whose low bits are a word of low's. Forward, the high bits are read
+    first (the first letter is the top bit); backward, the low bits are."""
+    if backward:  # [s, h, l] = high[low[s, l], h], built in place of a transpose
+        return high[low[:, None, :], np.arange(high.shape[1])[:, None]].reshape(low.shape[0], -1)
+    return low[high].reshape(high.shape[0], -1)
+
+
+def _word_table(succ: np.ndarray, letters: int, backward: bool = False) -> np.ndarray:
+    """The flat int32 table of words of 1..8 letters, first letter in the
+    word's top bit: entry (s << letters) + w is 256 times the state that
+    word w leads to from state s. backward applies the word's letters from
+    its lowest bit up instead, the order of a fold with letter 0 outermost.
+    """
+    table, power, size = None, succ, 1  # power: the table of words of `size` letters
+    while size <= letters:
+        if letters & size:  # the larger part takes the high bits
+            table = power if table is None else _compose(power, table, backward)
+        size *= 2
+        if size <= letters:
+            power = _compose(power, power, backward)
+    if table is succ:
+        table = table.copy()
+    table <<= 8
+    return table.ravel()
+
+
+def _words_in_order(keys: np.ndarray, letters: range):
+    """(word, js) for the words of rows keys that hold the letters j of
+    `letters`, a range of step 1 or -1, in its order; js lists the word's
+    letters in that order. Letter j is bit 7 - j mod 8 of word j // 8."""
+    step = letters.step
+    words = range(letters[0] // 8, letters[-1] // 8 + step, step) if letters else letters
+    return zip(letter_words(keys, words),
+               (list(js) for _, js in groupby(letters, lambda j: j // 8)))
+
+
+def _table_walk(tables: dict, keys: np.ndarray, letters: range) -> np.ndarray:
+    """The state each row of keys reaches from state 0 through letters
+    0 .. n-1, taken in the order of `letters`, one table lookup a word (see
+    _word_table). Only the word of letter n - 1 may be short; it holds the
+    word's top bits."""
+    at = np.zeros(keys.size, np.int32)  # 256 times the state
+    step = np.empty_like(at)
+    for word, js in _words_in_order(keys, letters):
+        np.add(at, word, out=step)
+        if len(js) < 8:  # (256 s + w) >> (8 - k) = (s << k) + the word's top k bits
+            step >>= 8 - len(js)
+        tables[len(js)].take(step, out=at)
+    at >>= 8
+    return at
+
+
+def _bit_walk(dist: ThetaDist, keys: np.ndarray, letters: range):
+    """The letter columns of rows keys for the letters of `letters`, in its
+    order, read from the words of _table_walk: the fold past the state cap.
+    Each word is read into its 8 letter columns by one take from a table of
+    the 256 words, one buffer that every column views, so fold each column
+    before asking for the next."""
+    # spelled[i, w]: the letter in bit 7 - i of word w
+    spelled = dist.support[np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0)]
+    theta = np.empty((8, keys.size))
+    for word, js in _words_in_order(keys, letters):
+        spelled.take(word, axis=1, out=theta, mode="clip")
+        for j in js:
+            yield theta[j % 8]
+
+
+def _row_ends(dist: ThetaDist, start: tuple, n: int, backward: bool, graph):
+    """A function of row keys that gives each row's image (lo, hi) of start,
+    a point (x0, x0) or an interval [0, b], after letters 0 .. n-1 of its
+    row: letter 0 first, or, backward, last (outermost).
+
+    graph is _dist_graph(dist, start, n), which a caller folding in both
+    directions finds once. Given one, the rows walk its word tables, built
+    here once for all blocks; given None, they fold a letter at a time, a
+    two-point dist's from the same bits. Both give the same floats.
+    """
+    order = range(n - 1, -1, -1) if backward else range(n)
+    point = start[0] == start[1]  # its images are points (x, x) too
+    if graph is not None:
+        ends, succ = graph
+        lo, hi = ends.T.copy()  # contiguous, for one gather each
+        tables = {k: _word_table(succ, k, backward) for k in (8, n % 8) if k}
+
+        def walk(keys):
+            at = _table_walk(tables, keys, order)
+            x = hi[at]
+            return (x, x) if point else (lo[at], x)
+        return walk
+
+    read = _bit_walk if dist._bits else letter_columns
+    if point:  # |theta - x| is the same float as the interval fold, in two passes
+        def fold(keys):
+            x = np.full(keys.size, start[0])
+            for theta in read(dist, keys, order):
+                np.abs(np.subtract(theta, x, out=x), out=x)
+            return x, x
+    else:
+        def fold(keys):
+            lo, hi = np.full(keys.size, start[0]), np.full(keys.size, start[1])
+            scratch = np.empty(keys.size), np.empty(keys.size)
+            for theta in read(dist, keys, order):
+                fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
+            return lo, hi
+    return fold
+
+
+def _rate_automaton(alpha: float, epsilon: float):
+    """(next_at, reads, stop), the rate chain eight letters a step, or None
+    when it has more than _WORD_STATES states.
+
+    The states are the exact float images (lo, hi) of [0, 1] whose diameter
+    is at least epsilon (_state_graph), and a fold to a diameter below
+    epsilon goes to one absorbing state, STOP, the last of the S + 1 states.
+    For mu on {alpha, 1} the endpoints lie on the orbit of 0: the search
+    finds 12 states at q = 41 and eps = 0.2, and a few thousand at most for
+    a random alpha and q <= 99, but not for every alpha (see the module
+    docstring).
+
+    next_at is the 8-letter table of _word_table: next_at[256 s + w] is 256
+    times the state that word w leads to from state s, so a step from the
+    entry at is at = next_at[at + w], and stop = 256 STOP. reads[256 s + w]
+    counts the letters of w read before STOP: 8 where w does not reach STOP
+    from s, the position 1..8 of the letter that does, and 0 from STOP.
+    Summed over a trial's words, it is the trial's stopping time.
+    """
+    graph = _state_graph(np.array([alpha, 1.0]), (0.0, 1.0), epsilon=epsilon)
+    if graph is None:
+        return None
+    succ = graph[1]
+    states = succ.shape[0]
+    reads = np.ones(succ.shape, np.uint8)
+    reads[-1] = 0
+    two = _compose(succ, succ, False)
+    for half in (succ, two, _compose(two, two, False)):  # reads of 2, 4, then 8 letters
+        reads = (reads[:, :, None] + reads[half]).reshape(states, -1)
+    return _word_table(succ, 8), reads.ravel(), 256 * (states - 1)
+
+
+def _table_chunk(automaton, at: np.ndarray, keys: np.ndarray, first: int, words: int):
+    """(when, at): live trials (rows keys, at their table entries) step
+    through the words of cells first .. first + 8 words - 1. when[i] is how
+    many of those letters trial i used to stop, 0 if it did not stop.
+    """
+    next_at, reads, stop = automaton
+    path = np.empty((words, at.size), np.int32)  # the table entry of each word step
+    for step, word in zip(path, letter_words(keys, range(first // 8, first // 8 + words))):
+        np.add(at, word, out=step)
+        next_at.take(step, out=at)
+    return np.where(at == stop, reads[path].sum(axis=0), 0), at
+
+
+def _fold_chunk(folds, ends: np.ndarray, keys: np.ndarray, first: int, words: int):
+    """(when, ends) as _table_chunk returns, for trials whose images
+    ends = [lo, hi] (a (2, rows) array) are folded one letter at a time,
+    read by _bit_walk; folds = (dist, epsilon).
+    """
+    dist, epsilon = folds
+    lo, hi = ends
+    diam = np.empty((8 * words, lo.size))
+    scratch = np.empty_like(lo), np.empty_like(lo)
+    for theta, d in zip(_bit_walk(dist, keys, range(first, first + 8 * words)), diam):
+        fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
+        np.subtract(hi, lo, out=d)
+    below = diam < epsilon
+    return np.where(below.any(axis=0), below.argmax(axis=0) + 1, 0), ends

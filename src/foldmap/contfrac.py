@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LemmaViolationError, PrecisionError, PreconditionError
+from .errors import LemmaViolationError, PrecisionError, PreconditionError, as_int
 
 _MAX_TERMS = 40
 _GAUSS_TOL = 1e-12
@@ -28,6 +28,7 @@ def check_contfrac(alpha: float, terms: int) -> None:
         raise PreconditionError("alpha must lie in (0, 1)")
     if not terms >= 0:  # a NaN fails the comparison too
         raise PreconditionError("terms must be >= 0")
+    as_int(terms, "terms")
     if terms > _MAX_TERMS:
         raise PrecisionError(f"terms > {_MAX_TERMS} exceeds double-precision reliability")
 
@@ -127,11 +128,7 @@ def find_close_k(alpha: float, x: float, q_n: int) -> dict:
     check_close_k(alpha, x, q_n)
     bound = 1.5 / q_n
     y = x % 1.0
-    try:
-        ks = range(q_n)
-    except TypeError:  # a float q_n, NaN and inf too
-        raise PreconditionError("q_n must be an integer") from None
-    for k in ks:
+    for k in range(as_int(q_n, "q_n")):
         if y < bound:
             return {"k": k, "value": y}
         y -= alpha

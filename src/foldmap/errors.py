@@ -5,6 +5,9 @@ and structural failures (an invariant the math guarantees did not hold at
 runtime, CLI exit code 3).
 """
 
+import math
+import operator
+
 
 class FoldmapError(Exception):
     """Base class for all package-specific errors."""
@@ -36,3 +39,15 @@ class ClassBoundaryError(StructuralError):
 
 class LemmaViolationError(StructuralError):
     """An exhaustive search contradicted a guaranteed existence claim."""
+
+
+def as_int(value, name: str, least: int | None = None) -> int:
+    """The count `name` as an int: an int or a numpy int, finite and at
+    least `least` where that is given; else PreconditionError. The range is
+    checked first, so NaN and inf read as out of range where it is."""
+    if least is not None and not least <= value < math.inf:  # NaN fails too
+        raise PreconditionError(f"{name} must be >= {least}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{name} must be an integer") from None

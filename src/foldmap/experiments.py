@@ -8,22 +8,9 @@ support[bit 63 - (j mod 64) of h[t, j // 64]], where h[t, c] is the full
 hash of cell (t, c); every other dist reads one hash a letter, by integer
 cuts. No (trials, n) matrix is ever built.
 
-For a two-point dist the folds run on one word automaton. The images of a
-start point x0, of [0, b], or of [0, 1] down to a diameter epsilon, under
-words of the two letters are exact floats, and there are few of them: 232
-points of x0 = 0.2 to depth 50, 1585 images of [0, 1] to depth 1000. One
-breadth-first search per call (_state_graph) finds them with the scalar
-fold, so each state is the pair of floats the per-letter fold reaches,
-and its one-letter table is composed into an int32 table of 8-letter
-words. Each byte of a hash, read from the top, is one such word, so
-forward_values, both directions of law_equality_report,
-backward_diam_ensemble and rate_experiment step every trial one add and
-one take per eight letters, and fold no float. Where the search passes its
-state cap, the trials fold one letter at a time from the same bits, to
-the same bytes; other dists fold a letter column at a time
-(process.letter_columns, with the six-pass fold_interval_arrays for
-intervals). rate_experiment stops a trial at its first image shorter than
-epsilon, an absorbing state of its chain.
+For a two-point dist the folds walk the exact-float state chain of
+foldmap._chain; other dists fold a letter column at a time
+(process.letter_columns). Every path gives the same bytes.
 
 Workers are threads, and numpy does the heavy lifting, so a thread pays only
 when its block is long enough that each numpy call outlasts the hand-over of
@@ -53,13 +40,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _chain
 from .contfrac import contfrac_expand, convergents
-from .errors import PreconditionError, StructuralError, WindowError
+from .errors import PreconditionError, StructuralError, WindowError, as_int
 from .orbit import (OrbitLabel, W_MAX, _check_alpha, alpha_targets, build_graph_window,
                     check_graph_window, rho_chart, scan_class_ties, window_values)
 from .process import (TILE_CELLS, ThetaDist, TrialPlan, check_start, check_trials,
-                      fold_interval_arrays, letter_bits, letter_cells, letter_columns,
-                      letter_words, substream_keys, uniform_cells)
+                      letter_bits, letter_cells, substream_keys, uniform_cells)
 from .serialize import canonical_json, rows_to_csv
 from .stationary import PiecewiseLinearCDF, stationary_cdf, stationary_quantile
 
@@ -67,7 +54,6 @@ _TRIAL_BLOCK = 1 << 16    # cap on rows vectorized together (does not affect out
 _MAX_WORKERS = 64         # threads one run may use
 _THREAD_ROWS = 1 << 15    # fewest rows a block needs to be worth a thread
 _RATE_QK_CAP = 99         # keeps N below ~5.2e7 letters per trial
-_WORD_STATES = 1 << 13    # the most states of a word automaton (8 MB a word table)
 
 
 class EmpiricalCDF:
@@ -174,139 +160,7 @@ def check_workers(workers: int) -> None:
     """The thread count of a blocked run must lie in 1..64."""
     if not 1 <= workers <= _MAX_WORKERS:
         raise PreconditionError(f"workers must lie in 1..{_MAX_WORKERS}")
-
-
-# ---- word automata ---------------------------------------------------------
-
-
-def _state_graph(support, start: tuple, depth: int | None = None,
-                 epsilon: float | None = None):
-    """(ends, succ): the exact-float states of a two-point dist's folds of an
-    interval, or None when there are more than _WORD_STATES states.
-
-    The states are the images (lo, hi) of start under words of the two
-    letters support[0] and support[1], found by a breadth-first search, one
-    level a word length. Each image is the scalar fold of interval_fold,
-    the same floats as fold_interval_arrays and, on a point (x, x), as
-    |theta - x|, so a state is exactly the pair of floats the per-letter
-    fold reaches, and the states are keyed by those floats. A point start
-    gives point states; [0, b] gives the backward images of
-    backward_diam_ensemble; [0, 1] with epsilon gives rate's chain.
-
-    The last state, S, is a sink. A fold to a diameter below epsilon goes
-    there (it is rate's STOP), and so do the letters from the states first
-    reached at `depth`, which the search does not expand: a walk of at most
-    depth letters never takes them. ends is an (S + 1, 2) float array of
-    the states' ends (NaN for the sink), succ an (S + 1, 2) int32 array,
-    succ[s, b] the state after letter support[b] from state s.
-    """
-    letters = support[:2].tolist()  # the two points a bit selects
-    index = {start: 0}
-    states = [start]
-    succ = []  # succ[2 s + b] for the expanded states s, -1 for the sink
-    level, level_end = 0, 1  # states[:level_end] lie at most `level` letters deep
-    for s, (lo, hi) in enumerate(states):  # the loop sees the states it appends
-        if s == level_end:
-            level, level_end = level + 1, len(states)
-        if level == depth:
-            break
-        for t in letters:
-            image = (max(0.0, lo - t, t - hi), max(abs(t - lo), abs(t - hi)))
-            if epsilon is not None and image[1] - image[0] < epsilon:
-                succ.append(-1)
-                continue
-            nxt = index.setdefault(image, len(states))
-            if nxt == len(states):
-                if nxt >= _WORD_STATES:
-                    return None
-                states.append(image)
-            succ.append(nxt)
-    sink = len(states)
-    table = np.full((sink + 1, 2), sink, dtype=np.int32)
-    table.ravel()[:len(succ)] = succ
-    table[table < 0] = sink
-    ends = np.array(states + [(math.nan, math.nan)])
-    return ends, table
-
-
-def _compose(high: np.ndarray, low: np.ndarray, backward: bool) -> np.ndarray:
-    """The state table of words whose high bits are a word of high's and
-    whose low bits are a word of low's. Forward, the high bits are read
-    first (the first letter is the top bit); backward, the low bits are."""
-    if backward:  # [s, h, l] = high[low[s, l], h], built in place of a transpose
-        return high[low[:, None, :], np.arange(high.shape[1])[:, None]].reshape(low.shape[0], -1)
-    return low[high].reshape(high.shape[0], -1)
-
-
-def _word_table(succ: np.ndarray, letters: int, backward: bool = False) -> np.ndarray:
-    """The flat int32 table of words of 1..8 letters, first letter in the
-    word's top bit: entry (s << letters) + w is 256 times the state that
-    word w leads to from state s. backward applies the word's letters from
-    its lowest bit up instead, the order of a fold with letter 0 outermost.
-    """
-    table, power, size = None, succ, 1  # power: the table of words of `size` letters
-    while size <= letters:
-        if letters & size:  # the larger part takes the high bits
-            table = power if table is None else _compose(power, table, backward)
-        size *= 2
-        if size <= letters:
-            power = _compose(power, power, backward)
-    if table is succ:
-        table = table.copy()
-    table <<= 8
-    return table.ravel()
-
-
-def _walk_tables(succ: np.ndarray, n: int, backward: bool) -> dict:
-    """{letters: _word_table} for the words a walk of n letters reads: 8, and
-    n mod 8 for its one short word."""
-    sizes = ([8] if n >= 8 else []) + ([n % 8] if n % 8 else [])
-    return {k: _word_table(succ, k, backward) for k in sizes}
-
-
-def _words_in_order(keys: np.ndarray, n: int, backward: bool):
-    """(word, letters) for the words that hold letters 0 .. n-1 of rows keys,
-    in the order a fold takes them: ascending, or descending for a fold
-    with letter 0 outermost. letters is 8, except for the last word when n
-    is not a multiple of 8, which holds its top n mod 8 bits."""
-    full, short = divmod(n, 8)
-    words = range(full + (short > 0))
-    words = words[::-1] if backward else words
-    for w, word in zip(words, letter_words(keys, words)):
-        yield word, 8 if w < full else short
-
-
-def _table_walk(tables: dict, keys: np.ndarray, n: int, backward: bool) -> np.ndarray:
-    """The state each row of keys reaches from state 0 through letters
-    0 .. n-1, one table lookup a word (see _word_table)."""
-    at = np.zeros(keys.size, np.int32)  # 256 times the state
-    step = np.empty_like(at)
-    for word, letters in _words_in_order(keys, n, backward):
-        np.add(at, word, out=step)
-        if letters < 8:  # (256 s + w) >> (8 - k) = (s << k) + the word's top k bits
-            step >>= 8 - letters
-        tables[letters].take(step, out=at)
-    at >>= 8
-    return at
-
-
-def _bit_walk(dist: ThetaDist, keys: np.ndarray, n: int, backward: bool):
-    """The letter columns of rows keys in fold order, read from the same
-    words as _table_walk one bit at a time: the fold past the state cap."""
-    theta = np.empty(keys.size)
-    bit = np.empty(keys.size, np.uint8)
-    for word, letters in _words_in_order(keys, n, backward):
-        # forward from the top bit down; backward from the word's last letter up
-        for shift in range(8 - letters, 8) if backward else range(7, 7 - letters, -1):
-            np.right_shift(word, shift, out=bit)
-            bit &= 1
-            yield np.take(dist.support, bit, out=theta, mode="clip")
-
-
-def _point_graph(dist: ThetaDist, x0: float, n: int):
-    """_state_graph of the point x0 to depth n, or None where the letters
-    are not one bit each or the graph passes the state cap."""
-    return _state_graph(dist.support, (float(x0),) * 2, n) if dist._bits else None
+    as_int(workers, "workers")
 
 
 def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
@@ -315,28 +169,13 @@ def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
     """x0 folded through n letters of rows first .. first+plan.trials-1.
 
     Forward applies cell 0 first; backward applies it last (outermost).
-    Given graph = _point_graph(dist, x0, n), the rows walk its word tables;
-    without one, they fold a letter at a time (a two-point dist's from the
-    same bits), to the same bytes.
+    graph is _chain._dist_graph of the point x0, or None to fold a letter
+    at a time (see _chain._row_ends); both give the same bytes.
     """
-    if graph is not None:
-        ends, succ = graph
-        tables = _walk_tables(succ, n, backward)
+    fold = _chain._row_ends(dist, (float(x0),) * 2, n, backward, graph)
 
-        def worker(start, count):
-            keys = substream_keys(plan.master_seed, first + start, count)
-            return ends[_table_walk(tables, keys, n, backward), 1]
-    else:
-        steps = range(n - 1, -1, -1) if backward else range(n)
-
-        def worker(start, count):
-            keys = substream_keys(plan.master_seed, first + start, count)
-            x = np.full(count, float(x0))
-            letters = (_bit_walk(dist, keys, n, backward) if dist._bits
-                       else letter_columns(dist, keys, steps))
-            for theta in letters:
-                np.abs(np.subtract(theta, x, out=x), out=x)
-            return x
+    def worker(start, count):
+        return fold(substream_keys(plan.master_seed, first + start, count))[1]
 
     return np.concatenate(_run_blocks(worker, plan.trials, workers))
 
@@ -345,8 +184,7 @@ def check_forward_values(x0: float, n: int, trials: int, workers: int) -> None:
     """The preconditions of forward_values with a plan of `trials` trials."""
     check_trials(trials)
     check_start(x0)
-    if not 0 <= n < math.inf:  # a NaN fails the comparison too
-        raise PreconditionError("n must be >= 0")
+    as_int(n, "n", 0)
     check_workers(workers)
 
 
@@ -357,7 +195,8 @@ def forward_values(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
     Trial t folds x0 through cells (t, 0), ..., (t, n-1), in that order.
     """
     check_forward_values(x0, n, plan.trials, workers)
-    return _point_folds(dist, x0, n, plan, workers, graph=_point_graph(dist, x0, n))
+    graph = _chain._dist_graph(dist, (float(x0),) * 2, n)
+    return _point_folds(dist, x0, n, plan, workers, graph=graph)
 
 
 def ensemble_forward(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
@@ -374,29 +213,13 @@ def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
     for a smaller n is a prefix of the word for a larger n under the same
     plan and the returned lengths are pointwise nonincreasing in n.
     """
-    if not 0 <= n < math.inf:  # a NaN fails the comparison too
-        raise PreconditionError("n must be >= 0")
-    b = dist.bound
-    graph = _state_graph(dist.support, (0.0, b), n) if dist._bits else None
-    if graph is not None:
-        ends, succ = graph
-        diameters = ends[:, 1] - ends[:, 0]
-        tables = _walk_tables(succ, n, True)
+    as_int(n, "n", 0)
+    interval = (0.0, dist.bound)
+    fold = _chain._row_ends(dist, interval, n, True, _chain._dist_graph(dist, interval, n))
 
-        def worker(start, count):
-            keys = substream_keys(plan.master_seed, start, count)
-            return diameters[_table_walk(tables, keys, n, True)]
-    else:
-        def worker(start, count):
-            keys = substream_keys(plan.master_seed, start, count)
-            lo = np.zeros(count)
-            hi = np.full(count, b)
-            scratch = np.empty(count), np.empty(count)
-            letters = (_bit_walk(dist, keys, n, True) if dist._bits  # newest innermost
-                       else letter_columns(dist, keys, range(n - 1, -1, -1)))
-            for theta in letters:
-                fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
-            return hi - lo
+    def worker(start, count):
+        lo, hi = fold(substream_keys(plan.master_seed, start, count))
+        return hi - lo
 
     return np.concatenate(_run_blocks(worker, plan.trials, workers))
 
@@ -455,12 +278,13 @@ def _check_qk(q_k: int) -> None:
     """A finite q_k >= 2, so that log2 q_k > 0; rejects NaN as well."""
     if not 2 <= q_k < math.inf:
         raise PreconditionError("q_k must be finite and >= 2 (log2 q_k must be positive)")
+    as_int(q_k, "q_k")
 
 
 def rate_steps(q_k: int) -> int:
     """Letter budget ceil(8 * q_k^3 * log2(q_k)) of the rate bound; q_k >= 2."""
     _check_qk(q_k)
-    return math.ceil(8 * q_k ** 3 * math.log2(q_k))
+    return math.ceil(8 * int(q_k) ** 3 * math.log2(q_k))  # a numpy int would overflow
 
 
 def check_rate(q_k: int, epsilon: float, trials: int, workers: int) -> None:
@@ -472,71 +296,6 @@ def check_rate(q_k: int, epsilon: float, trials: int, workers: int) -> None:
     if not 8.0 / q_k < epsilon < math.inf:
         raise PreconditionError(f"epsilon must be finite and exceed 8/q_k = {8.0 / q_k}")
     check_workers(workers)
-
-
-def _rate_automaton(alpha: float, epsilon: float):
-    """(next_at, reads, stop), the rate chain eight letters a step, or None
-    when it has more than _WORD_STATES states.
-
-    The states are the exact float images (lo, hi) of [0, 1] whose diameter
-    is at least epsilon (_state_graph), and a fold to a diameter below
-    epsilon goes to one absorbing state, STOP, the last of the S + 1 states.
-    For mu on {alpha, 1} the endpoints lie on the orbit of 0: the search
-    finds 12 states at q = 41 and eps = 0.2, and a few thousand at most for
-    a random alpha and q <= 99. For some alpha, 0.01048 at q = 95 among
-    them, one real image is reached as many floats along many paths: the
-    first 400,000 float states hold 1659 distinct ones to 9 digits. Past
-    _WORD_STATES the search gives up.
-
-    next_at is the 8-letter table of _word_table: next_at[256 s + w] is 256
-    times the state that word w leads to from state s, so a step from the
-    entry at is at = next_at[at + w], and stop = 256 STOP. reads[256 s + w]
-    counts the letters of w read before STOP: 8 where w does not reach STOP
-    from s, the position 1..8 of the letter that does, and 0 from STOP.
-    Summed over a trial's words, it is the trial's stopping time.
-    """
-    graph = _state_graph(np.array([alpha, 1.0]), (0.0, 1.0), epsilon=epsilon)
-    if graph is None:
-        return None
-    table = graph[1]
-    states = table.shape[0]
-    reads = np.ones(table.shape, np.uint8)
-    reads[-1] = 0
-    for _ in range(3):  # words of 2, 4 and 8 letters: the first half, then the second
-        reads = (reads[:, :, None] + reads[table]).reshape(states, -1)
-        table = _compose(table, table, False)
-    table <<= 8
-    return table.ravel(), reads.ravel(), 256 * (states - 1)
-
-
-def _table_chunk(automaton, at: np.ndarray, keys: np.ndarray, first: int, words: int):
-    """(when, at): live trials (rows keys, at their table entries) step
-    through the words of cells first .. first + 8 words - 1. when[i] is how
-    many of those letters trial i used to stop, 0 if it did not stop.
-    """
-    next_at, reads, stop = automaton
-    path = np.empty((words, at.size), np.int32)  # the table entry of each word step
-    for step, word in zip(path, letter_words(keys, range(first // 8, first // 8 + words))):
-        np.add(at, word, out=step)
-        next_at.take(step, out=at)
-    return np.where(at == stop, reads[path].sum(axis=0), 0), at
-
-
-def _fold_chunk(folds, ends: np.ndarray, keys: np.ndarray, first: int, words: int):
-    """(when, ends) as _table_chunk returns, for trials whose images
-    ends = [lo, hi] (a (2, rows) array) are folded one letter at a time;
-    folds = (dist, epsilon).
-    """
-    dist, epsilon = folds
-    thetas = letter_cells(dist, keys, np.arange(first, first + 8 * words)[:, None])
-    lo, hi = ends
-    diam = np.empty_like(thetas)
-    scratch = np.empty_like(lo), np.empty_like(lo)
-    for theta, d in zip(thetas, diam):
-        fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
-        np.subtract(hi, lo, out=d)
-    below = diam < epsilon
-    return np.where(below.any(axis=0), below.argmax(axis=0) + 1, 0), ends
 
 
 def rate_experiment(alpha: float, k_index: int, epsilon: float,
@@ -554,7 +313,7 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     found here otherwise.
 
     The images a trial passes through are the states of a finite chain,
-    built once per call (see _rate_automaton), so a trial steps through its
+    built once per call (see _chain._rate_automaton), so a trial steps through its
     table eight letters at a time and folds no interval. Where that chain
     is too large to build, each trial folds its image one letter at a time,
     to the same report. The letters are read in chunks that grow with the
@@ -563,6 +322,8 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     past N, in the last chunk, is a failure. workers bounds the threads, and
     a thread needs a block of at least 2^15 trials.
     """
+    _check_alpha(alpha)
+    as_int(k_index, "k_index")
     if q_k is None:
         quotients = contfrac_expand(alpha, 40)
         if not 0 <= k_index < len(quotients):
@@ -572,12 +333,12 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     check_rate(q_k, epsilon, plan.trials, workers)
     n_steps = rate_steps(q_k)
     t0 = time.perf_counter()
-    chain = _rate_automaton(alpha, epsilon)
+    chain = _chain._rate_automaton(alpha, epsilon)
     if chain is None:  # too many states: fold the images [lo, hi] instead
-        chain, chunk = (ThetaDist.two_point(alpha), epsilon), _fold_chunk
+        chain, chunk = (ThetaDist.two_point(alpha), epsilon), _chain._fold_chunk
         origin = np.array([[0.0], [1.0]])
     else:
-        chunk, origin = _table_chunk, np.zeros(1, np.int32)  # the entry of [0, 1]
+        chunk, origin = _chain._table_chunk, np.zeros(1, np.int32)  # the entry of [0, 1]
 
     def worker(start, count):
         keys = substream_keys(plan.master_seed, start, count)
@@ -618,6 +379,7 @@ def check_walk_confinement(n: int) -> None:
     """The precondition of walk_confinement_dp: n in 1..30."""
     if not 1 <= n <= 30:
         raise PreconditionError("n must lie in 1..30")
+    as_int(n, "n")
 
 
 def walk_confinement_dp(n: int, exact: bool = True):
@@ -649,6 +411,7 @@ def walk_confinement_dp(n: int, exact: bool = True):
     count / 2^h, returned as a Fraction when exact else as a float.
     """
     check_walk_confinement(n)
+    n = int(n)  # a numpy int would overflow below
     h = n ** 3
     period = 4 * n + 4
     block = 2 * n + 2
@@ -686,11 +449,8 @@ def check_rho_walk(alpha: float, x0: float, steps: int, segments: int,
     _check_alpha(alpha)
     if not 0.0 < x0 < min(alpha, 1.0 - alpha):
         raise PreconditionError("x0 must satisfy 0 < x0 < min(alpha, 1-alpha)")
-    # a NaN fails these comparisons too
-    if not 0 <= steps < math.inf:
-        raise PreconditionError("steps must be >= 0")
-    if not 0 <= segments < math.inf:
-        raise PreconditionError("segments must be >= 0")
+    as_int(steps, "steps", 0)
+    as_int(segments, "segments", 0)
     if window is not None:
         check_graph_window(alpha, x0, window)
 
@@ -834,8 +594,7 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
     block size and worker count. workers bounds the threads as in
     _run_blocks: a thread needs a block of at least 2^15 samples.
     """
-    if not 1 <= n_samples < math.inf:  # a NaN fails the comparison too
-        raise PreconditionError("n_samples must be >= 1")
+    as_int(n_samples, "n_samples", 1)
     cdf = stationary_cdf(dist)
     keys = substream_keys(master_seed, 0, 2)
 
@@ -862,6 +621,8 @@ def check_law_equality(x0: float, n: int, trials: int, workers: int) -> None:
     # a NaN fails these comparisons too
     if not (0 <= n < math.inf and 1 <= trials < math.inf):
         raise PreconditionError("need n >= 0 and trials >= 1")
+    as_int(n, "n")
+    as_int(trials, "trials")
     check_workers(workers)
 
 
@@ -875,7 +636,7 @@ def law_equality_report(dist: ThetaDist, x0: float, n: int, trials: int,
     """
     check_law_equality(x0, n, trials, workers)
     plan = TrialPlan(master_seed, trials)
-    graph = _point_graph(dist, x0, n)  # the two directions share its states
+    graph = _chain._dist_graph(dist, (float(x0),) * 2, n)  # both directions walk it
     fwd = _point_folds(dist, x0, n, plan, workers, graph=graph)
     bwd = _point_folds(dist, x0, n, plan, workers, first=trials, backward=True, graph=graph)
     ks = ks_distance(EmpiricalCDF(fwd), EmpiricalCDF(bwd))

@@ -26,7 +26,6 @@ threshold.
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -34,7 +33,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import (ClassBoundaryError, PrecisionError, PreconditionError,
-                     StructuralError, WordNotFoundError)
+                     StructuralError, WordNotFoundError, as_int)
 
 W_MAX = 10 ** 6          # |n| cap keeping label values accurate to < 1e-9
 DEFAULT_WINDOW = 10 ** 4
@@ -51,10 +50,7 @@ class OrbitLabel:
     eps: int
 
     def __post_init__(self):
-        try:
-            operator.index(self.n)  # an int or a numpy int; a float, NaN too, fails
-        except TypeError:
-            raise PreconditionError("n must be an integer") from None
+        as_int(self.n, "n")
         if self.eps not in (1, -1):
             raise PreconditionError("eps must be +1 or -1")
 
@@ -233,6 +229,7 @@ def check_graph_window(alpha: float, x: float, window: int) -> None:
     _check_alpha(alpha)
     if not window >= 1:  # a NaN fails the comparison too
         raise PreconditionError("window must be >= 1")
+    as_int(window, "window")
     if window > W_MAX:
         raise PrecisionError(f"window > {W_MAX} exceeds the precision cap")
     if not 0.0 <= x <= 1.0:
@@ -405,6 +402,7 @@ def shrink_word(alpha: float, beta: float, m: float, threshold: float,
     threshold.
     """
     check_shrink_word(alpha, beta, m, threshold)
+    as_int(max_len, "max_len")
     if m < threshold:
         return []
     # a float key, so values past ~1.8e296 share the bucket inf instead of overflowing

@@ -57,7 +57,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, as_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -117,15 +117,14 @@ def _step_offset(step: int) -> np.uint64:
 
 def substream_seed(master_seed: int, index: int) -> int:
     """Deterministic 64-bit key of row `index` of a master seed's grid."""
-    if index < 0:
-        raise PreconditionError("substream index must be >= 0")
+    index = as_int(index, "substream index", 0)  # an int: a numpy int would overflow
     return _splitmix64((master_seed + (index + 1) * _GOLDEN64) & _MASK64)
 
 
 def substream_keys(master_seed: int, first: int, count: int) -> np.ndarray:
     """substream_seed(master_seed, t) for t = first .. first+count-1, as uint64."""
-    if first < 0 or count < 0:
-        raise PreconditionError("substream rows must be >= 0")
+    first = as_int(first, "substream rows", 0)  # an int: a numpy int would overflow
+    count = as_int(count, "substream rows", 0)
     z = np.arange(count, dtype=np.uint64)
     z *= np.uint64(_GOLDEN64)
     # the scalar offset is a masked Python int, so numpy never sees an overflow
@@ -169,10 +168,8 @@ class UniformRow:
     """
 
     def __init__(self, key: int, start: int = 0):
-        if start < 0:
-            raise PreconditionError("row start must be >= 0")
         self._key = np.array([key], dtype=np.uint64)
-        self.position = start
+        self.position = as_int(start, "row start", 0)
 
     def random(self, size=None):
         """The next cells; a float when size is None, else an array of that shape."""
@@ -185,8 +182,7 @@ class UniformRow:
 
 def check_trials(trials: int) -> None:
     """The precondition of TrialPlan: at least one trial, and finitely many."""
-    if not 1 <= trials < math.inf:  # a NaN fails the comparison too
-        raise PreconditionError("trials must be >= 1")
+    as_int(trials, "trials", 1)
 
 
 @dataclass(frozen=True)

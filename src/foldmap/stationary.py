@@ -16,12 +16,10 @@ is pinned by tests against the closed form.
 
 from __future__ import annotations
 
-import math
-import operator
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, as_int
 from .orbit import CLASS_TOL, _check_alpha, fractional_part
 from .process import ThetaDist
 from .serialize import canonical_json, rows_to_csv
@@ -98,20 +96,13 @@ def large_count(alpha: float, n: int) -> int:
     return int(large_count_cumulative(alpha, n)[-1])
 
 
-def _integer(n) -> int:
-    """n as an int: an int or a numpy int; a float, NaN and inf too, fail."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise PreconditionError("n must be an integer") from None
-
-
 def large_count_cumulative(alpha: float, n: int) -> np.ndarray:
-    """L_1..L_n in one pass (index 0 holds L_1)."""
+    """L_1..L_n in one pass (index 0 holds L_1), for n up to 10**7: the
+    pass holds arrays of about 17 bytes an index."""
     _check_alpha(alpha)
-    if not 1 <= n < math.inf:  # a NaN fails the comparison too
-        raise PreconditionError("n must be >= 1")
-    return np.cumsum(fractional_part(np.arange(1, _integer(n) + 1) * alpha) >= alpha)
+    if as_int(n, "n", 1) > 10 ** 7:
+        raise PreconditionError("n must be <= 10**7")
+    return np.cumsum(fractional_part(np.arange(1, n + 1) * alpha) >= alpha)
 
 
 def is_small_vertex(alpha: float, n: int) -> bool:
@@ -119,7 +110,7 @@ def is_small_vertex(alpha: float, n: int) -> bool:
     cuts by more than orbit.CLASS_TOL."""
     _check_alpha(alpha)
     try:
-        v = _integer(n) * alpha % 1.0
+        v = as_int(n, "n") * alpha % 1.0
     except OverflowError:
         raise PreconditionError("n must lie in the float range") from None
     return v < min(alpha, 1.0 - alpha) - CLASS_TOL

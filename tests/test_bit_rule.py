@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from foldmap import (EmpiricalCDF, ThetaDist, TrialPlan, backward_diam_ensemble,
+from foldmap import (EmpiricalCDF, ThetaDist, TrialPlan, _chain, backward_diam_ensemble,
                      experiments, forward_values, ks_distance, law_equality_report,
                      rate_experiment)
 from foldmap.cli import run
@@ -88,7 +88,7 @@ class TestFolds:
         plan = TrialPlan(seed, trials)
         fwd = bit_oracle.point_folds(SUPPORT, 0.3, n, seed, 0, trials)
         bwd = bit_oracle.point_folds(SUPPORT, 0.3, n, seed, trials, trials, backward=True)
-        for graph in (experiments._point_graph(TWO_POINT, 0.3, n), None):  # tables, bits
+        for graph in (_chain._dist_graph(TWO_POINT, (0.3, 0.3), n), None):  # tables, bits
             assert np.array_equal(experiments._point_folds(
                 TWO_POINT, 0.3, n, plan, workers, graph=graph), fwd)
             assert np.array_equal(experiments._point_folds(
@@ -214,7 +214,7 @@ class TestFallback:
             forward_values(TWO_POINT, 0.2, n, plan, workers=workers),
             experiments._point_folds(TWO_POINT, 0.2, n, plan, workers, first=700,
                                      backward=True,
-                                     graph=experiments._point_graph(TWO_POINT, 0.2, n)),
+                                     graph=_chain._dist_graph(TWO_POINT, (0.2, 0.2), n)),
             backward_diam_ensemble(TWO_POINT, n, plan, workers=workers),
         ]
 
@@ -223,22 +223,40 @@ class TestFallback:
     @pytest.mark.parametrize("cap", [0, 1, 40])
     def test_same_bytes_past_the_cap(self, monkeypatch, n, workers, cap):
         tables = self._runs(n, workers)
-        monkeypatch.setattr(experiments, "_WORD_STATES", cap)
+        monkeypatch.setattr(_chain, "_WORD_STATES", cap)
         folds = self._runs(n, workers)
         for table, fold in zip(tables, folds):
             assert table.tobytes() == fold.tobytes()
 
     def test_the_cap_turns_the_tables_off(self, monkeypatch):
-        assert experiments._point_graph(TWO_POINT, 0.2, 65) is not None
-        monkeypatch.setattr(experiments, "_WORD_STATES", 40)
-        assert experiments._point_graph(TWO_POINT, 0.2, 7) is not None
-        assert experiments._point_graph(TWO_POINT, 0.2, 65) is None
-        assert experiments._state_graph(TWO_POINT.support, (0.0, 1.0), 130) is None
+        assert _chain._dist_graph(TWO_POINT, (0.2, 0.2), 65) is not None
+        monkeypatch.setattr(_chain, "_WORD_STATES", 40)
+        assert _chain._dist_graph(TWO_POINT, (0.2, 0.2), 7) is not None
+        assert _chain._dist_graph(TWO_POINT, (0.2, 0.2), 65) is None
+        assert _chain._state_graph(TWO_POINT.support, (0.0, 1.0), 130) is None
 
     def test_fold_path_matches_the_oracle(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_WORD_STATES", 0)
+        monkeypatch.setattr(_chain, "_WORD_STATES", 0)
         plan = TrialPlan(8, 300)
         assert np.array_equal(forward_values(TWO_POINT, 0.2, 65, plan),
                               bit_oracle.point_folds(SUPPORT, 0.2, 65, 8, 0, 300))
         assert np.array_equal(backward_diam_ensemble(TWO_POINT, 65, plan),
                               bit_oracle.backward_diameters(SUPPORT, 65, 8, 300))
+
+
+class TestPastTheCap:
+    """Real inputs whose state graph passes the cap, with none patched. An
+    uncapped search finds 85,850 point states in the first and 1,228,662
+    images of [0, 1] in the second, which is why the cap and the fold stay."""
+
+    def test_point_states(self):
+        dist = ThetaDist.two_point(0.01048)
+        assert _chain._state_graph(dist.support, (0.2, 0.2), 200) is None
+        assert np.array_equal(forward_values(dist, 0.2, 200, TrialPlan(12, 100)),
+                              bit_oracle.point_folds((0.01048, 1.0), 0.2, 200, 12, 0, 100))
+
+    def test_backward_images(self):
+        dist = ThetaDist.two_point(0.3)
+        assert _chain._state_graph(dist.support, (0.0, 1.0), 1000) is None
+        assert np.array_equal(backward_diam_ensemble(dist, 1000, TrialPlan(13, 100)),
+                              bit_oracle.backward_diameters((0.3, 1.0), 1000, 13, 100))

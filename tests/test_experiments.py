@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from foldmap import (ClassBoundaryError, EmpiricalCDF, Interval, PreconditionError,
-                     ThetaDist, TrialPlan, WindowError, backward_diam_ensemble,
+                     ThetaDist, TrialPlan, WindowError, _chain, backward_diam_ensemble,
                      ensemble_forward, experiments, forward_values,
                      interval_fold, iterate_forward, ks_distance,
                      law_equality_report,
@@ -400,7 +400,7 @@ class TestRateAutomaton:
     @pytest.mark.parametrize("epsilon, states", [(0.5, 3), (0.2, 12), (10 / 99, 37)],
                              ids=["q17", "q41", "q99"])
     def test_state_counts(self, epsilon, states):
-        next_at, reads, stop = experiments._rate_automaton(ALPHA, epsilon)
+        next_at, reads, stop = _chain._rate_automaton(ALPHA, epsilon)
         assert stop == 256 * states  # STOP follows the live states
         assert next_at.shape == reads.shape == (256 * (states + 1),)
 
@@ -439,12 +439,12 @@ class TestRateAutomaton:
                 lambda: rate_experiment(ALPHA, 6, 10 / 99, TrialPlan(5, 30)),
                 lambda: rate_experiment(ALPHA, 4, 1.5, TrialPlan(1, 3))]
         reports = [run().to_json() for run in runs]
-        monkeypatch.setattr(experiments, "_WORD_STATES", 0)
+        monkeypatch.setattr(_chain, "_WORD_STATES", 0)
         assert [run().to_json() for run in runs] == reports
 
     def test_too_many_float_states_folds(self):
         # at alpha = 0.01048, q = 95, one real image is reached as many floats
-        assert experiments._rate_automaton(0.01048, 10 / 95) is None
+        assert _chain._rate_automaton(0.01048, 10 / 95) is None
         plan = TrialPlan(5, trials=3)
         rep = rate_experiment(0.01048, 1, 10 / 95, plan)
         assert rep.q_k == 95 and rep.success_count == 3

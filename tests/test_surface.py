@@ -16,8 +16,9 @@ from foldmap import (Interval, OrbitLabel, PiecewiseLinearCDF, PreconditionError
                      build_graph_window, contfrac_expand, convergent_denominators,
                      find_close_k, forward_values, interval_fold, is_small_vertex,
                      iterate_forward, large_count, large_count_cumulative,
-                     law_equality_report, one_step_invariance_report, rate_steps,
-                     rho_walk_audit, step, theta_from_uniform, z_estimate)
+                     law_equality_report, one_step_invariance_report, rate_experiment,
+                     rate_steps, rho_walk_audit, shrink_word, step, theta_from_uniform,
+                     walk_confinement_dp, z_estimate)
 from foldmap.experiments import check_rho_walk
 
 ALPHA = math.sqrt(0.5)
@@ -258,6 +259,45 @@ FINITE = "breakpoints and values must be finite"
                  id="cdf-breakpoint-inf"),
     pytest.param(lambda: PiecewiseLinearCDF([0, 0.5, 1], [0, NAN, 1]), FINITE,
                  id="cdf-value-nan"),
+    # a float count raised a bare TypeError
+    pytest.param(lambda: forward_values(TWO_POINT, 0.2, 2.5, PLAN), "n must be an integer",
+                 id="forward-values-n-float"),
+    pytest.param(lambda: backward_diam_ensemble(TWO_POINT, 2.5, PLAN), "n must be an integer",
+                 id="backward-diam-n-float"),
+    pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, 2.5, 10, 0), "n must be an integer",
+                 id="law-equality-n-float"),
+    pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, 5, 2.5, 0),
+                 "trials must be an integer", id="law-equality-trials-float"),
+    pytest.param(lambda: TrialPlan(1, 2.5), "trials must be an integer", id="plan-trials-float"),
+    pytest.param(lambda: one_step_invariance_report(TWO_POINT, 2.5, 0),
+                 "n_samples must be an integer", id="invariance-samples-float"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 10, PLAN, segments=2.5),
+                 "segments must be an integer", id="rho-walk-audit-segments-float"),
+    pytest.param(lambda: walk_confinement_dp(2.5), "n must be an integer", id="walk-n-float"),
+    # a float count ran on: a report of "steps": 2.5, a window, 3 quotients, 166 letters
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 2.5, PLAN), "steps must be an integer",
+                 id="rho-walk-audit-steps-float"),
+    pytest.param(lambda: build_graph_window(0.7, 0.2, 2.5), "window must be an integer",
+                 id="graph-window-float"),
+    pytest.param(lambda: contfrac_expand(ALPHA, 2.5), "terms must be an integer",
+                 id="contfrac-terms-float"),
+    pytest.param(lambda: rate_steps(2.5), "q_k must be an integer", id="rate-steps-float"),
+    pytest.param(lambda: forward_values(TWO_POINT, 0.2, 5, PLAN, workers=1.5),
+                 "workers must be an integer", id="forward-values-workers-float"),
+    pytest.param(lambda: rate_experiment(ALPHA, 2.5, 0.5, PLAN), "k_index must be an integer",
+                 id="rate-k-index-float"),
+    pytest.param(lambda: rate_experiment(ALPHA, 2.5, 0.5, PLAN, q_k=17),
+                 "k_index must be an integer", id="rate-k-index-float-given-qk"),
+    pytest.param(lambda: shrink_word(ALPHA, 1.0, 0.9, 0.01, max_len=2.5),
+                 "max_len must be an integer", id="shrink-word-max-len-float"),
+    # with q_k given, an alpha outside (0, 1) ran the rate chain on {alpha, 1}
+    pytest.param(lambda: rate_experiment(1.5, 1, 0.5, PLAN, q_k=17), ALPHA_UNIT,
+                 id="rate-alpha-above-given-qk"),
+    # an n past the bound raised a bare MemoryError or ValueError
+    pytest.param(lambda: large_count(ALPHA, 10 ** 13), r"n must be <= 10\*\*7",
+                 id="large-count-n-huge"),
+    pytest.param(lambda: z_estimate(ALPHA, 10 ** 400), r"n must be <= 10\*\*7",
+                 id="z-estimate-n-past-float-range"),
 ])
 def test_boundary_rejects(call, message):
     with pytest.raises(PreconditionError, match=message):
@@ -267,3 +307,24 @@ def test_boundary_rejects(call, message):
 def test_numpy_ints_are_integers():
     assert OrbitLabel(np.int64(3), -1) == OrbitLabel(3, -1)
     assert find_close_k(ALPHA, 0.5, np.int64(17)) == find_close_k(ALPHA, 0.5, 17)
+    # every count as an np.int64 gives what the int gives; the walk DP,
+    # rate_steps at 10**7 and the threaded or numpy-sized plans overflowed
+    calls = [
+        lambda c: walk_confinement_dp(c(5)),
+        lambda c: rate_steps(c(10 ** 7)),
+        lambda c: contfrac_expand(ALPHA, c(5)),
+        lambda c: large_count(ALPHA, c(100)),
+        lambda c: z_estimate(ALPHA, c(100)),
+        lambda c: is_small_vertex(ALPHA, c(12)),
+        lambda c: build_graph_window(ALPHA, 0.2, c(10)).values.tobytes(),
+        lambda c: shrink_word(ALPHA, 1.0, 0.9, 0.01, max_len=c(256)),
+        lambda c: forward_values(TWO_POINT, 0.2, c(9), TrialPlan(1, c(70000)),
+                                 workers=c(2)).tobytes(),
+        lambda c: backward_diam_ensemble(TWO_POINT, c(9), TrialPlan(1, c(40))).tobytes(),
+        lambda c: law_equality_report(TWO_POINT, 0.2, c(9), c(30), 1, workers=c(1)),
+        lambda c: one_step_invariance_report(TWO_POINT, c(70000), 1, workers=c(2)),
+        lambda c: rate_experiment(ALPHA, c(4), 0.5, TrialPlan(1, c(5))).to_json(),
+        lambda c: rho_walk_audit(ALPHA, 0.2, c(100), PLAN, segments=c(10)),
+    ]
+    for call in calls:
+        assert call(np.int64) == call(int)
