@@ -21,8 +21,9 @@ alpha = 0.3 to depth 1000; and at alpha = 0.01048 and q = 95, rate's first
 400,000 float states hold 1659 distinct images to 9 digits, one real image
 reached as many floats. There the trials fold one letter at a time from
 the same bits (_bit_walk), to the same bytes; other dists fold a letter
-column at a time (process.letter_columns). For point and backward folds,
-_row_ends alone chooses between the word tables and the fold.
+column at a time (process.letter_columns). Two functions alone choose
+between the word tables and the fold: _row_ends for point and backward
+folds, _stop_times for rate.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .process import ThetaDist, fold_interval_arrays, letter_columns, letter_words
+from .process import TILE_CELLS, ThetaDist, fold_interval_arrays, letter_columns, letter_words
 
 _WORD_STATES = 1 << 13    # the most states of a word automaton (8 MB a word table)
 
@@ -234,30 +235,56 @@ def _rate_automaton(alpha: float, epsilon: float):
     return _word_table(succ, 8), reads.ravel(), 256 * (states - 1)
 
 
-def _table_chunk(automaton, at: np.ndarray, keys: np.ndarray, first: int, words: int):
-    """(when, at): live trials (rows keys, at their table entries) step
-    through the words of cells first .. first + 8 words - 1. when[i] is how
-    many of those letters trial i used to stop, 0 if it did not stop.
+def _stop_times(alpha: float, epsilon: float, n_steps: int):
+    """A function of row keys that gives each row's stopping time: how many
+    letters of its row, cell 0 innermost, fold [0, 1] to a diameter below
+    epsilon (0 if 1 < epsilon), or n_steps + 1 if n_steps letters do not; a
+    stop past n_steps, in the last chunk, is a failure too. The rows step
+    through _rate_automaton's table, or past the state cap fold their images
+    [lo, hi] a letter at a time, to the same stops. The letters are read in
+    chunks that grow with the letters used, a multiple of 8 letters each: at
+    least one hash (64 letters) a row, and beyond that at most TILE_CELLS.
     """
-    next_at, reads, stop = automaton
-    path = np.empty((words, at.size), np.int32)  # the table entry of each word step
-    for step, word in zip(path, letter_words(keys, range(first // 8, first // 8 + words))):
-        np.add(at, word, out=step)
-        next_at.take(step, out=at)
-    return np.where(at == stop, reads[path].sum(axis=0), 0), at
+    # chunk(state, keys, first, words) steps rows keys through letters first ..
+    # first + 8 words - 1 to (when, state): when[i] counts the letters row i
+    # read to stop, 0 if it did not stop
+    automaton = _rate_automaton(alpha, epsilon)
+    if automaton is not None:  # a row's state is its table entry
+        next_at, reads, stop = automaton
+        origin = np.zeros(1, np.int32)  # the entry of [0, 1]
 
+        def chunk(at, keys, first, words):
+            path = np.empty((words, at.size), np.int32)  # the table entry of each word step
+            for step, word in zip(path, letter_words(keys, range(first // 8, first // 8 + words))):
+                np.add(at, word, out=step)
+                next_at.take(step, out=at)
+            return np.where(at == stop, reads[path].sum(axis=0), 0), at
+    else:  # a row's state is its image, a column of ends = [lo, hi]
+        dist = ThetaDist.two_point(alpha)
+        origin = np.array([[0.0], [1.0]])
 
-def _fold_chunk(folds, ends: np.ndarray, keys: np.ndarray, first: int, words: int):
-    """(when, ends) as _table_chunk returns, for trials whose images
-    ends = [lo, hi] (a (2, rows) array) are folded one letter at a time,
-    read by _bit_walk; folds = (dist, epsilon).
-    """
-    dist, epsilon = folds
-    lo, hi = ends
-    diam = np.empty((8 * words, lo.size))
-    scratch = np.empty_like(lo), np.empty_like(lo)
-    for theta, d in zip(_bit_walk(dist, keys, range(first, first + 8 * words)), diam):
-        fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
-        np.subtract(hi, lo, out=d)
-    below = diam < epsilon
-    return np.where(below.any(axis=0), below.argmax(axis=0) + 1, 0), ends
+        def chunk(ends, keys, first, words):
+            lo, hi = ends
+            diam = np.empty((8 * words, lo.size))
+            scratch = np.empty_like(lo), np.empty_like(lo)
+            for theta, d in zip(_bit_walk(dist, keys, range(first, first + 8 * words)), diam):
+                fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
+                np.subtract(hi, lo, out=d)
+            below = diam < epsilon
+            return np.where(below.any(axis=0), below.argmax(axis=0) + 1, 0), ends
+
+    def stop_times(keys):
+        stops = np.full(keys.size, 0 if 1.0 < epsilon else n_steps + 1)
+        live = np.flatnonzero(stops)  # rows still folding
+        state = origin.repeat(live.size, axis=-1)  # every live row at [0, 1]
+        j = 0  # letters applied to every live row
+        while live.size and j < n_steps:
+            words = min(max(8, min(j, TILE_CELLS // live.size) // 8), -(-(n_steps - j) // 8))
+            when, state = chunk(state, keys[live], j, words)
+            hit = np.flatnonzero(when)
+            stops[live[hit]] = j + when[hit]
+            going = when == 0
+            live, state = live[going], state[..., going]
+            j += 8 * words
+        return stops
+    return stop_times

@@ -266,8 +266,7 @@ def _rate_plan(a) -> dict:
 
 def _rate(a, resolved) -> str:
     report = experiments.rate_experiment(a.alpha, resolved["k_index"], a.eps,
-                                         TrialPlan(a.seed, a.trials), workers=a.workers,
-                                         q_k=a.qk)
+                                         TrialPlan(a.seed, a.trials), workers=a.workers)
     return report.to_csv() if a.format == "csv" else report.to_json()
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LemmaViolationError, PrecisionError, PreconditionError, as_int
+from .orbit import _check_alpha
 
 _MAX_TERMS = 40
 _GAUSS_TOL = 1e-12
@@ -24,8 +25,7 @@ _Q_LIMIT = 1 << 127
 
 def check_contfrac(alpha: float, terms: int) -> None:
     """The preconditions of contfrac_expand: alpha in (0, 1), terms in 0..40."""
-    if not 0.0 < alpha < 1.0:
-        raise PreconditionError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     if not terms >= 0:  # a NaN fails the comparison too
         raise PreconditionError("terms must be >= 0")
     as_int(terms, "terms")
@@ -110,8 +110,7 @@ def convergent_denominators(alpha: float, q_max: int) -> list[int]:
 
 def check_close_k(alpha: float, x: float, q_n: int) -> None:
     """The preconditions of find_close_k: alpha in (0, 1), x in [0, 1], q_n >= 1."""
-    if not 0.0 < alpha < 1.0:
-        raise PreconditionError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     if not 0.0 <= x <= 1.0:
         raise PreconditionError("x must lie in [0, 1]")
     if q_n < 1:

@@ -9,8 +9,11 @@ hash of cell (t, c); every other dist reads one hash a letter, by integer
 cuts. No (trials, n) matrix is ever built.
 
 For a two-point dist the folds walk the exact-float state chain of
-foldmap._chain; other dists fold a letter column at a time
-(process.letter_columns). Every path gives the same bytes.
+foldmap._chain, where _row_ends (point and backward folds) and _stop_times
+(rate) choose between its word tables and the per-letter fold; other dists
+fold a letter column at a time (process.letter_columns). Every path gives
+the same bytes. The drivers here run such a fold of row keys over a plan's
+rows (_rows) and build the reports.
 
 Workers are threads, and numpy does the heavy lifting, so a thread pays only
 when its block is long enough that each numpy call outlasts the hand-over of
@@ -45,8 +48,8 @@ from .contfrac import contfrac_expand, convergents
 from .errors import PreconditionError, StructuralError, WindowError, as_int
 from .orbit import (OrbitLabel, W_MAX, _check_alpha, alpha_targets, build_graph_window,
                     check_graph_window, rho_chart, scan_class_ties, window_values)
-from .process import (TILE_CELLS, ThetaDist, TrialPlan, check_start, check_trials,
-                      letter_bits, letter_cells, substream_keys, uniform_cells)
+from .process import (ThetaDist, TrialPlan, check_start, check_trials, letter_bits,
+                      letter_cells, substream_keys, uniform_cells)
 from .serialize import canonical_json, rows_to_csv
 from .stationary import PiecewiseLinearCDF, stationary_cdf, stationary_quantile
 
@@ -156,6 +159,14 @@ def _run_blocks(worker, n_items: int, workers: int) -> list:
         return list(pool.map(lambda t: worker(*t), tasks))
 
 
+def _rows(fold, plan: TrialPlan, workers: int, first: int = 0) -> np.ndarray:
+    """fold(row keys) over rows first .. first+plan.trials-1, blocked as in
+    _run_blocks, in row order."""
+    return np.concatenate(_run_blocks(
+        lambda start, count: fold(substream_keys(plan.master_seed, first + start, count)),
+        plan.trials, workers))
+
+
 def check_workers(workers: int) -> None:
     """The thread count of a blocked run must lie in 1..64."""
     if not 1 <= workers <= _MAX_WORKERS:
@@ -173,11 +184,7 @@ def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
     at a time (see _chain._row_ends); both give the same bytes.
     """
     fold = _chain._row_ends(dist, (float(x0),) * 2, n, backward, graph)
-
-    def worker(start, count):
-        return fold(substream_keys(plan.master_seed, first + start, count))[1]
-
-    return np.concatenate(_run_blocks(worker, plan.trials, workers))
+    return _rows(lambda keys: fold(keys)[1], plan, workers, first)
 
 
 def check_forward_values(x0: float, n: int, trials: int, workers: int) -> None:
@@ -217,11 +224,11 @@ def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
     interval = (0.0, dist.bound)
     fold = _chain._row_ends(dist, interval, n, True, _chain._dist_graph(dist, interval, n))
 
-    def worker(start, count):
-        lo, hi = fold(substream_keys(plan.master_seed, start, count))
+    def diameters(keys):
+        lo, hi = fold(keys)
         return hi - lo
 
-    return np.concatenate(_run_blocks(worker, plan.trials, workers))
+    return _rows(diameters, plan, workers)
 
 
 # ---- rate experiment -------------------------------------------------------
@@ -299,66 +306,30 @@ def check_rate(q_k: int, epsilon: float, trials: int, workers: int) -> None:
 
 
 def rate_experiment(alpha: float, k_index: int, epsilon: float,
-                    plan: TrialPlan, workers: int = 1, q_k: int | None = None) -> RateReport:
+                    plan: TrialPlan, workers: int = 1) -> RateReport:
     """Monte Carlo check of the backward-contraction rate bound.
 
     Uses the two-point distribution {alpha, 1}. k_index selects the
-    convergent denominator q_k of alpha; trial t folds [0, 1] through the
-    cells (t, 0), (t, 1), ... of its row, cell 0 innermost, and succeeds when
-    the exact diameter drops below epsilon within N = ceil(8 q_k^3 log2 q_k)
-    letters. The diameter is nonincreasing as letters are added outside, so
-    each trial stops at its first sub-epsilon diameter; letters_used records
-    that stopping point (or N on failure). q_k, when the caller has already
-    found it (the CLI has), is the denominator of convergent k_index; it is
-    found here otherwise.
-
-    The images a trial passes through are the states of a finite chain,
-    built once per call (see _chain._rate_automaton), so a trial steps through its
-    table eight letters at a time and folds no interval. Where that chain
-    is too large to build, each trial folds its image one letter at a time,
-    to the same report. The letters are read in chunks that grow with the
-    letters used so far, a multiple of 8 letters each: at least one hash (64
-    letters) a trial, and beyond that at most TILE_CELLS letters. A stop
-    past N, in the last chunk, is a failure. workers bounds the threads, and
-    a thread needs a block of at least 2^15 trials.
+    convergent denominator q_k of alpha, found from its first k_index + 1
+    partial quotients; trial t folds [0, 1] through the cells (t, 0),
+    (t, 1), ... of its row, cell 0 innermost, and succeeds when the exact
+    diameter drops below epsilon within N = ceil(8 q_k^3 log2 q_k) letters.
+    The diameter is nonincreasing as letters are added outside, so each
+    trial stops at its first sub-epsilon diameter (_chain._stop_times);
+    letters_used records that stopping point (or N on failure). workers
+    bounds the threads, and a thread needs a block of at least 2^15 trials.
     """
     _check_alpha(alpha)
     as_int(k_index, "k_index")
-    if q_k is None:
-        quotients = contfrac_expand(alpha, 40)
-        if not 0 <= k_index < len(quotients):
-            raise PreconditionError(f"k_index {k_index} out of range for this alpha")
-        # the convergents up to k_index only: later ones may pass the 128-bit guard
-        q_k = convergents(quotients[:k_index + 1])[k_index].q
+    # the quotients up to k_index only: later convergents may pass the 128-bit guard
+    quotients = contfrac_expand(alpha, k_index) if 0 <= k_index <= 40 else []
+    if not 0 <= k_index < len(quotients):
+        raise PreconditionError(f"k_index {k_index} out of range for this alpha")
+    q_k = convergents(quotients)[k_index].q
     check_rate(q_k, epsilon, plan.trials, workers)
     n_steps = rate_steps(q_k)
     t0 = time.perf_counter()
-    chain = _chain._rate_automaton(alpha, epsilon)
-    if chain is None:  # too many states: fold the images [lo, hi] instead
-        chain, chunk = (ThetaDist.two_point(alpha), epsilon), _chain._fold_chunk
-        origin = np.array([[0.0], [1.0]])
-    else:
-        chunk, origin = _chain._table_chunk, np.zeros(1, np.int32)  # the entry of [0, 1]
-
-    def worker(start, count):
-        keys = substream_keys(plan.master_seed, start, count)
-        # each trial's stopping time: 0 where [0, 1] is already short enough,
-        # else N + 1 until it stops; a stop past N is a failure
-        stops = np.full(count, 0 if 1.0 < epsilon else n_steps + 1)
-        live = np.flatnonzero(stops)  # block positions still folding
-        state = origin.repeat(live.size, axis=-1)  # every live trial at [0, 1]
-        j = 0  # letters applied to every live trial
-        while live.size and j < n_steps:
-            words = min(max(8, min(j, TILE_CELLS // live.size) // 8), -(-(n_steps - j) // 8))
-            when, state = chunk(chain, state, keys[live], j, words)
-            hit = np.flatnonzero(when)
-            stops[live[hit]] = j + when[hit]
-            going = when == 0
-            live, state = live[going], state[..., going]
-            j += 8 * words
-        return stops
-
-    stops = np.concatenate(_run_blocks(worker, plan.trials, workers))
+    stops = _rows(_chain._stop_times(alpha, epsilon, n_steps), plan, workers)
     successes = (stops <= n_steps).tolist()
     letters = np.minimum(stops, n_steps).tolist()
     success_count = sum(successes)

@@ -66,11 +66,10 @@ _MIX2 = 0x94D049BB133111EB
 _UNIT53 = 2.0 ** -53
 _LOW33 = np.uint64((1 << 33) - 1)  # the bits mix64's last xor-shift can change
 _BIT_CUT = 1 << 63  # the one cut of a dist that reads one bit a letter
-# cap on the cells hashed per numpy call by letter_columns and letter_words,
-# and on the letters of a rate_experiment chunk (does not affect output). 2^15 and 2^16 time level
-# on the benchmark's backward-diameter and rate ops; 2^16 reads three columns
-# a call at simulate's 20000 rows, and a tile's hash, scratch and letter
-# buffers (1.5 MB) still fit a 2 MB L2
+# cap on the cells hashed per numpy call (does not affect output): it bounds
+# the tiles of letter_columns, for dists that are not two-point, and of
+# letter_words, and the letters of a rate chunk (_chain._stop_times); a
+# tile's hash, scratch and letter buffers (1.5 MB) still fit a 2 MB L2
 TILE_CELLS = 1 << 16
 # the memory offset, within a uint64, of its top byte (word 0 of a hash)
 _TOP_BYTE = 7 if sys.byteorder == "little" else 0
@@ -117,13 +116,15 @@ def _step_offset(step: int) -> np.uint64:
 
 def substream_seed(master_seed: int, index: int) -> int:
     """Deterministic 64-bit key of row `index` of a master seed's grid."""
-    index = as_int(index, "substream index", 0)  # an int: a numpy int would overflow
+    master_seed = as_int(master_seed, "master seed")  # ints: a numpy int would overflow
+    index = as_int(index, "substream index", 0)
     return _splitmix64((master_seed + (index + 1) * _GOLDEN64) & _MASK64)
 
 
 def substream_keys(master_seed: int, first: int, count: int) -> np.ndarray:
     """substream_seed(master_seed, t) for t = first .. first+count-1, as uint64."""
-    first = as_int(first, "substream rows", 0)  # an int: a numpy int would overflow
+    master_seed = as_int(master_seed, "master seed")  # ints: a numpy int would overflow
+    first = as_int(first, "substream rows", 0)
     count = as_int(count, "substream rows", 0)
     z = np.arange(count, dtype=np.uint64)
     z *= np.uint64(_GOLDEN64)
@@ -193,6 +194,7 @@ class TrialPlan:
     trials: int
 
     def __post_init__(self):
+        as_int(self.master_seed, "master seed")
         check_trials(self.trials)
 
     def substream(self, index: int, start: int = 0) -> UniformRow:

@@ -16,6 +16,7 @@ is pinned by tests against the closed form.
 
 from __future__ import annotations
 
+from fractions import Fraction
 
 import numpy as np
 
@@ -109,10 +110,8 @@ def is_small_vertex(alpha: float, n: int) -> bool:
     """True when <n*alpha> falls strictly inside the small class: below both
     cuts by more than orbit.CLASS_TOL."""
     _check_alpha(alpha)
-    try:
-        v = as_int(n, "n") * alpha % 1.0
-    except OverflowError:
-        raise PreconditionError("n must lie in the float range") from None
+    a = Fraction(alpha)  # the double's exact value, so <n*alpha> is exact for every n
+    v = as_int(n, "n") * a.numerator % a.denominator / a.denominator
     return v < min(alpha, 1.0 - alpha) - CLASS_TOL
 
 

@@ -258,29 +258,31 @@ class TestRate:
 
     def test_convergents_built_once_up_to_qk(self, capsys, monkeypatch):
         # alpha = 0.0105 has q_1 = 95; its late convergents pass the 128-bit guard
-        calls = []
+        cli_calls, library_calls = [], []
 
-        def spy(quotients, q_max=None):
-            calls.append(q_max)
-            return convergents(quotients, q_max)
+        def spy(calls):
+            def spied(quotients, q_max=None):
+                calls.append((len(quotients), q_max))
+                return convergents(quotients, q_max)
+            return spied
 
-        monkeypatch.setattr(cli, "convergents", spy)
-        monkeypatch.setattr(experiments, "convergents", spy)
+        monkeypatch.setattr(cli, "convergents", spy(cli_calls))
+        monkeypatch.setattr(experiments, "convergents", spy(library_calls))
         argv = ["rate", "--alpha", "0.0105", "--qk", "95", "--eps", "0.2",
                 "--trials", "2", "--seed", "1"]
         assert run(argv) == 0
         payload = json.loads(out_of(capsys))
         assert (payload["k_index"], payload["q_k"], payload["success_count"]) == (1, 95, 2)
-        assert calls == [95]
+        # the CLI stops at q_k; the library sees at most k_index + 1 quotients
+        assert [q_max for _, q_max in cli_calls] == [95]
+        assert len(library_calls) == 1 and library_calls[0][0] <= 2
         assert run(argv + ["--dry-run"]) == 0
-        assert calls == [95, 95]
+        assert [q_max for _, q_max in cli_calls] == [95, 95] and len(library_calls) == 1
 
     def test_library_builds_convergents_up_to_k_index(self):
         plan = TrialPlan(1, 2)
         rep = experiments.rate_experiment(0.010493179433368311, 1, 0.2, plan)
         assert rep.q_k == 95
-        assert rep.to_json() == experiments.rate_experiment(
-            0.010493179433368311, 1, 0.2, plan, q_k=95).to_json()
         with pytest.raises(PreconditionError, match="k_index 41 out of range"):
             experiments.rate_experiment(ALPHA_F, 41, 0.2, plan)
 

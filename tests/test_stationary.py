@@ -1,6 +1,7 @@
 """Stationary CDF, quantile sampling, and the forced value at alpha."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from foldmap import (PreconditionError, ThetaDist, is_small_vertex, large_count,
                      large_count_cumulative, sample_stationary, stationary_cdf,
                      stationary_quantile, z_estimate)
+from foldmap.orbit import CLASS_TOL
 
 ALPHA = math.sqrt(0.5)
 Z_STAR = 2 * ALPHA / (1 + ALPHA)  # 0.8284271247461903
@@ -195,6 +197,34 @@ class TestAffineForm:
         lhs = (2 * n - L) * z - (2 * n - 2 * L)
         rhs = 2 * frac / (1 + alpha)
         assert np.max(np.abs(lhs[small] - rhs[small])) < 1e-9
+
+
+class TestSmallVertexExact:
+    """<n*alpha> is taken on the double's exact value, for every integer n."""
+
+    def test_float_product_rounds_to_an_integer(self):
+        # the float n * alpha % 1.0 is 0.0 here, but the exact <n*alpha> is
+        # 0.999995, a large vertex
+        n = 100000000330
+        assert n * ALPHA % 1.0 == 0.0
+        assert not is_small_vertex(ALPHA, n)
+
+    @staticmethod
+    def reference(n):
+        return Fraction(n) * Fraction(ALPHA) % 1 < min(ALPHA, 1 - ALPHA) - CLASS_TOL
+
+    @pytest.mark.parametrize("n", [3, 41, -17, 10 ** 12, 3 ** 900],
+                             ids=["3", "41", "-17", "1e12", "3^900"])
+    def test_matches_exact_reference(self, n):
+        # at 10^12 the float <n*alpha> is 0.547607, the exact one 0.547573
+        assert is_small_vertex(ALPHA, n) == self.reference(n)
+
+    def test_past_float_range(self):
+        # n * alpha overflowed a float; 10**400 is a multiple of alpha's
+        # denominator, so <n*alpha> is exactly 0, a small vertex
+        n = 10 ** 400
+        assert self.reference(n)
+        assert is_small_vertex(ALPHA, n)
 
 
 class TestZEstimate:

@@ -17,8 +17,8 @@ from foldmap import (Interval, OrbitLabel, PiecewiseLinearCDF, PreconditionError
                      find_close_k, forward_values, interval_fold, is_small_vertex,
                      iterate_forward, large_count, large_count_cumulative,
                      law_equality_report, one_step_invariance_report, rate_experiment,
-                     rate_steps, rho_walk_audit, shrink_word, step, theta_from_uniform,
-                     walk_confinement_dp, z_estimate)
+                     rate_steps, rho_walk_audit, shrink_word, step, substream_seed,
+                     theta_from_uniform, walk_confinement_dp, z_estimate)
 from foldmap.experiments import check_rho_walk
 
 ALPHA = math.sqrt(0.5)
@@ -85,7 +85,7 @@ SIGNATURES = {
     "large_count_cumulative": ("alpha", "n"),
     "law_equality_report": ("dist", "x0", "n", "trials", "master_seed", "workers"),
     "one_step_invariance_report": ("dist", "n_samples", "master_seed", "workers"),
-    "rate_experiment": ("alpha", "k_index", "epsilon", "plan", "workers", "q_k"),
+    "rate_experiment": ("alpha", "k_index", "epsilon", "plan", "workers"),
     "rate_steps": ("q_k",),
     "rho_chart": ("graph", "x0_label"),
     "rho_walk_audit": ("alpha", "x0", "steps", "plan", "q_values", "segments", "window"),
@@ -143,6 +143,7 @@ LETTERS = "letters must be finite and >= 0"
 QK = r"q_k must be finite and >= 2 \(log2 q_k must be positive\)"
 X_UNIT = r"x must lie in \[0, 1\]"
 ALPHA_UNIT = r"alpha must lie in \(0, 1\)"
+SEED = "master seed must be an integer"
 LAW = "need n >= 0 and trials >= 1"
 DRAWS = r"uniform draws must lie in \[0, 1\)"
 FINITE = "breakpoints and values must be finite"
@@ -211,8 +212,6 @@ FINITE = "breakpoints and values must be finite"
                  id="small-vertex-n-inf"),
     pytest.param(lambda: is_small_vertex(ALPHA, 2.5), "n must be an integer",
                  id="small-vertex-n-float"),
-    pytest.param(lambda: is_small_vertex(ALPHA, 10 ** 400), "n must lie in the float range",
-                 id="small-vertex-n-huge"),
     pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, NAN, 10, 0), LAW,
                  id="law-equality-n-nan"),
     pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, 5, INF, 0), LAW,
@@ -286,18 +285,25 @@ FINITE = "breakpoints and values must be finite"
                  "workers must be an integer", id="forward-values-workers-float"),
     pytest.param(lambda: rate_experiment(ALPHA, 2.5, 0.5, PLAN), "k_index must be an integer",
                  id="rate-k-index-float"),
-    pytest.param(lambda: rate_experiment(ALPHA, 2.5, 0.5, PLAN, q_k=17),
-                 "k_index must be an integer", id="rate-k-index-float-given-qk"),
     pytest.param(lambda: shrink_word(ALPHA, 1.0, 0.9, 0.01, max_len=2.5),
                  "max_len must be an integer", id="shrink-word-max-len-float"),
-    # with q_k given, an alpha outside (0, 1) ran the rate chain on {alpha, 1}
-    pytest.param(lambda: rate_experiment(1.5, 1, 0.5, PLAN, q_k=17), ALPHA_UNIT,
-                 id="rate-alpha-above-given-qk"),
+    # an alpha outside (0, 1) would run the rate chain on {alpha, 1}
+    pytest.param(lambda: rate_experiment(1.5, 1, 0.5, PLAN), ALPHA_UNIT,
+                 id="rate-alpha-above"),
     # an n past the bound raised a bare MemoryError or ValueError
     pytest.param(lambda: large_count(ALPHA, 10 ** 13), r"n must be <= 10\*\*7",
                  id="large-count-n-huge"),
     pytest.param(lambda: z_estimate(ALPHA, 10 ** 400), r"n must be <= 10\*\*7",
                  id="z-estimate-n-past-float-range"),
+    # an unchecked master seed raised a bare TypeError or OverflowError, or was kept
+    pytest.param(lambda: TrialPlan(2.5, 4), SEED, id="plan-seed-float"),
+    pytest.param(lambda: TrialPlan(NAN, 4), SEED, id="plan-seed-nan"),
+    pytest.param(lambda: TrialPlan(INF, 4), SEED, id="plan-seed-inf"),
+    pytest.param(lambda: substream_seed(2.5, 0), SEED, id="substream-seed-float"),
+    pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, 5, 10, 2.5), SEED,
+                 id="law-equality-seed-float"),
+    pytest.param(lambda: one_step_invariance_report(TWO_POINT, 10, NAN), SEED,
+                 id="invariance-seed-nan"),
 ])
 def test_boundary_rejects(call, message):
     with pytest.raises(PreconditionError, match=message):
@@ -325,6 +331,10 @@ def test_numpy_ints_are_integers():
         lambda c: one_step_invariance_report(TWO_POINT, c(70000), 1, workers=c(2)),
         lambda c: rate_experiment(ALPHA, c(4), 0.5, TrialPlan(1, c(5))).to_json(),
         lambda c: rho_walk_audit(ALPHA, 0.2, c(100), PLAN, segments=c(10)),
+        # the master seed: a numpy int overflowed the row keys
+        lambda c: forward_values(TWO_POINT, 0.2, 5, TrialPlan(c(3), 4)).tobytes(),
+        lambda c: one_step_invariance_report(TWO_POINT, 10, c(3)),
+        lambda c: substream_seed(c(3), 1),
     ]
     for call in calls:
         assert call(np.int64) == call(int)
