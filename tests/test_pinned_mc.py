@@ -1,7 +1,8 @@
-"""Pinned bytes of the trial-indexed Monte Carlo outputs.
+"""Pinned bytes of the trial- and sample-indexed Monte Carlo outputs.
 
-Each output is produced at one and at two workers and compared with one
-SHA-256 digest, so a change to the letter or fold kernels, the block layout
+Each output is produced at one and at two workers (three for the
+sample-indexed one-step invariance report) and compared with one SHA-256
+digest, so a change to the letter or fold kernels, the block layout
 or the serializers that moves a single bit of these reports fails here.
 The two-point digests are those of the one-bit letter rule, and
 tests/test_bit_rule.py checks each against the model in tests/bit_oracle.py.
@@ -12,11 +13,14 @@ import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
 
 from foldmap import ThetaDist, TrialPlan
 from foldmap.cli import run
-from foldmap.experiments import backward_diam_ensemble, forward_values
+from foldmap.experiments import (backward_diam_ensemble, forward_values,
+                                 one_step_invariance_report)
+from foldmap.serialize import canonical_json
 
 SIMULATE = ["simulate", "--dist", "two-point:inv-sqrt2", "--x0", "0.2", "--n", "200",
             "--trials", "20000", "--seed", "101"]
@@ -67,6 +71,26 @@ GATHER_SHA256 = {
                       "6aa035d986c569ae938cd90f42cd388043042c9b009d08dca93aa59ea8a36114"),
 }
 
+# canonical JSON of one_step_invariance_report(dist, 200003, 20260815): four
+# sample blocks at one worker and three threads at three, each block ragged
+# against the 2^16 values of a KS block; both letter rules and a one-point dist
+INVARIANCE_DISTS = {
+    "two-point": ThetaDist.two_point(ALPHA),
+    "two-point-0.3": GATHER_DISTS["two-point-0.3"],
+    "three-point-coarse": ThetaDist([0.3, 0.6, 1.0], [0.2, 0.3, 0.5]),
+    "three-point-fine": GATHER_DISTS["three-point"],
+    "twenty-point": ThetaDist(np.linspace(0.05, 1.0, 20), np.arange(1, 21) / 210),
+    "one-point": ThetaDist([1.0], [1.0]),
+}
+INVARIANCE_SHA256 = {
+    "two-point": "51efe0229dff4510406d7589efeb5939ffa9079ff62acf869936cfc4f56aef8e",
+    "two-point-0.3": "77a5d291e22ab2ff943bc413997ff1e22739c9ce5a45f8668131cae83bcb62cf",
+    "three-point-coarse": "8415320b4a3e0942d2f68504285c0d9b7b5209886962edb50f4e55fae66853de",
+    "three-point-fine": "f565067e2d5df5850799d6ecec22dd4cf0bebab730fca83a481ba9e060e8e05e",
+    "twenty-point": "ccee77750bf98149078902f6dd8bb60ed146b91348242cc31aaa42301e6b963a",
+    "one-point": "e63f4e2bf0614e6c75001d925dfe87b62b3aa55efce17c86b12f32300f562220",
+}
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -99,3 +123,11 @@ def test_gather_path_digests(name, workers):
     diam = backward_diam_ensemble(dist, 1001, TrialPlan(32, 3000), workers=workers)
     assert (_digest(fwd.astype("<f8").tobytes()),
             _digest(diam.astype("<f8").tobytes())) == GATHER_SHA256[name]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name", sorted(INVARIANCE_DISTS))
+def test_one_step_invariance_digests(name, workers):
+    report = one_step_invariance_report(INVARIANCE_DISTS[name], 200003, 20260815,
+                                        workers=workers)
+    assert _digest(canonical_json(report).encode()) == INVARIANCE_SHA256[name]
