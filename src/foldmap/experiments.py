@@ -63,7 +63,17 @@ class EmpiricalCDF:
     """Right-continuous step CDF of a finite sample."""
 
     def __init__(self, values):
-        arr = np.sort(np.asarray(values, dtype=float).ravel())
+        self._hold(np.sort(np.asarray(values, dtype=float).ravel()))
+
+    @classmethod
+    def _of_sorted(cls, values: np.ndarray) -> EmpiricalCDF:
+        """The CDF of a sorted 1-d float array, held as it is, with no copy:
+        the caller gives the array up."""
+        cdf = cls.__new__(cls)
+        cdf._hold(values)
+        return cdf
+
+    def _hold(self, arr: np.ndarray) -> None:
         if arr.size == 0:
             raise PreconditionError("empirical CDF needs a nonempty sample")
         # the sort puts -inf first and inf and NaN last
@@ -96,7 +106,11 @@ def ks_distance(sample: EmpiricalCDF, reference) -> float:
     """Exact sup-distance between an empirical CDF and a reference CDF.
 
     reference may be a PiecewiseLinearCDF (one-sample statistic, evaluated at
-    the jump points) or another EmpiricalCDF (two-sample). The two-sample
+    the jump points) or another EmpiricalCDF (two-sample). The one-sample
+    statistic walks the sorted sample in blocks of _TRIAL_BLOCK values, so
+    its temporaries stay bounded: each value's gaps are the same floats as
+    over the whole sample, and the largest of the block maxima is their
+    maximum, so the result does not depend on the block size. The two-sample
     statistic is the largest |F(t) - G(t)| over the jump points of both, and
     each step CDF is evaluated there from its distinct values alone: the
     count at or below t is the count at the largest distinct value <= t, the
@@ -108,15 +122,18 @@ def ks_distance(sample: EmpiricalCDF, reference) -> float:
     xs = sample.values
     n = sample.size
     if isinstance(reference, PiecewiseLinearCDF):
-        f = reference.evaluate(xs)
-        # steps[i] = i / n: floats hold the integers 0..n exactly, so this
-        # is the same quotient as from the ints, with no int array built
-        steps = np.arange(n + 1, dtype=float)
-        steps /= n
-        gap = np.subtract(steps[1:], f)
-        above = np.max(gap)
-        below = np.max(np.subtract(f, steps[:-1], out=gap))
-        return float(max(above, below))
+        worst = -math.inf
+        for lo in range(0, n, _TRIAL_BLOCK):
+            f = reference.evaluate(xs[lo:lo + _TRIAL_BLOCK])
+            # steps[i] = (lo + i) / n: floats hold the integers 0..n exactly,
+            # so this is the same quotient as from the ints
+            steps = np.arange(lo, lo + f.size + 1, dtype=float)
+            steps /= n
+            gap = np.subtract(steps[1:], f)
+            above = np.max(gap)
+            below = np.max(np.subtract(f, steps[:-1], out=gap))
+            worst = max(worst, above, below)
+        return float(worst)
     if isinstance(reference, EmpiricalCDF):
         (xa, ca), (xb, cb) = _distinct_steps(xs), _distinct_steps(reference.values)
         grid = np.concatenate([xa, xb])
@@ -564,10 +581,15 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
     the hashed integer as letter_cells reads it, so output is independent of
     block size and worker count. workers bounds the threads as in
     _run_blocks: a thread needs a block of at least 2^15 samples.
+
+    Each block writes its folded values into its own slice of one sample
+    buffer, which is then sorted in place and measured in blocks (see
+    ks_distance), so the report holds about one sample of floats.
     """
-    as_int(n_samples, "n_samples", 1)
+    check_trials(n_samples, "n_samples")
     cdf = stationary_cdf(dist)
     keys = substream_keys(master_seed, 0, 2)
+    stepped = np.empty(n_samples)
 
     def worker(start, count):
         steps = np.arange(start, start + count)
@@ -576,10 +598,12 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
             theta = dist.support[letter_bits(keys[1:], start, count)[0]]
         else:
             theta = letter_cells(dist, keys[1:], steps)
-        return np.abs(np.subtract(theta, x, out=x), out=x)
+        out = stepped[start:start + count]
+        np.abs(np.subtract(theta, x, out=out), out=out)
 
-    parts = _run_blocks(worker, n_samples, workers)
-    stepped = EmpiricalCDF(np.concatenate(parts))
+    _run_blocks(worker, n_samples, workers)
+    stepped.sort()
+    stepped = EmpiricalCDF._of_sorted(stepped)
     return {"schema": 1, "kind": "one_step_invariance", "n_samples": n_samples,
             "master_seed": master_seed,
             "support": dist.support.tolist(), "weights": dist.weights.tolist(),
@@ -593,7 +617,7 @@ def check_law_equality(x0: float, n: int, trials: int, workers: int) -> None:
     if not (0 <= n < math.inf and 1 <= trials < math.inf):
         raise PreconditionError("need n >= 0 and trials >= 1")
     as_int(n, "n")
-    as_int(trials, "trials")
+    check_trials(trials)
     check_workers(workers)
 
 

@@ -71,6 +71,9 @@ _BIT_CUT = 1 << 63  # the one cut of a dist that reads one bit a letter
 # letter_words, and the letters of a rate chunk (_chain._stop_times); a
 # tile's hash, scratch and letter buffers (1.5 MB) still fit a 2 MB L2
 TILE_CELLS = 1 << 16
+# most rows (or samples) one run may take: a run holds a float or more per
+# row, 800 MB here, and a larger count would fill memory before any output
+MAX_TRIALS = 10 ** 8
 # the memory offset, within a uint64, of its top byte (word 0 of a hash)
 _TOP_BYTE = 7 if sys.byteorder == "little" else 0
 # +0.0 as a 0-d array: a ufunc converts a Python float operand on every call
@@ -181,9 +184,11 @@ class UniformRow:
         return float(u[0]) if size is None else u.reshape(size)
 
 
-def check_trials(trials: int) -> None:
-    """The precondition of TrialPlan: at least one trial, and finitely many."""
-    as_int(trials, "trials", 1)
+def check_trials(trials: int, name: str = "trials") -> None:
+    """The precondition of TrialPlan: at least one trial and at most
+    MAX_TRIALS; name is the count's name in the message."""
+    if as_int(trials, name, 1) > MAX_TRIALS:
+        raise PreconditionError(f"{name} must be <= {MAX_TRIALS}")
 
 
 @dataclass(frozen=True)

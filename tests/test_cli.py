@@ -384,16 +384,20 @@ class TestInputBoundary:
         (["walk-oracle", "--n", "31"], "n must lie in 1..30"),
         (["walk-oracle", "--n", "0"], "n must lie in 1..30"),
         (CLOSEK + ["--qn", "0"], "q_n must be >= 1"),
+        (CLOSEK + ["--qn", "1000000000000"], "q_n must be <= 10000000"),
         (CLOSEK + ["--x", "1.5"], "x must lie in [0, 1]"),
         (CLOSEK + ["--alpha", "1.5"], "alpha must lie strictly inside (0, 1)"),
         (SIM + ["--trials", "0"], "trials must be >= 1"),
+        (SIM + ["--trials", "100000001"], "trials must be <= 100000000"),
         (SIM + ["--x0", "-0.5"], "x0 must be finite and >= 0"),
         (SIM + ["--n", "-1"], "n must be >= 0"),
         (SIM + ["--workers", "0"], "workers must lie in 1..64"),
         (BVF + ["--trials", "0"], "need n >= 0 and trials >= 1"),
+        (BVF + ["--trials", "100000001"], "trials must be <= 100000000"),
         (BVF + ["--x0", "-0.5"], "x0 must be finite and >= 0"),
         (BVF + ["--workers", "65"], "workers must lie in 1..64"),
         (RATE + ["--trials", "0"], "trials must be >= 1"),
+        (RATE + ["--trials", "10000000000000"], "trials must be <= 100000000"),
         (RATE + ["--qk", "239"], "q_k > 99 is beyond the desk-scale cap"),
         (RATE + ["--eps", "0.4"], "epsilon must be finite and exceed 8/q_k = 0.47058823529411764"),
         (RATE + ["--workers", "0"], "workers must lie in 1..64"),
@@ -406,9 +410,10 @@ class TestInputBoundary:
     ], ids=["orbit-window-0", "orbit-window-cap", "orbit-x", "orbit-json-margin", "audit-x0",
             "audit-alpha", "audit-steps",
             "audit-window-0", "audit-window-cap", "audit-segments", "walk-n-31", "walk-n-0",
-            "closek-qn", "closek-x", "closek-alpha", "simulate-trials", "simulate-x0", "simulate-n",
-            "simulate-workers", "bvf-trials", "bvf-x0", "bvf-workers", "rate-trials",
-            "rate-qk-cap", "rate-eps", "rate-workers", "contfrac-terms-cap",
+            "closek-qn", "closek-qn-cap", "closek-x", "closek-alpha", "simulate-trials",
+            "simulate-trials-cap", "simulate-x0", "simulate-n", "simulate-workers",
+            "bvf-trials", "bvf-trials-cap", "bvf-x0", "bvf-workers", "rate-trials",
+            "rate-trials-cap", "rate-qk-cap", "rate-eps", "rate-workers", "contfrac-terms-cap",
             "contfrac-terms-negative", "word-beta", "word-threshold", "word-m"])
     def test_library_ranges_with_and_without_dry_run(self, capsys, argv, message, dry):
         assert run(argv + dry) == 2

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -97,14 +98,33 @@ class TestKSDistance:
         b = EmpiricalCDF(np.full(10, 0.9))
         assert ks_distance(a, b) == 1.0
 
-    @pytest.mark.parametrize("size", [1, 2, 7, 1000])
-    def test_one_sample_steps_from_the_integers(self, size):
-        # the jumps i / n and (i - 1) / n, each divided from its own integer
-        sample = EmpiricalCDF(np.random.default_rng(size).random(size) * 1.2)
+    BLOCK_SIZES = [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 7]
+
+    @staticmethod
+    def full_array_ks(sample):
+        # the jumps i / n and (i - 1) / n, each divided from its own integer,
+        # over the whole sample at once
+        size = sample.size
         f = STAT_CDF.evaluate(sample.values)
         i = np.arange(1, size + 1)
-        want = max(np.max(i / size - f), np.max(f - (i - 1) / size))
-        assert ks_distance(sample, STAT_CDF) == want
+        return max(np.max(i / size - f), np.max(f - (i - 1) / size))
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 1000] + BLOCK_SIZES)
+    def test_one_sample_steps_from_the_integers(self, size):
+        # ks_distance walks the sample in blocks of 2^16 values: these sizes
+        # end a block one short of, at and one past a block edge, and 3 past
+        rng = np.random.default_rng(size)
+        values = rng.random(size) * 1.4 - 0.2  # below 0 and above 1 as well
+        on_breaks = rng.integers(0, size, size // 7)
+        values[on_breaks] = rng.choice(STAT_CDF.xs, on_breaks.size)
+        sample = EmpiricalCDF(values)
+        assert ks_distance(sample, STAT_CDF) == self.full_array_ks(sample)
+
+    @pytest.mark.parametrize("size", [1] + BLOCK_SIZES)
+    @pytest.mark.parametrize("value", [-0.5, 0.0, ALPHA, 0.4, 1.0, 1.5])
+    def test_one_sample_all_ties(self, size, value):
+        sample = EmpiricalCDF(np.full(size, value))
+        assert ks_distance(sample, STAT_CDF) == self.full_array_ks(sample)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):
@@ -714,6 +734,18 @@ class TestDistributionReports:
             theta = theta_from_uniform(dist, plan.substream(1).random(500))
         want = ks_distance(EmpiricalCDF(np.abs(theta - x)), cdf)
         assert one_step_invariance_report(dist, 500, master_seed=29)["ks_distance"] == want
+
+    def test_one_step_memory(self):
+        # one buffer of the 10^6 samples (8 MB), sorted in place and measured
+        # in blocks: the peak stays within 1.5 buffers, where a sorted copy,
+        # a concatenation and full-size KS arrays took about 40 MB
+        tracemalloc.start()
+        try:
+            one_step_invariance_report(TWO_POINT, 10 ** 6, master_seed=29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * 10 ** 6
 
     def test_one_step_worker_determinism(self):
         reps = [one_step_invariance_report(TWO_POINT, 10 ** 5, master_seed=29,

@@ -5,6 +5,7 @@ import enum
 import importlib
 import inspect
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,21 @@ FINITE = "breakpoints and values must be finite"
                  id="large-count-n-huge"),
     pytest.param(lambda: z_estimate(ALPHA, 10 ** 400), r"n must be <= 10\*\*7",
                  id="z-estimate-n-past-float-range"),
+    # a count past the bound allocated its buffers, or looped, before any output
+    pytest.param(lambda: TrialPlan(1, 10 ** 8 + 1), r"trials must be <= 100000000",
+                 id="plan-trials-past-bound"),
+    pytest.param(lambda: TrialPlan(1, 10 ** 400), r"trials must be <= 100000000",
+                 id="plan-trials-past-float-range"),
+    pytest.param(lambda: one_step_invariance_report(TWO_POINT, 10 ** 8 + 1, 0),
+                 r"n_samples must be <= 100000000", id="invariance-samples-past-bound"),
+    pytest.param(lambda: one_step_invariance_report(TWO_POINT, 10 ** 400, 0),
+                 r"n_samples must be <= 100000000", id="invariance-samples-past-float-range"),
+    pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, 5, 10 ** 8 + 1, 0),
+                 r"trials must be <= 100000000", id="law-equality-trials-past-bound"),
+    pytest.param(lambda: find_close_k(ALPHA, 0.5, 10 ** 7 + 1), r"q_n must be <= 10000000",
+                 id="close-k-qn-past-bound"),
+    pytest.param(lambda: find_close_k(ALPHA, 0.5, 10 ** 400), r"q_n must be <= 10000000",
+                 id="close-k-qn-past-float-range"),
     # an unchecked master seed raised a bare TypeError or OverflowError, or was kept
     pytest.param(lambda: TrialPlan(2.5, 4), SEED, id="plan-seed-float"),
     pytest.param(lambda: TrialPlan(NAN, 4), SEED, id="plan-seed-nan"),
@@ -308,6 +324,22 @@ FINITE = "breakpoints and values must be finite"
 def test_boundary_rejects(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
+
+
+def test_count_bounds_raise_before_allocating():
+    calls = [lambda: TrialPlan(1, 10 ** 8 + 1),
+             lambda: one_step_invariance_report(TWO_POINT, 10 ** 8 + 1, 0),
+             lambda: one_step_invariance_report(TWO_POINT, 10 ** 400, 0),
+             lambda: law_equality_report(TWO_POINT, 0.2, 5, 10 ** 8 + 1, 0)]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 5
 
 
 def test_numpy_ints_are_integers():
