@@ -603,11 +603,10 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
 
     _run_blocks(worker, n_samples, workers)
     stepped.sort()
-    stepped = EmpiricalCDF._of_sorted(stepped)
     return {"schema": 1, "kind": "one_step_invariance", "n_samples": n_samples,
             "master_seed": master_seed,
             "support": dist.support.tolist(), "weights": dist.weights.tolist(),
-            "ks_distance": ks_distance(stepped, cdf)}
+            "ks_distance": ks_distance(EmpiricalCDF._of_sorted(stepped), cdf)}
 
 
 def check_law_equality(x0: float, n: int, trials: int, workers: int) -> None:
