@@ -23,8 +23,8 @@ from .process import (Interval, ThetaDist, TrialPlan, interval_fold,
                       theta_from_uniform)
 from .serialize import canonical_json, rows_to_csv
 from .stationary import (PiecewiseLinearCDF, is_small_vertex, large_count,
-                         large_count_cumulative, sample_stationary,
-                         stationary_cdf, stationary_quantile, z_estimate)
+                         sample_stationary, stationary_cdf, stationary_quantile,
+                         z_estimate)
 
 __version__ = "0.1.0"
 

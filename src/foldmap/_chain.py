@@ -19,9 +19,9 @@ images are not few: an uncapped search finds 85,850 point states of x0 =
 0.2 at alpha = 0.01048 to depth 200, and 1,228,662 images of [0, 1] at
 alpha = 0.3 to depth 1000; and at alpha = 0.01048 and q = 95, rate's first
 400,000 float states hold 1659 distinct images to 9 digits, one real image
-reached as many floats. There the trials fold one letter at a time from
-the same bits (_bit_walk), to the same bytes; other dists fold a letter
-column at a time (process.letter_columns). Two functions alone choose
+reached as many floats. There the trials fold one letter column at a time
+from the same bits, to the same bytes, as every other dist does: all read
+their letters through process.letter_columns. Two functions alone choose
 between the word tables and the fold: _row_ends for point and backward
 folds, _stop_times for rate.
 """
@@ -29,11 +29,11 @@ folds, _stop_times for rate.
 from __future__ import annotations
 
 import math
-from itertools import groupby
 
 import numpy as np
 
-from .process import TILE_CELLS, ThetaDist, fold_interval_arrays, letter_columns, letter_words
+from .process import (TILE_CELLS, ThetaDist, _fold_scalar, _words_in_order,
+                      fold_interval_arrays, letter_columns, letter_words)
 
 _WORD_STATES = 1 << 13    # the most states of a word automaton (8 MB a word table)
 
@@ -45,8 +45,8 @@ def _state_graph(support, start: tuple, depth: int | None = None,
 
     The states are the images (lo, hi) of start under words of the two
     letters support[0] and support[1], found by a breadth-first search, one
-    level a word length. Each image is the scalar fold of interval_fold,
-    the same floats as fold_interval_arrays and, on a point (x, x), as
+    level a word length. Each image is the scalar fold _fold_scalar, the
+    same floats as fold_interval_arrays and, on a point (x, x), as
     |theta - x|, so a state is exactly the pair of floats the per-letter
     fold reaches, and the states are keyed by those floats. A point start
     gives point states; [0, b] gives the backward images of
@@ -70,7 +70,7 @@ def _state_graph(support, start: tuple, depth: int | None = None,
         if level == depth:
             break
         for t in letters:
-            image = (max(0.0, lo - t, t - hi), max(abs(t - lo), abs(t - hi)))
+            image = _fold_scalar(t, lo, hi)
             if epsilon is not None and image[1] - image[0] < epsilon:
                 succ.append(-1)
                 continue
@@ -122,16 +122,6 @@ def _word_table(succ: np.ndarray, letters: int, backward: bool = False) -> np.nd
     return table.ravel()
 
 
-def _words_in_order(keys: np.ndarray, letters: range):
-    """(word, js) for the words of rows keys that hold the letters j of
-    `letters`, a range of step 1 or -1, in its order; js lists the word's
-    letters in that order. Letter j is bit 7 - j mod 8 of word j // 8."""
-    step = letters.step
-    words = range(letters[0] // 8, letters[-1] // 8 + step, step) if letters else letters
-    return zip(letter_words(keys, words),
-               (list(js) for _, js in groupby(letters, lambda j: j // 8)))
-
-
 def _table_walk(tables: dict, keys: np.ndarray, letters: range) -> np.ndarray:
     """The state each row of keys reaches from state 0 through letters
     0 .. n-1, taken in the order of `letters`, one table lookup a word (see
@@ -148,21 +138,6 @@ def _table_walk(tables: dict, keys: np.ndarray, letters: range) -> np.ndarray:
     return at
 
 
-def _bit_walk(dist: ThetaDist, keys: np.ndarray, letters: range):
-    """The letter columns of rows keys for the letters of `letters`, in its
-    order, read from the words of _table_walk: the fold past the state cap.
-    Each word is read into its 8 letter columns by one take from a table of
-    the 256 words, one buffer that every column views, so fold each column
-    before asking for the next."""
-    # spelled[i, w]: the letter in bit 7 - i of word w
-    spelled = dist.support[np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0)]
-    theta = np.empty((8, keys.size))
-    for word, js in _words_in_order(keys, letters):
-        spelled.take(word, axis=1, out=theta, mode="clip")
-        for j in js:
-            yield theta[j % 8]
-
-
 def _row_ends(dist: ThetaDist, start: tuple, n: int, backward: bool, graph):
     """A function of row keys that gives each row's image (lo, hi) of start,
     a point (x0, x0) or an interval [0, b], after letters 0 .. n-1 of its
@@ -170,8 +145,8 @@ def _row_ends(dist: ThetaDist, start: tuple, n: int, backward: bool, graph):
 
     graph is _dist_graph(dist, start, n), which a caller folding in both
     directions finds once. Given one, the rows walk its word tables, built
-    here once for all blocks; given None, they fold a letter at a time, a
-    two-point dist's from the same bits. Both give the same floats.
+    here once for all blocks; given None, they fold a letter column at a
+    time (process.letter_columns). Both give the same floats.
     """
     order = range(n - 1, -1, -1) if backward else range(n)
     point = start[0] == start[1]  # its images are points (x, x) too
@@ -186,18 +161,17 @@ def _row_ends(dist: ThetaDist, start: tuple, n: int, backward: bool, graph):
             return (x, x) if point else (lo[at], x)
         return walk
 
-    read = _bit_walk if dist._bits else letter_columns
     if point:  # |theta - x| is the same float as the interval fold, in two passes
         def fold(keys):
             x = np.full(keys.size, start[0])
-            for theta in read(dist, keys, order):
+            for theta in letter_columns(dist, keys, order):
                 np.abs(np.subtract(theta, x, out=x), out=x)
             return x, x
     else:
         def fold(keys):
             lo, hi = np.full(keys.size, start[0]), np.full(keys.size, start[1])
             scratch = np.empty(keys.size), np.empty(keys.size)
-            for theta in read(dist, keys, order):
+            for theta in letter_columns(dist, keys, order):
                 fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
             return lo, hi
     return fold
@@ -267,7 +241,7 @@ def _stop_times(alpha: float, epsilon: float, n_steps: int):
             lo, hi = ends
             diam = np.empty((8 * words, lo.size))
             scratch = np.empty_like(lo), np.empty_like(lo)
-            for theta, d in zip(_bit_walk(dist, keys, range(first, first + 8 * words)), diam):
+            for theta, d in zip(letter_columns(dist, keys, range(first, first + 8 * words)), diam):
                 fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
                 np.subtract(hi, lo, out=d)
             below = diam < epsilon

@@ -10,10 +10,11 @@ cuts. No (trials, n) matrix is ever built.
 
 For a two-point dist the folds walk the exact-float state chain of
 foldmap._chain, where _row_ends (point and backward folds) and _stop_times
-(rate) choose between its word tables and the per-letter fold; other dists
-fold a letter column at a time (process.letter_columns). Every path gives
-the same bytes. The drivers here run such a fold of row keys over a plan's
-rows (_rows) and build the reports.
+(rate) choose between its word tables and the per-letter fold; the fold,
+and every other dist, reads a letter column at a time
+(process.letter_columns). Every path gives the same bytes. The drivers here
+run such a fold of row keys over a plan's rows (_rows) and build the
+reports; none of them reads a letter itself.
 
 Workers are threads, and numpy does the heavy lifting, so a thread pays only
 when its block is long enough that each numpy call outlasts the hand-over of
@@ -28,9 +29,8 @@ Runtime measurements are carried on report objects but excluded from their
 canonical serializations.
 
 The sample-indexed one_step_invariance_report reads row 0 for its stationary
-draws and row 1 for its letters, at cell = sample index (a two-point dist's
-letters unpacked from row 1's hashes, 64 a hash), and blocks its samples
-the same way.
+draws and row 1 for its letters, at cell = sample index (one
+process.letter_run a block), and blocks its samples the same way.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from .contfrac import contfrac_expand, convergents
 from .errors import PreconditionError, StructuralError, WindowError, as_int
 from .orbit import (OrbitLabel, W_MAX, _check_alpha, alpha_targets, build_graph_window,
                     check_graph_window, rho_chart, scan_class_ties, window_values)
-from .process import (ThetaDist, TrialPlan, check_start, check_trials, letter_bits,
-                      letter_cells, substream_keys, uniform_cells)
+from .process import (ThetaDist, TrialPlan, check_start, check_trials, letter_run,
+                      substream_keys, uniform_cells)
 from .serialize import canonical_json, rows_to_csv
 from .stationary import PiecewiseLinearCDF, stationary_cdf, stationary_quantile
 
@@ -57,6 +57,8 @@ _TRIAL_BLOCK = 1 << 16    # cap on rows vectorized together (does not affect out
 _MAX_WORKERS = 64         # threads one run may use
 _THREAD_ROWS = 1 << 15    # fewest rows a block needs to be worth a thread
 _RATE_QK_CAP = 99         # keeps N below ~5.2e7 letters per trial
+_MAX_LETTERS = 10 ** 7    # n: past the state cap, about 30 s of folds a trial
+_MAX_WALK = 10 ** 6       # rho audit steps, segments: each about 90 MB at the bound
 
 
 class EmpiricalCDF:
@@ -184,6 +186,12 @@ def _rows(fold, plan: TrialPlan, workers: int, first: int = 0) -> np.ndarray:
         plan.trials, workers))
 
 
+def _check_count(count: int, name: str, most: int) -> None:
+    """A count of letters, steps or segments: an integer in 0..most."""
+    if as_int(count, name, 0) > most:
+        raise PreconditionError(f"{name} must be <= {most}")
+
+
 def check_workers(workers: int) -> None:
     """The thread count of a blocked run must lie in 1..64."""
     if not 1 <= workers <= _MAX_WORKERS:
@@ -208,7 +216,7 @@ def check_forward_values(x0: float, n: int, trials: int, workers: int) -> None:
     """The preconditions of forward_values with a plan of `trials` trials."""
     check_trials(trials)
     check_start(x0)
-    as_int(n, "n", 0)
+    _check_count(n, "n", _MAX_LETTERS)
     check_workers(workers)
 
 
@@ -237,7 +245,7 @@ def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
     for a smaller n is a prefix of the word for a larger n under the same
     plan and the returned lengths are pointwise nonincreasing in n.
     """
-    as_int(n, "n", 0)
+    _check_count(n, "n", _MAX_LETTERS)
     interval = (0.0, dist.bound)
     fold = _chain._row_ends(dist, interval, n, True, _chain._dist_graph(dist, interval, n))
 
@@ -437,8 +445,8 @@ def check_rho_walk(alpha: float, x0: float, steps: int, segments: int,
     _check_alpha(alpha)
     if not 0.0 < x0 < min(alpha, 1.0 - alpha):
         raise PreconditionError("x0 must satisfy 0 < x0 < min(alpha, 1-alpha)")
-    as_int(steps, "steps", 0)
-    as_int(segments, "segments", 0)
+    _check_count(steps, "steps", _MAX_WALK)
+    _check_count(segments, "segments", _MAX_WALK)
     if window is not None:
         check_graph_window(alpha, x0, window)
 
@@ -577,10 +585,10 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
     """Draw stationary samples, apply one random fold, measure KS to the law.
 
     Sample-indexed: sample i takes its stationary draw from cell (0, i), the
-    quantile of that uniform, and its fold letter from cell (1, i), read from
-    the hashed integer as letter_cells reads it, so output is independent of
-    block size and worker count. workers bounds the threads as in
-    _run_blocks: a thread needs a block of at least 2^15 samples.
+    quantile of that uniform, and its fold letter from cell (1, i), read by
+    process.letter_run, so output is independent of block size and worker
+    count. workers bounds the threads as in _run_blocks: a thread needs a
+    block of at least 2^15 samples.
 
     Each block writes its folded values into its own slice of one sample
     buffer, which is then sorted in place and measured in blocks (see
@@ -594,10 +602,7 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
     def worker(start, count):
         steps = np.arange(start, start + count)
         x = stationary_quantile(cdf, uniform_cells(keys[:1], steps))
-        if dist._bits:
-            theta = dist.support[letter_bits(keys[1:], start, count)[0]]
-        else:
-            theta = letter_cells(dist, keys[1:], steps)
+        theta = letter_run(dist, keys[1:], start, count)[0]
         out = stepped[start:start + count]
         np.abs(np.subtract(theta, x, out=out), out=out)
 
@@ -615,7 +620,7 @@ def check_law_equality(x0: float, n: int, trials: int, workers: int) -> None:
     # a NaN fails these comparisons too
     if not (0 <= n < math.inf and 1 <= trials < math.inf):
         raise PreconditionError("need n >= 0 and trials >= 1")
-    as_int(n, "n")
+    _check_count(n, "n", _MAX_LETTERS)
     check_trials(trials)
     check_workers(workers)
 

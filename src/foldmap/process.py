@@ -34,17 +34,16 @@ read from the top, is a word of 8 consecutive letters, the first in the
 byte's top bit (letter_words). Only these letters follow the bit rule:
 uniform_cells, and the letters of every other dist, read one cell a value.
 
-When every cut is coarse, a multiple of 2^33 (a cumulative weight on a
-multiple of 2^-31), the letters are read from the hash before mix64's last
-step z ^ (z >> 31). z >> 31 is below 2^33, so that step keeps bits 63..33
-of z, and for a cut c with its low 33 bits zero, z ^ (z >> 31) >= c exactly
-when z >= c: the letters are the same bit for bit, two array passes sooner.
-
+This module alone reads letters, by two routines for every dist.
 letter_columns yields the letter columns of a block of rows one at a time,
-but hashes a tile of consecutive columns per numpy call: (width, rows)
-cells, width = max(1, TILE_CELLS // rows), into buffers it allocates once.
-Above TILE_CELLS rows a tile is one column. A cell's letter does not depend
-on the tile it was read in, so neither does any result.
+for a range of letters taken forward or backward: a two-point dist's from
+letter_words, each word read into its 8 columns by one take from a table of
+the 256 words; any other dist's a tile of consecutive columns per numpy
+call, (width, rows) cells, width = max(1, TILE_CELLS // rows), into buffers
+it allocates once (above TILE_CELLS rows a tile is one column). letter_run
+reads a run of consecutive letters of each row at once: a two-point dist
+unpacks one hash a 64 letters. A cell's letter does not depend on the tile
+or run it was read in, so neither does any result.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,12 +63,11 @@ _GOLDEN64 = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _UNIT53 = 2.0 ** -53
-_LOW33 = np.uint64((1 << 33) - 1)  # the bits mix64's last xor-shift can change
 _BIT_CUT = 1 << 63  # the one cut of a dist that reads one bit a letter
 # cap on the cells hashed per numpy call (does not affect output): it bounds
-# the tiles of letter_columns, for dists that are not two-point, and of
-# letter_words, and the letters of a rate chunk (_chain._stop_times); a
-# tile's hash, scratch and letter buffers (1.5 MB) still fit a 2 MB L2
+# the tiles of letter_columns and letter_words, and the letters of a rate
+# chunk (_chain._stop_times); a tile's hash, scratch and letter buffers
+# (1.5 MB) still fit a 2 MB L2
 TILE_CELLS = 1 << 16
 # most rows (or samples) one run may take: a run holds a float or more per
 # row, 800 MB here, and a larger count would fill memory before any output
@@ -85,30 +83,18 @@ _ZERO.flags.writeable = False
 _CHAIN_CUTS = 16
 
 
-def _splitmix64(z: int) -> int:
-    # standard splitmix64 finalizer; full 64-bit avalanche
-    z &= _MASK64
-    z = (z ^ (z >> 30)) * _MIX1 & _MASK64
-    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
-    return z ^ (z >> 31)
-
-
-def _mix64(z: np.ndarray, scratch: np.ndarray | None = None,
-           coarse: bool = False) -> np.ndarray:
+def _mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """The splitmix64 finalizer, in place on a uint64 array (wraps mod 2^64).
 
     scratch, a uint64 array shaped like z, holds the shifted copies; one is
-    allocated when it is None. coarse skips the last step z ^= z >> 31: it
-    changes only bits 32..0 (z >> 31 is below 2^33), so the result compares
-    with any multiple c of 2^33 as the full hash does.
+    allocated when it is None.
     """
     if scratch is None:
         scratch = np.empty_like(z)
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         z ^= np.right_shift(z, shift, out=scratch)
         z *= np.uint64(mult)
-    if not coarse:
-        z ^= np.right_shift(z, 31, out=scratch)
+    z ^= np.right_shift(z, 31, out=scratch)
     return z
 
 
@@ -121,7 +107,7 @@ def substream_seed(master_seed: int, index: int) -> int:
     """Deterministic 64-bit key of row `index` of a master seed's grid."""
     master_seed = as_int(master_seed, "master seed")  # ints: a numpy int would overflow
     index = as_int(index, "substream index", 0)
-    return _splitmix64((master_seed + (index + 1) * _GOLDEN64) & _MASK64)
+    return int(substream_keys(master_seed, index, 1)[0])
 
 
 def substream_keys(master_seed: int, first: int, count: int) -> np.ndarray:
@@ -136,20 +122,19 @@ def substream_keys(master_seed: int, first: int, count: int) -> np.ndarray:
     return _mix64(z)
 
 
-def _cell_hashes(keys, steps, out=None, scratch=None, coarse=False) -> np.ndarray:
+def _cell_hashes(keys, steps, out=None, scratch=None) -> np.ndarray:
     """The 64-bit hashes mix64(key_t + (j + 1) G) of grid cells (t, j).
 
     keys and steps as for uniform_cells. out, a uint64 array of the broadcast
     shape, receives the hashes, and scratch, another, holds the shifted
-    copies; either is allocated when it is None. coarse stops before mix64's
-    last xor-shift (see _mix64), for comparisons with multiples of 2^33 only.
+    copies; either is allocated when it is None.
     """
     if np.ndim(steps) == 0:
         offsets = _step_offset(int(steps))
     else:
         offsets = np.asarray(steps, dtype=np.uint64) + np.uint64(1)
         offsets *= np.uint64(_GOLDEN64)
-    return _mix64(np.add(keys, offsets, out=out), scratch, coarse)
+    return _mix64(np.add(keys, offsets, out=out), scratch)
 
 
 def uniform_cells(keys, steps) -> np.ndarray:
@@ -243,9 +228,6 @@ class ThetaDist:
         self._cum.flags.writeable = False
         self._cuts = _integer_cuts(cum)
         self._cuts.flags.writeable = False
-        # every cut a multiple of 2^33 (none counts): letters may skip the
-        # hash's last xor-shift
-        self._coarse = not (self._cuts & _LOW33).any()
         # the one cut 2^63: a letter is one bit of a hash (see the module docstring)
         self._bits = self._cuts.tolist() == [_BIT_CUT]
 
@@ -376,9 +358,7 @@ def letter_cells(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.nda
     [2^63] reads letter j as one bit of the hash of cell j // 64 (see the
     module docstring). Every other dist's letter equals
     theta_from_uniform(dist, uniform_cells(keys, steps)) bit for bit, read
-    from the hashed integers by the integer cuts of dist; when the cuts are
-    coarse (multiples of 2^33), the hashes stop before mix64's last
-    xor-shift, which leaves every comparison with such a cut unchanged.
+    from the hashed integers by the integer cuts of dist.
 
     out, a float array of the broadcast shape, receives the letters, and
     scratch, a pair of uint64 arrays of that shape, holds the hashes and
@@ -388,28 +368,40 @@ def letter_cells(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.nda
     if dist._bits:
         return _bit_letters(dist, keys, steps, out, scratch)
     z, spare = (None, None) if scratch is None else scratch
-    z = _cell_hashes(keys, steps, z, spare, dist._coarse)
+    z = _cell_hashes(keys, steps, z, spare)
     return _take_letters(dist, z, np.empty(z.shape) if out is None else out, spare)
 
 
-def letter_columns(dist: ThetaDist, keys: np.ndarray, steps: Iterable[int]):
-    """The letter columns of grid rows `keys`, one for each step j of `steps`.
+def letter_columns(dist: ThetaDist, keys: np.ndarray, letters: range):
+    """The letter columns of grid rows `keys`, one for each letter j of
+    `letters`, a range of step 1 or -1, in its order.
 
-    Column j equals letter_cells(dist, keys, j). The columns are read a tile
-    at a time, width = max(1, TILE_CELLS // rows) consecutive steps per
-    letter_cells call, into buffers allocated once; steps may be any
-    iterable, and only one tile of it is read ahead. Every column is a
-    read-only view of the same buffer, so fold each column before asking for
-    the next.
+    Column j equals letter_cells(dist, keys, j). A dist that reads one bit a
+    letter reads each word of letter_words into its 8 columns by one take
+    from a table of the 256 words; any other dist reads a tile of width =
+    max(1, TILE_CELLS // rows) consecutive letters per letter_cells call.
+    Every column is a read-only view of one buffer, allocated once, so fold
+    each column before asking for the next.
     """
+    if dist._bits:
+        # spelled[i, w]: the letter in bit 7 - i of word w
+        spelled = dist.support[np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0)]
+        theta = np.empty((8, keys.size))
+        columns = theta.view()
+        columns.flags.writeable = False
+        for word, js in _words_in_order(keys, letters):
+            spelled.take(word, axis=1, out=theta, mode="clip")
+            for j in js:
+                yield columns[j % 8]
+        return
     width = max(1, TILE_CELLS // max(1, keys.size))
     theta = np.empty((width,) + keys.shape)
     columns = theta.view()
     columns.flags.writeable = False
     z = np.empty(theta.shape, dtype=np.uint64)
     scratch = np.empty_like(z)
-    steps = iter(steps)
-    while tile := list(islice(steps, width)):
+    for first in range(0, len(letters), width):
+        tile = letters[first:first + width]
         k = len(tile)
         js = np.array(tile, dtype=np.uint64).reshape((k,) + (1,) * keys.ndim)
         letter_cells(dist, keys, js, out=theta[:k], scratch=(z[:k], scratch[:k]))
@@ -446,14 +438,26 @@ def letter_words(keys: np.ndarray, words: range):
         yield octets[cell - first, :, _TOP_BYTE ^ (w % 8)]
 
 
-def letter_bits(keys: np.ndarray, start: int, count: int) -> np.ndarray:
-    """The letter indices (0 or 1) of cells start .. start + count - 1 of
-    grid rows `keys`, for a dist that reads one bit a letter: a
-    (rows, count) uint8 array. letter_cells(dist, keys, j) is
-    dist.support[bit j - start]."""
+def _words_in_order(keys: np.ndarray, letters: range):
+    """(word, js) for the words of rows keys that hold the letters j of
+    `letters`, a range of step 1 or -1, in its order; js lists the word's
+    letters in that order. Letter j is bit 7 - j mod 8 of word j // 8."""
+    step = letters.step
+    words = range(letters[0] // 8, letters[-1] // 8 + step, step) if letters else letters
+    return zip(letter_words(keys, words),
+               (list(js) for _, js in groupby(letters, lambda j: j // 8)))
+
+
+def letter_run(dist: ThetaDist, keys: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Letters start .. start + count - 1 of grid rows `keys`: a (rows,
+    count) array whose entry [i, k] is letter_cells(dist, keys[i], start +
+    k). A dist that reads one bit a letter unpacks one hash a 64 letters;
+    any other dist hashes one cell a letter."""
+    if not dist._bits:
+        return letter_cells(dist, keys[:, None], np.arange(start, start + count))
     z = _cell_hashes(keys[:, None], np.arange(start // 64, (start + count + 63) // 64))
     bits = np.unpackbits(z.astype(">u8").view(np.uint8), axis=-1)
-    return bits[:, start % 64:start % 64 + count]
+    return dist.support[bits[:, start % 64:start % 64 + count]]
 
 
 def sample_theta(dist: ThetaDist, rng: np.random.Generator, size=None):
@@ -509,8 +513,8 @@ def fold_interval_arrays(theta, lo, hi, out=None, scratch=None):
     x != 0; for a == b both differences are zeros, and 0.0 - (+-0.0) is
     +0.0, so the upper end is never -0.0. np.maximum returns its second
     operand when both are zeros, so the zero comes last in the lower end
-    (+0.0, never -0.0). Python's max keeps the first, so the scalar loop in
-    interval_fold puts the zero first.
+    (+0.0, never -0.0). Python's max keeps the first, so _fold_scalar puts
+    the zero first.
 
     out, a pair of float arrays of the broadcast shape, receives the two
     endpoints; it may be (lo, hi) itself, so a fold loop keeps its arrays.
@@ -533,6 +537,12 @@ def fold_interval_arrays(theta, lo, hi, out=None, scratch=None):
     return new_lo, new_hi
 
 
+def _fold_scalar(t: float, lo: float, hi: float) -> tuple:
+    """fold_interval_arrays on Python floats: the image of [lo, hi] under
+    x -> |t - x|, bit for bit."""
+    return max(0.0, lo - t, t - hi), max(abs(t - lo), abs(t - hi))
+
+
 def interval_fold(word: Sequence[float], iv: Interval,
                   direction: str = "forward") -> list[Interval]:
     """Prefix images of an interval under the word, in the chosen order.
@@ -550,8 +560,8 @@ def interval_fold(word: Sequence[float], iv: Interval,
     if direction == "forward":
         out = [iv]
         lo, hi = iv.lo, iv.hi
-        for t in letters.tolist():  # fold_interval_arrays on Python floats
-            lo, hi = max(0.0, lo - t, t - hi), max(abs(t - lo), abs(t - hi))
+        for t in letters.tolist():
+            lo, hi = _fold_scalar(t, lo, hi)
             out.append(Interval(lo, hi))
         return out
     if direction != "backward":

@@ -92,18 +92,13 @@ def large_count(alpha: float, n: int) -> int:
 
     For alpha > 1/2 these are the orbit points at or above the upper class
     cut; for alpha < 1/2 the same count covers the medium and large classes
-    combined. Equals n - floor(n*alpha) for irrational alpha.
+    combined. Equals n - floor(n*alpha) for irrational alpha. n is at most
+    10**7: the count holds arrays of about 17 bytes an index.
     """
-    return int(large_count_cumulative(alpha, n)[-1])
-
-
-def large_count_cumulative(alpha: float, n: int) -> np.ndarray:
-    """L_1..L_n in one pass (index 0 holds L_1), for n up to 10**7: the
-    pass holds arrays of about 17 bytes an index."""
     _check_alpha(alpha)
     if as_int(n, "n", 1) > 10 ** 7:
         raise PreconditionError("n must be <= 10**7")
-    return np.cumsum(fractional_part(np.arange(1, n + 1) * alpha) >= alpha)
+    return int(np.count_nonzero(fractional_part(np.arange(1, n + 1) * alpha) >= alpha))
 
 
 def is_small_vertex(alpha: float, n: int) -> bool:

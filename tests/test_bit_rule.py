@@ -20,7 +20,7 @@ from foldmap import (EmpiricalCDF, ThetaDist, TrialPlan, _chain, backward_diam_e
                      experiments, forward_values, ks_distance, law_equality_report,
                      rate_experiment)
 from foldmap.cli import run
-from foldmap.process import letter_cells, letter_columns, substream_keys
+from foldmap.process import letter_cells, letter_columns, letter_run, substream_keys
 
 import bit_oracle
 from test_cli import REPORT_SHA256
@@ -71,6 +71,29 @@ class TestLetters:
         assert np.array_equal(letter_cells(TWO_POINT, keys, np.arange(n)[:, None]), want)
         columns = [c.copy() for c in letter_columns(TWO_POINT, keys, range(n))]
         assert np.array_equal(np.array(columns).reshape(n, 40), want)
+
+    @pytest.mark.parametrize("letters", [
+        range(7, -1, -1), range(8, -1, -1), range(63, -1, -1), range(64, -1, -1),
+        range(129, -1, -1),                     # every letter down from a row's start
+        range(5, 12), range(12, 4, -1),         # across the word edge at 8
+        range(60, 68), range(67, 59, -1),       # across the hash edge at 64
+        range(120, 136), range(135, 119, -1),   # across both at 128
+        range(9, 9),                            # empty
+    ])
+    def test_columns_either_way(self, letters):
+        keys = substream_keys(11, 3, 40)
+        want = np.where(bit_oracle.bits(11, 3, 40, 136) == 1, 1.0, ALPHA).T
+        columns = [c.copy() for c in letter_columns(TWO_POINT, keys, letters)]
+        assert len(columns) == len(letters)
+        for j, column in zip(letters, columns):
+            assert np.array_equal(column, want[j])
+
+    @pytest.mark.parametrize("start, count", [(0, 130), (5, 3), (60, 8), (63, 66), (64, 1)])
+    def test_letter_run(self, start, count):
+        keys = substream_keys(11, 3, 40)
+        want = np.where(bit_oracle.bits(11, 3, 40, 136) == 1, 1.0, ALPHA)
+        assert np.array_equal(letter_run(TWO_POINT, keys, start, count),
+                              want[:, start:start + count])
 
 
 class TestFolds:

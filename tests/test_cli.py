@@ -381,6 +381,9 @@ class TestInputBoundary:
         (AUDIT + ["--window", "0"], "window must be >= 1"),
         (AUDIT + ["--window", "1000001"], "window > 1000000 exceeds the precision cap"),
         (AUDIT + ["--segments", "-1"], "segments must be >= 0"),
+        (AUDIT + ["--steps", "1000001"], "steps must be <= 1000000"),
+        (AUDIT + ["--steps", str(10 ** 13)], "steps must be <= 1000000"),
+        (AUDIT + ["--segments", str(10 ** 13)], "segments must be <= 1000000"),
         (["walk-oracle", "--n", "31"], "n must lie in 1..30"),
         (["walk-oracle", "--n", "0"], "n must lie in 1..30"),
         (CLOSEK + ["--qn", "0"], "q_n must be >= 1"),
@@ -391,10 +394,14 @@ class TestInputBoundary:
         (SIM + ["--trials", "100000001"], "trials must be <= 100000000"),
         (SIM + ["--x0", "-0.5"], "x0 must be finite and >= 0"),
         (SIM + ["--n", "-1"], "n must be >= 0"),
+        (SIM + ["--n", "10000001"], "n must be <= 10000000"),
+        (SIM + ["--n", str(10 ** 30)], "n must be <= 10000000"),
         (SIM + ["--workers", "0"], "workers must lie in 1..64"),
         (BVF + ["--trials", "0"], "need n >= 0 and trials >= 1"),
         (BVF + ["--trials", "100000001"], "trials must be <= 100000000"),
         (BVF + ["--x0", "-0.5"], "x0 must be finite and >= 0"),
+        (BVF + ["--n", "10000001"], "n must be <= 10000000"),
+        (BVF + ["--n", str(10 ** 12)], "n must be <= 10000000"),
         (BVF + ["--workers", "65"], "workers must lie in 1..64"),
         (RATE + ["--trials", "0"], "trials must be >= 1"),
         (RATE + ["--trials", "10000000000000"], "trials must be <= 100000000"),
@@ -409,10 +416,12 @@ class TestInputBoundary:
         (WORD + ["--m", "-1"], "m must be >= 0"),
     ], ids=["orbit-window-0", "orbit-window-cap", "orbit-x", "orbit-json-margin", "audit-x0",
             "audit-alpha", "audit-steps",
-            "audit-window-0", "audit-window-cap", "audit-segments", "walk-n-31", "walk-n-0",
+            "audit-window-0", "audit-window-cap", "audit-segments", "audit-steps-cap",
+            "audit-steps-huge", "audit-segments-huge", "walk-n-31", "walk-n-0",
             "closek-qn", "closek-qn-cap", "closek-x", "closek-alpha", "simulate-trials",
-            "simulate-trials-cap", "simulate-x0", "simulate-n", "simulate-workers",
-            "bvf-trials", "bvf-trials-cap", "bvf-x0", "bvf-workers", "rate-trials",
+            "simulate-trials-cap", "simulate-x0", "simulate-n", "simulate-n-cap",
+            "simulate-n-huge", "simulate-workers", "bvf-trials", "bvf-trials-cap",
+            "bvf-x0", "bvf-n-cap", "bvf-n-huge", "bvf-workers", "rate-trials",
             "rate-trials-cap", "rate-qk-cap", "rate-eps", "rate-workers", "contfrac-terms-cap",
             "contfrac-terms-negative", "word-beta", "word-threshold", "word-m"])
     def test_library_ranges_with_and_without_dry_run(self, capsys, argv, message, dry):

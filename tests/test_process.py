@@ -14,7 +14,7 @@ from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      stationary_cdf, step, substream_seed, theta_from_uniform)
 from foldmap.process import (_CHAIN_CUTS, TILE_CELLS, _cell_hashes,
                              fold_interval_arrays, letter_cells, letter_columns,
-                             substream_keys, uniform_cells)
+                             letter_run, substream_keys, uniform_cells)
 
 import bit_oracle
 
@@ -386,6 +386,12 @@ class TestUniformGrid:
             assert keys.dtype == np.uint64
             assert keys.tolist() == [substream_seed(seed, first + i) for i in range(50)]
 
+    @pytest.mark.parametrize("seed", [0, -1, 2 ** 64 + 5])
+    def test_scalar_keys_follow_the_formula(self, seed):
+        # key_t = mix64(seed + (t + 1) G), in Python integers
+        for t in (0, 1, 2 ** 40, 2 ** 64 - 1, 2 ** 64, 2 ** 70):
+            assert substream_seed(seed, t) == bit_oracle.row_key(seed, t)
+
     def test_cells_follow_the_formula(self):
         # u[t, j] = (mix64(key_t + (j + 1) G) >> 11) 2^-53, in Python integers
         golden, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
@@ -496,8 +502,6 @@ LETTER_DISTS = {
     # one cumulative weight at an odd multiple of 2^-32: a cut off the 2^33 grid
     "fine-2^-32": (ThetaDist([0.3, 0.6, 1.0], [2.0 ** -32, 0.5, 0.5 - 2.0 ** -32]), 2),
 }
-# the dists whose letters skip the hash's last xor-shift
-COARSE = {"one-point", "two-point", "cum-at-1", "coarse-2^-31"}
 
 
 def expected_letters(dist, keys, steps):
@@ -526,34 +530,6 @@ class TestLetterColumns:
         assert dist._cuts.size == cuts and dist._cuts.dtype == np.uint64
         assert np.all(dist._cuts[1:] >= dist._cuts[:-1])
 
-    def test_which_dists_are_coarse(self):
-        assert {name for name, (d, _) in LETTER_DISTS.items() if d._coarse} == COARSE
-        for dist, _ in LETTER_DISTS.values():
-            assert dist._coarse == all(int(c) % (1 << 33) == 0 for c in dist._cuts)
-        # every uniform two-point dist cuts at 2^63
-        for alpha in (ALPHA, 0.1, 0.9, 1e-9):
-            dist = ThetaDist.two_point(alpha)
-            assert dist._coarse and dist._cuts.tolist() == [1 << 63]
-
-    def test_last_xor_shift_keeps_coarse_comparisons(self):
-        cut = 1 << 63
-        rng = np.random.default_rng(63)
-        low = rng.integers(0, 1 << 33, size=50).tolist()
-        high = [cut - (1 << 33), cut]  # the 2^33-cells either side of the cut
-        pre = sorted({cut - 1, cut, cut + 1, cut + (1 << 33) - 1}
-                     | {h + r for h in high for r in low})
-        for z in pre:
-            assert (z ^ (z >> 31) >= cut) == (z >= cut)
-        # the library's coarse hash is the full hash before that step
-        keys = rng.integers(0, MASK64, size=2000, dtype=np.uint64, endpoint=True)
-        full = _cell_hashes(keys, 5)
-        coarse = _cell_hashes(keys, 5, coarse=True)
-        assert np.array_equal(coarse ^ (coarse >> np.uint64(31)), full)
-        assert np.array_equal(coarse >= np.uint64(cut), full >= np.uint64(cut))
-        # and a cut off the 2^33 grid can tell the two apart
-        fine, z = cut + (1 << 32), cut + (1 << 32) - 1
-        assert (z ^ (z >> 31) >= fine) != (z >= fine)
-
     @pytest.mark.parametrize("name", sorted(LETTER_DISTS))
     def test_crafted_integers_at_the_cuts(self, name):
         dist, _ = LETTER_DISTS[name]
@@ -567,7 +543,7 @@ class TestLetterColumns:
         z = np.array(zs, dtype=np.uint64)
         u = (z >> np.uint64(11)) * 2.0 ** -53
         assert np.array_equal(uniform_cells(keys, 0), u)
-        (column,) = letter_columns(dist, keys, [0])
+        (column,) = letter_columns(dist, keys, range(1))
         assert np.array_equal(column, theta_from_uniform(dist, u))
         assert np.array_equal(letter_cells(dist, keys, 0), column)
 
@@ -575,11 +551,11 @@ class TestLetterColumns:
     def test_random_columns(self, name):
         dist, _ = LETTER_DISTS[name]
         keys = substream_keys(314, 5, 3000)
-        steps = [0, 1, 2, 77, 10 ** 9]
-        columns = [c.copy() for c in letter_columns(dist, keys, steps)]
-        assert len(columns) == len(steps)
-        for j, column in zip(steps, columns):
-            assert np.array_equal(column, expected_letters(dist, keys, j))
+        for steps in (range(3), range(79, 76, -1), range(10 ** 9, 10 ** 9 + 2)):
+            columns = [c.copy() for c in letter_columns(dist, keys, steps)]
+            assert len(columns) == len(steps)
+            for j, column in zip(steps, columns):
+                assert np.array_equal(column, expected_letters(dist, keys, j))
 
     @pytest.mark.parametrize("name", sorted(LETTER_DISTS))
     def test_letter_cells_random_keys_and_steps(self, name):
@@ -650,6 +626,11 @@ class TestSignLetters:
         steps = np.array([0, 1, 7, 8, 9, 62, 63, 64, 65, 127, 128, 10 ** 6])[:, None]
         assert same_bits(letter_cells(dist, keys, steps), expected_letters(dist, keys, steps))
 
+    def test_two_point_dists_cut_at_2_63(self):
+        for alpha in (ALPHA, 0.1, 0.9, 1e-9):
+            dist = ThetaDist.two_point(alpha)
+            assert dist._bits and dist._cuts.tolist() == [1 << 63]
+
     def test_only_the_cut_2_63_selects(self):
         sign = {name for name, (d, _) in LETTER_DISTS.items() if d._bits}
         assert sign == {"two-point"}
@@ -677,7 +658,7 @@ class TestLetterTiles:
         (TILE_CELLS + 1, range(2)),          # width 1
         (3000, range(50)),                   # width 21, a ragged last tile
         (3000, range(49, -1, -1)),           # descending
-        (3000, range(7, 200, 9)),            # a stride
+        (3000, range(7, 200)),               # from inside a word
         (3000, range(5, 5)),                 # empty
         (700, range(2 ** 62 + 150, 2 ** 62 - 150, -1)),  # near 2^62, across tiles
     ])
@@ -695,31 +676,13 @@ class TestLetterTiles:
         for j, column in zip(range(60, 0, -1), letter_columns(dist, keys, range(60, 0, -1))):
             assert same_bits(column, theta_from_uniform(dist, uniform_cells(keys, j)))
 
-    @pytest.mark.parametrize("name", TILE_DISTS)
-    def test_one_pass_generator(self, name):
-        dist = LETTER_DISTS[name][0]
-        keys = substream_keys(8, 0, 3000)
-        steps = [4, 0, 9, 9, 2 ** 40, 1, *range(100, 140)]
-        columns = tiled_columns(dist, keys, (j for j in steps))
-        assert same_bits(np.stack(columns), cells_of(dist, keys, steps))
-
     def test_steps_are_read_one_tile_ahead(self):
-        dist = LETTER_DISTS["two-point"][0]
+        # a range far too long to list is read a tile (or a hash) at a time, either way
         keys = substream_keys(9, 0, 3000)  # width 21
-        read = []
-
-        def counting(steps):
-            for j in steps:
-                read.append(j)
-                yield j
-
-        columns = letter_columns(dist, keys, counting(itertools.count()))
-        first = [c.copy() for c in itertools.islice(columns, 30)]
-        assert len(read) == 42  # two tiles of an endless iterable
-        assert same_bits(np.stack(first), cells_of(dist, keys, range(30)))
-        # a range far too long to list is sliced, one tile at a time
-        (column,) = itertools.islice(letter_columns(dist, keys, range(10 ** 18)), 1)
-        assert same_bits(column, letter_cells(dist, keys, 0))
+        for dist, steps in itertools.product([LETTER_DISTS[name][0] for name in TILE_DISTS],
+                                             (range(10 ** 18), range(10 ** 18, -1, -1))):
+            first = [c.copy() for c in itertools.islice(letter_columns(dist, keys, steps), 30)]
+            assert same_bits(np.stack(first), cells_of(dist, keys, steps[:30]))
 
     def test_threaded_blocks(self):
         # two threads read 2^15 rows each (width 2), as two blocks of a run at 2^16 rows
@@ -741,3 +704,18 @@ class TestLetterTiles:
             got = letter_cells(d, keys, steps, out=out, scratch=scratch)
             assert got is out
             assert same_bits(got, letter_cells(d, keys, steps))
+
+
+class TestLetterRun:
+    """Row i of letter_run(dist, keys, start, count) is letter_cells of row i
+    at cells start .. start + count - 1."""
+
+    @pytest.mark.parametrize("name", sorted(LETTER_DISTS))
+    @pytest.mark.parametrize("start, count", [
+        (0, 1), (0, 64), (5, 3), (60, 8), (63, 66), (64, 64), (2 ** 40 + 1, 200), (9, 0)])
+    def test_run_equals_cells(self, name, start, count):
+        dist = LETTER_DISTS[name][0]
+        keys = substream_keys(12, 4, 30)
+        got = letter_run(dist, keys, start, count)
+        assert got.shape == (30, count)
+        assert same_bits(got, letter_cells(dist, keys[:, None], np.arange(start, start + count)))

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from foldmap import (PreconditionError, ThetaDist, is_small_vertex, large_count,
-                     large_count_cumulative, sample_stationary, stationary_cdf,
-                     stationary_quantile, z_estimate)
+                     sample_stationary, stationary_cdf, stationary_quantile, z_estimate)
 from foldmap.orbit import CLASS_TOL
 
 ALPHA = math.sqrt(0.5)
@@ -19,6 +18,11 @@ TWO_POINT = ThetaDist.two_point(ALPHA)
 def brute_force_large_count(alpha, n):
     """Independent oracle: direct scan of <i*alpha> against alpha."""
     return sum(1 for i in range(1, n + 1) if (i * alpha) % 1.0 >= alpha)
+
+
+def running_large_counts(alpha, n):
+    """L_1 .. L_n at once (index 0 holds L_1), by the same scan vectorized."""
+    return np.cumsum(np.arange(1, n + 1) * alpha % 1.0 >= alpha)
 
 
 class TestStationaryCDF:
@@ -137,8 +141,8 @@ class TestLargeCount:
         assert large_count(0.25, 8) == 6
 
     def test_cumulative_consistent(self):
-        cum = large_count_cumulative(ALPHA, 200)
-        assert cum[-1] == large_count(ALPHA, 200)
+        cum = running_large_counts(ALPHA, 200)
+        assert cum.tolist() == [large_count(ALPHA, n) for n in range(1, 201)]
         assert np.all(np.diff(cum) >= 0)
 
     def test_validation(self):
@@ -150,8 +154,7 @@ class TestLargeCount:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, 1.0, 1.5])
     def test_alpha_outside_unit_interval(self, alpha):
         # NaN and 1.5 gave all-zero counts and a False small-vertex test
-        for call in (lambda: large_count(alpha, 5), lambda: large_count_cumulative(alpha, 5),
-                     lambda: is_small_vertex(alpha, 3)):
+        for call in (lambda: large_count(alpha, 5), lambda: is_small_vertex(alpha, 3)):
             with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
                 call()
 
@@ -179,7 +182,7 @@ class TestAffineForm:
         n = np.arange(1, 10 ** 4 + 1)
         frac = n * ALPHA % 1.0
         small = frac < (1 - ALPHA) - 1e-12
-        L = large_count_cumulative(ALPHA, 10 ** 4)
+        L = running_large_counts(ALPHA, 10 ** 4)
         lhs = (2 * n - L) * Z_STAR - (2 * n - 2 * L)
         rhs = 2 * frac / (1 + ALPHA)
         assert small.sum() > 2000
@@ -193,7 +196,7 @@ class TestAffineForm:
         n = np.arange(1, 5000)
         frac = n * alpha % 1.0
         small = frac < alpha - 1e-12
-        L = large_count_cumulative(alpha, 4999)
+        L = running_large_counts(alpha, 4999)
         lhs = (2 * n - L) * z - (2 * n - 2 * L)
         rhs = 2 * frac / (1 + alpha)
         assert np.max(np.abs(lhs[small] - rhs[small])) < 1e-9

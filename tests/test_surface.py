@@ -16,11 +16,12 @@ from foldmap import (Interval, OrbitLabel, PiecewiseLinearCDF, PreconditionError
                      ThetaDist, TrialPlan, apply_theta_label, backward_diam_ensemble,
                      build_graph_window, contfrac_expand, convergent_denominators,
                      find_close_k, forward_values, interval_fold, is_small_vertex,
-                     iterate_forward, large_count, large_count_cumulative,
-                     law_equality_report, one_step_invariance_report, rate_experiment,
-                     rate_steps, rho_walk_audit, shrink_word, step, substream_seed,
+                     iterate_forward, large_count, law_equality_report,
+                     one_step_invariance_report, rate_experiment, rate_steps,
+                     rho_walk_audit, shrink_word, step, substream_seed,
                      theta_from_uniform, walk_confinement_dp, z_estimate)
-from foldmap.experiments import check_rho_walk
+from foldmap.experiments import (check_forward_values, check_law_equality,
+                                 check_rho_walk)
 
 ALPHA = math.sqrt(0.5)
 NAN, INF = math.nan, math.inf
@@ -41,8 +42,8 @@ def test_exported_names():
         "canonical_json", "contfrac", "contfrac_expand", "convergent_denominators",
         "convergents", "ensemble_forward", "errors", "experiments", "find_close_k",
         "forward_values", "interval_fold", "is_small_vertex", "iterate_forward",
-        "ks_distance", "label_value", "large_count", "large_count_cumulative",
-        "law_equality_report", "one_step_invariance_report", "orbit", "process",
+        "ks_distance", "label_value", "large_count", "law_equality_report",
+        "one_step_invariance_report", "orbit", "process",
         "rate_experiment", "rate_steps", "rho_chart", "rho_walk_audit",
         "rows_to_csv", "sample_stationary", "sample_theta", "serialize",
         "shrink_word", "stationary", "stationary_cdf", "stationary_quantile",
@@ -83,7 +84,6 @@ SIGNATURES = {
     "ks_distance": ("sample", "reference"),
     "label_value": ("alpha", "x", "label"),
     "large_count": ("alpha", "n"),
-    "large_count_cumulative": ("alpha", "n"),
     "law_equality_report": ("dist", "x0", "n", "trials", "master_seed", "workers"),
     "one_step_invariance_report": ("dist", "n_samples", "master_seed", "workers"),
     "rate_experiment": ("alpha", "k_index", "epsilon", "plan", "workers"),
@@ -201,8 +201,7 @@ FINITE = "breakpoints and values must be finite"
     pytest.param(lambda: one_step_invariance_report(TWO_POINT, INF, 0),
                  "n_samples must be >= 1", id="invariance-samples-inf"),
     pytest.param(lambda: large_count(0.7, NAN), "n must be >= 1", id="large-count-nan"),
-    pytest.param(lambda: large_count_cumulative(0.7, INF), "n must be >= 1",
-                 id="large-count-cumulative-inf"),
+    pytest.param(lambda: large_count(0.7, INF), "n must be >= 1", id="large-count-inf"),
     # a float n returned a count, an estimate or False; a huge one raised OverflowError
     pytest.param(lambda: large_count(ALPHA, 2.5), "n must be an integer",
                  id="large-count-float"),
@@ -320,6 +319,17 @@ FINITE = "breakpoints and values must be finite"
                  id="law-equality-seed-float"),
     pytest.param(lambda: one_step_invariance_report(TWO_POINT, 10, NAN), SEED,
                  id="invariance-seed-nan"),
+    # one past the bound on letters a trial, rho walk steps and audit segments
+    pytest.param(lambda: forward_values(TWO_POINT, 0.2, 10 ** 7 + 1, PLAN),
+                 "n must be <= 10000000", id="forward-values-n-cap"),
+    pytest.param(lambda: backward_diam_ensemble(TWO_POINT, 10 ** 7 + 1, PLAN),
+                 "n must be <= 10000000", id="backward-diam-n-cap"),
+    pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, 10 ** 7 + 1, 10, 0),
+                 "n must be <= 10000000", id="law-equality-n-cap"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 10 ** 6 + 1, PLAN),
+                 "steps must be <= 1000000", id="rho-walk-audit-steps-cap"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 10, PLAN, segments=10 ** 6 + 1),
+                 "segments must be <= 1000000", id="rho-walk-audit-segments-cap"),
 ])
 def test_boundary_rejects(call, message):
     with pytest.raises(PreconditionError, match=message):
@@ -340,6 +350,42 @@ def test_count_bounds_raise_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 10 ** 5
+
+
+def test_step_bounds_hold_the_bound_itself():
+    # 10^7 letters and 10^6 walk steps and segments pass every check; one
+    # more is refused above, before the graph search, the fold or the walk
+    check_forward_values(0.2, 10 ** 7, 1, 1)
+    check_law_equality(0.2, 10 ** 7, 1, 1)
+    check_rho_walk(ALPHA, 0.2, 10 ** 6, 10 ** 6, None)
+    for call in (lambda: backward_diam_ensemble(TWO_POINT, 10 ** 30, PLAN),
+                 lambda: forward_values(TWO_POINT, 0.2, 10 ** 30, PLAN)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="n must be <= 10000000"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 5
+
+
+def test_only_the_chain_reads_the_bit_rule():
+    # outside process, which reads letters, a dist's bit rule (._bits) is read
+    # only where _chain._dist_graph decides whether word tables exist
+    package = Path(foldmap.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "process.py":
+            continue
+        tree = ast.parse(path.read_text())
+        reads = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "_bits"]
+        allowed = [node for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and func.name == "_dist_graph"
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.Attribute) and node.attr == "_bits"]
+        assert reads == allowed, path.name
+        assert bool(allowed) == (path.name == "_chain.py"), path.name
 
 
 def test_numpy_ints_are_integers():
