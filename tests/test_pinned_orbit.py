@@ -2,7 +2,8 @@
 
 The chart's rho and level_min arrays and each CLI report are compared with
 one SHA-256 digest, so a change to the graph build, the rho chart, the label
-walk or the DOT and JSON writers that moves a single bit of them fails here.
+walk or the DOT, JSON and CSV writers that moves a single bit of them fails
+here.
 """
 
 import contextlib
@@ -53,6 +54,10 @@ ORBIT_SHA256 = [
      "22b0deb1a76272c73c7238751a732012a3102261834801b2b58545d0bb0f0f05", 1),
     (["orbit", "--alpha", "golden-conj", "--x", "0.17", "--window", "3", "--format", "dot"],
      "2af10aea8a9502728cbc0b66785f9755174ce77818290ff2b4c870be49076df9", 42),
+    (_ORBIT + ["10000", "--format", "csv"],
+     "88b7c6161b526a929e006cae807f5b5bc5b70f2fe13a4e92ab84f502081c3a3a", 40003),
+    (["orbit", "--alpha", "golden-conj", "--x", "0.17", "--window", "3", "--format", "csv"],
+     "d8e1ee9a33feb760b318d363971f29009ee0c6602a1bfd80462ec361fac3d4c1", 15),
 ]
 
 
@@ -83,7 +88,8 @@ def test_rho_audit_digest(argv, digest):
 
 
 @pytest.mark.parametrize("argv, digest, lines", ORBIT_SHA256,
-                         ids=["dot-1e4", "json-1e5", "dot-lower-edge"])
+                         ids=["dot-1e4", "json-1e5", "dot-lower-edge", "csv-1e4",
+                              "csv-lower-edge"])
 def test_orbit_digest(argv, digest, lines):
     text = _stdout(argv)
     assert text.count("\n") == lines
