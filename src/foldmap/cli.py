@@ -213,12 +213,7 @@ def _orbit(a, resolved) -> str:
                                **orbit.structure_stats(graph),
                                "coincidences": [[str(p), str(q)]
                                                 for p, q in graph.coincidences]})
-    rows = []
-    for i in range(graph.size):
-        lab = graph.label_at(i)
-        rows.append((lab.n, lab.eps, graph.values[i],
-                     orbit.VertexClass(int(graph.classes[i])).name.lower()))
-    return rows_to_csv(["n", "eps", "value", "class"], rows)
+    return graph.to_csv()
 
 
 def _check_orbit(a) -> None:

@@ -58,7 +58,7 @@ _MAX_WORKERS = 64         # threads one run may use
 _THREAD_ROWS = 1 << 15    # fewest rows a block needs to be worth a thread
 _RATE_QK_CAP = 99         # keeps N below ~5.2e7 letters per trial
 _MAX_LETTERS = 10 ** 7    # n: past the state cap, about 30 s of folds a trial
-_MAX_WALK = 10 ** 6       # rho audit steps, segments: each about 90 MB at the bound
+_MAX_WALK = 10 ** 6       # rho audit steps, segments: 33 MB and 90 MB at the bound
 
 
 class EmpiricalCDF:
@@ -454,22 +454,33 @@ def check_rho_walk(alpha: float, x0: float, steps: int, segments: int,
 _WALK_WINDOW = 64  # the label walk's first window; it doubles as the walk needs
 
 
-def _label_walk(alpha: float, x0: float, u: np.ndarray):
-    """(n, eps) arrays of the label walk from (0, +1), one fold per uniform.
+def _move_window(index: np.ndarray, w: int, to: int) -> np.ndarray:
+    """Move flat indices block*m + n + w of window w, in place, into window to.
 
-    Fold k is at alpha when u[k] < 1/2 and at 1 otherwise, applied as
-    orbit.apply_theta_label does. The walk steps flat vertex indices of an
-    orbit window |n| <= w (see OrbitGraphWindow) through two successor lists:
-    the rung 2m-1-i and the ladder rule's alpha target, on values computed
-    once per window, so no step computes a value. The alpha image of n = -w
-    leaves the window; its entry is None, and the next step, or the end of
-    the walk, finds it there. The window then doubles, up to W_MAX, and the
-    walk goes on from that fold. A walk that would pass |n| = W_MAX raises
-    WindowError.
+    Every label must have |n| <= to; to may be smaller than w.
+    """
+    index += index // (2 * w + 1) * (2 * (to - w)) + (to - w)
+    return index
+
+
+def _label_walk(alpha: float, x0: float, u: np.ndarray):
+    """(path, w): the label walk from (0, +1), one fold per uniform.
+
+    path holds the flat vertex indices of the walk in the orbit window
+    |n| <= w it ends in (see OrbitGraphWindow), as int64. Fold k is at alpha
+    when u[k] < 1/2 and at 1 otherwise, applied as orbit.apply_theta_label
+    does. The walk steps flat indices through two successor lists: the rung
+    2m-1-i and the ladder rule's alpha target, on values computed once per
+    window, so no step computes a value. The alpha image of n = -w leaves the
+    window; its entry is None, and the next step, or the end of the walk,
+    finds it there. The window then doubles, up to W_MAX, the walk so far
+    moves into it as one int64 array, and the walk goes on from that fold in
+    a new list. A walk that would pass |n| = W_MAX raises WindowError.
     """
     at_alpha = (u < 0.5).tobytes()  # iterates as the ints 0 and 1
     w = min(_WALK_WINDOW, W_MAX)
-    path = [w]  # the flat index of (0, +1)
+    done = np.empty(0, dtype=np.int64)  # the walk before the window last grew
+    path = [w]  # the flat index of (0, +1), then the walk's next vertices
     while True:
         m = 2 * w + 1
         alpha_next = alpha_targets(window_values(alpha, x0, w), alpha, w).tolist()
@@ -478,24 +489,22 @@ def _label_walk(alpha: float, x0: float, u: np.ndarray):
         i = path[-1]
         append = path.append
         try:
-            for a in at_alpha[len(path) - 1:]:
+            for a in at_alpha[done.size + len(path) - 1:]:
                 i = successors[a][i]
                 append(i)
         except TypeError:  # a step from None, the image of n = -w
             pass
         if path[-1] is not None:
-            break
+            return np.concatenate([done, path]), w
         path.pop()
         if w == W_MAX:
             # one fold changes |n| by at most 1, so the walk leaves at W_MAX + 1
             raise WindowError(f"walk reached |n| = {W_MAX + 1} > {W_MAX}")
         grown = min(2 * w, W_MAX)
-        # block*m + n + w in the grown window
-        index = np.array(path)
-        path = (index + index // m * (2 * (grown - w)) + (grown - w)).tolist()
+        done = _move_window(np.concatenate([done, path]), w, grown)
+        path = [int(done[-1])]
+        done = done[:-1]
         w = grown
-    block, offset = np.divmod(np.array(path, dtype=np.int64), m)
-    return offset - w, 1 - 2 * block
 
 
 def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
@@ -529,8 +538,8 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
                 "farsmall": [], "farsmall_violations": 0, "segments_checked": 0}
 
     rows = substream_keys(plan.master_seed, 0, 2)
-    ns, eps = _label_walk(alpha, x0, uniform_cells(rows[:1], np.arange(steps)))
-    reach = int(np.max(np.abs(ns)))
+    flat, w = _label_walk(alpha, x0, uniform_cells(rows[:1], np.arange(steps)))
+    reach = int(np.max(np.abs(flat % (2 * w + 1) - w)))  # the largest |n|
     if window is None:
         window = reach + 4
     elif reach > window:
@@ -540,9 +549,7 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
     graph = build_graph_window(alpha, x0, min(window, reach + 4))
     chart = rho_chart(graph, OrbitLabel(0, 1))
 
-    m = 2 * graph.window + 1
-    flat = np.where(eps == 1, 0, 1) * m + (ns + graph.window)
-    rho_path = chart.rho[flat]
+    rho_path = chart.rho[_move_window(flat, w, graph.window)]
     increments = np.diff(rho_path)
     if np.any(np.abs(increments) != 1):
         raise StructuralError("rho increment with |step| != 1; chart is inconsistent")

@@ -206,22 +206,64 @@ class OrbitGraphWindow:
     # ---- export ---------------------------------------------------------
 
     def to_dot(self) -> str:
-        """DOT text: vertices labeled '(n,eps)/Class', edges labeled a or 1."""
-        names = ("Small", "Medium", "Large")
-        n = range(-self.window, self.window + 1)
-        # str(OrbitLabel) of every vertex, in index order
-        labels = [f"({k},+1)" for k in n] + [f"({k},-1)" for k in n]
-        lines = ["digraph orbit {"]
-        lines += [f'  "{lab}" [label="{lab}/{names[c]}"];'
-                  for lab, c in zip(labels, self.classes.tolist())]
-        alpha_edge = alpha_targets(self.values, self.alpha, self.window)
+        """DOT text: vertices labeled '(n,eps)/Class', edges labeled a or 1.
+
+        Every vertex line, then the rung edge of every vertex followed by its
+        alpha edge, which a vertex at n = -W lacks. Each line's last piece
+        carries the next line's indent and quote.
+        """
+        labels = _label_texts(self.window)
+        size = len(labels)
+        ends = np.array([f'/{c.name.capitalize()}"];\n  "' for c in VertexClass],
+                        dtype=object)
+        pieces = [None] * (1 + 12 * size)
+        pieces[0] = 'digraph orbit {\n  "'
+        at = _interleave(pieces, 1, size, labels, '" [label="', labels,
+                         ends[self.classes].tolist())
         # the rung of i is 2m-1-i, the label list read backwards
-        for lab, rung, a in zip(labels, reversed(labels), alpha_edge.tolist()):
-            lines.append(f'  "{lab}" -> "{rung}" [label="1"];')
-            if a >= 0:
-                lines.append(f'  "{lab}" -> "{labels[a]}" [label="a"];')
-        lines.append("}\n")
-        return "\n".join(lines)
+        targets = alpha_targets(self.values, self.alpha, self.window).tolist()
+        _interleave(pieces, at, size, labels, '" -> "', labels[::-1], '" [label="1"];\n  "',
+                    labels, '" -> "', map(labels.__getitem__, targets),
+                    '" [label="a"];\n  "')
+        for i in (size // 2, 0):  # n = -W: drop the alpha edge, the later vertex first
+            del pieces[at + 8 * i + 4:at + 8 * i + 8]
+        pieces[-1] = '" [label="a"];\n}\n'  # the last vertex, n = W, has an alpha edge
+        return "".join(pieces)
+
+    def to_csv(self) -> str:
+        """CSV text: one row n,eps,value,class per vertex, in index order."""
+        keys = _label_texts(self.window, ("", ",1,", ",-1,"))
+        ends = np.array([f",{c.name.lower()}\n" for c in VertexClass], dtype=object)
+        pieces = [None] * (1 + 3 * len(keys))
+        pieces[0] = "n,eps,value,class\n"
+        _interleave(pieces, 1, len(keys), keys, map(repr, self.values.tolist()),
+                    ends[self.classes].tolist())
+        return "".join(pieces)
+
+
+def _label_texts(window: int, wrap=("(", ",+1)", ",-1)")) -> list[str]:
+    """The text of every window label in index order: str(label_at(i)) by default.
+
+    wrap = (before, after at eps = +1, after at eps = -1) surrounds str(n).
+    One str per n, then one join per eps row and one split.
+    """
+    before, plus, minus = wrap
+    ns = list(map(str, range(-window, window + 1)))
+    return "\n".join(before + (after + "\n" + before).join(ns) + after
+                     for after in (plus, minus)).split("\n")
+
+
+def _interleave(pieces: list, start: int, rows: int, *columns) -> int:
+    """Write columns row by row into pieces[start:]; returns the end index.
+
+    Piece j of row r lands at start + r*k + j for k columns; a str column is
+    the same piece on every row, any other one holds a piece per row.
+    """
+    k = len(columns)
+    stop = start + k * rows
+    for j, column in enumerate(columns):
+        pieces[start + j:stop:k] = [column] * rows if isinstance(column, str) else column
+    return stop
 
 
 def check_graph_window(alpha: float, x: float, window: int) -> None:

@@ -584,13 +584,20 @@ class TestRhoWalkAudit:
         ((math.sqrt(5.0) - 1.0) / 2.0, 0.1, 1), (0.3 + 1e-5 * math.sqrt(2), 0.1, 29)])
     def test_label_walk_matches_automaton(self, alpha, x0, seed):
         u = TrialPlan(seed, trials=1).substream(0).random(3000)
-        ns, eps = experiments._label_walk(alpha, x0, u)
+        path, w = experiments._label_walk(alpha, x0, u)
+        assert path.dtype == np.int64
         label = OrbitLabel(0, 1)
         labels = [label]
         for v in u:
             label = apply_theta_label(alpha, x0, label, alpha if v < 0.5 else 1.0)
             labels.append(label)
-        assert list(zip(ns.tolist(), eps.tolist())) == [(lab.n, lab.eps) for lab in labels]
+        assert self.walk_labels(path, w) == labels
+
+    @staticmethod
+    def walk_labels(path, w):
+        """The labels of the flat indices in path, in the window |n| <= w."""
+        m = 2 * w + 1
+        return [OrbitLabel(i % m - w, 1 - 2 * (i // m)) for i in path.tolist()]
 
     @pytest.mark.parametrize("alpha, x0, seed", [
         (ALPHA, 0.2, 17), ((math.sqrt(5.0) - 1.0) / 2.0, 0.1, 1),
@@ -598,11 +605,23 @@ class TestRhoWalkAudit:
     def test_label_walk_grows_its_window(self, monkeypatch, alpha, x0, seed):
         # from a window of 1 the walk doubles it several times on the way
         u = TrialPlan(seed, trials=1).substream(0).random(3000)
-        want = experiments._label_walk(alpha, x0, u)
+        want = self.walk_labels(*experiments._label_walk(alpha, x0, u))
         monkeypatch.setattr(experiments, "_WALK_WINDOW", 1)
-        ns, eps = experiments._label_walk(alpha, x0, u)
-        assert np.max(np.abs(ns)) > 8
-        assert np.array_equal(ns, want[0]) and np.array_equal(eps, want[1])
+        got = self.walk_labels(*experiments._label_walk(alpha, x0, u))
+        assert max(abs(lab.n) for lab in got) > 8
+        assert got == want
+
+    def test_walk_memory(self):
+        # 10^6 steps: 32 MB is drawing the walk's cells, and the path takes 8
+        # bytes a step, where a list of fresh ints and its (n, eps) copies
+        # took about 90 bytes a step (89 MB)
+        tracemalloc.start()
+        try:
+            rho_walk_audit(ALPHA, 0.2, 10 ** 6, TrialPlan(17, trials=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 10 ** 6
 
     def test_walk_past_precision_cap(self, monkeypatch):
         monkeypatch.setattr(experiments, "W_MAX", 5)
@@ -622,7 +641,8 @@ class TestRhoWalkAudit:
     def test_graph_no_wider_than_the_walk(self, monkeypatch, window):
         plan = TrialPlan(17, trials=1)
         u = uniform_cells(substream_keys(17, 0, 1), np.arange(20000))
-        reach = int(np.max(np.abs(experiments._label_walk(ALPHA, 0.2, u)[0])))
+        walk = self.walk_labels(*experiments._label_walk(ALPHA, 0.2, u))
+        reach = max(abs(lab.n) for lab in walk)
         widths = []
 
         def build_spy(alpha, x, w):

@@ -2,11 +2,13 @@
 
 import math
 import re
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
+import export_oracle
 from foldmap import (ClassBoundaryError, FoldmapError, OrbitLabel,
                      PrecisionError, PreconditionError, StructuralError,
                      VertexClass, WordNotFoundError, apply_theta_label,
@@ -292,6 +294,37 @@ class TestGraphWindow:
     def test_to_dot(self):
         dot = build_graph_window(ALPHA, 0.2, 2).to_dot()
         assert dot == DOT_WINDOW_2
+
+    # alpha 0.5 is rational: its values coincide, and x = 0.5 puts some on a cut
+    @pytest.mark.parametrize("alpha", [ALPHA, GOLDEN, math.e - 2.0, 0.5],
+                             ids=["inv-sqrt2", "golden-conj", "e-minus-2", "half"])
+    @pytest.mark.parametrize("x", [0.2, 0.17, 0.5])
+    @pytest.mark.parametrize("window", [1, 2, 3, 50, 1000])
+    def test_exports_match_the_line_writers(self, alpha, x, window):
+        # tests/export_oracle.py formats one line per vertex and edge
+        try:
+            want = export_oracle.to_dot(build_graph_window(alpha, x, window))
+        except ClassBoundaryError:
+            for export in ("to_dot", "to_csv"):
+                with pytest.raises(ClassBoundaryError):
+                    getattr(build_graph_window(alpha, x, window), export)()
+            return
+        g = build_graph_window(alpha, x, window)
+        # as line lists, so that a failure names the first line that differs
+        assert g.to_dot().split("\n") == want.split("\n")
+        assert g.to_csv().split("\n") == export_oracle.to_csv(g).split("\n")
+
+    def test_to_dot_memory(self):
+        # the pieces list, the label strs and the text: at most 3 texts, where
+        # a line list and its joined copy took 3.8 (205 MB)
+        tracemalloc.start()
+        try:
+            text = build_graph_window(ALPHA, 0.2, 10 ** 5).to_dot()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 53499303
+        assert peak <= 3 * len(text)
 
     def test_coincidences_on_singular_seed(self):
         # x = alpha/2 makes (n,+1) and (n+1,-1) share a value for every n
