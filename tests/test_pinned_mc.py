@@ -90,6 +90,9 @@ INVARIANCE_SHA256 = {
     "twenty-point": "ccee77750bf98149078902f6dd8bb60ed146b91348242cc31aaa42301e6b963a",
     "one-point": "e63f4e2bf0614e6c75001d925dfe87b62b3aa55efce17c86b12f32300f562220",
 }
+# canonical JSON of one_step_invariance_report(two_point(1/sqrt 2), 10**6, 20260814):
+# acceptance criterion 1 at its size and seed, 16 KS blocks
+CRITERION_1_SHA256 = "c3c87a3c81e14a46dd961a7f37c6cba37ebecf5fbb37719338376e111ed8af76"
 
 
 def _digest(data: bytes) -> str:
@@ -131,3 +134,10 @@ def test_one_step_invariance_digests(name, workers):
     report = one_step_invariance_report(INVARIANCE_DISTS[name], 200003, 20260815,
                                         workers=workers)
     assert _digest(canonical_json(report).encode()) == INVARIANCE_SHA256[name]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_criterion_1_invariance_digest(workers):
+    report = one_step_invariance_report(ThetaDist.two_point(ALPHA), 10 ** 6, 20260814,
+                                        workers=workers)
+    assert _digest(canonical_json(report).encode()) == CRITERION_1_SHA256
