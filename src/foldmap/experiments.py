@@ -51,7 +51,7 @@ from .orbit import (OrbitLabel, W_MAX, _check_alpha, alpha_targets, build_graph_
 from .process import (ThetaDist, TrialPlan, check_start, check_trials, letter_run,
                       substream_keys, uniform_cells)
 from .serialize import canonical_json, rows_to_csv
-from .stationary import PiecewiseLinearCDF, stationary_cdf, stationary_quantile
+from .stationary import PiecewiseLinearCDF, _quantile, stationary_cdf
 
 _TRIAL_BLOCK = 1 << 16    # cap on rows vectorized together (does not affect output)
 _MAX_WORKERS = 64         # threads one run may use
@@ -109,10 +109,14 @@ def ks_distance(sample: EmpiricalCDF, reference) -> float:
 
     reference may be a PiecewiseLinearCDF (one-sample statistic, evaluated at
     the jump points) or another EmpiricalCDF (two-sample). The one-sample
-    statistic walks the sorted sample in blocks of _TRIAL_BLOCK values, so
-    its temporaries stay bounded: each value's gaps are the same floats as
-    over the whole sample, and the largest of the block maxima is their
-    maximum, so the result does not depend on the block size. The two-sample
+    statistic walks the sorted sample in blocks of _TRIAL_BLOCK values,
+    through buffers allocated once, so its temporaries stay bounded: each
+    value's gaps are the same floats as over the whole sample, and the
+    largest of the block maxima is their maximum, so the result does not
+    depend on the block size. Each block's CDF values are evaluated knot by
+    knot (PiecewiseLinearCDF._evaluate_ascending: one searchsorted of the
+    breakpoints into the block, one affine pass a piece), the floats
+    reference.evaluate gives bit for bit. The two-sample
     statistic is the largest |F(t) - G(t)| over the jump points of both, and
     each step CDF is evaluated there from its distinct values alone: the
     count at or below t is the count at the largest distinct value <= t, the
@@ -125,15 +129,19 @@ def ks_distance(sample: EmpiricalCDF, reference) -> float:
     n = sample.size
     if isinstance(reference, PiecewiseLinearCDF):
         worst = -math.inf
+        size = min(n, _TRIAL_BLOCK)
+        ramp = np.arange(size + 1, dtype=float)
+        fs, gap, jumps = np.empty(size), np.empty(size), np.empty(size + 1)
         for lo in range(0, n, _TRIAL_BLOCK):
-            f = reference.evaluate(xs[lo:lo + _TRIAL_BLOCK])
+            block = xs[lo:lo + _TRIAL_BLOCK]
+            k = block.size
+            f = reference._evaluate_ascending(block, fs[:k])
             # steps[i] = (lo + i) / n: floats hold the integers 0..n exactly,
             # so this is the same quotient as from the ints
-            steps = np.arange(lo, lo + f.size + 1, dtype=float)
+            steps = np.add(ramp[:k + 1], lo, out=jumps[:k + 1])
             steps /= n
-            gap = np.subtract(steps[1:], f)
-            above = np.max(gap)
-            below = np.max(np.subtract(f, steps[:-1], out=gap))
+            above = np.max(np.subtract(steps[1:], f, out=gap[:k]))
+            below = np.max(np.subtract(f, steps[:-1], out=gap[:k]))
             worst = max(worst, above, below)
         return float(worst)
     if isinstance(reference, EmpiricalCDF):
@@ -597,9 +605,10 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
     count. workers bounds the threads as in _run_blocks: a thread needs a
     block of at least 2^15 samples.
 
-    Each block writes its folded values into its own slice of one sample
-    buffer, which is then sorted in place and measured in blocks (see
-    ks_distance), so the report holds about one sample of floats.
+    Each block writes its quantiles, then its folded values, into its own
+    slice of one sample buffer, which is then sorted in place and measured
+    in blocks (see ks_distance), so the report holds about one sample of
+    floats; the quantile overwrites the block's uniform cells as it goes.
     """
     check_trials(n_samples, "n_samples")
     cdf = stationary_cdf(dist)
@@ -607,11 +616,12 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
     stepped = np.empty(n_samples)
 
     def worker(start, count):
-        steps = np.arange(start, start + count)
-        x = stationary_quantile(cdf, uniform_cells(keys[:1], steps))
-        theta = letter_run(dist, keys[1:], start, count)[0]
         out = stepped[start:start + count]
-        np.abs(np.subtract(theta, x, out=out), out=out)
+        # the cells are this block's own, so the quantile may overwrite them
+        u = uniform_cells(keys[:1], np.arange(start, start + count))
+        _quantile(cdf, u, out, u)
+        theta = letter_run(dist, keys[1:], start, count)[0]
+        np.abs(np.subtract(theta, out, out=out), out=out)
 
     _run_blocks(worker, n_samples, workers)
     stepped.sort()

@@ -65,9 +65,9 @@ _MIX2 = 0x94D049BB133111EB
 _UNIT53 = 2.0 ** -53
 _BIT_CUT = 1 << 63  # the one cut of a dist that reads one bit a letter
 # cap on the cells hashed per numpy call (does not affect output): it bounds
-# the tiles of letter_columns and letter_words, and the letters of a rate
-# chunk (_chain._stop_times); a tile's hash, scratch and letter buffers
-# (1.5 MB) still fit a 2 MB L2
+# the tiles of uniform_cells, letter_columns and letter_words, and the
+# letters of a rate chunk (_chain._stop_times); a tile's hash, scratch and
+# letter buffers (1.5 MB) still fit a 2 MB L2
 TILE_CELLS = 1 << 16
 # most rows (or samples) one run may take: a run holds a float or more per
 # row, 800 MB here, and a larger count would fill memory before any output
@@ -77,7 +77,7 @@ _TOP_BYTE = 7 if sys.byteorder == "little" else 0
 # +0.0 as a 0-d array: a ufunc converts a Python float operand on every call
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
-# _take_letters counts up to this many cuts by compares, more (or none) by
+# _count_cuts counts up to this many cuts by compares, more (or none) by
 # bisection; the compares stay ahead through 16 cuts in blocks of 4096 rows
 # and up, and the two are level within noise in smaller blocks
 _CHAIN_CUTS = 16
@@ -122,6 +122,20 @@ def substream_keys(master_seed: int, first: int, count: int) -> np.ndarray:
     return _mix64(z)
 
 
+def _step_offsets(steps, out=None) -> np.ndarray:
+    """(j + 1) G mod 2^64 for each step index j of an integer array, as
+    uint64; into out, a uint64 array of the steps' shape, when given. j + 1
+    of int64 steps (np.arange's) is taken in int64, whose wrap gives the
+    same bits, so neither they nor uint64 steps are cast."""
+    steps = np.asarray(steps)
+    if out is None:
+        out = np.empty(steps.shape, dtype=np.uint64)
+    np.add(steps, 1, out=out.view(np.int64) if steps.dtype == np.int64 else out,
+           casting="unsafe")
+    out *= np.uint64(_GOLDEN64)
+    return out
+
+
 def _cell_hashes(keys, steps, out=None, scratch=None) -> np.ndarray:
     """The 64-bit hashes mix64(key_t + (j + 1) G) of grid cells (t, j).
 
@@ -132,20 +146,55 @@ def _cell_hashes(keys, steps, out=None, scratch=None) -> np.ndarray:
     if np.ndim(steps) == 0:
         offsets = _step_offset(int(steps))
     else:
-        offsets = np.asarray(steps, dtype=np.uint64) + np.uint64(1)
-        offsets *= np.uint64(_GOLDEN64)
+        offsets = _step_offsets(steps)
     return _mix64(np.add(keys, offsets, out=out), scratch)
+
+
+def _tiles(shape: tuple):
+    """Index tuples that cover an array of `shape` in C order, each a
+    C-contiguous block of at most TILE_CELLS cells: the whole array when it
+    is that small, else runs of whole rows of the first axis, or, where one
+    such row is larger, the tiles of each row in turn."""
+    if math.prod(shape) <= TILE_CELLS:
+        yield (...,)
+        return
+    inner = math.prod(shape[1:])
+    if inner <= TILE_CELLS:
+        rows = TILE_CELLS // inner
+        for first in range(0, shape[0], rows):
+            yield (slice(first, first + rows),)
+        return
+    for row in range(shape[0]):
+        for tile in _tiles(shape[1:]):
+            yield (row,) + tile
 
 
 def uniform_cells(keys, steps) -> np.ndarray:
     """Grid cells u[t, j] in [0, 1) for row keys and step indices j.
 
     keys is a uint64 array from substream_keys; steps is an int or an integer
-    array, broadcast against keys. Each cell is hashed on demand.
+    array, broadcast against keys. Each cell is hashed on demand, a tile of
+    at most TILE_CELLS cells at a time (_tiles), into one hash buffer of
+    TILE_CELLS, with the tile's own slice of the output, viewed as uint64,
+    holding the shifted copies; then the tile's floats are written there.
+    So a call holds its output and 512 KB besides.
     """
-    z = _cell_hashes(keys, steps)
-    z >>= 11
-    return z * _UNIT53
+    shape = np.broadcast_shapes(np.shape(keys), np.shape(steps))
+    out = np.empty(shape)
+    scratch = np.empty(min(out.size, TILE_CELLS), dtype=np.uint64)
+    keys = np.broadcast_to(keys, shape)
+    offset = _step_offset(int(steps)) if np.ndim(steps) == 0 else None
+    if offset is None:
+        steps = np.broadcast_to(steps, shape)
+    for tile in _tiles(shape):
+        cells = out[tile]
+        z = scratch[:cells.size].reshape(cells.shape)
+        offsets = _step_offsets(steps[tile], z) if offset is None else offset
+        _mix64(np.add(keys[tile], offsets, out=z), cells.view(np.uint64))
+        z >>= 11
+        # z < 2^53 now: its int64 view converts to the same floats, faster
+        np.multiply(z.view(np.int64), _UNIT53, out=cells)
+    return out
 
 
 class UniformRow:
@@ -310,25 +359,33 @@ def _integer_cuts(cum: np.ndarray) -> np.ndarray:
     return np.array(cuts, dtype=np.uint64)
 
 
+def _count_cuts(cuts: np.ndarray, z: np.ndarray, passed: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The number of ascending cuts at or below each entry of z, as intp.
+
+    Up to _CHAIN_CUTS cuts are counted by compares into out (an intp array
+    shaped like z, allocated when None), each compare written to passed,
+    another; more cuts, or none, are counted by bisection.
+    """
+    if 0 < cuts.size <= _CHAIN_CUTS:
+        count = np.empty(z.shape, np.intp) if out is None else out
+        np.greater_equal(z, cuts[0], out=count)
+        for cut in cuts[1:]:
+            count += np.greater_equal(z, cut, out=passed)
+        return count
+    return np.searchsorted(cuts, z, side="right")
+
+
 def _take_letters(dist: ThetaDist, z: np.ndarray, theta: np.ndarray,
                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Write the letters of hashed cells z into theta, and return it.
 
     A letter's index is the number of dist's integer cuts at or below its
-    hash: up to _CHAIN_CUTS cuts are counted by compares into scratch (a
-    uint64 array shaped like z, allocated when None), with theta, not yet
-    written, holding each compare; more cuts, or none, are counted by
-    bisection.
+    hash (_count_cuts, into scratch, a uint64 array shaped like z, allocated
+    when None), with theta, not yet written, holding each compare.
     """
-    cuts = dist._cuts
-    if 0 < cuts.size <= _CHAIN_CUTS:
-        index = np.empty(z.shape, np.intp) if scratch is None else scratch.view(np.intp)
-        np.greater_equal(z, cuts[0], out=index)
-        passed = theta.view(np.intp)
-        for cut in cuts[1:]:
-            index += np.greater_equal(z, cut, out=passed)
-    else:
-        index = np.searchsorted(cuts, z, side="right")
+    index = _count_cuts(dist._cuts, z, theta.view(np.intp),
+                        None if scratch is None else scratch.view(np.intp))
     # every index is a count of cuts, below the support size, so "clip"
     # never clips; it spares the bounds check that would buffer out
     return np.take(dist.support, index, out=theta, mode="clip")

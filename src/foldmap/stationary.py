@@ -16,18 +16,28 @@ is pinned by tests against the closed form.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import PreconditionError, as_int
 from .orbit import CLASS_TOL, _check_alpha, fractional_part
-from .process import ThetaDist
+from .process import ThetaDist, _count_cuts
 from .serialize import canonical_json, rows_to_csv
 
 
 class PiecewiseLinearCDF:
-    """Continuous piecewise-linear CDF given by breakpoints and values."""
+    """Continuous piecewise-linear CDF given by breakpoints and values.
+
+    It is evaluated piece by piece in both directions, as np.interp does:
+    at t on piece j, slope_j * (t - t_j) + y_j, with slope_j = (y_{j+1} -
+    y_j) / (t_{j+1} - t_j) for knots (t_j, y_j), breakpoints to values or
+    values to breakpoints. The slopes of both are made once here. Every
+    slope and the span of the breakpoints must be finite, so no product is
+    NaN; and a breakpoint or value of -0.0 is stored as 0.0, so at a knot the
+    zero product adds to y_j as y_j itself, the value np.interp returns there.
+    """
 
     def __init__(self, xs, values):
         xs = np.asarray(xs, dtype=float)
@@ -37,20 +47,56 @@ class PiecewiseLinearCDF:
         # a NaN passes the order checks below, as inf at either end does
         if not (np.isfinite(xs).all() and np.isfinite(values).all()):
             raise PreconditionError("breakpoints and values must be finite")
-        if np.any(np.diff(xs) <= 0):
+        with np.errstate(divide="ignore", over="ignore"):
+            run, rise = np.diff(xs), np.diff(values)
+            slopes = rise / run
+            # a flat piece is read only at its left end, where its slope
+            # multiplies zero: 0.0 stands for it
+            inverse = np.divide(run, rise, out=np.zeros_like(run), where=rise > 0)
+        if np.any(run <= 0):
             raise PreconditionError("breakpoints must be strictly increasing")
-        if values[0] != 0.0 or values[-1] != 1.0 or np.any(np.diff(values) < 0):
+        if values[0] != 0.0 or values[-1] != 1.0 or np.any(rise < 0):
             raise PreconditionError("values must rise from 0 to 1")
-        self.xs = xs
-        self.values = values
+        # Python floats: the span overflows to inf without a warning
+        if not (math.isfinite(float(xs[-1]) - float(xs[0])) and np.isfinite(slopes).all()
+                and np.isfinite(inverse).all()):
+            raise PreconditionError("slopes must be finite: breakpoints or values too close, "
+                                    "or breakpoints too far apart")
+        self.xs = xs + 0.0
+        self.values = values + 0.0
         self.xs.flags.writeable = False
         self.values.flags.writeable = False
+        # (t_j, y_j, slope_j) of each piece, as Python floats
+        self._pieces = list(zip(self.xs.tolist(), self.values.tolist(), slopes.tolist()))
+        # stationary_quantile's piece j is the count of these cuts at or
+        # below u: a value that repeats its predecessor's counts only above
+        # it, so a u at a flat piece stays on the piece's left end; the last
+        # piece, of slope 0.0, is the top knot alone
+        self._cuts = np.where(rise > 0, self.values[1:], np.nextafter(self.values[1:], 2.0))
+        self._inverse = np.append(inverse, 0.0)
 
     def evaluate(self, x):
         """CDF at x (scalar or array); 0 left of the first breakpoint, 1 right of the last."""
         return np.interp(x, self.xs, self.values, left=0.0, right=1.0)
 
     __call__ = evaluate
+
+    def _evaluate_ascending(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """evaluate(x) for a 1-d ascending x, written into out, bit for bit.
+
+        One searchsorted of the breakpoints into x splits it into pieces,
+        and each piece is one affine pass; left of the first breakpoint is
+        0.0 and from the last on 1.0 (its value), as np.interp gives.
+        """
+        ends = np.searchsorted(x, self.xs).tolist()
+        out[:ends[0]] = 0.0
+        for (t, y, slope), lo, hi in zip(self._pieces, ends, ends[1:]):
+            if lo < hi:
+                piece = np.subtract(x[lo:hi], t, out=out[lo:hi])
+                piece *= slope
+                piece += y
+        out[ends[-1]:] = 1.0
+        return out
 
     def to_csv(self) -> str:
         return rows_to_csv(["x", "F"], zip(self.xs, self.values))
@@ -73,13 +119,39 @@ def stationary_cdf(dist: ThetaDist) -> PiecewiseLinearCDF:
 
 
 def stationary_quantile(cdf: PiecewiseLinearCDF, u):
-    """Smallest x with CDF(x) >= u; exact on linear pieces."""
+    """Smallest x with CDF(x) >= u; exact on linear pieces.
+
+    u is a float or an array of them in [0, 1]. u is read on piece j, the
+    number of the CDF's values at or below it, counted by compares (by
+    bisection past process._CHAIN_CUTS values), and mapped to
+    inverse_j * (u - v_j) + x_j: np.interp(u, cdf.values, cdf.xs) bit for
+    bit where the values rise strictly. A u at a flat piece of the CDF maps
+    to the piece's left end, its smallest x.
+    """
     u_arr = np.asarray(u, dtype=float)
     # min and max carry a NaN through, so this rejects NaN as well
     if u_arr.size and not (u_arr.min() >= 0 and u_arr.max() <= 1):
         raise PreconditionError("quantile argument must lie in [0, 1]")
-    out = np.interp(u_arr, cdf.values, cdf.xs)
+    out = _quantile(cdf, u_arr, np.empty(u_arr.shape), np.empty(u_arr.shape))
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+
+
+def _quantile(cdf: PiecewiseLinearCDF, u: np.ndarray, out: np.ndarray,
+              spare: np.ndarray) -> np.ndarray:
+    """stationary_quantile of a checked u, written into out; spare, a float
+    array shaped like u, may be u itself, which is then overwritten.
+
+    A cut above the largest u counts for no u, so it is left out: the top
+    value's cut counts only where some u is 1.
+    """
+    cuts = cdf._cuts
+    if u.size:
+        cuts = cuts[:np.searchsorted(cuts, u.max(), side="right")]
+    piece = _count_cuts(cuts, u, out.view(np.intp))
+    np.subtract(u, np.take(cdf.values, piece, out=out, mode="clip"), out=out)
+    out *= np.take(cdf._inverse, piece, out=spare, mode="clip")
+    out += np.take(cdf.xs, piece, out=spare, mode="clip")
+    return out
 
 
 def sample_stationary(cdf: PiecewiseLinearCDF, rng: np.random.Generator, size=None):

@@ -612,9 +612,9 @@ class TestRhoWalkAudit:
         assert got == want
 
     def test_walk_memory(self):
-        # 10^6 steps: 32 MB is drawing the walk's cells, and the path takes 8
-        # bytes a step, where a list of fresh ints and its (n, eps) copies
-        # took about 90 bytes a step (89 MB)
+        # 10^6 steps: the path takes 8 bytes a step, where a list of fresh
+        # ints and its (n, eps) copies took about 90 bytes a step (89 MB);
+        # the peak, 33 MB, is the increment check's four path-sized arrays
         tracemalloc.start()
         try:
             rho_walk_audit(ALPHA, 0.2, 10 ** 6, TrialPlan(17, trials=1))

@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
-                     TrialPlan, backward_diam_ensemble, experiments,
+                     TrialPlan, backward_diam_ensemble, experiments, process,
                      forward_values, interval_fold, iterate_forward,
                      ks_distance, rate_experiment, sample_theta,
                      stationary_cdf, step, substream_seed, theta_from_uniform)
@@ -406,6 +407,39 @@ class TestUniformGrid:
             want = (mix64((key + (j + 1) * golden) & mask) >> 11) * 2.0 ** -53
             assert uniform_cells(substream_keys(seed, t, 1), j)[0] == want
             assert TrialPlan(seed, 1).substream(t, start=j).random() == want
+
+    @pytest.mark.parametrize("keys_shape, steps", [
+        ((1,), np.arange(50)),                     # runs of one-cell rows, the last short
+        ((3, 1), np.arange(20)),                   # rows longer than a tile, tiled each
+        ((5, 1), np.arange(3)),                    # two rows a tile
+        ((2, 1, 1), np.arange(12).reshape(3, 4)),  # a tile of one row in each of (3, 4)
+        ((10,), 9),                                # one step for every row
+        ((4,), np.arange(4, dtype=np.uint64)),     # one tile, uint64 steps
+    ])
+    def test_tiles_follow_the_formula(self, monkeypatch, keys_shape, steps):
+        # seven cells a tile, so every shape above spans several tiles or one ragged one
+        monkeypatch.setattr(process, "TILE_CELLS", 7)
+        keys = substream_keys(8, 0, math.prod(keys_shape)).reshape(keys_shape)
+        got = uniform_cells(keys, steps)
+        key_grid, step_grid = np.broadcast_arrays(keys, steps)
+        want = [(bit_oracle.mix64((k + (j + 1) * 0x9E3779B97F4A7C15) % 2 ** 64) >> 11)
+                * 2.0 ** -53 for k, j in zip(key_grid.ravel().tolist(),
+                                              step_grid.ravel().tolist())]
+        assert got.shape == key_grid.shape
+        assert got.ravel().tolist() == want
+
+    def test_cells_memory(self):
+        # hashed a tile at a time: 10^6 cells peak at their 8 MB of floats and
+        # one 512 KB hash buffer, where whole-size step offsets, hashes, shift
+        # scratch and product took 24 MB
+        keys, steps = substream_keys(17, 0, 1), np.arange(10 ** 6)
+        tracemalloc.start()
+        try:
+            cells = uniform_cells(keys, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cells.nbytes + 2 ** 20
 
     def test_column_read_equals_row_view(self):
         plan = TrialPlan(2026, trials=40)

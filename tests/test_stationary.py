@@ -5,10 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from foldmap import (PreconditionError, ThetaDist, is_small_vertex, large_count,
-                     sample_stationary, stationary_cdf, stationary_quantile, z_estimate)
+from foldmap import (PiecewiseLinearCDF, PreconditionError, ThetaDist, is_small_vertex,
+                     large_count, sample_stationary, stationary_cdf, stationary_quantile,
+                     z_estimate)
 from foldmap.orbit import CLASS_TOL
+from foldmap.stationary import _quantile
 
 ALPHA = math.sqrt(0.5)
 Z_STAR = 2 * ALPHA / (1 + ALPHA)  # 0.8284271247461903
@@ -96,6 +100,90 @@ class TestQuantile:
     def test_empty_array(self):
         cdf = stationary_cdf(TWO_POINT)
         assert stationary_quantile(cdf, np.empty(0)).size == 0
+
+    @pytest.mark.parametrize("xs, values, u, want", [
+        # a flat piece: CDF(x) = 0.5 on [1, 2], so the smallest x is 1
+        ([0, 1, 2, 3], [0, 0.5, 0.5, 1], 0.5, 1.0),
+        ([0, 1, 2, 3], [0, 0.5, 0.5, 1], 0.6, 2.0 + 2 * (0.6 - 0.5)),
+        ([0, 1, 2], [0, 0, 1], 0.0, 0.0),
+        ([0, 1, 2], [0, 0, 1], 0.25, 1.25),
+        ([0, 1, 2], [0, 1, 1], 1.0, 1.0),
+        ([0, 1, 2, 3, 4], [0, 0.5, 0.5, 0.5, 1], 0.5, 1.0),
+    ])
+    def test_flat_piece_maps_to_its_left_end(self, xs, values, u, want):
+        # np.interp over the values returned the right end of a flat piece
+        cdf = PiecewiseLinearCDF(xs, values)
+        assert stationary_quantile(cdf, u) == want
+        assert stationary_quantile(cdf, np.array([u, u]))[1] == want
+        assert cdf.evaluate(want) >= u
+
+
+def piecewise_cdfs(pieces: int):
+    """CDFs of `pieces` linear pieces with values that rise strictly, the
+    knots spread over [-10, 100]."""
+    gaps = st.lists(st.floats(1e-3, 10.0), min_size=pieces, max_size=pieces)
+    rises = st.lists(st.floats(1e-3, 1.0), min_size=pieces, max_size=pieces)
+
+    def build(first, run, rise):
+        xs = first + np.concatenate(([0.0], np.cumsum(run)))
+        values = np.concatenate(([0.0], np.cumsum(rise) / np.sum(rise)))
+        values[-1] = 1.0
+        return PiecewiseLinearCDF(xs, values)
+
+    cdfs = st.builds(build, st.floats(-10.0, 10.0), gaps, rises)
+    return cdfs.filter(lambda cdf: np.all(np.diff(cdf.values) > 0))
+
+
+def with_neighbours(points: np.ndarray) -> np.ndarray:
+    return np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
+
+
+PIECES = [1, 2, 3, 20]
+
+
+class TestPiecewiseKernels:
+    """The knot-wise kernels against np.interp, compared as bytes: bit for
+    bit, with the sign of zero."""
+
+    @pytest.mark.parametrize("pieces", PIECES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_quantile_is_interp(self, pieces, data):
+        cdf = data.draw(piecewise_cdfs(pieces))
+        extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=50))
+        u = np.clip(with_neighbours(np.concatenate([cdf.values, [0.0, 1.0], extra])), 0.0, 1.0)
+        order = data.draw(st.permutations(range(u.size)))
+        for points in (np.sort(u), u[order]):
+            want = np.interp(points, cdf.values, cdf.xs)
+            assert stationary_quantile(cdf, points).tobytes() == want.tobytes()
+            spare = points.copy()  # the report's form: u is overwritten
+            got = _quantile(cdf, spare, np.empty(points.size), spare)
+            assert got.tobytes() == want.tobytes()
+        for point in u[:5].tolist():
+            assert stationary_quantile(cdf, point) == float(np.interp(point, cdf.values, cdf.xs))
+
+    @pytest.mark.parametrize("pieces", PIECES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ascending_evaluate_is_interp(self, pieces, data):
+        cdf = data.draw(piecewise_cdfs(pieces))
+        lo, hi = float(cdf.xs[0]) - 5.0, float(cdf.xs[-1]) + 5.0
+        extra = data.draw(st.lists(st.floats(lo, hi), max_size=50))
+        x = np.sort(with_neighbours(np.concatenate([cdf.xs, [0.0, 1.0, lo, hi], extra])))
+        got = cdf._evaluate_ascending(x, np.empty(x.size))
+        assert got.tobytes() == cdf.evaluate(x).tobytes()
+
+    def test_stationary_cdfs(self):
+        # the pinned dists, every knot and its neighbours, as the report reads them
+        for dist in (TWO_POINT, ThetaDist([0.3, 0.6, 1.0], [0.2, 0.3, 0.5]),
+                     ThetaDist(np.linspace(0.05, 1.0, 20), np.arange(1, 21) / 210)):
+            cdf = stationary_cdf(dist)
+            x = np.sort(with_neighbours(np.concatenate([cdf.xs, [-1.0, 2.0]])))
+            assert cdf._evaluate_ascending(x, np.empty(x.size)).tobytes() == \
+                cdf.evaluate(x).tobytes()
+            u = np.clip(with_neighbours(cdf.values), 0.0, 1.0)
+            assert stationary_quantile(cdf, u).tobytes() == \
+                np.interp(u, cdf.values, cdf.xs).tobytes()
 
 
 class TestSampleStationary:

@@ -148,6 +148,7 @@ SEED = "master seed must be an integer"
 LAW = "need n >= 0 and trials >= 1"
 DRAWS = r"uniform draws must lie in \[0, 1\)"
 FINITE = "breakpoints and values must be finite"
+SLOPES = "slopes must be finite"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -258,6 +259,14 @@ FINITE = "breakpoints and values must be finite"
                  id="cdf-breakpoint-inf"),
     pytest.param(lambda: PiecewiseLinearCDF([0, 0.5, 1], [0, NAN, 1]), FINITE,
                  id="cdf-value-nan"),
+    # a slope that overflows gave evaluate inf inside its piece, and NaN (0 * inf)
+    # at its knot in the piecewise kernels
+    pytest.param(lambda: PiecewiseLinearCDF([0, 5e-324, 1], [0, 0.5, 1]), SLOPES,
+                 id="cdf-slope-overflow"),
+    pytest.param(lambda: PiecewiseLinearCDF([0, 1, 2], [0, 1e-320, 1]), SLOPES,
+                 id="cdf-inverse-slope-overflow"),
+    pytest.param(lambda: PiecewiseLinearCDF([-1e308, 1e308], [0, 1]), SLOPES,
+                 id="cdf-span-overflow"),
     # a float count raised a bare TypeError
     pytest.param(lambda: forward_values(TWO_POINT, 0.2, 2.5, PLAN), "n must be an integer",
                  id="forward-values-n-float"),
