@@ -333,7 +333,8 @@ COMMANDS = {row.name: row for row in (
              Arg("--threshold", "float"), Arg("--max-len", default=256),
              _format("json", "csv")),
             _shrinkword,
-            check=lambda a: orbit.check_shrink_word(a.alpha, a.beta, a.m, a.threshold)),
+            check=lambda a: orbit.check_shrink_word(a.alpha, a.beta, a.m, a.threshold,
+                                                    a.max_len)),
     Command("rate", "backward-contraction rate experiment at one convergent",
             (Arg("--alpha", "alpha"),
              Arg("--qk", help="convergent denominator q_k of alpha"),

@@ -420,8 +420,10 @@ def structure_stats(graph: OrbitGraphWindow) -> dict:
 # ---- word search ---------------------------------------------------------
 
 
-def check_shrink_word(alpha: float, beta: float, m: float, threshold: float) -> None:
-    """The preconditions of shrink_word: finite, 0 < alpha < beta, threshold > 0, m >= 0."""
+def check_shrink_word(alpha: float, beta: float, m: float, threshold: float,
+                      max_len: int) -> None:
+    """The preconditions of shrink_word: finite, 0 < alpha < beta, threshold > 0,
+    m >= 0, and an integer max_len >= 0."""
     # NaN buckets never compare equal and inf - inf is NaN, so the search would not end
     if not all(map(math.isfinite, (beta, m, threshold))):
         raise PreconditionError("beta, m and threshold must be finite")
@@ -431,6 +433,7 @@ def check_shrink_word(alpha: float, beta: float, m: float, threshold: float) -> 
         raise PreconditionError("threshold must be positive")
     if m < 0.0:
         raise PreconditionError("m must be >= 0")
+    as_int(max_len, "max_len", 0)
 
 
 def shrink_word(alpha: float, beta: float, m: float, threshold: float,
@@ -443,8 +446,7 @@ def shrink_word(alpha: float, beta: float, m: float, threshold: float,
     order, so replaying them through iterate_forward(word, m) lands below
     threshold.
     """
-    check_shrink_word(alpha, beta, m, threshold)
-    as_int(max_len, "max_len")
+    check_shrink_word(alpha, beta, m, threshold, max_len)
     if m < threshold:
         return []
     # a float key, so values past ~1.8e296 share the bucket inf instead of overflowing

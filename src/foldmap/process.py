@@ -18,12 +18,12 @@ is trial t's word, cell j its j-th letter. Any cell is reached directly, so a
 shorter word is a prefix of a longer one and results never depend on block
 layout, execution order or worker count.
 
-letter_cells reads letters straight from the hashed integers z, as
-uniform_cells reads the float cells: u >= c exactly when z >= ceil(c 2^53)
-2^11, so ThetaDist turns its cumulative weights into integer cuts once, and
-a letter's index is the number of cuts at or below z. That equals
-theta_from_uniform on the float cell bit for bit, and skips both the float
-cell and the binary search.
+The cut rule (_cut_letters) reads letters straight from the hashed
+integers z, as uniform_cells reads the float cells: u >= c exactly when z >=
+ceil(c 2^53) 2^11, so ThetaDist turns its cumulative weights into integer
+cuts once, and a letter's index is the number of cuts at or below z. That
+equals theta_from_uniform on the float cell bit for bit, and skips both the
+float cell and the binary search.
 
 A dist whose integer cuts are exactly [2^63], as every uniform two-point
 dist's are, needs one bit a letter, not one hash: letter j of row t is
@@ -34,16 +34,18 @@ read from the top, is a word of 8 consecutive letters, the first in the
 byte's top bit (letter_words). Only these letters follow the bit rule:
 uniform_cells, and the letters of every other dist, read one cell a value.
 
-This module alone reads letters, by two routines for every dist.
-letter_columns yields the letter columns of a block of rows one at a time,
-for a range of letters taken forward or backward: a two-point dist's from
-letter_words, each word read into its 8 columns by one take from a table of
-the 256 words; any other dist's a tile of consecutive columns per numpy
-call, (width, rows) cells, width = max(1, TILE_CELLS // rows), into buffers
-it allocates once (above TILE_CELLS rows a tile is one column). letter_run
-reads a run of consecutive letters of each row at once: a two-point dist
-unpacks one hash a 64 letters. A cell's letter does not depend on the tile
-or run it was read in, so neither does any result.
+This module alone reads letters, and only letter_columns, letter_run and
+letter_words read them: a two-point dist's by the bit rule, any other
+dist's by the cut rule, which nothing else calls. letter_columns yields the
+letter columns of a block of rows one at a time, for a range of letters
+taken forward or backward: a two-point dist's from letter_words, each word
+read into its 8 columns by one take from a table of the 256 words; any
+other dist's a tile of consecutive columns per numpy call, (width, rows)
+cells, width = max(1, TILE_CELLS // rows), into buffers it allocates once
+(above TILE_CELLS rows a tile is one column). letter_run reads a run of
+consecutive letters of each row at once: a two-point dist unpacks one hash
+a 64 letters. A cell's letter does not depend on the tile or run it was
+read in, so neither does any result.
 """
 
 from __future__ import annotations
@@ -98,11 +100,6 @@ def _mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _step_offset(step: int) -> np.uint64:
-    """(step + 1) G mod 2^64, the counter that selects grid column `step`."""
-    return np.uint64(((step + 1) * _GOLDEN64) & _MASK64)
-
-
 def substream_seed(master_seed: int, index: int) -> int:
     """Deterministic 64-bit key of row `index` of a master seed's grid."""
     master_seed = as_int(master_seed, "master seed")  # ints: a numpy int would overflow
@@ -123,10 +120,10 @@ def substream_keys(master_seed: int, first: int, count: int) -> np.ndarray:
 
 
 def _step_offsets(steps, out=None) -> np.ndarray:
-    """(j + 1) G mod 2^64 for each step index j of an integer array, as
-    uint64; into out, a uint64 array of the steps' shape, when given. j + 1
-    of int64 steps (np.arange's) is taken in int64, whose wrap gives the
-    same bits, so neither they nor uint64 steps are cast."""
+    """(j + 1) G mod 2^64 for each step index j of an integer array (0-d
+    for one step), as uint64; into out, a uint64 array of the steps' shape,
+    when given. j + 1 of int64 steps (np.arange's) is taken in int64, whose
+    wrap gives the same bits, so neither they nor uint64 steps are cast."""
     steps = np.asarray(steps)
     if out is None:
         out = np.empty(steps.shape, dtype=np.uint64)
@@ -143,11 +140,7 @@ def _cell_hashes(keys, steps, out=None, scratch=None) -> np.ndarray:
     shape, receives the hashes, and scratch, another, holds the shifted
     copies; either is allocated when it is None.
     """
-    if np.ndim(steps) == 0:
-        offsets = _step_offset(int(steps))
-    else:
-        offsets = _step_offsets(steps)
-    return _mix64(np.add(keys, offsets, out=out), scratch)
+    return _mix64(np.add(keys, _step_offsets(steps), out=out), scratch)
 
 
 def _tiles(shape: tuple):
@@ -183,14 +176,11 @@ def uniform_cells(keys, steps) -> np.ndarray:
     out = np.empty(shape)
     scratch = np.empty(min(out.size, TILE_CELLS), dtype=np.uint64)
     keys = np.broadcast_to(keys, shape)
-    offset = _step_offset(int(steps)) if np.ndim(steps) == 0 else None
-    if offset is None:
-        steps = np.broadcast_to(steps, shape)
+    steps = np.broadcast_to(steps, shape)
     for tile in _tiles(shape):
         cells = out[tile]
         z = scratch[:cells.size].reshape(cells.shape)
-        offsets = _step_offsets(steps[tile], z) if offset is None else offset
-        _mix64(np.add(keys[tile], offsets, out=z), cells.view(np.uint64))
+        _mix64(np.add(keys[tile], _step_offsets(steps[tile], z), out=z), cells.view(np.uint64))
         z >>= 11
         # z < 2^53 now: its int64 view converts to the same floats, faster
         np.multiply(z.view(np.int64), _UNIT53, out=cells)
@@ -391,29 +381,11 @@ def _take_letters(dist: ThetaDist, z: np.ndarray, theta: np.ndarray,
     return np.take(dist.support, index, out=theta, mode="clip")
 
 
-def _bit_letters(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.ndarray:
-    """letter_cells for a dist that reads one bit a letter: letter j is bit
-    63 - (j mod 64) of the full hash of cell j // 64."""
-    z, spare = (None, None) if scratch is None else scratch
-    if np.ndim(steps) == 0:
-        j = int(steps)
-        z = _cell_hashes(keys, j >> 6, z, spare)
-        z >>= np.uint64(63 - (j & 63))
-    else:
-        steps = np.asarray(steps, dtype=np.uint64)
-        z = _cell_hashes(keys, steps >> np.uint64(6), z, spare)
-        z >>= np.uint64(63) - (steps & np.uint64(63))
-    z &= np.uint64(1)
-    out = np.empty(z.shape) if out is None else out
-    return np.take(dist.support, z.view(np.int64), out=out, mode="clip")
+def _cut_letters(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.ndarray:
+    """The cut rule: the letters of grid cells (t, j) for row keys and step
+    indices j of a dist that does not read one bit a letter.
 
-
-def letter_cells(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.ndarray:
-    """The letters of grid cells (t, j) for row keys and step indices j.
-
-    keys and steps broadcast as in uniform_cells. A dist whose cuts are
-    [2^63] reads letter j as one bit of the hash of cell j // 64 (see the
-    module docstring). Every other dist's letter equals
+    keys and steps broadcast as in uniform_cells. Each letter equals
     theta_from_uniform(dist, uniform_cells(keys, steps)) bit for bit, read
     from the hashed integers by the integer cuts of dist.
 
@@ -422,8 +394,6 @@ def letter_cells(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.nda
     their shifted copies. Either is allocated when it is None; a loop that
     passes both allocates nothing.
     """
-    if dist._bits:
-        return _bit_letters(dist, keys, steps, out, scratch)
     z, spare = (None, None) if scratch is None else scratch
     z = _cell_hashes(keys, steps, z, spare)
     return _take_letters(dist, z, np.empty(z.shape) if out is None else out, spare)
@@ -433,12 +403,11 @@ def letter_columns(dist: ThetaDist, keys: np.ndarray, letters: range):
     """The letter columns of grid rows `keys`, one for each letter j of
     `letters`, a range of step 1 or -1, in its order.
 
-    Column j equals letter_cells(dist, keys, j). A dist that reads one bit a
-    letter reads each word of letter_words into its 8 columns by one take
-    from a table of the 256 words; any other dist reads a tile of width =
-    max(1, TILE_CELLS // rows) consecutive letters per letter_cells call.
-    Every column is a read-only view of one buffer, allocated once, so fold
-    each column before asking for the next.
+    A dist that reads one bit a letter reads each word of letter_words into
+    its 8 columns by one take from a table of the 256 words; any other dist
+    reads a tile of width = max(1, TILE_CELLS // rows) consecutive letters
+    per _cut_letters call. Every column is a read-only view of one buffer,
+    allocated once, so fold each column before asking for the next.
     """
     if dist._bits:
         # spelled[i, w]: the letter in bit 7 - i of word w
@@ -461,7 +430,7 @@ def letter_columns(dist: ThetaDist, keys: np.ndarray, letters: range):
         tile = letters[first:first + width]
         k = len(tile)
         js = np.array(tile, dtype=np.uint64).reshape((k,) + (1,) * keys.ndim)
-        letter_cells(dist, keys, js, out=theta[:k], scratch=(z[:k], scratch[:k]))
+        _cut_letters(dist, keys, js, out=theta[:k], scratch=(z[:k], scratch[:k]))
         yield from columns[:k]
 
 
@@ -507,11 +476,11 @@ def _words_in_order(keys: np.ndarray, letters: range):
 
 def letter_run(dist: ThetaDist, keys: np.ndarray, start: int, count: int) -> np.ndarray:
     """Letters start .. start + count - 1 of grid rows `keys`: a (rows,
-    count) array whose entry [i, k] is letter_cells(dist, keys[i], start +
-    k). A dist that reads one bit a letter unpacks one hash a 64 letters;
-    any other dist hashes one cell a letter."""
+    count) array whose entry [i, k] is letter start + k of row i. A dist
+    that reads one bit a letter unpacks one hash a 64 letters; any other
+    dist hashes one cell a letter (_cut_letters)."""
     if not dist._bits:
-        return letter_cells(dist, keys[:, None], np.arange(start, start + count))
+        return _cut_letters(dist, keys[:, None], np.arange(start, start + count))
     z = _cell_hashes(keys[:, None], np.arange(start // 64, (start + count + 63) // 64))
     bits = np.unpackbits(z.astype(">u8").view(np.uint8), axis=-1)
     return dist.support[bits[:, start % 64:start % 64 + count]]

@@ -20,7 +20,7 @@ from foldmap import (EmpiricalCDF, ThetaDist, TrialPlan, _chain, backward_diam_e
                      experiments, forward_values, ks_distance, law_equality_report,
                      rate_experiment)
 from foldmap.cli import run
-from foldmap.process import letter_cells, letter_columns, letter_run, substream_keys
+from foldmap.process import letter_columns, letter_run, substream_keys
 
 import bit_oracle
 from test_cli import REPORT_SHA256
@@ -68,7 +68,6 @@ class TestLetters:
     def test_letter_cells_and_columns(self, n):
         keys = substream_keys(11, 3, 40)
         want = np.where(bit_oracle.bits(11, 3, 40, n) == 1, 1.0, ALPHA).T
-        assert np.array_equal(letter_cells(TWO_POINT, keys, np.arange(n)[:, None]), want)
         columns = [c.copy() for c in letter_columns(TWO_POINT, keys, range(n))]
         assert np.array_equal(np.array(columns).reshape(n, 40), want)
 

@@ -414,6 +414,7 @@ class TestInputBoundary:
         (WORD + ["--beta", "0.5"], "need 0 < alpha < beta"),
         (WORD + ["--threshold", "0"], "threshold must be positive"),
         (WORD + ["--m", "-1"], "m must be >= 0"),
+        (WORD + ["--max-len", "-1"], "max_len must be >= 0"),
     ], ids=["orbit-window-0", "orbit-window-cap", "orbit-x", "orbit-json-margin", "audit-x0",
             "audit-alpha", "audit-steps",
             "audit-window-0", "audit-window-cap", "audit-segments", "audit-steps-cap",
@@ -423,7 +424,8 @@ class TestInputBoundary:
             "simulate-n-huge", "simulate-workers", "bvf-trials", "bvf-trials-cap",
             "bvf-x0", "bvf-n-cap", "bvf-n-huge", "bvf-workers", "rate-trials",
             "rate-trials-cap", "rate-qk-cap", "rate-eps", "rate-workers", "contfrac-terms-cap",
-            "contfrac-terms-negative", "word-beta", "word-threshold", "word-m"])
+            "contfrac-terms-negative", "word-beta", "word-threshold", "word-m",
+            "word-max-len"])
     def test_library_ranges_with_and_without_dry_run(self, capsys, argv, message, dry):
         assert run(argv + dry) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

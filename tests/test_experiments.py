@@ -21,7 +21,7 @@ from foldmap import (ClassBoundaryError, EmpiricalCDF, Interval, PreconditionErr
 from foldmap.orbit import (OrbitLabel, apply_theta_label, build_graph_window,
                            rho_chart)
 from foldmap.contfrac import contfrac_expand, convergents
-from foldmap.process import letter_cells, letter_words, substream_keys, uniform_cells
+from foldmap.process import letter_words, substream_keys, uniform_cells
 
 import bit_oracle
 
@@ -428,10 +428,7 @@ class TestRateAutomaton:
         keys = substream_keys(7, 3, 50)
         words = np.stack([w.copy() for w in letter_words(keys, range(5, 8))])
         bits = np.unpackbits(words, axis=0)
-        for alpha in (ALPHA, 0.01049, 0.9):
-            dist = ThetaDist.two_point(alpha)
-            letters = letter_cells(dist, keys, np.arange(40, 64)[:, None])
-            assert np.array_equal(dist.support[bits].view(np.int64), letters.view(np.int64))
+        assert np.array_equal(bits, bit_oracle.bits(7, 3, 50, 64)[:, 40:].T)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("alpha, k_index, q", _rate_cases(),
@@ -614,7 +611,8 @@ class TestRhoWalkAudit:
     def test_walk_memory(self):
         # 10^6 steps: the path takes 8 bytes a step, where a list of fresh
         # ints and its (n, eps) copies took about 90 bytes a step (89 MB);
-        # the peak, 33 MB, is the increment check's four path-sized arrays
+        # the peak, 28 MB, is the increment check: the path, its rho levels
+        # and their differences (8 MB each) and three byte masks
         tracemalloc.start()
         try:
             rho_walk_audit(ALPHA, 0.2, 10 ** 6, TrialPlan(17, trials=1))
@@ -622,6 +620,19 @@ class TestRhoWalkAudit:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * 10 ** 6
+
+    def test_segments_memory(self):
+        # 10^6 segments: the two cells of a segment (16 MB) become its picks in
+        # place, and its two ends, then its span and level indices, take 24 MB;
+        # the peak, 58 MB, comes with the level counts of the far-small check,
+        # where fresh picks and a sorted stack of the ends took 90 MB
+        tracemalloc.start()
+        try:
+            rho_walk_audit(ALPHA, 0.2, 1000, TrialPlan(17, trials=1), segments=10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 10 ** 6
 
     def test_walk_past_precision_cap(self, monkeypatch):
         monkeypatch.setattr(experiments, "W_MAX", 5)

@@ -13,9 +13,9 @@ from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      forward_values, interval_fold, iterate_forward,
                      ks_distance, rate_experiment, sample_theta,
                      stationary_cdf, step, substream_seed, theta_from_uniform)
-from foldmap.process import (_CHAIN_CUTS, TILE_CELLS, _cell_hashes,
-                             fold_interval_arrays, letter_cells, letter_columns,
-                             letter_run, substream_keys, uniform_cells)
+from foldmap.process import (_CHAIN_CUTS, TILE_CELLS, _cell_hashes, _cut_letters,
+                             fold_interval_arrays, letter_columns, letter_run,
+                             substream_keys, uniform_cells)
 
 import bit_oracle
 
@@ -548,9 +548,23 @@ def expected_letters(dist, keys, steps):
                      for a, b in zip(k.ravel().tolist(), j.ravel().tolist())]).reshape(k.shape)
 
 
+def read_letters(dist, keys, steps):
+    """The letters of cells (keys, steps), broadcast, as the library reads
+    them: by the cut rule, or, for a dist that reads one bit a letter, by
+    letter_columns, one column for each distinct step."""
+    if not dist._bits:
+        return _cut_letters(dist, keys, steps)
+    k, j = np.broadcast_arrays(keys, steps)
+    out = np.empty(k.shape)
+    for step in np.unique(j).tolist():
+        at = j == step
+        out[at] = next(letter_columns(dist, k[at], range(step, step + 1)))
+    return out
+
+
 class TestLetterColumns:
-    """letter_columns and letter_cells equal theta_from_uniform over uniform_cells,
-    or the bit oracle, bit for bit."""
+    """letter_columns and the cut rule equal theta_from_uniform over
+    uniform_cells, or the bit oracle, bit for bit."""
 
     def test_supports_reach_the_edge_cases(self):
         assert LETTER_DISTS["cum-at-1"][0]._cum.tolist() == [1.0, 1.0]
@@ -579,7 +593,8 @@ class TestLetterColumns:
         assert np.array_equal(uniform_cells(keys, 0), u)
         (column,) = letter_columns(dist, keys, range(1))
         assert np.array_equal(column, theta_from_uniform(dist, u))
-        assert np.array_equal(letter_cells(dist, keys, 0), column)
+        # the cut rule itself, which a two-point dist's letter 0 also follows
+        assert np.array_equal(_cut_letters(dist, keys, 0), column)
 
     @pytest.mark.parametrize("name", sorted(LETTER_DISTS))
     def test_random_columns(self, name):
@@ -599,7 +614,7 @@ class TestLetterColumns:
         steps = rng.integers(0, 1 << 40, size=(9, 1))
         # a column of steps against every row, one step a row, single steps
         for k, j in ((keys, steps), (keys[:9], steps[:, 0]), (keys, 0), (keys, 1 << 62)):
-            got = letter_cells(dist, k, j)
+            got = read_letters(dist, k, j)
             assert got.shape == np.broadcast(k, j).shape
             assert np.array_equal(got, expected_letters(dist, k, j))
 
@@ -608,7 +623,7 @@ class TestLetterColumns:
         dist = LETTER_DISTS["dyadic-3"][0]
         plan = TrialPlan(77, trials=2)
         keys = substream_keys(77, 1, 1)
-        assert np.array_equal(letter_cells(dist, keys, np.arange(5, 505)),
+        assert np.array_equal(_cut_letters(dist, keys, np.arange(5, 505)),
                               theta_from_uniform(dist, plan.substream(1, 5).random(500)))
 
     def test_column_is_one_read_only_buffer(self):
@@ -650,15 +665,15 @@ class TestSignLetters:
         assert np.array_equal(_cell_hashes(keys, 0), np.array(self.CRAFTED, np.uint64))
         want = dist.support[[[(z >> (63 - j)) & 1 for z in self.CRAFTED] for j in range(64)]]
         assert same_bits(want[0], dist.support[[0, 0, 0, 1, 1, 1, 0]])
-        assert same_bits(letter_cells(dist, keys, np.arange(64)[:, None]), want)
         assert same_bits(np.stack(tiled_columns(dist, keys, range(64))), want)
+        assert same_bits(letter_run(dist, keys, 0, 64).T, want)
 
     @pytest.mark.parametrize("name", sorted(SIGN_DISTS))
     def test_random_cells(self, name):
         dist = SIGN_DISTS[name]
         keys = substream_keys(63, 0, 500)
         steps = np.array([0, 1, 7, 8, 9, 62, 63, 64, 65, 127, 128, 10 ** 6])[:, None]
-        assert same_bits(letter_cells(dist, keys, steps), expected_letters(dist, keys, steps))
+        assert same_bits(read_letters(dist, keys, steps), expected_letters(dist, keys, steps))
 
     def test_two_point_dists_cut_at_2_63(self):
         for alpha in (ALPHA, 0.1, 0.9, 1e-9):
@@ -676,14 +691,15 @@ def tiled_columns(dist, keys, steps):
 
 
 def cells_of(dist, keys, steps):
-    return letter_cells(dist, keys, np.array(steps, dtype=np.uint64)[:, None])
+    return expected_letters(dist, keys, np.array(steps, dtype=np.uint64)[:, None])
 
 
 TILE_DISTS = ["two-point", "dyadic-3", "forty-point"]  # select, compares, bisection
 
 
 class TestLetterTiles:
-    """Column j of letter_columns is letter_cells(dist, keys, j), however the tiles fall."""
+    """Column j of letter_columns is letter j of each row, by the float formula
+    or the bit oracle, however the tiles fall."""
 
     @pytest.mark.parametrize("name", TILE_DISTS)
     @pytest.mark.parametrize("rows, steps", [
@@ -734,15 +750,15 @@ class TestLetterTiles:
         steps = np.arange(8)[:, None]
         out = np.empty((8, 100))
         scratch = np.empty((8, 100), np.uint64), np.empty((8, 100), np.uint64)
-        for d in (dist, LETTER_DISTS["two-point"][0], LETTER_DISTS["forty-point"][0]):
-            got = letter_cells(d, keys, steps, out=out, scratch=scratch)
+        for d in (dist, LETTER_DISTS["one-point"][0], LETTER_DISTS["forty-point"][0]):
+            got = _cut_letters(d, keys, steps, out=out, scratch=scratch)
             assert got is out
-            assert same_bits(got, letter_cells(d, keys, steps))
+            assert same_bits(got, _cut_letters(d, keys, steps))
 
 
 class TestLetterRun:
-    """Row i of letter_run(dist, keys, start, count) is letter_cells of row i
-    at cells start .. start + count - 1."""
+    """Row i of letter_run(dist, keys, start, count) is letters start ..
+    start + count - 1 of row i, by the float formula or the bit oracle."""
 
     @pytest.mark.parametrize("name", sorted(LETTER_DISTS))
     @pytest.mark.parametrize("start, count", [
@@ -752,4 +768,5 @@ class TestLetterRun:
         keys = substream_keys(12, 4, 30)
         got = letter_run(dist, keys, start, count)
         assert got.shape == (30, count)
-        assert same_bits(got, letter_cells(dist, keys[:, None], np.arange(start, start + count)))
+        assert same_bits(got, expected_letters(dist, keys[:, None],
+                                               np.arange(start, start + count)))

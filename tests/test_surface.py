@@ -379,22 +379,39 @@ def test_step_bounds_hold_the_bound_itself():
         assert peak < 10 ** 5
 
 
+def _owners(tree) -> dict:
+    """Each node of tree with the qualified name of the innermost def or
+    class around it, None at module level."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = child.name if name is None else f"{name}.{child.name}"
+            owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, None)
+    return owner
+
+
 def test_only_the_chain_reads_the_bit_rule():
-    # outside process, which reads letters, a dist's bit rule (._bits) is read
-    # only where _chain._dist_graph decides whether word tables exist
-    package = Path(foldmap.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        if path.name == "process.py":
-            continue
+    # a dist's bit rule (._bits) is set once, and read only by the two letter
+    # readers that choose a rule and where _chain._dist_graph decides whether
+    # word tables exist; so no caller reads a bit dist by the cut rule
+    allowed = {("process.py", "ThetaDist.__init__", "Store"),
+               ("process.py", "letter_columns", "Load"),
+               ("process.py", "letter_run", "Load"),
+               ("_chain.py", "_dist_graph", "Load")}
+    found = set()
+    for path in sorted(Path(foldmap.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        reads = [node for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and node.attr == "_bits"]
-        allowed = [node for func in ast.walk(tree)
-                   if isinstance(func, ast.FunctionDef) and func.name == "_dist_graph"
-                   for node in ast.walk(func)
-                   if isinstance(node, ast.Attribute) and node.attr == "_bits"]
-        assert reads == allowed, path.name
-        assert bool(allowed) == (path.name == "_chain.py"), path.name
+        owner = _owners(tree)
+        found |= {(path.name, owner[node], type(node.ctx).__name__)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_bits"}
+    assert found == allowed
 
 
 def test_numpy_ints_are_integers():
