@@ -5,14 +5,16 @@ start point x0, of [0, b], or of [0, 1] down to a diameter epsilon, under
 words of the two letters are exact floats, and there are few of them: 232
 points of x0 = 0.2 to depth 50, 1585 images of [0, 1] to depth 1000. One
 breadth-first search per call (_state_graph) finds them with the scalar
-fold, so each state is the pair of floats the per-letter fold reaches,
-and its one-letter table is composed into an int32 table of 8-letter
+fold, so each state is the float x (of a point) or the pair of floats (of
+an interval) the per-letter fold reaches, and its one-letter table is
+composed, by takes along the state axis, into an int32 table of 8-letter
 words. Each byte of a hash, read from the top, is one such word, so
 forward_values, both directions of law_equality_report,
 backward_diam_ensemble and rate_experiment step every trial one add and
-one take per eight letters, and fold no float. rate_experiment stops a
-trial at its first image shorter than epsilon, an absorbing state of its
-chain.
+one take per eight letters, and fold no float; the takes clip, since a
+take into an output in numpy's default mode copies through a buffer.
+rate_experiment stops a trial at its first image shorter than epsilon, an
+absorbing state of its chain.
 
 The search gives up past _WORD_STATES states, since for some alpha the
 images are not few: an uncapped search finds 85,850 point states of x0 =
@@ -46,11 +48,14 @@ def _state_graph(support, start: tuple, depth: int | None = None,
     The states are the images (lo, hi) of start under words of the two
     letters support[0] and support[1], found by a breadth-first search, one
     level a word length. Each image is the scalar fold _fold_scalar, the
-    same floats as fold_interval_arrays and, on a point (x, x), as
-    |theta - x|, so a state is exactly the pair of floats the per-letter
-    fold reaches, and the states are keyed by those floats. A point start
-    gives point states; [0, b] gives the backward images of
-    backward_diam_ensemble; [0, 1] with epsilon gives rate's chain.
+    same floats as fold_interval_arrays, so a state is exactly the pair of
+    floats the per-letter fold reaches, and the states are keyed by those
+    floats. A point start (x0, x0) without epsilon gives point states, keyed
+    by the one float x and folded by |theta - x|, which is the same float as
+    _fold_scalar on (x, x); [0, b] gives the backward images of
+    backward_diam_ensemble; [0, 1] with epsilon gives rate's chain. The
+    start is stored as start + 0.0, as Interval does, so a start of -0.0
+    is the state +0.0 that |theta - theta| reaches.
 
     The last state, S, is a sink. A fold to a diameter below epsilon goes
     there (it is rate's STOP), and so do the letters from the states first
@@ -60,20 +65,25 @@ def _state_graph(support, start: tuple, depth: int | None = None,
     succ[s, b] the state after letter support[b] from state s.
     """
     letters = support[:2].tolist()  # the two points a bit selects
-    index = {start: 0}
-    states = [start]
+    point = start[0] == start[1] and epsilon is None
+    first = start[1] + 0.0 if point else (start[0] + 0.0, start[1] + 0.0)
+    index = {first: 0}
+    states = [first]
     succ = []  # succ[2 s + b] for the expanded states s, -1 for the sink
     level, level_end = 0, 1  # states[:level_end] lie at most `level` letters deep
-    for s, (lo, hi) in enumerate(states):  # the loop sees the states it appends
+    for s, state in enumerate(states):  # the loop sees the states it appends
         if s == level_end:
             level, level_end = level + 1, len(states)
         if level == depth:
             break
         for t in letters:
-            image = _fold_scalar(t, lo, hi)
-            if epsilon is not None and image[1] - image[0] < epsilon:
-                succ.append(-1)
-                continue
+            if point:
+                image = abs(t - state)
+            else:
+                image = _fold_scalar(t, *state)
+                if epsilon is not None and image[1] - image[0] < epsilon:
+                    succ.append(-1)
+                    continue
             nxt = index.setdefault(image, len(states))
             if nxt == len(states):
                 if nxt >= _WORD_STATES:
@@ -84,7 +94,10 @@ def _state_graph(support, start: tuple, depth: int | None = None,
     table = np.full((sink + 1, 2), sink, dtype=np.int32)
     table.ravel()[:len(succ)] = succ
     table[table < 0] = sink
-    ends = np.array(states + [(math.nan, math.nan)])
+    if point:  # the pairs (x, x)
+        ends = np.array(states + [math.nan]).repeat(2).reshape(-1, 2)
+    else:
+        ends = np.array(states + [(math.nan, math.nan)])
     return ends, table
 
 
@@ -97,10 +110,15 @@ def _dist_graph(dist: ThetaDist, start: tuple, n: int):
 def _compose(high: np.ndarray, low: np.ndarray, backward: bool) -> np.ndarray:
     """The state table of words whose high bits are a word of high's and
     whose low bits are a word of low's. Forward, the high bits are read
-    first (the first letter is the top bit); backward, the low bits are."""
-    if backward:  # [s, h, l] = high[low[s, l], h], built in place of a transpose
-        return high[low[:, None, :], np.arange(high.shape[1])[:, None]].reshape(low.shape[0], -1)
-    return low[high].reshape(high.shape[0], -1)
+    first (the first letter is the top bit); backward, the low bits are.
+    Each is built by takes along the state axis, with no 2-D fancy index."""
+    if not backward:  # [s, h, l] = low[high[s, h], l]
+        return low.take(high, axis=0).reshape(high.shape[0], -1)
+    # [s, h, l] = high[low[s, l], h], one take a high word into its slice
+    out = np.empty((low.shape[0], high.shape[1], low.shape[1]), np.int32)
+    for h in range(high.shape[1]):
+        np.take(high[:, h], low, out=out[:, h, :], mode="clip")
+    return out.reshape(low.shape[0], -1)
 
 
 def _word_table(succ: np.ndarray, letters: int, backward: bool = False) -> np.ndarray:
@@ -126,14 +144,15 @@ def _table_walk(tables: dict, keys: np.ndarray, letters: range) -> np.ndarray:
     """The state each row of keys reaches from state 0 through letters
     0 .. n-1, taken in the order of `letters`, one table lookup a word (see
     _word_table). Only the word of letter n - 1 may be short; it holds the
-    word's top bits."""
+    word's top bits. Every entry lies in its table, so the takes clip, and
+    numpy writes them straight into `at` instead of through a buffer."""
     at = np.zeros(keys.size, np.int32)  # 256 times the state
     step = np.empty_like(at)
     for word, js in _words_in_order(keys, letters):
         np.add(at, word, out=step)
         if len(js) < 8:  # (256 s + w) >> (8 - k) = (s << k) + the word's top k bits
             step >>= 8 - len(js)
-        tables[len(js)].take(step, out=at)
+        tables[len(js)].take(step, out=at, mode="clip")
     at >>= 8
     return at
 
@@ -146,8 +165,10 @@ def _row_ends(dist: ThetaDist, start: tuple, n: int, backward: bool, graph):
     graph is _dist_graph(dist, start, n), which a caller folding in both
     directions finds once. Given one, the rows walk its word tables, built
     here once for all blocks; given None, they fold a letter column at a
-    time (process.letter_columns). Both give the same floats.
+    time (process.letter_columns). Both give the same floats: both start
+    from start + 0.0, so a start of -0.0 ends as +0.0 at n = 0 too.
     """
+    lo0, hi0 = start[0] + 0.0, start[1] + 0.0
     order = range(n - 1, -1, -1) if backward else range(n)
     point = start[0] == start[1]  # its images are points (x, x) too
     if graph is not None:
@@ -163,13 +184,13 @@ def _row_ends(dist: ThetaDist, start: tuple, n: int, backward: bool, graph):
 
     if point:  # |theta - x| is the same float as the interval fold, in two passes
         def fold(keys):
-            x = np.full(keys.size, start[0])
+            x = np.full(keys.size, lo0)
             for theta in letter_columns(dist, keys, order):
                 np.abs(np.subtract(theta, x, out=x), out=x)
             return x, x
     else:
         def fold(keys):
-            lo, hi = np.full(keys.size, start[0]), np.full(keys.size, start[1])
+            lo, hi = np.full(keys.size, lo0), np.full(keys.size, hi0)
             scratch = np.empty(keys.size), np.empty(keys.size)
             for theta in letter_columns(dist, keys, order):
                 fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
@@ -231,7 +252,7 @@ def _stop_times(alpha: float, epsilon: float, n_steps: int):
             path = np.empty((words, at.size), np.int32)  # the table entry of each word step
             for step, word in zip(path, letter_words(keys, range(first // 8, first // 8 + words))):
                 np.add(at, word, out=step)
-                next_at.take(step, out=at)
+                next_at.take(step, out=at, mode="clip")
             return np.where(at == stop, reads[path].sum(axis=0), 0), at
     else:  # a row's state is its image, a column of ends = [lo, hi]
         dist = ThetaDist.two_point(alpha)

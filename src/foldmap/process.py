@@ -43,9 +43,10 @@ read into its 8 columns by one take from a table of the 256 words; any
 other dist's a tile of consecutive columns per numpy call, (width, rows)
 cells, width = max(1, TILE_CELLS // rows), into buffers it allocates once
 (above TILE_CELLS rows a tile is one column). letter_run reads a run of
-consecutive letters of each row at once: a two-point dist unpacks one hash
-a 64 letters. A cell's letter does not depend on the tile or run it was
-read in, so neither does any result.
+consecutive letters of each row at once: a two-point dist hashes one cell
+a 64 letters and spells each byte of the hash into its 8 letters by one
+take from the same table of the 256 words. A cell's letter does not
+depend on the tile or run it was read in, so neither does any result.
 """
 
 from __future__ import annotations
@@ -410,8 +411,7 @@ def letter_columns(dist: ThetaDist, keys: np.ndarray, letters: range):
     allocated once, so fold each column before asking for the next.
     """
     if dist._bits:
-        # spelled[i, w]: the letter in bit 7 - i of word w
-        spelled = dist.support[np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0)]
+        spelled = _spelled(dist).T.copy()  # spelled[i, w]: the letter in bit 7 - i of word w
         theta = np.empty((8, keys.size))
         columns = theta.view()
         columns.flags.writeable = False
@@ -474,16 +474,25 @@ def _words_in_order(keys: np.ndarray, letters: range):
                (list(js) for _, js in groupby(letters, lambda j: j // 8)))
 
 
+def _spelled(dist: ThetaDist) -> np.ndarray:
+    """The (256, 8) letters of the 8-letter words of a dist that reads one
+    bit a letter: row w holds word w's letters, the first (its top bit) first."""
+    return dist.support[np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)]
+
+
 def letter_run(dist: ThetaDist, keys: np.ndarray, start: int, count: int) -> np.ndarray:
     """Letters start .. start + count - 1 of grid rows `keys`: a (rows,
     count) array whose entry [i, k] is letter start + k of row i. A dist
-    that reads one bit a letter unpacks one hash a 64 letters; any other
-    dist hashes one cell a letter (_cut_letters)."""
+    that reads one bit a letter hashes one cell a 64 letters and spells
+    each byte of the hash, read from the top, into its 8 letters by one take
+    from the table of the 256 words; any other dist hashes one cell a letter
+    (_cut_letters)."""
     if not dist._bits:
         return _cut_letters(dist, keys[:, None], np.arange(start, start + count))
     z = _cell_hashes(keys[:, None], np.arange(start // 64, (start + count + 63) // 64))
-    bits = np.unpackbits(z.astype(">u8").view(np.uint8), axis=-1)
-    return dist.support[bits[:, start % 64:start % 64 + count]]
+    octets = z.astype(">u8").view(np.uint8)  # the hashes' bytes, top first
+    letters = _spelled(dist).take(octets, axis=0).reshape(keys.size, 64 * z.shape[1])
+    return letters[:, start % 64:start % 64 + count]
 
 
 def sample_theta(dist: ThetaDist, rng: np.random.Generator, size=None):

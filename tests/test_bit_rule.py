@@ -94,6 +94,17 @@ class TestLetters:
         assert np.array_equal(letter_run(TWO_POINT, keys, start, count),
                               want[:, start:start + count])
 
+    @pytest.mark.parametrize("rows", [0, 3])
+    @pytest.mark.parametrize("start", [0, 63, 64, 65])
+    @pytest.mark.parametrize("count", [0, 1, 64, 65])
+    def test_letter_run_edges(self, rows, start, count):
+        # zero rows and zero letters keep the (rows, count) shape
+        keys = substream_keys(11, 3, rows)
+        got = letter_run(TWO_POINT, keys, start, count)
+        assert got.shape == (rows, count) and got.dtype == np.float64
+        want = np.where(bit_oracle.bits(11, 3, rows, start + count) == 1, 1.0, ALPHA)
+        assert np.array_equal(got, want[:, start:])
+
 
 class TestFolds:
     @pytest.mark.parametrize("workers", WORKERS)

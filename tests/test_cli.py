@@ -164,9 +164,16 @@ class TestSimulate:
         assert out_of(capsys) == rows_to_csv(["trial", "value"], enumerate(values.tolist()))
 
     def test_csv_keeps_negative_zero(self, capsys):
-        assert run(["simulate", "--dist", "two-point:inv-sqrt2", "--x0", "-0.0", "--n", "0",
-                    "--trials", "3", "--seed", "1", "--format", "csv"]) == 0
-        assert out_of(capsys) == "trial,value\n0,-0.0\n1,-0.0\n2,-0.0\n"
+        # the CSV keeps the sign of zero that the fold gives, and a start of
+        # -0.0 is stored as +0.0 (as Interval does), so it prints as --x0 0.0
+        for n in ("0", "2"):
+            outs = []
+            for x0 in ("-0.0", "0.0"):
+                assert run(["simulate", "--dist", "two-point:inv-sqrt2", "--x0", x0, "--n", n,
+                            "--trials", "8", "--seed", "5", "--format", "csv"]) == 0
+                outs.append(out_of(capsys))
+            assert outs[0] == outs[1] and "-0.0" not in outs[0]
+        assert outs[0].splitlines()[:3] == ["trial,value", "0,0.0", "1,0.0"]
 
     def test_worker_byte_identity(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

@@ -414,6 +414,25 @@ def test_only_the_chain_reads_the_bit_rule():
     assert found == allowed
 
 
+def test_takes_into_out_do_not_buffer():
+    # numpy copies out= into a buffer for a take in the default mode="raise";
+    # every take into an output in the library clips or wraps instead
+    takes, buffered = 0, []
+    for path in sorted(Path(foldmap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "take"):
+                continue
+            keywords = {k.arg: k.value for k in node.keywords}
+            if "out" not in keywords:
+                continue
+            takes += 1
+            mode = keywords.get("mode")
+            if not (isinstance(mode, ast.Constant) and mode.value in ("clip", "wrap")):
+                buffered.append(f"{path.name}:{node.lineno}")
+    assert takes and buffered == []
+
+
 def test_numpy_ints_are_integers():
     assert OrbitLabel(np.int64(3), -1) == OrbitLabel(3, -1)
     assert find_close_k(ALPHA, 0.5, np.int64(17)) == find_close_k(ALPHA, 0.5, 17)
