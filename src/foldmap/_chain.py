@@ -1,31 +1,33 @@
-"""The exact-float state chain of a two-point dist, and the folds that walk it.
+"""The state chains of a two-point dist, and the folds that walk them.
 
 For a two-point dist the folds run on one word automaton. The images of a
 start point x0, of [0, b], or of [0, 1] down to a diameter epsilon, under
-words of the two letters are exact floats, and there are few of them: 232
-points of x0 = 0.2 to depth 50, 1585 images of [0, 1] to depth 1000. One
-breadth-first search per call (_state_graph) finds them with the scalar
-fold, so each state is the float x (of a point) or the pair of floats (of
-an interval) the per-letter fold reaches, and its one-letter table is
-composed, by takes along the state axis, into an int32 table of 8-letter
-words. Each byte of a hash, read from the top, is one such word, so
-forward_values, both directions of law_equality_report,
-backward_diam_ensemble and rate_experiment step every trial one add and
-one take per eight letters, and fold no float; the takes clip, since a
-take into an output in numpy's default mode copies through a buffer.
-rate_experiment stops a trial at its first image shorter than epsilon, an
-absorbing state of its chain.
+words of the two letters are few: 232 points of x0 = 0.2 to depth 50, 1585
+images of [0, 1] to depth 1000. One breadth-first search per call
+(_state_graph) finds them, and composes their one-letter table, by takes
+along the state axis, into an int32 table of 8-letter words. Each byte of a
+hash, read from the top, is one such word, so forward_values, both
+directions of law_equality_report, backward_diam_ensemble and
+rate_experiment step every trial one add and one take per eight letters,
+and fold no float; the takes clip, since a take into an output in numpy's
+default mode copies through a buffer.
 
-The search gives up past _WORD_STATES states, since for some alpha the
-images are not few: an uncapped search finds 85,850 point states of x0 =
-0.2 at alpha = 0.01048 to depth 200, and 1,228,662 images of [0, 1] at
-alpha = 0.3 to depth 1000; and at alpha = 0.01048 and q = 95, rate's first
-400,000 float states hold 1659 distinct images to 9 digits, one real image
-reached as many floats. There the trials fold one letter column at a time
-from the same bits, to the same bytes, as every other dist does: all read
-their letters through process.letter_columns. Two functions alone choose
-between the word tables and the fold: _row_ends for point and backward
-folds, _stop_times for rate.
+A point or backward state is the float x (of a point) or the pair of floats
+(of an interval) that the per-letter fold reaches, since those floats are
+the reports. The search gives up past _WORD_STATES states, since for some
+alpha they are not few: an uncapped search finds 85,850 point states of x0
+= 0.2 at alpha = 0.01048 to depth 200, and 1,228,662 images of [0, 1] at
+alpha = 0.3 to depth 1000. There _row_ends, the one function that chooses,
+folds the trials one letter column at a time from the same bits, to the
+same bytes, as every other dist does: all read their letters through
+process.letter_columns.
+
+rate_experiment reports stopping times, never floats, so its chain keys the
+exact images of [0, 1], ints on the power-of-two grid of alpha, 1 and
+epsilon, and a trial stops at its first image shorter than epsilon, an
+absorbing state. One real image is one state: 3741 at alpha = 0.01048 and
+q = 95, where float keys pass the cap. Every trial walks this table
+(_stop_times), and no supported input is known to pass the cap.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import math
 
 import numpy as np
 
+from .errors import StructuralError
 from .process import (TILE_CELLS, ThetaDist, _fold_scalar, _words_in_order,
                       fold_interval_arrays, letter_columns, letter_words)
 
@@ -42,20 +45,25 @@ _WORD_STATES = 1 << 13    # the most states of a word automaton (8 MB a word tab
 
 def _state_graph(support, start: tuple, depth: int | None = None,
                  epsilon: float | None = None):
-    """(ends, succ): the exact-float states of a two-point dist's folds of an
-    interval, or None when there are more than _WORD_STATES states.
+    """(ends, succ): the states of a two-point dist's folds of an interval,
+    or None when there are more than _WORD_STATES states.
 
     The states are the images (lo, hi) of start under words of the two
     letters support[0] and support[1], found by a breadth-first search, one
-    level a word length. Each image is the scalar fold _fold_scalar, the
-    same floats as fold_interval_arrays, so a state is exactly the pair of
-    floats the per-letter fold reaches, and the states are keyed by those
-    floats. A point start (x0, x0) without epsilon gives point states, keyed
-    by the one float x and folded by |theta - x|, which is the same float as
-    _fold_scalar on (x, x); [0, b] gives the backward images of
-    backward_diam_ensemble; [0, 1] with epsilon gives rate's chain. The
-    start is stored as start + 0.0, as Interval does, so a start of -0.0
-    is the state +0.0 that |theta - theta| reaches.
+    level a word length. Without epsilon each image is the scalar fold
+    _fold_scalar, the same floats as fold_interval_arrays, so a state is
+    exactly the pair of floats the per-letter fold reaches, and the states
+    are keyed by those floats. A point start (x0, x0) gives point states,
+    keyed by the one float x and folded by |theta - x|, which is the same
+    float as _fold_scalar on (x, x); [0, b] gives the backward images of
+    backward_diam_ensemble. The start is stored as start + 0.0, as Interval
+    does, so a start of -0.0 is the state +0.0 that |theta - theta| reaches.
+
+    [0, 1] with epsilon gives rate's chain, whose states are the exact
+    images: the letters, the start and epsilon are dyadic rationals, so
+    times the largest of their denominators they are ints, and the fold of
+    ints is exact. One real image is then one state, where the floats
+    reach it as many, and ends is None, since rate reads only succ.
 
     The last state, S, is a sink. A fold to a diameter below epsilon goes
     there (it is rate's STOP), and so do the letters from the states first
@@ -67,6 +75,15 @@ def _state_graph(support, start: tuple, depth: int | None = None,
     letters = support[:2].tolist()  # the two points a bit selects
     point = start[0] == start[1] and epsilon is None
     first = start[1] + 0.0 if point else (start[0] + 0.0, start[1] + 0.0)
+    fold = _fold_scalar
+    if epsilon is not None:  # exact: each value times scale is an int
+        ratios = [v.as_integer_ratio() for v in (*letters, *first, epsilon)]
+        scale = max(d for _, d in ratios)
+        *letters, lo, hi, epsilon = [n * (scale // d) for n, d in ratios]
+        first = lo, hi
+
+        def fold(t, lo, hi):  # an int zero: max(0.0, ...) would make the state a float
+            return max(0, lo - t, t - hi), max(t - lo, hi - t)
     index = {first: 0}
     states = [first]
     succ = []  # succ[2 s + b] for the expanded states s, -1 for the sink
@@ -80,7 +97,7 @@ def _state_graph(support, start: tuple, depth: int | None = None,
             if point:
                 image = abs(t - state)
             else:
-                image = _fold_scalar(t, *state)
+                image = fold(t, *state)
                 if epsilon is not None and image[1] - image[0] < epsilon:
                     succ.append(-1)
                     continue
@@ -94,6 +111,8 @@ def _state_graph(support, start: tuple, depth: int | None = None,
     table = np.full((sink + 1, 2), sink, dtype=np.int32)
     table.ravel()[:len(succ)] = succ
     table[table < 0] = sink
+    if epsilon is not None:
+        return None, table
     if point:  # the pairs (x, x)
         ends = np.array(states + [math.nan]).repeat(2).reshape(-1, 2)
     else:
@@ -202,13 +221,12 @@ def _rate_automaton(alpha: float, epsilon: float):
     """(next_at, reads, stop), the rate chain eight letters a step, or None
     when it has more than _WORD_STATES states.
 
-    The states are the exact float images (lo, hi) of [0, 1] whose diameter
-    is at least epsilon (_state_graph), and a fold to a diameter below
-    epsilon goes to one absorbing state, STOP, the last of the S + 1 states.
-    For mu on {alpha, 1} the endpoints lie on the orbit of 0: the search
-    finds 12 states at q = 41 and eps = 0.2, and a few thousand at most for
-    a random alpha and q <= 99, but not for every alpha (see the module
-    docstring).
+    The states are the exact images (lo, hi) of [0, 1] whose diameter is at
+    least epsilon (_state_graph), and a fold to a diameter below epsilon
+    goes to one absorbing state, STOP, the last of the S + 1 states. For mu
+    on {alpha, 1} the endpoints lie on the orbit of 0: the search finds 12
+    states at q = 41 and eps = 0.2, 3741 at alpha = 0.01048, q = 95 and eps
+    = 10/q, and 4278 at alpha = 0.0101, q = 99 and the least eps above 8/q.
 
     next_at is the 8-letter table of _word_table: next_at[256 s + w] is 256
     times the state that word w leads to from state s, so a step from the
@@ -220,66 +238,49 @@ def _rate_automaton(alpha: float, epsilon: float):
     graph = _state_graph(np.array([alpha, 1.0]), (0.0, 1.0), epsilon=epsilon)
     if graph is None:
         return None
-    succ = graph[1]
-    states = succ.shape[0]
-    reads = np.ones(succ.shape, np.uint8)
+    table = graph[1]  # the table of words of 1, 2, 4, then 8 letters
+    states = table.shape[0]
+    reads = np.ones(table.shape, np.uint8)
     reads[-1] = 0
-    two = _compose(succ, succ, False)
-    for half in (succ, two, _compose(two, two, False)):  # reads of 2, 4, then 8 letters
-        reads = (reads[:, :, None] + reads[half]).reshape(states, -1)
-    return _word_table(succ, 8), reads.ravel(), 256 * (states - 1)
+    for _ in range(3):
+        reads = (reads[:, :, None] + reads[table]).reshape(states, -1)
+        table = _compose(table, table, False)
+    table <<= 8
+    return table.ravel(), reads.ravel(), 256 * (states - 1)
 
 
 def _stop_times(alpha: float, epsilon: float, n_steps: int):
     """A function of row keys that gives each row's stopping time: how many
     letters of its row, cell 0 innermost, fold [0, 1] to a diameter below
     epsilon (0 if 1 < epsilon), or n_steps + 1 if n_steps letters do not; a
-    stop past n_steps, in the last chunk, is a failure too. The rows step
-    through _rate_automaton's table, or past the state cap fold their images
-    [lo, hi] a letter at a time, to the same stops. The letters are read in
-    chunks that grow with the letters used, a multiple of 8 letters each: at
-    least one hash (64 letters) a row, and beyond that at most TILE_CELLS.
+    stop past n_steps, in the last chunk, is a failure too. Every row steps
+    through _rate_automaton's table, and a chain past _WORD_STATES states
+    is a StructuralError: none is known for q_k <= 99. The letters are read
+    in chunks that grow with the letters used, a multiple of 8 letters
+    each: at least one hash (64 letters) a row, and beyond that at most
+    TILE_CELLS.
     """
-    # chunk(state, keys, first, words) steps rows keys through letters first ..
-    # first + 8 words - 1 to (when, state): when[i] counts the letters row i
-    # read to stop, 0 if it did not stop
     automaton = _rate_automaton(alpha, epsilon)
-    if automaton is not None:  # a row's state is its table entry
-        next_at, reads, stop = automaton
-        origin = np.zeros(1, np.int32)  # the entry of [0, 1]
-
-        def chunk(at, keys, first, words):
-            path = np.empty((words, at.size), np.int32)  # the table entry of each word step
-            for step, word in zip(path, letter_words(keys, range(first // 8, first // 8 + words))):
-                np.add(at, word, out=step)
-                next_at.take(step, out=at, mode="clip")
-            return np.where(at == stop, reads[path].sum(axis=0), 0), at
-    else:  # a row's state is its image, a column of ends = [lo, hi]
-        dist = ThetaDist.two_point(alpha)
-        origin = np.array([[0.0], [1.0]])
-
-        def chunk(ends, keys, first, words):
-            lo, hi = ends
-            diam = np.empty((8 * words, lo.size))
-            scratch = np.empty_like(lo), np.empty_like(lo)
-            for theta, d in zip(letter_columns(dist, keys, range(first, first + 8 * words)), diam):
-                fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
-                np.subtract(hi, lo, out=d)
-            below = diam < epsilon
-            return np.where(below.any(axis=0), below.argmax(axis=0) + 1, 0), ends
+    if automaton is None:
+        raise StructuralError(f"the rate chain of alpha = {alpha!r}, epsilon = {epsilon!r}"
+                              f" has more than {_WORD_STATES} states")
+    next_at, reads, stop = automaton
 
     def stop_times(keys):
         stops = np.full(keys.size, 0 if 1.0 < epsilon else n_steps + 1)
         live = np.flatnonzero(stops)  # rows still folding
-        state = origin.repeat(live.size, axis=-1)  # every live row at [0, 1]
+        at = np.zeros(live.size, np.int32)  # each live row's table entry: [0, 1]'s, 0
         j = 0  # letters applied to every live row
         while live.size and j < n_steps:
             words = min(max(8, min(j, TILE_CELLS // live.size) // 8), -(-(n_steps - j) // 8))
-            when, state = chunk(state, keys[live], j, words)
-            hit = np.flatnonzero(when)
-            stops[live[hit]] = j + when[hit]
-            going = when == 0
-            live, state = live[going], state[..., going]
+            path = np.empty((words, at.size), np.int32)  # the table entry of each word step
+            for step, word in zip(path, letter_words(keys[live], range(j // 8, j // 8 + words))):
+                np.add(at, word, out=step)
+                next_at.take(step, out=at, mode="clip")
+            hit = np.flatnonzero(at == stop)
+            stops[live[hit]] = j + reads[path[:, hit]].sum(axis=0)
+            going = at != stop
+            live, at = live[going], at[going]
             j += 8 * words
         return stops
     return stop_times

@@ -8,11 +8,11 @@ support[bit 63 - (j mod 64) of h[t, j // 64]], where h[t, c] is the full
 hash of cell (t, c); every other dist reads one hash a letter, by integer
 cuts. No (trials, n) matrix is ever built.
 
-For a two-point dist the folds walk the exact-float state chain of
-foldmap._chain, where _row_ends (point and backward folds) and _stop_times
-(rate) choose between its word tables and the per-letter fold; the fold,
-and every other dist, reads a letter column at a time
-(process.letter_columns). Every path gives the same bytes. The drivers here
+For a two-point dist the folds walk the state chains of foldmap._chain:
+rate's trials always walk its exact chain (_stop_times), and _row_ends
+(point and backward folds) chooses between the word tables and the
+per-letter fold, which, as for every other dist, reads a letter column at
+a time (process.letter_columns). Every path gives the same bytes. The drivers here
 run such a fold of row keys over a plan's rows (_rows) and build the
 reports; none of them reads a letter itself.
 

@@ -367,21 +367,6 @@ def _count_cuts(cuts: np.ndarray, z: np.ndarray, passed: np.ndarray,
     return np.searchsorted(cuts, z, side="right")
 
 
-def _take_letters(dist: ThetaDist, z: np.ndarray, theta: np.ndarray,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
-    """Write the letters of hashed cells z into theta, and return it.
-
-    A letter's index is the number of dist's integer cuts at or below its
-    hash (_count_cuts, into scratch, a uint64 array shaped like z, allocated
-    when None), with theta, not yet written, holding each compare.
-    """
-    index = _count_cuts(dist._cuts, z, theta.view(np.intp),
-                        None if scratch is None else scratch.view(np.intp))
-    # every index is a count of cuts, below the support size, so "clip"
-    # never clips; it spares the bounds check that would buffer out
-    return np.take(dist.support, index, out=theta, mode="clip")
-
-
 def _cut_letters(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.ndarray:
     """The cut rule: the letters of grid cells (t, j) for row keys and step
     indices j of a dist that does not read one bit a letter.
@@ -392,12 +377,19 @@ def _cut_letters(dist: ThetaDist, keys, steps, out=None, scratch=None) -> np.nda
 
     out, a float array of the broadcast shape, receives the letters, and
     scratch, a pair of uint64 arrays of that shape, holds the hashes and
-    their shifted copies. Either is allocated when it is None; a loop that
+    their shifted copies, then the letters' indices. Either is allocated when it is None; a loop that
     passes both allocates nothing.
     """
     z, spare = (None, None) if scratch is None else scratch
     z = _cell_hashes(keys, steps, z, spare)
-    return _take_letters(dist, z, np.empty(z.shape) if out is None else out, spare)
+    theta = np.empty(z.shape) if out is None else out
+    # a letter's index is the number of cuts at or below its hash, with
+    # theta, not yet written, holding each compare; every index is below the
+    # support size, so "clip" never clips, and it spares the bounds check
+    # that would buffer out
+    index = _count_cuts(dist._cuts, z, theta.view(np.intp),
+                        None if spare is None else spare.view(np.intp))
+    return np.take(dist.support, index, out=theta, mode="clip")
 
 
 def letter_columns(dist: ThetaDist, keys: np.ndarray, letters: range):

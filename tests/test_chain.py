@@ -1,12 +1,14 @@
 """The two-point word automaton of foldmap._chain against plain Python models.
 
 The state search is checked against a short tuple-keyed breadth-first
-search by the scalar fold, the word tables against a per-word composition
-of the one-letter table, and the table walk against the per-letter fold,
-down to the sign of a zero.
+search by the scalar fold, rate's exact chain against one keyed by
+Fractions, the word tables against a per-word composition of the one-letter
+table, and the table walk against the per-letter fold, down to the sign of
+a zero.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +75,50 @@ def test_state_graph_is_the_tuple_search(alpha, kind, u, depth):
     assert ends.dtype == np.float64 and succ.dtype == np.int32
     assert ends.tobytes() == want[0].tobytes()  # bit for bit, NaN sink and sign of 0
     assert np.array_equal(succ, want[1])
+
+
+def fraction_chain(alpha, epsilon):
+    """succ of rate's chain by a breadth-first search on Fractions: the
+    images (lo, hi) of [0, 1] under the letters alpha and 1 whose diameter
+    is at least epsilon, numbered in order of discovery, then STOP, where
+    every shorter image goes; None past _chain._WORD_STATES states."""
+    letters, epsilon = (Fraction(alpha), Fraction(1)), Fraction(epsilon)
+    start = (Fraction(0), Fraction(1))
+    index, states, succ = {start: 0}, [start], []
+    for lo, hi in states:  # the queue: the loop sees the states it appends
+        for t in letters:
+            image = (max(0, lo - t, t - hi), max(abs(t - lo), abs(t - hi)))
+            if image[1] - image[0] < epsilon:
+                succ.append(None)
+                continue
+            if image not in index:
+                if len(states) >= _chain._WORD_STATES:
+                    return None
+                index[image] = len(states)
+                states.append(image)
+            succ.append(index[image])
+    stop = len(states)
+    return np.array([stop if s is None else s for s in succ] + [stop, stop],
+                    np.int32).reshape(-1, 2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       epsilon=st.floats(0.05, 1.5))
+@example(alpha=0.01048, epsilon=10 / 95)  # 3741 states; floats pass the cap
+@example(alpha=0.0105, epsilon=0.2)
+@example(alpha=0.0101, epsilon=float(np.nextafter(8 / 99, 1.0)))  # 4278 states
+@example(alpha=ALPHA, epsilon=0.2)
+@example(alpha=ALPHA, epsilon=ALPHA)  # [0, alpha] has diameter epsilon: no stop
+def test_rate_chain_is_the_fraction_search(alpha, epsilon):
+    got = _chain._state_graph(np.array([alpha, 1.0]), (0.0, 1.0), epsilon=epsilon)
+    want = fraction_chain(alpha, epsilon)
+    if want is None:
+        assert got is None
+        return
+    ends, succ = got
+    assert ends is None and succ.dtype == np.int32
+    assert np.array_equal(succ, want)
 
 
 def naive_word_table(succ, letters, backward):

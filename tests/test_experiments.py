@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from foldmap import (ClassBoundaryError, EmpiricalCDF, Interval, PreconditionError,
-                     ThetaDist, TrialPlan, WindowError, _chain, backward_diam_ensemble,
+                     StructuralError, ThetaDist, TrialPlan, WindowError, _chain,
+                     backward_diam_ensemble, cli,
                      ensemble_forward, experiments, forward_values,
                      interval_fold, iterate_forward, ks_distance,
                      law_equality_report,
@@ -403,7 +404,9 @@ def assert_rate_matches_folds(alpha, epsilon, plan, rep):
 
 def _rate_cases():
     """(alpha, k_index, q): random alphas at their largest q_k in 9..99, and
-    alpha = 0.01049, whose q_1 = 95 gives a chain of a few thousand states."""
+    three whose q_1 gives a chain of a few thousand states: alpha = 0.01049
+    and 0.01048 at q = 95, where float keys pass the state cap at 0.01048,
+    and alpha = 0.0101 at q = 99, the largest chain found for q <= 99."""
     cases = [(0.01049, 1, 95)]
     rng = np.random.default_rng(18)
     while len(cases) < 4:
@@ -411,7 +414,7 @@ def _rate_cases():
         fits = [c for c in convergents(contfrac_expand(alpha, 40)) if 9 <= c.q <= 99]
         if fits:
             cases.append((alpha, fits[-1].index, fits[-1].q))
-    return cases
+    return cases + [(0.01048, 1, 95), (0.0101, 1, 99)]
 
 
 class TestRateAutomaton:
@@ -447,21 +450,22 @@ class TestRateAutomaton:
         assert 1 not in rep.letters_used
         assert_rate_matches_folds(ALPHA, ALPHA, plan, rep)
 
-    @pytest.mark.parametrize("budget", [40, 37, None])
-    def test_fold_path_gives_the_same_report(self, monkeypatch, budget):
-        # a chain past _WORD_STATES states is not built; the trials fold instead
-        if budget:
-            monkeypatch.setattr(experiments, "rate_steps", lambda q: budget)
-        runs = [lambda: rate_experiment(ALPHA, 5, 0.2, TrialPlan(99, 60)),
-                lambda: rate_experiment(ALPHA, 6, 10 / 99, TrialPlan(5, 30)),
-                lambda: rate_experiment(ALPHA, 4, 1.5, TrialPlan(1, 3))]
-        reports = [run().to_json() for run in runs]
-        monkeypatch.setattr(_chain, "_WORD_STATES", 0)
-        assert [run().to_json() for run in runs] == reports
+    def test_past_the_cap_is_a_structural_failure(self, monkeypatch, capsys):
+        # every trial walks the exact chain, so one past _WORD_STATES states
+        # is refused, and the CLI exits 3
+        monkeypatch.setattr(_chain, "_WORD_STATES", 2)
+        with pytest.raises(StructuralError, match="more than 2 states"):
+            rate_experiment(ALPHA, 4, 0.5, TrialPlan(1, 3))
+        assert cli.run(["rate", "--alpha", "inv-sqrt2", "--qk", "17", "--eps", "0.5",
+                        "--trials", "3", "--seed", "1"]) == 3
+        assert "structural failure" in capsys.readouterr().err
 
-    def test_too_many_float_states_folds(self):
-        # at alpha = 0.01048, q = 95, one real image is reached as many floats
-        assert _chain._rate_automaton(0.01048, 10 / 95) is None
+    def test_one_state_per_real_image(self):
+        # at alpha = 0.01048, q = 95, float keys reach one real image as many
+        # floats and pass the cap; exact keys give each image one state
+        next_at, reads, stop = _chain._rate_automaton(0.01048, 10 / 95)
+        assert stop == 256 * 3741
+        assert next_at.shape == reads.shape == (256 * 3742,)
         plan = TrialPlan(5, trials=3)
         rep = rate_experiment(0.01048, 1, 10 / 95, plan)
         assert rep.q_k == 95 and rep.success_count == 3

@@ -414,6 +414,19 @@ def test_only_the_chain_reads_the_bit_rule():
     assert found == allowed
 
 
+def test_only_row_ends_folds_in_the_chain():
+    # rate's trials walk the exact chain, always; in _chain only the point
+    # and backward folds past the state cap read letters a column at a time
+    # and fold them
+    tree = ast.parse((Path(foldmap.__file__).parent / "_chain.py").read_text())
+    owner = _owners(tree)
+    callers = {(owner[node], node.func.id) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id in ("fold_interval_arrays", "letter_columns")}
+    assert callers == {("_row_ends.fold", "fold_interval_arrays"),
+                       ("_row_ends.fold", "letter_columns")}
+
+
 def test_takes_into_out_do_not_buffer():
     # numpy copies out= into a buffer for a take in the default mode="raise";
     # every take into an output in the library clips or wraps instead
