@@ -24,10 +24,10 @@ process.letter_columns.
 
 rate_experiment reports stopping times, never floats, so its chain keys the
 exact images of [0, 1], ints on the power-of-two grid of alpha, 1 and
-epsilon, and a trial stops at its first image shorter than epsilon, an
-absorbing state. One real image is one state: 3741 at alpha = 0.01048 and
-q = 95, where float keys pass the cap. Every trial walks this table
-(_stop_times), and no supported input is known to pass the cap.
+epsilon, and a trial stops at its first image of exact diameter below
+epsilon, an absorbing state. One real image is one state: 3741 at alpha =
+0.01048 and q = 95, where float keys pass the cap. Every trial walks this
+table (_stop_times), and no supported input is known to pass the cap.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _state_graph(support, start: tuple, depth: int | None = None,
 
     The states are the images (lo, hi) of start under words of the two
     letters support[0] and support[1], found by a breadth-first search, one
-    level a word length. Without epsilon each image is the scalar fold
+    level a word length. On floats each image is the scalar fold
     _fold_scalar, the same floats as fold_interval_arrays, so a state is
     exactly the pair of floats the per-letter fold reaches, and the states
     are keyed by those floats. A point start (x0, x0) gives point states,
@@ -59,11 +59,9 @@ def _state_graph(support, start: tuple, depth: int | None = None,
     backward_diam_ensemble. The start is stored as start + 0.0, as Interval
     does, so a start of -0.0 is the state +0.0 that |theta - theta| reaches.
 
-    [0, 1] with epsilon gives rate's chain, whose states are the exact
-    images: the letters, the start and epsilon are dyadic rationals, so
-    times the largest of their denominators they are ints, and the fold of
-    ints is exact. One real image is then one state, where the floats
-    reach it as many, and ends is None, since rate reads only succ.
+    On ints (rate's chain, put on an int grid by _rate_automaton) the fold
+    is exact, with an int zero (max(0.0, ...) would make a state a float),
+    so one real image is one state, where the floats reach it as many.
 
     The last state, S, is a sink. A fold to a diameter below epsilon goes
     there (it is rate's STOP), and so do the letters from the states first
@@ -73,17 +71,9 @@ def _state_graph(support, start: tuple, depth: int | None = None,
     succ[s, b] the state after letter support[b] from state s.
     """
     letters = support[:2].tolist()  # the two points a bit selects
-    point = start[0] == start[1] and epsilon is None
-    first = start[1] + 0.0 if point else (start[0] + 0.0, start[1] + 0.0)
-    fold = _fold_scalar
-    if epsilon is not None:  # exact: each value times scale is an int
-        ratios = [v.as_integer_ratio() for v in (*letters, *first, epsilon)]
-        scale = max(d for _, d in ratios)
-        *letters, lo, hi, epsilon = [n * (scale // d) for n, d in ratios]
-        first = lo, hi
-
-        def fold(t, lo, hi):  # an int zero: max(0.0, ...) would make the state a float
-            return max(0, lo - t, t - hi), max(t - lo, hi - t)
+    fold, zero = (_fold_scalar, 0.0) if isinstance(letters[0], float) else (_fold_exact, 0)
+    point = start[0] == start[1]
+    first = start[1] + zero if point else (start[0] + zero, start[1] + zero)
     index = {first: 0}
     states = [first]
     succ = []  # succ[2 s + b] for the expanded states s, -1 for the sink
@@ -111,13 +101,16 @@ def _state_graph(support, start: tuple, depth: int | None = None,
     table = np.full((sink + 1, 2), sink, dtype=np.int32)
     table.ravel()[:len(succ)] = succ
     table[table < 0] = sink
-    if epsilon is not None:
-        return None, table
     if point:  # the pairs (x, x)
         ends = np.array(states + [math.nan]).repeat(2).reshape(-1, 2)
     else:
         ends = np.array(states + [(math.nan, math.nan)])
     return ends, table
+
+
+def _fold_exact(t: int, lo: int, hi: int) -> tuple:
+    """_fold_scalar on ints, exactly: the image of [lo, hi] under x -> |t - x|."""
+    return max(0, lo - t, t - hi), max(t - lo, hi - t)
 
 
 def _dist_graph(dist: ThetaDist, start: tuple, n: int):
@@ -222,11 +215,12 @@ def _rate_automaton(alpha: float, epsilon: float):
     when it has more than _WORD_STATES states.
 
     The states are the exact images (lo, hi) of [0, 1] whose diameter is at
-    least epsilon (_state_graph), and a fold to a diameter below epsilon
-    goes to one absorbing state, STOP, the last of the S + 1 states. For mu
-    on {alpha, 1} the endpoints lie on the orbit of 0: the search finds 12
-    states at q = 41 and eps = 0.2, 3741 at alpha = 0.01048, q = 95 and eps
-    = 10/q, and 4278 at alpha = 0.0101, q = 99 and the least eps above 8/q.
+    least epsilon, and a fold to a diameter below epsilon goes to one
+    absorbing state, STOP, the last of the S + 1 states: alpha, 1 and
+    epsilon times the largest of their (power-of-two) denominators are
+    ints, which _state_graph folds exactly. The search finds 12 states at q
+    = 41 and eps = 0.2, 3741 at alpha = 0.01048, q = 95 and eps = 10/q, and
+    4278 at alpha = 0.0101, q = 99 and the least eps above 8/q.
 
     next_at is the 8-letter table of _word_table: next_at[256 s + w] is 256
     times the state that word w leads to from state s, so a step from the
@@ -235,7 +229,10 @@ def _rate_automaton(alpha: float, epsilon: float):
     from s, the position 1..8 of the letter that does, and 0 from STOP.
     Summed over a trial's words, it is the trial's stopping time.
     """
-    graph = _state_graph(np.array([alpha, 1.0]), (0.0, 1.0), epsilon=epsilon)
+    ratios = [v.as_integer_ratio() for v in (alpha, 1.0, epsilon)]
+    scale = max(d for _, d in ratios)  # q_k <= 99 keeps alpha, and so scale, below 2^60
+    grid_alpha, one, grid_epsilon = (n * (scale // d) for n, d in ratios)
+    graph = _state_graph(np.array([grid_alpha, one]), (0, one), epsilon=grid_epsilon)
     if graph is None:
         return None
     table = graph[1]  # the table of words of 1, 2, 4, then 8 letters
@@ -251,14 +248,19 @@ def _rate_automaton(alpha: float, epsilon: float):
 
 def _stop_times(alpha: float, epsilon: float, n_steps: int):
     """A function of row keys that gives each row's stopping time: how many
-    letters of its row, cell 0 innermost, fold [0, 1] to a diameter below
-    epsilon (0 if 1 < epsilon), or n_steps + 1 if n_steps letters do not; a
-    stop past n_steps, in the last chunk, is a failure too. Every row steps
-    through _rate_automaton's table, and a chain past _WORD_STATES states
-    is a StructuralError: none is known for q_k <= 99. The letters are read
-    in chunks that grow with the letters used, a multiple of 8 letters
-    each: at least one hash (64 letters) a row, and beyond that at most
-    TILE_CELLS.
+    letters of its row, cell 0 innermost, fold [0, 1] to an exact diameter
+    below epsilon (0 if 1 < epsilon), or n_steps + 1 if n_steps letters do
+    not; a stop past n_steps, in the last chunk, is a failure too. Every row
+    steps through _rate_automaton's table. The letters are read in chunks
+    that grow with the letters used, a multiple of 8 letters each: at least
+    one hash (64 letters) a row, and beyond that at most TILE_CELLS.
+
+    The float fold of interval_fold rounds, so it can stop at another
+    letter where an exact diameter lies within rounding of epsilon: the
+    letter alpha = 0.1 gives 1 - alpha < 0.9, where fl(1 - 0.1) = 0.9.
+    A chain past _WORD_STATES states is a StructuralError, an empirical
+    guard: scans at the least epsilon above 8/q_k, the worst case, found at
+    most 4278 states for q_k <= 99, but no bound is proven.
     """
     automaton = _rate_automaton(alpha, epsilon)
     if automaton is None:

@@ -348,7 +348,8 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     (t, 1), ... of its row, cell 0 innermost, and succeeds when the exact
     diameter drops below epsilon within N = ceil(8 q_k^3 log2 q_k) letters.
     The diameter is nonincreasing as letters are added outside, so each
-    trial stops at its first sub-epsilon diameter (_chain._stop_times);
+    trial stops at its first sub-epsilon diameter (_chain._stop_times,
+    which says where interval_fold's rounded diameter may stop elsewhere);
     letters_used records that stopping point (or N on failure). workers
     bounds the threads, and a thread needs a block of at least 2^15 trials.
     """

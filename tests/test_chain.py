@@ -111,14 +111,20 @@ def fraction_chain(alpha, epsilon):
 @example(alpha=ALPHA, epsilon=0.2)
 @example(alpha=ALPHA, epsilon=ALPHA)  # [0, alpha] has diameter epsilon: no stop
 def test_rate_chain_is_the_fraction_search(alpha, epsilon):
-    got = _chain._state_graph(np.array([alpha, 1.0]), (0.0, 1.0), epsilon=epsilon)
+    # on the int grid where alpha, 1 and epsilon are whole, the search is exact
+    scale = max(Fraction(v).denominator for v in (alpha, 1.0, epsilon))
+    grid_alpha, one, grid_epsilon = (int(Fraction(v) * scale) for v in (alpha, 1.0, epsilon))
+    got = _chain._state_graph(np.array([grid_alpha, one]), (0, one), epsilon=grid_epsilon)
     want = fraction_chain(alpha, epsilon)
+    automaton = _chain._rate_automaton(alpha, epsilon)
     if want is None:
-        assert got is None
+        assert got is None and automaton is None
         return
-    ends, succ = got
-    assert ends is None and succ.dtype == np.int32
-    assert np.array_equal(succ, want)
+    assert got[1].dtype == np.int32
+    assert np.array_equal(got[1], want)
+    next_at, reads, stop = automaton  # rate's tables compose this chain
+    assert stop == 256 * (len(want) - 1)
+    assert np.array_equal(next_at, _chain._word_table(want, 8))
 
 
 def naive_word_table(succ, letters, backward):

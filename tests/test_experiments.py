@@ -347,9 +347,8 @@ class TestRateExperiment:
         rep = rate_experiment(ALPHA, 4, 0.48, plan)
         assert rep.success_count == 30
         for t, k in enumerate(rep.letters_used):
-            word = two_point_word(ALPHA, plan, t, k)
-            widths = [iv.length for iv in interval_fold(word, Interval(0.0, 1.0))]
-            assert widths[-1] < 0.48 <= widths[-2]
+            below = exact_below(two_point_word(ALPHA, plan, t, k), 0.48)
+            assert below[-1] and not below[-2]
 
     def test_budget_exhausted_is_failure(self, monkeypatch):
         # a tiny budget is read in one chunk of five 8-letter words; at N = 37
@@ -388,14 +387,35 @@ class TestRateExperiment:
             rate_experiment(ALPHA, 99, 0.5, plan)
 
 
-def assert_rate_matches_folds(alpha, epsilon, plan, rep):
-    """Each trial's stopping time is the first k whose k-letter interval_fold
-    image of [0, 1] is shorter than epsilon, or the budget on failure."""
+def exact_below(word, epsilon):
+    """For [0, 1] and its images under the word's prefixes, letter 0
+    innermost, whether the diameter is below epsilon, folded exactly: on
+    ints, the values times the largest of their Fraction denominators (all
+    powers of two, so every value becomes whole)."""
+    letters = set(word.tolist())
+    scale = max(Fraction(v).denominator for v in (1.0, epsilon, *letters))
+    grid = {v: int(Fraction(v) * scale) for v in letters}
+    lo, hi, eps = 0, scale, int(Fraction(epsilon) * scale)
+    below = [hi - lo < eps]
+    for t in map(grid.get, word.tolist()):
+        lo, hi = max(0, lo - t, t - hi), max(abs(t - lo), abs(t - hi))
+        below.append(hi - lo < eps)
+    return below
+
+
+def float_below(word, epsilon):
+    """The same by interval_fold, whose float ends round."""
+    return [iv.length < epsilon for iv in interval_fold(word, Interval(0.0, 1.0))]
+
+
+def assert_rate_matches_folds(alpha, epsilon, plan, rep, below=exact_below):
+    """Each trial's stopping time is the first k whose k-letter image of
+    [0, 1] has a diameter below epsilon, exact unless below is
+    float_below, or the budget on failure."""
     for t in range(plan.trials):
         k = rep.letters_used[t]
-        word = two_point_word(alpha, plan, t, k)
-        widths = [iv.length for iv in interval_fold(word, Interval(0.0, 1.0))]
-        first = next((i for i, w in enumerate(widths) if w < epsilon), None)
+        first = next((i for i, b in enumerate(below(two_point_word(alpha, plan, t, k), epsilon))
+                      if b), None)
         if rep.successes[t]:
             assert first == k
         else:
@@ -442,6 +462,8 @@ class TestRateAutomaton:
             rep = rate_experiment(alpha, k_index, epsilon, plan, workers=workers)
             assert rep.q_k == q
             assert_rate_matches_folds(alpha, epsilon, plan, rep)
+            # no image of these cases lies within rounding of epsilon
+            assert_rate_matches_folds(alpha, epsilon, plan, rep, float_below)
 
     def test_diameter_equal_to_epsilon_is_no_stop(self):
         # the letter alpha folds [0, 1] to [0, alpha], whose diameter is epsilon
@@ -449,6 +471,18 @@ class TestRateAutomaton:
         rep = rate_experiment(ALPHA, 4, ALPHA, plan)
         assert 1 not in rep.letters_used
         assert_rate_matches_folds(ALPHA, ALPHA, plan, rep)
+
+    def test_a_float_tie_stops_on_the_exact_diameter(self):
+        # the letter alpha = 0.1 folds [0, 1] to [0, 1 - alpha], exactly
+        # below 0.9; the float fold rounds 1 - 0.1 to 0.9, which is no stop
+        assert interval_fold([0.1], Interval(0.0, 1.0))[1].length == 0.9
+        plan = TrialPlan(4, trials=40)
+        rep = rate_experiment(0.1, 1, 0.9, plan)  # q_1 = 10
+        assert rep.q_k == 10
+        firsts = [two_point_word(0.1, plan, t, 1)[0] for t in range(40)]
+        assert [k == 1 for k in rep.letters_used] == [x == 0.1 for x in firsts]
+        assert 1 in rep.letters_used
+        assert_rate_matches_folds(0.1, 0.9, plan, rep)
 
     def test_past_the_cap_is_a_structural_failure(self, monkeypatch, capsys):
         # every trial walks the exact chain, so one past _WORD_STATES states
