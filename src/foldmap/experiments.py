@@ -46,8 +46,8 @@ import numpy as np
 from . import _chain
 from .contfrac import contfrac_expand, convergents
 from .errors import PreconditionError, StructuralError, WindowError, as_int
-from .orbit import (OrbitLabel, W_MAX, _check_alpha, alpha_targets, build_graph_window,
-                    check_graph_window, rho_chart, scan_class_ties, window_values)
+from .orbit import (OrbitLabel, W_MAX, _check_alpha, _scan_window, alpha_targets,
+                    build_graph_window, check_graph_window, rho_chart, window_values)
 from .process import (ThetaDist, TrialPlan, check_start, check_trials, letter_run,
                       substream_keys, uniform_cells)
 from .serialize import canonical_json, rows_to_csv
@@ -56,7 +56,10 @@ from .stationary import PiecewiseLinearCDF, _quantile, stationary_cdf
 _TRIAL_BLOCK = 1 << 16    # cap on rows vectorized together (does not affect output)
 _MAX_WORKERS = 64         # threads one run may use
 _THREAD_ROWS = 1 << 15    # fewest rows a block needs to be worth a thread
-_RATE_QK_CAP = 99         # keeps N below ~5.2e7 letters per trial
+# bounds the size of _chain._rate_automaton's chain, not a trial's letters
+# (trials stop within a few thousand): scans at the least epsilon above 8/q_k
+# found at most 4278 states for q_k <= 99, under _chain._WORD_STATES
+_RATE_QK_CAP = 99
 _MAX_LETTERS = 10 ** 7    # n: past the state cap, about 30 s of folds a trial
 _MAX_WALK = 10 ** 6       # rho audit steps, segments: 28 MB and 58 MB at the bound
 
@@ -554,7 +557,7 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
     elif reach > window:
         raise WindowError(f"walk reached |n| = {reach} > window {window}; enlarge")
     else:
-        scan_class_ties(window_values(alpha, x0, window), alpha, window)
+        _scan_window(alpha, x0, window, keep=False)
     graph = build_graph_window(alpha, x0, min(window, reach + 4))
     chart = rho_chart(graph, OrbitLabel(0, 1))
 

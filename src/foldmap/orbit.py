@@ -9,7 +9,13 @@ walks on a graph whose vertices are labels inside a finite window |n| <= W.
 Vertices are classified Small/Medium/Large by their value relative to the two
 cuts alpha and 1-alpha (roles swap for alpha < 1/2). Values are always
 recomputed from labels, never propagated, so round-off stays below 1e-9 for
-|n| up to 10^6, and taken mod 1 by fractional_part.
+|n| up to 10^6, and taken mod 1 by fractional_part. build_graph_window scans
+its window one tile of process.TILE_CELLS labels at a time (_scan_window):
+each tile's values, class-tie check and classes are made in one pass over
+buffers that fit L2, straight into the output arrays. The build and
+structure_stats then hold the values, the classes and one sorted copy, whose
+gaps are taken a quarter tile at a time: a peak of 6.6 MiB at W = 10^5 and
+65.0 MiB at W = 10^6 (tracemalloc).
 
 Give label (n, eps) the position p = eps*n: the full fold keeps p and the
 alpha fold moves it to p - eps, so every window graph is a ladder whose rungs
@@ -34,6 +40,7 @@ import numpy as np
 
 from .errors import (ClassBoundaryError, PrecisionError, PreconditionError,
                      StructuralError, WordNotFoundError, as_int)
+from .process import TILE_CELLS
 
 W_MAX = 10 ** 6          # |n| cap keeping label values accurate to < 1e-9
 DEFAULT_WINDOW = 10 ** 4
@@ -131,15 +138,49 @@ def alpha_targets(values: np.ndarray, alpha: float, window: int) -> np.ndarray:
     return target
 
 
-def scan_class_ties(values: np.ndarray, alpha: float, window: int) -> None:
-    """Raise ClassBoundaryError for the first window value within 1e-12 of a class cut."""
-    on_cut = np.abs(values - alpha) <= CLASS_TOL
-    on_cut |= np.abs(values - (1.0 - alpha)) <= CLASS_TOL
-    if np.any(on_cut):
-        i = int(np.flatnonzero(on_cut)[0])
-        raise ClassBoundaryError(
-            f"label {_label_of(i, window)} value {float(values[i])!r} ties a class "
-            "boundary; alpha rational or x on a cut orbit")
+def _scan_window(alpha: float, x: float, window: int, keep: bool = True):
+    """(values, classes) of the labels |n| <= W, one tile of TILE_CELLS labels at a time.
+
+    A tile takes <n*alpha +- x> by window_values' float operations, bit for
+    bit, writing the values straight into their slice of the output. Then it
+    raises ClassBoundaryError for its first value within CLASS_TOL of a class
+    cut, so the error names the first such label in index order, and writes
+    the int8 classes by strict inequalities: 0 below min(alpha, 1-alpha), 1
+    below the other cut, else 2. With keep False the values only pass through
+    a tile buffer and no class is made, so only the tie check is left; it
+    returns None. A tile works in about 1.7 MB: its slices of the values and
+    classes, the ramp of n and one work buffer.
+    """
+    m = 2 * window + 1
+    width = min(m, TILE_CELLS)
+    lo_cut, hi_cut = sorted((alpha, 1.0 - alpha))
+    ramp = np.arange(width, dtype=float)  # n - start of a tile, exact
+    work = np.empty(width)  # a tile's n*alpha, then its floors, then distances to a cut
+    above = np.empty(width, dtype=bool)
+    values = np.empty(2 * m if keep else width)
+    classes = np.empty(2 * m, dtype=np.int8) if keep else None
+    for row, shift in enumerate((np.add, np.subtract)):  # eps = +1, then eps = -1
+        for start in range(0, m, width):
+            k = min(width, m - start)
+            at = row * m + start
+            v = values[at:at + k] if keep else values[:k]
+            t = np.add(ramp[:k], start - window, out=work[:k])
+            shift(np.multiply(t, alpha, out=t), x, out=v)
+            np.subtract(v, np.floor(v, out=t), out=v)  # fractional_part
+            near = min(np.abs(np.subtract(v, cut, out=t), out=t).min()
+                       for cut in (alpha, 1.0 - alpha))
+            if near <= CLASS_TOL:
+                on_cut = np.abs(v - alpha) <= CLASS_TOL
+                on_cut |= np.abs(v - (1.0 - alpha)) <= CLASS_TOL
+                i = int(np.flatnonzero(on_cut)[0])
+                raise ClassBoundaryError(
+                    f"label {_label_of(at + i, window)} value {float(v[i])!r} ties a class "
+                    "boundary; alpha rational or x on a cut orbit")
+            if keep:
+                cls = classes[at:at + k]
+                np.greater_equal(v, lo_cut, out=cls.view(np.bool_))
+                cls += np.greater_equal(v, hi_cut, out=above[:k])
+    return (values, classes) if keep else None
 
 
 def _label_of(index: int, window: int) -> OrbitLabel:
@@ -189,19 +230,19 @@ class OrbitGraphWindow:
                   for theta in (1.0, self.alpha)]
         return [(theta, t) for theta, t in images if abs(t.n) <= self.window]
 
-    def interior_mask(self) -> np.ndarray:
-        """Boolean mask excluding a margin of width _MARGIN at both n ends."""
-        n = np.abs(np.arange(-self.window, self.window + 1))
-        keep = n <= self.window - _MARGIN
-        return np.concatenate([keep, keep])
-
     def class_frequencies(self) -> dict:
+        """Share of each class among the labels |n| <= W - _MARGIN of both rows.
+
+        Two counts over the interior of both rows: the classes above SMALL
+        (nonzero) and the LARGE ones.
+        """
         check_margin(self.window)
-        mask = self.interior_mask()
-        total = int(np.count_nonzero(mask))
-        cls = self.classes[mask]
-        return {c.name.lower(): int(np.count_nonzero(cls == c)) / total
-                for c in VertexClass}
+        m = 2 * self.window + 1
+        interior = self.classes.reshape(2, m)[:, _MARGIN:m - _MARGIN]
+        above_small = int(np.count_nonzero(interior))
+        large = int(np.count_nonzero(interior == VertexClass.LARGE))
+        counts = (interior.size - above_small, above_small - large, large)
+        return {c.name.lower(): counts[c] / interior.size for c in VertexClass}
 
     # ---- export ---------------------------------------------------------
 
@@ -292,16 +333,23 @@ def build_graph_window(alpha: float, x: float, window: int) -> OrbitGraphWindow:
     label pairs instead of merging vertices.
     """
     check_graph_window(alpha, x, window)
-    values = window_values(alpha, x, window)
-    scan_class_ties(values, alpha, window)
-    # classes by strict inequalities; scan_class_ties rejected values on a cut
-    lo_cut, hi_cut = sorted((alpha, 1.0 - alpha))
-    classes = np.where(values < lo_cut, 0, np.where(values < hi_cut, 1, 2)).astype(np.int8)
+    values, classes = _scan_window(alpha, x, window)
 
     # the sorted values are the same either way, so the stable order that
-    # names the pairs is only needed when some gap is below the tolerance
-    close = np.flatnonzero(np.diff(np.sort(values)) < SINGULAR_TOL)
-    order = np.argsort(values, kind="stable") if close.size else None
+    # names the pairs is only needed when some gap is below the tolerance;
+    # the gaps of the one sorted copy are taken a quarter tile at a time, a
+    # buffer small beside the copy
+    ordered = np.sort(values)
+    gaps = np.empty(min(ordered.size - 1, TILE_CELLS // 4))
+    close = []
+    for start in range(0, ordered.size - 1, gaps.size):
+        stop = min(start + gaps.size, ordered.size - 1)
+        gap = np.subtract(ordered[start + 1:stop + 1], ordered[start:stop],
+                          out=gaps[:stop - start])
+        if gap.min() < SINGULAR_TOL:
+            close.extend((np.flatnonzero(gap < SINGULAR_TOL) + start).tolist())
+    del ordered, gaps
+    order = np.argsort(values, kind="stable") if close else None
     coincidences = [(_label_of(order[j], window), _label_of(order[j + 1], window))
                     for j in close]
 

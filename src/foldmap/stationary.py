@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError, as_int
 from .orbit import CLASS_TOL, _check_alpha, fractional_part
-from .process import ThetaDist, _count_cuts
+from .process import TILE_CELLS, ThetaDist, _count_cuts
 from .serialize import canonical_json, rows_to_csv
 
 
@@ -165,12 +165,19 @@ def large_count(alpha: float, n: int) -> int:
     For alpha > 1/2 these are the orbit points at or above the upper class
     cut; for alpha < 1/2 the same count covers the medium and large classes
     combined. Equals n - floor(n*alpha) for irrational alpha. n is at most
-    10**7: the count holds arrays of about 17 bytes an index.
+    10**7. The count takes i*alpha one tile of TILE_CELLS indices at a time,
+    by the floats of np.arange(1, n + 1) * alpha, so it holds about 1 MB at
+    any n.
     """
     _check_alpha(alpha)
     if as_int(n, "n", 1) > 10 ** 7:
         raise PreconditionError("n must be <= 10**7")
-    return int(np.count_nonzero(fractional_part(np.arange(1, n + 1) * alpha) >= alpha))
+    count = 0
+    for lo in range(1, n + 1, TILE_CELLS):
+        i_alpha = np.arange(lo, min(lo + TILE_CELLS, n + 1), dtype=float)
+        i_alpha *= alpha
+        count += int(np.count_nonzero(fractional_part(i_alpha) >= alpha))
+    return count
 
 
 def is_small_vertex(alpha: float, n: int) -> bool:

@@ -233,6 +233,16 @@ class TestFractionalPart:
         assert np.array_equal(bits(orbit.window_values(alpha, x, orbit.W_MAX)), bits(want))
 
 
+def assert_stable_coincidences(g):
+    """The graph's coincidences are the gaps below SINGULAR_TOL of
+    np.diff(np.sort(values)), named by the stable order, and there are some."""
+    order = np.argsort(g.values, kind="stable")
+    close = np.flatnonzero(np.diff(g.values[order]) < orbit.SINGULAR_TOL)
+    assert close.size
+    assert g.coincidences == [(g.label_at(int(order[j])), g.label_at(int(order[j + 1])))
+                              for j in close]
+
+
 class TestGraphWindow:
     def test_class_frequencies(self):
         g = build_graph_window(ALPHA, 0.2, 50)
@@ -335,12 +345,7 @@ class TestGraphWindow:
     @pytest.mark.parametrize("x", [ALPHA / 2, 0.5, (1 + ALPHA) / 2, (0.5 - 3 * ALPHA) % 1.0])
     @pytest.mark.parametrize("window", [20, 3000])
     def test_coincidences_follow_the_stable_order(self, x, window):
-        g = build_graph_window(ALPHA, x, window)
-        order = np.argsort(g.values, kind="stable")
-        close = np.flatnonzero(np.diff(g.values[order]) < orbit.SINGULAR_TOL)
-        assert close.size
-        assert g.coincidences == [(g.label_at(int(order[j])), g.label_at(int(order[j + 1])))
-                                  for j in close]
+        assert_stable_coincidences(build_graph_window(ALPHA, x, window))
 
     def test_orbit_of_zero_hits_boundary(self):
         # x = 0 puts <-alpha> = 1 - alpha exactly on the cut
@@ -364,6 +369,87 @@ class TestGraphWindow:
             orbit.check_graph_window(alpha, 0.2, 10)
         with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
             build_graph_window(alpha, 0.2, 10)
+
+
+def untiled_scan(alpha, x, window):
+    """(values, classes) of the whole window at once, or the message of its
+    first class tie: window_values, then the first value in index order within
+    CLASS_TOL of a cut, then classes by two nested np.where."""
+    values = orbit.window_values(alpha, x, window)
+    on_cut = np.abs(values - alpha) <= orbit.CLASS_TOL
+    on_cut |= np.abs(values - (1.0 - alpha)) <= orbit.CLASS_TOL
+    if on_cut.any():
+        i = int(np.flatnonzero(on_cut)[0])
+        return i, (f"label {orbit._label_of(i, window)} value {float(values[i])!r} ties "
+                   "a class boundary; alpha rational or x on a cut orbit")
+    lo_cut, hi_cut = sorted((alpha, 1.0 - alpha))
+    classes = np.where(values < lo_cut, 0, np.where(values < hi_cut, 1, 2)).astype(np.int8)
+    return values, classes
+
+
+class TestTiledScan:
+    """build_graph_window scans its window a tile of orbit.TILE_CELLS labels at
+    a time; every tile edge gives what the untiled scan gives."""
+
+    # row lengths 2W + 1 one below, equal to and one above a multiple of the tile
+    EDGES = [(8, 7), (7, 10), (8, 8), (7, 3), (orbit.TILE_CELLS, 32767),
+             (orbit.TILE_CELLS, 32768)]
+
+    @pytest.mark.parametrize("tile, window", EDGES)
+    @pytest.mark.parametrize("alpha, x", [(ALPHA, 0.2), (GOLDEN, 0.17),
+                                          (0.3 + 1e-5 * math.sqrt(2), 0.93), (ALPHA, ALPHA / 2)])
+    def test_values_and_classes(self, monkeypatch, tile, window, alpha, x):
+        monkeypatch.setattr(orbit, "TILE_CELLS", tile)
+        values, classes = untiled_scan(alpha, x, window)
+        g = build_graph_window(alpha, x, window)
+        assert g.values.tobytes() == values.tobytes()
+        assert g.classes.dtype == np.int8
+        assert g.classes.tobytes() == classes.tobytes()
+        assert orbit._scan_window(alpha, x, window, keep=False) is None
+
+    @pytest.mark.parametrize("tile, window", [(8, 9), (orbit.TILE_CELLS, orbit.TILE_CELLS + 1)])
+    def test_tie_in_the_second_tile(self, monkeypatch, tile, window):
+        # x = 0: (-1, +1) has value <-alpha> = 1 - alpha, at index W - 1 = tile
+        monkeypatch.setattr(orbit, "TILE_CELLS", tile)
+        index, message = untiled_scan(ALPHA, 0.0, window)
+        assert index == tile
+        for keep in (True, False):
+            with pytest.raises(ClassBoundaryError, match=f"^{re.escape(message)}$"):
+                orbit._scan_window(ALPHA, 0.0, window, keep)
+
+    # a value and its mirror <-y> = 1 - <y> round apart here: (0, -1) has
+    # fl(1 - x) within CLASS_TOL of alpha, while (0, +1), at x, is just over
+    # CLASS_TOL from 1 - alpha, so the first tie is in the eps = -1 row
+    MIRROR = (0.9237168684686163, 0.07628313153238367)
+
+    @pytest.mark.parametrize("tile, window", [(8, 3), (8, 8), (orbit.TILE_CELLS, 3),
+                                              (orbit.TILE_CELLS, orbit.TILE_CELLS)])
+    def test_tie_in_the_minus_row(self, monkeypatch, tile, window):
+        monkeypatch.setattr(orbit, "TILE_CELLS", tile)
+        index, message = untiled_scan(*self.MIRROR, window)
+        assert index == 3 * window + 1  # (0, -1)
+        assert message.startswith("label (0,-1) value ")
+        for keep in (True, False):
+            with pytest.raises(ClassBoundaryError, match=f"^{re.escape(message)}$"):
+                orbit._scan_window(*self.MIRROR, window, keep)
+
+    @pytest.mark.parametrize("tile", [7, 64])
+    @pytest.mark.parametrize("x", [ALPHA / 2, 0.5])
+    def test_coincidences_across_gap_tiles(self, monkeypatch, tile, x):
+        # the sorted values' gaps are taken a quarter tile at a time
+        monkeypatch.setattr(orbit, "TILE_CELLS", tile)
+        assert_stable_coincidences(build_graph_window(ALPHA, x, 50))
+
+    def test_build_and_stats_memory(self):
+        # the values, the classes and one sorted copy, and little besides
+        for window, bound in ((10 ** 5, 7), (10 ** 6, 66)):
+            tracemalloc.start()
+            try:
+                structure_stats(build_graph_window(ALPHA, 0.2, window))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * 2 ** 20
 
 
 class TestRhoChart:

@@ -1,6 +1,7 @@
 """Stationary CDF, quantile sampling, and the forced value at alpha."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -222,6 +223,18 @@ class TestLargeCount:
     def test_density_limit(self):
         n = 10 ** 6
         assert abs(large_count(ALPHA, n) / n - (1 - ALPHA)) < 0.002
+
+    def test_memory_at_the_bound(self):
+        # one tile of indices at a time, where three n-sized arrays peaked at
+        # 152.7 MiB
+        tracemalloc.start()
+        try:
+            count = large_count(ALPHA, 10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 10 ** 7 - math.floor(10 ** 7 * ALPHA)
+        assert peak < 5 * 2 ** 20
 
     def test_rational_alpha_periodic(self):
         # alpha = 1/4: orbit cycles .25, .5, .75, 0; three of four at or above
