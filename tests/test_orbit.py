@@ -417,7 +417,7 @@ class TestTiledScan:
             with pytest.raises(ClassBoundaryError, match=f"^{re.escape(message)}$"):
                 orbit._scan_window(ALPHA, 0.0, window, keep)
 
-    # a value and its mirror <-y> = 1 - <y> round apart here: (0, -1) has
+    # a value and its mirror <-y> = 1 - <y> round apart at this (alpha, x): (0, -1) has
     # fl(1 - x) within CLASS_TOL of alpha, while (0, +1), at x, is just over
     # CLASS_TOL from 1 - alpha, so the first tie is in the eps = -1 row
     MIRROR = (0.9237168684686163, 0.07628313153238367)
