@@ -5,12 +5,14 @@ start point x0, of [0, b], or of [0, 1] down to a diameter epsilon, under
 words of the two letters are few: 232 points of x0 = 0.2 to depth 50, 1585
 images of [0, 1] to depth 1000. One breadth-first search per call
 (_state_graph) finds them, and composes their one-letter table, by takes
-along the state axis, into an int32 table of 8-letter words. Each byte of a
-hash, read from the top, is one such word, so forward_values, both
-directions of law_equality_report, backward_diam_ensemble and
-rate_experiment step every trial one add and one take per eight letters,
-and fold no float; the takes clip, since a take into an output in numpy's
-default mode copies through a buffer.
+along the state axis, into an int32 table of 8-letter words. A backward
+word applies the same letters in reverse order, so its table is the
+forward table with each word's bits reversed. Each byte of a hash, read
+from the top, is one such word, so forward_values, both directions of
+law_equality_report, backward_diam_ensemble and rate_experiment step every
+trial one add and one take per eight letters, and fold no float; the takes
+clip, since a take into an output in numpy's default mode copies through a
+buffer.
 
 A point or backward state is the float x (of a point) or the pair of floats
 (of an interval) that the per-letter fold reaches, since those floats are
@@ -41,6 +43,8 @@ from .process import (TILE_CELLS, ThetaDist, _fold_scalar, _words_in_order,
                       fold_interval_arrays, letter_columns, letter_words)
 
 _WORD_STATES = 1 << 13    # the most states of a word automaton (8 MB a word table)
+_ROW_BLOCK = 1 << 12      # the entries of a backward word table reversed at a time
+_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)])  # bytes, bits reversed
 
 
 def _state_graph(support, start: tuple, depth: int | None = None,
@@ -119,35 +123,37 @@ def _dist_graph(dist: ThetaDist, start: tuple, n: int):
     return _state_graph(dist.support, start, n) if dist._bits else None
 
 
-def _compose(high: np.ndarray, low: np.ndarray, backward: bool) -> np.ndarray:
-    """The state table of words whose high bits are a word of high's and
-    whose low bits are a word of low's. Forward, the high bits are read
-    first (the first letter is the top bit); backward, the low bits are.
-    Each is built by takes along the state axis, with no 2-D fancy index."""
-    if not backward:  # [s, h, l] = low[high[s, h], l]
-        return low.take(high, axis=0).reshape(high.shape[0], -1)
-    # [s, h, l] = high[low[s, l], h], one take a high word into its slice
-    out = np.empty((low.shape[0], high.shape[1], low.shape[1]), np.int32)
-    for h in range(high.shape[1]):
-        np.take(high[:, h], low, out=out[:, h, :], mode="clip")
-    return out.reshape(low.shape[0], -1)
+def _compose(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The state table of words whose high bits, read first (the first
+    letter is the top bit), are a word of high's and whose low bits are a
+    word of low's: [s, h, l] = low[high[s, h], l], one take along the state
+    axis, with no 2-D fancy index. _word_table builds a backward table from
+    this forward one by reversing each word's bits."""
+    return low.take(high, axis=0).reshape(high.shape[0], -1)
 
 
 def _word_table(succ: np.ndarray, letters: int, backward: bool = False) -> np.ndarray:
     """The flat int32 table of words of 1..8 letters, first letter in the
     word's top bit: entry (s << letters) + w is 256 times the state that
     word w leads to from state s. backward applies the word's letters from
-    its lowest bit up instead, the order of a fold with letter 0 outermost.
+    its lowest bit up instead, the order of a fold with letter 0 outermost:
+    the forward table with each word's bits reversed, a column permutation
+    made in place _ROW_BLOCK entries at a time, so no second table is live.
     """
-    table, power, size = None, succ, 1  # power: the table of words of `size` letters
+    # power: the table of words of `size` letters, a copy of succ at first,
+    # since the table is reversed and shifted in place
+    table, power, size = None, succ.copy(), 1
     while size <= letters:
         if letters & size:  # the larger part takes the high bits
-            table = power if table is None else _compose(power, table, backward)
+            table = power if table is None else _compose(power, table)
         size *= 2
         if size <= letters:
-            power = _compose(power, power, backward)
-    if table is succ:
-        table = table.copy()
+            power = _compose(power, power)
+    if backward:
+        order = _REVERSED[:1 << letters] >> (8 - letters)
+        rows = _ROW_BLOCK >> letters
+        for r in range(0, len(table), rows):
+            table[r:r + rows] = table[r:r + rows].take(order, axis=1)
     table <<= 8
     return table.ravel()
 
@@ -241,7 +247,7 @@ def _rate_automaton(alpha: float, epsilon: float):
     reads[-1] = 0
     for _ in range(3):
         reads = (reads[:, :, None] + reads[table]).reshape(states, -1)
-        table = _compose(table, table, False)
+        table = _compose(table, table)
     table <<= 8
     return table.ravel(), reads.ravel(), 256 * (states - 1)
 

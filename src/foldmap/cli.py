@@ -388,15 +388,18 @@ _CONVERT = {"alpha": parse_alpha, "dist": parse_dist}
 
 
 def _check_values(row: Command, args) -> None:
-    """Check the parsed option values and convert --alpha and --dist, in place.
+    """Check the parsed option values and convert --alpha and --dist, in place;
+    a float of -0.0 is stored as 0.0, so it computes and prints as 0.0 does.
 
     These checks raise PreconditionError (exit 2) rather than run as argparse
     type= callables, which would turn them into usage errors (exit 1).
     """
     for arg in row.args:
         value = getattr(args, arg.dest)
-        if arg.kind == "float" and value is not None and not math.isfinite(value):
-            raise PreconditionError(f"{arg.dest} must be finite")
+        if arg.kind == "float" and value is not None:
+            if not math.isfinite(value):
+                raise PreconditionError(f"{arg.dest} must be finite")
+            setattr(args, arg.dest, value + 0.0)
         if arg.kind == "ints" and min(value) < 1:
             raise PreconditionError(f"{arg.dest} must be positive integers")
         if arg.kind in _CONVERT:

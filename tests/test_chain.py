@@ -8,6 +8,7 @@ a zero.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -143,14 +144,38 @@ def naive_word_table(succ, letters, backward):
 
 @pytest.mark.parametrize("backward", [False, True])
 @pytest.mark.parametrize("states", [1, 2, 7, 300])
-def test_word_table_composes_words(states, backward):
+def test_word_table_composes_words(states, backward, monkeypatch):
     succ = np.random.default_rng(states).integers(0, states, (states, 2), dtype=np.int32)
     kept = succ.copy()
+    block = _chain._ROW_BLOCK
     for letters in range(1, 9):
-        got = _chain._word_table(succ, letters, backward)
-        assert got.dtype == np.int32
-        assert np.array_equal(got, naive_word_table(succ, letters, backward))
-    assert np.array_equal(succ, kept)
+        want = naive_word_table(succ, letters, backward)
+        # the backward bits are reversed a block of rows at a time: at the
+        # default size, and at 7 rows a block (43 blocks, the last of 6 rows,
+        # at 300 states)
+        for entries in (block, 7 << letters):
+            monkeypatch.setattr(_chain, "_ROW_BLOCK", entries)
+            got = _chain._word_table(succ, letters, backward)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want)
+            assert not np.shares_memory(got, succ)
+            assert np.array_equal(succ, kept)
+
+
+def test_backward_word_table_peaks_as_the_forward_one():
+    # the reversal permutes the forward table in place, so the backward
+    # build holds at most one row block more than the forward build
+    succ = _chain._dist_graph(TWO_POINT, (0.2, 0.2), 200)[1]
+    assert len(succ) == 935
+    peaks = []
+    for backward in (False, True):
+        tracemalloc.start()
+        try:
+            _chain._word_table(succ, 8, backward)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4 * _chain._ROW_BLOCK  # int32 entries
 
 
 @pytest.mark.parametrize("backward", [False, True])

@@ -453,6 +453,23 @@ class TestInputBoundary:
         assert run(argv + dry) == 2
         assert f"{name} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dist", "two-point:inv-sqrt2", "--x0", "{}", "--n", "5",
+         "--trials", "20", "--seed", "1"],
+        ["bvf-check", "--dist", "two-point:inv-sqrt2", "--x0", "{}", "--n", "5",
+         "--trials", "20", "--seed", "1"],
+        ["closek", "--alpha", "inv-sqrt2", "--x", "{}", "--qn", "17"],
+        ["shrinkword", "--alpha", "inv-sqrt2", "--m", "{}", "--threshold", "0.01"],
+    ], ids=["simulate", "bvf-check", "closek", "shrinkword"])
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    def test_negative_zero_float_is_zero(self, capsys, argv, dry):
+        # -0.0 computes what 0.0 does, so it prints as 0.0 too, echo included
+        outs = []
+        for zero in ("-0.0", "0.0"):
+            assert run([a.format(zero) for a in argv] + dry) == 0
+            outs.append(out_of(capsys))
+        assert outs[0] == outs[1] and "-0.0" not in outs[0]
+
     @pytest.mark.parametrize("alpha", [math.inf, math.nan, 1.5, 1.0, 0.0, -0.3])
     def test_closek_row_checks_alpha(self, alpha):
         # --alpha is parsed into (0, 1); the row's check holds the library's range too

@@ -430,8 +430,10 @@ def test_only_row_ends_folds_in_the_chain():
 
 
 def test_takes_into_out_do_not_buffer():
-    # numpy copies out= into a buffer for a take in the default mode="raise";
-    # every take into an output in the library clips or wraps instead
+    # numpy copies out= into a buffer for a take in the default mode="raise",
+    # and for a strided out= in any mode; every take into an output in the
+    # library clips or wraps, into a name or a first-axis slice such as
+    # buf[:k], never a multi-axis subscript such as out[:, h, :]
     takes, buffered = 0, []
     for path in sorted(Path(foldmap.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -442,9 +444,11 @@ def test_takes_into_out_do_not_buffer():
             if "out" not in keywords:
                 continue
             takes += 1
-            mode = keywords.get("mode")
+            mode, out = keywords.get("mode"), keywords["out"]
             if not (isinstance(mode, ast.Constant) and mode.value in ("clip", "wrap")):
                 buffered.append(f"{path.name}:{node.lineno}")
+            if isinstance(out, ast.Subscript) and isinstance(out.slice, ast.Tuple):
+                buffered.append(f"{path.name}:{node.lineno} strided")
     assert takes and buffered == []
 
 
