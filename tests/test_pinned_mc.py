@@ -1,6 +1,7 @@
-"""Pinned bytes of the trial- and sample-indexed Monte Carlo outputs.
+"""Pinned bytes of the trial- and sample-indexed Monte Carlo outputs, and of
+the exact walk oracle that the two-point rate bound is compared with.
 
-Each output is produced at one and at two workers (three for the
+Each Monte Carlo output is produced at one and at two workers (three for the
 sample-indexed one-step invariance report) and compared with one SHA-256
 digest, so a change to the letter or fold kernels, the block layout
 or the serializers that moves a single bit of these reports fails here.
@@ -141,3 +142,22 @@ def test_criterion_1_invariance_digest(workers):
     report = one_step_invariance_report(ThetaDist.two_point(ALPHA), 10 ** 6, 20260814,
                                         workers=workers)
     assert _digest(canonical_json(report).encode()) == CRITERION_1_SHA256
+
+
+# stdout of the exact walk oracle: the full fraction at n = 30 and at n = 29
+# (odd horizon, so no middle term), and the float-only report at n = 30
+WALK_ORACLE_SHA256 = [
+    (["--n", "30"], "a23842d99b11ab35438e73b69e105a630f1b7195272158cb41ef3a2d77b0cd50"),
+    (["--n", "29"], "668213a68d58b7742bf8553ec3d310eafd439655800996dabb2867242ae153ab"),
+    (["--n", "30", "--float"],
+     "998b1b5683da14800ec1a7ffc519085d8f6b61c971c2a321edfb6d9f6fd1095a"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", WALK_ORACLE_SHA256,
+                         ids=["n30", "n29", "n30-float"])
+def test_walk_oracle_digest(argv, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["walk-oracle"] + argv) == 0
+    assert _digest(out.getvalue().encode()) == digest
