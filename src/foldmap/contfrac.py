@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LemmaViolationError, PrecisionError, PreconditionError, as_int
+from .errors import (LemmaViolationError, PrecisionError, PreconditionError, as_int,
+                     comparable)
 from .orbit import _check_alpha
 
 _MAX_TERMS = 40
@@ -27,7 +28,7 @@ _CLOSE_K_MAX = 10 ** 7  # q_n scalar steps: about 0.6 s at the bound (2-core Xeo
 def check_contfrac(alpha: float, terms: int) -> None:
     """The preconditions of contfrac_expand: alpha in (0, 1), terms in 0..40."""
     _check_alpha(alpha)
-    if not terms >= 0:  # a NaN fails the comparison too
+    if not comparable(terms, "terms") >= 0:  # a NaN fails the comparison too
         raise PreconditionError("terms must be >= 0")
     as_int(terms, "terms")
     if terms > _MAX_TERMS:

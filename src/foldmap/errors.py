@@ -41,11 +41,23 @@ class LemmaViolationError(StructuralError):
     """An exhaustive search contradicted a guaranteed existence claim."""
 
 
+def comparable(value, name: str):
+    """value itself when it compares with numbers (NaN does); a str, None or
+    other non-number is a PreconditionError: the count `name` must be an
+    integer. A range check made before as_int goes through this."""
+    try:
+        value < 0
+    except TypeError:
+        raise PreconditionError(f"{name} must be an integer") from None
+    return value
+
+
 def as_int(value, name: str, least: int | None = None) -> int:
     """The count `name` as an int: an int or a numpy int, finite and at
     least `least` where that is given; else PreconditionError. The range is
     checked first, so NaN and inf read as out of range where it is."""
-    if least is not None and not least <= value < math.inf:  # NaN fails too
+    # NaN fails the range too
+    if least is not None and not least <= comparable(value, name) < math.inf:
         raise PreconditionError(f"{name} must be >= {least}")
     try:
         return operator.index(value)

@@ -45,7 +45,8 @@ import numpy as np
 
 from . import _chain
 from .contfrac import contfrac_expand, convergents
-from .errors import PreconditionError, StructuralError, WindowError, as_int
+from .errors import (PreconditionError, StructuralError, WindowError, as_int,
+                     comparable)
 from .orbit import (OrbitLabel, W_MAX, _check_alpha, _scan_window, alpha_targets,
                     build_graph_window, check_graph_window, rho_chart, window_values)
 from .process import (ThetaDist, TrialPlan, check_start, check_trials, letter_run,
@@ -205,7 +206,7 @@ def _check_count(count: int, name: str, most: int) -> None:
 
 def check_workers(workers: int) -> None:
     """The thread count of a blocked run must lie in 1..64."""
-    if not 1 <= workers <= _MAX_WORKERS:
+    if not 1 <= comparable(workers, "workers") <= _MAX_WORKERS:
         raise PreconditionError(f"workers must lie in 1..{_MAX_WORKERS}")
     as_int(workers, "workers")
 
@@ -319,7 +320,7 @@ class RateReport:
 
 def _check_qk(q_k: int) -> None:
     """A finite q_k >= 2, so that log2 q_k > 0; rejects NaN as well."""
-    if not 2 <= q_k < math.inf:
+    if not 2 <= comparable(q_k, "q_k") < math.inf:
         raise PreconditionError("q_k must be finite and >= 2 (log2 q_k must be positive)")
     as_int(q_k, "q_k")
 
@@ -385,7 +386,7 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
 
 def check_walk_confinement(n: int) -> None:
     """The precondition of walk_confinement_dp: n in 1..30."""
-    if not 1 <= n <= 30:
+    if not 1 <= comparable(n, "n") <= 30:
         raise PreconditionError("n must lie in 1..30")
     as_int(n, "n")
 
@@ -654,7 +655,8 @@ def check_law_equality(x0: float, n: int, trials: int, workers: int) -> None:
     """The preconditions of law_equality_report."""
     check_start(x0)
     # a NaN fails these comparisons too
-    if not (0 <= n < math.inf and 1 <= trials < math.inf):
+    if not (0 <= comparable(n, "n") < math.inf
+            and 1 <= comparable(trials, "trials") < math.inf):
         raise PreconditionError("need n >= 0 and trials >= 1")
     _check_count(n, "n", _MAX_LETTERS)
     check_trials(trials)

@@ -39,7 +39,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import (ClassBoundaryError, PrecisionError, PreconditionError,
-                     StructuralError, WordNotFoundError, as_int)
+                     StructuralError, WordNotFoundError, as_int, comparable)
 from .process import TILE_CELLS
 
 W_MAX = 10 ** 6          # |n| cap keeping label values accurate to < 1e-9
@@ -310,7 +310,7 @@ def _interleave(pieces: list, start: int, rows: int, *columns) -> int:
 def check_graph_window(alpha: float, x: float, window: int) -> None:
     """build_graph_window's preconditions: 0 < alpha < 1, 0 <= x <= 1, 1 <= window <= W_MAX."""
     _check_alpha(alpha)
-    if not window >= 1:  # a NaN fails the comparison too
+    if not comparable(window, "window") >= 1:  # a NaN fails the comparison too
         raise PreconditionError("window must be >= 1")
     as_int(window, "window")
     if window > W_MAX:

@@ -20,7 +20,7 @@ from foldmap import (Interval, OrbitLabel, PiecewiseLinearCDF, PreconditionError
                      one_step_invariance_report, rate_experiment, rate_steps,
                      rho_walk_audit, shrink_word, step, substream_seed,
                      theta_from_uniform, walk_confinement_dp, z_estimate)
-from foldmap.experiments import (check_forward_values, check_law_equality,
+from foldmap.experiments import (check_forward_values, check_law_equality, check_rate,
                                  check_rho_walk)
 
 ALPHA = math.sqrt(0.5)
@@ -298,6 +298,34 @@ SLOPES = "slopes must be finite"
                  id="rate-k-index-float"),
     pytest.param(lambda: shrink_word(ALPHA, 1.0, 0.9, 0.01, max_len=2.5),
                  "max_len must be an integer", id="shrink-word-max-len-float"),
+    # a count that is not a number raised a bare TypeError from a range check
+    pytest.param(lambda: walk_confinement_dp("3"), "n must be an integer", id="walk-n-str"),
+    pytest.param(lambda: walk_confinement_dp(None), "n must be an integer", id="walk-n-none"),
+    pytest.param(lambda: rate_steps("3"), "q_k must be an integer", id="rate-steps-str"),
+    pytest.param(lambda: check_rate("17", 0.5, 10, 1), "q_k must be an integer",
+                 id="rate-qk-str"),
+    pytest.param(lambda: check_rate(17, 0.5, 10, "1"), "workers must be an integer",
+                 id="rate-workers-str"),
+    pytest.param(lambda: TrialPlan(1, "5"), "trials must be an integer", id="plan-trials-str"),
+    pytest.param(lambda: forward_values(TWO_POINT, 0.2, None, PLAN), "n must be an integer",
+                 id="forward-values-n-none"),
+    pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, "5", 10, 0),
+                 "n must be an integer", id="law-equality-n-str"),
+    pytest.param(lambda: check_law_equality(0.2, 5, None, 1), "trials must be an integer",
+                 id="law-equality-trials-none"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 10, PLAN, window="64"),
+                 "window must be an integer", id="rho-walk-audit-window-str"),
+    pytest.param(lambda: build_graph_window(0.7, 0.2, None), "window must be an integer",
+                 id="graph-window-none"),
+    pytest.param(lambda: contfrac_expand(ALPHA, "3"), "terms must be an integer",
+                 id="contfrac-terms-str"),
+    pytest.param(lambda: substream_seed(0, [1]), "substream index must be an integer",
+                 id="substream-index-list"),
+    # NaN and the ends still read as out of range
+    pytest.param(lambda: walk_confinement_dp(NAN), r"n must lie in 1\.\.30", id="walk-n-nan"),
+    pytest.param(lambda: walk_confinement_dp(0), r"n must lie in 1\.\.30", id="walk-n-0"),
+    pytest.param(lambda: walk_confinement_dp(31), r"n must lie in 1\.\.30", id="walk-n-31"),
+    pytest.param(lambda: rate_steps(NAN), "q_k must be finite and >= 2", id="rate-steps-nan"),
     # an alpha outside (0, 1) would run the rate chain on {alpha, 1}
     pytest.param(lambda: rate_experiment(1.5, 1, 0.5, PLAN), ALPHA_UNIT,
                  id="rate-alpha-above"),
