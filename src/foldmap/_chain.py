@@ -265,8 +265,11 @@ def _stop_times(alpha: float, epsilon: float, n_steps: int):
     letter where an exact diameter lies within rounding of epsilon: the
     letter alpha = 0.1 gives 1 - alpha < 0.9, where fl(1 - 0.1) = 0.9.
     A chain past _WORD_STATES states is a StructuralError, an empirical
-    guard: scans at the least epsilon above 8/q_k, the worst case, found at
-    most 4278 states for q_k <= 99, but no bound is proven.
+    guard, not a proven bound. The measured worst case is alpha =
+    1/(m + 0.01), whose q_1 is m, at the least epsilon above 8/m: its chain
+    has (m - 6)(m - 7)/2 live states, 4278 at m = 99, for every m in 10..99
+    (tests/test_chain.py::test_rate_chain_size_at_the_worst_epsilon), and
+    scans of other alpha at q_k <= 99 found no larger chain.
     """
     automaton = _rate_automaton(alpha, epsilon)
     if automaton is None:

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foldmap import ThetaDist, _chain
+from foldmap.contfrac import contfrac_expand, convergents
 from foldmap.process import _fold_scalar, substream_keys
 
 import bit_oracle
@@ -126,6 +127,19 @@ def test_rate_chain_is_the_fraction_search(alpha, epsilon):
     next_at, reads, stop = automaton  # rate's tables compose this chain
     assert stop == 256 * (len(want) - 1)
     assert np.array_equal(next_at, _chain._word_table(want, 8))
+
+
+@pytest.mark.parametrize("m", range(10, 100))
+def test_rate_chain_size_at_the_worst_epsilon(m):
+    # alpha = 1/(m + 0.01) has q_1 = m, and at the least epsilon above 8/m its
+    # chain has (m - 6)(m - 7)/2 live states, as many as the pairs of a 1/m
+    # grid on [0, 1] at least 8/m apart: the largest chains of rate's q_k cap
+    alpha = 1 / (m + 0.01)
+    assert convergents(contfrac_expand(alpha, 1))[1].q == m
+    _, _, stop = _chain._rate_automaton(alpha, math.nextafter(8 / m, 1))
+    live = stop // 256  # STOP is the last state
+    assert live == (m - 6) * (m - 7) // 2
+    assert live < _chain._WORD_STATES
 
 
 def naive_word_table(succ, letters, backward):
