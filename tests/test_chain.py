@@ -133,7 +133,8 @@ def test_rate_chain_is_the_fraction_search(alpha, epsilon):
 def test_rate_chain_size_at_the_worst_epsilon(m):
     # alpha = 1/(m + 0.01) has q_1 = m, and at the least epsilon above 8/m its
     # chain has (m - 6)(m - 7)/2 live states, as many as the pairs of a 1/m
-    # grid on [0, 1] at least 8/m apart: the largest chains of rate's q_k cap
+    # grid on [0, 1] at least 8/m apart: the largest chains found under
+    # rate's q_k cap
     alpha = 1 / (m + 0.01)
     assert convergents(contfrac_expand(alpha, 1))[1].q == m
     _, _, stop = _chain._rate_automaton(alpha, math.nextafter(8 / m, 1))

@@ -325,7 +325,6 @@ SLOPES = "slopes must be finite"
     pytest.param(lambda: walk_confinement_dp(NAN), r"n must lie in 1\.\.30", id="walk-n-nan"),
     pytest.param(lambda: walk_confinement_dp(0), r"n must lie in 1\.\.30", id="walk-n-0"),
     pytest.param(lambda: walk_confinement_dp(31), r"n must lie in 1\.\.30", id="walk-n-31"),
-    pytest.param(lambda: rate_steps(NAN), "q_k must be finite and >= 2", id="rate-steps-nan"),
     # an alpha outside (0, 1) would run the rate chain on {alpha, 1}
     pytest.param(lambda: rate_experiment(1.5, 1, 0.5, PLAN), ALPHA_UNIT,
                  id="rate-alpha-above"),
