@@ -12,7 +12,9 @@ from the top, is one such word, so forward_values, both directions of
 law_equality_report, backward_diam_ensemble and rate_experiment step every
 trial one add and one take per eight letters, and fold no float; the takes
 clip, since a take into an output in numpy's default mode copies through a
-buffer.
+buffer. rho_walk_audit's label walk (experiments._label_walk) walks the
+same kind of table: _word_table of the one-fold successor table of an orbit
+window, stepped one lookup a word.
 
 A point or backward state is the float x (of a point) or the pair of floats
 (of an interval) that the per-letter fold reaches, since those floats are

@@ -281,14 +281,17 @@ def _allow_int_digits(digits: int) -> None:
 
 
 def _walk_oracle(a, resolved) -> str:
-    p = experiments.walk_confinement_dp(a.n, exact=True)
+    h = a.n ** 3
+    count = experiments._walk_count(a.n)  # of the 2^h paths; a.n is checked
     payload = {"schema": 1, "kind": "walk_oracle", "n": a.n,
-               "horizon": a.n ** 3, "probability": float(p)}
+               "horizon": h, "probability": count / (1 << h)}
     if not a.float:
-        # numerator < denominator = 2^k, of at most floor(k log10 2) + 1 digits
-        _allow_int_digits(p.denominator.bit_length() * 30103 // 100000 + 1)
-        payload["numerator"] = str(p.numerator)
-        payload["denominator"] = str(p.denominator)
+        # count / 2^h in lowest terms: 0 < count <= 2^h, so v <= h
+        v = (count & -count).bit_length() - 1  # the trailing zeros of count
+        # numerator <= denominator = 2^k, of at most floor(k log10 2) + 1 digits
+        _allow_int_digits((h - v + 1) * 30103 // 100000 + 1)
+        payload["numerator"] = str(count >> v)
+        payload["denominator"] = str(1 << (h - v))
     return canonical_json(payload)
 
 

@@ -99,7 +99,7 @@ def convergents(quotients: list[int], q_max: float | None = None) -> list[Conver
 
 def convergent_denominators(alpha: float, q_max: int) -> list[int]:
     """Denominators q_n <= q_max for alpha, ascending, duplicates dropped."""
-    if q_max != q_max:  # only NaN
+    if comparable(q_max, "q_max", "a number") != q_max:  # only NaN
         raise PreconditionError("q_max must be a number, not NaN")
     qs = []
     for c in convergents(contfrac_expand(alpha, _MAX_TERMS), q_max):
@@ -114,10 +114,17 @@ def check_close_k(alpha: float, x: float, q_n: int) -> None:
     """The preconditions of find_close_k: alpha in (0, 1), x in [0, 1] and
     an integer q_n in 1.._CLOSE_K_MAX."""
     _check_alpha(alpha)
-    if not 0.0 <= x <= 1.0:
-        raise PreconditionError("x must lie in [0, 1]")
-    if q_n < 1:
-        raise PreconditionError("q_n must be >= 1")
+    # no comparable() calls: the close-k grid makes one check per grid point
+    try:
+        if not 0.0 <= x <= 1.0:
+            raise PreconditionError("x must lie in [0, 1]")
+    except TypeError:
+        raise PreconditionError("x must be a number") from None
+    try:
+        if q_n < 1:
+            raise PreconditionError("q_n must be >= 1")
+    except TypeError:
+        raise PreconditionError("q_n must be an integer") from None
     if as_int(q_n, "q_n") > _CLOSE_K_MAX:
         raise PreconditionError(f"q_n must be <= {_CLOSE_K_MAX}")
 

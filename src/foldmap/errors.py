@@ -41,14 +41,15 @@ class LemmaViolationError(StructuralError):
     """An exhaustive search contradicted a guaranteed existence claim."""
 
 
-def comparable(value, name: str):
+def comparable(value, name: str, kind: str = "an integer"):
     """value itself when it compares with numbers (NaN does); a str, None or
-    other non-number is a PreconditionError: the count `name` must be an
-    integer. A range check made before as_int goes through this."""
+    other non-number is a PreconditionError: `name` must be `kind`. A range
+    check made before as_int goes through this, and so does the range check
+    of a float with kind "a number"."""
     try:
         value < 0
     except TypeError:
-        raise PreconditionError(f"{name} must be an integer") from None
+        raise PreconditionError(f"{name} must be {kind}") from None
     return value
 
 

@@ -62,7 +62,7 @@ _THREAD_ROWS = 1 << 15    # fewest rows a block needs to be worth a thread
 # found at most 4278 states for q_k <= 99, under _chain._WORD_STATES
 _RATE_QK_CAP = 99
 _MAX_LETTERS = 10 ** 7    # n: past the state cap, about 30 s of folds a trial
-_MAX_WALK = 10 ** 6       # rho audit steps, segments: 28 MB and 58 MB at the bound
+_MAX_WALK = 10 ** 6       # rho audit steps, segments: 26 MB and 58 MB at the bound
 
 
 class EmpiricalCDF:
@@ -337,7 +337,7 @@ def check_rate(q_k: int, epsilon: float, trials: int, workers: int) -> None:
     _check_qk(q_k)
     if q_k > _RATE_QK_CAP:
         raise PreconditionError(f"q_k > {_RATE_QK_CAP} is beyond the desk-scale cap")
-    if not 8.0 / q_k < epsilon < math.inf:
+    if not 8.0 / q_k < comparable(epsilon, "epsilon", "a number") < math.inf:
         raise PreconditionError(f"epsilon must be finite and exceed 8/q_k = {8.0 / q_k}")
     check_workers(workers)
 
@@ -394,10 +394,24 @@ def check_walk_confinement(n: int) -> None:
 def walk_confinement_dp(n: int, exact: bool = True):
     """Probability that a +-1 walk of length n^3 stays within n of its start.
 
-    Confinement is inclusive: |S_i| <= n. The walk counts as absorbed at the
-    barriers -(n+1) and n+1, and the reflection principle for two barriers
-    (Feller, vol. 1, ch. XIV) counts the unabsorbed paths of h = n^3 steps as
-    a signed sum over the free paths with j up-steps, which end at 2j - h:
+    Confinement is inclusive: |S_i| <= n. The result is _walk_count(n) /
+    2^(n^3), returned as a Fraction when exact else as a float, the count
+    divided by the power of two once and correctly rounded.
+    """
+    check_walk_confinement(n)
+    n = int(n)  # a numpy int would overflow in _walk_count
+    count, paths = _walk_count(n), 1 << n ** 3
+    return Fraction(count, paths) if exact else count / paths
+
+
+def _walk_count(n: int) -> int:
+    """How many of the 2^h paths of h = n^3 steps of a +-1 walk stay within n
+    of their start, for an int n in 1..30.
+
+    The walk counts as absorbed at the barriers -(n+1) and n+1, and the
+    reflection principle for two barriers (Feller, vol. 1, ch. XIV) counts
+    the unabsorbed paths as a signed sum over the free paths with j
+    up-steps, which end at 2j - h:
 
         count = sum_j w((2j - h) mod (4n+4)) C(h, j),
 
@@ -421,11 +435,8 @@ def walk_confinement_dp(n: int, exact: bool = True):
     exact floor division. At n = 30 that is 109 blocks, so 218 products of a
     27,000-bit integer by a medium one instead of 13,500 by a one-limb one,
     and the gcds cut the summed divisor bits from 164,467 to 81,835 for the
-    block sums and from 165,821 to 65,936 for the steps. The result is
-    count / 2^h, returned as a Fraction when exact else as a float.
+    block sums and from 165,821 to 65,936 for the steps.
     """
-    check_walk_confinement(n)
-    n = int(n)  # a numpy int would overflow below
     h = n ** 3
     period = 4 * n + 4  # the period of r, and the block: two periods of j
     weights = []
@@ -456,8 +467,7 @@ def walk_confinement_dp(n: int, exact: bool = True):
     count = 2 * total
     if h % 2 == 0:
         count += c  # C(h, h/2): the last block ended at j = h/2
-    p = Fraction(count, 2 ** h)
-    return p if exact else float(p)
+    return count
 
 
 # ---- rho walk audit --------------------------------------------------------
@@ -467,7 +477,7 @@ def check_rho_walk(alpha: float, x0: float, steps: int, segments: int,
                    window: int | None) -> None:
     """The preconditions of rho_walk_audit; a given window must suit build_graph_window."""
     _check_alpha(alpha)
-    if not 0.0 < x0 < min(alpha, 1.0 - alpha):
+    if not 0.0 < comparable(x0, "x0", "a number") < min(alpha, 1.0 - alpha):
         raise PreconditionError("x0 must satisfy 0 < x0 < min(alpha, 1-alpha)")
     _check_count(steps, "steps", _MAX_WALK)
     _check_count(segments, "segments", _MAX_WALK)
@@ -493,41 +503,68 @@ def _label_walk(alpha: float, x0: float, u: np.ndarray):
     path holds the flat vertex indices of the walk in the orbit window
     |n| <= w it ends in (see OrbitGraphWindow), as int64. Fold k is at alpha
     when u[k] < 1/2 and at 1 otherwise, applied as orbit.apply_theta_label
-    does. The walk steps flat indices through two successor lists: the rung
-    2m-1-i and the ladder rule's alpha target, on values computed once per
-    window, so no step computes a value. The alpha image of n = -w leaves the
-    window; its entry is None, and the next step, or the end of the walk,
-    finds it there. The window then doubles, up to W_MAX, the walk so far
-    moves into it as one int64 array, and the walk goes on from that fold in
-    a new list. A walk that would pass |n| = W_MAX raises WindowError.
+    does. The folds are read eight at a time: byte j of np.packbits(u < 1/2)
+    is the word of folds 8j .. 8j+7, the first in its top bit, and the last
+    word is padded with folds at 1, which never leave the window. Each window
+    gets the one-fold successor table of its 2m vertices (m = 2w+1) and a
+    sink, 2m: bit 0 takes the rung 2m-1-i, bit 1 the ladder rule's alpha
+    target (alpha_targets), and the alpha image of n = -w, which leaves the
+    window, is the sink. Its 8-fold table (_chain._word_table, the table the
+    two-point folds walk) takes the walk one lookup a word, writing each
+    word's last vertex to path[8j + 8], until a word reaches the sink; seven
+    vectorized single-fold gathers then fill in the vertices within the
+    words walked. The word that reached the sink is walked again from its
+    first vertex, which lies in the window, once the window has doubled, up
+    to W_MAX, and the walk so far has moved into it in place (_move_window).
+    A walk that would pass |n| = W_MAX raises WindowError. The word table
+    holds 256 int32 entries, 1 KB, a vertex: 8.4 MB at w = 1024, the last
+    window of 10^6 folds at seed 17 (reach 786).
     """
-    at_alpha = (u < 0.5).tobytes()  # iterates as the ints 0 and 1
+    n = u.size
+    letters = np.packbits(u < 0.5)
+    del u  # unless the caller holds them, the uniforms go before the tables come
+    words = letters.tobytes()  # iterates as ints
+    path = np.empty(8 * len(words) + 1, dtype=np.int64)  # the padded folds too
     w = min(_WALK_WINDOW, W_MAX)
-    done = np.empty(0, dtype=np.int64)  # the walk before the window last grew
-    path = [w]  # the flat index of (0, +1), then the walk's next vertices
+    path[0] = w  # the flat index of (0, +1)
+    j = 0  # words walked: path[:8j + 1] is the walk so far, in window w
     while True:
         m = 2 * w + 1
-        alpha_next = alpha_targets(window_values(alpha, x0, w), alpha, w).tolist()
-        alpha_next[0] = alpha_next[m] = None
-        successors = (list(range(2 * m - 1, -1, -1)), alpha_next)
-        i = path[-1]
-        append = path.append
-        try:
-            for a in at_alpha[done.size + len(path) - 1:]:
-                i = successors[a][i]
-                append(i)
-        except TypeError:  # a step from None, the image of n = -w
-            pass
-        if path[-1] is not None:
-            return np.concatenate([done, path]), w
-        path.pop()
+        sink = 2 * m
+        succ = np.full((sink + 1, 2), sink, dtype=np.int32)
+        succ[:sink, 0] = np.arange(sink - 1, -1, -1)
+        alpha_next = alpha_targets(window_values(alpha, x0, w), alpha, w)
+        alpha_next[::m] = sink
+        succ[:sink, 1] = alpha_next
+        table = memoryview(_chain._word_table(succ, 8))  # 256 times the next vertex
+        stop = 256 * sink
+        ends = memoryview(path[8 * j + 8::8])  # 256 times each word's last vertex
+        at = 256 * int(path[8 * j])
+        walked = len(words) - j  # the words walked in this window
+        for k, b in enumerate(words[j:]):
+            at = table[at + b]
+            if at == stop:
+                walked = k
+                break
+            ends[k] = at
+        del table, ends  # so the next window's table is not built beside this one
+        block = path[8 * j:8 * (j + walked) + 1]
+        block[8::8] >>= 8
+        rows = block[:-1].reshape(walked, 8)  # the vertices before each fold of a word
+        folds = np.unpackbits(letters[j:j + walked]).reshape(walked, 8)
+        flat = succ.ravel()  # flat[2 i + b]: the vertex after fold b from vertex i
+        vertex = rows[:, 0]
+        for r in range(1, 8):
+            vertex = flat.take(2 * vertex + folds[:, r - 1])
+            rows[:, r] = vertex
+        j += walked
+        if j == len(words):
+            return path[:n + 1], w
         if w == W_MAX:
             # one fold changes |n| by at most 1, so the walk leaves at W_MAX + 1
             raise WindowError(f"walk reached |n| = {W_MAX + 1} > {W_MAX}")
         grown = min(2 * w, W_MAX)
-        done = _move_window(np.concatenate([done, path]), w, grown)
-        path = [int(done[-1])]
-        done = done[:-1]
+        _move_window(path[:8 * j + 1], w, grown)
         w = grown
 
 

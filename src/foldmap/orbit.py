@@ -72,9 +72,14 @@ class VertexClass(IntEnum):
 
 
 def _check_alpha(alpha: float) -> None:
-    """0 < alpha < 1, which the ladder rule needs; rejects NaN as well."""
-    if not 0.0 < alpha < 1.0:
-        raise PreconditionError("alpha must lie in (0, 1)")
+    """0 < alpha < 1, which the ladder rule needs; rejects NaN, and a str,
+    None or other non-number, as well. It adds no call: find_close_k makes
+    one check per grid point."""
+    try:
+        if not 0.0 < alpha < 1.0:
+            raise PreconditionError("alpha must lie in (0, 1)")
+    except TypeError:
+        raise PreconditionError("alpha must be a number") from None
 
 
 def label_value(alpha: float, x: float, label: OrbitLabel) -> float:
@@ -82,7 +87,7 @@ def label_value(alpha: float, x: float, label: OrbitLabel) -> float:
     _check_alpha(alpha)
     if abs(label.n) > W_MAX:
         raise PrecisionError(f"|n| > {W_MAX} exceeds the precision window")
-    if not 0.0 <= x <= 1.0:
+    if not 0.0 <= comparable(x, "x", "a number") <= 1.0:
         raise PreconditionError("x must lie in [0, 1]")
     return (label.n * alpha + label.eps * x) % 1.0
 
@@ -315,7 +320,7 @@ def check_graph_window(alpha: float, x: float, window: int) -> None:
     as_int(window, "window")
     if window > W_MAX:
         raise PrecisionError(f"window > {W_MAX} exceeds the precision cap")
-    if not 0.0 <= x <= 1.0:
+    if not 0.0 <= comparable(x, "x", "a number") <= 1.0:
         raise PreconditionError("x must lie in [0, 1]")
 
 
@@ -473,6 +478,8 @@ def check_shrink_word(alpha: float, beta: float, m: float, threshold: float,
     """The preconditions of shrink_word: finite, 0 < alpha < beta, threshold > 0,
     m >= 0, and an integer max_len >= 0."""
     # NaN buckets never compare equal and inf - inf is NaN, so the search would not end
+    for name, value in (("alpha", alpha), ("beta", beta), ("m", m), ("threshold", threshold)):
+        comparable(value, name, "a number")
     if not all(map(math.isfinite, (beta, m, threshold))):
         raise PreconditionError("beta, m and threshold must be finite")
     if not 0.0 < alpha < beta:

@@ -59,7 +59,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, as_int
+from .errors import PreconditionError, as_int, comparable
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -240,8 +240,8 @@ class ThetaDist:
     """
 
     def __init__(self, support: Iterable[float], weights: Iterable[float]):
-        sup = np.asarray(list(support), dtype=float)
-        wts = np.asarray(list(weights), dtype=float)
+        sup = _float_array(list(support), "fold points")
+        wts = _float_array(list(weights), "weights")
         if sup.size == 0 or sup.size != wts.size:
             raise PreconditionError("support and weights must be nonempty and equal-length")
         # array methods, not np.any/np.all: every simulate and bvf-check builds one
@@ -282,7 +282,7 @@ class ThetaDist:
 
     @classmethod
     def two_point(cls, alpha: float) -> "ThetaDist":
-        if not 0.0 < alpha < 1.0:
+        if not 0.0 < comparable(alpha, "alpha", "a number") < 1.0:
             raise PreconditionError("two-point alpha must lie in (0, 1)")
         return cls([alpha, 1.0], [0.5, 0.5])
 
@@ -303,12 +303,16 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise PreconditionError(f"invalid interval [{self.lo}, {self.hi}]")
         # x + 0.0 is x except that -0.0 becomes 0.0: fold_interval_arrays is
         # bit-exact for ends that carry no sign bit
-        object.__setattr__(self, "lo", self.lo + 0.0)
-        object.__setattr__(self, "hi", self.hi + 0.0)
+        try:
+            lo, hi = self.lo + 0.0, self.hi + 0.0
+        except TypeError:  # a str, None or other non-number
+            raise PreconditionError("interval ends must be numbers") from None
+        if not lo <= hi:
+            raise PreconditionError(f"invalid interval [{self.lo}, {self.hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def length(self) -> float:
@@ -320,14 +324,15 @@ class Interval:
 
 def step(theta: float, x: float) -> float:
     """One fold: |theta - x|. Lipschitz-1 in x."""
-    if not (0 <= theta < math.inf and 0 <= x < math.inf):
+    if not (0 <= comparable(theta, "theta", "a number") < math.inf
+            and 0 <= comparable(x, "x", "a number") < math.inf):
         raise PreconditionError("step requires finite theta >= 0 and x >= 0")
     return abs(theta - x)
 
 
 def theta_from_uniform(dist: ThetaDist, u):
     """Map uniform [0,1) draws to support points with the declared weights."""
-    u_arr = np.asarray(u, dtype=float)
+    u_arr = _float_array(u, "uniform draws")
     # min and max carry a NaN through, so this rejects NaN as well
     if u_arr.size and not (u_arr.min() >= 0 and u_arr.max() < 1):
         raise PreconditionError("uniform draws must lie in [0, 1)")
@@ -496,8 +501,18 @@ def sample_theta(dist: ThetaDist, rng: np.random.Generator, size=None):
 
 def check_start(x0: float) -> None:
     """A start point of the chain is finite and >= 0; rejects NaN as well."""
-    if not 0.0 <= x0 < math.inf:
+    if not 0.0 <= comparable(x0, "x0", "a number") < math.inf:
         raise PreconditionError("x0 must be finite and >= 0")
+
+
+def _float_array(values, name: str) -> np.ndarray:
+    """values as a float array, where each is a bool, an int or a float; a
+    str, None or other entry is a PreconditionError (np.asarray with dtype
+    float would parse a str)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise PreconditionError(f"{name} must be numbers")
+    return arr.astype(float, copy=False)
 
 
 def _check_letters(letters: np.ndarray) -> None:
@@ -513,7 +528,7 @@ def iterate_forward(word: Sequence[float], x0: float) -> np.ndarray:
     forward iterate; entry 0 is x0. x0 and the letters are finite and >= 0.
     """
     check_start(x0)
-    letters = np.asarray(word, dtype=float)
+    letters = _float_array(word, "letters")
     _check_letters(letters)
     out = np.empty(letters.size + 1)
     out[0] = x = float(x0)
@@ -581,7 +596,7 @@ def interval_fold(word: Sequence[float], iv: Interval,
     is the input interval; lengths are nonincreasing in k either way. Every
     letter must be finite and >= 0.
     """
-    letters = np.asarray(list(word), dtype=float)
+    letters = _float_array(list(word), "letters")
     _check_letters(letters)
     n = letters.size
     if direction == "forward":

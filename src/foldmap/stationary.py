@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError, as_int
 from .orbit import CLASS_TOL, _check_alpha, fractional_part
-from .process import TILE_CELLS, ThetaDist, _count_cuts
+from .process import TILE_CELLS, ThetaDist, _count_cuts, _float_array
 from .serialize import canonical_json, rows_to_csv
 
 
@@ -40,8 +40,8 @@ class PiecewiseLinearCDF:
     """
 
     def __init__(self, xs, values):
-        xs = np.asarray(xs, dtype=float)
-        values = np.asarray(values, dtype=float)
+        xs = _float_array(xs, "breakpoints")
+        values = _float_array(values, "values")
         if xs.ndim != 1 or xs.size < 2 or xs.shape != values.shape:
             raise PreconditionError("need matching 1-d breakpoints and values, length >= 2")
         # a NaN passes the order checks below, as inf at either end does
@@ -128,7 +128,7 @@ def stationary_quantile(cdf: PiecewiseLinearCDF, u):
     bit where the values rise strictly. A u at a flat piece of the CDF maps
     to the piece's left end, its smallest x.
     """
-    u_arr = np.asarray(u, dtype=float)
+    u_arr = _float_array(u, "quantile arguments")
     # min and max carry a NaN through, so this rejects NaN as well
     if u_arr.size and not (u_arr.min() >= 0 and u_arr.max() <= 1):
         raise PreconditionError("quantile argument must lie in [0, 1]")

@@ -621,18 +621,78 @@ class TestRhoWalkAudit:
         u = TrialPlan(seed, trials=1).substream(0).random(3000)
         path, w = experiments._label_walk(alpha, x0, u)
         assert path.dtype == np.int64
+        assert self.walk_labels(path, w) == self.automaton_labels(alpha, x0, u)
+
+    @staticmethod
+    def automaton_labels(alpha, x0, u):
+        """The label walk from (0, +1) by apply_theta_label, one fold a uniform."""
         label = OrbitLabel(0, 1)
         labels = [label]
         for v in u:
             label = apply_theta_label(alpha, x0, label, alpha if v < 0.5 else 1.0)
             labels.append(label)
-        assert self.walk_labels(path, w) == labels
+        return labels
 
     @staticmethod
     def walk_labels(path, w):
         """The labels of the flat indices in path, in the window |n| <= w."""
         m = 2 * w + 1
         return [OrbitLabel(i % m - w, 1 - 2 * (i // m)) for i in path.tolist()]
+
+    WALK_ALPHAS = [(ALPHA, 0.2), ((math.sqrt(5.0) - 1.0) / 2.0, 0.1),
+                   (0.3 + 1e-5 * math.sqrt(2), 0.1)]
+
+    @pytest.mark.parametrize("alpha, x0", WALK_ALPHAS)
+    def test_label_walk_partial_words(self, alpha, x0):
+        # the folds are read eight a word; 0..17 folds end in every position
+        # of a first, second and third word, the last one padded
+        for seed in (1, 2):
+            u = TrialPlan(seed, trials=1).substream(0).random(17)
+            for steps in range(18):
+                path, w = experiments._label_walk(alpha, x0, u[:steps])
+                assert path.dtype == np.int64 and path.shape == (steps + 1,)
+                assert self.walk_labels(path, w) == self.automaton_labels(alpha, x0, u[:steps])
+
+    @staticmethod
+    def window_exits(labels, w):
+        """The folds k (1-based) at which a walk from window w leaves it, the
+        window doubling at each."""
+        exits = []
+        for k, label in enumerate(labels):
+            if abs(label.n) > w:
+                exits.append(k)
+                w *= 2
+        return exits
+
+    @pytest.mark.parametrize("alpha, x0", WALK_ALPHAS)
+    def test_label_walk_leaves_at_every_fold_of_a_word(self, monkeypatch, alpha, x0):
+        # from a window of 1 the walk leaves at folds in each of the eight
+        # positions of a word, and goes on from that word's first vertex
+        monkeypatch.setattr(experiments, "_WALK_WINDOW", 1)
+        positions = set()
+        for seed in range(1, 31):  # at ALPHA, seed 24 is the first to leave at fold 3
+            u = TrialPlan(seed, trials=1).substream(0).random(600)
+            want = self.automaton_labels(alpha, x0, u)
+            exits = self.window_exits(want, 1)
+            positions.update((k - 1) % 8 for k in exits)
+            path, w = experiments._label_walk(alpha, x0, u)
+            assert w == 2 ** len(exits)
+            assert self.walk_labels(path, w) == want
+        assert positions == set(range(8))
+
+    def test_label_walk_leaves_the_precision_cap_inside_a_word(self, monkeypatch):
+        # the walk leaves |n| <= W_MAX = 5 at a fold that is neither the first
+        # nor the last of its word: the folds before it walk, and it raises
+        monkeypatch.setattr(experiments, "W_MAX", 5)
+        monkeypatch.setattr(experiments, "_WALK_WINDOW", 2)
+        u = TrialPlan(17, trials=1).substream(0).random(1000)
+        labels = self.automaton_labels(ALPHA, 0.2, u)
+        k = next(k for k, label in enumerate(labels) if abs(label.n) > 5)
+        assert (k - 1) % 8 not in (0, 7)
+        path, w = experiments._label_walk(ALPHA, 0.2, u[:k - 1])
+        assert w == 5 and self.walk_labels(path, w) == labels[:k]
+        with pytest.raises(WindowError, match=re.escape("walk reached |n| = 6 > 5")):
+            experiments._label_walk(ALPHA, 0.2, u[:k])
 
     @pytest.mark.parametrize("alpha, x0, seed", [
         (ALPHA, 0.2, 17), ((math.sqrt(5.0) - 1.0) / 2.0, 0.1, 1),
@@ -649,15 +709,17 @@ class TestRhoWalkAudit:
     def test_walk_memory(self):
         # 10^6 steps: the path takes 8 bytes a step, where a list of fresh
         # ints and its (n, eps) copies took about 90 bytes a step (89 MB);
-        # the peak, 28 MB, is the increment check: the path, its rho levels
-        # and their differences (8 MB each) and three byte masks
+        # the peak, 26 MB, is the increment check: the path, its rho levels
+        # and their differences (8 MB each) and three byte masks. The walk
+        # itself peaks at 17 MB: the path and the 8-fold word table of its
+        # last window, w = 1024 (8.4 MB), once the uniforms are freed
         tracemalloc.start()
         try:
             rho_walk_audit(ALPHA, 0.2, 10 ** 6, TrialPlan(17, trials=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 10 ** 6
+        assert peak <= 30 * 10 ** 6
 
     def test_segments_memory(self):
         # 10^6 segments: the two cells of a segment (16 MB) become its picks in

@@ -321,6 +321,54 @@ SLOPES = "slopes must be finite"
                  id="contfrac-terms-str"),
     pytest.param(lambda: substream_seed(0, [1]), "substream index must be an integer",
                  id="substream-index-list"),
+    # a float or an array of floats that is not a number raised a bare
+    # TypeError from a range check, or was parsed by np.asarray(dtype=float)
+    pytest.param(lambda: find_close_k(ALPHA, "0.5", 17), "x must be a number",
+                 id="close-k-x-str"),
+    pytest.param(lambda: find_close_k(ALPHA, None, 17), "x must be a number",
+                 id="close-k-x-none"),
+    pytest.param(lambda: find_close_k(ALPHA, 0.5, "3"), "q_n must be an integer",
+                 id="close-k-qn-str"),
+    pytest.param(lambda: find_close_k(ALPHA, 0.5, None), "q_n must be an integer",
+                 id="close-k-qn-none"),
+    pytest.param(lambda: find_close_k("0.5", 0.5, 17), "alpha must be a number",
+                 id="close-k-alpha-str"),
+    pytest.param(lambda: contfrac_expand("0.5", 3), "alpha must be a number",
+                 id="contfrac-alpha-str"),
+    pytest.param(lambda: rate_experiment(None, 1, 0.5, PLAN), "alpha must be a number",
+                 id="rate-alpha-none"),
+    pytest.param(lambda: check_rate(17, "0.5", 10, 1), "epsilon must be a number",
+                 id="rate-epsilon-str"),
+    pytest.param(lambda: convergent_denominators(ALPHA, "3"), "q_max must be a number",
+                 id="convergent-qmax-str"),
+    pytest.param(lambda: ThetaDist.two_point("0.5"), "alpha must be a number",
+                 id="two-point-alpha-str"),
+    pytest.param(lambda: ThetaDist(["0.5"], [1.0]), "fold points must be numbers",
+                 id="dist-support-str"),
+    pytest.param(lambda: ThetaDist([0.5, 1.0], [0.5, None]), "weights must be numbers",
+                 id="dist-weight-none"),
+    pytest.param(lambda: forward_values(TWO_POINT, "0.5", 5, PLAN), "x0 must be a number",
+                 id="forward-values-x0-str"),
+    pytest.param(lambda: iterate_forward(["0.5"], 0.2), "letters must be numbers",
+                 id="forward-letter-str"),
+    pytest.param(lambda: interval_fold([None], UNIT), "letters must be numbers",
+                 id="interval-letter-none"),
+    pytest.param(lambda: Interval("0.5", 1.0), "interval ends must be numbers",
+                 id="interval-lo-str"),
+    pytest.param(lambda: Interval("0.5", "1.0"), "interval ends must be numbers",
+                 id="interval-ends-str"),
+    pytest.param(lambda: step("0.5", 0.2), "theta must be a number", id="step-theta-str"),
+    pytest.param(lambda: step(0.5, None), "x must be a number", id="step-x-none"),
+    pytest.param(lambda: shrink_word(ALPHA, 1.0, 0.9, "0.5"), "threshold must be a number",
+                 id="shrink-word-threshold-str"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, "0.2", 10, PLAN), "x0 must be a number",
+                 id="rho-walk-audit-x0-str"),
+    pytest.param(lambda: build_graph_window(ALPHA, None, 10), "x must be a number",
+                 id="graph-x-none"),
+    pytest.param(lambda: theta_from_uniform(TWO_POINT, ["0.5"]),
+                 "uniform draws must be numbers", id="theta-uniform-str"),
+    pytest.param(lambda: PiecewiseLinearCDF([0.0, "1.0"], [0.0, 1.0]),
+                 "breakpoints must be numbers", id="cdf-breakpoint-str"),
     # NaN and the ends still read as out of range
     pytest.param(lambda: walk_confinement_dp(NAN), r"n must lie in 1\.\.30", id="walk-n-nan"),
     pytest.param(lambda: walk_confinement_dp(0), r"n must lie in 1\.\.30", id="walk-n-0"),
