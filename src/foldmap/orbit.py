@@ -477,9 +477,9 @@ def check_shrink_word(alpha: float, beta: float, m: float, threshold: float,
                       max_len: int) -> None:
     """The preconditions of shrink_word: finite, 0 < alpha < beta, threshold > 0,
     m >= 0, and an integer max_len >= 0."""
-    # NaN buckets never compare equal and inf - inf is NaN, so the search would not end
     for name, value in (("alpha", alpha), ("beta", beta), ("m", m), ("threshold", threshold)):
         comparable(value, name, "a number")
+    # NaN buckets never compare equal and inf - inf is NaN, so the search would not end
     if not all(map(math.isfinite, (beta, m, threshold))):
         raise PreconditionError("beta, m and threshold must be finite")
     if not 0.0 < alpha < beta:
