@@ -17,14 +17,14 @@ same kind of table: _word_table of the one-fold successor table of an orbit
 window, stepped one lookup a word.
 
 A point or backward state is the float x (of a point) or the pair of floats
-(of an interval) that the per-letter fold reaches, since those floats are
-the reports. The search gives up past _WORD_STATES states, since for some
-alpha they are not few: an uncapped search finds 85,850 point states of x0
-= 0.2 at alpha = 0.01048 to depth 200, and 1,228,662 images of [0, 1] at
-alpha = 0.3 to depth 1000. There _row_ends, the one function that chooses,
-folds the trials one letter column at a time from the same bits, to the
-same bytes, as every other dist does: all read their letters through
-process.letter_columns.
+(of an interval) that the per-letter fold reaches, since the reports are x
+and the pair's diameter hi - lo, one value a row. The search gives up past
+_WORD_STATES states, since for some alpha they are not few: an uncapped
+search finds 85,850 point states of x0 = 0.2 at alpha = 0.01048 to depth
+200, and 1,228,662 images of [0, 1] at alpha = 0.3 to depth 1000. There
+_row_values, the one function that chooses, folds the trials one letter
+column at a time from the same bits, to the same bytes, as every other dist
+does: all read their letters through process.letter_columns.
 
 rate_experiment reports stopping times, never floats, so its chain keys the
 exact images of [0, 1], ints on the power-of-two grid of alpha, 1 and
@@ -62,12 +62,13 @@ def _state_graph(support, start: tuple, depth: int | None = None,
     are keyed by those floats. A point start (x0, x0) gives point states,
     keyed by the one float x and folded by |theta - x|, which is the same
     float as _fold_scalar on (x, x); [0, b] gives the backward images of
-    backward_diam_ensemble. The start is stored as start + 0.0, as Interval
-    does, so a start of -0.0 is the state +0.0 that |theta - theta| reaches.
+    backward_diam_ensemble. The start, >= 0, is stored as its abs, which
+    is start + 0.0 on floats, as Interval stores it, so a start of -0.0 is
+    the state +0.0 that |theta - theta| reaches.
 
-    On ints (rate's chain, put on an int grid by _rate_automaton) the fold
-    is exact, with an int zero (max(0.0, ...) would make a state a float),
-    so one real image is one state, where the floats reach it as many.
+    On ints (rate's chain, put on an int grid by _rate_automaton)
+    _fold_scalar is exact and its images stay ints, so one real image is
+    one state, where the floats reach it as many.
 
     The last state, S, is a sink. A fold to a diameter below epsilon goes
     there (it is rate's STOP), and so do the letters from the states first
@@ -77,9 +78,8 @@ def _state_graph(support, start: tuple, depth: int | None = None,
     succ[s, b] the state after letter support[b] from state s.
     """
     letters = support[:2].tolist()  # the two points a bit selects
-    fold, zero = (_fold_scalar, 0.0) if isinstance(letters[0], float) else (_fold_exact, 0)
     point = start[0] == start[1]
-    first = start[1] + zero if point else (start[0] + zero, start[1] + zero)
+    first = abs(start[1]) if point else (abs(start[0]), abs(start[1]))
     index = {first: 0}
     states = [first]
     succ = []  # succ[2 s + b] for the expanded states s, -1 for the sink
@@ -93,7 +93,7 @@ def _state_graph(support, start: tuple, depth: int | None = None,
             if point:
                 image = abs(t - state)
             else:
-                image = fold(t, *state)
+                image = _fold_scalar(t, *state)
                 if epsilon is not None and image[1] - image[0] < epsilon:
                     succ.append(-1)
                     continue
@@ -112,11 +112,6 @@ def _state_graph(support, start: tuple, depth: int | None = None,
     else:
         ends = np.array(states + [(math.nan, math.nan)])
     return ends, table
-
-
-def _fold_exact(t: int, lo: int, hi: int) -> tuple:
-    """_fold_scalar on ints, exactly: the image of [lo, hi] under x -> |t - x|."""
-    return max(0, lo - t, t - hi), max(t - lo, hi - t)
 
 
 def _dist_graph(dist: ThetaDist, start: tuple, n: int):
@@ -177,44 +172,42 @@ def _table_walk(tables: dict, keys: np.ndarray, letters: range) -> np.ndarray:
     return at
 
 
-def _row_ends(dist: ThetaDist, start: tuple, n: int, backward: bool, graph):
-    """A function of row keys that gives each row's image (lo, hi) of start,
-    a point (x0, x0) or an interval [0, b], after letters 0 .. n-1 of its
-    row: letter 0 first, or, backward, last (outermost).
+def _row_values(dist: ThetaDist, start: tuple, n: int, backward: bool, graph):
+    """A function of row keys that gives each row's value after letters
+    0 .. n-1 of its row, letter 0 first, or, backward, last (outermost): the
+    image x of a point start (x0, x0), or the diameter hi - lo of the image
+    of an interval start [0, b].
 
     graph is _dist_graph(dist, start, n), which a caller folding in both
     directions finds once. Given one, the rows walk its word tables, built
-    here once for all blocks; given None, they fold a letter column at a
-    time (process.letter_columns). Both give the same floats: both start
-    from start + 0.0, so a start of -0.0 ends as +0.0 at n = 0 too.
+    here once for all blocks, and gather their values from one table of the
+    states' values; given None, they fold a letter column at a time
+    (process.letter_columns). Both give the same floats: both start from
+    start + 0.0, so a start of -0.0 ends as +0.0 at n = 0 too, and a state's
+    fl(hi - lo) is the row's.
     """
     lo0, hi0 = start[0] + 0.0, start[1] + 0.0
     order = range(n - 1, -1, -1) if backward else range(n)
     point = start[0] == start[1]  # its images are points (x, x) too
     if graph is not None:
         ends, succ = graph
-        lo, hi = ends.T.copy()  # contiguous, for one gather each
+        values = ends[:, 1].copy() if point else ends[:, 1] - ends[:, 0]  # contiguous
         tables = {k: _word_table(succ, k, backward) for k in (8, n % 8) if k}
-
-        def walk(keys):
-            at = _table_walk(tables, keys, order)
-            x = hi[at]
-            return (x, x) if point else (lo[at], x)
-        return walk
+        return lambda keys: values[_table_walk(tables, keys, order)]
 
     if point:  # |theta - x| is the same float as the interval fold, in two passes
         def fold(keys):
             x = np.full(keys.size, lo0)
             for theta in letter_columns(dist, keys, order):
                 np.abs(np.subtract(theta, x, out=x), out=x)
-            return x, x
+            return x
     else:
         def fold(keys):
             lo, hi = np.full(keys.size, lo0), np.full(keys.size, hi0)
             scratch = np.empty(keys.size), np.empty(keys.size)
             for theta in letter_columns(dist, keys, order):
                 fold_interval_arrays(theta, lo, hi, out=(lo, hi), scratch=scratch)
-            return lo, hi
+            return np.subtract(hi, lo, out=hi)
     return fold
 
 

@@ -75,11 +75,18 @@ def convergents(quotients: list[int], q_max: float | None = None) -> list[Conver
     """Convergents from partial quotients via the standard recursion.
 
     p_n = a_n p_{n-1} + p_{n-2}, likewise for q, seeded by p_{-1}/q_{-1} = 1/0
-    and p_0/q_0 = a_0/1. With q_max, the list ends at the first denominator
-    >= q_max, so no later convergent is computed or meets the 128-bit guard.
+    and p_0/q_0 = a_0/1. Each quotient is an integer. With q_max, the list
+    ends at the first denominator >= q_max, so no later convergent is
+    computed or meets the 128-bit guard.
     """
+    try:
+        quotients = [as_int(a, "partial quotient") for a in quotients]
+    except TypeError:  # None or a bare number
+        raise PreconditionError("partial quotients must be a sequence of integers") from None
     if not quotients:
         raise PreconditionError("need at least one partial quotient")
+    if q_max is not None and comparable(q_max, "q_max", "a number") != q_max:  # only NaN
+        raise PreconditionError("q_max must be a number, not NaN")
     if any(a < 1 for a in quotients[1:]):
         raise PreconditionError("partial quotients after a_0 must be >= 1")
     out = []

@@ -9,20 +9,22 @@ hash of cell (t, c); every other dist reads one hash a letter, by integer
 cuts. No (trials, n) matrix is ever built.
 
 For a two-point dist the folds walk the state chains of foldmap._chain:
-rate's trials always walk its exact chain (_stop_times), and _row_ends
-(point and backward folds) chooses between the word tables and the
-per-letter fold, which, as for every other dist, reads a letter column at
-a time (process.letter_columns). Every path gives the same bytes. The drivers here
-run such a fold of row keys over a plan's rows (_rows) and build the
-reports; none of them reads a letter itself.
+rate's trials always walk its exact chain (_stop_times), and _row_values
+(point and backward folds, one value a row) chooses between the word tables
+and the per-letter fold, which, as for every other dist, reads a letter
+column at a time (process.letter_columns). Every path gives the same bytes.
+The drivers here run such a fold of row keys over a plan's rows (_rows) and
+build the reports; none of them reads a letter itself.
 
-Workers are threads, and numpy does the heavy lifting, so a thread pays only
-when its block is long enough that each numpy call outlasts the hand-over of
-the interpreter lock: from about 2^15 rows. The workers argument (1..64) is
+Workers are threads, and numpy does the heavy lifting, so a thread can pay
+only when its block is long enough that each numpy call outlasts the
+hand-over of the interpreter lock. The workers argument (1..64) is
 therefore an upper bound. A run of m rows uses at most m // 2^15 threads, so
 every block of a threaded run holds at least 2^15 rows, and it splits its
 rows into equal blocks (up to one row), as many as it has threads, or more
 where that would pass the cap of _TRIAL_BLOCK rows that bounds block memory.
+That floor does not make a thread pay: on a 2-core host two workers were
+no faster than one even at 2^17 rows of 1000 letters (see the README).
 Reports are byte-identical across reruns, block sizes and worker counts, and
 all aggregation is ordered by trial index, never by completion order.
 Runtime measurements are carried on report objects but excluded from their
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,10 +221,10 @@ def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
 
     Forward applies cell 0 first; backward applies it last (outermost).
     graph is _chain._dist_graph of the point x0, or None to fold a letter
-    at a time (see _chain._row_ends); both give the same bytes.
+    at a time (see _chain._row_values); both give the same bytes.
     """
-    fold = _chain._row_ends(dist, (float(x0),) * 2, n, backward, graph)
-    return _rows(lambda keys: fold(keys)[1], plan, workers, first)
+    return _rows(_chain._row_values(dist, (float(x0),) * 2, n, backward, graph),
+                 plan, workers, first)
 
 
 def check_forward_values(x0: float, n: int, trials: int, workers: int) -> None:
@@ -259,12 +262,8 @@ def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
     """
     _check_count(n, "n", _MAX_LETTERS)
     interval = (0.0, dist.bound)
-    fold = _chain._row_ends(dist, interval, n, True, _chain._dist_graph(dist, interval, n))
-
-    def diameters(keys):
-        lo, hi = fold(keys)
-        return hi - lo
-
+    diameters = _chain._row_values(dist, interval, n, True,
+                                   _chain._dist_graph(dist, interval, n))
     return _rows(diameters, plan, workers)
 
 
@@ -474,13 +473,23 @@ def _walk_count(n: int) -> int:
 
 
 def check_rho_walk(alpha: float, x0: float, steps: int, segments: int,
-                   window: int | None) -> None:
-    """The preconditions of rho_walk_audit; a given window must suit build_graph_window."""
+                   window: int | None, q_values=()) -> None:
+    """The preconditions of rho_walk_audit: q_values is a sequence (the
+    audit reads it again) of integers q >= 1, and a given window must suit
+    build_graph_window."""
     _check_alpha(alpha)
     if not 0.0 < comparable(x0, "x0", "a number") < min(alpha, 1.0 - alpha):
         raise PreconditionError("x0 must satisfy 0 < x0 < min(alpha, 1-alpha)")
     _check_count(steps, "steps", _MAX_WALK)
     _check_count(segments, "segments", _MAX_WALK)
+    try:
+        qs = list(q_values)
+    except TypeError:  # a bare number or None
+        qs = None
+    if qs is None or isinstance(q_values, Iterator):
+        raise PreconditionError("q_values must be a sequence of integers")
+    for q in qs:
+        as_int(q, "q_values", 1)
     if window is not None:
         check_graph_window(alpha, x0, window)
 
@@ -591,7 +600,7 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
     Fold k reads cell (0, k) of the plan's grid; pair s takes its path
     indices floor(u (steps + 1)) from cells (1, s) and (1, segments + s).
     """
-    check_rho_walk(alpha, x0, steps, segments, window)
+    check_rho_walk(alpha, x0, steps, segments, window, q_values)
     base = {"schema": 1, "kind": "rho_walk_audit", "alpha": alpha, "x0": x0,
             "steps": steps, "master_seed": plan.master_seed}
     if steps == 0:

@@ -144,43 +144,27 @@ def _cell_hashes(keys, steps, out=None, scratch=None) -> np.ndarray:
     return _mix64(np.add(keys, _step_offsets(steps), out=out), scratch)
 
 
-def _tiles(shape: tuple):
-    """Index tuples that cover an array of `shape` in C order, each a
-    C-contiguous block of at most TILE_CELLS cells: the whole array when it
-    is that small, else runs of whole rows of the first axis, or, where one
-    such row is larger, the tiles of each row in turn."""
-    if math.prod(shape) <= TILE_CELLS:
-        yield (...,)
-        return
-    inner = math.prod(shape[1:])
-    if inner <= TILE_CELLS:
-        rows = TILE_CELLS // inner
-        for first in range(0, shape[0], rows):
-            yield (slice(first, first + rows),)
-        return
-    for row in range(shape[0]):
-        for tile in _tiles(shape[1:]):
-            yield (row,) + tile
-
-
 def uniform_cells(keys, steps) -> np.ndarray:
     """Grid cells u[t, j] in [0, 1) for row keys and step indices j.
 
     keys is a uint64 array from substream_keys; steps is an int or an integer
-    array, broadcast against keys. Each cell is hashed on demand, a tile of
-    at most TILE_CELLS cells at a time (_tiles), into one hash buffer of
-    TILE_CELLS, with the tile's own slice of the output, viewed as uint64,
-    holding the shifted copies; then the tile's floats are written there.
-    So a call holds its output and 512 KB besides.
+    array, broadcast against keys, then read flat in C order (a copy past
+    1-d; every call in the package is 1-d). Each cell is hashed on demand,
+    a slice of at most TILE_CELLS cells at a time, into one hash buffer of
+    TILE_CELLS, with the slice's own part of the output, viewed as uint64,
+    holding the shifted copies; then the slice's floats are written there.
+    So a 1-d call holds its output and 512 KB besides.
     """
     shape = np.broadcast_shapes(np.shape(keys), np.shape(steps))
     out = np.empty(shape)
+    flat = out.reshape(-1)
     scratch = np.empty(min(out.size, TILE_CELLS), dtype=np.uint64)
-    keys = np.broadcast_to(keys, shape)
-    steps = np.broadcast_to(steps, shape)
-    for tile in _tiles(shape):
-        cells = out[tile]
-        z = scratch[:cells.size].reshape(cells.shape)
+    keys = np.broadcast_to(keys, shape).reshape(-1)
+    steps = np.broadcast_to(steps, shape).reshape(-1)
+    for first in range(0, flat.size, TILE_CELLS):
+        tile = slice(first, first + TILE_CELLS)
+        cells = flat[tile]
+        z = scratch[:cells.size]
         _mix64(np.add(keys[tile], _step_offsets(steps[tile], z), out=z), cells.view(np.uint64))
         z >>= 11
         # z < 2^53 now: its int64 view converts to the same floats, faster
@@ -579,10 +563,13 @@ def fold_interval_arrays(theta, lo, hi, out=None, scratch=None):
     return new_lo, new_hi
 
 
-def _fold_scalar(t: float, lo: float, hi: float) -> tuple:
-    """fold_interval_arrays on Python floats: the image of [lo, hi] under
-    x -> |t - x|, bit for bit."""
-    return max(0.0, lo - t, t - hi), max(abs(t - lo), abs(t - hi))
+def _fold_scalar(t, lo, hi) -> tuple:
+    """fold_interval_arrays on Python numbers: the image of [lo, hi], lo <=
+    hi, under x -> |t - x|. On floats, the same floats bit for bit: +0.0 = t
+    - t comes first, and max(hi - t, t - lo) is max(|t - lo|, |t - hi|),
+    +0.0 at a tie of zeros, since hi has no sign bit. On ints (rate's exact
+    chain), exact: t - t is an int zero, so the image stays ints."""
+    return max(t - t, lo - t, t - hi), max(hi - t, t - lo)
 
 
 def interval_fold(word: Sequence[float], iv: Interval,

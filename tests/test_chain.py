@@ -200,9 +200,9 @@ def test_negative_zero_start_ends_as_zero(n, backward):
     # |alpha - alpha| = +0.0 reaches, and the tables would give -0.0 there
     start = (-0.0, -0.0)
     keys = substream_keys(5, 0, 64)
-    tables = _chain._row_ends(TWO_POINT, start, n, backward,
-                              _chain._dist_graph(TWO_POINT, start, n))(keys)[1]
-    folds = _chain._row_ends(TWO_POINT, start, n, backward, None)(keys)[1]
+    tables = _chain._row_values(TWO_POINT, start, n, backward,
+                                _chain._dist_graph(TWO_POINT, start, n))(keys)
+    folds = _chain._row_values(TWO_POINT, start, n, backward, None)(keys)
     assert tables.tobytes() == folds.tobytes()
     assert not np.signbit(tables).any()
     want = bit_oracle.point_folds((ALPHA, 1.0), 0.0, n, 5, 0, 64, backward)

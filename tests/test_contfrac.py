@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from foldmap import (LemmaViolationError, PrecisionError, PreconditionError,
@@ -87,6 +88,11 @@ class TestConvergents:
     def test_overflow_guard(self):
         with pytest.raises(PrecisionError):
             convergents([9] * 45)
+
+    def test_array_quotients(self):
+        # the emptiness check asked an array for its truth value, a bare ValueError
+        quotients = contfrac_expand(INV_SQRT2, 9)
+        assert convergents(np.array(quotients)) == convergents(quotients)
 
     def test_quotient_validation(self):
         with pytest.raises(PreconditionError):

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      TrialPlan, backward_diam_ensemble, experiments, process,
@@ -14,7 +16,7 @@ from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      ks_distance, rate_experiment, sample_theta,
                      stationary_cdf, step, substream_seed, theta_from_uniform)
 from foldmap.process import (_CHAIN_CUTS, TILE_CELLS, _cell_hashes, _cut_letters,
-                             fold_interval_arrays, letter_columns, letter_run,
+                             _fold_scalar, fold_interval_arrays, letter_columns, letter_run,
                              substream_keys, uniform_cells)
 
 import bit_oracle
@@ -290,6 +292,37 @@ class TestFoldKernel:
             assert bits(img.lo) == bits(ref_lo) and bits(img.hi) == bits(ref_hi)
             assert not np.signbit(img.lo)
 
+    @staticmethod
+    @st.composite
+    def scalar_folds(draw, ends, letters):
+        """(t, lo, hi), lo <= hi, with t = lo and t = hi drawn as often as any t."""
+        lo, hi = sorted((draw(ends), draw(ends)))
+        return draw(st.one_of(letters, st.sampled_from([lo, hi]))), lo, hi
+
+    @given(scalar_folds(st.integers(0, 2 ** 62), st.integers(0, 2 ** 62)))
+    @example((5, 5, 5))
+    def test_scalar_fold_on_ints_is_exact(self, fold):
+        # rate's chain folds ints on the power-of-two grid, below 2^61
+        t, lo, hi = fold
+        got = _fold_scalar(t, lo, hi)
+        nearest = 0 if lo <= t <= hi else min(abs(t - lo), abs(t - hi))
+        assert got == (nearest, max(abs(t - lo), abs(t - hi)))
+        assert all(type(end) is int for end in got)
+
+    @given(scalar_folds(st.floats(0.0, 1e300), st.one_of(st.floats(0.0, 1e300),
+                                                          st.just(-0.0))))
+    @example((0.0, 0.0, 0.0))
+    @example((-0.0, 0.0, 0.0))
+    @example((ALPHA, ALPHA, ALPHA))
+    @example((ALPHA, ALPHA, 1.0))
+    @example((1.0, ALPHA, 1.0))
+    def test_scalar_fold_on_floats_is_the_kernel(self, fold):
+        # ends carry no sign bit, as Interval and the state search keep them
+        t, lo, hi = fold
+        got = _fold_scalar(t, lo, hi)
+        assert tuple(map(bits, got)) == tuple(map(bits, fold_interval_arrays(t, lo, hi)))
+        assert not any(map(np.signbit, got))
+
     def test_long_words_match_three_branch(self):
         rng = np.random.default_rng(12)
         word = (rng.random(3000) * 1.5).tolist() + [0.0, 0.0, 1.0, 1.0]
@@ -415,6 +448,8 @@ class TestUniformGrid:
         ((2, 1, 1), np.arange(12).reshape(3, 4)),  # a tile of one row in each of (3, 4)
         ((10,), 9),                                # one step for every row
         ((4,), np.arange(4, dtype=np.uint64)),     # one tile, uint64 steps
+        ((), 5),                                   # one 0-d cell
+        ((3, 1), np.arange(0)),                    # no cells
     ])
     def test_tiles_follow_the_formula(self, monkeypatch, keys_shape, steps):
         # seven cells a tile, so every shape above spans several tiles or one ragged one

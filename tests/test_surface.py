@@ -15,7 +15,7 @@ import foldmap
 from foldmap import (Interval, OrbitLabel, PiecewiseLinearCDF, PreconditionError,
                      ThetaDist, TrialPlan, apply_theta_label, backward_diam_ensemble,
                      build_graph_window, contfrac_expand, convergent_denominators,
-                     find_close_k, forward_values, interval_fold, is_small_vertex,
+                     convergents, find_close_k, forward_values, interval_fold, is_small_vertex,
                      iterate_forward, large_count, law_equality_report,
                      one_step_invariance_report, rate_experiment, rate_steps,
                      rho_walk_audit, shrink_word, step, substream_seed,
@@ -416,6 +416,43 @@ SLOPES = "slopes must be finite"
                  "steps must be <= 1000000", id="rho-walk-audit-steps-cap"),
     pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 10, PLAN, segments=10 ** 6 + 1),
                  "segments must be <= 1000000", id="rho-walk-audit-segments-cap"),
+    # only the CLI checked q: 0 divided by zero, -3 reported 20 violations of
+    # 20 segments at bound -0.5, 2.5 reported "q": 2 beside bound 0.6, and the
+    # others raised a bare ValueError, OverflowError or TypeError
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 100, PLAN, q_values=(0,), segments=20),
+                 "q_values must be >= 1", id="rho-walk-audit-q-0"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 100, PLAN, q_values=(-3,), segments=20),
+                 "q_values must be >= 1", id="rho-walk-audit-q-negative"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 100, PLAN, q_values=(7, NAN)),
+                 "q_values must be >= 1", id="rho-walk-audit-q-nan"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 100, PLAN, q_values=(INF,)),
+                 "q_values must be >= 1", id="rho-walk-audit-q-inf"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 100, PLAN, q_values=(2.5,), segments=20),
+                 "q_values must be an integer", id="rho-walk-audit-q-float"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 100, PLAN, q_values=("7",)),
+                 "q_values must be an integer", id="rho-walk-audit-q-str"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 100, PLAN, q_values=7),
+                 "q_values must be a sequence", id="rho-walk-audit-q-bare"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 100, PLAN, q_values=None),
+                 "q_values must be a sequence", id="rho-walk-audit-q-none"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 100, PLAN, q_values=iter((7, 17))),
+                 "q_values must be a sequence", id="rho-walk-audit-q-iterator"),
+    pytest.param(lambda: check_rho_walk(ALPHA, 0.2, 10, 10, None, (0,)),
+                 "q_values must be >= 1", id="rho-walk-q-0"),
+    # convergents took any quotient: NaN gave NaN convergents, 1.5 gave
+    # q = 1.5, a str raised a bare TypeError, and a NaN q_max was no cap
+    pytest.param(lambda: convergents([0, NAN, 2]), "partial quotient must be an integer",
+                 id="convergents-quotient-nan"),
+    pytest.param(lambda: convergents([0, 1.5, 2]), "partial quotient must be an integer",
+                 id="convergents-quotient-float"),
+    pytest.param(lambda: convergents([0, "2"]), "partial quotient must be an integer",
+                 id="convergents-quotient-str"),
+    pytest.param(lambda: convergents([0, 0]), "partial quotients after a_0 must be >= 1",
+                 id="convergents-quotient-0"),
+    pytest.param(lambda: convergents(None), "partial quotients must be a sequence",
+                 id="convergents-quotients-none"),
+    pytest.param(lambda: convergents([0, 1, 2], q_max=NAN), "q_max must be a number, not NaN",
+                 id="convergents-qmax-nan"),
 ])
 def test_boundary_rejects(call, message):
     with pytest.raises(PreconditionError, match=message):
@@ -491,17 +528,20 @@ def test_only_the_chain_reads_the_bit_rule():
     assert found == allowed
 
 
-def test_only_row_ends_folds_in_the_chain():
+def test_only_row_values_folds_in_the_chain():
     # rate's trials walk the exact chain, always; in _chain only the point
     # and backward folds past the state cap read letters a column at a time
-    # and fold them
+    # and fold them, and the state search calls the one scalar fold, on
+    # floats and on rate's ints alike, so no second scalar fold comes back
     tree = ast.parse((Path(foldmap.__file__).parent / "_chain.py").read_text())
     owner = _owners(tree)
-    callers = {(owner[node], node.func.id) for node in ast.walk(tree)
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-               and node.func.id in ("fold_interval_arrays", "letter_columns")}
-    assert callers == {("_row_ends.fold", "fold_interval_arrays"),
-                       ("_row_ends.fold", "letter_columns")}
+    calls = {(owner[node], getattr(node.func, "id", None) or getattr(node.func, "attr", ""))
+             for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    callers = {(where, name) for where, name in calls if name.startswith("_fold")
+               or name in ("fold_interval_arrays", "letter_columns")}
+    assert callers == {("_row_values.fold", "fold_interval_arrays"),
+                       ("_row_values.fold", "letter_columns"),
+                       ("_state_graph", "_fold_scalar")}
 
 
 def test_takes_into_out_do_not_buffer():
