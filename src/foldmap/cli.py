@@ -147,6 +147,11 @@ def _format(*choices: str, default: str | None = None) -> Arg:
     return Arg("--format", "choice", default or choices[0], choices)
 
 
+# kept so that existing command lines still run; --dry-run echoes it
+_WORKERS = Arg("--workers", default=1,
+               help="accepted in 1..64 and unused: every run uses one thread")
+
+
 def _options(args) -> dict:
     """The checked option values by name; a distribution gives its support and weights."""
     resolved = {k: v for k, v in vars(args).items()
@@ -182,8 +187,7 @@ class Command:
 
 
 def _simulate(a, resolved) -> str:
-    values = experiments.forward_values(a.dist, a.x0, a.n, TrialPlan(a.seed, a.trials),
-                                        workers=a.workers)
+    values = experiments.forward_values(a.dist, a.x0, a.n, TrialPlan(a.seed, a.trials))
     if a.format == "csv":
         return rows_to_csv(["trial", "value"], values)
     ecdf = experiments.EmpiricalCDF(values)
@@ -261,7 +265,7 @@ def _rate_plan(a) -> dict:
 
 def _rate(a, resolved) -> str:
     report = experiments.rate_experiment(a.alpha, resolved["k_index"], a.eps,
-                                         TrialPlan(a.seed, a.trials), workers=a.workers)
+                                         TrialPlan(a.seed, a.trials))
     return report.to_csv() if a.format == "csv" else report.to_json()
 
 
@@ -303,16 +307,15 @@ def _rho_audit(a, resolved) -> str:
 
 def _bvf_check(a, resolved) -> str:
     return canonical_json(experiments.law_equality_report(
-        a.dist, a.x0, a.n, a.trials, a.seed, workers=a.workers))
+        a.dist, a.x0, a.n, a.trials, a.seed))
 
 
 COMMANDS = {row.name: row for row in (
     Command("simulate", "forward-iterate an ensemble and compare to the stationary law",
             (Arg("--dist", "dist"), Arg("--x0", "float"), Arg("--n"), Arg("--trials"),
-             Arg("--seed"), Arg("--workers", default=1), _format("json", "csv")),
+             Arg("--seed"), _WORKERS, _format("json", "csv")),
             _simulate,
-            check=lambda a: experiments.check_forward_values(a.x0, a.n, a.trials,
-                                                             a.workers)),
+            check=lambda a: experiments.check_forward_values(a.x0, a.n, a.trials)),
     Command("stationary", "evaluate or export the exact stationary CDF",
             (Arg("--dist", "dist"),
              Arg("--eval", "float", None,
@@ -342,9 +345,9 @@ COMMANDS = {row.name: row for row in (
             (Arg("--alpha", "alpha"),
              Arg("--qk", help="convergent denominator q_k of alpha"),
              Arg("--eps", "float"), Arg("--trials"), Arg("--seed"),
-             Arg("--workers", default=1), _format("json", "csv")),
+             _WORKERS, _format("json", "csv")),
             _rate, _rate_plan,
-            check=lambda a: experiments.check_rate(a.qk, a.eps, a.trials, a.workers)),
+            check=lambda a: experiments.check_rate(a.qk, a.eps, a.trials)),
     Command("walk-oracle", "exact confinement probability of a +-1 walk",
             (Arg("--n"),
              Arg("--float", "switch", False,
@@ -359,9 +362,9 @@ COMMANDS = {row.name: row for row in (
                                                        a.window)),
     Command("bvf-check", "two-sample test that backward and forward laws agree",
             (Arg("--dist", "dist"), Arg("--x0", "float"), Arg("--n"), Arg("--trials"),
-             Arg("--seed"), Arg("--workers", default=1)),
+             Arg("--seed"), _WORKERS),
             _bvf_check,
-            check=lambda a: experiments.check_law_equality(a.x0, a.n, a.trials, a.workers)),
+            check=lambda a: experiments.check_forward_values(a.x0, a.n, a.trials)),
 )}
 
 
@@ -405,6 +408,8 @@ def _check_values(row: Command, args) -> None:
             setattr(args, arg.dest, value + 0.0)
         if arg.kind == "ints" and min(value) < 1:
             raise PreconditionError(f"{arg.dest} must be positive integers")
+        if arg is _WORKERS and not 1 <= value <= 64:
+            raise PreconditionError("workers must lie in 1..64")
         if arg.kind in _CONVERT:
             setattr(args, arg.dest, _CONVERT[arg.kind](value))
 

@@ -16,17 +16,9 @@ column at a time (process.letter_columns). Every path gives the same bytes.
 The drivers here run such a fold of row keys over a plan's rows (_rows) and
 build the reports; none of them reads a letter itself.
 
-Workers are threads, and numpy does the heavy lifting, so a thread can pay
-only when its block is long enough that each numpy call outlasts the
-hand-over of the interpreter lock. The workers argument (1..64) is
-therefore an upper bound. A run of m rows uses at most m // 2^15 threads, so
-every block of a threaded run holds at least 2^15 rows, and it splits its
-rows into equal blocks (up to one row), as many as it has threads, or more
-where that would pass the cap of _TRIAL_BLOCK rows that bounds block memory.
-That floor does not make a thread pay: on a 2-core host two workers were
-no faster than one even at 2^17 rows of 1000 letters (see the README).
-Reports are byte-identical across reruns, block sizes and worker counts, and
-all aggregation is ordered by trial index, never by completion order.
+A run folds its rows in one loop, a block of at most _TRIAL_BLOCK rows at a
+time (_blocks), which bounds block memory. Reports are byte-identical across
+reruns and block sizes, and all aggregation is ordered by trial index.
 Runtime measurements are carried on report objects but excluded from their
 canonical serializations.
 
@@ -40,7 +32,6 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,11 +46,9 @@ from .orbit import (OrbitLabel, W_MAX, _check_alpha, _scan_window, alpha_targets
 from .process import (ThetaDist, TrialPlan, check_start, check_trials, letter_run,
                       substream_keys, uniform_cells)
 from .serialize import canonical_json, rows_to_csv
-from .stationary import PiecewiseLinearCDF, _quantile, stationary_cdf
+from .stationary import PiecewiseLinearCDF, _check_points, _quantile, stationary_cdf
 
 _TRIAL_BLOCK = 1 << 16    # cap on rows vectorized together (does not affect output)
-_MAX_WORKERS = 64         # threads one run may use
-_THREAD_ROWS = 1 << 15    # fewest rows a block needs to be worth a thread
 # bounds the size of _chain._rate_automaton's chain, not a trial's letters
 # (trials stop within a few thousand): scans at the least epsilon above 8/q_k
 # found at most 4278 states for q_k <= 99, under _chain._WORD_STATES
@@ -96,6 +85,7 @@ class EmpiricalCDF:
         return self.values.size
 
     def evaluate(self, x):
+        _check_points(x)  # NaN would sort last, and read 1
         return np.searchsorted(self.values, x, side="right") / self.size
 
     __call__ = evaluate
@@ -139,10 +129,8 @@ def ks_distance(sample: EmpiricalCDF, reference) -> float:
         size = min(n, _TRIAL_BLOCK)
         ramp = np.arange(size + 1, dtype=float)
         fs, gap, jumps = np.empty(size), np.empty(size), np.empty(size + 1)
-        for lo in range(0, n, _TRIAL_BLOCK):
-            block = xs[lo:lo + _TRIAL_BLOCK]
-            k = block.size
-            f = reference._evaluate_ascending(block, fs[:k])
+        for lo, k in _blocks(n):
+            f = reference._evaluate_ascending(xs[lo:lo + k], fs[:k])
             # steps[i] = (lo + i) / n: floats hold the integers 0..n exactly,
             # so this is the same quotient as from the ints
             steps = np.add(ramp[:k + 1], lo, out=jumps[:k + 1])
@@ -163,42 +151,18 @@ def ks_distance(sample: EmpiricalCDF, reference) -> float:
 # ---- trial-blocked Monte Carlo helpers ------------------------------------
 
 
-def _block_plan(n_items: int, workers: int) -> tuple[int, list]:
-    """(threads, [(start, count), ...]) of a blocked run over n_items items.
-
-    A thread is started only for a block of at least _THREAD_ROWS items, so
-    the run uses min(workers, n_items // _THREAD_ROWS) threads, and at least
-    one. The items split into the fewest blocks that number at least the
-    threads and hold at most _TRIAL_BLOCK items each, with counts that differ
-    by at most one. So every thread gets work, every block of a threaded run
-    holds at least _THREAD_ROWS items, and the block buffers stay bounded.
-    """
-    threads = max(1, min(workers, n_items // _THREAD_ROWS))
-    blocks = max(threads, -(-n_items // _TRIAL_BLOCK))
-    ends = [n_items * k // blocks for k in range(blocks + 1)]
-    return threads, [(s, e - s) for s, e in zip(ends, ends[1:])]
+def _blocks(n_items: int) -> Iterator[tuple[int, int]]:
+    """(start, count) of each block of a run over n_items items, in order:
+    _TRIAL_BLOCK items a block, and the rest in the last."""
+    for start in range(0, n_items, _TRIAL_BLOCK):
+        yield start, min(_TRIAL_BLOCK, n_items - start)
 
 
-def _run_blocks(worker, n_items: int, workers: int) -> list:
-    """Apply worker(start, count) over the blocks of _block_plan, in block order.
-
-    workers (1..64) bounds the threads, and a thread needs a block of at
-    least _THREAD_ROWS items; results never depend on the plan.
-    """
-    check_workers(workers)
-    threads, tasks = _block_plan(n_items, workers)
-    if threads == 1:
-        return [worker(s, c) for s, c in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda t: worker(*t), tasks))
-
-
-def _rows(fold, plan: TrialPlan, workers: int, first: int = 0) -> np.ndarray:
-    """fold(row keys) over rows first .. first+plan.trials-1, blocked as in
-    _run_blocks, in row order."""
-    return np.concatenate(_run_blocks(
-        lambda start, count: fold(substream_keys(plan.master_seed, first + start, count)),
-        plan.trials, workers))
+def _rows(fold, plan: TrialPlan, first: int = 0) -> np.ndarray:
+    """fold(row keys) over rows first .. first+plan.trials-1, a block at a
+    time (_blocks), in row order."""
+    return np.concatenate([fold(substream_keys(plan.master_seed, first + start, count))
+                           for start, count in _blocks(plan.trials)])
 
 
 def _check_count(count: int, name: str, most: int) -> None:
@@ -207,16 +171,8 @@ def _check_count(count: int, name: str, most: int) -> None:
         raise PreconditionError(f"{name} must be <= {most}")
 
 
-def check_workers(workers: int) -> None:
-    """The thread count of a blocked run must lie in 1..64."""
-    if not 1 <= comparable(workers, "workers") <= _MAX_WORKERS:
-        raise PreconditionError(f"workers must lie in 1..{_MAX_WORKERS}")
-    as_int(workers, "workers")
-
-
 def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
-                 workers: int, first: int = 0, backward: bool = False,
-                 graph=None) -> np.ndarray:
+                 first: int = 0, backward: bool = False, graph=None) -> np.ndarray:
     """x0 folded through n letters of rows first .. first+plan.trials-1.
 
     Forward applies cell 0 first; backward applies it last (outermost).
@@ -224,36 +180,33 @@ def _point_folds(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
     at a time (see _chain._row_values); both give the same bytes.
     """
     return _rows(_chain._row_values(dist, (float(x0),) * 2, n, backward, graph),
-                 plan, workers, first)
+                 plan, first)
 
 
-def check_forward_values(x0: float, n: int, trials: int, workers: int) -> None:
-    """The preconditions of forward_values with a plan of `trials` trials."""
+def check_forward_values(x0: float, n: int, trials: int) -> None:
+    """The preconditions of forward_values with a plan of `trials` trials,
+    and of law_equality_report."""
     check_trials(trials)
     check_start(x0)
     _check_count(n, "n", _MAX_LETTERS)
-    check_workers(workers)
 
 
-def forward_values(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
-                   workers: int = 1) -> np.ndarray:
+def forward_values(dist: ThetaDist, x0: float, n: int, plan: TrialPlan) -> np.ndarray:
     """n-th forward iterate per trial, in trial order.
 
     Trial t folds x0 through cells (t, 0), ..., (t, n-1), in that order.
     """
-    check_forward_values(x0, n, plan.trials, workers)
+    check_forward_values(x0, n, plan.trials)
     graph = _chain._dist_graph(dist, (float(x0),) * 2, n)
-    return _point_folds(dist, x0, n, plan, workers, graph=graph)
+    return _point_folds(dist, x0, n, plan, graph=graph)
 
 
-def ensemble_forward(dist: ThetaDist, x0: float, n: int, plan: TrialPlan,
-                     workers: int = 1) -> EmpiricalCDF:
+def ensemble_forward(dist: ThetaDist, x0: float, n: int, plan: TrialPlan) -> EmpiricalCDF:
     """Empirical law of the n-th forward iterate over plan.trials trajectories."""
-    return EmpiricalCDF(forward_values(dist, x0, n, plan, workers=workers))
+    return EmpiricalCDF(forward_values(dist, x0, n, plan))
 
 
-def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
-                           workers: int = 1) -> np.ndarray:
+def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan) -> np.ndarray:
     """Exact lengths of the backward image of [0, b] after n letters per trial.
 
     Trial t's word is row t of the plan's grid, cell 0 outermost, so the word
@@ -264,7 +217,7 @@ def backward_diam_ensemble(dist: ThetaDist, n: int, plan: TrialPlan,
     interval = (0.0, dist.bound)
     diameters = _chain._row_values(dist, interval, n, True,
                                    _chain._dist_graph(dist, interval, n))
-    return _rows(diameters, plan, workers)
+    return _rows(diameters, plan)
 
 
 # ---- rate experiment -------------------------------------------------------
@@ -330,7 +283,7 @@ def rate_steps(q_k: int) -> int:
     return math.ceil(8 * int(q_k) ** 3 * math.log2(q_k))  # a numpy int would overflow
 
 
-def check_rate(q_k: int, epsilon: float, trials: int, workers: int) -> None:
+def check_rate(q_k: int, epsilon: float, trials: int) -> None:
     """The preconditions of rate_experiment at convergent denominator q_k."""
     check_trials(trials)
     _check_qk(q_k)
@@ -338,11 +291,10 @@ def check_rate(q_k: int, epsilon: float, trials: int, workers: int) -> None:
         raise PreconditionError(f"q_k > {_RATE_QK_CAP} is beyond the desk-scale cap")
     if not 8.0 / q_k < comparable(epsilon, "epsilon", "a number") < math.inf:
         raise PreconditionError(f"epsilon must be finite and exceed 8/q_k = {8.0 / q_k}")
-    check_workers(workers)
 
 
 def rate_experiment(alpha: float, k_index: int, epsilon: float,
-                    plan: TrialPlan, workers: int = 1) -> RateReport:
+                    plan: TrialPlan) -> RateReport:
     """Monte Carlo check of the backward-contraction rate bound.
 
     Uses the two-point distribution {alpha, 1}. k_index selects the
@@ -353,8 +305,7 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     The diameter is nonincreasing as letters are added outside, so each
     trial stops at its first sub-epsilon diameter (_chain._stop_times,
     which says where interval_fold's rounded diameter may stop elsewhere);
-    letters_used records that stopping point (or N on failure). workers
-    bounds the threads, and a thread needs a block of at least 2^15 trials.
+    letters_used records that stopping point (or N on failure).
     """
     _check_alpha(alpha)
     as_int(k_index, "k_index")
@@ -363,10 +314,10 @@ def rate_experiment(alpha: float, k_index: int, epsilon: float,
     if not 0 <= k_index < len(quotients):
         raise PreconditionError(f"k_index {k_index} out of range for this alpha")
     q_k = convergents(quotients)[k_index].q
-    check_rate(q_k, epsilon, plan.trials, workers)
+    check_rate(q_k, epsilon, plan.trials)
     n_steps = rate_steps(q_k)
     t0 = time.perf_counter()
-    stops = _rows(_chain._stop_times(alpha, epsilon, n_steps), plan, workers)
+    stops = _rows(_chain._stop_times(alpha, epsilon, n_steps), plan)
     successes = (stops <= n_steps).tolist()
     letters = np.minimum(stops, n_steps).tolist()
     success_count = sum(successes)
@@ -662,14 +613,12 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
 
 
 def one_step_invariance_report(dist: ThetaDist, n_samples: int,
-                               master_seed: int, workers: int = 1) -> dict:
+                               master_seed: int) -> dict:
     """Draw stationary samples, apply one random fold, measure KS to the law.
 
     Sample-indexed: sample i takes its stationary draw from cell (0, i), the
     quantile of that uniform, and its fold letter from cell (1, i), read by
-    process.letter_run, so output is independent of block size and worker
-    count. workers bounds the threads as in _run_blocks: a thread needs a
-    block of at least 2^15 samples.
+    process.letter_run, so output is independent of block size.
 
     Each block writes its quantiles, then its folded values, into its own
     slice of one sample buffer, which is then sorted in place and measured
@@ -680,16 +629,13 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
     cdf = stationary_cdf(dist)
     keys = substream_keys(master_seed, 0, 2)
     stepped = np.empty(n_samples)
-
-    def worker(start, count):
+    for start, count in _blocks(n_samples):
         out = stepped[start:start + count]
         # the cells are this block's own, so the quantile may overwrite them
         u = uniform_cells(keys[:1], np.arange(start, start + count))
         _quantile(cdf, u, out, u)
         theta = letter_run(dist, keys[1:], start, count)[0]
         np.abs(np.subtract(theta, out, out=out), out=out)
-
-    _run_blocks(worker, n_samples, workers)
     stepped.sort()
     return {"schema": 1, "kind": "one_step_invariance", "n_samples": n_samples,
             "master_seed": master_seed,
@@ -697,31 +643,19 @@ def one_step_invariance_report(dist: ThetaDist, n_samples: int,
             "ks_distance": ks_distance(EmpiricalCDF._of_sorted(stepped), cdf)}
 
 
-def check_law_equality(x0: float, n: int, trials: int, workers: int) -> None:
-    """The preconditions of law_equality_report."""
-    check_start(x0)
-    # a NaN fails these comparisons too
-    if not (0 <= comparable(n, "n") < math.inf
-            and 1 <= comparable(trials, "trials") < math.inf):
-        raise PreconditionError("need n >= 0 and trials >= 1")
-    _check_count(n, "n", _MAX_LETTERS)
-    check_trials(trials)
-    check_workers(workers)
-
-
 def law_equality_report(dist: ThetaDist, x0: float, n: int, trials: int,
-                        master_seed: int, workers: int = 1) -> dict:
+                        master_seed: int) -> dict:
     """Two-sample KS between forward and backward n-step values at x0.
 
     Forward trial t folds row t with cell 0 innermost; backward trial t
     folds row trials + t with cell 0 outermost, so the two ensembles are
     independent.
     """
-    check_law_equality(x0, n, trials, workers)
+    check_forward_values(x0, n, trials)
     plan = TrialPlan(master_seed, trials)
     graph = _chain._dist_graph(dist, (float(x0),) * 2, n)  # both directions walk it
-    fwd = _point_folds(dist, x0, n, plan, workers, graph=graph)
-    bwd = _point_folds(dist, x0, n, plan, workers, first=trials, backward=True, graph=graph)
+    fwd = _point_folds(dist, x0, n, plan, graph=graph)
+    bwd = _point_folds(dist, x0, n, plan, first=trials, backward=True, graph=graph)
     ks = ks_distance(EmpiricalCDF(fwd), EmpiricalCDF(bwd))
     return {"schema": 1, "kind": "law_equality", "x0": x0, "n": n,
             "trials": trials, "master_seed": master_seed, "ks_distance": ks}

@@ -16,7 +16,7 @@ mix64 the SplitMix64 finalizer: SplitMix64 in counter mode (Steele, Lea &
 Flood, OOPSLA'14), the counter-based design of Salmon et al. (SC'11). Row t
 is trial t's word, cell j its j-th letter. Any cell is reached directly, so a
 shorter word is a prefix of a longer one and results never depend on block
-layout, execution order or worker count.
+layout or execution order.
 
 The cut rule (_cut_letters) reads letters straight from the hashed
 integers z, as uniform_cells reads the float cells: u >= c exactly when z >=

@@ -2,7 +2,7 @@
 
 Every report the package writes goes through canonical_json so that a fixed
 (config, seed) pair produces byte-identical output regardless of dict build
-order, worker count, or platform dict randomization.
+order or platform dict randomization.
 """
 
 from __future__ import annotations

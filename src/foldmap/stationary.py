@@ -27,6 +27,12 @@ from .process import TILE_CELLS, ThetaDist, _count_cuts, _float_array
 from .serialize import canonical_json, rows_to_csv
 
 
+def _check_points(x) -> None:
+    """A CDF is evaluated at numbers, -inf and inf among them, but not at NaN."""
+    if np.isnan(x).any():
+        raise PreconditionError("CDF argument must not be NaN")
+
+
 class PiecewiseLinearCDF:
     """Continuous piecewise-linear CDF given by breakpoints and values.
 
@@ -77,6 +83,7 @@ class PiecewiseLinearCDF:
 
     def evaluate(self, x):
         """CDF at x (scalar or array); 0 left of the first breakpoint, 1 right of the last."""
+        _check_points(x)
         return np.interp(x, self.xs, self.values, left=0.0, right=1.0)
 
     __call__ = evaluate

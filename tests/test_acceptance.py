@@ -2,7 +2,7 @@
 
 Each criterion prints exactly one line, ACCEPTANCE k: PASS/FAIL (detail),
 then asserts. Stochastic criteria use fixed master seeds; the reports they
-produce are byte-identical across reruns and worker counts (criterion 10).
+produce are byte-identical across reruns (criterion 10).
 """
 
 import json
@@ -36,31 +36,25 @@ def _line(criterion: int, ok: bool, detail: str):
 
 
 @lru_cache(maxsize=None)
-def _invariance_report(workers: int) -> str:
-    rep = one_step_invariance_report(TWO_POINT, 10 ** 6, SEED_INVARIANCE,
-                                     workers=workers)
-    return canonical_json(rep)
+def _invariance_report() -> str:
+    return canonical_json(one_step_invariance_report(TWO_POINT, 10 ** 6, SEED_INVARIANCE))
 
 
 @lru_cache(maxsize=None)
-def _rate_reports(workers: int) -> tuple:
-    r17 = rate_experiment(ALPHA, 4, 0.5, TrialPlan(SEED_RATE, 200),
-                          workers=workers)
-    r41 = rate_experiment(ALPHA, 5, 0.2, TrialPlan(SEED_RATE + 1, 200),
-                          workers=workers)
+def _rate_reports() -> tuple:
+    r17 = rate_experiment(ALPHA, 4, 0.5, TrialPlan(SEED_RATE, 200))
+    r41 = rate_experiment(ALPHA, 5, 0.2, TrialPlan(SEED_RATE + 1, 200))
     return r17.to_json(), r41.to_json()
 
 
 @lru_cache(maxsize=None)
-def _law_report(workers: int) -> str:
-    rep = law_equality_report(TWO_POINT, 0.2, 50, 10 ** 5, SEED_LAW,
-                              workers=workers)
-    return canonical_json(rep)
+def _law_report() -> str:
+    return canonical_json(law_equality_report(TWO_POINT, 0.2, 50, 10 ** 5, SEED_LAW))
 
 
 def test_criterion_01_one_step_invariance():
     t0 = time.perf_counter()
-    ks = json.loads(_invariance_report(3))["ks_distance"]
+    ks = json.loads(_invariance_report())["ks_distance"]
     elapsed = time.perf_counter() - t0
     _line(1, ks <= 0.005 and elapsed < 10.0,
           f"10^6 samples, one-step KS={ks:.5f} <= 0.005, {elapsed:.1f}s < 10s")
@@ -142,7 +136,7 @@ def test_criterion_06_continued_fractions():
 
 def test_criterion_07_rate_bound():
     t0 = time.perf_counter()
-    js17, js41 = _rate_reports(3)
+    js17, js41 = _rate_reports()
     elapsed = time.perf_counter() - t0
     r17, r41 = json.loads(js17), json.loads(js41)
     ok = (r17["n_steps"] == 160654 and r41["n_steps"] == 2953983
@@ -166,22 +160,15 @@ def test_criterion_08_walk_oracle():
 
 
 def test_criterion_09_law_equality():
-    ks = json.loads(_law_report(3))["ks_distance"]
+    ks = json.loads(_law_report())["ks_distance"]
     _line(9, ks <= 0.01,
           f"n=50, 10^5 forward vs backward trials, two-sample KS={ks:.5f} <= 0.01")
 
 
 def test_criterion_10_determinism():
-    same_1 = (_invariance_report(1) == _invariance_report(3)
-              == canonical_json(one_step_invariance_report(
-                  TWO_POINT, 10 ** 6, SEED_INVARIANCE, workers=3)))
-    rerun_17 = rate_experiment(ALPHA, 4, 0.5, TrialPlan(SEED_RATE, 200),
-                               workers=1).to_json()
-    same_7 = (_rate_reports(1) == _rate_reports(3)
-              and rerun_17 == _rate_reports(3)[0])
-    same_9 = (_law_report(1) == _law_report(3)
-              == canonical_json(law_equality_report(
-                  TWO_POINT, 0.2, 50, 10 ** 5, SEED_LAW, workers=3)))
+    # each report made again, beside the one criteria 1, 7 and 9 read
+    same_1, same_7, same_9 = (report.__wrapped__() == report()
+                              for report in (_invariance_report, _rate_reports, _law_report))
     _line(10, same_1 and same_7 and same_9,
-          f"byte-identical reports across reruns and 1 vs 3 workers: "
+          f"byte-identical reports across reruns: "
           f"criterion1={same_1}, criterion7={same_7}, criterion9={same_9}")

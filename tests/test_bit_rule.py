@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,10 +31,10 @@ ALPHA = math.sqrt(0.5)
 TWO_POINT = ThetaDist.two_point(ALPHA)
 SUPPORT = (ALPHA, 1.0)
 EDGES = [0, 1, 7, 8, 9, 63, 64, 65]
-WORKERS = [1, 2]
+BLOCKS = [1, 2]  # a run folds its rows in one block or in two
 
 
-def oracle_point_folds(dist, x0, n, plan, workers, first=0, backward=False, **_):
+def oracle_point_folds(dist, x0, n, plan, first=0, backward=False, **_):
     return bit_oracle.point_folds(dist.support.tolist(), x0, n, plan.master_seed,
                                   first, plan.trials, backward)
 
@@ -107,43 +108,50 @@ class TestLetters:
 
 
 class TestFolds:
-    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("blocks", BLOCKS)
     @pytest.mark.parametrize("n", EDGES)
-    def test_forward_values(self, n, workers):
+    def test_forward_values(self, split_runs, n, blocks):
+        split_runs(500, blocks)
         plan = TrialPlan(31 + n, 500)
-        got = forward_values(TWO_POINT, 0.2, n, plan, workers=workers)
+        got = forward_values(TWO_POINT, 0.2, n, plan)
         assert np.array_equal(got, bit_oracle.point_folds(SUPPORT, 0.2, n, 31 + n, 0, 500))
 
-    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("blocks", BLOCKS)
     @pytest.mark.parametrize("n", EDGES)
-    def test_law_equality_both_directions(self, n, workers):
+    def test_law_equality_both_directions(self, split_runs, n, blocks):
         seed, trials = 40 + n, 400
+        split_runs(trials, blocks)
         plan = TrialPlan(seed, trials)
         fwd = bit_oracle.point_folds(SUPPORT, 0.3, n, seed, 0, trials)
         bwd = bit_oracle.point_folds(SUPPORT, 0.3, n, seed, trials, trials, backward=True)
         for graph in (_chain._dist_graph(TWO_POINT, (0.3, 0.3), n), None):  # tables, bits
             assert np.array_equal(experiments._point_folds(
-                TWO_POINT, 0.3, n, plan, workers, graph=graph), fwd)
+                TWO_POINT, 0.3, n, plan, graph=graph), fwd)
             assert np.array_equal(experiments._point_folds(
-                TWO_POINT, 0.3, n, plan, workers, first=trials, backward=True, graph=graph), bwd)
-        rep = law_equality_report(TWO_POINT, 0.3, n, trials, seed, workers=workers)
+                TWO_POINT, 0.3, n, plan, first=trials, backward=True, graph=graph), bwd)
+        rep = law_equality_report(TWO_POINT, 0.3, n, trials, seed)
         assert rep["ks_distance"] == ks_distance(EmpiricalCDF(fwd), EmpiricalCDF(bwd))
 
-    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("blocks", BLOCKS)
     @pytest.mark.parametrize("n", EDGES)
-    def test_backward_diameters(self, n, workers):
+    def test_backward_diameters(self, split_runs, n, blocks):
+        split_runs(500, blocks)
         plan = TrialPlan(50 + n, 500)
-        got = backward_diam_ensemble(TWO_POINT, n, plan, workers=workers)
+        got = backward_diam_ensemble(TWO_POINT, n, plan)
         assert np.array_equal(got, bit_oracle.backward_diameters(SUPPORT, n, 50 + n, 500))
 
     def test_two_threads(self):
-        # 2^16 + 5 rows: two blocks of at least 2^15, one a thread
+        # 2^16 + 5 rows: a block of 2^16 and one of 5, in two runs at once
+        # on the two threads of a caller's pool
         trials = (1 << 16) + 5
         plan = TrialPlan(9, trials)
-        want = bit_oracle.point_folds(SUPPORT, 0.2, 65, 9, 0, trials)
-        assert np.array_equal(forward_values(TWO_POINT, 0.2, 65, plan, workers=2), want)
-        want = bit_oracle.backward_diameters(SUPPORT, 9, 9, trials)
-        assert np.array_equal(backward_diam_ensemble(TWO_POINT, 9, plan, workers=2), want)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            fwd = pool.submit(forward_values, TWO_POINT, 0.2, 65, plan)
+            diam = pool.submit(backward_diam_ensemble, TWO_POINT, 9, plan)
+            want = bit_oracle.point_folds(SUPPORT, 0.2, 65, 9, 0, trials)
+            assert np.array_equal(fwd.result(), want)
+            want = bit_oracle.backward_diameters(SUPPORT, 9, 9, trials)
+            assert np.array_equal(diam.result(), want)
 
     def test_a_third_point_a_bit_never_selects(self):
         # cuts [2^63]: the letters are the two lowest points, the bound the third
@@ -166,11 +174,12 @@ class TestFolds:
 
 
 class TestRate:
-    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("blocks", BLOCKS)
     @pytest.mark.parametrize("k_index, epsilon", [(4, 0.5), (5, 0.2), (4, ALPHA)])
-    def test_stopping_times(self, k_index, epsilon, workers):
+    def test_stopping_times(self, split_runs, k_index, epsilon, blocks):
+        split_runs(80, blocks)
         plan = TrialPlan(60 + k_index, 80)
-        rep = rate_experiment(ALPHA, k_index, epsilon, plan, workers=workers)
+        rep = rate_experiment(ALPHA, k_index, epsilon, plan)
         want = [bit_oracle.stopping_time(ALPHA, epsilon, plan.master_seed, t, rep.n_steps)
                 for t in range(plan.trials)]
         assert rep.letters_used == [min(k, rep.n_steps) for k in want]
@@ -241,23 +250,23 @@ class TestFallback:
     """Past the state cap the folds read the same words one bit at a time,
     and give the same bytes as the word tables."""
 
-    def _runs(self, n, workers):
+    def _runs(self, n):
         plan = TrialPlan(70 + n, 700)
         return [
-            forward_values(TWO_POINT, 0.2, n, plan, workers=workers),
-            experiments._point_folds(TWO_POINT, 0.2, n, plan, workers, first=700,
-                                     backward=True,
+            forward_values(TWO_POINT, 0.2, n, plan),
+            experiments._point_folds(TWO_POINT, 0.2, n, plan, first=700, backward=True,
                                      graph=_chain._dist_graph(TWO_POINT, (0.2, 0.2), n)),
-            backward_diam_ensemble(TWO_POINT, n, plan, workers=workers),
+            backward_diam_ensemble(TWO_POINT, n, plan),
         ]
 
-    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("blocks", BLOCKS)
     @pytest.mark.parametrize("n", RAGGED)
     @pytest.mark.parametrize("cap", [0, 1, 40])
-    def test_same_bytes_past_the_cap(self, monkeypatch, n, workers, cap):
-        tables = self._runs(n, workers)
+    def test_same_bytes_past_the_cap(self, monkeypatch, split_runs, n, blocks, cap):
+        tables = self._runs(n)
+        split_runs(700, blocks)
         monkeypatch.setattr(_chain, "_WORD_STATES", cap)
-        folds = self._runs(n, workers)
+        folds = self._runs(n)
         for table, fold in zip(tables, folds):
             assert table.tobytes() == fold.tobytes()
 

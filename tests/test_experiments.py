@@ -5,6 +5,7 @@ import math
 import re
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,12 @@ STAT_CDF = stationary_cdf(TWO_POINT)
 def two_point_word(alpha, plan, t, n):
     """Letters 0 .. n-1 of row t for the dist {alpha, 1}, by tests/bit_oracle.py."""
     return np.where(bit_oracle.bits(plan.master_seed, t, 1, n)[0] == 1, 1.0, alpha)
+
+
+def on_workers(call, workers=3):
+    """call() on each of `workers` threads of a caller's own pool, at once."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda _: call(), range(workers)))
 
 
 def pooled_ks(a, b):
@@ -167,9 +174,9 @@ class TestForwardConvergence:
         plan = TrialPlan(3, trials=3 * 10 ** 3)
         ref = forward_values(TWO_POINT, 0.2, 50, plan)
         again = forward_values(TWO_POINT, 0.2, 50, plan)
-        threaded = forward_values(TWO_POINT, 0.2, 50, plan, workers=3)
         assert np.array_equal(ref, again)
-        assert np.array_equal(ref, threaded)
+        for threaded in on_workers(lambda: forward_values(TWO_POINT, 0.2, 50, plan)):
+            assert np.array_equal(ref, threaded)
 
     def test_trial_folds_its_row(self):
         plan = TrialPlan(3, trials=20)
@@ -187,59 +194,28 @@ class TestForwardConvergence:
             forward_values(TWO_POINT, 0.2, -1, plan)
 
 
-FLOOR = experiments._THREAD_ROWS
-
-
 class TestBlockPlan:
-    """Threads only for blocks of 2^15 rows or more; bytes never depend on it."""
+    """A run folds its rows a block of at most _TRIAL_BLOCK rows at a time;
+    bytes never depend on the blocks, or on a caller's threads."""
 
-    # floor: the fewest rows a block of a threaded run holds
-    @pytest.mark.parametrize("rows, workers, floor, threads, sizes", [
-        (20000, 2, FLOOR, 1, [20000]),
-        (65535, 2, FLOOR, 1, [65535]),
-        (65536, 2, FLOOR, 2, [32768] * 2),
-        (10 ** 5, 3, FLOOR, 3, [33333, 33333, 33334]),
-        (10 ** 6, 3, FLOOR, 3, [62500] * 16),
-        (10 ** 6, 64, FLOOR, 30, [33333] * 20 + [33334] * 10),
-        (1, 64, FLOOR, 1, [1]),
-        (131073, 1, FLOOR, 1, [43691, 43691, 43691]),
-        # rate's trial counts plan as every other run's
-        (200, 2, FLOOR, 1, [200]),
-        (16384, 2, FLOOR, 1, [16384]),
-        (3 << 13, 64, FLOOR, 1, [24576]),
-        (10 ** 5, 64, FLOOR, 3, [33333, 33333, 33334]),
-    ])
-    def test_plan(self, rows, workers, floor, threads, sizes):
-        got, tasks = experiments._block_plan(rows, workers)
-        assert got == threads
-        assert sorted(c for _, c in tasks) == sizes
-        if threads > 1:
-            assert min(sizes) >= floor
-        # consecutive blocks that cover the rows
-        assert [s for s, _ in tasks] == np.cumsum([0] + [c for _, c in tasks])[:-1].tolist()
-        assert sum(c for _, c in tasks) == rows
-
-    @pytest.mark.parametrize("rows", [2, 1000, 32767, 32768, 99999, 10 ** 6 + 7])
-    def test_threaded_blocks_are_long_and_capped(self, rows):
-        for workers in (1, 2, 3, 64):
-            threads, tasks = experiments._block_plan(rows, workers)
-            sizes = [c for _, c in tasks]
-            assert 1 <= threads <= workers and len(tasks) >= threads
-            assert max(sizes) <= experiments._TRIAL_BLOCK
-            assert max(sizes) - min(sizes) <= 1
-            if threads > 1:
-                assert min(sizes) >= FLOOR
+    @pytest.mark.parametrize("rows", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 10 ** 6 + 7])
+    def test_blocks_cover_the_rows_in_order(self, rows):
+        blocks = list(experiments._blocks(rows))
+        starts, counts = [s for s, _ in blocks], [c for _, c in blocks]
+        assert starts == np.cumsum([0] + counts)[:-1].tolist()
+        assert sum(counts) == rows
+        assert 1 <= min(counts) and max(counts) <= experiments._TRIAL_BLOCK
 
     @pytest.mark.parametrize("run", [
-        lambda w: forward_values(TWO_POINT, 0.2, 12, TrialPlan(3, 1 << 16), workers=w),
-        lambda w: backward_diam_ensemble(TWO_POINT, 12, TrialPlan(13, 1 << 16), workers=w),
-        lambda w: rate_experiment(ALPHA, 4, 0.6, TrialPlan(41, 1 << 16), workers=w).to_json(),
+        lambda: forward_values(TWO_POINT, 0.2, 12, TrialPlan(3, 1 << 16)),
+        lambda: backward_diam_ensemble(TWO_POINT, 12, TrialPlan(13, 1 << 16)),
+        lambda: rate_experiment(ALPHA, 4, 0.6, TrialPlan(41, 1 << 16)).to_json(),
     ], ids=["forward_values", "backward_diam_ensemble", "rate_experiment"])
     def test_threaded_byte_identity(self, monkeypatch, run):
-        ref = run(1)
-        # every block starts by keying its rows, and waits there until the
-        # other has started: the run passes only when two pool threads hold a
-        # block at the same time
+        ref = run()
+        # a caller's two threads make the same run: each keys its block of
+        # rows and waits there until the other has, so the test passes only
+        # when both threads hold a block at the same time
         barrier = threading.Barrier(2, timeout=30)
         idents = set()
         keys = experiments.substream_keys
@@ -250,23 +226,10 @@ class TestBlockPlan:
             return keys(*args)
 
         monkeypatch.setattr(experiments, "substream_keys", meeting)
-        threaded = run(2)
+        threaded = on_workers(run, 2)
         assert len(idents) == 2 and threading.get_ident() not in idents
-        assert np.array_equal(ref, threaded)
-
-    @pytest.mark.parametrize("trials, pools", [(1 << 14, 0), (1 << 16, 1)])
-    def test_rate_threads_from_the_common_floor(self, monkeypatch, trials, pools):
-        # two workers start a pool only where each holds a block of 2^15 trials
-        started = []
-        pool = experiments.ThreadPoolExecutor
-
-        def spy(**kwargs):
-            started.append(kwargs)
-            return pool(**kwargs)
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", spy)
-        rate_experiment(ALPHA, 4, 0.6, TrialPlan(41, trials), workers=2)
-        assert started == [{"max_workers": 2}] * pools
+        for got in threaded:
+            assert np.array_equal(ref, got)
 
 
 class TestBackwardDiameter:
@@ -299,8 +262,8 @@ class TestBackwardDiameter:
     def test_worker_count_irrelevant(self):
         plan = TrialPlan(13, trials=5000)
         a = backward_diam_ensemble(TWO_POINT, 100, plan)
-        b = backward_diam_ensemble(TWO_POINT, 100, plan, workers=3)
-        assert np.array_equal(a, b)
+        for b in on_workers(lambda: backward_diam_ensemble(TWO_POINT, 100, plan)):
+            assert np.array_equal(a, b)
 
 
 class TestRateExperiment:
@@ -368,9 +331,9 @@ class TestRateExperiment:
                 assert rep.letters_used[t] == (below[0] if below.size else budget)
 
     def test_worker_byte_identity(self):
-        reps = [rate_experiment(ALPHA, 4, 0.5, TrialPlan(41, trials=20), workers=w)
-                for w in (1, 3)]
-        assert reps[0].to_json() == reps[1].to_json()
+        ref = rate_experiment(ALPHA, 4, 0.5, TrialPlan(41, trials=20)).to_json()
+        assert on_workers(lambda: rate_experiment(
+            ALPHA, 4, 0.5, TrialPlan(41, trials=20)).to_json()) == [ref] * 3
 
     def test_guards(self):
         plan = TrialPlan(0, trials=2)
@@ -453,13 +416,14 @@ class TestRateAutomaton:
         bits = np.unpackbits(words, axis=0)
         assert np.array_equal(bits, bit_oracle.bits(7, 3, 50, 64)[:, 40:].T)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
     @pytest.mark.parametrize("alpha, k_index, q", _rate_cases(),
                              ids=lambda v: f"{v:.5g}" if isinstance(v, float) else str(v))
-    def test_matches_interval_fold(self, alpha, k_index, q, workers):
+    def test_matches_interval_fold(self, split_runs, alpha, k_index, q, blocks):
+        split_runs(12, blocks)
         for epsilon in (np.nextafter(8 / q, 1.0), 10 / q, 1.5):
-            plan = TrialPlan(q + workers, trials=12)
-            rep = rate_experiment(alpha, k_index, epsilon, plan, workers=workers)
+            plan = TrialPlan(q + blocks, trials=12)
+            rep = rate_experiment(alpha, k_index, epsilon, plan)
             assert rep.q_k == q
             assert_rate_matches_folds(alpha, epsilon, plan, rep)
             # no image of these cases lies within rounding of epsilon
@@ -879,9 +843,9 @@ class TestDistributionReports:
         assert peak <= 1.5 * 8 * 10 ** 6
 
     def test_one_step_worker_determinism(self):
-        reps = [one_step_invariance_report(TWO_POINT, 10 ** 5, master_seed=29,
-                                           workers=w) for w in (1, 3)]
-        assert reps[0] == reps[1]
+        ref = one_step_invariance_report(TWO_POINT, 10 ** 5, master_seed=29)
+        assert on_workers(lambda: one_step_invariance_report(
+            TWO_POINT, 10 ** 5, master_seed=29)) == [ref] * 3
 
     def test_law_equality(self):
         rep = law_equality_report(TWO_POINT, 0.2, 20, 5000, master_seed=31)
@@ -891,8 +855,8 @@ class TestDistributionReports:
         # backward trial t folds row trials + t with cell 0 outermost
         dist = ThetaDist([0.3, 0.6, 1.0], [0.2, 0.3, 0.5])
         plan = TrialPlan(31, trials=50)
-        fwd = experiments._point_folds(dist, 0.2, 12, plan, 1)
-        bwd = experiments._point_folds(dist, 0.2, 12, plan, 1, first=50, backward=True)
+        fwd = experiments._point_folds(dist, 0.2, 12, plan)
+        bwd = experiments._point_folds(dist, 0.2, 12, plan, first=50, backward=True)
         for t in range(50):
             assert fwd[t] == iterate_forward(
                 theta_from_uniform(dist, plan.substream(t).random(12)), 0.2)[-1]

@@ -1,10 +1,11 @@
 """Pinned bytes of the trial- and sample-indexed Monte Carlo outputs, and of
 the exact walk oracle that the two-point rate bound is compared with.
 
-Each Monte Carlo output is produced at one and at two workers (three for the
-sample-indexed one-step invariance report) and compared with one SHA-256
-digest, so a change to the letter or fold kernels, the block layout
-or the serializers that moves a single bit of these reports fails here.
+Each Monte Carlo output is produced in two block layouts (its run in one
+block and in two, or in blocks of 2^16 rows and of a half or a third of that)
+and compared with one SHA-256 digest, and each command line with --workers 1
+and 2, so a change to the letter or fold kernels, the block layout or the
+serializers that moves a single bit of these reports fails here.
 The two-point digests are those of the one-bit letter rule, and
 tests/test_bit_rule.py checks each against the model in tests/bit_oracle.py.
 """
@@ -17,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from foldmap import ThetaDist, TrialPlan
+from foldmap import ThetaDist, TrialPlan, experiments
 from foldmap.cli import run
 from foldmap.experiments import (backward_diam_ensemble, forward_values,
                                  one_step_invariance_report)
@@ -34,8 +35,8 @@ CLI_SHA256 = [
     (SIMULATE + ["--format", "csv"],
      "a735faa91b96d1be79e2bc46e81c3ff0b6a9df310aca09ffdbecee80c9916124"),
 ]
-# rate at the acceptance configurations (criterion 7), as JSON and as CSV;
-# 2^14 trials give a two-worker run one block of 2^14 rows, so one thread
+# rate at the acceptance configurations (criterion 7), as JSON and as CSV,
+# and at 2^14 trials
 RATE = ["rate", "--alpha", "inv-sqrt2", "--qk", "17", "--eps", "0.5", "--seed", "424242"]
 RATE_Q41 = ["rate", "--alpha", "inv-sqrt2", "--qk", "41", "--eps", "0.2", "--seed", "424243"]
 CLI_SHA256 += [
@@ -73,8 +74,8 @@ GATHER_SHA256 = {
 }
 
 # canonical JSON of one_step_invariance_report(dist, 200003, 20260815): four
-# sample blocks at one worker and three threads at three, each block ragged
-# against the 2^16 values of a KS block; both letter rules and a one-point dist
+# sample blocks of at most 2^16 values, or ten of a third of that, the last
+# block ragged; both letter rules and a one-point dist
 INVARIANCE_DISTS = {
     "two-point": ThetaDist.two_point(ALPHA),
     "two-point-0.3": GATHER_DISTS["two-point-0.3"],
@@ -92,7 +93,7 @@ INVARIANCE_SHA256 = {
     "one-point": "e63f4e2bf0614e6c75001d925dfe87b62b3aa55efce17c86b12f32300f562220",
 }
 # canonical JSON of one_step_invariance_report(two_point(1/sqrt 2), 10**6, 20260814):
-# acceptance criterion 1 at its size and seed, 16 KS blocks
+# acceptance criterion 1 at its size and seed, in 16 blocks of 2^16 samples or 31 of half that
 CRITERION_1_SHA256 = "c3c87a3c81e14a46dd961a7f37c6cba37ebecf5fbb37719338376e111ed8af76"
 
 
@@ -112,35 +113,38 @@ def test_cli_report_digest(argv, digest, workers):
     assert _digest(out.getvalue().encode()) == digest
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_backward_diameter_digest(workers):
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_backward_diameter_digest(split_runs, blocks):
+    split_runs(10 ** 4, blocks)
     diam = backward_diam_ensemble(ThetaDist.two_point(math.sqrt(0.5)), 1000,
-                                  TrialPlan(2025, 10 ** 4), workers=workers)
+                                  TrialPlan(2025, 10 ** 4))
     assert _digest(diam.astype("<f8").tobytes()) == DIAM_SHA256
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("name", sorted(GATHER_DISTS))
-def test_gather_path_digests(name, workers):
+def test_gather_path_digests(split_runs, name, blocks):
+    split_runs(3000, blocks)
     dist = GATHER_DISTS[name]
-    fwd = forward_values(dist, 0.2, 1001, TrialPlan(31, 3000), workers=workers)
-    diam = backward_diam_ensemble(dist, 1001, TrialPlan(32, 3000), workers=workers)
+    fwd = forward_values(dist, 0.2, 1001, TrialPlan(31, 3000))
+    diam = backward_diam_ensemble(dist, 1001, TrialPlan(32, 3000))
     assert (_digest(fwd.astype("<f8").tobytes()),
             _digest(diam.astype("<f8").tobytes())) == GATHER_SHA256[name]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("shrink", [1, 3])
 @pytest.mark.parametrize("name", sorted(INVARIANCE_DISTS))
-def test_one_step_invariance_digests(name, workers):
-    report = one_step_invariance_report(INVARIANCE_DISTS[name], 200003, 20260815,
-                                        workers=workers)
+def test_one_step_invariance_digests(monkeypatch, name, shrink):
+    # blocks of 2^16 samples, or of a third of that
+    monkeypatch.setattr(experiments, "_TRIAL_BLOCK", experiments._TRIAL_BLOCK // shrink)
+    report = one_step_invariance_report(INVARIANCE_DISTS[name], 200003, 20260815)
     assert _digest(canonical_json(report).encode()) == INVARIANCE_SHA256[name]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_criterion_1_invariance_digest(workers):
-    report = one_step_invariance_report(ThetaDist.two_point(ALPHA), 10 ** 6, 20260814,
-                                        workers=workers)
+@pytest.mark.parametrize("shrink", [1, 2])
+def test_criterion_1_invariance_digest(monkeypatch, shrink):
+    monkeypatch.setattr(experiments, "_TRIAL_BLOCK", experiments._TRIAL_BLOCK // shrink)
+    report = one_step_invariance_report(ThetaDist.two_point(ALPHA), 10 ** 6, 20260814)
     assert _digest(canonical_json(report).encode()) == CRITERION_1_SHA256
 
 

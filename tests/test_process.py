@@ -493,21 +493,21 @@ class TestUniformGrid:
         assert np.array_equal(plan.substream(3, start=40).random(60), whole[40:])
 
     @pytest.mark.parametrize("block", [64, 1000])
-    def test_paths_identical_across_workers_and_blocks(self, monkeypatch, block):
+    def test_paths_identical_across_blocks(self, monkeypatch, block):
         dist = ThetaDist.two_point(ALPHA)
 
-        def outputs(workers):
+        def outputs():
             plan = TrialPlan(77, trials=3000)
-            return (forward_values(dist, 0.2, 30, plan, workers=workers),
-                    backward_diam_ensemble(dist, 30, plan, workers=workers),
-                    rate_experiment(ALPHA, 4, 0.5, plan, workers=workers).to_json())
+            return (forward_values(dist, 0.2, 30, plan),
+                    backward_diam_ensemble(dist, 30, plan),
+                    rate_experiment(ALPHA, 4, 0.5, plan).to_json())
 
-        ref = outputs(1)
+        ref = outputs()
         monkeypatch.setattr(experiments, "_TRIAL_BLOCK", block)
-        threaded = outputs(3)
-        assert np.array_equal(ref[0], threaded[0])
-        assert np.array_equal(ref[1], threaded[1])
-        assert ref[2] == threaded[2]
+        blocked = outputs()
+        assert np.array_equal(ref[0], blocked[0])
+        assert np.array_equal(ref[1], blocked[1])
+        assert ref[2] == blocked[2]
 
     def _grid(self):
         # 10^6 cells: 1000 trials x 1000 steps

@@ -20,8 +20,8 @@ from foldmap import (Interval, OrbitLabel, PiecewiseLinearCDF, PreconditionError
                      one_step_invariance_report, rate_experiment, rate_steps,
                      rho_walk_audit, shrink_word, step, substream_seed,
                      theta_from_uniform, walk_confinement_dp, z_estimate)
-from foldmap.experiments import (check_forward_values, check_law_equality, check_rate,
-                                 check_rho_walk)
+from foldmap.experiments import EmpiricalCDF, check_forward_values, check_rate, check_rho_walk
+from foldmap.stationary import stationary_cdf
 
 ALPHA = math.sqrt(0.5)
 NAN, INF = math.nan, math.inf
@@ -69,24 +69,24 @@ SIGNATURES = {
     "ThetaDist": ("support", "weights"),
     "TrialPlan": ("master_seed", "trials"),
     "apply_theta_label": ("alpha", "x", "label", "theta"),
-    "backward_diam_ensemble": ("dist", "n", "plan", "workers"),
+    "backward_diam_ensemble": ("dist", "n", "plan"),
     "build_graph_window": ("alpha", "x", "window"),
     "canonical_json": ("obj",),
     "contfrac_expand": ("alpha", "terms"),
     "convergent_denominators": ("alpha", "q_max"),
     "convergents": ("quotients", "q_max"),
-    "ensemble_forward": ("dist", "x0", "n", "plan", "workers"),
+    "ensemble_forward": ("dist", "x0", "n", "plan"),
     "find_close_k": ("alpha", "x", "q_n"),
-    "forward_values": ("dist", "x0", "n", "plan", "workers"),
+    "forward_values": ("dist", "x0", "n", "plan"),
     "interval_fold": ("word", "iv", "direction"),
     "is_small_vertex": ("alpha", "n"),
     "iterate_forward": ("word", "x0"),
     "ks_distance": ("sample", "reference"),
     "label_value": ("alpha", "x", "label"),
     "large_count": ("alpha", "n"),
-    "law_equality_report": ("dist", "x0", "n", "trials", "master_seed", "workers"),
-    "one_step_invariance_report": ("dist", "n_samples", "master_seed", "workers"),
-    "rate_experiment": ("alpha", "k_index", "epsilon", "plan", "workers"),
+    "law_equality_report": ("dist", "x0", "n", "trials", "master_seed"),
+    "one_step_invariance_report": ("dist", "n_samples", "master_seed"),
+    "rate_experiment": ("alpha", "k_index", "epsilon", "plan"),
     "rate_steps": ("q_k",),
     "rho_chart": ("graph", "x0_label"),
     "rho_walk_audit": ("alpha", "x0", "steps", "plan", "q_values", "segments", "window"),
@@ -147,10 +147,10 @@ QK = r"q_k must be finite and >= 2 \(log2 q_k must be positive\)"
 X_UNIT = r"x must lie in \[0, 1\]"
 ALPHA_UNIT = r"alpha must lie in \(0, 1\)"
 SEED = "master seed must be an integer"
-LAW = "need n >= 0 and trials >= 1"
 DRAWS = r"uniform draws must lie in \[0, 1\)"
 FINITE = "breakpoints and values must be finite"
 SLOPES = "slopes must be finite"
+NAN_POINT = "CDF argument must not be NaN"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -215,10 +215,10 @@ SLOPES = "slopes must be finite"
                  id="small-vertex-n-inf"),
     pytest.param(lambda: is_small_vertex(ALPHA, 2.5), "n must be an integer",
                  id="small-vertex-n-float"),
-    pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, NAN, 10, 0), LAW,
+    pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, NAN, 10, 0), "n must be >= 0",
                  id="law-equality-n-nan"),
-    pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, 5, INF, 0), LAW,
-                 id="law-equality-trials-inf"),
+    pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, 5, INF, 0),
+                 "trials must be >= 1", id="law-equality-trials-inf"),
     pytest.param(lambda: backward_diam_ensemble(TWO_POINT, NAN, PLAN), "n must be >= 0",
                  id="backward-diam-n-nan"),
     pytest.param(lambda: backward_diam_ensemble(TWO_POINT, INF, PLAN), "n must be >= 0",
@@ -269,6 +269,13 @@ SLOPES = "slopes must be finite"
                  id="cdf-inverse-slope-overflow"),
     pytest.param(lambda: PiecewiseLinearCDF([-1e308, 1e308], [0, 1]), SLOPES,
                  id="cdf-span-overflow"),
+    # NaN sorted last, so an empirical CDF read 1.0 there; np.interp gave nan
+    pytest.param(lambda: EmpiricalCDF([0.1, 0.5])(NAN), NAN_POINT, id="ecdf-eval-nan"),
+    pytest.param(lambda: EmpiricalCDF([0.1, 0.5]).evaluate([0.2, NAN]), NAN_POINT,
+                 id="ecdf-eval-array-nan"),
+    pytest.param(lambda: stationary_cdf(TWO_POINT)(NAN), NAN_POINT, id="cdf-eval-nan"),
+    pytest.param(lambda: stationary_cdf(TWO_POINT).evaluate(np.array([[0.2], [NAN]])),
+                 NAN_POINT, id="cdf-eval-array-nan"),
     # a float count raised a bare TypeError
     pytest.param(lambda: forward_values(TWO_POINT, 0.2, 2.5, PLAN), "n must be an integer",
                  id="forward-values-n-float"),
@@ -292,8 +299,6 @@ SLOPES = "slopes must be finite"
     pytest.param(lambda: contfrac_expand(ALPHA, 2.5), "terms must be an integer",
                  id="contfrac-terms-float"),
     pytest.param(lambda: rate_steps(2.5), "q_k must be an integer", id="rate-steps-float"),
-    pytest.param(lambda: forward_values(TWO_POINT, 0.2, 5, PLAN, workers=1.5),
-                 "workers must be an integer", id="forward-values-workers-float"),
     pytest.param(lambda: rate_experiment(ALPHA, 2.5, 0.5, PLAN), "k_index must be an integer",
                  id="rate-k-index-float"),
     pytest.param(lambda: shrink_word(ALPHA, 1.0, 0.9, 0.01, max_len=2.5),
@@ -302,16 +307,14 @@ SLOPES = "slopes must be finite"
     pytest.param(lambda: walk_confinement_dp("3"), "n must be an integer", id="walk-n-str"),
     pytest.param(lambda: walk_confinement_dp(None), "n must be an integer", id="walk-n-none"),
     pytest.param(lambda: rate_steps("3"), "q_k must be an integer", id="rate-steps-str"),
-    pytest.param(lambda: check_rate("17", 0.5, 10, 1), "q_k must be an integer",
+    pytest.param(lambda: check_rate("17", 0.5, 10), "q_k must be an integer",
                  id="rate-qk-str"),
-    pytest.param(lambda: check_rate(17, 0.5, 10, "1"), "workers must be an integer",
-                 id="rate-workers-str"),
     pytest.param(lambda: TrialPlan(1, "5"), "trials must be an integer", id="plan-trials-str"),
     pytest.param(lambda: forward_values(TWO_POINT, 0.2, None, PLAN), "n must be an integer",
                  id="forward-values-n-none"),
     pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, "5", 10, 0),
                  "n must be an integer", id="law-equality-n-str"),
-    pytest.param(lambda: check_law_equality(0.2, 5, None, 1), "trials must be an integer",
+    pytest.param(lambda: check_forward_values(0.2, 5, None), "trials must be an integer",
                  id="law-equality-trials-none"),
     pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 10, PLAN, window="64"),
                  "window must be an integer", id="rho-walk-audit-window-str"),
@@ -337,7 +340,7 @@ SLOPES = "slopes must be finite"
                  id="contfrac-alpha-str"),
     pytest.param(lambda: rate_experiment(None, 1, 0.5, PLAN), "alpha must be a number",
                  id="rate-alpha-none"),
-    pytest.param(lambda: check_rate(17, "0.5", 10, 1), "epsilon must be a number",
+    pytest.param(lambda: check_rate(17, "0.5", 10), "epsilon must be a number",
                  id="rate-epsilon-str"),
     pytest.param(lambda: convergent_denominators(ALPHA, "3"), "q_max must be a number",
                  id="convergent-qmax-str"),
@@ -478,8 +481,7 @@ def test_count_bounds_raise_before_allocating():
 def test_step_bounds_hold_the_bound_itself():
     # 10^7 letters and 10^6 walk steps and segments pass every check; one
     # more is refused above, before the graph search, the fold or the walk
-    check_forward_values(0.2, 10 ** 7, 1, 1)
-    check_law_equality(0.2, 10 ** 7, 1, 1)
+    check_forward_values(0.2, 10 ** 7, 1)
     check_rho_walk(ALPHA, 0.2, 10 ** 6, 10 ** 6, None)
     for call in (lambda: backward_diam_ensemble(TWO_POINT, 10 ** 30, PLAN),
                  lambda: forward_values(TWO_POINT, 0.2, 10 ** 30, PLAN)):
@@ -544,6 +546,23 @@ def test_only_row_values_folds_in_the_chain():
                        ("_state_graph", "_fold_scalar")}
 
 
+def test_no_module_starts_threads():
+    # every run folds its rows in one loop on the caller's thread: on two
+    # cores a pool of two was slower than one at every size measured
+    found = []
+    for path in sorted(Path(foldmap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("threading", "concurrent")]
+    assert found == []
+
+
 def test_takes_into_out_do_not_buffer():
     # numpy copies out= into a buffer for a take in the default mode="raise",
     # and for a strided out= in any mode; every take into an output in the
@@ -571,7 +590,7 @@ def test_numpy_ints_are_integers():
     assert OrbitLabel(np.int64(3), -1) == OrbitLabel(3, -1)
     assert find_close_k(ALPHA, 0.5, np.int64(17)) == find_close_k(ALPHA, 0.5, 17)
     # every count as an np.int64 gives what the int gives; the walk DP,
-    # rate_steps at 10**7 and the threaded or numpy-sized plans overflowed
+    # rate_steps at 10**7 and the numpy-sized plans overflowed
     calls = [
         lambda c: walk_confinement_dp(c(5)),
         lambda c: rate_steps(c(10 ** 7)),
@@ -581,11 +600,10 @@ def test_numpy_ints_are_integers():
         lambda c: is_small_vertex(ALPHA, c(12)),
         lambda c: build_graph_window(ALPHA, 0.2, c(10)).values.tobytes(),
         lambda c: shrink_word(ALPHA, 1.0, 0.9, 0.01, max_len=c(256)),
-        lambda c: forward_values(TWO_POINT, 0.2, c(9), TrialPlan(1, c(70000)),
-                                 workers=c(2)).tobytes(),
+        lambda c: forward_values(TWO_POINT, 0.2, c(9), TrialPlan(1, c(70000))).tobytes(),
         lambda c: backward_diam_ensemble(TWO_POINT, c(9), TrialPlan(1, c(40))).tobytes(),
-        lambda c: law_equality_report(TWO_POINT, 0.2, c(9), c(30), 1, workers=c(1)),
-        lambda c: one_step_invariance_report(TWO_POINT, c(70000), 1, workers=c(2)),
+        lambda c: law_equality_report(TWO_POINT, 0.2, c(9), c(30), 1),
+        lambda c: one_step_invariance_report(TWO_POINT, c(70000), 1),
         lambda c: rate_experiment(ALPHA, c(4), 0.5, TrialPlan(1, c(5))).to_json(),
         lambda c: rho_walk_audit(ALPHA, 0.2, c(100), PLAN, segments=c(10)),
         # the master seed: a numpy int overflowed the row keys
