@@ -29,7 +29,7 @@ from .serialize import canonical_json, rows_to_csv
 
 def _check_points(x) -> None:
     """A CDF is evaluated at numbers, -inf and inf among them, but not at NaN."""
-    if np.isnan(x).any():
+    if np.isnan(_float_array(x, "CDF arguments")).any():
         raise PreconditionError("CDF argument must not be NaN")
 
 

@@ -276,6 +276,11 @@ NAN_POINT = "CDF argument must not be NaN"
     pytest.param(lambda: stationary_cdf(TWO_POINT)(NAN), NAN_POINT, id="cdf-eval-nan"),
     pytest.param(lambda: stationary_cdf(TWO_POINT).evaluate(np.array([[0.2], [NAN]])),
                  NAN_POINT, id="cdf-eval-array-nan"),
+    # a str compared as text (0.5 here) and None gave nan
+    pytest.param(lambda: EmpiricalCDF([0.1, 0.5])("0.3"), "CDF arguments must be numbers",
+                 id="ecdf-eval-str"),
+    pytest.param(lambda: stationary_cdf(TWO_POINT)([0.2, None]),
+                 "CDF arguments must be numbers", id="cdf-eval-none"),
     # a float count raised a bare TypeError
     pytest.param(lambda: forward_values(TWO_POINT, 0.2, 2.5, PLAN), "n must be an integer",
                  id="forward-values-n-float"),
