@@ -359,7 +359,7 @@ COMMANDS = {row.name: row for row in (
              Arg("--window", default=None)),
             _rho_audit,
             check=lambda a: experiments.check_rho_walk(a.alpha, a.x0, a.steps, a.segments,
-                                                       a.window)),
+                                                       a.window, a.q_values)),
     Command("bvf-check", "two-sample test that backward and forward laws agree",
             (Arg("--dist", "dist"), Arg("--x0", "float"), Arg("--n"), Arg("--trials"),
              Arg("--seed"), _WORKERS),

@@ -25,6 +25,11 @@ canonical serializations.
 The sample-indexed one_step_invariance_report reads row 0 for its stationary
 draws and row 1 for its letters, at cell = sample index (one
 process.letter_run a block), and blocks its samples the same way.
+
+rho_walk_audit walks the letters of row 0 of ThetaDist.two_point(alpha),
+read by one process.letter_run, so its walk at a seed folds the letters
+that simulate's trial 0 folds at that seed; its segment picks are the
+uniform cells of row 1.
 """
 
 from __future__ import annotations
@@ -426,8 +431,9 @@ def _walk_count(n: int) -> int:
 def check_rho_walk(alpha: float, x0: float, steps: int, segments: int,
                    window: int | None, q_values=()) -> None:
     """The preconditions of rho_walk_audit: q_values is a sequence (the
-    audit reads it again) of integers q >= 1, and a given window must suit
-    build_graph_window."""
+    audit reads it again) of integers q in 1.._MAX_WALK (a walk of at most
+    _MAX_WALK steps spans at most _MAX_WALK rho levels, so a larger q checks
+    no pair), and a given window must suit build_graph_window."""
     _check_alpha(alpha)
     if not 0.0 < comparable(x0, "x0", "a number") < min(alpha, 1.0 - alpha):
         raise PreconditionError("x0 must satisfy 0 < x0 < min(alpha, 1-alpha)")
@@ -440,7 +446,8 @@ def check_rho_walk(alpha: float, x0: float, steps: int, segments: int,
     if qs is None or isinstance(q_values, Iterator):
         raise PreconditionError("q_values must be a sequence of integers")
     for q in qs:
-        as_int(q, "q_values", 1)
+        if as_int(q, "q_values", 1) > _MAX_WALK:
+            raise PreconditionError(f"q_values must be <= {_MAX_WALK}")
     if window is not None:
         check_graph_window(alpha, x0, window)
 
@@ -457,19 +464,20 @@ def _move_window(index: np.ndarray, w: int, to: int) -> np.ndarray:
     return index
 
 
-def _label_walk(alpha: float, x0: float, u: np.ndarray):
-    """(path, w): the label walk from (0, +1), one fold per uniform.
+def _label_walk(alpha: float, x0: float, word: np.ndarray):
+    """(path, w): the label walk from (0, +1), one fold per letter.
 
+    word holds the letters theta in {alpha, 1}, as iterate_forward's word
+    does; fold k is at word[k], applied as orbit.apply_theta_label does.
     path holds the flat vertex indices of the walk in the orbit window
-    |n| <= w it ends in (see OrbitGraphWindow), as int64. Fold k is at alpha
-    when u[k] < 1/2 and at 1 otherwise, applied as orbit.apply_theta_label
-    does. The folds are read eight at a time: byte j of np.packbits(u < 1/2)
-    is the word of folds 8j .. 8j+7, the first in its top bit, and the last
-    word is padded with folds at 1, which never leave the window. Each window
-    gets the one-fold successor table of its 2m vertices (m = 2w+1) and a
-    sink, 2m: bit 0 takes the rung 2m-1-i, bit 1 the ladder rule's alpha
-    target (alpha_targets), and the alpha image of n = -w, which leaves the
-    window, is the sink. Its 8-fold table (_chain._word_table, the table the
+    |n| <= w it ends in (see OrbitGraphWindow), as int64. The folds are read
+    eight at a time: byte j of np.packbits(word < 1) is the word of folds
+    8j .. 8j+7, a bit of 1 a fold at alpha, the first in its top bit, and
+    the last word is padded with folds at 1, which never leave the window.
+    Each window gets the one-fold successor table of its 2m vertices (m =
+    2w+1) and a sink, 2m: bit 0 takes the rung 2m-1-i, bit 1 the ladder
+    rule's alpha target (alpha_targets), and the alpha image of n = -w,
+    which leaves the window, is the sink. Its 8-fold table (_chain._word_table, the table the
     two-point folds walk) takes the walk one lookup a word, writing each
     word's last vertex to path[8j + 8], until a word reaches the sink; seven
     vectorized single-fold gathers then fill in the vertices within the
@@ -478,11 +486,11 @@ def _label_walk(alpha: float, x0: float, u: np.ndarray):
     to W_MAX, and the walk so far has moved into it in place (_move_window).
     A walk that would pass |n| = W_MAX raises WindowError. The word table
     holds 256 int32 entries, 1 KB, a vertex: 8.4 MB at w = 1024, the last
-    window of 10^6 folds at seed 17 (reach 786).
+    window of 10^6 folds at seed 17 (reach 951).
     """
-    n = u.size
-    letters = np.packbits(u < 0.5)
-    del u  # unless the caller holds them, the uniforms go before the tables come
+    n = word.size
+    letters = np.packbits(word < 1.0)
+    del word  # unless the caller holds it, the word goes before the tables come
     words = letters.tobytes()  # iterates as ints
     path = np.empty(8 * len(words) + 1, dtype=np.int64)  # the padded folds too
     w = min(_WALK_WINDOW, W_MAX)
@@ -548,8 +556,10 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
     WindowError; its values are scanned for class ties all the same, so it
     raises ClassBoundaryError wherever build_graph_window would.
 
-    Fold k reads cell (0, k) of the plan's grid; pair s takes its path
-    indices floor(u (steps + 1)) from cells (1, s) and (1, segments + s).
+    Fold k is letter k of row 0 of ThetaDist.two_point(alpha), read by
+    process.letter_run: the letter simulate's trial 0 folds at its k-th step
+    under the same seed. Pair s takes its path indices floor(u (steps + 1))
+    from cells (1, s) and (1, segments + s).
     """
     check_rho_walk(alpha, x0, steps, segments, window, q_values)
     base = {"schema": 1, "kind": "rho_walk_audit", "alpha": alpha, "x0": x0,
@@ -559,7 +569,8 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
                 "farsmall": [], "farsmall_violations": 0, "segments_checked": 0}
 
     rows = substream_keys(plan.master_seed, 0, 2)
-    flat, w = _label_walk(alpha, x0, uniform_cells(rows[:1], np.arange(steps)))
+    flat, w = _label_walk(alpha, x0,
+                          letter_run(ThetaDist.two_point(alpha), rows[:1], 0, steps)[0])
     reach = int(np.max(np.abs(flat % (2 * w + 1) - w)))  # the largest |n|
     if window is None:
         window = reach + 4

@@ -47,6 +47,9 @@ consecutive letters of each row at once: a two-point dist hashes one cell
 a 64 letters and spells each byte of the hash into its 8 letters by one
 take from the same table of the 256 words. A cell's letter does not
 depend on the tile or run it was read in, so neither does any result.
+letter_run also reads the letters of the rho audit's label walk
+(experiments.rho_walk_audit): row 0 of the two-point dist on {alpha, 1},
+the row simulate's trial 0 folds.
 """
 
 from __future__ import annotations
@@ -273,6 +276,8 @@ class ThetaDist:
     @classmethod
     def uniform(cls, support: Iterable[float]) -> "ThetaDist":
         pts = list(support)
+        if not pts:
+            raise PreconditionError("support and weights must be nonempty and equal-length")
         return cls(pts, [1.0 / len(pts)] * len(pts))
 
     def __repr__(self):
@@ -281,7 +286,7 @@ class ThetaDist:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with lo <= hi; an end of -0.0 is stored as 0.0."""
+    """Closed finite interval [lo, hi] with lo <= hi; an end of -0.0 is stored as 0.0."""
 
     lo: float
     hi: float
@@ -295,6 +300,8 @@ class Interval:
             raise PreconditionError("interval ends must be numbers") from None
         if not lo <= hi:
             raise PreconditionError(f"invalid interval [{self.lo}, {self.hi}]")
+        if math.isinf(lo) or math.isinf(hi):
+            raise PreconditionError("interval ends must be finite")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

@@ -353,6 +353,12 @@ class TestInputBoundary:
         assert run(self.AUDIT + [f"--q-values={q_values}", *dry]) == 2
         assert "q_values must be positive integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    @pytest.mark.parametrize("q_values", ["1000001", "1" + "0" * 400], ids=["1e6+1", "1e400"])
+    def test_q_values_past_cap(self, capsys, q_values, dry):
+        assert run(self.AUDIT + [f"--q-values={q_values}", *dry]) == 2
+        assert "q_values must be <= 1000000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("q_values", ["x", "", "7,", "1.5"])
     def test_q_values_malformed(self, capsys, q_values):
         assert run(self.AUDIT + [f"--q-values={q_values}"]) == 1
@@ -480,7 +486,8 @@ class TestInputBoundary:
     @pytest.mark.parametrize("alpha", [math.inf, math.nan, 1.5, 1.0, 0.0, -0.3])
     def test_rho_audit_row_checks_alpha(self, alpha):
         # the x0 range min(alpha, 1-alpha) means nothing outside (0, 1), so alpha comes first
-        args = argparse.Namespace(alpha=alpha, x0=0.2, steps=10, segments=10, window=None)
+        args = argparse.Namespace(alpha=alpha, x0=0.2, steps=10, segments=10, window=None,
+                                  q_values=(7, 17))
         with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
             COMMANDS["rho-audit"].check(args)
 
@@ -606,9 +613,9 @@ REPORT_SHA256 = [
     (['walk-oracle', '--n', '5', '--float'],
      '1c5c5eb26f5ac6158d5d355b178029f931b0804b74f90ed2cf51363a8bd8099a'),
     (['rho-audit', '--alpha', 'inv-sqrt2', '--x0', '0.2', '--steps', '200', '--seed', '17'],
-     '3c81f93a1d458280b70077928e94cddd220e1583a5829041ff3aa3c754277b44'),
+     '7512be12bbcb3d4449d1683304b4bdc2015f0757d34726253b722e4ca262b0a4'),
     (['rho-audit', '--alpha', 'inv-sqrt2', '--x0', '0.2', '--steps', '200', '--seed', '18', '--segments', '50', '--q-values', '3,7', '--window', '200'],
-     '6061ca8e5dd343cbdc7cc613acebfb1a25d8ccec154a4bb3e4029ffb95ee415e'),
+     '5cb8bcb6152f886d3db488e07d67fab2e259d2f5fab2df12cda7a6327150469a'),
     (['bvf-check', '--dist', 'two-point:inv-sqrt2', '--x0', '0.2', '--n', '10', '--trials', '200', '--seed', '23'],
      '7903e894a791d857ce96a2769295c3cd2b93e3c4646687db546839dcaf31c662'),
 ]

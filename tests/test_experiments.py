@@ -21,9 +21,9 @@ from foldmap import (ClassBoundaryError, EmpiricalCDF, Interval, PreconditionErr
                      rho_walk_audit, sample_stationary, stationary_cdf,
                      theta_from_uniform, walk_confinement_dp)
 from foldmap.orbit import (OrbitLabel, apply_theta_label, build_graph_window,
-                           rho_chart)
+                           label_value, rho_chart)
 from foldmap.contfrac import contfrac_expand, convergents
-from foldmap.process import letter_words, substream_keys, uniform_cells
+from foldmap.process import letter_run, letter_words, substream_keys, uniform_cells
 
 import bit_oracle
 
@@ -582,20 +582,56 @@ class TestRhoWalkAudit:
         (ALPHA, 0.2, 17), (ALPHA, 0.2, 18), (ALPHA, 0.05, 3),
         ((math.sqrt(5.0) - 1.0) / 2.0, 0.1, 1), (0.3 + 1e-5 * math.sqrt(2), 0.1, 29)])
     def test_label_walk_matches_automaton(self, alpha, x0, seed):
-        u = TrialPlan(seed, trials=1).substream(0).random(3000)
-        path, w = experiments._label_walk(alpha, x0, u)
+        word = self.fixed_word(alpha, seed, 3000)
+        path, w = experiments._label_walk(alpha, x0, word)
         assert path.dtype == np.int64
-        assert self.walk_labels(path, w) == self.automaton_labels(alpha, x0, u)
+        assert self.walk_labels(path, w) == self.automaton_labels(alpha, x0, word)
 
     @staticmethod
-    def automaton_labels(alpha, x0, u):
-        """The label walk from (0, +1) by apply_theta_label, one fold a uniform."""
+    def fixed_word(alpha, seed, n):
+        """n letters of {alpha, 1}, at alpha where cell (0, k) of the seed's
+        grid is below 1/2: fixed words on which the walk tests below find
+        their window exits."""
+        u = uniform_cells(substream_keys(seed, 0, 1), np.arange(n))
+        return np.where(u < 0.5, alpha, 1.0)
+
+    @staticmethod
+    def audit_word(alpha, seed, steps):
+        """The letters the audit at this seed walks: row 0 of the two-point dist."""
+        return letter_run(ThetaDist.two_point(alpha), substream_keys(seed, 0, 1), 0, steps)[0]
+
+    @staticmethod
+    def automaton_labels(alpha, x0, word):
+        """The label walk from (0, +1) by apply_theta_label, one fold a letter."""
         label = OrbitLabel(0, 1)
         labels = [label]
-        for v in u:
-            label = apply_theta_label(alpha, x0, label, alpha if v < 0.5 else 1.0)
+        for theta in word:
+            label = apply_theta_label(alpha, x0, label, theta)
             labels.append(label)
         return labels
+
+    @pytest.mark.parametrize("seed", [1, 17, 99])
+    def test_walk_folds_trial_0_letters(self, monkeypatch, seed):
+        # fold k of the audit is letter k of row 0 of the two-point dist,
+        # the letter simulate's trial 0 folds at its k-th step; on its labels
+        # the walk takes the values of the forward chain from x0
+        steps, walk, words = 3000, experiments._label_walk, []
+
+        def walk_spy(alpha, x0, word):
+            words.append(word.copy())
+            return walk(alpha, x0, word)
+
+        monkeypatch.setattr(experiments, "_label_walk", walk_spy)
+        rho_walk_audit(ALPHA, 0.2, steps, TrialPlan(seed, trials=1))
+        word = self.audit_word(ALPHA, seed, steps)
+        assert len(words) == 1 and np.array_equal(words[0], word)
+        forward = iterate_forward(word, 0.2)
+        labels = self.walk_labels(*walk(ALPHA, 0.2, word))
+        values = np.array([label_value(ALPHA, 0.2, lab) for lab in labels])
+        assert np.max(np.abs(values - forward)) < 1e-9
+        for n in (0, 1, 8, 63, 64, 65, 1000, steps):
+            got = forward_values(TWO_POINT, 0.2, n, TrialPlan(seed, trials=1))[0]
+            assert got == forward[n]
 
     @staticmethod
     def walk_labels(path, w):
@@ -611,11 +647,12 @@ class TestRhoWalkAudit:
         # the folds are read eight a word; 0..17 folds end in every position
         # of a first, second and third word, the last one padded
         for seed in (1, 2):
-            u = TrialPlan(seed, trials=1).substream(0).random(17)
+            word = self.fixed_word(alpha, seed, 17)
             for steps in range(18):
-                path, w = experiments._label_walk(alpha, x0, u[:steps])
+                path, w = experiments._label_walk(alpha, x0, word[:steps])
                 assert path.dtype == np.int64 and path.shape == (steps + 1,)
-                assert self.walk_labels(path, w) == self.automaton_labels(alpha, x0, u[:steps])
+                assert (self.walk_labels(path, w)
+                        == self.automaton_labels(alpha, x0, word[:steps]))
 
     @staticmethod
     def window_exits(labels, w):
@@ -635,11 +672,11 @@ class TestRhoWalkAudit:
         monkeypatch.setattr(experiments, "_WALK_WINDOW", 1)
         positions = set()
         for seed in range(1, 31):  # at ALPHA, seed 24 is the first to leave at fold 3
-            u = TrialPlan(seed, trials=1).substream(0).random(600)
-            want = self.automaton_labels(alpha, x0, u)
+            word = self.fixed_word(alpha, seed, 600)
+            want = self.automaton_labels(alpha, x0, word)
             exits = self.window_exits(want, 1)
             positions.update((k - 1) % 8 for k in exits)
-            path, w = experiments._label_walk(alpha, x0, u)
+            path, w = experiments._label_walk(alpha, x0, word)
             assert w == 2 ** len(exits)
             assert self.walk_labels(path, w) == want
         assert positions == set(range(8))
@@ -649,24 +686,24 @@ class TestRhoWalkAudit:
         # nor the last of its word: the folds before it walk, and it raises
         monkeypatch.setattr(experiments, "W_MAX", 5)
         monkeypatch.setattr(experiments, "_WALK_WINDOW", 2)
-        u = TrialPlan(17, trials=1).substream(0).random(1000)
-        labels = self.automaton_labels(ALPHA, 0.2, u)
+        word = self.fixed_word(ALPHA, 17, 1000)
+        labels = self.automaton_labels(ALPHA, 0.2, word)
         k = next(k for k, label in enumerate(labels) if abs(label.n) > 5)
         assert (k - 1) % 8 not in (0, 7)
-        path, w = experiments._label_walk(ALPHA, 0.2, u[:k - 1])
+        path, w = experiments._label_walk(ALPHA, 0.2, word[:k - 1])
         assert w == 5 and self.walk_labels(path, w) == labels[:k]
         with pytest.raises(WindowError, match=re.escape("walk reached |n| = 6 > 5")):
-            experiments._label_walk(ALPHA, 0.2, u[:k])
+            experiments._label_walk(ALPHA, 0.2, word[:k])
 
     @pytest.mark.parametrize("alpha, x0, seed", [
         (ALPHA, 0.2, 17), ((math.sqrt(5.0) - 1.0) / 2.0, 0.1, 1),
         (0.3 + 1e-5 * math.sqrt(2), 0.1, 29)])
     def test_label_walk_grows_its_window(self, monkeypatch, alpha, x0, seed):
         # from a window of 1 the walk doubles it several times on the way
-        u = TrialPlan(seed, trials=1).substream(0).random(3000)
-        want = self.walk_labels(*experiments._label_walk(alpha, x0, u))
+        word = self.fixed_word(alpha, seed, 3000)
+        want = self.walk_labels(*experiments._label_walk(alpha, x0, word))
         monkeypatch.setattr(experiments, "_WALK_WINDOW", 1)
-        got = self.walk_labels(*experiments._label_walk(alpha, x0, u))
+        got = self.walk_labels(*experiments._label_walk(alpha, x0, word))
         assert max(abs(lab.n) for lab in got) > 8
         assert got == want
 
@@ -676,7 +713,7 @@ class TestRhoWalkAudit:
         # the peak, 26 MB, is the increment check: the path, its rho levels
         # and their differences (8 MB each) and three byte masks. The walk
         # itself peaks at 17 MB: the path and the 8-fold word table of its
-        # last window, w = 1024 (8.4 MB), once the uniforms are freed
+        # last window, w = 1024 (8.4 MB), once the letters are freed
         tracemalloc.start()
         try:
             rho_walk_audit(ALPHA, 0.2, 10 ** 6, TrialPlan(17, trials=1))
@@ -715,8 +752,8 @@ class TestRhoWalkAudit:
     @pytest.mark.parametrize("window", [None, 20, 20000])
     def test_graph_no_wider_than_the_walk(self, monkeypatch, window):
         plan = TrialPlan(17, trials=1)
-        u = uniform_cells(substream_keys(17, 0, 1), np.arange(20000))
-        walk = self.walk_labels(*experiments._label_walk(ALPHA, 0.2, u))
+        word = self.audit_word(ALPHA, 17, 20000)
+        walk = self.walk_labels(*experiments._label_walk(ALPHA, 0.2, word))
         reach = max(abs(lab.n) for lab in walk)
         widths = []
 
@@ -750,23 +787,21 @@ class TestRhoWalkAudit:
         # (901, +1) has value <-alpha> = 1 - alpha, a cut, far past the walk
         x0 = ((1 - 903) * ALPHA) % 1.0
         plan = TrialPlan(17, trials=1)
-        assert rho_walk_audit(ALPHA, x0, 200, plan)["window"] == 16 + 4
+        walk = self.automaton_labels(ALPHA, x0, self.audit_word(ALPHA, 17, 200))
+        reach = max(abs(lab.n) for lab in walk)
+        assert reach + 4 < 901
+        assert rho_walk_audit(ALPHA, x0, 200, plan)["window"] == reach + 4
         with pytest.raises(ClassBoundaryError, match=r"^label \(901,\+1\) value "):
             rho_walk_audit(ALPHA, x0, 200, plan, window=2000)
 
     @staticmethod
     def reference_farsmall(chart, graph, seed, steps, q_values, segments):
         """The audit's far-small counts by one slice and scan per segment."""
-        plan = TrialPlan(seed, trials=1)
-        u = plan.substream(0).random(steps)
-        label = OrbitLabel(0, 1)
-        labels = [label]
-        for k in range(steps):
-            label = apply_theta_label(ALPHA, 0.2, label, ALPHA if u[k] < 0.5 else 1.0)
-            labels.append(label)
+        labels = TestRhoWalkAudit.automaton_labels(
+            ALPHA, 0.2, TestRhoWalkAudit.audit_word(ALPHA, seed, steps))
         rho_path = [chart.rho_of(graph, lab) for lab in labels]
         # pair s scales cells (1, s) and (1, segments + s) to path indices
-        u = plan.substream(1).random(2 * segments)
+        u = uniform_cells(substream_keys(seed, 1, 1), np.arange(2 * segments))
         i_idx, j_idx = np.floor(u * (steps + 1)).astype(np.int64).reshape(2, segments)
         out = []
         for q in q_values:

@@ -35,11 +35,11 @@ CHART_SHA256 = [
 _AUDIT = ["rho-audit", "--alpha", "inv-sqrt2", "--x0", "0.2", "--steps", "20000",
           "--window", "20000", "--seed"]
 CLI_SHA256 = [
-    (_AUDIT + ["17"], "1332c81f9932a3801c4be3bb57702a3f909844cd02ceab9ce3946c535deb9c5c"),
-    (_AUDIT + ["18"], "c36381c93a18331a0e55b252b7bb5fa6adb46df893835abd0a904f5573556265"),
+    (_AUDIT + ["17"], "2a6a554030afb622807c54770b980ae07970837d9ac1c98fbc37a000654e51ca"),
+    (_AUDIT + ["18"], "183c554ebcb82733de0cb161a58339f22b35f6771c992d797e2254943ae42657"),
     (["rho-audit", "--alpha", "golden-conj", "--x0", "0.1", "--steps", "5000",
       "--seed", "1"],
-     "fdc0ab9640727917f826723afd334b5b33b9dd138df07b9195d37e1b8f563316"),
+     "e94f29cfde5fe2c71016c1f360176cc2ae2b8a05ffa16777ecea70a3f590635a"),
 ]
 
 

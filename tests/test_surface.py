@@ -447,6 +447,19 @@ NAN_POINT = "CDF argument must not be NaN"
                  "q_values must be a sequence", id="rho-walk-audit-q-iterator"),
     pytest.param(lambda: check_rho_walk(ALPHA, 0.2, 10, 10, None, (0,)),
                  "q_values must be >= 1", id="rho-walk-q-0"),
+    # a q past the longest walk's rho span raised a bare OverflowError at 10**400
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 100, PLAN, q_values=(7, 10 ** 6 + 1)),
+                 "q_values must be <= 1000000", id="rho-walk-audit-q-cap"),
+    pytest.param(lambda: rho_walk_audit(ALPHA, 0.2, 100, PLAN, q_values=(10 ** 400,)),
+                 "q_values must be <= 1000000", id="rho-walk-audit-q-past-float-range"),
+    # an empty support divided by zero; an infinite end made an interval
+    pytest.param(lambda: ThetaDist.uniform([]),
+                 "support and weights must be nonempty and equal-length",
+                 id="dist-uniform-empty"),
+    pytest.param(lambda: Interval(0.0, INF), "interval ends must be finite",
+                 id="interval-hi-inf"),
+    pytest.param(lambda: Interval(-INF, 0.0), "interval ends must be finite",
+                 id="interval-lo-minus-inf"),
     # convergents took any quotient: NaN gave NaN convergents, 1.5 gave
     # q = 1.5, a str raised a bare TypeError, and a NaN q_max was no cap
     pytest.param(lambda: convergents([0, NAN, 2]), "partial quotient must be an integer",
