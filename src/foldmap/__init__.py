@@ -19,8 +19,7 @@ from .orbit import (DEFAULT_WINDOW, OrbitGraphWindow, OrbitLabel, RhoChart,
                     VertexClass, W_MAX, apply_theta_label, build_graph_window,
                     label_value, rho_chart, shrink_word, structure_stats)
 from .process import (Interval, ThetaDist, TrialPlan, interval_fold,
-                      iterate_forward, sample_theta, step, substream_seed,
-                      theta_from_uniform)
+                      iterate_forward, sample_theta, step, theta_from_uniform)
 from .serialize import canonical_json, rows_to_csv
 from .stationary import (PiecewiseLinearCDF, is_small_vertex, large_count,
                          sample_stationary, stationary_cdf, stationary_quantile,

@@ -128,7 +128,7 @@ _SYNTAX = {"int": int, "float": float, "ints": int_list}
 class Arg:
     """One option of a subcommand.
 
-    kind is int, float (finite), ints (positive integers, comma-separated),
+    kind is int, float (finite), ints (integers, comma-separated),
     alpha (see parse_alpha), dist (see parse_dist), choice or switch.
     """
 
@@ -406,8 +406,6 @@ def _check_values(row: Command, args) -> None:
             if not math.isfinite(value):
                 raise PreconditionError(f"{arg.dest} must be finite")
             setattr(args, arg.dest, value + 0.0)
-        if arg.kind == "ints" and min(value) < 1:
-            raise PreconditionError(f"{arg.dest} must be positive integers")
         if arg is _WORKERS and not 1 <= value <= 64:
             raise PreconditionError("workers must lie in 1..64")
         if arg.kind in _CONVERT:

@@ -26,10 +26,10 @@ The sample-indexed one_step_invariance_report reads row 0 for its stationary
 draws and row 1 for its letters, at cell = sample index (one
 process.letter_run a block), and blocks its samples the same way.
 
-rho_walk_audit walks the letters of row 0 of ThetaDist.two_point(alpha),
-read by one process.letter_run, so its walk at a seed folds the letters
-that simulate's trial 0 folds at that seed; its segment picks are the
-uniform cells of row 1.
+rho_walk_audit walks the words of row 0, read by one process.word_run: bit
+k, letter k of ThetaDist.two_point(alpha), is fold k, so its walk at a seed
+folds the letters that simulate's trial 0 folds at that seed; its segment
+picks are the uniform cells of row 1.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from .errors import (PreconditionError, StructuralError, WindowError, as_int,
                      comparable)
 from .orbit import (OrbitLabel, W_MAX, _check_alpha, _scan_window, alpha_targets,
                     build_graph_window, check_graph_window, rho_chart, window_values)
-from .process import (ThetaDist, TrialPlan, check_start, check_trials, letter_run,
-                      substream_keys, uniform_cells)
+from .process import (ThetaDist, TrialPlan, _float_array, check_start, check_trials,
+                      letter_run, substream_keys, uniform_cells, word_run)
 from .serialize import canonical_json, rows_to_csv
 from .stationary import PiecewiseLinearCDF, _check_points, _quantile, stationary_cdf
 
@@ -59,14 +59,14 @@ _TRIAL_BLOCK = 1 << 16    # cap on rows vectorized together (does not affect out
 # found at most 4278 states for q_k <= 99, under _chain._WORD_STATES
 _RATE_QK_CAP = 99
 _MAX_LETTERS = 10 ** 7    # n: past the state cap, about 30 s of folds a trial
-_MAX_WALK = 10 ** 6       # rho audit steps, segments: 26 MB and 58 MB at the bound
+_MAX_WALK = 10 ** 6       # rho audit steps, segments: peaks 26.1 MB and 58.0 MB (tracemalloc)
 
 
 class EmpiricalCDF:
     """Right-continuous step CDF of a finite sample."""
 
     def __init__(self, values):
-        self._hold(np.sort(np.asarray(values, dtype=float).ravel()))
+        self._hold(np.sort(_float_array(values, "empirical CDF values").ravel()))
 
     @classmethod
     def _of_sorted(cls, values: np.ndarray) -> EmpiricalCDF:
@@ -285,7 +285,11 @@ def _check_qk(q_k: int) -> None:
 def rate_steps(q_k: int) -> int:
     """Letter budget ceil(8 * q_k^3 * log2(q_k)) of the rate bound; q_k >= 2."""
     _check_qk(q_k)
-    return math.ceil(8 * int(q_k) ** 3 * math.log2(q_k))  # a numpy int would overflow
+    try:
+        return math.ceil(8 * int(q_k) ** 3 * math.log2(q_k))  # a numpy int would overflow
+    except OverflowError:  # the float product, or its ceil, passes the float range
+        raise PreconditionError(
+            "q_k is too large: its letter budget passes the float range") from None
 
 
 def check_rate(q_k: int, epsilon: float, trials: int) -> None:
@@ -464,33 +468,33 @@ def _move_window(index: np.ndarray, w: int, to: int) -> np.ndarray:
     return index
 
 
-def _label_walk(alpha: float, x0: float, word: np.ndarray):
-    """(path, w): the label walk from (0, +1), one fold per letter.
+def _label_walk(alpha: float, x0: float, words: np.ndarray, n: int):
+    """(path, w): the label walk from (0, +1), n folds of the 8-fold words.
 
-    word holds the letters theta in {alpha, 1}, as iterate_forward's word
-    does; fold k is at word[k], applied as orbit.apply_theta_label does.
-    path holds the flat vertex indices of the walk in the orbit window
-    |n| <= w it ends in (see OrbitGraphWindow), as int64. The folds are read
-    eight at a time: byte j of np.packbits(word < 1) is the word of folds
-    8j .. 8j+7, a bit of 1 a fold at alpha, the first in its top bit, and
-    the last word is padded with folds at 1, which never leave the window.
-    Each window gets the one-fold successor table of its 2m vertices (m =
-    2w+1) and a sink, 2m: bit 0 takes the rung 2m-1-i, bit 1 the ladder
-    rule's alpha target (alpha_targets), and the alpha image of n = -w,
-    which leaves the window, is the sink. Its 8-fold table (_chain._word_table, the table the
-    two-point folds walk) takes the walk one lookup a word, writing each
-    word's last vertex to path[8j + 8], until a word reaches the sink; seven
-    vectorized single-fold gathers then fill in the vertices within the
-    words walked. The word that reached the sink is walked again from its
-    first vertex, which lies in the window, once the window has doubled, up
-    to W_MAX, and the walk so far has moved into it in place (_move_window).
-    A walk that would pass |n| = W_MAX raises WindowError. The word table
-    holds 256 int32 entries, 1 KB, a vertex: 8.4 MB at w = 1024, the last
-    window of 10^6 folds at seed 17 (reach 951).
+    words holds at least ceil(n / 8) bit-rule words of
+    ThetaDist.two_point(alpha) (process.word_run): fold 8j + i is bit 7 - i
+    of words[j], a bit of 1 a fold at 1 (support[1]), a bit of 0 one at
+    alpha, applied as orbit.apply_theta_label does; the bits past n are set
+    to 1, folds that never leave the window. path holds the flat vertex
+    indices of the walk in the orbit window |n| <= w it ends in (see
+    OrbitGraphWindow), as int64. Each window gets the one-fold successor
+    table of its 2m vertices (m = 2w+1) and a sink, 2m: bit 0 takes the
+    ladder rule's alpha target (alpha_targets), bit 1 the rung 2m-1-i, and
+    the alpha image of n = -w, which leaves the window, is the sink. Its
+    8-fold table (_chain._word_table, the table the two-point folds walk)
+    takes the walk one lookup a word, writing each word's last vertex to
+    path[8j + 8], until a word reaches the sink; seven vectorized
+    single-fold gathers then fill in the vertices within the words walked.
+    The word that reached the sink is walked again from its first vertex,
+    which lies in the window, once the window has doubled, up to W_MAX, and
+    the walk so far has moved into it in place (_move_window). A walk that
+    would pass |n| = W_MAX raises WindowError. The word table holds 256
+    int32 entries, 1 KB, a vertex: 4.2 MB at w = 1024, the last window of
+    10^6 folds at seed 17 (reach 951).
     """
-    n = word.size
-    letters = np.packbits(word < 1.0)
-    del word  # unless the caller holds it, the word goes before the tables come
+    letters = words[:(n + 7) // 8].copy()  # the padding is set in the copy
+    if n % 8:
+        letters[-1] |= 0xFF >> n % 8
     words = letters.tobytes()  # iterates as ints
     path = np.empty(8 * len(words) + 1, dtype=np.int64)  # the padded folds too
     w = min(_WALK_WINDOW, W_MAX)
@@ -500,10 +504,10 @@ def _label_walk(alpha: float, x0: float, word: np.ndarray):
         m = 2 * w + 1
         sink = 2 * m
         succ = np.full((sink + 1, 2), sink, dtype=np.int32)
-        succ[:sink, 0] = np.arange(sink - 1, -1, -1)
         alpha_next = alpha_targets(window_values(alpha, x0, w), alpha, w)
         alpha_next[::m] = sink
-        succ[:sink, 1] = alpha_next
+        succ[:sink, 0] = alpha_next
+        succ[:sink, 1] = np.arange(sink - 1, -1, -1)
         table = memoryview(_chain._word_table(succ, 8))  # 256 times the next vertex
         stop = 256 * sink
         ends = memoryview(path[8 * j + 8::8])  # 256 times each word's last vertex
@@ -556,10 +560,10 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
     WindowError; its values are scanned for class ties all the same, so it
     raises ClassBoundaryError wherever build_graph_window would.
 
-    Fold k is letter k of row 0 of ThetaDist.two_point(alpha), read by
-    process.letter_run: the letter simulate's trial 0 folds at its k-th step
-    under the same seed. Pair s takes its path indices floor(u (steps + 1))
-    from cells (1, s) and (1, segments + s).
+    Fold k is bit k of row 0's words, read by process.word_run: letter k of
+    row 0 of ThetaDist.two_point(alpha), the letter simulate's trial 0 folds
+    at its k-th step under the same seed. Pair s takes its path indices
+    floor(u (steps + 1)) from cells (1, s) and (1, segments + s).
     """
     check_rho_walk(alpha, x0, steps, segments, window, q_values)
     base = {"schema": 1, "kind": "rho_walk_audit", "alpha": alpha, "x0": x0,
@@ -569,8 +573,7 @@ def rho_walk_audit(alpha: float, x0: float, steps: int, plan: TrialPlan,
                 "farsmall": [], "farsmall_violations": 0, "segments_checked": 0}
 
     rows = substream_keys(plan.master_seed, 0, 2)
-    flat, w = _label_walk(alpha, x0,
-                          letter_run(ThetaDist.two_point(alpha), rows[:1], 0, steps)[0])
+    flat, w = _label_walk(alpha, x0, word_run(rows[:1], 0, (steps + 7) // 8)[0], steps)
     reach = int(np.max(np.abs(flat % (2 * w + 1) - w)))  # the largest |n|
     if window is None:
         window = reach + 4

@@ -10,11 +10,11 @@ with no rounding beyond the subtractions themselves, so nesting and
 monotonicity are asserted without tolerances elsewhere in the package.
 
 All randomness is one stateless grid of uniforms per master seed,
-u[t, j] = (mix64(key_t + (j + 1) G) >> 11) 2^-53, where key_t =
-substream_seed(master_seed, t), G is the 64-bit golden-ratio increment and
-mix64 the SplitMix64 finalizer: SplitMix64 in counter mode (Steele, Lea &
-Flood, OOPSLA'14), the counter-based design of Salmon et al. (SC'11). Row t
-is trial t's word, cell j its j-th letter. Any cell is reached directly, so a
+u[t, j] = (mix64(key_t + (j + 1) G) >> 11) 2^-53, where the row key key_t =
+mix64(master_seed + (t + 1) G) comes from substream_keys, G is the 64-bit
+golden-ratio increment and mix64 the SplitMix64 finalizer: SplitMix64 in
+counter mode (Steele, Lea & Flood, OOPSLA'14), the counter-based design of
+Salmon et al. (SC'11). Row t is trial t's word, cell j its j-th letter. Any cell is reached directly, so a
 shorter word is a prefix of a longer one and results never depend on block
 layout or execution order.
 
@@ -31,31 +31,30 @@ support[bit 63 - (j mod 64) of h[t, j // 64]], where h[t, c] =
 mix64(key_t + (c + 1) G) is the full hash of grid cell (t, c). So one hash
 holds 64 letters, letter 64c first in its top bit, and each of its bytes,
 read from the top, is a word of 8 consecutive letters, the first in the
-byte's top bit (letter_words). Only these letters follow the bit rule:
-uniform_cells, and the letters of every other dist, read one cell a value.
+byte's top bit (word_run, the one reader of words). Only these letters
+follow the bit rule: uniform_cells, and the letters of every other dist,
+read one cell a value.
 
 This module alone reads letters, and only letter_columns, letter_run and
 letter_words read them: a two-point dist's by the bit rule, any other
 dist's by the cut rule, which nothing else calls. letter_columns yields the
 letter columns of a block of rows one at a time, for a range of letters
-taken forward or backward: a two-point dist's from letter_words, each word
-read into its 8 columns by one take from a table of the 256 words; any
-other dist's a tile of consecutive columns per numpy call, (width, rows)
-cells, width = max(1, TILE_CELLS // rows), into buffers it allocates once
-(above TILE_CELLS rows a tile is one column). letter_run reads a run of
-consecutive letters of each row at once: a two-point dist hashes one cell
-a 64 letters and spells each byte of the hash into its 8 letters by one
-take from the same table of the 256 words. A cell's letter does not
-depend on the tile or run it was read in, so neither does any result.
-letter_run also reads the letters of the rho audit's label walk
-(experiments.rho_walk_audit): row 0 of the two-point dist on {alpha, 1},
-the row simulate's trial 0 folds.
+taken forward or backward: a two-point dist's from letter_words (word_run
+a tile of whole cells at a time), each word read into its 8 columns by one
+take from a table of the 256 words; any other dist's a tile of consecutive
+columns per numpy call, (width, rows) cells, width = max(1, TILE_CELLS //
+rows), into buffers it allocates once (above TILE_CELLS rows a tile is one
+column). letter_run reads a run of consecutive letters of each row at once:
+a two-point dist spells one word_run by one take from the same table. A
+cell's letter does not depend on the tile or run it was read in, so neither
+does any result. The rho audit's label walk (experiments.rho_walk_audit)
+walks row 0's words from word_run: its bits are the letters of the
+two-point dist on {alpha, 1} that simulate's trial 0 folds.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Sequence
@@ -78,8 +77,6 @@ TILE_CELLS = 1 << 16
 # most rows (or samples) one run may take: a run holds a float or more per
 # row, 800 MB here, and a larger count would fill memory before any output
 MAX_TRIALS = 10 ** 8
-# the memory offset, within a uint64, of its top byte (word 0 of a hash)
-_TOP_BYTE = 7 if sys.byteorder == "little" else 0
 # +0.0 as a 0-d array: a ufunc converts a Python float operand on every call
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
@@ -104,17 +101,11 @@ def _mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def substream_seed(master_seed: int, index: int) -> int:
-    """Deterministic 64-bit key of row `index` of a master seed's grid."""
-    master_seed = as_int(master_seed, "master seed")  # ints: a numpy int would overflow
-    index = as_int(index, "substream index", 0)
-    return int(substream_keys(master_seed, index, 1)[0])
-
-
 def substream_keys(master_seed: int, first: int, count: int) -> np.ndarray:
-    """substream_seed(master_seed, t) for t = first .. first+count-1, as uint64."""
+    """The 64-bit keys of rows first .. first+count-1 of a master seed's grid,
+    key_t = mix64(master_seed + (t + 1) G), as uint64."""
     master_seed = as_int(master_seed, "master seed")  # ints: a numpy int would overflow
-    first = as_int(first, "substream rows", 0)
+    first = as_int(first, "substream index", 0)
     count = as_int(count, "substream rows", 0)
     z = np.arange(count, dtype=np.uint64)
     z *= np.uint64(_GOLDEN64)
@@ -216,7 +207,7 @@ class TrialPlan:
 
     def substream(self, index: int, start: int = 0) -> UniformRow:
         """Row view of trial `index` from cell `start`; a pure function of its arguments."""
-        return UniformRow(substream_seed(self.master_seed, index), start)
+        return UniformRow(substream_keys(self.master_seed, index, 1)[0], start)
 
 
 class ThetaDist:
@@ -229,6 +220,8 @@ class ThetaDist:
     def __init__(self, support: Iterable[float], weights: Iterable[float]):
         sup = _float_array(list(support), "fold points")
         wts = _float_array(list(weights), "weights")
+        if sup.ndim != 1 or wts.ndim != 1:
+            raise PreconditionError("fold points and weights must be 1-d")
         if sup.size == 0 or sup.size != wts.size:
             raise PreconditionError("support and weights must be nonempty and equal-length")
         # array methods, not np.any/np.all: every simulate and bvf-check builds one
@@ -422,34 +415,37 @@ def letter_columns(dist: ThetaDist, keys: np.ndarray, letters: range):
         yield from columns[:k]
 
 
+def word_run(keys: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Words start .. start + count - 1 of grid rows `keys`, for a dist that
+    reads one bit a letter: a (rows, count) uint8 array whose entry [i, k]
+    is word start + k of row i. Word w holds letters 8w .. 8w + 7, the first
+    in its top bit: it is byte w mod 8, read from the top, of the hash of
+    cell w // 8. This is the one reader that turns hashes into words."""
+    z = _cell_hashes(keys[:, None], np.arange(start // 8, (start + count + 7) // 8))
+    octets = z.astype(">u8").view(np.uint8)  # the hashes' bytes, top first
+    return octets[:, start % 8:start % 8 + count]
+
+
 def letter_words(keys: np.ndarray, words: range):
     """The 8-letter words w of `words` of grid rows `keys`, for a dist that
     reads one bit a letter: one (rows,) uint8 column per word.
 
-    Word w holds letters 8w .. 8w + 7, the first in its top bit: it is byte
-    w mod 8, counted from the top, of the hash of cell w // 8. The cells are
-    hashed a tile of up to TILE_CELLS letters (at least one cell a row), each tile
-    running on from the word that needs it in the direction of the range,
-    into buffers allocated once; every column is a read-only view of them,
-    so use each column before asking for the next.
+    The words are read by word_run a tile of whole cells at a time, up to
+    TILE_CELLS letters (at least one cell a row), each tile running on from
+    the cell that needs it in the direction of the range; every column is a
+    view of its tile.
     """
     if not words:
         return
     low, high = min(words[0], words[-1]) // 8, max(words[0], words[-1]) // 8 + 1
     span = min(max(1, TILE_CELLS // (64 * max(1, keys.size))), high - low)
-    z = np.empty((span, keys.size), dtype=np.uint64)
-    scratch = np.empty_like(z)
-    octets = z.view(np.uint8).reshape(span, keys.size, 8)
-    octets.flags.writeable = False
-    first = None  # the first cell of the tile in z
+    first = None  # the first cell of the tile
     for w in words:
         cell = w // 8
         if first is None or not first <= cell < first + span:
             first = cell if words.step > 0 else max(low, cell - span + 1)
-            k = min(span, high - first)
-            cells = np.arange(first, first + k, dtype=np.uint64)[:, None]
-            _cell_hashes(keys, cells, z[:k], scratch[:k])
-        yield octets[cell - first, :, _TOP_BYTE ^ (w % 8)]
+            tile = word_run(keys, 8 * first, 8 * min(span, high - first))
+        yield tile[:, w - 8 * first]
 
 
 def _words_in_order(keys: np.ndarray, letters: range):
@@ -471,16 +467,14 @@ def _spelled(dist: ThetaDist) -> np.ndarray:
 def letter_run(dist: ThetaDist, keys: np.ndarray, start: int, count: int) -> np.ndarray:
     """Letters start .. start + count - 1 of grid rows `keys`: a (rows,
     count) array whose entry [i, k] is letter start + k of row i. A dist
-    that reads one bit a letter hashes one cell a 64 letters and spells
-    each byte of the hash, read from the top, into its 8 letters by one take
-    from the table of the 256 words; any other dist hashes one cell a letter
-    (_cut_letters)."""
+    that reads one bit a letter spells each word of word_run into its 8
+    letters by one take from the table of the 256 words; any other dist
+    hashes one cell a letter (_cut_letters)."""
     if not dist._bits:
         return _cut_letters(dist, keys[:, None], np.arange(start, start + count))
-    z = _cell_hashes(keys[:, None], np.arange(start // 64, (start + count + 63) // 64))
-    octets = z.astype(">u8").view(np.uint8)  # the hashes' bytes, top first
-    letters = _spelled(dist).take(octets, axis=0).reshape(keys.size, 64 * z.shape[1])
-    return letters[:, start % 64:start % 64 + count]
+    words = word_run(keys, start // 8, (start + count + 7) // 8 - start // 8)
+    letters = _spelled(dist).take(words, axis=0).reshape(keys.size, 8 * words.shape[1])
+    return letters[:, start % 8:start % 8 + count]
 
 
 def sample_theta(dist: ThetaDist, rng: np.random.Generator, size=None):

@@ -18,12 +18,13 @@ from foldmap import (ClassBoundaryError, EmpiricalCDF, Interval, PreconditionErr
                      interval_fold, iterate_forward, ks_distance,
                      law_equality_report,
                      one_step_invariance_report, rate_experiment, rate_steps,
-                     rho_walk_audit, sample_stationary, stationary_cdf,
+                     rho_walk_audit, stationary_cdf, stationary_quantile,
                      theta_from_uniform, walk_confinement_dp)
 from foldmap.orbit import (OrbitLabel, apply_theta_label, build_graph_window,
                            label_value, rho_chart)
 from foldmap.contfrac import contfrac_expand, convergents
-from foldmap.process import letter_run, letter_words, substream_keys, uniform_cells
+from foldmap.process import (letter_run, letter_words, substream_keys, uniform_cells,
+                             word_run)
 
 import bit_oracle
 
@@ -35,6 +36,11 @@ STAT_CDF = stationary_cdf(TWO_POINT)
 def two_point_word(alpha, plan, t, n):
     """Letters 0 .. n-1 of row t for the dist {alpha, 1}, by tests/bit_oracle.py."""
     return np.where(bit_oracle.bits(plan.master_seed, t, 1, n)[0] == 1, 1.0, alpha)
+
+
+def row_cells(seed, t, n):
+    """Cells (t, 0) .. (t, n-1) of the seed's grid."""
+    return uniform_cells(substream_keys(seed, t, 1), np.arange(n))
 
 
 def on_workers(call, workers=3):
@@ -255,7 +261,7 @@ class TestBackwardDiameter:
         plan = TrialPlan(17, trials=20)
         diam = backward_diam_ensemble(dist, 12, plan)
         for t in range(20):
-            word = theta_from_uniform(dist, plan.substream(t).random(12))
+            word = theta_from_uniform(dist, row_cells(17, t, 12))
             images = interval_fold(word, Interval(0.0, 1.5), "backward")
             assert diam[t] == images[-1].length
 
@@ -583,7 +589,7 @@ class TestRhoWalkAudit:
         ((math.sqrt(5.0) - 1.0) / 2.0, 0.1, 1), (0.3 + 1e-5 * math.sqrt(2), 0.1, 29)])
     def test_label_walk_matches_automaton(self, alpha, x0, seed):
         word = self.fixed_word(alpha, seed, 3000)
-        path, w = experiments._label_walk(alpha, x0, word)
+        path, w = self.label_walk(alpha, x0, word)
         assert path.dtype == np.int64
         assert self.walk_labels(path, w) == self.automaton_labels(alpha, x0, word)
 
@@ -594,6 +600,12 @@ class TestRhoWalkAudit:
         their window exits."""
         u = uniform_cells(substream_keys(seed, 0, 1), np.arange(n))
         return np.where(u < 0.5, alpha, 1.0)
+
+    @staticmethod
+    def label_walk(alpha, x0, word):
+        """experiments._label_walk on a word of letters in {alpha, 1}, given
+        as its bits, a bit of 1 a fold at 1, eight a word."""
+        return experiments._label_walk(alpha, x0, np.packbits(word == 1.0), word.size)
 
     @staticmethod
     def audit_word(alpha, seed, steps):
@@ -615,18 +627,20 @@ class TestRhoWalkAudit:
         # fold k of the audit is letter k of row 0 of the two-point dist,
         # the letter simulate's trial 0 folds at its k-th step; on its labels
         # the walk takes the values of the forward chain from x0
-        steps, walk, words = 3000, experiments._label_walk, []
+        steps, walk, calls = 3000, experiments._label_walk, []
 
-        def walk_spy(alpha, x0, word):
-            words.append(word.copy())
-            return walk(alpha, x0, word)
+        def walk_spy(alpha, x0, words, n):
+            calls.append((words.copy(), n))
+            return walk(alpha, x0, words, n)
 
         monkeypatch.setattr(experiments, "_label_walk", walk_spy)
         rho_walk_audit(ALPHA, 0.2, steps, TrialPlan(seed, trials=1))
         word = self.audit_word(ALPHA, seed, steps)
-        assert len(words) == 1 and np.array_equal(words[0], word)
+        (words, n), = calls
+        assert n == steps and words.size == steps // 8
+        assert np.array_equal(np.where(np.unpackbits(words) == 1, 1.0, ALPHA), word)
         forward = iterate_forward(word, 0.2)
-        labels = self.walk_labels(*walk(ALPHA, 0.2, word))
+        labels = self.walk_labels(*walk(ALPHA, 0.2, words, n))
         values = np.array([label_value(ALPHA, 0.2, lab) for lab in labels])
         assert np.max(np.abs(values - forward)) < 1e-9
         for n in (0, 1, 8, 63, 64, 65, 1000, steps):
@@ -649,10 +663,31 @@ class TestRhoWalkAudit:
         for seed in (1, 2):
             word = self.fixed_word(alpha, seed, 17)
             for steps in range(18):
-                path, w = experiments._label_walk(alpha, x0, word[:steps])
+                path, w = self.label_walk(alpha, x0, word[:steps])
                 assert path.dtype == np.int64 and path.shape == (steps + 1,)
                 assert (self.walk_labels(path, w)
                         == self.automaton_labels(alpha, x0, word[:steps]))
+
+    def test_label_walk_pads_with_folds_at_1(self, monkeypatch):
+        # the audit's words are raw hashes: the bits past n in the last word
+        # are set to folds at 1, so a walk whose n folds end at the window
+        # edge n = -w, where the next raw bit would fold at alpha out of the
+        # window, keeps the window of its real folds
+        monkeypatch.setattr(experiments, "_WALK_WINDOW", 1)
+        cases = 0
+        for seed in range(1, 11):
+            words = word_run(substream_keys(seed, 0, 1), 0, 25)[0]
+            word = self.audit_word(ALPHA, seed, 200)
+            labels = self.automaton_labels(ALPHA, 0.2, word)
+            for n in range(1, 200):
+                w = 2 ** len(self.window_exits(labels[:n + 1], 1))
+                raw_alpha = word[n] == ALPHA  # the raw bit past n folds at alpha
+                if n % 8 == 0 or labels[n].n != -w or not raw_alpha:
+                    continue
+                cases += 1
+                path, got_w = experiments._label_walk(ALPHA, 0.2, words, n)
+                assert got_w == w and self.walk_labels(path, w) == labels[:n + 1]
+        assert cases >= 5
 
     @staticmethod
     def window_exits(labels, w):
@@ -676,7 +711,7 @@ class TestRhoWalkAudit:
             want = self.automaton_labels(alpha, x0, word)
             exits = self.window_exits(want, 1)
             positions.update((k - 1) % 8 for k in exits)
-            path, w = experiments._label_walk(alpha, x0, word)
+            path, w = self.label_walk(alpha, x0, word)
             assert w == 2 ** len(exits)
             assert self.walk_labels(path, w) == want
         assert positions == set(range(8))
@@ -690,10 +725,10 @@ class TestRhoWalkAudit:
         labels = self.automaton_labels(ALPHA, 0.2, word)
         k = next(k for k, label in enumerate(labels) if abs(label.n) > 5)
         assert (k - 1) % 8 not in (0, 7)
-        path, w = experiments._label_walk(ALPHA, 0.2, word[:k - 1])
+        path, w = self.label_walk(ALPHA, 0.2, word[:k - 1])
         assert w == 5 and self.walk_labels(path, w) == labels[:k]
         with pytest.raises(WindowError, match=re.escape("walk reached |n| = 6 > 5")):
-            experiments._label_walk(ALPHA, 0.2, word[:k])
+            self.label_walk(ALPHA, 0.2, word[:k])
 
     @pytest.mark.parametrize("alpha, x0, seed", [
         (ALPHA, 0.2, 17), ((math.sqrt(5.0) - 1.0) / 2.0, 0.1, 1),
@@ -701,9 +736,9 @@ class TestRhoWalkAudit:
     def test_label_walk_grows_its_window(self, monkeypatch, alpha, x0, seed):
         # from a window of 1 the walk doubles it several times on the way
         word = self.fixed_word(alpha, seed, 3000)
-        want = self.walk_labels(*experiments._label_walk(alpha, x0, word))
+        want = self.walk_labels(*self.label_walk(alpha, x0, word))
         monkeypatch.setattr(experiments, "_WALK_WINDOW", 1)
-        got = self.walk_labels(*experiments._label_walk(alpha, x0, word))
+        got = self.walk_labels(*self.label_walk(alpha, x0, word))
         assert max(abs(lab.n) for lab in got) > 8
         assert got == want
 
@@ -712,8 +747,8 @@ class TestRhoWalkAudit:
         # ints and its (n, eps) copies took about 90 bytes a step (89 MB);
         # the peak, 26 MB, is the increment check: the path, its rho levels
         # and their differences (8 MB each) and three byte masks. The walk
-        # itself peaks at 17 MB: the path and the 8-fold word table of its
-        # last window, w = 1024 (8.4 MB), once the letters are freed
+        # itself peaks at 13.5 MB: the path and the 8-fold word table of its
+        # last window, w = 1024 (4.2 MB), beside 0.25 MB of words
         tracemalloc.start()
         try:
             rho_walk_audit(ALPHA, 0.2, 10 ** 6, TrialPlan(17, trials=1))
@@ -753,7 +788,7 @@ class TestRhoWalkAudit:
     def test_graph_no_wider_than_the_walk(self, monkeypatch, window):
         plan = TrialPlan(17, trials=1)
         word = self.audit_word(ALPHA, 17, 20000)
-        walk = self.walk_labels(*experiments._label_walk(ALPHA, 0.2, word))
+        walk = self.walk_labels(*self.label_walk(ALPHA, 0.2, word))
         reach = max(abs(lab.n) for lab in walk)
         widths = []
 
@@ -857,11 +892,11 @@ class TestDistributionReports:
     def test_one_step_rows_by_the_float_path(self, dist):
         # sample i: the quantile of cell (0, i), folded at the letter of cell (1, i)
         plan, cdf = TrialPlan(29, trials=2), stationary_cdf(dist)
-        x = sample_stationary(cdf, plan.substream(0), 500)
+        x = stationary_quantile(cdf, row_cells(29, 0, 500))
         if dist is TWO_POINT:  # one bit a letter (tests/bit_oracle.py)
             theta = two_point_word(ALPHA, plan, 1, 500)
         else:
-            theta = theta_from_uniform(dist, plan.substream(1).random(500))
+            theta = theta_from_uniform(dist, row_cells(29, 1, 500))
         want = ks_distance(EmpiricalCDF(np.abs(theta - x)), cdf)
         assert one_step_invariance_report(dist, 500, master_seed=29)["ks_distance"] == want
 
@@ -894,9 +929,9 @@ class TestDistributionReports:
         bwd = experiments._point_folds(dist, 0.2, 12, plan, first=50, backward=True)
         for t in range(50):
             assert fwd[t] == iterate_forward(
-                theta_from_uniform(dist, plan.substream(t).random(12)), 0.2)[-1]
+                theta_from_uniform(dist, row_cells(31, t, 12)), 0.2)[-1]
             assert bwd[t] == iterate_forward(
-                theta_from_uniform(dist, plan.substream(50 + t).random(12))[::-1], 0.2)[-1]
+                theta_from_uniform(dist, row_cells(31, 50 + t, 12))[::-1], 0.2)[-1]
 
     def test_law_equality_validation(self):
         with pytest.raises(PreconditionError):

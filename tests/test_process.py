@@ -14,7 +14,7 @@ from foldmap import (EmpiricalCDF, Interval, PreconditionError, ThetaDist,
                      TrialPlan, backward_diam_ensemble, experiments, process,
                      forward_values, interval_fold, iterate_forward,
                      ks_distance, rate_experiment, sample_theta,
-                     stationary_cdf, step, substream_seed, theta_from_uniform)
+                     stationary_cdf, step, theta_from_uniform)
 from foldmap.process import (_CHAIN_CUTS, TILE_CELLS, _cell_hashes, _cut_letters,
                              _fold_scalar, fold_interval_arrays, letter_columns, letter_run,
                              substream_keys, uniform_cells)
@@ -400,14 +400,14 @@ class TestTrialPlan:
         assert np.array_equal(a, b)
 
     def test_substreams_differ_across_indices(self):
-        seeds = {substream_seed(99, i) for i in range(1000)}
+        seeds = set(substream_keys(99, 0, 1000).tolist())
         assert len(seeds) == 1000
 
     def test_validation(self):
         with pytest.raises(PreconditionError):
             TrialPlan(0, trials=0)
         with pytest.raises(PreconditionError):
-            substream_seed(0, -1)
+            substream_keys(0, -1, 1)
 
 
 class TestUniformGrid:
@@ -418,13 +418,14 @@ class TestUniformGrid:
         for first in (0, 7, 2 ** 40):
             keys = substream_keys(seed, first, 50)
             assert keys.dtype == np.uint64
-            assert keys.tolist() == [substream_seed(seed, first + i) for i in range(50)]
+            assert keys.tolist() == [int(substream_keys(seed, first + i, 1)[0])
+                                     for i in range(50)]
 
     @pytest.mark.parametrize("seed", [0, -1, 2 ** 64 + 5])
     def test_scalar_keys_follow_the_formula(self, seed):
         # key_t = mix64(seed + (t + 1) G), in Python integers
         for t in (0, 1, 2 ** 40, 2 ** 64 - 1, 2 ** 64, 2 ** 70):
-            assert substream_seed(seed, t) == bit_oracle.row_key(seed, t)
+            assert int(substream_keys(seed, t, 1)[0]) == bit_oracle.row_key(seed, t)
 
     def test_cells_follow_the_formula(self):
         # u[t, j] = (mix64(key_t + (j + 1) G) >> 11) 2^-53, in Python integers

@@ -18,9 +18,10 @@ from foldmap import (Interval, OrbitLabel, PiecewiseLinearCDF, PreconditionError
                      convergents, find_close_k, forward_values, interval_fold, is_small_vertex,
                      iterate_forward, large_count, law_equality_report,
                      one_step_invariance_report, rate_experiment, rate_steps,
-                     rho_walk_audit, shrink_word, step, substream_seed,
+                     rho_walk_audit, shrink_word, step,
                      theta_from_uniform, walk_confinement_dp, z_estimate)
 from foldmap.experiments import EmpiricalCDF, check_forward_values, check_rate, check_rho_walk
+from foldmap.process import substream_keys
 from foldmap.stationary import stationary_cdf
 
 ALPHA = math.sqrt(0.5)
@@ -47,7 +48,7 @@ def test_exported_names():
         "rate_experiment", "rate_steps", "rho_chart", "rho_walk_audit",
         "rows_to_csv", "sample_stationary", "sample_theta", "serialize",
         "shrink_word", "stationary", "stationary_cdf", "stationary_quantile",
-        "step", "structure_stats", "substream_seed", "theta_from_uniform",
+        "step", "structure_stats", "theta_from_uniform",
         "walk_confinement_dp", "z_estimate",
     ]
 
@@ -98,7 +99,6 @@ SIGNATURES = {
     "stationary_quantile": ("cdf", "u"),
     "step": ("theta", "x"),
     "structure_stats": ("graph",),
-    "substream_seed": ("master_seed", "index"),
     "theta_from_uniform": ("dist", "u"),
     "walk_confinement_dp": ("n", "exact"),
     "z_estimate": ("alpha", "n"),
@@ -327,7 +327,7 @@ NAN_POINT = "CDF argument must not be NaN"
                  id="graph-window-none"),
     pytest.param(lambda: contfrac_expand(ALPHA, "3"), "terms must be an integer",
                  id="contfrac-terms-str"),
-    pytest.param(lambda: substream_seed(0, [1]), "substream index must be an integer",
+    pytest.param(lambda: PLAN.substream([1]), "substream index must be an integer",
                  id="substream-index-list"),
     # a float or an array of floats that is not a number raised a bare
     # TypeError from a range check, or was parsed by np.asarray(dtype=float)
@@ -408,7 +408,7 @@ NAN_POINT = "CDF argument must not be NaN"
     pytest.param(lambda: TrialPlan(2.5, 4), SEED, id="plan-seed-float"),
     pytest.param(lambda: TrialPlan(NAN, 4), SEED, id="plan-seed-nan"),
     pytest.param(lambda: TrialPlan(INF, 4), SEED, id="plan-seed-inf"),
-    pytest.param(lambda: substream_seed(2.5, 0), SEED, id="substream-seed-float"),
+    pytest.param(lambda: substream_keys(2.5, 0, 1), SEED, id="substream-seed-float"),
     pytest.param(lambda: law_equality_report(TWO_POINT, 0.2, 5, 10, 2.5), SEED,
                  id="law-equality-seed-float"),
     pytest.param(lambda: one_step_invariance_report(TWO_POINT, 10, NAN), SEED,
@@ -460,6 +460,21 @@ NAN_POINT = "CDF argument must not be NaN"
                  id="interval-hi-inf"),
     pytest.param(lambda: Interval(-INF, 0.0), "interval ends must be finite",
                  id="interval-lo-minus-inf"),
+    # an empirical sample of text was parsed, and one that is no number raised
+    # a bare ValueError
+    pytest.param(lambda: EmpiricalCDF(["0.5", "0.25"]), "empirical CDF values must be numbers",
+                 id="ecdf-sample-str"),
+    pytest.param(lambda: EmpiricalCDF(["a"]), "empirical CDF values must be numbers",
+                 id="ecdf-sample-not-a-number"),
+    # a 2-d support raised a bare IndexError, and a column of points was
+    # refused as not distinct
+    pytest.param(lambda: ThetaDist([[0.5, 1.0]], [[0.5, 0.5]]),
+                 "fold points and weights must be 1-d", id="dist-support-row"),
+    pytest.param(lambda: ThetaDist([[0.5], [1.0]], [[0.5], [0.5]]),
+                 "fold points and weights must be 1-d", id="dist-support-column"),
+    # the letter budget's float product overflowed, a bare OverflowError
+    pytest.param(lambda: rate_steps(10 ** 400), "q_k is too large",
+                 id="rate-steps-past-float-range"),
     # convergents took any quotient: NaN gave NaN convergents, 1.5 gave
     # q = 1.5, a str raised a bare TypeError, and a NaN q_max was no cap
     pytest.param(lambda: convergents([0, NAN, 2]), "partial quotient must be an integer",
@@ -548,6 +563,21 @@ def test_only_the_chain_reads_the_bit_rule():
     assert found == allowed
 
 
+def test_one_word_reader():
+    # a hash becomes letters in one of two places: the cut rule reads a
+    # letter a hash, and word_run reads the bit rule's 8-letter words, which
+    # every other two-point reader spells or walks
+    callers = set()
+    for path in sorted(Path(foldmap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        callers |= {(path.name, owner[node]) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and "_cell_hashes" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None))}
+    assert callers == {("process.py", "_cut_letters"), ("process.py", "word_run")}
+
+
 def test_only_row_values_folds_in_the_chain():
     # rate's trials walk the exact chain, always; in _chain only the point
     # and backward folds past the state cap read letters a column at a time
@@ -627,7 +657,7 @@ def test_numpy_ints_are_integers():
         # the master seed: a numpy int overflowed the row keys
         lambda c: forward_values(TWO_POINT, 0.2, 5, TrialPlan(c(3), 4)).tobytes(),
         lambda c: one_step_invariance_report(TWO_POINT, 10, c(3)),
-        lambda c: substream_seed(c(3), 1),
+        lambda c: substream_keys(c(3), 1, 1).tolist(),
     ]
     for call in calls:
         assert call(np.int64) == call(int)
